@@ -2,11 +2,12 @@
 //!
 //! These complement the figure harness (which measures end-to-end shapes)
 //! with per-element numbers: insert cost per LMerge variant, adjust-heavy
-//! revision cost, stable-processing cost, the hot stable-sweep path over a
-//! large live window, the O(1) batched discard of lagging inputs, and
-//! reconstitution overhead. A plain timing harness (best-of-N over a few
-//! repeats) keeps the workspace free of external benchmark frameworks; run
-//! with `cargo bench -p lmerge-bench`.
+//! revision cost, stable-processing cost, the stable sweep over a large
+//! live window (settled, all of it due, and in steady state with ~1% due),
+//! the index's own sweep and memory estimate, the O(1) batched discard of
+//! lagging inputs, and reconstitution overhead. A plain timing harness
+//! (best-of-N over a few repeats) keeps the workspace free of external
+//! benchmark frameworks; run with `cargo bench -p lmerge-bench`.
 //!
 //! Results are printed progressively and also persisted as
 //! `target/bench-results/BENCH_micro.json` (one record per case, with
@@ -148,49 +149,93 @@ fn bench_stable_processing(report: &mut Report) {
 }
 
 fn bench_stable_sweep(report: &mut Report) {
-    // The hot sweep path: high StableFreq over a large live window. Every
-    // stable visits ~`nodes` kept nodes (their Ve lies far in the future),
-    // so the per-node sweep cost dominates. Pre-refactor, this path cloned
-    // every live payload per stable and re-looked each key up; reported
-    // cost is ns per swept node.
+    // High StableFreq over a large live window whose end times lie far
+    // beyond the stables; reported cost is ns per live node per stable.
+    // `stable_sweep/*` has one input: the first stable visits every node
+    // and settles its tier, the rest step over them (the key's committed
+    // baselines stay comparable across the change that introduced the
+    // skip). `stable_sweep/all_due/*` is the sweep at its honest limit: a
+    // second, far-lagging replica has delivered nothing, no tier is settled
+    // while an attached input lacks its nodes, and every stable visits all
+    // `nodes` kept nodes.
     let nodes = sized(10_000, 1_000);
     let stables = sized(200, 20);
     println!("\n== stable_sweep_{nodes}_live_nodes ==");
+    for (inputs, case) in [(1, "stable_sweep"), (2, "stable_sweep/all_due")] {
+        for v in [VariantKind::R3Plus, VariantKind::R4] {
+            let mut best = f64::INFINITY;
+            for _ in 0..repeats() {
+                let mut lm = v.build(inputs);
+                let mut out = Vec::new();
+                for i in 0..nodes as i64 {
+                    lm.push(
+                        StreamId(0),
+                        &Element::insert(Value::bare(i as i32), i, i + 100_000_000),
+                        &mut out,
+                    );
+                    out.clear();
+                }
+                let start = Instant::now();
+                for k in 0..stables as i64 {
+                    lm.push(
+                        StreamId(0),
+                        &Element::stable(nodes as i64 + 1 + k),
+                        &mut out,
+                    );
+                    out.clear();
+                }
+                let ns = start.elapsed().as_nanos() as f64 / (stables * nodes) as f64;
+                best = best.min(ns);
+            }
+            record(report, &format!("{case}/{}", v.label()), best);
+        }
+    }
+}
+
+fn bench_stable_sweep_settled(report: &mut Report) {
+    // The sweep in steady state (the paper's defaults: ~10 K active events,
+    // StableFreq 1%): one node per time unit living `nodes` units, a stable
+    // every `step` units. Each stable owes something to the `step` nodes
+    // that just ended and the `step` that arrived since the last one (~1%
+    // each); the rest of the live set sits in settled tiers. Only the
+    // stables are timed; reported cost is ns per *live* node per stable,
+    // the same denominator as the cases above.
+    let nodes = sized(10_000, 1_000) as i64;
+    let step = nodes / 100;
+    let stables = sized(200, 20) as i64;
+    let event = |i: i64| Element::insert(Value::bare(i as i32), i, i + nodes);
+    println!("\n== stable_sweep_settled_{nodes}_live_nodes ==");
     for v in [VariantKind::R3Plus, VariantKind::R4] {
         let mut best = f64::INFINITY;
         for _ in 0..repeats() {
             let mut lm = v.build(1);
             let mut out = Vec::new();
-            // Live window: every node's end time is far beyond the stables.
-            for i in 0..nodes as i64 {
-                lm.push(
-                    StreamId(0),
-                    &Element::insert(Value::bare(i as i32), i, i + 100_000_000),
-                    &mut out,
-                );
-                out.clear();
+            for i in 0..nodes {
+                lm.push(StreamId(0), &event(i), &mut out);
             }
-            let start = Instant::now();
-            for k in 0..stables as i64 {
-                lm.push(
-                    StreamId(0),
-                    &Element::stable(nodes as i64 + 1 + k),
-                    &mut out,
-                );
+            let mut busy = std::time::Duration::ZERO;
+            for k in 0..stables {
+                let now = nodes + k * step;
+                for i in now..now + step {
+                    lm.push(StreamId(0), &event(i), &mut out);
+                }
                 out.clear();
+                let start = Instant::now();
+                lm.push(StreamId(0), &Element::stable(now + step), &mut out);
+                busy += start.elapsed();
             }
-            let ns = start.elapsed().as_nanos() as f64 / (stables * nodes) as f64;
+            let ns = busy.as_nanos() as f64 / (stables * nodes) as f64;
             best = best.min(ns);
         }
-        record(report, &format!("stable_sweep/{}", v.label()), best);
+        record(report, &format!("stable_sweep/settled/{}", v.label()), best);
     }
 }
 
-fn bench_sweep_vs_clone(report: &mut Report) {
-    // Index-level head-to-head: the in-place sweep against the legacy
-    // access pattern it replaced (clone every half-frozen key out, then
-    // re-look each node up). Same index, same visit set; reported cost is
-    // ns per visited node.
+fn bench_index(report: &mut Report) {
+    // The index on its own: the in-place sweep with a visitor that makes no
+    // promise (`Keep`), so every node is visited every round — ns per
+    // visited node — and the O(1) memory estimate the executor samples
+    // every 256 batches — ns per call.
     use lmerge_core::in2t::In2t;
     use lmerge_core::SweepAction;
     use lmerge_temporal::Time;
@@ -206,9 +251,9 @@ fn bench_sweep_vs_clone(report: &mut Report) {
         }
         ix
     };
-    println!("\n== in2t_half_frozen_visit ({nodes} nodes) ==");
+    println!("\n== in2t ({nodes} nodes) ==");
     let mut best_sweep = f64::INFINITY;
-    let mut best_clone = f64::INFINITY;
+    let mut best_mem = f64::INFINITY;
     for _ in 0..repeats() {
         let mut ix = build();
         let start = Instant::now();
@@ -221,22 +266,16 @@ fn bench_sweep_vs_clone(report: &mut Report) {
         let ns = start.elapsed().as_nanos() as f64 / (rounds * nodes) as f64;
         best_sweep = best_sweep.min(ns);
 
+        let calls = rounds * 1_000;
         let start = Instant::now();
-        for _ in 0..rounds {
-            for (vs, p) in ix.half_frozen_keys(t) {
-                black_box(ix.get_mut(vs, &p).expect("node live"));
-            }
+        for _ in 0..calls {
+            black_box(black_box(&ix).memory_bytes());
         }
-        let ns = start.elapsed().as_nanos() as f64 / (rounds * nodes) as f64;
-        best_clone = best_clone.min(ns);
+        let ns = start.elapsed().as_nanos() as f64 / calls as f64;
+        best_mem = best_mem.min(ns);
     }
     record(report, "sweep_api/in_place", best_sweep);
-    record(report, "sweep_api/clone_relookup", best_clone);
-    println!(
-        "{:<44} {:>9.2}x",
-        "sweep_api speedup",
-        best_clone / best_sweep
-    );
+    record(report, "in2t/memory_bytes", best_mem);
 }
 
 fn bench_batch_discard(report: &mut Report) {
@@ -306,7 +345,8 @@ fn main() {
     bench_adjust_heavy(&mut report);
     bench_stable_processing(&mut report);
     bench_stable_sweep(&mut report);
-    bench_sweep_vs_clone(&mut report);
+    bench_stable_sweep_settled(&mut report);
+    bench_index(&mut report);
     bench_batch_discard(&mut report);
     bench_reconstitution(&mut report);
     println!();

@@ -37,13 +37,14 @@ pub struct SubPoint {
     pub subscribers: usize,
     /// Frames each subscriber received (identical across subscribers).
     pub frames_per_sub: u64,
-    /// Frames delivered across all subscribers.
+    /// Frames delivered across all subscribers in one run of the point
+    /// (`subscribers × frames_per_sub`).
     pub delivered: u64,
-    /// Process CPU seconds consumed by the whole point.
+    /// Process CPU seconds consumed by the point's whole repeat group.
     pub cpu_s: f64,
-    /// Wall clock for the record (informational; CPU is the metric).
+    /// Wall clock of the repeat group (informational; CPU is the metric).
     pub wall_s: f64,
-    /// `delivered / cpu_s` — total delivery throughput per CPU-second.
+    /// Frames delivered over the repeat group per CPU-second it took.
     /// Flat per-subscriber CPU shows up as eps growing with N.
     pub eps: f64,
     /// Producer-side executor metrics (deterministic gate fields).
@@ -188,15 +189,18 @@ pub fn run(events: usize, counts: &[usize]) -> SubScaling {
         // One group covers ~256 subscriber-streams (so its CPU time is
         // many clock ticks); three groups, keep the cheapest.
         let group = (256 / n).max(1);
+        // `delivered` and `frames_per_sub` stay those of one run (every run
+        // of a point delivers the same stream); CPU and wall clock are the
+        // group's totals, and `eps` is the group's frames over its CPU.
         let measure_group = || {
             let mut p = run_point(&feed, n);
             for _ in 1..group {
                 let next = run_point(&feed, n);
-                p.delivered += next.delivered;
+                assert_eq!(next.delivered, p.delivered, "runs of one point differ");
                 p.cpu_s += next.cpu_s;
                 p.wall_s += next.wall_s;
             }
-            p.eps = p.delivered as f64 / p.cpu_s.max(1.0 / TICKS_PER_SEC);
+            p.eps = (group as u64 * p.delivered) as f64 / p.cpu_s.max(1.0 / TICKS_PER_SEC);
             p
         };
         let mut best = measure_group();
@@ -250,7 +254,8 @@ pub fn report() -> Report {
     report.note(format!(
         "{events} source events, stable every ~50 (epoch granularity); each point \
          re-fans the same merged stream out to N in-process loopback subscribers \
-         (credits 4096, 128 KiB client stacks)"
+         (credits 4096, 128 KiB client stacks); frames/sub and delivered are one \
+         run's, cpu and wall the totals of the point's max(1, 256/N) back-to-back runs"
     ));
     report.note(
         "eps = frames delivered across all subscribers per process-CPU-second; \

@@ -1,8 +1,9 @@
 //! The `in2t` (index-2-tier) data structure of Figure 1 (left).
 //!
 //! The top tier orders live `(Vs, Payload)` keys by `Vs` (the paper uses a
-//! red-black tree; we use a `BTreeMap<Vs, BTreeMap<Payload, Node>>`, which
-//! supports the same `FindHalfFrozen` range scan). Each node stores the
+//! red-black tree; we use a `BTreeMap<Vs, BTreeMap<Payload, Node>>` — the
+//! shared `crate::tier` map — which supports the same `FindHalfFrozen`
+//! range scan and lets a sweep skip tiers it has settled). Each node stores the
 //! event *once* — payloads are shared across inputs, which is what makes
 //! LMR3+ memory nearly independent of the number of inputs — plus a small
 //! table mapping each input stream (and the output pseudo-stream) to its
@@ -16,19 +17,10 @@
 //! payload `Ord` makes iteration a pure function of the index's contents.
 
 use crate::mem::btree_bytes;
+use crate::tier::{Tiers, TIER_OVERHEAD};
 use lmerge_temporal::{Payload, StreamId, Time};
-use std::collections::BTreeMap;
 
-/// Verdict returned by a sweep visitor for each visited node: keep it in
-/// the index, or retire (remove) it as settled. Shared by [`In2t`] and
-/// [`crate::in3t::In3t`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepAction {
-    /// The node stays live (it still has unfrozen end times).
-    Keep,
-    /// The node is fully settled; remove it during the walk.
-    Retire,
-}
+pub use crate::tier::SweepAction;
 
 /// Per-key node: one shared event, per-stream current end times.
 ///
@@ -39,18 +31,48 @@ pub enum SweepAction {
 pub struct Node {
     /// Current `Ve` on each input stream that has produced the event.
     per_input: Vec<(u32, Time)>,
-    /// Current `Ve` on the output (`None` until first emitted — the paper's
-    /// hash entry with "special key ∞", made optional to support the
-    /// `WaitHalfFrozen`/`Quorum` insert policies).
-    pub output_ve: Option<Time>,
+    /// Current `Ve` on the output — the paper's hash entry with "special
+    /// key ∞". [`NOT_EMITTED`] until first emitted (the
+    /// `WaitHalfFrozen`/`Quorum` insert policies defer that), which keeps
+    /// the field at 8 bytes where an `Option<Time>` takes 16.
+    output_ve: Time,
 }
+
+/// `output_ve` of a node the output has not seen. −∞ cannot be an event's
+/// end time: it lies at or before every `Vs`.
+const NOT_EMITTED: Time = Time::MIN;
 
 impl Node {
     fn new() -> Node {
         Node {
             per_input: Vec::new(),
-            output_ve: None,
+            output_ve: NOT_EMITTED,
         }
+    }
+
+    /// Current `Ve` on the output, `None` until first emitted.
+    pub fn output_ve(&self) -> Option<Time> {
+        (self.output_ve != NOT_EMITTED).then_some(self.output_ve)
+    }
+
+    /// Record the output's `Ve` (`None`: taken back out of the output).
+    /// `Some(−∞)` would read back as `None`; R3 drops such end times at its
+    /// boundary.
+    pub fn set_output_ve(&mut self, ve: Option<Time>) {
+        debug_assert!(ve != Some(NOT_EMITTED), "−∞ is not an end time");
+        self.output_ve = ve.unwrap_or(NOT_EMITTED);
+    }
+
+    /// The smallest `Ve` recorded on the node, inputs and output alike
+    /// (`+∞` for a node with neither) — below it no recorded end time can
+    /// freeze.
+    pub fn min_ve(&self) -> Time {
+        self.per_input
+            .iter()
+            .map(|&(_, ve)| ve)
+            .chain(self.output_ve())
+            .min()
+            .unwrap_or(Time::INFINITY)
     }
 
     /// Record `ve` for input `s`. Returns true when `s` is new to the node.
@@ -105,7 +127,7 @@ impl Node {
 /// The two-tier index: `Vs → (Payload → Node)`.
 #[derive(Debug)]
 pub struct In2t<P: Payload> {
-    tiers: BTreeMap<Time, BTreeMap<P, Node>>,
+    tiers: Tiers<P, Node>,
     nodes: usize,
     /// Retained payload heap bytes (each payload stored once).
     payload_bytes: usize,
@@ -117,7 +139,7 @@ impl<P: Payload> In2t<P> {
     /// An empty index.
     pub fn new() -> In2t<P> {
         In2t {
-            tiers: BTreeMap::new(),
+            tiers: Tiers::new(),
             nodes: 0,
             payload_bytes: 0,
             entries: 0,
@@ -136,13 +158,14 @@ impl<P: Payload> In2t<P> {
 
     /// Look up the node for `(vs, payload)` (the paper's `SameVsPayload`).
     pub fn get(&self, vs: Time, payload: &P) -> Option<&Node> {
-        self.tiers.get(&vs).and_then(|m| m.get(payload))
+        self.tiers.get(vs, payload)
     }
 
     /// Mutable lookup; `added_entry` bookkeeping is the caller's job via
-    /// [`In2t::note_entry_added`].
+    /// [`In2t::note_entry_added`]. A hit makes the node's tier due at the
+    /// next sweep.
     pub fn get_mut(&mut self, vs: Time, payload: &P) -> Option<&mut Node> {
-        self.tiers.get_mut(&vs).and_then(|m| m.get_mut(payload))
+        self.tiers.get_mut(vs, payload)
     }
 
     /// Add a node for `(vs, payload)`; returns a mutable reference.
@@ -151,8 +174,7 @@ impl<P: Payload> In2t<P> {
         self.nodes += 1;
         self.payload_bytes += payload.heap_bytes();
         self.tiers
-            .entry(vs)
-            .or_default()
+            .tier_mut(vs)
             .entry(payload)
             .or_insert_with(Node::new)
     }
@@ -164,46 +186,25 @@ impl<P: Payload> In2t<P> {
 
     /// Remove the node for `(vs, payload)`.
     pub fn remove(&mut self, vs: Time, payload: &P) {
-        if let Some(m) = self.tiers.get_mut(&vs) {
-            if let Some(node) = m.remove(payload) {
-                self.nodes -= 1;
-                self.payload_bytes -= payload.heap_bytes();
-                self.entries -= node.per_input.len();
-            }
-            if m.is_empty() {
-                self.tiers.remove(&vs);
-            }
+        if let Some(node) = self.tiers.remove(vs, payload) {
+            self.nodes -= 1;
+            self.payload_bytes -= payload.heap_bytes();
+            self.entries -= node.per_input.len();
         }
     }
 
-    /// Iterate `(vs, payload, node)` for all nodes with `Vs < t` (the
-    /// paper's `FindHalfFrozen`), in `Vs` order.
-    pub fn half_frozen(&self, t: Time) -> impl Iterator<Item = (Time, &P, &Node)> + '_ {
-        self.tiers
-            .range(..t)
-            .flat_map(|(vs, m)| m.iter().map(move |(p, n)| (*vs, p, n)))
-    }
-
-    /// Collect the keys of all nodes with `Vs < t` (cloned so the caller can
-    /// mutate the index while walking them).
+    /// The paper's `FindHalfFrozen` walk for `stable(t)`: visit the nodes
+    /// with `Vs < t` in `(Vs, payload)` order with mutable access, at most
+    /// once each, unlinking those the visitor retires with full bookkeeping
+    /// — no payload is cloned and no key is looked up twice.
     ///
-    /// Prefer [`In2t::sweep_half_frozen`] on hot paths: this form clones
-    /// every payload below `t` and forces the caller into a second lookup
-    /// per key. It is retained for tests and diagnostic tooling.
-    pub fn half_frozen_keys(&self, t: Time) -> Vec<(Time, P)> {
-        self.tiers
-            .range(..t)
-            .flat_map(|(vs, m)| m.keys().map(move |p| (*vs, p.clone())))
-            .collect()
-    }
-
-    /// Visit every node with `Vs < t` (the paper's `FindHalfFrozen`) exactly
-    /// once, in `Vs` order, with mutable access — the allocation-free
-    /// replacement for [`In2t::half_frozen_keys`] + re-lookup. Nodes for
-    /// which the visitor returns [`SweepAction::Retire`] are unlinked during
-    /// the walk with full bookkeeping; no payload is cloned and no key is
-    /// looked up twice.
-    pub fn sweep_half_frozen<F>(&mut self, t: Time, mut visit: F)
+    /// A tier is skipped when every node in it was last kept with
+    /// [`SweepAction::KeepUntil`]`(u)`, `u ≥ t`, and none has been handed
+    /// out mutably since ([`In2t::get_mut`], [`In2t::add_node`],
+    /// [`In2t::purge_stream`], [`In2t::restore_node`],
+    /// [`In2t::mark_all_due`]); a visitor that only ever returns
+    /// [`SweepAction::Keep`] sees every node every time.
+    pub fn sweep_half_frozen<F>(&mut self, t: Time, visit: F)
     where
         F: FnMut(Time, &P, &mut Node) -> SweepAction,
     {
@@ -213,49 +214,40 @@ impl<P: Payload> In2t<P> {
             payload_bytes,
             entries,
         } = self;
-        let mut emptied = false;
-        for (vs, tier) in tiers.range_mut(..t) {
-            tier.retain(|payload, node| match visit(*vs, payload, node) {
-                SweepAction::Keep => true,
-                SweepAction::Retire => {
-                    *nodes -= 1;
-                    *payload_bytes -= payload.heap_bytes();
-                    *entries -= node.per_input.len();
-                    false
-                }
-            });
-            emptied |= tier.is_empty();
-        }
-        if emptied {
-            tiers.retain(|_, m| !m.is_empty());
-        }
+        tiers.sweep(t, visit, |payload, node| {
+            *nodes -= 1;
+            *payload_bytes -= payload.heap_bytes();
+            *entries -= node.per_input.len();
+        });
+    }
+
+    /// Make every tier due at the next sweep. For changes outside the
+    /// index that alter what a sweep would do with unchanged nodes: a newly
+    /// attached input lacks every node, so its first `stable` retires them.
+    pub fn mark_all_due(&mut self) {
+        self.tiers.mark_all_due();
     }
 
     /// The smallest live `Vs` in the index, if any — an O(log n) lower
     /// bound that lets callers discard whole stale batches without probing
     /// each element (no node can exist below this timestamp).
     pub fn min_live_vs(&self) -> Option<Time> {
-        self.tiers.keys().next().copied()
+        self.tiers.min_vs()
     }
 
     /// Drop every per-input entry belonging to `s` (stream detach).
     pub fn purge_stream(&mut self, s: StreamId) {
-        for m in self.tiers.values_mut() {
-            for node in m.values_mut() {
-                if node.remove_input(s) {
-                    self.entries -= 1;
-                }
+        for node in self.tiers.nodes_mut() {
+            if node.remove_input(s) {
+                self.entries -= 1;
             }
         }
     }
 
     /// Iterate every node in canonical `(Vs, payload)` order — the
-    /// checkpoint export walk. Unlike [`In2t::half_frozen`] this includes
-    /// nodes at `Vs = ∞`.
+    /// checkpoint export walk, including nodes at `Vs = ∞`.
     pub fn iter_all(&self) -> impl Iterator<Item = (Time, &P, &Node)> + '_ {
-        self.tiers
-            .iter()
-            .flat_map(|(vs, m)| m.iter().map(move |(p, n)| (*vs, p, n)))
+        self.tiers.iter()
     }
 
     /// Rebuild one node from checkpoint data, with full `nodes` /
@@ -271,22 +263,21 @@ impl<P: Payload> In2t<P> {
         self.entries += per_input.len();
         let node = self.add_node(vs, payload);
         node.per_input = per_input.to_vec();
-        node.output_ve = output_ve;
+        node.set_output_ve(output_ve);
     }
 
     /// Estimated memory: tree structure, the per-`Vs` payload tiers
     /// (modelled by [`btree_bytes`] so the figure is a pure function of the
     /// contents — a restored index reports the same bytes as its source),
-    /// shared payloads, and per-input entries.
+    /// shared payloads, and per-input entries. O(1): [`btree_bytes`] is
+    /// linear in the entry count, so the sum over tiers is the model of
+    /// all nodes at once.
     pub fn memory_bytes(&self) -> usize {
-        const TIER_OVERHEAD: usize = 48; // BTree node amortized per key
         const ENTRY_BYTES: usize = std::mem::size_of::<(u32, Time)>() + 16;
-        let tables: usize = self
-            .tiers
-            .values()
-            .map(|m| btree_bytes(m.len(), std::mem::size_of::<(P, Node)>()))
-            .sum();
-        self.tiers.len() * TIER_OVERHEAD + tables + self.payload_bytes + self.entries * ENTRY_BYTES
+        self.tiers.len() * TIER_OVERHEAD
+            + btree_bytes(self.nodes, std::mem::size_of::<(P, Node)>())
+            + self.payload_bytes
+            + self.entries * ENTRY_BYTES
     }
 }
 
@@ -313,17 +304,6 @@ mod tests {
         assert!(ix.get(Time(5), &"B").is_none());
         ix.remove(Time(5), &"A");
         assert!(ix.is_empty());
-    }
-
-    #[test]
-    fn half_frozen_scans_by_vs() {
-        let mut ix: In2t<&str> = In2t::new();
-        ix.add_node(Time(1), "A");
-        ix.add_node(Time(5), "B");
-        ix.add_node(Time(9), "C");
-        let hf: Vec<_> = ix.half_frozen(Time(6)).map(|(vs, p, _)| (vs, *p)).collect();
-        assert_eq!(hf, vec![(Time(1), "A"), (Time(5), "B")]);
-        assert_eq!(ix.half_frozen_keys(Time(1)).len(), 0);
     }
 
     #[test]
@@ -380,10 +360,10 @@ mod tests {
         ix.add_node(Time(1), "A").set_input(StreamId(0), Time(50));
         ix.note_entry_added();
         ix.sweep_half_frozen(Time(10), |_, _, node| {
-            node.output_ve = Some(Time(50));
+            node.set_output_ve(Some(Time(50)));
             SweepAction::Keep
         });
-        assert_eq!(ix.get(Time(1), &"A").unwrap().output_ve, Some(Time(50)));
+        assert_eq!(ix.get(Time(1), &"A").unwrap().output_ve(), Some(Time(50)));
     }
 
     #[test]
@@ -407,8 +387,15 @@ mod tests {
         for k in keys {
             ix.add_node(Time(1), k);
         }
-        let expected = 48 + btree_bytes(10, std::mem::size_of::<(&str, Node)>());
+        let expected = TIER_OVERHEAD + btree_bytes(10, std::mem::size_of::<(&str, Node)>());
         assert_eq!(ix.memory_bytes(), expected);
+        // The same ten nodes spread over ten tiers: only the tier charge
+        // moves (the node model is linear, so it is summed in one step).
+        let mut spread: In2t<&'static str> = In2t::new();
+        for (i, k) in keys.into_iter().enumerate() {
+            spread.add_node(Time(i as i64), k);
+        }
+        assert_eq!(spread.memory_bytes(), expected + 9 * TIER_OVERHEAD);
     }
 
     #[test]
@@ -417,7 +404,7 @@ mod tests {
         let n = ix.add_node(Time(1), "A");
         n.set_input(StreamId(0), Time(5));
         n.set_input(StreamId(2), Time(9));
-        n.output_ve = Some(Time(5));
+        n.set_output_ve(Some(Time(5)));
         ix.note_entry_added();
         ix.note_entry_added();
         ix.add_node(Time(7), "B").set_input(StreamId(1), Time(8));
@@ -426,7 +413,7 @@ mod tests {
         let mut back: In2t<&'static str> = In2t::new();
         for (vs, p, node) in ix.iter_all() {
             let per_input: Vec<(u32, Time)> = node.entries().map(|(s, ve)| (s.0, ve)).collect();
-            back.restore_node(vs, *p, &per_input, node.output_ve);
+            back.restore_node(vs, *p, &per_input, node.output_ve());
         }
         assert_eq!(back.len(), ix.len());
         assert_eq!(back.memory_bytes(), ix.memory_bytes());
@@ -437,7 +424,99 @@ mod tests {
             back.get(Time(1), &"A").unwrap().input_ve(StreamId(2)),
             Some(Time(9))
         );
-        assert_eq!(back.get(Time(1), &"A").unwrap().output_ve, Some(Time(5)));
+        assert_eq!(back.get(Time(1), &"A").unwrap().output_ve(), Some(Time(5)));
+    }
+
+    /// Index with one node per `vs`, each recorded on input 0 with `ve`.
+    fn index_of(nodes: &[(i64, &'static str, i64)]) -> In2t<&'static str> {
+        let mut ix = In2t::new();
+        for &(vs, p, ve) in nodes {
+            ix.add_node(Time(vs), p).set_input(StreamId(0), Time(ve));
+            ix.note_entry_added();
+        }
+        ix
+    }
+
+    /// Sweep at `t` the way R3 does for a settled node — keep it until its
+    /// smallest end time, retire it below `t` — and return the visited keys.
+    fn sweep_settling(ix: &mut In2t<&'static str>, t: i64) -> Vec<&'static str> {
+        let mut seen = Vec::new();
+        ix.sweep_half_frozen(Time(t), |_, p, node| {
+            seen.push(*p);
+            if node.min_ve() < Time(t) {
+                SweepAction::Retire
+            } else {
+                SweepAction::KeepUntil(node.min_ve())
+            }
+        });
+        seen
+    }
+
+    #[test]
+    fn settled_tiers_are_skipped_and_due_ones_always_visited() {
+        let mut ix = index_of(&[(1, "A", 40), (2, "B", 12), (3, "C", 90)]);
+        assert_eq!(sweep_settling(&mut ix, 10), vec!["A", "B", "C"]);
+        assert!(
+            sweep_settling(&mut ix, 12).is_empty(),
+            "nothing ends below 12"
+        );
+        assert_eq!(sweep_settling(&mut ix, 13), vec!["B"], "only B is due");
+        assert_eq!(ix.len(), 2, "and it retired");
+        assert_eq!(sweep_settling(&mut ix, 41), vec!["A"]);
+        assert_eq!(ix.min_live_vs(), Some(Time(3)), "emptied tiers unlinked");
+        assert_eq!(ix.memory_bytes(), index_of(&[(3, "C", 90)]).memory_bytes());
+    }
+
+    #[test]
+    fn every_resetting_access_makes_its_tier_due_again() {
+        type Touch = fn(&mut In2t<&'static str>);
+        let touches: [(&str, Touch); 5] = [
+            ("get_mut", |ix| {
+                ix.get_mut(Time(1), &"A").unwrap();
+            }),
+            ("add_node", |ix| {
+                ix.add_node(Time(1), "A2").set_input(StreamId(0), Time(40));
+                ix.note_entry_added();
+            }),
+            ("purge_stream", |ix| ix.purge_stream(StreamId(7))),
+            ("restore_node", |ix| {
+                ix.restore_node(Time(1), "A2", &[(0, Time(40))], Some(Time(40)));
+            }),
+            ("mark_all_due", |ix| ix.mark_all_due()),
+        ];
+        for (name, touch) in touches {
+            let mut ix = index_of(&[(1, "A", 40)]);
+            sweep_settling(&mut ix, 10);
+            assert!(sweep_settling(&mut ix, 11).is_empty(), "{name}: settled");
+            touch(&mut ix);
+            assert!(
+                sweep_settling(&mut ix, 12).contains(&"A"),
+                "{name} must make the tier due"
+            );
+        }
+        // Read access and lookups that miss leave the promise standing.
+        let mut ix = index_of(&[(1, "A", 40)]);
+        sweep_settling(&mut ix, 10);
+        assert!(ix.get(Time(1), &"A").is_some());
+        assert!(ix.get_mut(Time(1), &"Z").is_none());
+        assert_eq!(ix.iter_all().count(), 1);
+        assert!(sweep_settling(&mut ix, 11).is_empty());
+    }
+
+    #[test]
+    fn not_emitted_is_distinct_from_every_end_time_but_minus_infinity() {
+        let mut n = Node::new();
+        assert_eq!(n.output_ve(), None);
+        assert_eq!(n.min_ve(), Time::INFINITY);
+        n.set_output_ve(Some(Time::INFINITY));
+        assert_eq!(n.output_ve(), Some(Time::INFINITY));
+        n.set_input(StreamId(0), Time(9));
+        assert_eq!(n.min_ve(), Time(9));
+        n.set_output_ve(Some(Time(-5)));
+        assert_eq!(n.min_ve(), Time(-5));
+        n.set_output_ve(None);
+        assert_eq!(n.output_ve(), None);
+        assert_eq!(std::mem::size_of::<Node>(), 32);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! function of the index's contents — the restorable-iteration property
 //! the durability layer's byte-identical recovery depends on.
 
-use crate::in2t::SweepAction;
 use crate::mem::btree_bytes;
+use crate::tier::{SweepAction, Tiers, TIER_OVERHEAD};
 use lmerge_temporal::{Payload, StreamId, Time};
 use std::collections::BTreeMap;
 
@@ -45,6 +45,17 @@ impl Node {
         self.per_input
             .get(&s.0)
             .and_then(|m| m.keys().next_back().copied())
+    }
+
+    /// The smallest `Ve` recorded on the node, inputs and output alike
+    /// (`+∞` for a node with neither) — below it no bucket can freeze.
+    pub fn min_ve(&self) -> Time {
+        self.per_input
+            .values()
+            .chain(std::iter::once(&self.output))
+            .filter_map(|m| m.keys().next().copied())
+            .min()
+            .unwrap_or(Time::INFINITY)
     }
 
     /// Add one occurrence of `ve` for stream `s` (`IncrementCount`).
@@ -96,18 +107,24 @@ impl Node {
 }
 
 /// The three-tier index: `Vs → (Payload → Node)`, nodes holding `Ve` trees.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct In3t<P: Payload> {
-    tiers: BTreeMap<Time, BTreeMap<P, Node>>,
+    tiers: Tiers<P, Node>,
     nodes: usize,
     payload_bytes: usize,
+}
+
+impl<P: Payload> Default for In3t<P> {
+    fn default() -> Self {
+        In3t::new()
+    }
 }
 
 impl<P: Payload> In3t<P> {
     /// An empty index.
     pub fn new() -> In3t<P> {
         In3t {
-            tiers: BTreeMap::new(),
+            tiers: Tiers::new(),
             nodes: 0,
             payload_bytes: 0,
         }
@@ -125,17 +142,17 @@ impl<P: Payload> In3t<P> {
 
     /// Look up the node for `(vs, payload)`.
     pub fn get(&self, vs: Time, payload: &P) -> Option<&Node> {
-        self.tiers.get(&vs).and_then(|m| m.get(payload))
+        self.tiers.get(vs, payload)
     }
 
-    /// Mutable lookup.
+    /// Mutable lookup. A hit makes the node's tier due at the next sweep.
     pub fn get_mut(&mut self, vs: Time, payload: &P) -> Option<&mut Node> {
-        self.tiers.get_mut(&vs).and_then(|m| m.get_mut(payload))
+        self.tiers.get_mut(vs, payload)
     }
 
-    /// Get-or-create the node for `(vs, payload)`.
+    /// Get-or-create the node for `(vs, payload)`; its tier becomes due.
     pub fn entry(&mut self, vs: Time, payload: &P) -> &mut Node {
-        let m = self.tiers.entry(vs).or_default();
+        let m = self.tiers.tier_mut(vs);
         if !m.contains_key(payload) {
             self.nodes += 1;
             self.payload_bytes += payload.heap_bytes();
@@ -145,33 +162,19 @@ impl<P: Payload> In3t<P> {
 
     /// Remove the node for `(vs, payload)`.
     pub fn remove(&mut self, vs: Time, payload: &P) {
-        if let Some(m) = self.tiers.get_mut(&vs) {
-            if m.remove(payload).is_some() {
-                self.nodes -= 1;
-                self.payload_bytes -= payload.heap_bytes();
-            }
-            if m.is_empty() {
-                self.tiers.remove(&vs);
-            }
+        if self.tiers.remove(vs, payload).is_some() {
+            self.nodes -= 1;
+            self.payload_bytes -= payload.heap_bytes();
         }
     }
 
-    /// Keys of all nodes with `Vs < t`, cloned for safe mutation.
-    ///
-    /// Prefer [`In3t::sweep_half_frozen`] on hot paths: this form clones
-    /// every payload below `t`. Retained for tests and diagnostics.
-    pub fn half_frozen_keys(&self, t: Time) -> Vec<(Time, P)> {
-        self.tiers
-            .range(..t)
-            .flat_map(|(vs, m)| m.keys().map(move |p| (*vs, p.clone())))
-            .collect()
-    }
-
-    /// Visit every node with `Vs < t` exactly once, in `Vs` order, with
-    /// mutable access; nodes the visitor retires are unlinked during the
-    /// walk. The allocation-free replacement for
-    /// [`In3t::half_frozen_keys`] + per-key re-lookup.
-    pub fn sweep_half_frozen<F>(&mut self, t: Time, mut visit: F)
+    /// The `stable(t)` walk: visit the nodes with `Vs < t` in
+    /// `(Vs, payload)` order with mutable access, at most once each,
+    /// unlinking those the visitor retires. Tiers the previous walks
+    /// settled past `t` ([`SweepAction::KeepUntil`]) and nothing has
+    /// touched since are skipped, exactly as in
+    /// [`crate::in2t::In2t::sweep_half_frozen`].
+    pub fn sweep_half_frozen<F>(&mut self, t: Time, visit: F)
     where
         F: FnMut(Time, &P, &mut Node) -> SweepAction,
     {
@@ -180,43 +183,34 @@ impl<P: Payload> In3t<P> {
             nodes,
             payload_bytes,
         } = self;
-        let mut emptied = false;
-        for (vs, tier) in tiers.range_mut(..t) {
-            tier.retain(|payload, node| match visit(*vs, payload, node) {
-                SweepAction::Keep => true,
-                SweepAction::Retire => {
-                    *nodes -= 1;
-                    *payload_bytes -= payload.heap_bytes();
-                    false
-                }
-            });
-            emptied |= tier.is_empty();
-        }
-        if emptied {
-            tiers.retain(|_, m| !m.is_empty());
-        }
+        tiers.sweep(t, visit, |payload, _| {
+            *nodes -= 1;
+            *payload_bytes -= payload.heap_bytes();
+        });
+    }
+
+    /// Make every tier due at the next sweep (an input attached: it lacks
+    /// every node, so its first `stable` retires them).
+    pub fn mark_all_due(&mut self) {
+        self.tiers.mark_all_due();
     }
 
     /// The smallest live `Vs` in the index, if any (batch-discard bound).
     pub fn min_live_vs(&self) -> Option<Time> {
-        self.tiers.keys().next().copied()
+        self.tiers.min_vs()
     }
 
     /// Drop all state belonging to stream `s` (detach).
     pub fn purge_stream(&mut self, s: StreamId) {
-        for m in self.tiers.values_mut() {
-            for node in m.values_mut() {
-                node.per_input.remove(&s.0);
-            }
+        for node in self.tiers.nodes_mut() {
+            node.per_input.remove(&s.0);
         }
     }
 
     /// Iterate every node in canonical `(Vs, payload)` order — the
     /// checkpoint export walk, including nodes at `Vs = ∞`.
     pub fn iter_all(&self) -> impl Iterator<Item = (Time, &P, &Node)> + '_ {
-        self.tiers
-            .iter()
-            .flat_map(|(vs, m)| m.iter().map(move |(p, n)| (*vs, p, n)))
+        self.tiers.iter()
     }
 
     /// Estimated memory: tree structure, the per-`Vs` payload tiers and
@@ -224,17 +218,13 @@ impl<P: Payload> In3t<P> {
     /// figure is a pure function of the contents), shared payloads, and
     /// per-stream `Ve` tree entries.
     pub fn memory_bytes(&self) -> usize {
-        const TIER_OVERHEAD: usize = 48;
         const VE_ENTRY: usize = std::mem::size_of::<(Time, usize)>() + 16;
         let mut entries = 0usize;
-        let mut tables = 0usize;
-        for m in self.tiers.values() {
-            tables += btree_bytes(m.len(), std::mem::size_of::<(P, Node)>());
-            for node in m.values() {
-                tables += btree_bytes(node.per_input.len(), std::mem::size_of::<(u32, VeCounts)>());
-                entries += node.output.len();
-                entries += node.per_input.values().map(BTreeMap::len).sum::<usize>();
-            }
+        let mut tables = btree_bytes(self.nodes, std::mem::size_of::<(P, Node)>());
+        for (_, _, node) in self.tiers.iter() {
+            tables += btree_bytes(node.per_input.len(), std::mem::size_of::<(u32, VeCounts)>());
+            entries += node.output.len();
+            entries += node.per_input.values().map(BTreeMap::len).sum::<usize>();
         }
         self.tiers.len() * TIER_OVERHEAD + tables + self.payload_bytes + entries * VE_ENTRY
     }
@@ -281,14 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn half_frozen_scan() {
-        let mut ix: In3t<&str> = In3t::new();
-        ix.entry(Time(1), &"A");
-        ix.entry(Time(8), &"B");
-        assert_eq!(ix.half_frozen_keys(Time(5)), vec![(Time(1), "A")]);
-    }
-
-    #[test]
     fn sweep_retires_in_place_with_bookkeeping() {
         let mut ix: In3t<&str> = In3t::new();
         ix.entry(Time(1), &"A").increment(StreamId(0), Time(3));
@@ -319,7 +301,7 @@ mod tests {
         n.out_increment(Time(5));
         // One tier map (1 node), one per-input map (2 streams), three Ve
         // entries (two input, one output) — pinned exactly.
-        let expected = 48
+        let expected = TIER_OVERHEAD
             + btree_bytes(1, std::mem::size_of::<(&str, Node)>())
             + btree_bytes(2, std::mem::size_of::<(u32, VeCounts)>())
             + 3 * (std::mem::size_of::<(Time, usize)>() + 16);
@@ -349,6 +331,72 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(back.get(Time(1), &"A").unwrap().count_of(StreamId(0)), 2);
         assert_eq!(back.get(Time(1), &"A").unwrap().count_out(), 1);
+    }
+
+    /// Sweep at `t` the way R4 does for a settled node; returns the visited
+    /// keys.
+    fn sweep_settling(ix: &mut In3t<&'static str>, t: i64) -> Vec<&'static str> {
+        let mut seen = Vec::new();
+        ix.sweep_half_frozen(Time(t), |_, p, node| {
+            seen.push(*p);
+            if node.min_ve() < Time(t) {
+                SweepAction::Retire
+            } else {
+                SweepAction::KeepUntil(node.min_ve())
+            }
+        });
+        seen
+    }
+
+    #[test]
+    fn settled_tiers_are_skipped_and_due_ones_always_visited() {
+        let mut ix: In3t<&'static str> = In3t::new();
+        ix.entry(Time(1), &"A").increment(StreamId(0), Time(40));
+        let b = ix.entry(Time(2), &"B");
+        b.increment(StreamId(0), Time(90));
+        b.out_increment(Time(12));
+        assert_eq!(sweep_settling(&mut ix, 10), vec!["A", "B"]);
+        assert!(
+            sweep_settling(&mut ix, 12).is_empty(),
+            "nothing ends below 12"
+        );
+        assert_eq!(sweep_settling(&mut ix, 13), vec!["B"], "B's output bucket");
+        assert_eq!(sweep_settling(&mut ix, 41), vec!["A"]);
+        assert!(ix.is_empty());
+        assert_eq!(ix.min_live_vs(), None, "emptied tiers unlinked");
+        assert_eq!(ix.memory_bytes(), 0);
+    }
+
+    #[test]
+    fn every_resetting_access_makes_its_tier_due_again() {
+        type Touch = fn(&mut In3t<&'static str>);
+        let touches: [(&str, Touch); 4] = [
+            ("get_mut", |ix| {
+                ix.get_mut(Time(1), &"A").unwrap();
+            }),
+            ("entry", |ix| {
+                ix.entry(Time(1), &"A");
+            }),
+            ("purge_stream", |ix| ix.purge_stream(StreamId(7))),
+            ("mark_all_due", |ix| ix.mark_all_due()),
+        ];
+        for (name, touch) in touches {
+            let mut ix: In3t<&'static str> = In3t::new();
+            ix.entry(Time(1), &"A").increment(StreamId(0), Time(40));
+            sweep_settling(&mut ix, 10);
+            assert!(sweep_settling(&mut ix, 11).is_empty(), "{name}: settled");
+            touch(&mut ix);
+            assert_eq!(sweep_settling(&mut ix, 12), vec!["A"], "{name} must reset");
+        }
+        let mut ix: In3t<&'static str> = In3t::new();
+        ix.entry(Time(1), &"A").increment(StreamId(0), Time(40));
+        sweep_settling(&mut ix, 10);
+        assert!(ix.get(Time(1), &"A").is_some());
+        assert!(ix.get_mut(Time(1), &"Z").is_none());
+        assert!(
+            sweep_settling(&mut ix, 11).is_empty(),
+            "reads reset nothing"
+        );
     }
 
     #[test]

@@ -175,9 +175,10 @@ impl Inputs {
             .filter_map(|(i, s)| (!matches!(s, InputState::Left)).then_some(StreamId(i as u32)))
     }
 
-    /// Approximate memory footprint of the registry itself.
+    /// Approximate memory footprint of the registry itself — by length,
+    /// not capacity, so a restored registry reports what its source did.
     pub fn memory_bytes(&self) -> usize {
-        self.states.capacity() * std::mem::size_of::<InputState>()
+        self.states.len() * std::mem::size_of::<InputState>()
     }
 
     /// Export every stream's state in id order (checkpointing).

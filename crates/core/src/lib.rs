@@ -44,11 +44,11 @@ pub mod shard;
 pub mod spsc;
 pub mod state;
 pub mod stats;
+mod tier;
 
 pub use api::{BatchMeta, InputHealth, LogicalMerge};
 pub use det::{DetBuildHasher, DetHashMap};
 pub use hash::{fnv1a, Fnv1a};
-pub use in2t::SweepAction;
 pub use inputs::{HealthTransitions, InputState, Inputs};
 pub use mem::{btree_bytes, hash_table_bytes};
 pub use merge::{merge_streams, Interleave};
@@ -65,3 +65,4 @@ pub use state::{
     CountersImage, InputStateImage, MergeStateImage, SpillHandler, StateEntry, VariantKind,
 };
 pub use stats::{InputCounters, MergeStats, PerInput};
+pub use tier::SweepAction;

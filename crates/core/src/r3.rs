@@ -111,7 +111,7 @@ impl<P: Payload> LMergeR3<P> {
                                 vs,
                                 payload: payload.clone(),
                                 per_input: vec![(input.0, vec![(ve, 1)])],
-                                output: node.output_ve.map(|v| vec![(v, 1)]).unwrap_or_default(),
+                                output: node.output_ve().map(|v| vec![(v, 1)]).unwrap_or_default(),
                             })
                         })
                         .collect();
@@ -144,6 +144,12 @@ impl<P: Payload> LMergeR3<P> {
     }
 
     fn on_insert(&mut self, s: StreamId, e: &lmerge_temporal::Event<P>, out: &mut Vec<Element<P>>) {
+        // An end time of −∞ is no event's (`Ve ≥ Vs` always) and is how the
+        // index spells "not emitted": an input that sends one is lying.
+        if e.ve == Time::MIN {
+            self.stats.dropped += 1;
+            return;
+        }
         match self.index.get_mut(e.vs, &e.payload) {
             None => {
                 // Line 6: a missing node below MaxStable was already frozen
@@ -163,7 +169,7 @@ impl<P: Payload> LMergeR3<P> {
                 let node = self.index.add_node(e.vs, e.payload.clone());
                 node.set_input(s, e.ve);
                 if emit {
-                    node.output_ve = Some(e.ve);
+                    node.set_output_ve(Some(e.ve));
                 }
                 self.index.note_entry_added();
                 self.note_live_entry(s);
@@ -181,14 +187,14 @@ impl<P: Payload> LMergeR3<P> {
                 // lookup's borrow, with bookkeeping deferred past it.
                 let was_new = node.set_input(s, e.ve);
                 let mut emit_now = false;
-                if node.output_ve.is_none() {
+                if node.output_ve().is_none() {
                     emit_now = match self.policy.insert {
                         InsertPolicy::Quorum(k) => node.support() >= k,
                         InsertPolicy::FollowLeader => self.leader.is_none_or(|l| l == s),
                         _ => false,
                     };
                     if emit_now {
-                        node.output_ve = Some(e.ve);
+                        node.set_output_ve(Some(e.ve));
                     }
                 }
                 if was_new {
@@ -213,9 +219,13 @@ impl<P: Payload> LMergeR3<P> {
         ve: Time,
         out: &mut Vec<Element<P>>,
     ) {
-        // Line 13: adjusts for unknown nodes are stale — drop.
+        // Line 13: adjusts for unknown nodes are stale — drop. So is one to
+        // −∞ (see `on_insert`), before it can touch a node.
         let max_stable = self.max_stable;
-        let Some(node) = self.index.get_mut(vs, payload) else {
+        let node = (ve != Time::MIN)
+            .then(|| self.index.get_mut(vs, payload))
+            .flatten();
+        let Some(node) = node else {
             self.stats.dropped += 1;
             return;
         };
@@ -226,7 +236,7 @@ impl<P: Payload> LMergeR3<P> {
         // touched exactly once — no second lookup.
         let mut emitted = None;
         if self.policy.adjust == AdjustPolicy::Eager {
-            if let Some(out_ve) = node.output_ve {
+            if let Some(out_ve) = node.output_ve() {
                 // The new end must itself respect the output's stable point
                 // (a removal counts as legal only while Vs is unfrozen).
                 let legal = if ve == vs {
@@ -238,7 +248,7 @@ impl<P: Payload> LMergeR3<P> {
                     // A removal (ve == vs) takes the event out of the
                     // output entirely: the node reverts to "not emitted"
                     // so later activity may legally re-insert it.
-                    node.output_ve = if ve == vs { None } else { Some(ve) };
+                    node.set_output_ve((ve != vs).then_some(ve));
                     emitted = Some(out_ve);
                 }
             }
@@ -262,10 +272,11 @@ impl<P: Payload> LMergeR3<P> {
         // Lines 17–27: reconcile every node that is (or becomes) half frozen
         // with the view of the stream that is driving progress. One in-place
         // sweep: no payload clones, no per-key re-lookup, retirement during
-        // the walk.
+        // the walk — and no visit to tiers an earlier sweep settled past `t`.
         let max_stable = self.max_stable;
         let stats = &mut self.stats;
         let live_entries = &mut self.live_entries;
+        let inputs = &self.inputs;
         self.index.sweep_half_frozen(t, |vs, payload, node| {
             // Line 20: if the driving stream lacks the event entirely, its
             // effective end time is Vs — i.e. the event does not exist.
@@ -279,12 +290,12 @@ impl<P: Payload> LMergeR3<P> {
             } else {
                 in_ve >= max_stable
             };
-            match node.output_ve {
+            match node.output_ve() {
                 Some(out_ve) => {
                     // Lines 22–25: correct the output only when the
                     // divergence is about to become unfixable.
                     if legal && in_ve != out_ve && (in_ve < t || out_ve < t) {
-                        node.output_ve = Some(in_ve);
+                        node.set_output_ve(Some(in_ve));
                         stats.adjusts_out += 1;
                         out.push(Element::adjust(payload.clone(), vs, out_ve, in_ve));
                     }
@@ -293,7 +304,7 @@ impl<P: Payload> LMergeR3<P> {
                     // Deferred-insert policies: the event's existence is now
                     // settled, so it must be emitted before the stable.
                     if in_ve != vs && vs >= max_stable {
-                        node.output_ve = Some(in_ve);
+                        node.set_output_ve(Some(in_ve));
                         stats.inserts_out += 1;
                         out.push(Element::insert(payload.clone(), vs, in_ve));
                     }
@@ -308,7 +319,18 @@ impl<P: Payload> LMergeR3<P> {
                     }
                 }
                 SweepAction::Retire
+            } else if inputs.live_ids().all(|id| node.has_input(id)) {
+                // Every input that can ever drive a stable has its own end
+                // time on record, and `MaxStable` is about to pass `vs`
+                // (which rules out a deferred first emission): until one of
+                // the recorded end times falls below a stable, or the node
+                // is touched, whichever input drives finds nothing to
+                // correct and nothing to retire here.
+                SweepAction::KeepUntil(node.min_ve())
             } else {
+                // An attached input has not delivered the event: to that
+                // input it does not exist, and its next stable retires the
+                // node. Stay due.
                 SweepAction::Keep
             }
         });
@@ -409,6 +431,8 @@ impl<P: Payload> LogicalMerge<P> for LMergeR3<P> {
 
     fn attach(&mut self, join_time: Time) -> StreamId {
         self.per_input.on_attach();
+        // The joiner lacks every live node: no tier is settled for it.
+        self.index.mark_all_due();
         self.inputs.attach(join_time)
     }
 
@@ -472,7 +496,7 @@ impl<P: Payload> LogicalMerge<P> for LMergeR3<P> {
                     vs,
                     payload: payload.clone(),
                     per_input,
-                    output: node.output_ve.map(|v| vec![(v, 1)]).unwrap_or_default(),
+                    output: node.output_ve().map(|v| vec![(v, 1)]).unwrap_or_default(),
                 }
             })
             .collect();
@@ -531,6 +555,37 @@ mod tests {
         );
         let tdb = tdb_of(&out).unwrap();
         assert_eq!(tdb.count(&"A", Time(6), Time(12)), 1);
+    }
+
+    #[test]
+    fn an_end_time_of_minus_infinity_is_dropped_at_the_boundary() {
+        // −∞ is the index's "not emitted" marker. A lying input that sends
+        // it must not get an event out that the node then forgets it emitted
+        // (a second input under Quorum/FollowLeader, or the next stable,
+        // would emit it again).
+        for insert in [InsertPolicy::Immediate, InsertPolicy::FollowLeader] {
+            let policy = MergePolicy {
+                insert,
+                adjust: AdjustPolicy::Eager,
+                ..MergePolicy::paper_default()
+            };
+            let mut lm = LMergeR3::with_policy(2, policy);
+            let mut out = Vec::new();
+            // (Built by hand: the constructor asserts `Vs < Ve` in debug
+            // builds; the wire decoder does not.)
+            let lie = lmerge_temporal::Event {
+                vs: Time(6),
+                ve: Time::MIN,
+                payload: "A",
+            };
+            lm.push(StreamId(0), &E::Insert(lie), &mut out);
+            assert!(out.is_empty() && lm.live_nodes() == 0, "{insert:?}");
+            lm.push(StreamId(1), &E::insert("A", 6, 9), &mut out);
+            lm.push(StreamId(0), &E::adjust("A", 6, 9, Time::MIN), &mut out);
+            lm.push(StreamId(1), &E::stable(8), &mut out);
+            assert_eq!(out, vec![E::insert("A", 6, 9), E::stable(8)], "{insert:?}");
+            assert_eq!(lm.stats().dropped, 2);
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl<P: Payload> EventIndex<P> {
         let mut emptied = false;
         for (vs, m) in map.range_mut(..t) {
             m.retain(|p, ve| match visit(*vs, p, *ve) {
-                SweepAction::Keep => true,
+                SweepAction::Keep | SweepAction::KeepUntil(_) => true,
                 SweepAction::Retire => {
                     *payload_bytes -= p.heap_bytes();
                     *entries -= 1;

@@ -9,11 +9,11 @@
 //! input exactly before propagating a `stable`).
 
 use crate::api::{BatchMeta, InputHealth, LogicalMerge};
-use crate::in2t::SweepAction;
 use crate::in3t::{In3t, Node};
 use crate::inputs::{InputState, Inputs};
 use crate::policy::RobustnessPolicy;
 use crate::stats::{InputCounters, MergeStats, PerInput};
+use crate::tier::SweepAction;
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Payload, StreamId, Time};
 
@@ -320,10 +320,12 @@ impl<P: Payload> LMergeR4<P> {
             return;
         }
         // One in-place sweep over the half-frozen prefix: no key clones, no
-        // re-lookups, retirement during the walk.
+        // re-lookups, retirement during the walk, and no visit to tiers an
+        // earlier sweep settled past `t`.
         let old_stable = self.max_stable;
         let stats = &mut self.stats;
         let live_entries = &mut self.live_entries;
+        let inputs = &self.inputs;
         self.index.sweep_half_frozen(t, |vs, payload, node| {
             // Lines 20–22: first half-freeze of the key → equalize counts.
             if vs >= old_stable {
@@ -339,7 +341,17 @@ impl<P: Payload> LMergeR4<P> {
                     }
                 }
                 SweepAction::Retire
+            } else if inputs.live_ids().all(|id| node.max_ve(id).is_some()) {
+                // Counts are equalized once, at this first half-freeze
+                // (`MaxStable` is about to pass `vs`); from here a stable
+                // only matches the buckets it freezes, and every input
+                // that can drive one holds events here. Until the smallest
+                // recorded `Ve` falls below a stable (or the node is
+                // touched) there is nothing to match and nothing to retire.
+                SweepAction::KeepUntil(node.min_ve())
             } else {
+                // An attached input holds no event at this key: its next
+                // stable retires the node. Stay due.
                 SweepAction::Keep
             }
         });
@@ -440,6 +452,8 @@ impl<P: Payload> LogicalMerge<P> for LMergeR4<P> {
 
     fn attach(&mut self, join_time: Time) -> StreamId {
         self.per_input.on_attach();
+        // The joiner lacks every live node: no tier is settled for it.
+        self.index.mark_all_due();
         self.inputs.attach(join_time)
     }
 

@@ -170,9 +170,10 @@ impl PerInput {
         &self.counters
     }
 
-    /// Approximate memory footprint of the registry.
+    /// Approximate memory footprint of the registry — by length, not
+    /// capacity, so a restored registry reports what its source did.
     pub fn memory_bytes(&self) -> usize {
-        self.counters.capacity() * std::mem::size_of::<InputCounters>()
+        self.counters.len() * std::mem::size_of::<InputCounters>()
     }
 
     /// Export every input's counters in id order (checkpointing).

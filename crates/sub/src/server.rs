@@ -866,7 +866,14 @@ mod tests {
 
     #[test]
     fn many_subscribers_share_one_encoding() {
-        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        // Keep every epoch: the eight join while the feed is published, and
+        // one that acks before another has joined must not compact the
+        // prefix away from under it.
+        let policy = SubPolicy {
+            retain_min_epochs: u64::MAX,
+            ..SubPolicy::default()
+        };
+        let buf = Arc::new(EpochBuffer::new(policy));
         let registry = MetricsRegistry::new();
         let server = SubServer::bind_with_metrics(
             "127.0.0.1:0",
