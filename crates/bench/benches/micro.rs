@@ -5,7 +5,8 @@
 //! revision cost, stable-processing cost, the stable sweep over a large
 //! live window (settled, all of it due, and in steady state with ~1% due),
 //! the index's own sweep and memory estimate, the O(1) batched discard of
-//! lagging inputs, and reconstitution overhead. A plain timing harness
+//! lagging inputs, reconstitution overhead, and the shared stream reader
+//! (`wire::FrameReader`: ns and `read` calls per frame). A plain timing harness
 //! (best-of-N over a few repeats) keeps the workspace free of external
 //! benchmark frameworks; run with `cargo bench -p lmerge-bench`.
 //!
@@ -17,8 +18,9 @@
 use lmerge_bench::report::MetricsRecord;
 use lmerge_bench::{variants, Report, VariantKind};
 use lmerge_gen::{generate, GenConfig};
+use lmerge_net::wire::{self, Frame, FrameReader};
 use lmerge_temporal::reconstitute::Reconstituter;
-use lmerge_temporal::{Element, StreamId, Value};
+use lmerge_temporal::{Element, StreamId, VTime, Value};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -335,6 +337,57 @@ fn bench_reconstitution(report: &mut Report) {
     record(report, "reconstitute/tdb", ns);
 }
 
+/// An in-memory stream that gives each `read` all the caller's buffer
+/// takes — a socket the sender keeps full — and counts the calls.
+struct CountingRead<'a> {
+    data: &'a [u8],
+    reads: u64,
+}
+
+impl std::io::Read for CountingRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        self.data.read(buf)
+    }
+}
+
+fn bench_frame_reader(report: &mut Report) {
+    // The one reader every socket goes through, on the two payload sizes
+    // the end-to-end benchmark uses. The `read` count is what a real socket
+    // turns into system calls: per refill, not per frame.
+    let frames = sized(200_000, 20_000);
+    println!("\n== wire_frame_reader ({frames} frames) ==");
+    for payload_len in [32usize, 1000] {
+        let mut bytes = Vec::new();
+        for seq in 0..frames as u64 {
+            let frame = Frame::Data {
+                seq,
+                at: VTime(seq),
+                element: Element::insert(Value::synthetic(seq as i32, payload_len), 0, 9),
+            };
+            wire::encode_into(&frame, &mut bytes);
+        }
+        let mut reads = 0;
+        let ns = time_per_element(frames, || {
+            let mut reader = FrameReader::new(CountingRead {
+                data: black_box(&bytes),
+                reads: 0,
+            });
+            let mut seqs = 0u64;
+            while let Some(Frame::Data { seq, .. }) = reader.next_frame().expect("own encoding") {
+                seqs = seqs.wrapping_add(seq);
+            }
+            reads = reader.get_ref().reads;
+            seqs
+        });
+        let label = format!("wire/frame_reader/{payload_len}B");
+        record(report, &label, ns);
+        let per_frame = reads as f64 / frames as f64;
+        println!("{label:<44} {per_frame:>9.4} reads/frame");
+        report.row(&[format!("{label} (reads/frame)"), format!("{per_frame:.4}")]);
+    }
+}
+
 fn main() {
     let mut report = Report::new(
         "micro",
@@ -349,6 +402,7 @@ fn main() {
     bench_index(&mut report);
     bench_batch_discard(&mut report);
     bench_reconstitution(&mut report);
+    bench_frame_reader(&mut report);
     println!();
     report.note(if quick_mode() {
         "quick mode (LMERGE_BENCH_QUICK): reduced sizes and repeats"

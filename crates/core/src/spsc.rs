@@ -143,6 +143,17 @@ impl<T: Send> Consumer<T> {
         self.inner.head.store(self.head, Ordering::Release);
         Some(value)
     }
+
+    /// Elements currently in flight (approximate from the consumer side —
+    /// the producer may push concurrently, so this is a lower bound).
+    pub fn len(&self) -> usize {
+        (self.inner.tail.load(Ordering::Acquire) - self.head) as usize
+    }
+
+    /// Whether the ring currently holds nothing (consumer-side view).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 #[cfg(test)]

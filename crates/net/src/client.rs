@@ -9,10 +9,10 @@
 //! grants (waking the sender) and `Ack` frames (tracking the last stable
 //! point the merge durably consumed).
 
-use crate::wire::{self, Frame, WireError, PROTOCOL_VERSION};
+use crate::wire::{self, Frame, FrameReader, WireError, PROTOCOL_VERSION};
 use lmerge_engine::TimedElement;
 use lmerge_temporal::{Time, Value};
-use std::io::ErrorKind;
+use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -102,7 +102,8 @@ pub fn replay(
             input: config.input,
         },
     )?;
-    let (resume_seq, credits) = match wire::read_frame(&mut stream)? {
+    let mut reader = FrameReader::new(stream.try_clone()?);
+    let (resume_seq, credits) = match reader.next_frame()? {
         Some(Frame::Welcome {
             resume_seq,
             credits,
@@ -120,63 +121,80 @@ pub fn replay(
         bye_acked: AtomicBool::new(false),
     });
     let reader = {
-        let stream = stream.try_clone()?;
         let state = Arc::clone(&state);
-        thread::spawn(move || reader_loop(stream, state))
+        thread::spawn(move || reader_loop(reader, state))
     };
 
     let mut sent = 0u64;
-    let outcome = |sent, clean, state: &ReaderState| ReplayOutcome {
+    let streamed = send_feed(&mut stream, &state, feed, resume_seq, config, &mut sent);
+    // Half-close after a streamed `Bye`: the server reads it, echoes it as
+    // an ack, and drops the session, which closes its end and lets our
+    // reader thread see EOF. A written-but-unacked `Bye` is NOT a clean
+    // close — a transport fault may have eaten it after our write
+    // succeeded — so the session reports unclean and the caller resumes
+    // (from `resume_seq == feed.len()`, i.e. it just re-sends the `Bye`).
+    // Anything else (kill point, lost connection) severs both ways.
+    let _ = stream.shutdown(if streamed {
+        Shutdown::Write
+    } else {
+        Shutdown::Both
+    });
+    let _ = reader.join();
+    Ok(ReplayOutcome {
         sent,
         resumed_from: resume_seq,
-        clean,
+        clean: streamed && state.bye_acked.load(Ordering::Acquire),
         acked_stable: Time(state.acked_stable.load(Ordering::Acquire)),
-    };
+    })
+}
 
+/// Stream `feed[resume_seq..]` and the closing `Bye`, counting data frames
+/// into `sent`. Frames are encoded into one buffer and leave in as few
+/// `write`s as the protocol allows: the buffer is flushed when it reaches
+/// [`wire::READ_BUF_LEN`], and before every wait — for a credit, for a
+/// pace interval, for the `Bye` echo — so no frame sits in user space while
+/// this thread sleeps. Returns whether the `Bye` was written; `false` means
+/// the kill point was reached or the connection died (resumable).
+fn send_feed(
+    stream: &mut TcpStream,
+    state: &ReaderState,
+    feed: &[TimedElement<Value>],
+    resume_seq: u64,
+    config: &ReplayConfig,
+    sent: &mut u64,
+) -> bool {
+    let mut out = Vec::with_capacity(wire::READ_BUF_LEN);
+    let mut flush = |out: &mut Vec<u8>| {
+        let wrote = stream.write_all(out);
+        out.clear();
+        wrote.is_ok()
+    };
     for (i, te) in feed.iter().enumerate().skip(resume_seq as usize) {
-        if let Err(e) = take_credit(&state) {
-            let _ = reader.join();
-            // The server vanished mid-stream: resumable, not fatal.
-            let _ = e;
-            return Ok(outcome(sent, false, &state));
+        // Out of credits: what is queued goes out before waiting for more.
+        let credited = try_take_credit(state) || (flush(&mut out) && take_credit(state));
+        if !credited {
+            return false;
         }
         let frame = Frame::Data {
             seq: i as u64,
             at: te.at,
             element: te.element.clone(),
         };
-        if wire::write_frame(&mut stream, &frame).is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
-            let _ = reader.join();
-            return Ok(outcome(sent, false, &state));
+        wire::encode_into(&frame, &mut out);
+        *sent += 1;
+        let kill = config.kill_after == Some(*sent);
+        if (kill || config.pace_us > 0 || out.len() >= wire::READ_BUF_LEN) && !flush(&mut out) {
+            return false;
         }
-        sent += 1;
+        if kill {
+            return false;
+        }
         if config.pace_us > 0 {
             thread::sleep(Duration::from_micros(config.pace_us));
         }
-        if config.kill_after == Some(sent) {
-            let _ = stream.shutdown(Shutdown::Both);
-            state.gone.store(true, Ordering::Relaxed);
-            let _ = reader.join();
-            return Ok(outcome(sent, false, &state));
-        }
     }
-
-    if wire::write_frame(&mut stream, &Frame::Bye).is_err() {
-        let _ = stream.shutdown(Shutdown::Both);
-        let _ = reader.join();
-        return Ok(outcome(sent, false, &state));
-    }
-    // Half-close: the server reads the Bye, echoes it as an ack, and
-    // drops the session, which closes its end and lets our reader
-    // thread see EOF. A written-but-unacked `Bye` is NOT a clean close
-    // — a transport fault may have eaten it after our write succeeded —
-    // so the session reports unclean and the caller resumes (from
-    // `resume_seq == feed.len()`, i.e. it just re-sends the `Bye`).
-    let _ = stream.shutdown(Shutdown::Write);
-    let _ = reader.join();
-    let clean = state.bye_acked.load(Ordering::Acquire);
-    Ok(outcome(sent, clean, &state))
+    wire::encode_into(&Frame::Bye, &mut out);
+    flush(&mut out)
 }
 
 /// Replay to completion, reconnecting after crashes or injected resets.
@@ -201,15 +219,26 @@ pub fn replay_until_clean(
     Err(last)
 }
 
-fn take_credit(state: &ReaderState) -> Result<(), WireError> {
+/// Take a credit if one is in hand.
+fn try_take_credit(state: &ReaderState) -> bool {
+    let mut credits = state.credits.lock().unwrap();
+    if *credits == 0 {
+        return false;
+    }
+    *credits -= 1;
+    true
+}
+
+/// Wait for a credit and take it; `false` once the server is gone.
+fn take_credit(state: &ReaderState) -> bool {
     let mut credits = state.credits.lock().unwrap();
     loop {
         if *credits > 0 {
             *credits -= 1;
-            return Ok(());
+            return true;
         }
         if state.gone.load(Ordering::Relaxed) {
-            return Err(WireError::Io(ErrorKind::ConnectionReset));
+            return false;
         }
         let (guard, _timeout) = state
             .granted
@@ -219,9 +248,9 @@ fn take_credit(state: &ReaderState) -> Result<(), WireError> {
     }
 }
 
-fn reader_loop(mut stream: TcpStream, state: Arc<ReaderState>) {
+fn reader_loop(mut reader: FrameReader<TcpStream>, state: Arc<ReaderState>) {
     loop {
-        match wire::read_frame(&mut stream) {
+        match reader.next_frame() {
             Ok(Some(Frame::Credit { n })) => {
                 *state.credits.lock().unwrap() += n as u64;
                 state.granted.notify_all();

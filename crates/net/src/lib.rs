@@ -9,7 +9,9 @@
 //! * [`wire`] — a versioned, length-prefixed binary frame format for
 //!   `insert`/`adjust`/`stable` plus session control, with a per-frame
 //!   FNV-1a checksum (the same [`lmerge_core::hash`] the shard router
-//!   uses) and typed, panic-free decode errors;
+//!   uses), typed, panic-free decode errors, and [`wire::FrameReader`] —
+//!   the one buffered reader every socket on every plane is read through,
+//!   so system calls are paid per read, not per frame;
 //! * [`server`] — the ingest side: one TCP connection per input, a
 //!   handshake carrying protocol version / input id / resume offset,
 //!   credit-based backpressure keyed off a bounded
@@ -44,4 +46,6 @@ pub use client::{replay, ReplayConfig, ReplayOutcome};
 pub use egress::{NetHooks, SharedBuf};
 pub use proxy::{ChaosProxy, ProxyFault, ProxyPlan};
 pub use server::{IngestConfig, IngestServer, NetSource};
-pub use wire::{decode, encode, read_frame, write_frame, Frame, WireError, PROTOCOL_VERSION};
+pub use wire::{
+    decode, encode, read_frame, write_frame, Frame, FrameReader, WireError, PROTOCOL_VERSION,
+};

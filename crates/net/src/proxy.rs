@@ -33,7 +33,8 @@ pub enum ProxyFault {
     /// Freeze forwarding for this many milliseconds (a wedged link —
     /// long enough to trip read-side patience, short enough to recover).
     StallMs(u64),
-    /// Sever both sides of the connection mid-stream.
+    /// Sever both sides of the connection at exactly this offset: the
+    /// bytes before it reach the server, nothing after it does.
     Reset,
 }
 
@@ -241,19 +242,24 @@ fn forward_faulted(
         // Fire every fault whose offset falls inside this chunk. The
         // lock is held only to *claim* faults; sleeps happen outside it
         // so a reconnected session is never blocked by plan bookkeeping.
+        // A reset cuts at its exact offset: the bytes before it are
+        // forwarded, the rest of the chunk dies with the connection.
         let mut claimed = Vec::new();
+        let mut keep = n;
         {
             let mut st = state.lock().unwrap();
             let end = st.forwarded + n as u64;
             while st.next < st.faults.len() && st.faults[st.next].0 < end {
-                let fault = st.faults[st.next].1;
+                let (offset, fault) = st.faults[st.next];
                 st.next += 1;
+                claimed.push(fault);
                 if fault == ProxyFault::Reset {
                     st.resets += 1;
+                    keep = offset.saturating_sub(st.forwarded) as usize;
+                    break;
                 }
-                claimed.push(fault);
             }
-            st.forwarded = end;
+            st.forwarded += keep as u64;
         }
         for fault in claimed {
             match fault {
@@ -261,6 +267,7 @@ fn forward_faulted(
                     thread::sleep(Duration::from_millis(ms));
                 }
                 ProxyFault::Reset => {
+                    let _ = to.write_all(&buf[..keep]);
                     let _ = from.shutdown(Shutdown::Both);
                     let _ = to.shutdown(Shutdown::Both);
                     return;

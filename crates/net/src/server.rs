@@ -28,6 +28,19 @@
 //! into the server's own tracer as `net_queue_sampled` events alongside
 //! `credit_granted`, `session_opened`, and `session_closed`.
 //!
+//! # Pay per read, not per frame
+//!
+//! A session reads its socket through one [`FrameReader`]: every whole
+//! frame of a refill is sequence-checked and pushed to the ring, and only
+//! then are `next_seq` and the frame/byte counters published, once, for the
+//! lot. A bad frame ends the session *after* the good frames before it in
+//! the same buffer were delivered and counted, so the resume point a
+//! rejoining client is welcomed with is exactly what the ring took. The
+//! merge side mirrors it: `Ack`/`Credit` frames are queued in the
+//! [`NetSource`] and leave in one `write` when a credit batch is due — or
+//! before [`NetSource::next`] sleeps on an empty ring, so a client never
+//! waits for a frame that sits in user space.
+//!
 //! # Trace purity
 //!
 //! The server owns a private [`Tracer`]. Network-session events never
@@ -35,12 +48,12 @@
 //! byte-identical to the in-process run of the same feeds, and it could
 //! not if socket lifecycle noise leaked in.
 
-use crate::wire::{self, Frame, WireError, PROTOCOL_VERSION};
+use crate::wire::{self, Frame, FrameReader, WireError, PROTOCOL_VERSION};
 use lmerge_core::spsc::{self, Consumer, Producer};
 use lmerge_engine::{Source, TimedElement};
 use lmerge_obs::{Counter, Gauge, MetricsRegistry, TraceEvent, TraceSink, Tracer};
 use lmerge_temporal::{Element, Time, VTime, Value};
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -99,6 +112,8 @@ struct InputNetMetrics {
 /// so session threads only ever touch lock-free handles.
 pub struct NetMetrics {
     inputs: Vec<InputNetMetrics>,
+    /// Connections dropped before a session existed; they name no input.
+    handshake_drops: Counter,
 }
 
 impl NetMetrics {
@@ -168,7 +183,14 @@ impl NetMetrics {
                 }
             })
             .collect();
-        NetMetrics { inputs }
+        NetMetrics {
+            inputs,
+            handshake_drops: registry.counter(
+                "lmerge_net_handshake_drops_total",
+                "Connections dropped before a session opened (no or bad Hello within the timeout).",
+                &[],
+            ),
+        }
     }
 }
 
@@ -188,8 +210,7 @@ struct InputShared {
     acked_stable: AtomicI64,
     /// Set on a clean `Bye`; tells the `NetSource` the stream is over.
     finished: AtomicBool,
-    /// Items ever pushed / popped — their difference is ring occupancy.
-    pushes: AtomicU64,
+    /// Items the merge side has popped — the checkpoint resume cursor.
     pops: AtomicU64,
     capacity: u32,
 }
@@ -208,13 +229,13 @@ impl ServerShared {
         self.tracer.lock().unwrap().record(event);
     }
 
-    /// Send a frame to an input's live connection; best-effort (a frame
-    /// to a dead connection is dropped and the writer cleared — the
-    /// client will learn everything it needs from its next `Welcome`).
-    fn send(&self, input: u32, frame: &Frame) {
+    /// Write encoded frames to an input's live connection; best-effort
+    /// (bytes for a dead connection are dropped and the writer cleared —
+    /// the client will learn everything it needs from its next `Welcome`).
+    fn write(&self, input: u32, frames: &[u8]) {
         let mut guard = self.inputs[input as usize].writer.lock().unwrap();
         if let Some(w) = guard.as_mut() {
-            if wire::write_frame(w, frame).is_err() {
+            if w.write_all(frames).is_err() {
                 *guard = None;
             }
         }
@@ -263,7 +284,6 @@ impl IngestServer {
                 next_seq: AtomicU64::new(0),
                 acked_stable: AtomicI64::new(Time::MIN.0),
                 finished: AtomicBool::new(false),
-                pushes: AtomicU64::new(0),
                 pops: AtomicU64::new(0),
                 capacity: config.ring_capacity as u32,
             });
@@ -303,6 +323,7 @@ impl IngestServer {
                 shared: Arc::clone(&self.shared),
                 since_credit: 0,
                 capacity: self.shared.inputs[i].capacity,
+                out: Vec::new(),
             })
             .collect()
     }
@@ -407,18 +428,54 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
     }
 }
 
-/// Serve one connection: handshake, then pump data frames into the ring.
-fn session(shared: Arc<ServerShared>, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let input = match wire::read_frame(&mut stream) {
-        Ok(Some(Frame::Hello { protocol, input })) if protocol == PROTOCOL_VERSION => input,
-        // Wrong version, wrong frame, garbage, or EOF: drop the
-        // connection; there is no session to resume.
-        _ => return,
-    };
-    if input as usize >= shared.inputs.len() {
-        return;
+/// How long a fresh connection may take to present its handshake frame
+/// (`Hello` here, `Subscribe` on the fan-out plane) before it is dropped.
+/// Clients send it right after `connect`, so this only ever expires on a
+/// peer that connected and went quiet — which would otherwise pin its
+/// session thread for the life of the process, `shutdown` included.
+pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Frames a session has pushed to the ring since it last published.
+#[derive(Default)]
+struct Unpublished {
+    frames: u64,
+    bytes: u64,
+}
+
+impl Unpublished {
+    /// Publish the resume point and the counters for everything pushed so
+    /// far. `next_seq` moves only here — after the items are in the ring —
+    /// so a resume point never names a frame the ring did not take.
+    fn publish(&mut self, slot: &InputShared, live: &InputNetMetrics, next_seq: u64) {
+        if self.frames == 0 {
+            return;
+        }
+        slot.next_seq.store(next_seq, Ordering::Release);
+        live.frames.add(self.frames);
+        live.bytes.add(self.bytes);
+        live.next_seq.set(next_seq as i64);
+        *self = Unpublished::default();
     }
+}
+
+/// Serve one connection: handshake, then pump data frames into the ring.
+fn session(shared: Arc<ServerShared>, stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
+    let mut reader = FrameReader::new(&stream);
+    let input = match reader.next_frame() {
+        Ok(Some(Frame::Hello { protocol, input }))
+            if protocol == PROTOCOL_VERSION && (input as usize) < shared.inputs.len() =>
+        {
+            input
+        }
+        // Silence, wrong version, wrong frame, garbage, or EOF: drop the
+        // connection; there is no session to resume.
+        _ => {
+            shared.metrics.handshake_drops.inc();
+            return;
+        }
+    };
     let slot = &shared.inputs[input as usize];
     let live = &shared.metrics.inputs[input as usize];
 
@@ -445,10 +502,11 @@ fn session(shared: Arc<ServerShared>, mut stream: TcpStream) {
         resume_stable: Time(slot.acked_stable.load(Ordering::Acquire)),
         credits: (producer.capacity() - producer.len()) as u32,
     };
-    if wire::write_frame(&mut stream, &welcome).is_err() {
+    if wire::write_frame(&mut &stream, &welcome).is_err() {
         *slot.producer.lock().unwrap() = Some(producer);
         return;
     }
+    let _ = stream.set_read_timeout(None);
     if let Ok(w) = stream.try_clone() {
         *slot.writer.lock().unwrap() = Some(w);
     }
@@ -463,38 +521,57 @@ fn session(shared: Arc<ServerShared>, mut stream: TcpStream) {
     }
 
     let mut expected = resume_seq;
+    let mut pending = Unpublished::default();
     let clean = 'conn: loop {
-        match wire::read_frame_sized(&mut stream) {
-            Ok(Some((Frame::Data { seq, at, element }, size))) => {
-                if seq < expected {
-                    // Duplicate from before the resume point (client
-                    // raced a reconnect); exactly-once by dropping here.
-                    continue;
-                }
-                if seq > expected {
-                    break 'conn false; // gap: protocol violation
-                }
-                let mut item = Item {
-                    seq,
-                    te: TimedElement::new(at, element),
-                };
-                // Ring full ⇒ spin; TCP flow control does the rest.
-                while let Err(back) = producer.push(item) {
-                    item = back;
-                    live.ring_full_stalls.inc();
-                    if shared.shutdown.load(Ordering::Relaxed) {
-                        break 'conn false;
+        // Hand every whole frame of this refill to the ring; `verdict` is
+        // how the session ends, if one of them ends it.
+        let verdict = 'refill: loop {
+            match reader.next_buffered() {
+                Ok(Some((Frame::Data { seq, at, element }, size))) => {
+                    if seq < expected {
+                        // Duplicate from before the resume point (client
+                        // raced a reconnect); exactly-once by dropping here.
+                        continue;
                     }
-                    thread::sleep(Duration::from_micros(50));
+                    if seq > expected {
+                        break 'refill Some(false); // gap: protocol violation
+                    }
+                    let mut item = Item {
+                        seq,
+                        te: TimedElement::new(at, element),
+                    };
+                    // Ring full ⇒ spin; TCP flow control does the rest.
+                    while let Err(back) = producer.push(item) {
+                        item = back;
+                        live.ring_full_stalls.inc();
+                        if shared.shutdown.load(Ordering::Relaxed) {
+                            break 'refill Some(false);
+                        }
+                        // Never sleep on unpublished frames: the stall
+                        // lasts as long as the merge side likes.
+                        pending.publish(slot, live, expected);
+                        thread::sleep(Duration::from_micros(50));
+                    }
+                    expected += 1;
+                    pending.frames += 1;
+                    pending.bytes += size as u64;
                 }
-                expected += 1;
-                slot.next_seq.store(expected, Ordering::Release);
-                slot.pushes.fetch_add(1, Ordering::Relaxed);
-                live.frames.inc();
-                live.bytes.add(size as u64);
-                live.next_seq.set(expected as i64);
+                Ok(Some((Frame::Bye, _))) => break 'refill Some(true),
+                Ok(Some(_)) => break 'refill Some(false), // wrong frame for this state
+                Ok(None) => break 'refill None,
+                Err(WireError::Checksum { .. }) => {
+                    live.checksum_failures.inc();
+                    break 'refill Some(false);
+                }
+                Err(_) => break 'refill Some(false),
             }
-            Ok(Some((Frame::Bye, _))) => {
+        };
+        // Whatever ended the refill, the frames before it are in the ring
+        // and count: publish them before anything else can observe the
+        // session's end.
+        pending.publish(slot, live, expected);
+        match verdict {
+            Some(true) => {
                 // Release ordering pairs with the NetSource's Acquire
                 // load: once it sees `finished`, every push is visible.
                 slot.finished.store(true, Ordering::Release);
@@ -502,19 +579,18 @@ fn session(shared: Arc<ServerShared>, mut stream: TcpStream) {
                 // client's successful *write* of `Bye` does not prove
                 // *delivery*, so it only reports a clean session once
                 // this echo arrives (and resends the `Bye` otherwise).
-                shared.send(input, &Frame::Bye);
+                shared.write(input, &wire::encode(&Frame::Bye));
                 break 'conn true;
             }
-            // EOF without Bye: the replica died mid-stream. Leave
-            // `finished` unset — the ring keeps what arrived, and the
-            // replica may rejoin and resume from `next_seq`.
-            Ok(None) => break 'conn false,
-            Ok(Some(_)) => break 'conn false, // wrong frame for this state
-            Err(WireError::Checksum { .. }) => {
-                live.checksum_failures.inc();
-                break 'conn false;
-            }
-            Err(_) => break 'conn false, // truncated/io
+            Some(false) => break 'conn false,
+            None => {}
+        }
+        // EOF without Bye (at a frame boundary or inside a frame): the
+        // replica died mid-stream. Leave `finished` unset — the ring keeps
+        // what arrived, and the replica may rejoin and resume from
+        // `next_seq`.
+        if !matches!(reader.fill(), Ok(n) if n > 0) {
+            break 'conn false;
         }
     };
 
@@ -569,6 +645,8 @@ pub struct NetSource {
     shared: Arc<ServerShared>,
     since_credit: u32,
     capacity: u32,
+    /// `Ack`/`Credit` frames encoded but not yet written.
+    out: Vec<u8>,
 }
 
 impl NetSource {
@@ -579,23 +657,22 @@ impl NetSource {
 
     fn after_pop(&mut self, item: &Item) {
         let slot = &self.shared.inputs[self.input as usize];
-        let pops = slot.pops.fetch_add(1, Ordering::Relaxed) + 1;
+        slot.pops.fetch_add(1, Ordering::Relaxed);
         if let Element::Stable(t) = item.te.element {
             slot.acked_stable.store(t.0, Ordering::Release);
-            self.shared.send(
-                self.input,
-                &Frame::Ack {
-                    seq: item.seq,
-                    stable: t,
-                },
-            );
+            let ack = Frame::Ack {
+                seq: item.seq,
+                stable: t,
+            };
+            wire::encode_into(&ack, &mut self.out);
         }
         self.since_credit += 1;
         if self.since_credit >= self.shared.credit_batch {
             let n = self.since_credit;
             self.since_credit = 0;
-            self.shared.send(self.input, &Frame::Credit { n });
-            let depth = slot.pushes.load(Ordering::Relaxed).saturating_sub(pops) as u32;
+            wire::encode_into(&Frame::Credit { n }, &mut self.out);
+            self.flush();
+            let depth = self.consumer.len() as u32;
             let live = &self.shared.metrics.inputs[self.input as usize];
             live.credits.add(n as u64);
             live.queue_depth.set(depth as i64);
@@ -610,6 +687,14 @@ impl NetSource {
                 depth,
                 capacity: self.capacity,
             });
+        }
+    }
+
+    /// Write the queued control frames, if any, in one `write`.
+    fn flush(&mut self) {
+        if !self.out.is_empty() {
+            self.shared.write(self.input, &self.out);
+            self.out.clear();
         }
     }
 }
@@ -629,6 +714,12 @@ impl Source<Value> for NetSource {
                 self.after_pop(&item);
                 return Some(item.te);
             }
+            // Flush before blocking: nothing may sit in user space while
+            // this thread sleeps. With an empty ring the client may be
+            // waiting on exactly the frames queued here, and the next pop
+            // that would flush them may be waiting on the client — a queued
+            // grant held back here is a deadlock, a queued ack a stall.
+            self.flush();
             if finished || self.shared.shutdown.load(Ordering::Relaxed) {
                 return None;
             }
@@ -739,6 +830,67 @@ mod tests {
             tracer.net().inputs()[0].credits_granted
         );
         drop(tracer);
+    }
+
+    #[test]
+    fn queued_control_frames_are_flushed_before_the_source_blocks() {
+        let config = IngestConfig {
+            inputs: 1,
+            ring_capacity: 8,
+            credit_batch: 4,
+        };
+        let mut server = IngestServer::bind("127.0.0.1:0", config).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let hello = Frame::Hello {
+            protocol: PROTOCOL_VERSION,
+            input: 0,
+        };
+        wire::write_frame(&mut stream, &hello).unwrap();
+        let mut reader = FrameReader::new(stream.try_clone().unwrap());
+        assert!(matches!(
+            reader.next_frame(),
+            Ok(Some(Frame::Welcome { credits: 8, .. }))
+        ));
+        // Spend 7 of the 8 credits, the last frame a stable: 1 credit left.
+        let mut sent = feed(6);
+        sent[6].element = Element::stable(Time(3));
+        let mut bytes = Vec::new();
+        for (i, te) in sent.iter().enumerate() {
+            let frame = Frame::Data {
+                seq: i as u64,
+                at: te.at,
+                element: te.element.clone(),
+            };
+            wire::encode_into(&frame, &mut bytes);
+        }
+        stream.write_all(&bytes).unwrap();
+
+        let mut source = server.sources().remove(0);
+        for te in &sent {
+            assert_eq!(source.next().as_ref(), Some(te));
+        }
+        // The ring is empty and the client has sent all it will: the merge
+        // side now blocks. The 4th pop wrote `Credit{4}` as its batch came
+        // due; the stable's `Ack` was only queued (3 pops into the next
+        // batch). Nothing will pop again to flush it, so it arrives only
+        // because `next` flushes before it sleeps — without that this read
+        // waits for a frame that is waiting for a pop that is waiting for
+        // this client.
+        let blocked = thread::spawn(move || source.next());
+        assert_eq!(reader.next_frame(), Ok(Some(Frame::Credit { n: 4 })));
+        assert_eq!(
+            reader.next_frame(),
+            Ok(Some(Frame::Ack {
+                seq: 6,
+                stable: Time(3)
+            })),
+            "the queued ack left user space before the source slept"
+        );
+        wire::write_frame(&mut stream, &Frame::Bye).unwrap();
+        assert_eq!(blocked.join().unwrap(), None, "Bye ends the blocked source");
     }
 
     #[test]

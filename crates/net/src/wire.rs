@@ -457,8 +457,13 @@ fn read_body(c: &mut Cursor<'_>) -> Result<Bytes, WireError> {
     Ok(Bytes::from(body.to_vec()))
 }
 
-/// Validate an envelope header, returning `(frame_type, payload_len)`.
-fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u32), WireError> {
+/// Validate the envelope at the front of `buf`, returning the frame type
+/// and the frame's full on-wire length. Needs only the header: a hostile
+/// length is [`WireError::Oversized`] before a byte of body is buffered.
+fn parse_header(buf: &[u8]) -> Result<(u8, usize), WireError> {
+    let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
+        return Err(WireError::Truncated);
+    };
     let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
@@ -478,84 +483,174 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u32), WireError> {
     if payload_len > MAX_PAYLOAD_LEN {
         return Err(WireError::Oversized(payload_len));
     }
-    Ok((frame_type, payload_len))
-}
-
-fn verify_checksum(frame_bytes: &[u8], carried: u64) -> Result<(), WireError> {
-    let mut h = Fnv1a::new();
-    h.update(frame_bytes);
-    if h.value() != carried {
-        return Err(WireError::Checksum {
-            expected: h.value(),
-            got: carried,
-        });
-    }
-    Ok(())
+    Ok((frame_type, HEADER_LEN + payload_len as usize + CHECKSUM_LEN))
 }
 
 /// Decode one frame from the front of `buf`, returning it and the bytes
 /// consumed. [`WireError::Truncated`] means "not a whole frame yet" — a
 /// streaming caller can read more and retry.
 pub fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
-    if buf.len() < HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let header: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().unwrap();
-    let (frame_type, payload_len) = parse_header(header)?;
-    let total = HEADER_LEN + payload_len as usize + CHECKSUM_LEN;
+    let (frame_type, total) = parse_header(buf)?;
     if buf.len() < total {
         return Err(WireError::Truncated);
     }
-    let carried = u64::from_le_bytes(buf[total - CHECKSUM_LEN..total].try_into().unwrap());
-    verify_checksum(&buf[..total - CHECKSUM_LEN], carried)?;
-    let frame = parse_payload(frame_type, &buf[HEADER_LEN..total - CHECKSUM_LEN])?;
-    Ok((frame, total))
-}
-
-/// Read one frame from a stream. `Ok(None)` means clean EOF at a frame
-/// boundary; EOF inside a frame is [`WireError::Truncated`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
-    Ok(read_frame_sized(r)?.map(|(frame, _)| frame))
-}
-
-/// Like [`read_frame`], additionally returning the frame's full on-wire
-/// size (envelope + payload + checksum) — the raw material for per-session
-/// byte counters, measured at the decoder so it is exact rather than a
-/// re-encoding estimate.
-pub fn read_frame_sized(r: &mut impl Read) -> Result<Option<(Frame, usize)>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut got = 0usize;
-    while got < HEADER_LEN {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(WireError::Truncated),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let (frame_type, payload_len) = parse_header(&header)?;
-    let mut rest = vec![0u8; payload_len as usize + CHECKSUM_LEN];
-    r.read_exact(&mut rest).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::Io(e.kind())
-        }
-    })?;
-    let payload_end = payload_len as usize;
-    let carried = u64::from_le_bytes(rest[payload_end..].try_into().unwrap());
+    let (body, sum) = buf[..total].split_at(total - CHECKSUM_LEN);
+    let carried = u64::from_le_bytes(sum.try_into().unwrap());
     let mut h = Fnv1a::new();
-    h.update(&header);
-    h.update(&rest[..payload_end]);
+    h.update(body);
     if h.value() != carried {
         return Err(WireError::Checksum {
             expected: h.value(),
             got: carried,
         });
     }
-    let frame = parse_payload(frame_type, &rest[..payload_end])?;
-    Ok(Some((frame, HEADER_LEN + payload_end + CHECKSUM_LEN)))
+    Ok((parse_payload(frame_type, &body[HEADER_LEN..])?, total))
+}
+
+/// Size of a [`FrameReader`]'s buffer: the most one `read` returns. A
+/// saturated socket then delivers hundreds of small frames (or thirty
+/// 1000-byte ones) per system call, and a connection's buffers stay small
+/// beside its socket's own. A constant, not a knob: no caller needs another
+/// value, and the reader grows past it for the one frame that does.
+pub const READ_BUF_LEN: usize = 32 * 1024;
+
+/// The one way a stream is read: a fixed buffer refilled by a single
+/// `read` and drained by [`decode`], so the system-call and allocation
+/// cost is paid per *read*, not per frame.
+///
+/// The buffer holds [`READ_BUF_LEN`] bytes; it grows only to hold a single
+/// larger frame (never past the [`MAX_PAYLOAD_LEN`] envelope, which the
+/// header check enforces before any growth) and shrinks back once that
+/// frame is consumed.
+pub struct FrameReader<R> {
+    inner: R,
+    buf: Vec<u8>,
+    /// `buf[start..end]` holds received, not yet decoded bytes.
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Buffer reads from `inner`.
+    pub fn new(inner: R) -> FrameReader<R> {
+        FrameReader {
+            inner,
+            buf: vec![0; READ_BUF_LEN],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The underlying stream.
+    pub fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// Bytes the buffer can currently hold.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Decode the next frame already in the buffer, with its full on-wire
+    /// size (envelope + payload + checksum — exact, measured at the
+    /// decoder). `Ok(None)` means no whole frame is buffered — call
+    /// [`fill`](FrameReader::fill). Never touches the stream.
+    pub fn next_buffered(&mut self) -> Result<Option<(Frame, usize)>, WireError> {
+        match decode(&self.buf[self.start..self.end]) {
+            Ok((frame, used)) => {
+                self.start += used;
+                Ok(Some((frame, used)))
+            }
+            Err(WireError::Truncated) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Issue one `read` for as much as the buffer takes. `Ok(0)` is EOF;
+    /// a read timeout surfaces as [`WireError::Io`] with the buffered
+    /// bytes kept. Call only after [`next_buffered`](FrameReader::next_buffered)
+    /// returned `Ok(None)`, so what is left is less than one frame.
+    pub fn fill(&mut self) -> Result<usize, WireError> {
+        // Move the partial frame to the front, then make sure the whole
+        // frame it starts fits (its header has already passed `decode`).
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let need = parse_header(&self.buf[..self.end]).map_or(HEADER_LEN, |(_, total)| total);
+        if need > self.buf.len() {
+            self.buf.resize(need, 0);
+        } else if self.buf.len() > READ_BUF_LEN && need <= READ_BUF_LEN {
+            self.buf.truncate(READ_BUF_LEN);
+            self.buf.shrink_to_fit();
+        }
+        loop {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// The next frame, reading as needed. `Ok(None)` means clean EOF at a
+    /// frame boundary; EOF inside a frame is [`WireError::Truncated`].
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        loop {
+            if let Some((frame, _size)) = self.next_buffered()? {
+                return Ok(Some(frame));
+            }
+            if self.fill()? == 0 {
+                return if self.start == self.end {
+                    Ok(None)
+                } else {
+                    Err(WireError::Truncated)
+                };
+            }
+        }
+    }
+}
+
+/// Read one frame from a stream, consuming exactly its bytes. `Ok(None)`
+/// means clean EOF at a frame boundary; EOF inside a frame is
+/// [`WireError::Truncated`]. For a single handshake frame on a stream
+/// someone else goes on to read; anything that reads a stream to its end
+/// uses a [`FrameReader`].
+pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
+    Ok(read_frame_sized(r)?.map(|(frame, _)| frame))
+}
+
+/// Like [`read_frame`], additionally returning the frame's full on-wire
+/// size.
+pub fn read_frame_sized(r: &mut impl Read) -> Result<Option<(Frame, usize)>, WireError> {
+    let mut buf = vec![0u8; HEADER_LEN];
+    match read_full(r, &mut buf)? {
+        0 => return Ok(None),
+        HEADER_LEN => {}
+        _ => return Err(WireError::Truncated),
+    }
+    let (_, total) = parse_header(&buf)?;
+    buf.resize(total, 0);
+    if read_full(r, &mut buf[HEADER_LEN..])? < total - HEADER_LEN {
+        return Err(WireError::Truncated);
+    }
+    decode(&buf).map(Some)
+}
+
+/// Read until `buf` is full or the stream ends; returns the bytes read.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(got)
 }
 
 /// Encode and write one frame to a stream.

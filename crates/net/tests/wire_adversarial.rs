@@ -6,6 +6,9 @@
 //! garbage and random mutations of valid frames. If the fuzzer ever finds
 //! a panic, the failure is shrunk with the properties crate's minimizer
 //! to the smallest `(seed, len, flips)` reproduction before reporting.
+//!
+//! The last cell attacks the session layer instead of the decoder: peers
+//! that connect and never finish a `Hello`.
 
 use lmerge_net::wire::{
     self, Frame, WireError, CHECKSUM_LEN, HEADER_LEN, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
@@ -14,6 +17,9 @@ use lmerge_properties::shrink::{describe, minimize, Knob};
 use lmerge_temporal::{Element, Time, VTime, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn valid_frame() -> Vec<u8> {
     wire::encode(&Frame::Data {
@@ -272,4 +278,68 @@ fn fuzzed_valid_prefix_streams_decode_or_fail_typed() {
             }
         }
     }
+}
+
+/// Connections that never complete the handshake — silent, or stuck half
+/// way through a header — must not cost the server anything lasting: a
+/// normal session completes beside them, each is dropped (and counted) when
+/// the handshake timeout expires, and `shutdown` does not wait for them.
+#[test]
+fn silent_and_half_header_connections_are_dropped_not_served_forever() {
+    use lmerge_engine::TimedElement;
+    use lmerge_net::client::{replay, ReplayConfig};
+    use lmerge_net::server::{drain_sources, IngestConfig, IngestServer, HANDSHAKE_TIMEOUT};
+    use lmerge_obs::MetricsRegistry;
+
+    let registry = MetricsRegistry::new();
+    let mut server =
+        IngestServer::bind_with_metrics("127.0.0.1:0", IngestConfig::new(1), &registry).unwrap();
+    let addr = server.local_addr();
+    let mut quiet: Vec<TcpStream> = (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let mut half = TcpStream::connect(addr).unwrap();
+    let hello = wire::encode(&Frame::Hello {
+        protocol: PROTOCOL_VERSION,
+        input: 0,
+    });
+    half.write_all(&hello[..HEADER_LEN / 2]).unwrap();
+    quiet.push(half);
+
+    let feed: Vec<TimedElement<Value>> = (0..50u64)
+        .map(|i| {
+            let e = Element::insert(Value::bare(i as i32), i as i64, i as i64 + 5);
+            TimedElement::new(VTime(i * 10), e)
+        })
+        .chain([TimedElement::new(
+            VTime(500),
+            Element::stable(Time::INFINITY),
+        )])
+        .collect();
+    let client = {
+        let (addr, feed) = (addr.to_string(), feed.clone());
+        std::thread::spawn(move || replay(&addr, &feed, &ReplayConfig::new(0)).expect("replay"))
+    };
+    assert_eq!(drain_sources(server.sources()).remove(0), feed);
+    assert!(client.join().unwrap().clean, "a normal session beside them");
+
+    let drops = || {
+        registry
+            .sum_value("lmerge_net_handshake_drops_total")
+            .unwrap_or(0.0)
+    };
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT + Duration::from_secs(5);
+    while drops() < quiet.len() as f64 {
+        assert!(Instant::now() < deadline, "only {} drops counted", drops());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    for s in &mut quiet {
+        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut byte = [0u8; 1];
+        assert!(
+            matches!(s.read(&mut byte), Ok(0) | Err(_)),
+            "the server hung up"
+        );
+    }
+    let asked = Instant::now();
+    server.shutdown();
+    assert!(asked.elapsed() < Duration::from_secs(1), "prompt shutdown");
 }

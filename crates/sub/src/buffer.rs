@@ -312,9 +312,11 @@ impl EpochBuffer {
             inner.compact_stable = image.stable;
             inner.cursors = image.cursors.iter().copied().collect();
         }
-        let mut r = &image.frames[..];
+        let mut rest = &image.frames[..];
         let mut expected = image.base_seq;
-        while let Some((frame, _size)) = wire::read_frame_sized(&mut r)? {
+        while !rest.is_empty() {
+            let (frame, used) = wire::decode(rest)?;
+            rest = &rest[used..];
             let Frame::Data { seq, at, element } = frame else {
                 return Err(WireError::Protocol("egress image holds a non-data frame"));
             };

@@ -10,7 +10,7 @@
 //! unclean drops until the close handshake lands, which is what gives a
 //! crashing subscriber an exactly-once view of the merged output.
 
-use lmerge_net::wire::{self, Frame, PROTOCOL_VERSION};
+use lmerge_net::wire::{self, Frame, FrameReader, PROTOCOL_VERSION};
 use lmerge_net::WireError;
 use lmerge_temporal::{Element, Time, VTime, Value};
 use std::net::TcpStream;
@@ -110,12 +110,11 @@ pub struct SubOutcome {
 pub fn subscribe(addr: &str, config: &SubscribeConfig) -> Result<SubOutcome, WireError> {
     let mut stream = TcpStream::connect(addr).map_err(|e| WireError::Io(e.kind()))?;
     let _ = stream.set_nodelay(true);
-    // Reads go through a buffer: the server coalesces each epoch into a
-    // few large writes, and draining them frame-by-frame with raw reads
-    // would cost thousands of syscalls per subscriber. Writes (acks,
-    // credit grants, the Bye echo) keep using the unbuffered half.
-    let mut reader =
-        std::io::BufReader::new(stream.try_clone().map_err(|e| WireError::Io(e.kind()))?);
+    // Reads go through the shared frame reader: the server coalesces each
+    // epoch into a few large writes, and draining them frame-by-frame with
+    // raw reads would cost thousands of syscalls per subscriber. Writes
+    // (acks, credit grants, the Bye echo) use the other half.
+    let mut reader = FrameReader::new(stream.try_clone().map_err(|e| WireError::Io(e.kind()))?);
     wire::write_frame(
         &mut stream,
         &Frame::Subscribe {
@@ -126,7 +125,7 @@ pub fn subscribe(addr: &str, config: &SubscribeConfig) -> Result<SubOutcome, Wir
             credits: config.credits,
         },
     )?;
-    let (resumed_from, resume_stable) = match wire::read_frame(&mut reader)? {
+    let (resumed_from, resume_stable) = match reader.next_frame()? {
         Some(Frame::Welcome {
             resume_seq,
             resume_stable,
@@ -151,7 +150,7 @@ pub fn subscribe(addr: &str, config: &SubscribeConfig) -> Result<SubOutcome, Wir
     let grant_batch = (config.credits / 2).max(1) as u64;
     let mut since_grant: u64 = 0;
     loop {
-        match wire::read_frame(&mut reader) {
+        match reader.next_frame() {
             Ok(Some(Frame::Data { seq, at, element })) => {
                 if seq < expected {
                     // Resume overlap duplicate: exactly-once by dropping.

@@ -36,7 +36,8 @@
 //! byte-identical to an unobserved run.
 
 use crate::buffer::{EpochBuffer, EpochSegment, EpochWait, SubFilter};
-use lmerge_net::wire::{self, Frame, PROTOCOL_VERSION};
+use lmerge_net::server::HANDSHAKE_TIMEOUT;
+use lmerge_net::wire::{self, Frame, FrameReader, PROTOCOL_VERSION};
 use lmerge_net::WireError;
 use lmerge_obs::{Counter, Gauge, MetricsRegistry, TraceEvent, TraceSink, Tracer};
 use lmerge_temporal::VTime;
@@ -86,6 +87,7 @@ pub struct SubMetrics {
     demotions: Counter,
     clean_closes: Counter,
     lost_closes: Counter,
+    handshake_drops: Counter,
     credit_stalls: Counter,
     epochs_retained: Gauge,
     next_seq: Gauge,
@@ -123,6 +125,11 @@ impl SubMetrics {
             lost_closes: registry.counter(
                 "lmerge_sub_session_closes_lost_total",
                 "Subscriber sessions that ended uncleanly (EOF, i/o error).",
+                &l,
+            ),
+            handshake_drops: registry.counter(
+                "lmerge_sub_handshake_drops_total",
+                "Connections dropped before a session opened (no or bad Subscribe within the timeout).",
                 &l,
             ),
             credit_stalls: registry.counter(
@@ -339,21 +346,31 @@ const BYE_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Serve one subscriber: handshake, then stream epochs under credits.
 fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let (subscriber, class, resume_from, initial_credits) = match wire::read_frame(&mut stream) {
+    // A peer that connects and says nothing must not pin this thread.
+    let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
+    // One reader for the connection's life: the handshake frame and the
+    // Credit/Ack/Bye stream behind it come out of the same buffer.
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = FrameReader::new(read_half);
+    let (subscriber, class, resume_from, initial_credits) = match reader.next_frame() {
         Ok(Some(Frame::Subscribe {
             protocol,
             subscriber,
             filter,
             resume_from,
             credits,
-        })) if protocol == PROTOCOL_VERSION => (subscriber, filter, resume_from, credits),
-        // Wrong version, wrong frame, garbage, or EOF: drop the
-        // connection; there is no session to resume.
-        _ => return,
+        })) if protocol == PROTOCOL_VERSION && (filter as usize) < shared.filters.len() => {
+            (subscriber, filter, resume_from, credits)
+        }
+        // Silence, wrong version, wrong frame, unknown class, garbage, or
+        // EOF: drop the connection; there is no session to resume.
+        _ => {
+            shared.metrics.handshake_drops.inc();
+            return;
+        }
     };
-    if class as usize >= shared.filters.len() {
-        return;
-    }
     let filter = shared.filters[class as usize].clone();
 
     // Clamp the requested cursor into what exists: up to the compaction
@@ -372,6 +389,7 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
     if wire::write_frame(&mut stream, &welcome).is_err() {
         return;
     }
+    let _ = stream.set_read_timeout(None);
     // Pin retention from the session's position so its window survives
     // until it acks (the durable cursor is monotone, so a rejoin with an
     // older clamped cursor cannot move it backwards).
@@ -401,11 +419,11 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
         dead: AtomicBool::new(false),
         last_heard: Mutex::new(std::time::Instant::now()),
     });
-    let reader = stream.try_clone().ok().map(|read_half| {
+    let reader = {
         let state = Arc::clone(&state);
         let shared = Arc::clone(&shared);
-        thread::spawn(move || reader_loop(read_half, state, shared, subscriber))
-    });
+        thread::spawn(move || reader_loop(reader, state, shared, subscriber))
+    };
 
     let clean = writer_loop(
         &shared,
@@ -421,9 +439,7 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
     // Unblock and collect the reader before reporting the close.
     let _ = stream.shutdown(Shutdown::Both);
     state.wake();
-    if let Some(h) = reader {
-        let _ = h.join();
-    }
+    let _ = reader.join();
     shared.trace(TraceEvent::SubSessionClosed {
         at: VTime(resume_seq),
         subscriber,
@@ -439,13 +455,13 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
 
 /// Drain subscriber-to-server frames: credit grants, cursor acks, Bye.
 fn reader_loop(
-    mut stream: TcpStream,
+    mut reader: FrameReader<TcpStream>,
     state: Arc<SessionState>,
     shared: Arc<SubShared>,
     subscriber: u64,
 ) {
     loop {
-        let frame = wire::read_frame(&mut stream);
+        let frame = reader.next_frame();
         if matches!(frame, Ok(Some(_))) {
             *state.last_heard.lock().unwrap() = std::time::Instant::now();
         }

@@ -228,6 +228,50 @@ fn server_buf(buf: &Arc<EpochBuffer>) -> &Arc<EpochBuffer> {
     buf
 }
 
+/// Connections that never complete the handshake — silent, or stuck half
+/// way through a header — must not cost the server anything lasting: a
+/// normal subscription completes beside them, each is dropped (and counted)
+/// when the handshake timeout expires, and `shutdown` does not wait.
+#[test]
+fn silent_and_half_header_connections_are_dropped_not_served_forever() {
+    use lmerge_net::server::HANDSHAKE_TIMEOUT;
+    use std::time::Instant;
+
+    let registry = lmerge_obs::MetricsRegistry::new();
+    let mut server =
+        SubServer::bind_with_metrics("127.0.0.1:0", served_buffer(5), SubConfig::new(), &registry)
+            .unwrap();
+    let addr = server.local_addr().to_string();
+    let mut quiet: Vec<TcpStream> = (0..8).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+    let mut half = TcpStream::connect(&addr).unwrap();
+    half.write_all(&valid_subscribe()[..6]).unwrap();
+    quiet.push(half);
+    server_still_serves(&addr, 2, 10);
+
+    let drops = || {
+        registry
+            .sum_value("lmerge_sub_handshake_drops_total")
+            .unwrap_or(0.0)
+    };
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT + Duration::from_secs(5);
+    while drops() < quiet.len() as f64 {
+        assert!(Instant::now() < deadline, "only {} drops counted", drops());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    for s in &mut quiet {
+        use std::io::Read;
+        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut byte = [0u8; 1];
+        assert!(
+            matches!(s.read(&mut byte), Ok(0) | Err(_)),
+            "the server hung up"
+        );
+    }
+    let asked = Instant::now();
+    server.shutdown();
+    assert!(asked.elapsed() < Duration::from_secs(1), "prompt shutdown");
+}
+
 /// Build the fuzz case for `(seed, len, flips)`: random bytes when
 /// `flips == 0`, otherwise a valid `Subscribe` with `flips` byte edits.
 fn fuzz_case(seed: u64, len: usize, flips: usize) -> Vec<u8> {

@@ -525,6 +525,148 @@ fn networked_restore_replays_frames_staged_at_the_kill() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A replica's feed of `n` inserts with `payload_len`-byte bodies, a finite
+/// stable every 16, closed by stable(∞).
+fn uniform_feed(n: u64, payload_len: usize) -> Vec<TimedElement<Value>> {
+    let mut v = Vec::new();
+    for i in 0..n {
+        v.push(TimedElement::new(
+            VTime(i * 10),
+            Element::insert(
+                Value::synthetic(i as i32, payload_len),
+                i as i64,
+                i as i64 + 5,
+            ),
+        ));
+        if (i + 1) % 16 == 0 {
+            v.push(TimedElement::new(
+                VTime(i * 10 + 5),
+                Element::stable(Time(i as i64)),
+            ));
+        }
+    }
+    v.push(TimedElement::new(
+        VTime(n * 10),
+        Element::stable(Time::INFINITY),
+    ));
+    v
+}
+
+/// Merge two replicas of `feed` and return the output as wire bytes.
+fn merged_bytes(queries: Vec<Query<Value>>) -> Vec<u8> {
+    let egress = lmerge::net::SharedBuf::new();
+    let mut hooks = NetHooks::collector().with_egress(Box::new(egress.clone()));
+    MergeRun::new(
+        queries,
+        new_for_level(RLevel::R3, 2, MergePolicy::default()),
+        RunConfig::default(),
+    )
+    .run_with_hooks(&mut lmerge::obs::NullSink, &mut hooks);
+    egress.bytes()
+}
+
+/// The client coalesces frames into large writes and the server takes every
+/// whole frame of a read before it publishes its resume point — so a
+/// connection that dies mid-frame, in the middle of such a run, is where an
+/// off-by-a-batch resume point would show. Sever input 0 at an exact byte
+/// offset inside frame `k`: the ring must have taken frames `0..k`, the next
+/// `Welcome` must say so, and the stitched merge must be byte-identical to
+/// the in-process run.
+#[test]
+fn cut_inside_a_coalesced_run_resumes_exactly_once() {
+    use lmerge::net::proxy::ProxyFault;
+    use lmerge::net::wire::{self, Frame, PROTOCOL_VERSION};
+
+    for (payload_len, n, k) in [(32usize, 600u64, 389usize), (1000, 120, 67)] {
+        let feed = uniform_feed(n, payload_len);
+        let base = merged_bytes(vec![
+            Query::new(feed.clone(), Vec::new()),
+            Query::new(feed.clone(), Vec::new()),
+        ]);
+        assert!(!base.is_empty());
+
+        // Client→server byte offset of the middle of frame `k`.
+        let frame_len = |i: usize| {
+            wire::encode(&Frame::Data {
+                seq: i as u64,
+                at: feed[i].at,
+                element: feed[i].element.clone(),
+            })
+            .len()
+        };
+        let hello = wire::encode(&Frame::Hello {
+            protocol: PROTOCOL_VERSION,
+            input: 0,
+        })
+        .len();
+        let cut = hello + (0..k).map(frame_len).sum::<usize>() + frame_len(k) / 2;
+
+        let registry = MetricsRegistry::new();
+        let mut server =
+            IngestServer::bind_with_metrics("127.0.0.1:0", IngestConfig::new(2), &registry)
+                .expect("bind");
+        let addr = server.local_addr();
+        let proxy = ChaosProxy::spawn(
+            addr,
+            ProxyPlan {
+                faults: vec![(cut as u64, ProxyFault::Reset)],
+            },
+        )
+        .expect("proxy");
+        let proxied = proxy.local_addr().to_string();
+        let input0 = |name: &str| {
+            registry
+                .samples()
+                .iter()
+                .find(|s| s.name == name && s.label("input") == Some("0"))
+                .map_or(0.0, |s| s.value)
+        };
+
+        let direct = {
+            let feed = feed.clone();
+            thread::spawn(move || {
+                replay_until_clean(&addr.to_string(), &feed, &ReplayConfig::new(1), 5)
+                    .expect("direct replay")
+            })
+        };
+        let queries = server
+            .sources()
+            .into_iter()
+            .map(|src| Query::from_source(Box::new(src), Vec::new()))
+            .collect();
+        let merge = thread::spawn(move || merged_bytes(queries));
+
+        let severed = replay(&proxied, &feed, &ReplayConfig::new(0)).expect("severed session");
+        assert!(!severed.clean, "the reset really cut the session");
+        assert_eq!(proxy.resets(), 1);
+        while input0("lmerge_net_session_closes_lost_total") < 1.0 {
+            thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let took = input0("lmerge_net_next_seq") as u64;
+        assert_eq!(
+            took, k as u64,
+            "{payload_len} B: every whole frame before the cut reached the ring, none after"
+        );
+        assert_eq!(input0("lmerge_net_frames_total") as u64, took);
+
+        let resumed = replay(&proxied, &feed, &ReplayConfig::new(0)).expect("resumed session");
+        assert!(resumed.clean);
+        assert_eq!(
+            resumed.resumed_from, took,
+            "welcome names what the ring took"
+        );
+        assert_eq!(resumed.sent, feed.len() as u64 - took);
+        assert!(direct.join().unwrap().clean);
+
+        let net = merge.join().unwrap();
+        server.shutdown();
+        assert_eq!(
+            net, base,
+            "{payload_len} B: stitched merge is byte-identical"
+        );
+    }
+}
+
 #[test]
 fn drained_net_feeds_drive_the_sharded_pipeline() {
     let cfg = ChaosConfig::small(53);
