@@ -2,8 +2,8 @@
 //! subscriber count grows from 1 to 1024 over loopback TCP.
 //!
 //! Not a paper figure — it measures the lmerge-sub subsystem's central
-//! claim: because the merged output is wire-encoded **once per epoch**
-//! and fanned out as ranged writes from shared refcounted segments, the
+//! claim: because each frame of the merged output is wire-encoded **once**
+//! and fanned out as ranged writes from shared refcounted chunks, the
 //! marginal cost of one more subscriber is a socket write, not another
 //! encoding pass. If that holds, total delivery throughput (frames
 //! delivered across all subscribers per CPU-second, `eps` below) grows

@@ -39,7 +39,8 @@
 //! merge side mirrors it: `Ack`/`Credit` frames are queued in the
 //! [`NetSource`] and leave in one `write` when a credit batch is due — or
 //! before [`NetSource::next`] sleeps on an empty ring, so a client never
-//! waits for a frame that sits in user space.
+//! waits for a frame that sits in user space. The consumer can hang its own
+//! output flush on the same loop ([`NetSource::on_quiet`]).
 //!
 //! # Trace purity
 //!
@@ -324,6 +325,7 @@ impl IngestServer {
                 since_credit: 0,
                 capacity: self.shared.inputs[i].capacity,
                 out: Vec::new(),
+                on_quiet: None,
             })
             .collect()
     }
@@ -647,12 +649,31 @@ pub struct NetSource {
     capacity: u32,
     /// `Ack`/`Credit` frames encoded but not yet written.
     out: Vec<u8>,
+    /// The consumer's own output flush, run once the ring has stayed
+    /// empty across a poll (see [`NetSource::on_quiet`]).
+    on_quiet: Option<Box<dyn FnMut() + Send>>,
 }
 
 impl NetSource {
     /// The input id this source feeds.
     pub fn input(&self) -> u32 {
         self.input
+    }
+
+    /// Extend the flush-before-block rule to the consumer's output: run
+    /// `flush` whenever [`next`](Source::next) finds the ring empty, has
+    /// slept one poll interval, and finds it empty still — the input has
+    /// gone quiet (so every ~50 µs while idle: it must be free when there
+    /// is nothing to flush). The thread that merges is the thread that
+    /// sleeps here, so what it emitted must not sit in user space while
+    /// it does. Unlike the control frames nothing *waits* on that output,
+    /// so it can afford the one poll of grace, which is what keeps a
+    /// steady mid-rate feed — a frame or two per poll — from paying a
+    /// wake-up and a socket write per poll.
+    #[must_use]
+    pub fn on_quiet(mut self, flush: impl FnMut() + Send + 'static) -> NetSource {
+        self.on_quiet = Some(Box::new(flush));
+        self
     }
 
     fn after_pop(&mut self, item: &Item) {
@@ -701,6 +722,7 @@ impl NetSource {
 
 impl Source<Value> for NetSource {
     fn next(&mut self) -> Option<TimedElement<Value>> {
+        let mut slept = false;
         loop {
             // Load `finished` BEFORE popping: if the flag was already set
             // and the pop still comes up empty, the Release/Acquire pair
@@ -723,7 +745,13 @@ impl Source<Value> for NetSource {
             if finished || self.shared.shutdown.load(Ordering::Relaxed) {
                 return None;
             }
+            // Still empty after a sleep: the input has gone quiet, so the
+            // consumer's output (the egress buffer) leaves too.
+            if let (true, Some(flush)) = (slept, &mut self.on_quiet) {
+                flush();
+            }
             thread::sleep(Duration::from_micros(50));
+            slept = true;
         }
     }
 
@@ -830,6 +858,52 @@ mod tests {
             tracer.net().inputs()[0].credits_granted
         );
         drop(tracer);
+    }
+
+    #[test]
+    fn the_quiet_hook_runs_once_the_ring_has_stayed_empty_across_a_poll() {
+        use std::sync::atomic::AtomicUsize;
+        let mut server = IngestServer::bind("127.0.0.1:0", IngestConfig::new(1)).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let hello = Frame::Hello {
+            protocol: PROTOCOL_VERSION,
+            input: 0,
+        };
+        wire::write_frame(&mut stream, &hello).unwrap();
+        let mut reader = FrameReader::new(stream.try_clone().unwrap());
+        assert!(matches!(
+            reader.next_frame(),
+            Ok(Some(Frame::Welcome { .. }))
+        ));
+        let sent = feed(5);
+        for (i, te) in sent.iter().enumerate() {
+            let frame = Frame::Data {
+                seq: i as u64,
+                at: te.at,
+                element: te.element.clone(),
+            };
+            wire::write_frame(&mut stream, &frame).unwrap();
+        }
+        let calls = Arc::new(AtomicUsize::new(0));
+        let hook = Arc::clone(&calls);
+        let mut source = server.sources().remove(0).on_quiet(move || {
+            hook.fetch_add(1, Ordering::Relaxed);
+        });
+        // Frames that are there (or arrive within a poll) cost no call…
+        while server.shared.inputs[0].next_seq.load(Ordering::Acquire) < 6 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        for te in &sent {
+            assert_eq!(source.next().as_ref(), Some(te));
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "the input never paused");
+        // …a pause does, on every poll it lasts.
+        let blocked = thread::spawn(move || source.next());
+        while calls.load(Ordering::Relaxed) < 3 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        wire::write_frame(&mut stream, &Frame::Bye).unwrap();
+        assert_eq!(blocked.join().unwrap(), None);
     }
 
     #[test]

@@ -53,6 +53,12 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    /// Raise the value to `total` if it is larger: mirror a count that is
+    /// kept elsewhere, from any number of threads that each read it.
+    pub fn raise_to(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
+    }
 }
 
 /// A gauge: a value that can move in both directions.

@@ -11,9 +11,11 @@
 //! handshakes, printing a run summary to stdout. With `--metrics` a
 //! Prometheus scrape endpoint runs for the life of the process (ingest
 //! *and* subscriber series). `--subscribe HOST:PORT` serves the merged
-//! output live through the epoch-batched broadcast buffer; `--filter
-//! SPEC` (repeatable; `all`, `mod:M:R`, `range:LO:HI`) adds filter
-//! classes subscribers can pick — class 0 is always the full stream.
+//! output live through the broadcast buffer, flushed to subscribers
+//! whenever the input goes quiet, every 32 KiB, and at every stable advance;
+//! `--filter SPEC` (repeatable; `all`, `mod:M:R`, `range:LO:HI`) adds
+//! filter classes subscribers can pick — class 0 is always the full
+//! stream.
 //!
 //! `--checkpoint-to DIR` captures a durable checkpoint (merge + executor
 //! image + per-input transport cursors + the broadcast buffer's retained
@@ -314,7 +316,18 @@ fn main() -> ExitCode {
     let queries: Vec<Query<_>> = server
         .sources()
         .into_iter()
-        .map(|src| Query::from_source(Box::new(src), Vec::new()))
+        .map(|src| {
+            // Output leaves when the input goes quiet (and every 32 KiB),
+            // not only when punctuation seals an epoch.
+            let src = match &buf {
+                Some(b) => {
+                    let b = Arc::clone(b);
+                    src.on_quiet(move || b.flush())
+                }
+                None => src,
+            };
+            Query::from_source(Box::new(src), Vec::new())
+        })
         .collect();
     let mut lmerge = new_for_level(args.level, args.inputs, MergePolicy::default());
     let restored_cut = restored.map(|(seq, image)| {

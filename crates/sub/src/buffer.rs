@@ -1,15 +1,31 @@
-//! The epoch-batched broadcast buffer: merge output written once, fanned
-//! out to N subscribers with zero per-subscriber copies.
+//! The broadcast buffer: merge output written once, fanned out to N
+//! subscribers with zero per-subscriber copies.
 //!
-//! The merge's hooks publish every emitted element into an *open* epoch;
-//! each advance of the output stable point seals the epoch into a
-//! refcounted [`EpochSegment`] holding both the decoded elements and
-//! their wire-encoded `Data` frames (encoded exactly once, with the
-//! global output sequence NetHooks would have assigned). Subscriber
-//! sessions then share segments by `Arc`: delivery is a ranged
-//! `write_all` out of the shared byte block, so the per-subscriber cost
-//! is a socket write, not a re-serialization — the DBSP-style
-//! deltas-at-stable-advances delivery model from the ISSUE.
+//! The merge's hooks publish every emitted element into a
+//! publisher-private *tail*, wire-encoding it exactly once (with the
+//! global output sequence NetHooks would have assigned). A
+//! [`flush`](EpochBuffer::flush) freezes the tail into an immutable,
+//! refcounted [`Chunk`] — the decoded elements, their encoded `Data`
+//! frames, and lazily built filter bitmaps — and wakes parked sessions:
+//! the chunk is the unit of *visibility*. Sessions share chunks by `Arc`:
+//! delivery is a ranged `write_all` out of the shared byte block, so the
+//! per-subscriber cost is a socket write, not a re-serialization.
+//!
+//! Each advance of the output stable point *seals* the open epoch: the
+//! tail is flushed and a [`Seal`] marker (`index`, `stable`, `end_seq`)
+//! is stamped behind its last chunk. The epoch is the unit of
+//! *bookkeeping* — resume/ack granularity, compaction,
+//! [`SubPolicy::max_lag_epochs`], checkpoint images — not a delivery
+//! gate: deltas stream as they are flushed, and the stable advance is
+//! the transaction boundary (the DBSP delivery model), so a subscriber's
+//! latency is the pipeline's, not the wait for punctuation.
+//!
+//! Who flushes: a seal, [`finish`](EpochBuffer::finish),
+//! [`restore`](EpochBuffer::restore), a tail that reached
+//! [`CHUNK_BYTES`], and whoever drives the publisher when its input has
+//! gone quiet (`lmerge-ingest` hooks it to `NetSource::on_quiet`).
+//! Wake-ups are therefore per refill, not per frame, and a publisher
+//! whose input never pauses delivers once per seal or reader refill.
 //!
 //! # Compaction
 //!
@@ -24,17 +40,19 @@
 //!
 //! # Durability
 //!
-//! [`EpochBuffer::image`] snapshots the retained frames plus the open
-//! tail into an [`EgressImage`] (already wire bytes, so the durable layer
-//! stores it verbatim); [`EpochBuffer::restore`] decodes one back,
-//! re-sealing epochs at the same stable advances. Because the publisher
-//! runs on the executor thread, an image polled at a checkpoint cut is
-//! exactly consistent with the merge image saved beside it.
+//! [`EpochBuffer::image`] snapshots the retained frames — flushed chunks
+//! plus the unflushed tail — into an [`EgressImage`] (already wire bytes,
+//! so the durable layer stores it verbatim); [`EpochBuffer::restore`]
+//! decodes one back, re-sealing epochs at the same stable advances and
+//! flushing the re-opened remainder. Because the publisher runs on the
+//! executor thread, an image polled at a checkpoint cut is exactly
+//! consistent with the merge image saved beside it.
 
 use lmerge_engine::EgressImage;
 use lmerge_net::wire::{self, Frame, WireError};
 use lmerge_temporal::{Element, Time, VTime, Value};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -73,23 +91,28 @@ impl SubFilter {
         match *self {
             SubFilter::All => true,
             SubFilter::KeyMod { modulus, residue } => {
-                modulus == 0 || key.rem_euclid(modulus as i32) as u32 == residue
+                // In i64: `modulus as i32` wraps from 2^31 up, and
+                // `i32::MIN.rem_euclid(-1)` panics.
+                modulus == 0 || (key as i64).rem_euclid(modulus as i64) as u32 == residue
             }
             SubFilter::KeyRange { min, max } => (min..=max).contains(&key),
         }
     }
 
-    /// Parse `all`, `mod:M:R`, or `range:LO:HI` (the bins' flag syntax).
+    /// Parse `all`, `mod:M:R` (with `R < M`, or `M` = 0), or `range:LO:HI`
+    /// (the bins' flag syntax).
     pub fn parse(s: &str) -> Option<SubFilter> {
         if s == "all" {
             return Some(SubFilter::All);
         }
         let mut parts = s.split(':');
         match (parts.next()?, parts.next(), parts.next(), parts.next()) {
-            ("mod", Some(m), Some(r), None) => Some(SubFilter::KeyMod {
-                modulus: m.parse().ok()?,
-                residue: r.parse().ok()?,
-            }),
+            ("mod", Some(m), Some(r), None) => {
+                let (modulus, residue): (u32, u32) = (m.parse().ok()?, r.parse().ok()?);
+                // A residue no key can have selects nothing: a typo, not a class.
+                (modulus == 0 || residue < modulus)
+                    .then_some(SubFilter::KeyMod { modulus, residue })
+            }
             ("range", Some(lo), Some(hi), None) => Some(SubFilter::KeyRange {
                 min: lo.parse().ok()?,
                 max: hi.parse().ok()?,
@@ -109,28 +132,32 @@ impl std::fmt::Display for SubFilter {
     }
 }
 
-/// One sealed output epoch: the elements between two stable advances,
-/// their pre-encoded wire frames, and lazily computed filter bitmaps.
-/// Shared by `Arc` across every subscriber session.
-pub struct EpochSegment {
-    /// Position in the buffer's epoch sequence.
-    pub index: u64,
+/// A tail that reaches this many encoded bytes is flushed from inside
+/// `publish` — one refill of a subscriber's frame reader, the size at
+/// which the replayer flushes its sends too. It bounds what a publisher
+/// whose input never pauses holds back, and a chunk's `(u32, u32)` offsets
+/// cannot wrap however long punctuation stalls (a chunk is at most this
+/// plus one frame).
+pub const CHUNK_BYTES: usize = wire::READ_BUF_LEN;
+
+/// One flushed run of output frames: the decoded elements, their
+/// pre-encoded wire frames, and lazily computed filter bitmaps. Immutable
+/// once flushed and shared by `Arc` across every subscriber session; never
+/// straddles an epoch boundary.
+pub struct Chunk {
     /// Global output sequence of the first frame.
     pub base_seq: u64,
-    /// The output stable point after this epoch (the advance that sealed
-    /// it; the buffer's stable-so-far for a `finish()` remainder).
-    pub stable: Time,
     elements: Vec<Element<Value>>,
     bytes: Vec<u8>,
     /// Per-frame `(start, len)` ranges into `bytes`.
     offsets: Vec<(u32, u32)>,
     /// Filter-class id → admission bitmap, computed once per class per
-    /// epoch and shared among every subscriber of that class.
+    /// chunk and shared among every subscriber of that class.
     bitmaps: Mutex<HashMap<u32, Arc<Vec<u64>>>>,
 }
 
-impl EpochSegment {
-    /// Number of frames (elements) in the epoch.
+impl Chunk {
+    /// Number of frames (elements) in the chunk.
     pub fn frames(&self) -> usize {
         self.offsets.len()
     }
@@ -140,7 +167,7 @@ impl EpochSegment {
         self.base_seq + self.offsets.len() as u64
     }
 
-    /// The whole epoch's encoded frames, back to back.
+    /// The whole chunk's encoded frames, back to back.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
@@ -157,7 +184,7 @@ impl EpochSegment {
     }
 
     /// The admission bitmap for `filter`, keyed by its class id. Computed
-    /// on first request, then shared (evaluated once per epoch per class,
+    /// on first request, then shared (evaluated once per chunk per class,
     /// not per subscriber).
     pub fn bitmap(&self, class: u32, filter: &SubFilter) -> Arc<Vec<u64>> {
         let mut cache = self.bitmaps.lock().unwrap();
@@ -176,6 +203,18 @@ impl EpochSegment {
     pub fn admitted(bits: &[u64], i: usize) -> bool {
         bits[i / 64] & (1 << (i % 64)) != 0
     }
+}
+
+/// A sealed epoch's marker, stamped behind the epoch's last chunk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Seal {
+    /// Position in the buffer's epoch sequence.
+    pub index: u64,
+    /// The output stable point after this epoch (the advance that sealed
+    /// it; the buffer's stable-so-far for a `finish()` remainder).
+    pub stable: Time,
+    /// One past the epoch's last frame's global sequence.
+    pub end_seq: u64,
 }
 
 /// Retention/demotion knobs for the broadcast buffer.
@@ -199,36 +238,53 @@ impl Default for SubPolicy {
     }
 }
 
-/// What a subscriber session finds when it asks for an epoch.
+/// What a subscriber session finds when it asks for the frames from its
+/// cursor on.
 pub enum EpochWait {
-    /// The epoch is retained; deliver it.
-    Ready(Arc<EpochSegment>),
-    /// The epoch was retired. Catch up from the horizon: the first
-    /// retained epoch, its base sequence, and the stable point the
-    /// retired prefix had reached.
+    /// The flushed chunk holding the cursor; deliver it from there.
+    Ready {
+        /// The chunk (the cursor may point into its middle).
+        chunk: Arc<Chunk>,
+        /// The marker of the sealed epoch the chunk ends, if it ends one.
+        /// (A remainder that `finish()` seals after its last chunk was
+        /// taken goes unreported.)
+        seal: Option<Seal>,
+        /// Epochs sealed so far.
+        sealed: u64,
+        /// Epochs retained.
+        retained: u64,
+        /// Next output sequence the publisher will assign.
+        next_seq: u64,
+        /// Chunks flushed so far.
+        flushes: u64,
+    },
+    /// The cursor's epoch was retired. Catch up from the horizon.
     Compacted {
-        /// First retained epoch index.
-        resume_index: u64,
-        /// Its base output sequence (the demoted session's new cursor).
+        /// Base output sequence of the first retained epoch (the demoted
+        /// session's new cursor).
         resume_seq: u64,
         /// Stable point covered by the retired prefix.
         stable: Time,
     },
-    /// The stream ended before this epoch; nothing more will be sealed.
+    /// The stream ended at the cursor; nothing more will be flushed.
     Finished,
-    /// Nothing sealed yet within the timeout; ask again.
+    /// Nothing flushed at the cursor within the timeout; ask again.
     TimedOut,
 }
 
 struct BufferInner {
-    epochs: VecDeque<Arc<EpochSegment>>,
-    /// Index of `epochs.front()` (epochs below this are retired).
-    first_index: u64,
+    /// Flushed chunks of the retained epochs, sealed and open, in
+    /// sequence order.
+    chunks: VecDeque<Arc<Chunk>>,
+    /// Markers of the retained sealed epochs, oldest first.
+    seals: VecDeque<Seal>,
     /// Index the open epoch will take when sealed.
     next_index: u64,
-    open_elements: Vec<Element<Value>>,
-    open_bytes: Vec<u8>,
-    open_offsets: Vec<(u32, u32)>,
+    /// The publisher-private tail: published, not yet flushed.
+    tail_elements: Vec<Element<Value>>,
+    tail_bytes: Vec<u8>,
+    tail_offsets: Vec<(u32, u32)>,
+    /// Sequence of the open epoch's first frame.
     open_base_seq: u64,
     next_seq: u64,
     stable: Time,
@@ -236,6 +292,7 @@ struct BufferInner {
     /// subscriber's catch-up `Welcome` reports).
     compact_stable: Time,
     finished: bool,
+    flushes: u64,
     /// Durable cursors: subscriber id → acked next output sequence.
     /// These pin retention (until they lag past the policy) and are what
     /// checkpoints persist.
@@ -245,34 +302,39 @@ struct BufferInner {
 impl BufferInner {
     /// Global sequence of the first retained (or open) frame.
     fn horizon_seq(&self) -> u64 {
-        self.epochs
+        self.chunks
             .front()
-            .map(|e| e.base_seq)
+            .map(|c| c.base_seq)
             .unwrap_or(self.open_base_seq)
     }
 
+    /// Index of the first retained epoch.
+    fn first_index(&self) -> u64 {
+        self.next_index - self.seals.len() as u64
+    }
+
+    /// Stamp the marker behind the (already flushed) open epoch.
     fn seal_open(&mut self) {
-        let seg = EpochSegment {
+        self.seals.push_back(Seal {
             index: self.next_index,
-            base_seq: self.open_base_seq,
             stable: self.stable,
-            elements: std::mem::take(&mut self.open_elements),
-            bytes: std::mem::take(&mut self.open_bytes),
-            offsets: std::mem::take(&mut self.open_offsets),
-            bitmaps: Mutex::new(HashMap::new()),
-        };
+            end_seq: self.next_seq,
+        });
         self.open_base_seq = self.next_seq;
         self.next_index += 1;
-        self.epochs.push_back(Arc::new(seg));
     }
 }
 
 /// The shared broadcast buffer. One publisher (the merge's hooks, on the
-/// executor thread) appends; any number of subscriber sessions read
-/// sealed epochs by `Arc`.
+/// executor thread) appends and flushes; any number of subscriber
+/// sessions read flushed chunks by `Arc`.
 pub struct EpochBuffer {
     inner: Mutex<BufferInner>,
-    sealed: Condvar,
+    flushed: Condvar,
+    /// The tail is non-empty. Lets an idle `flush()` return without the
+    /// lock; `Relaxed` because it guards no data — the tail itself is
+    /// only ever touched under `inner`.
+    unflushed: AtomicBool,
     policy: SubPolicy,
 }
 
@@ -281,28 +343,31 @@ impl EpochBuffer {
     pub fn new(policy: SubPolicy) -> EpochBuffer {
         EpochBuffer {
             inner: Mutex::new(BufferInner {
-                epochs: VecDeque::new(),
-                first_index: 0,
+                chunks: VecDeque::new(),
+                seals: VecDeque::new(),
                 next_index: 0,
-                open_elements: Vec::new(),
-                open_bytes: Vec::new(),
-                open_offsets: Vec::new(),
+                tail_elements: Vec::new(),
+                tail_bytes: Vec::new(),
+                tail_offsets: Vec::new(),
                 open_base_seq: 0,
                 next_seq: 0,
                 stable: Time::MIN,
                 compact_stable: Time::MIN,
                 finished: false,
+                flushes: 0,
                 cursors: HashMap::new(),
             }),
-            sealed: Condvar::new(),
+            flushed: Condvar::new(),
+            unflushed: AtomicBool::new(false),
             policy,
         }
     }
 
     /// Rebuild a buffer from a checkpoint's egress image: decode the
     /// retained frames, re-seal epochs at the same stable advances, and
-    /// leave the post-stable remainder open. Subscriber cursors come back
-    /// with it. Corrupt frames fail typed — a checkpoint is still a file.
+    /// leave the post-stable remainder open (and flushed: a rejoining
+    /// subscriber sees it at once). Subscriber cursors come back with it.
+    /// Corrupt frames fail typed — a checkpoint is still a file.
     pub fn restore(image: &EgressImage, policy: SubPolicy) -> Result<EpochBuffer, WireError> {
         let buf = EpochBuffer::new(policy);
         {
@@ -325,12 +390,13 @@ impl EpochBuffer {
             }
             expected = expected.wrapping_add(1);
             // Re-publish through the normal path; the encoding is
-            // canonical, so the rebuilt segments hold identical bytes.
+            // canonical, so the rebuilt chunks hold identical bytes.
             buf.publish(at, std::slice::from_ref(&element));
         }
         if expected != image.next_seq {
             return Err(WireError::Protocol("egress image frame count mismatch"));
         }
+        buf.flush();
         {
             // The image's stable is authoritative (the retained tail may
             // open below it when the cut fell mid-epoch).
@@ -340,9 +406,10 @@ impl EpochBuffer {
         Ok(buf)
     }
 
-    /// Append `emitted` to the open epoch, sealing it at each advance of
-    /// the output stable point. Called by the merge's hooks with each
-    /// consumption's emissions — single-publisher by construction.
+    /// Append `emitted` to the tail, sealing the open epoch at each
+    /// advance of the output stable point. Called by the merge's hooks
+    /// with each consumption's emissions — single-publisher by
+    /// construction. Nothing is visible to sessions before a flush.
     pub fn publish(&self, at: VTime, emitted: &[Element<Value>]) {
         if emitted.is_empty() {
             return;
@@ -355,52 +422,98 @@ impl EpochBuffer {
                 at,
                 element: e.clone(),
             };
-            let start = inner.open_bytes.len() as u32;
-            wire::encode_into(&frame, &mut inner.open_bytes);
-            let len = inner.open_bytes.len() as u32 - start;
-            inner.open_offsets.push((start, len));
-            inner.open_elements.push(e.clone());
+            let start = inner.tail_bytes.len();
+            wire::encode_into(&frame, &mut inner.tail_bytes);
+            let end = inner.tail_bytes.len();
+            debug_assert!(end <= u32::MAX as usize, "CHUNK_BYTES bounds the tail");
+            inner
+                .tail_offsets
+                .push((start as u32, (end - start) as u32));
+            inner.tail_elements.push(e.clone());
             inner.next_seq += 1;
             if let Element::Stable(t) = e {
                 if *t > inner.stable {
                     inner.stable = *t;
+                    self.flush_locked(&mut inner);
                     inner.seal_open();
                     sealed_any = true;
                 }
+            }
+            if end >= CHUNK_BYTES {
+                self.flush_locked(&mut inner);
             }
         }
         if sealed_any {
             // The lag window moved: stale cursors may stop pinning.
             self.compact_locked(&mut inner);
-            self.sealed.notify_all();
+        }
+        if !inner.tail_offsets.is_empty() {
+            self.unflushed.store(true, Ordering::Relaxed);
         }
     }
 
-    /// Seal any open remainder and mark the stream complete.
+    /// Make everything published so far visible: freeze the tail into a
+    /// chunk and wake parked sessions. Free — no lock, no `notify` — when
+    /// nothing was published since the last flush, so the publisher's
+    /// driver may call it on every idle poll.
+    pub fn flush(&self) {
+        if self.unflushed.load(Ordering::Relaxed) {
+            self.flush_locked(&mut self.inner.lock().unwrap());
+        }
+    }
+
+    fn flush_locked(&self, inner: &mut BufferInner) {
+        self.unflushed.store(false, Ordering::Relaxed);
+        if inner.tail_offsets.is_empty() {
+            return;
+        }
+        let offsets = std::mem::take(&mut inner.tail_offsets);
+        let chunk = Chunk {
+            base_seq: inner.next_seq - offsets.len() as u64,
+            elements: std::mem::take(&mut inner.tail_elements),
+            bytes: std::mem::take(&mut inner.tail_bytes),
+            offsets,
+            bitmaps: Mutex::new(HashMap::new()),
+        };
+        inner.chunks.push_back(Arc::new(chunk));
+        inner.flushes += 1;
+        self.flushed.notify_all();
+    }
+
+    /// Flush, seal any open remainder, and mark the stream complete.
     pub fn finish(&self) {
         let mut inner = self.inner.lock().unwrap();
-        if !inner.open_elements.is_empty() {
+        self.flush_locked(&mut inner);
+        if inner.next_seq > inner.open_base_seq {
             inner.seal_open();
         }
         inner.finished = true;
-        self.sealed.notify_all();
+        self.flushed.notify_all();
     }
 
-    /// Wait (up to `timeout`) for epoch `index` to be readable.
-    pub fn wait_epoch(&self, index: u64, timeout: Duration) -> EpochWait {
+    /// Wait (up to `timeout`) for a flushed frame at or after `seq`.
+    pub fn wait_from(&self, seq: u64, timeout: Duration) -> EpochWait {
         let deadline = std::time::Instant::now() + timeout;
         let mut inner = self.inner.lock().unwrap();
         loop {
-            if index < inner.first_index {
+            if seq < inner.horizon_seq() {
                 return EpochWait::Compacted {
-                    resume_index: inner.first_index,
                     resume_seq: inner.horizon_seq(),
                     stable: inner.compact_stable,
                 };
             }
-            if index < inner.next_index {
-                let seg = &inner.epochs[(index - inner.first_index) as usize];
-                return EpochWait::Ready(Arc::clone(seg));
+            let at = inner.chunks.partition_point(|c| c.end_seq() <= seq);
+            if let Some(chunk) = inner.chunks.get(at) {
+                let end = chunk.end_seq();
+                let mark = inner.seals.partition_point(|s| s.end_seq < end);
+                return EpochWait::Ready {
+                    chunk: Arc::clone(chunk),
+                    seal: inner.seals.get(mark).filter(|s| s.end_seq == end).copied(),
+                    sealed: inner.next_index,
+                    retained: inner.seals.len() as u64,
+                    next_seq: inner.next_seq,
+                    flushes: inner.flushes,
+                };
             }
             if inner.finished {
                 return EpochWait::Finished;
@@ -409,22 +522,9 @@ impl EpochBuffer {
             if left.is_zero() {
                 return EpochWait::TimedOut;
             }
-            let (guard, _) = self.sealed.wait_timeout(inner, left).unwrap();
+            let (guard, _) = self.flushed.wait_timeout(inner, left).unwrap();
             inner = guard;
         }
-    }
-
-    /// The sealed epoch containing `seq`, clamped into the retained
-    /// window (a stale sequence maps to the horizon, a future one to the
-    /// open tail).
-    pub fn index_for_seq(&self, seq: u64) -> u64 {
-        let inner = self.inner.lock().unwrap();
-        for seg in &inner.epochs {
-            if seq < seg.end_seq() {
-                return seg.index;
-            }
-        }
-        inner.next_index
     }
 
     /// Record `subscriber`'s durable cursor (acked next sequence; grows
@@ -459,28 +559,33 @@ impl EpochBuffer {
     /// always kept.
     fn compact_locked(&self, inner: &mut BufferInner) {
         // Oldest epoch a non-demoted cursor may still pin; its base
-        // sequence is the floor every cursor is clamped up to.
+        // sequence (the end of the epoch before it) is the floor every
+        // cursor is clamped up to.
         let window_start = inner.next_index.saturating_sub(self.policy.max_lag_epochs);
-        let window_base_seq = inner
-            .epochs
-            .iter()
-            .find(|s| s.index >= window_start)
-            .map(|s| s.base_seq)
-            .unwrap_or(inner.open_base_seq);
+        let window_base_seq = match window_start.saturating_sub(inner.first_index()) {
+            0 => inner.horizon_seq(),
+            k => inner.seals[k as usize - 1].end_seq,
+        };
         let floor_seq = inner
             .cursors
             .values()
             .map(|&c| c.max(window_base_seq))
             .min()
             .unwrap_or(window_base_seq);
-        while inner.epochs.len() as u64 > self.policy.retain_min_epochs {
-            let front = inner.epochs.front().unwrap();
-            if front.end_seq() > floor_seq {
+        while inner.seals.len() as u64 > self.policy.retain_min_epochs {
+            let front = inner.seals[0];
+            if front.end_seq > floor_seq {
                 break;
             }
-            let retired = inner.epochs.pop_front().unwrap();
-            inner.first_index = retired.index + 1;
-            inner.compact_stable = inner.compact_stable.max(retired.stable);
+            inner.seals.pop_front();
+            while inner
+                .chunks
+                .front()
+                .is_some_and(|c| c.end_seq() <= front.end_seq)
+            {
+                inner.chunks.pop_front();
+            }
+            inner.compact_stable = inner.compact_stable.max(front.stable);
         }
     }
 
@@ -489,7 +594,11 @@ impl EpochBuffer {
     /// `resume_from` is clamped up to at the subscribe handshake.
     pub fn horizon(&self) -> (u64, u64, Time) {
         let inner = self.inner.lock().unwrap();
-        (inner.first_index, inner.horizon_seq(), inner.compact_stable)
+        (
+            inner.first_index(),
+            inner.horizon_seq(),
+            inner.compact_stable,
+        )
     }
 
     /// `(next sequence, stable point, sealed epochs, retained epochs)` —
@@ -500,8 +609,13 @@ impl EpochBuffer {
             inner.next_seq,
             inner.stable,
             inner.next_index,
-            inner.epochs.len() as u64,
+            inner.seals.len() as u64,
         )
+    }
+
+    /// Chunks flushed so far (frames ÷ flushes is the egress batch size).
+    pub fn flushes(&self) -> u64 {
+        self.inner.lock().unwrap().flushes
     }
 
     /// Whether [`finish`](EpochBuffer::finish) has been called.
@@ -510,15 +624,15 @@ impl EpochBuffer {
     }
 
     /// Snapshot the buffer as a checkpointable [`EgressImage`]: durable
-    /// cursors plus every retained frame (sealed epochs and the open
-    /// tail, which a restore re-opens).
+    /// cursors plus every retained frame (flushed chunks and the
+    /// unflushed tail; a restore re-opens what was not sealed).
     pub fn image(&self) -> EgressImage {
         let inner = self.inner.lock().unwrap();
         let mut frames = Vec::new();
-        for seg in &inner.epochs {
-            frames.extend_from_slice(&seg.bytes);
+        for chunk in &inner.chunks {
+            frames.extend_from_slice(&chunk.bytes);
         }
-        frames.extend_from_slice(&inner.open_bytes);
+        frames.extend_from_slice(&inner.tail_bytes);
         let mut cursors: Vec<(u64, u64)> = inner.cursors.iter().map(|(&s, &c)| (s, c)).collect();
         cursors.sort_unstable();
         EgressImage {
@@ -543,6 +657,14 @@ mod tests {
         Element::<Value>::stable(Time(t))
     }
 
+    /// The flushed chunk at `seq` and the seal it ends on, if any.
+    fn ready(buf: &EpochBuffer, seq: u64) -> (Arc<Chunk>, Option<Seal>) {
+        match buf.wait_from(seq, Duration::from_millis(10)) {
+            EpochWait::Ready { chunk, seal, .. } => (chunk, seal),
+            _ => panic!("a flushed chunk at seq {seq}"),
+        }
+    }
+
     #[test]
     fn epochs_seal_at_stable_advances() {
         let buf = EpochBuffer::new(SubPolicy::default());
@@ -551,17 +673,22 @@ mod tests {
         buf.publish(VTime(3), &[stable(9)]);
         let (next_seq, st, sealed, retained) = buf.stats();
         assert_eq!((next_seq, st, sealed, retained), (6, Time(9), 2, 2));
-        let EpochWait::Ready(e0) = buf.wait_epoch(0, Duration::from_millis(10)) else {
-            panic!("epoch 0 ready");
+        let (c0, s0) = ready(&buf, 0);
+        assert_eq!((c0.base_seq, c0.frames()), (0, 3));
+        let seal = |index, stable, end_seq| Seal {
+            index,
+            stable: Time(stable),
+            end_seq,
         };
-        assert_eq!((e0.base_seq, e0.frames(), e0.stable), (0, 3, Time(5)));
-        let EpochWait::Ready(e1) = buf.wait_epoch(1, Duration::from_millis(10)) else {
-            panic!("epoch 1 ready");
-        };
-        assert_eq!((e1.base_seq, e1.frames(), e1.stable), (3, 3, Time(9)));
+        assert_eq!(s0, Some(seal(0, 5, 3)));
+        // A busy publisher (no idle flush) delivers once per seal.
+        let (c1, s1) = ready(&buf, 3);
+        assert_eq!((c1.base_seq, c1.frames()), (3, 3));
+        assert_eq!(s1, Some(seal(1, 9, 6)));
+        assert_eq!(buf.flushes(), 2);
         // The pre-encoded frames decode back to the published elements
         // with dense global sequences.
-        let frames = lmerge_net::egress::decode_all(e0.bytes()).unwrap();
+        let frames = lmerge_net::egress::decode_all(c0.bytes()).unwrap();
         assert!(
             matches!(frames[0], Frame::Data { seq: 0, .. })
                 && matches!(frames[2], Frame::Data { seq: 2, .. })
@@ -569,23 +696,148 @@ mod tests {
     }
 
     #[test]
+    fn the_open_tail_is_visible_after_a_flush_and_not_before() {
+        let buf = EpochBuffer::new(SubPolicy::default());
+        buf.publish(VTime(1), &[ins(1, 0), ins(2, 1)]);
+        assert!(
+            matches!(
+                buf.wait_from(0, Duration::from_millis(20)),
+                EpochWait::TimedOut
+            ),
+            "published is not visible: visibility = flush"
+        );
+        buf.flush();
+        let (chunk, seal) = ready(&buf, 0);
+        assert_eq!((chunk.base_seq, chunk.frames(), seal), (0, 2, None));
+        assert_eq!(buf.stats().2, 0, "no epoch sealed: no stable yet");
+        // A cursor inside the flushed chunk gets the same chunk; one at
+        // its end waits for the next flush.
+        assert_eq!(ready(&buf, 1).0.base_seq, 0);
+        assert!(matches!(
+            buf.wait_from(2, Duration::from_millis(1)),
+            EpochWait::TimedOut
+        ));
+        // The seal rides on the chunk that ends the epoch.
+        buf.publish(VTime(2), &[ins(3, 2), stable(5)]);
+        let (chunk, seal) = ready(&buf, 2);
+        assert_eq!((chunk.base_seq, chunk.frames()), (2, 2));
+        assert_eq!(seal.map(|s| (s.index, s.end_seq)), Some((0, 4)));
+    }
+
+    #[test]
+    fn an_idle_flush_takes_no_lock_and_wakes_nobody() {
+        let buf = EpochBuffer::new(SubPolicy::default());
+        buf.publish(VTime(1), &[ins(1, 0), stable(5)]); // sealed: tail empty
+        let flushed = buf.flushes();
+        // Holding the buffer lock here: a flush that reached for it would
+        // never return.
+        let guard = buf.inner.lock().unwrap();
+        for _ in 0..10_000 {
+            buf.flush();
+        }
+        drop(guard);
+        assert_eq!(buf.flushes(), flushed, "nothing published, nothing flushed");
+    }
+
+    #[test]
+    fn a_tail_past_the_byte_cap_rolls_into_several_chunks() {
+        let buf = EpochBuffer::new(SubPolicy::default());
+        let feed: Vec<Element<Value>> = (0..100)
+            .map(|i| Element::insert(Value::synthetic(i, 1000), i as i64, i as i64 + 5))
+            .collect();
+        buf.publish(VTime(1), &feed); // no stable, no flush: > 2 × CHUNK_BYTES
+        assert!(buf.flushes() >= 2, "the cap rolled the tail by itself");
+        buf.publish(VTime(2), &[stable(9)]);
+        let mut reference = Vec::new();
+        for (seq, e) in feed.iter().chain(&[stable(9)]).enumerate() {
+            let frame = Frame::Data {
+                seq: seq as u64,
+                at: VTime(if seq < 100 { 1 } else { 2 }),
+                element: e.clone(),
+            };
+            wire::encode_into(&frame, &mut reference);
+        }
+        let (mut seq, mut bytes, mut chunks) = (0, Vec::new(), 0);
+        while seq < 101 {
+            let (chunk, seal) = ready(&buf, seq);
+            assert_eq!(chunk.base_seq, seq);
+            assert!(chunk.bytes().len() < CHUNK_BYTES + 2048);
+            for i in 0..chunk.frames() {
+                bytes.extend_from_slice(chunk.frame_bytes(i));
+            }
+            seq = chunk.end_seq();
+            chunks += 1;
+            assert_eq!(
+                seal.is_some(),
+                seq == 101,
+                "one seal, behind the last chunk"
+            );
+        }
+        assert!(chunks >= 3);
+        assert_eq!(bytes, reference, "chunked delivery is byte-identical");
+        assert_eq!(buf.image().frames, reference);
+    }
+
+    #[test]
     fn bitmaps_are_shared_per_filter_class() {
         let buf = EpochBuffer::new(SubPolicy::default());
         buf.publish(VTime(1), &[ins(1, 0), ins(2, 1), ins(3, 2), stable(5)]);
-        let EpochWait::Ready(e) = buf.wait_epoch(0, Duration::from_millis(10)) else {
-            panic!("ready");
-        };
+        let (c, _) = ready(&buf, 0);
         let f = SubFilter::KeyMod {
             modulus: 2,
             residue: 0,
         };
-        let a = e.bitmap(1, &f);
-        let b = e.bitmap(1, &f);
-        assert!(Arc::ptr_eq(&a, &b), "one bitmap per class per epoch");
-        assert!(!EpochSegment::admitted(&a, 0)); // key 1
-        assert!(EpochSegment::admitted(&a, 1)); // key 2
-        assert!(!EpochSegment::admitted(&a, 2)); // key 3
-        assert!(EpochSegment::admitted(&a, 3)); // stable always passes
+        let a = c.bitmap(1, &f);
+        let b = c.bitmap(1, &f);
+        assert!(Arc::ptr_eq(&a, &b), "one bitmap per class per chunk");
+        assert!(!Chunk::admitted(&a, 0)); // key 1
+        assert!(Chunk::admitted(&a, 1)); // key 2
+        assert!(!Chunk::admitted(&a, 2)); // key 3
+        assert!(Chunk::admitted(&a, 3)); // stable always passes
+    }
+
+    #[test]
+    fn key_mod_is_total_over_every_modulus_and_key() {
+        let keys = [i32::MIN, -1, 0, i32::MAX];
+        for modulus in [0u32, 1, 1 << 31, u32::MAX] {
+            for key in keys {
+                let want = (key as i64).rem_euclid(modulus.max(1) as i64) as u32;
+                for residue in [0, want, want.wrapping_add(1)] {
+                    let f = SubFilter::KeyMod { modulus, residue };
+                    assert_eq!(
+                        f.admits(&ins(key, 0)),
+                        modulus == 0 || residue == want,
+                        "key {key} mod {modulus} vs residue {residue}"
+                    );
+                }
+            }
+        }
+        // The bitmap cache survives the modulus that used to panic under
+        // its lock.
+        let buf = EpochBuffer::new(SubPolicy::default());
+        buf.publish(VTime(1), &[ins(i32::MIN, 0), stable(5)]);
+        let f = SubFilter::parse("mod:4294967295:0").unwrap();
+        let (c, _) = ready(&buf, 0);
+        assert!(!Chunk::admitted(&c.bitmap(1, &f), 0)); // 2^31 - 1 ≠ 0
+        assert!(Chunk::admitted(&c.bitmap(1, &f), 1));
+    }
+
+    #[test]
+    fn parse_rejects_a_residue_no_key_can_have() {
+        assert_eq!(
+            SubFilter::parse("mod:4:3"),
+            Some(SubFilter::KeyMod {
+                modulus: 4,
+                residue: 3
+            })
+        );
+        assert_eq!(SubFilter::parse("mod:4:4"), None);
+        assert_eq!(SubFilter::parse("mod:1:1"), None);
+        // Modulus 0 admits everything, whatever the residue says.
+        assert!(SubFilter::parse("mod:0:9").is_some());
+        for spec in ["all", "mod:4294967295:4294967294", "range:-5:40"] {
+            assert_eq!(SubFilter::parse(spec).unwrap().to_string(), spec);
+        }
     }
 
     #[test]
@@ -603,24 +855,18 @@ mod tests {
         buf.ack(1, 8); // fast subscriber is past everything
         assert!(
             matches!(
-                buf.wait_epoch(0, Duration::from_millis(1)),
-                EpochWait::Compacted { .. }
+                buf.wait_from(0, Duration::from_millis(1)),
+                EpochWait::Compacted { resume_seq: 2, .. }
             ),
             "epoch 0 retired once both cursors passed it"
         );
-        assert!(matches!(
-            buf.wait_epoch(1, Duration::from_millis(1)),
-            EpochWait::Ready(_)
-        ));
+        assert_eq!(ready(&buf, 2).1.map(|s| s.index), Some(1));
         buf.ack(2, 8); // slow subscriber catches up: everything retires
-        match buf.wait_epoch(3, Duration::from_millis(1)) {
-            EpochWait::Compacted {
-                resume_index,
-                resume_seq,
-                ..
-            } => assert_eq!((resume_index, resume_seq), (4, 8)),
-            _ => panic!("all epochs retired"),
-        }
+        assert_eq!(buf.horizon().0, 4);
+        assert!(matches!(
+            buf.wait_from(6, Duration::from_millis(1)),
+            EpochWait::Compacted { resume_seq: 8, .. }
+        ));
     }
 
     #[test]
@@ -641,7 +887,7 @@ mod tests {
             retained <= policy.max_lag_epochs + 1,
             "stale cursor must not pin the whole history (retained {retained})"
         );
-        match buf.wait_epoch(0, Duration::from_millis(1)) {
+        match buf.wait_from(0, Duration::from_millis(1)) {
             EpochWait::Compacted { resume_seq, .. } => assert!(resume_seq > 0),
             _ => panic!("epoch 0 should be retired"),
         }
@@ -651,25 +897,30 @@ mod tests {
     fn image_round_trips_through_restore() {
         let buf = EpochBuffer::new(SubPolicy::default());
         buf.publish(VTime(1), &[ins(1, 0), stable(5)]);
-        buf.publish(VTime(2), &[ins(2, 6), ins(3, 7)]); // open tail
+        buf.publish(VTime(2), &[ins(2, 6), ins(3, 7)]);
+        buf.flush(); // the open epoch: one flushed chunk …
+        buf.publish(VTime(3), &[ins(4, 8)]); // … and an unflushed tail
         buf.ack(9, 1);
         let image = buf.image();
-        assert_eq!(image.next_seq, 4);
+        assert_eq!(image.next_seq, 5);
         assert_eq!(image.cursors, vec![(9, 1)]);
         let back = EpochBuffer::restore(&image, SubPolicy::default()).unwrap();
         let (next_seq, st, sealed, _) = back.stats();
-        assert_eq!((next_seq, st, sealed), (4, Time(5), 1));
+        assert_eq!((next_seq, st, sealed), (5, Time(5), 1));
         assert_eq!(back.cursors(), vec![(9, 1)]);
-        // Continuing the stream seals the re-opened tail identically.
-        back.publish(VTime(3), &[stable(9)]);
-        buf.publish(VTime(3), &[stable(9)]);
-        let EpochWait::Ready(a) = back.wait_epoch(1, Duration::from_millis(10)) else {
-            panic!("restored epoch 1");
-        };
-        let EpochWait::Ready(b) = buf.wait_epoch(1, Duration::from_millis(10)) else {
-            panic!("original epoch 1");
-        };
-        assert_eq!(a.bytes(), b.bytes(), "restored tail is byte-identical");
+        // The open epoch came back open and flushed: a rejoining
+        // subscriber sees all of its retained tail before the next stable.
+        let (tail, seal) = ready(&back, 2);
+        assert_eq!((tail.base_seq, tail.frames(), seal), (2, 3, None));
+        // Continuing the stream seals the re-opened epoch identically.
+        back.publish(VTime(4), &[stable(9)]);
+        buf.publish(VTime(4), &[stable(9)]);
+        assert_eq!(ready(&back, 5).1, ready(&buf, 5).1);
+        assert_eq!(
+            back.image().frames,
+            buf.image().frames,
+            "restored tail is byte-identical"
+        );
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub fn subscribe(addr: &str, config: &SubscribeConfig) -> Result<SubOutcome, Wir
     let mut stream = TcpStream::connect(addr).map_err(|e| WireError::Io(e.kind()))?;
     let _ = stream.set_nodelay(true);
     // Reads go through the shared frame reader: the server coalesces each
-    // epoch into a few large writes, and draining them frame-by-frame with
+    // chunk into a few large writes, and draining them frame-by-frame with
     // raw reads would cost thousands of syscalls per subscriber. Writes
     // (acks, credit grants, the Bye echo) use the other half.
     let mut reader = FrameReader::new(stream.try_clone().map_err(|e| WireError::Io(e.kind()))?);
@@ -146,7 +146,10 @@ pub fn subscribe(addr: &str, config: &SubscribeConfig) -> Result<SubOutcome, Wir
         clean: false,
         finished: false,
     };
-    let mut expected = resumed_from;
+    // A server restored from a checkpoint older than this cursor clamps it
+    // down to its tail and re-emits the same frames (the merge is
+    // deterministic); what this subscriber already holds is overlap.
+    let mut expected = resumed_from.max(config.resume_from);
     let grant_batch = (config.credits / 2).max(1) as u64;
     let mut since_grant: u64 = 0;
     loop {

@@ -2,14 +2,18 @@
 //!
 //! The merge produces one physically-independent output stream; this
 //! crate turns it into an egress plane that scales to very large
-//! subscriber counts by doing the expensive work **once per epoch**
-//! instead of once per subscriber:
+//! subscriber counts by doing the expensive work **once per frame or per
+//! chunk** instead of once per subscriber:
 //!
 //! - [`BroadcastHooks`] publishes every emitted element into an
-//!   [`EpochBuffer`] — elements are wire-encoded a single time, sealed
-//!   into refcounted [`EpochSegment`]s at each advance of the output
-//!   stable point, and fanned out to N sessions as ranged writes from
-//!   the shared byte blocks (zero per-subscriber copies).
+//!   [`EpochBuffer`] — elements are wire-encoded a single time, frozen
+//!   into refcounted [`Chunk`]s at each flush, and fanned out to N
+//!   sessions as ranged writes from the shared byte blocks (zero
+//!   per-subscriber copies). A flush — whenever the publisher's input
+//!   goes quiet, and at each advance of the output stable point — is
+//!   what makes output visible; the stable advance also stamps a
+//!   [`Seal`], closing the *epoch* that acks, retention and checkpoints
+//!   count in. Delivery does not wait for punctuation.
 //! - [`SubServer`] speaks the ingest wire protocol symmetrically: a
 //!   `Subscribe`/`Welcome` handshake with a `resume_from` cursor,
 //!   per-session credit-based backpressure, and exactly-once resume on
@@ -17,7 +21,7 @@
 //!   discipline. Slow subscribers are bounded by [`SubPolicy`]: past
 //!   `max_lag_epochs` they stop pinning retention and are demoted to
 //!   catch-up-from-stable.
-//! - [`SubFilter`] predicates are evaluated once per epoch per filter
+//! - [`SubFilter`] predicates are evaluated once per chunk per filter
 //!   class (a shared bitmap), not once per subscriber.
 //! - Sessions surface in the PR 6 metrics registry (`lmerge_sub_*`
 //!   series) and as subscriber lanes in chrome traces; subscriber
@@ -29,7 +33,7 @@ pub mod buffer;
 pub mod client;
 pub mod server;
 
-pub use buffer::{EpochBuffer, EpochSegment, EpochWait, SubFilter, SubPolicy};
+pub use buffer::{Chunk, EpochBuffer, EpochWait, Seal, SubFilter, SubPolicy};
 pub use client::{subscribe, subscribe_until_finished, SubOutcome, SubscribeConfig};
 pub use server::{SubConfig, SubMetrics, SubServer};
 
@@ -61,8 +65,8 @@ impl<H: RunHooks<Value>> BroadcastHooks<H> {
         &self.buf
     }
 
-    /// Seal the open tail and mark the stream finished (call after the
-    /// run completes so sessions drain and close cleanly).
+    /// Flush and seal the open epoch and mark the stream finished (call
+    /// after the run completes so sessions drain and close cleanly).
     pub fn finish(&self) {
         self.buf.finish();
     }
@@ -132,12 +136,16 @@ mod tests {
         hooks.finish();
         let (next_seq, stable, sealed, _) = buf.stats();
         assert_eq!((next_seq, stable, sealed), (3, Time(3), 2));
+        // The unsealed remainder was flushed and sealed by `finish`.
         assert!(matches!(
-            buf.wait_epoch(1, Duration::from_millis(10)),
-            EpochWait::Ready(_)
+            buf.wait_from(2, Duration::from_millis(10)),
+            EpochWait::Ready {
+                seal: Some(Seal { index: 1, .. }),
+                ..
+            }
         ));
         assert!(matches!(
-            buf.wait_epoch(2, Duration::from_millis(10)),
+            buf.wait_from(3, Duration::from_millis(10)),
             EpochWait::Finished
         ));
     }

@@ -35,7 +35,7 @@
 //! `sub_session_closed`), never the run's — the merged output must stay
 //! byte-identical to an unobserved run.
 
-use crate::buffer::{EpochBuffer, EpochSegment, EpochWait, SubFilter};
+use crate::buffer::{Chunk, EpochBuffer, EpochWait, SubFilter};
 use lmerge_net::server::HANDSHAKE_TIMEOUT;
 use lmerge_net::wire::{self, Frame, FrameReader, PROTOCOL_VERSION};
 use lmerge_net::WireError;
@@ -91,6 +91,7 @@ pub struct SubMetrics {
     credit_stalls: Counter,
     epochs_retained: Gauge,
     next_seq: Gauge,
+    flushes: Counter,
 }
 
 impl SubMetrics {
@@ -145,6 +146,11 @@ impl SubMetrics {
             next_seq: registry.gauge(
                 "lmerge_sub_next_seq",
                 "Next output sequence the broadcast buffer will assign.",
+                &l,
+            ),
+            flushes: registry.counter(
+                "lmerge_sub_flushes_total",
+                "Chunks the broadcast buffer flushed to sessions (frames / flushes = egress batch).",
                 &l,
             ),
         }
@@ -302,7 +308,7 @@ impl SubServer {
     /// Live sessions notice the flag at their next delivery wait.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        // Unstick writers blocked on an epoch wait.
+        // Unstick writers blocked on a flush wait.
         self.shared.buf.finish();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
@@ -334,7 +340,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<SubShared>) {
     }
 }
 
-/// How long a writer waits per epoch poll before re-checking liveness.
+/// How long a writer waits per flush poll before re-checking liveness.
 const EPOCH_POLL: Duration = Duration::from_millis(50);
 
 /// How long the close handshake waits for the subscriber's `Bye` echo
@@ -343,7 +349,7 @@ const EPOCH_POLL: Duration = Duration::from_millis(50);
 /// EOFs); this only bounds the silent-hang case, so generous is safe.
 const BYE_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Serve one subscriber: handshake, then stream epochs under credits.
+/// Serve one subscriber: handshake, then stream chunks under credits.
 fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // A peer that connects and says nothing must not pin this thread.
@@ -491,7 +497,7 @@ fn reader_loop(
     }
 }
 
-/// Stream epochs to one subscriber. Returns whether the close was clean.
+/// Stream flushed chunks to one subscriber. Returns whether the close was clean.
 #[allow(clippy::too_many_arguments)]
 fn writer_loop(
     shared: &Arc<SubShared>,
@@ -505,7 +511,8 @@ fn writer_loop(
 ) -> bool {
     let m = &shared.metrics;
     let mut seq_cursor = resume_seq;
-    let mut index = shared.buf.index_for_seq(resume_seq);
+    // Frames delivered since the last seal marker this session crossed.
+    let mut epoch_frames: u32 = 0;
     loop {
         if state.dead.load(Ordering::Acquire) {
             return false;
@@ -517,10 +524,9 @@ fn writer_loop(
         if shared.shutdown.load(Ordering::Relaxed) {
             return false;
         }
-        match shared.buf.wait_epoch(index, EPOCH_POLL) {
+        match shared.buf.wait_from(seq_cursor, EPOCH_POLL) {
             EpochWait::TimedOut => continue,
             EpochWait::Compacted {
-                resume_index,
                 resume_seq: horizon_seq,
                 stable,
             } => {
@@ -538,7 +544,7 @@ fn writer_loop(
                     return false;
                 }
                 seq_cursor = horizon_seq;
-                index = resume_index;
+                epoch_frames = 0;
                 shared.buf.ack(subscriber, seq_cursor);
             }
             EpochWait::Finished => {
@@ -582,61 +588,69 @@ fn writer_loop(
                 }
                 return true;
             }
-            EpochWait::Ready(seg) => {
-                // Refresh the gauges only when there is something to
-                // deliver: polling sessions must not hammer the shared
-                // buffer lock once per wait timeout.
-                let (tail_seq, _, sealed, retained) = shared.buf.stats();
-                m.epochs_retained.set(retained as i64);
-                m.next_seq.set(tail_seq as i64);
-                session_m
-                    .lag_epochs
-                    .set(sealed.saturating_sub(index) as i64);
-                match deliver_epoch(
-                    shared, stream, state, session_m, filter, class, &seg, seq_cursor,
-                ) {
-                    Some(frames) => {
-                        shared.trace(TraceEvent::SubEpochDelivered {
-                            at: VTime(seg.end_seq()),
-                            subscriber,
-                            epoch: seg.index,
-                            frames,
-                        });
-                    }
-                    None => return false,
+            EpochWait::Ready {
+                chunk,
+                seal,
+                sealed,
+                retained,
+                next_seq,
+                flushes,
+            } => {
+                // The gauges ride on the wait result: no second trip to
+                // the shared buffer lock per delivery.
+                m.next_seq.set(next_seq as i64);
+                m.flushes.raise_to(flushes);
+                let Some(frames) = deliver_chunk(
+                    shared, stream, state, session_m, filter, class, &chunk, seq_cursor,
+                ) else {
+                    return false;
+                };
+                epoch_frames += frames;
+                seq_cursor = chunk.end_seq();
+                if let Some(seal) = seal {
+                    m.epochs_retained.set(retained as i64);
+                    session_m
+                        .lag_epochs
+                        .set(sealed.saturating_sub(seal.index) as i64);
+                    shared.trace(TraceEvent::SubEpochDelivered {
+                        at: VTime(seal.end_seq),
+                        subscriber,
+                        epoch: seal.index,
+                        frames: std::mem::take(&mut epoch_frames),
+                    });
                 }
-                seq_cursor = seg.end_seq();
-                index = seg.index + 1;
             }
         }
     }
 }
 
-/// Send one epoch's admitted frames from `seq_cursor` on, spending one
+/// Send one chunk's admitted frames from `seq_cursor` on, spending one
 /// credit per frame and coalescing contiguous admitted runs into single
-/// writes out of the shared segment bytes. Returns the frames delivered,
+/// writes out of the shared chunk bytes. Returns the frames delivered,
 /// or `None` if the session died.
 #[allow(clippy::too_many_arguments)]
-fn deliver_epoch(
+fn deliver_chunk(
     shared: &Arc<SubShared>,
     stream: &mut TcpStream,
     state: &SessionState,
     session_m: &SessionMetrics,
     filter: &SubFilter,
     class: u32,
-    seg: &EpochSegment,
+    chunk: &Chunk,
     seq_cursor: u64,
 ) -> Option<u32> {
-    let bits = seg.bitmap(class, filter);
-    let start = (seq_cursor.saturating_sub(seg.base_seq)) as usize;
+    // The whole-stream class admits every frame: no bitmap to build, per
+    // chunk, for the class nearly every session is in.
+    let bits = (*filter != SubFilter::All).then(|| chunk.bitmap(class, filter));
+    let start = (seq_cursor.saturating_sub(chunk.base_seq)) as usize;
     let mut taken: u64 = 0; // credits in hand
     let mut delivered: u32 = 0;
     let mut bytes_sent: u64 = 0;
-    // A contiguous run of admitted frames: byte range into the segment.
+    // A contiguous run of admitted frames: byte range into the chunk.
     let mut run: Option<(usize, usize)> = None;
-    for i in start..seg.frames() {
-        if !EpochSegment::admitted(&bits, i) {
-            if !flush(stream, seg, &mut run, &mut bytes_sent) {
+    for i in start..chunk.frames() {
+        if bits.as_ref().is_some_and(|b| !Chunk::admitted(b, i)) {
+            if !flush(stream, chunk, &mut run, &mut bytes_sent) {
                 return None;
             }
             continue;
@@ -644,19 +658,19 @@ fn deliver_epoch(
         if taken == 0 {
             // Flush before blocking so the subscriber can consume what it
             // already has and grant more.
-            if !flush(stream, seg, &mut run, &mut bytes_sent) {
+            if !flush(stream, chunk, &mut run, &mut bytes_sent) {
                 return None;
             }
             taken = take_credits(shared, state)?;
         }
         taken -= 1;
         delivered += 1;
-        let frame = seg.frame_bytes(i);
-        let off = frame.as_ptr() as usize - seg.bytes().as_ptr() as usize;
+        let frame = chunk.frame_bytes(i);
+        let off = frame.as_ptr() as usize - chunk.bytes().as_ptr() as usize;
         run = match run {
             Some((a, b)) if b == off => Some((a, off + frame.len())),
             Some(_) => {
-                if !flush(stream, seg, &mut run, &mut bytes_sent) {
+                if !flush(stream, chunk, &mut run, &mut bytes_sent) {
                     return None;
                 }
                 Some((off, off + frame.len()))
@@ -664,10 +678,10 @@ fn deliver_epoch(
             None => Some((off, off + frame.len())),
         };
     }
-    if !flush(stream, seg, &mut run, &mut bytes_sent) {
+    if !flush(stream, chunk, &mut run, &mut bytes_sent) {
         return None;
     }
-    // Return unused credits to the pool for the next epoch.
+    // Return unused credits to the pool for the next chunk.
     if taken > 0 {
         *state.credits.lock().unwrap() += taken;
     }
@@ -679,12 +693,12 @@ fn deliver_epoch(
 /// Write out the pending run, if any. Returns `false` on i/o failure.
 fn flush(
     stream: &mut TcpStream,
-    seg: &EpochSegment,
+    chunk: &Chunk,
     run: &mut Option<(usize, usize)>,
     bytes_sent: &mut u64,
 ) -> bool {
     if let Some((a, b)) = run.take() {
-        if stream.write_all(&seg.bytes()[a..b]).is_err() {
+        if stream.write_all(&chunk.bytes()[a..b]).is_err() {
             return false;
         }
         *bytes_sent += (b - a) as u64;
@@ -816,6 +830,222 @@ mod tests {
         assert!(outcome.attempts > 1, "the kill forced at least one resume");
         assert_eq!(outcome.bytes, reference, "stitched output byte-identical");
         let _ = server;
+    }
+
+    /// `n` inserts (keys `from..from + n`, no stable) and their canonical
+    /// encoding at the buffer's next sequences; published, not flushed.
+    fn publish_inserts(buf: &EpochBuffer, from: i32, n: i32) -> Vec<u8> {
+        let elements: Vec<Element<Value>> = (from..from + n)
+            .map(|k| Element::insert(Value::bare(k), k as i64, k as i64 + 5))
+            .collect();
+        let mut reference = Vec::new();
+        for (seq, e) in (buf.stats().0..).zip(&elements) {
+            let frame = Frame::Data {
+                seq,
+                at: VTime(9),
+                element: e.clone(),
+            };
+            wire::encode_into(&frame, &mut reference);
+        }
+        buf.publish(VTime(9), &elements);
+        reference
+    }
+
+    /// Spin until `n` sessions have completed their handshake.
+    fn await_opened(registry: &MetricsRegistry, n: f64) {
+        while registry.sum_value("lmerge_sub_sessions_opened_total") != Some(n) {
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The guard CI runs by name: delivery does not wait for punctuation.
+    #[test]
+    fn open_tail_reaches_a_live_subscriber_before_any_stable() {
+        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        let registry = MetricsRegistry::new();
+        let server = SubServer::bind_with_metrics(
+            "127.0.0.1:0",
+            Arc::clone(&buf),
+            SubConfig::new(),
+            &registry,
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        // `kill_after` makes the client return at its third frame: there
+        // will be no stable and no `finish` to end the session for it.
+        let client = thread::spawn(move || {
+            subscribe(&addr, &SubscribeConfig::new(1).with_kill_after(3)).expect("subscribe")
+        });
+        let reference = publish_inserts(&buf, 0, 3);
+        await_opened(&registry, 1.0);
+        // Published is not visible; visibility = flush.
+        assert_eq!(registry.sum_value("lmerge_sub_frames_total"), Some(0.0));
+        buf.flush();
+        let outcome = client.join().unwrap();
+        assert_eq!(outcome.received, 3);
+        assert_eq!(outcome.bytes, reference);
+        assert_eq!(buf.stats().2, 0, "delivered with no epoch sealed");
+    }
+
+    #[test]
+    fn kill_inside_an_open_epoch_resumes_exactly_once() {
+        for seals_before_rejoin in [false, true] {
+            let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+            let server =
+                SubServer::bind("127.0.0.1:0", Arc::clone(&buf), SubConfig::new()).unwrap();
+            let addr = server.local_addr().to_string();
+            let mut reference = publish_inserts(&buf, 0, 5);
+            buf.flush();
+            let part1 =
+                subscribe(&addr, &SubscribeConfig::new(3).with_kill_after(3)).expect("part 1");
+            assert_eq!((part1.received, part1.clean), (3, false));
+            assert_eq!(buf.stats().2, 0, "the kill landed inside the open epoch");
+            if seals_before_rejoin {
+                reference.extend(publish_feed(&buf, 1));
+            }
+            let rejoin = {
+                let addr = addr.clone();
+                thread::spawn(move || {
+                    subscribe(&addr, &SubscribeConfig::new(3).with_resume_from(3)).expect("part 2")
+                })
+            };
+            reference.extend(publish_inserts(&buf, 10, 2));
+            reference.extend(publish_feed(&buf, 2));
+            buf.finish();
+            let part2 = rejoin.join().unwrap();
+            assert!(part2.clean && part2.finished);
+            assert_eq!(part2.resumed_from, 3, "the cursor was honored mid-epoch");
+            let mut stitched = part1.bytes;
+            stitched.extend_from_slice(&part2.bytes);
+            assert_eq!(
+                stitched, reference,
+                "seals_before_rejoin={seals_before_rejoin}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_filter_class_over_several_chunks_of_one_epoch_matches_the_filter() {
+        // Keep every epoch: the two join while the feed is published.
+        let policy = SubPolicy {
+            retain_min_epochs: u64::MAX,
+            ..SubPolicy::default()
+        };
+        let buf = Arc::new(EpochBuffer::new(policy));
+        let mut config = SubConfig::new();
+        let filter = SubFilter::KeyMod {
+            modulus: 3,
+            residue: 1,
+        };
+        let class = config.add_filter(filter.clone());
+        let server = SubServer::bind("127.0.0.1:0", Arc::clone(&buf), config).unwrap();
+        let addr = server.local_addr().to_string();
+        let subscribe_class = |class: u32| {
+            let addr = addr.clone();
+            thread::spawn(move || {
+                subscribe(
+                    &addr,
+                    &SubscribeConfig::new(class as u64).with_filter(class),
+                )
+                .expect("subscribe")
+            })
+        };
+        let (full, slice) = (subscribe_class(0), subscribe_class(class));
+        // Two epochs of three chunks each: two flushed mid-epoch, the third
+        // by the seal.
+        for epoch in 0..2 {
+            for piece in 0..3 {
+                publish_inserts(&buf, epoch * 100 + piece * 7, 7);
+                buf.flush();
+            }
+            let seal = Element::<Value>::stable(Time(epoch as i64 + 1));
+            buf.publish(VTime(9), &[seal]);
+        }
+        assert_eq!((buf.flushes(), buf.stats().2), (8, 2));
+        buf.finish();
+        let (full, slice) = (full.join().unwrap(), slice.join().unwrap());
+        assert!(full.clean && slice.clean);
+        let expected: Vec<_> = full
+            .frames
+            .iter()
+            .filter(|(_, _, e)| filter.admits(e))
+            .cloned()
+            .collect();
+        assert_eq!(slice.frames, expected);
+        let stables = |o: &crate::SubOutcome| {
+            o.frames
+                .iter()
+                .filter(|(_, _, e)| matches!(e, Element::Stable(_)))
+                .count()
+        };
+        assert_eq!((stables(&full), stables(&slice)), (2, 2));
+        assert!(slice.received > 2 && slice.received < full.received);
+    }
+
+    #[test]
+    fn a_join_at_the_tail_of_an_open_epoch_gets_only_later_frames() {
+        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        let registry = MetricsRegistry::new();
+        let server = SubServer::bind_with_metrics(
+            "127.0.0.1:0",
+            Arc::clone(&buf),
+            SubConfig::new(),
+            &registry,
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        publish_inserts(&buf, 0, 4);
+        buf.flush();
+        let client = thread::spawn(move || {
+            subscribe(&addr, &SubscribeConfig::new(6).with_resume_from(4)).expect("join")
+        });
+        await_opened(&registry, 1.0);
+        let mut later = publish_inserts(&buf, 4, 2);
+        later.extend(publish_feed(&buf, 1));
+        buf.finish();
+        let outcome = client.join().unwrap();
+        assert!(outcome.clean && outcome.finished);
+        assert_eq!(outcome.resumed_from, 4, "welcomed at next_seq");
+        assert_eq!(outcome.bytes, later);
+        assert_eq!(
+            registry.sum_value("lmerge_sub_flushes_total"),
+            Some(2.0),
+            "the session mirrored the buffer's flush count"
+        );
+    }
+
+    #[test]
+    fn a_subscriber_ahead_of_a_restored_image_skips_the_re_emitted_overlap() {
+        // The checkpoint holds seqs 0..3; the subscriber had streamed 0..5
+        // out of the open epoch when the process died.
+        let before = EpochBuffer::new(SubPolicy::default());
+        publish_inserts(&before, 0, 3);
+        let buf = Arc::new(EpochBuffer::restore(&before.image(), SubPolicy::default()).unwrap());
+        let registry = MetricsRegistry::new();
+        let server = SubServer::bind_with_metrics(
+            "127.0.0.1:0",
+            Arc::clone(&buf),
+            SubConfig::new(),
+            &registry,
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let client = thread::spawn(move || {
+            subscribe(&addr, &SubscribeConfig::new(8).with_resume_from(5)).expect("rejoin")
+        });
+        await_opened(&registry, 1.0);
+        // The restored merge re-emits 3 and 4, then carries on.
+        publish_inserts(&buf, 3, 2);
+        let mut unseen = publish_inserts(&buf, 5, 2);
+        unseen.extend(publish_feed(&buf, 1));
+        buf.finish();
+        let outcome = client.join().unwrap();
+        assert!(outcome.clean && outcome.finished);
+        assert_eq!(outcome.resumed_from, 3, "clamped down to the restored tail");
+        assert_eq!(
+            outcome.bytes, unseen,
+            "exactly once: nothing it already held"
+        );
     }
 
     #[test]

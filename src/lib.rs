@@ -50,10 +50,11 @@
 //! * [`net`] — wire protocol + TCP ingest/egress: physically independent
 //!   replicas feeding LMerge over real sockets, with credit backpressure,
 //!   crash/resume sessions, and a fault-injecting chaos proxy.
-//! * [`sub`] — shared incremental fan-out: an epoch-batched broadcast
-//!   buffer over the merged output, subscriber sessions with resume
+//! * [`sub`] — shared incremental fan-out: a chunked broadcast buffer
+//!   over the merged output (encoded once, visible at each flush, sealed
+//!   into epochs at stable advances), subscriber sessions with resume
 //!   cursors and credit backpressure (the ingest protocol mirrored), and
-//!   per-epoch shared filter bitmaps.
+//!   per-chunk shared filter bitmaps.
 
 pub use lmerge_chaos as chaos;
 pub use lmerge_core as core;

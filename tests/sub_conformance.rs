@@ -188,6 +188,88 @@ fn mixed_subscribers_receive_byte_identical_filtered_slices() {
     assert!(moddy.received > stables, "mod filter admitted nothing");
 }
 
+/// The deployed wiring, end to end: with the broadcast buffer's `flush` hung
+/// on `NetSource::on_quiet` (as `lmerge-ingest` does), what the merge
+/// emitted reaches a live subscriber as soon as the input goes quiet — no
+/// output stable point has advanced, no epoch has sealed —
+/// and the frames that streamed early are the very frames an uninterrupted
+/// observer reads after the fact.
+#[test]
+fn open_epoch_streams_to_a_live_subscriber_when_the_input_goes_quiet() {
+    let inserts = 6u64;
+    let feed: Vec<TimedElement<Value>> = (0..inserts)
+        .map(|i| {
+            let e = Element::insert(Value::bare(i as i32), i as i64, i as i64 + 5);
+            TimedElement::new(VTime(i * 10), e)
+        })
+        .chain([TimedElement::new(
+            VTime(100),
+            Element::stable(Time::INFINITY),
+        )])
+        .collect();
+
+    let buf = Arc::new(EpochBuffer::new(retain_all()));
+    let mut sub_server =
+        SubServer::bind("127.0.0.1:0", Arc::clone(&buf), SubConfig::new()).expect("sub bind");
+    let sub_addr = sub_server.local_addr().to_string();
+    let mut server = IngestServer::bind("127.0.0.1:0", IngestConfig::new(1)).expect("bind");
+    let addr = server.local_addr().to_string();
+    let queries: Vec<Query<Value>> = server
+        .sources()
+        .into_iter()
+        .map(|src| {
+            let buf = Arc::clone(&buf);
+            Query::from_source(Box::new(src.on_quiet(move || buf.flush())), Vec::new())
+        })
+        .collect();
+    let merge = {
+        let buf = Arc::clone(&buf);
+        thread::spawn(move || {
+            let mut hooks = BroadcastHooks::wrap(NetHooks::collector(), buf);
+            MergeRun::new(
+                queries,
+                new_for_level(RLevel::R3, 1, MergePolicy::default()),
+                RunConfig::default(),
+            )
+            .run_with_hooks(&mut NullSink, &mut hooks);
+            hooks.finish();
+        })
+    };
+
+    // The replica delivers its inserts and dies before any punctuation.
+    let cut = replay(&addr, &feed, &ReplayConfig::new(0).with_kill_after(inserts)).expect("replay");
+    assert!(!cut.clean);
+    // A live subscriber gets them anyway: `kill_after` returns at the
+    // sixth frame, which nothing but the quiet-point flush can have delivered.
+    let early = subscribe(&sub_addr, &SubscribeConfig::new(1).with_kill_after(inserts))
+        .expect("live subscriber");
+    assert_eq!(early.received, inserts);
+    assert!(early
+        .frames
+        .iter()
+        .all(|(_, _, e)| matches!(e, Element::Insert(_))));
+    let (_, stable, sealed, _) = buf.stats();
+    assert_eq!((stable, sealed), (Time::MIN, 0), "no punctuation yet");
+
+    // The replica rejoins and finishes; the subscriber resumes mid-epoch.
+    let rest = replay_until_clean(&addr, &feed, &ReplayConfig::new(0), 10).expect("rejoin");
+    assert!(rest.clean);
+    merge.join().expect("merge thread");
+    let late = subscribe(
+        &sub_addr,
+        &SubscribeConfig::new(1).with_resume_from(inserts),
+    )
+    .expect("resumed subscriber");
+    let observer = subscribe(&sub_addr, &SubscribeConfig::new(2)).expect("observer");
+    assert!(late.clean && late.finished && observer.clean && observer.finished);
+    let mut stitched = early.bytes.clone();
+    stitched.extend_from_slice(&late.bytes);
+    assert_eq!(stitched, observer.bytes, "early frames are the same frames");
+    assert_eq!(observer.received, inserts + 1);
+    server.shutdown();
+    sub_server.shutdown();
+}
+
 /// The acceptance bar: a subscriber severed mid-stream reconnects with
 /// `resume_from` across a **merge-process restart from a checkpoint**
 /// and still sees every frame exactly once — its stitched bytes are
