@@ -1,4 +1,5 @@
-//! The checkpoint store: versioned snapshot + delta files on disk.
+//! The checkpoint store: versioned snapshot + delta files on disk, and the
+//! sink that feeds it from a run without making the run wait for the disk.
 //!
 //! A checkpoint directory holds a numbered chain of files:
 //!
@@ -16,10 +17,12 @@
 //! torn checkpoint — at worst a stray temp file, cleared on the next open.
 //! A delta stores the executor image and the merge image's scalars in full
 //! (they are tiny) plus, for each index in a fixed pre-order traversal
-//! (shared entries, per-input indexes, then shards recursively), the keys
-//! removed and the entries inserted-or-changed since the previous
-//! checkpoint — computed by a sorted merge-walk over the canonical
-//! `(Vs, payload)` order.
+//! (shared entries, per-input indexes, then shards recursively), what a
+//! sorted merge-walk over the canonical `(Vs, payload)` order finds
+//! changed: a removed key as its `u32` *ordinal* in the previous index
+//! (both sides hold it, in the same order — a 1 KB payload is not written
+//! again to say it is gone), an inserted-or-changed entry in full.
+//! Applying a delta is the same walk.
 //!
 //! [`CheckpointStore::load_latest`] restores the newest snapshot and
 //! replays the deltas after it — defensively: a torn or missing file costs
@@ -28,40 +31,39 @@
 //! the newest snapshot itself is unreadable, and surfaces what it skipped
 //! as warnings ([`CheckpointStore::recover`]) instead of refusing to
 //! restore at all.
+//!
+//! [`CheckpointStore`] is synchronous; [`DurableCheckpointSink`] puts it
+//! on a writer thread, one cut behind the run at most (see there).
 
 use crate::codec::{envelope, open_envelope, put_count, Cursor, DurableError, FileKind};
-use crate::fsutil::{remove_temp_files, write_atomic};
+use crate::fsutil::{remove_temp_files, write_atomic, DirHandle};
 use crate::image::{
     get_egress_image, get_entry, get_exec_image, get_merge_image, get_run_image, put_egress_image,
-    put_entry, put_exec_image, put_merge_image, put_run_image,
+    put_entry, put_exec_image, put_merge_skeleton, put_run_image,
 };
 use crate::payload::DurablePayload;
 use lmerge_core::{MergeStateImage, StateEntry};
 use lmerge_engine::{CheckpointSave, CheckpointSink, EgressImage, RunImage};
+use lmerge_obs::{CheckpointMetrics, MetricsRegistry};
 use lmerge_temporal::Time;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// How many deltas to chain after a snapshot before forcing the next
 /// snapshot. Bounds recovery replay work.
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 4;
 
-/// One index's changes between two checkpoints.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct IndexDiff<P> {
-    /// `(Vs, payload)` keys present before, absent now.
-    removed: Vec<(Time, P)>,
-    /// Entries new or changed (full replacement value).
-    upserts: Vec<StateEntry<P>>,
-}
-
-impl<P> Default for IndexDiff<P> {
-    fn default() -> IndexDiff<P> {
-        IndexDiff {
-            removed: Vec::new(),
-            upserts: Vec::new(),
-        }
-    }
+/// One index's changes between two checkpoints. `E` is `&StateEntry` on
+/// the encoding side (nothing is cloned to diff) and `StateEntry` on the
+/// decoding side.
+#[derive(Debug, PartialEq, Eq)]
+struct IndexDiff<E> {
+    /// Ordinals in the old index of the keys absent now, ascending.
+    removed: Vec<u32>,
+    /// Entries new or changed (full replacement value), in key order.
+    upserts: Vec<E>,
 }
 
 /// Collect references to every entry index of an image in pre-order:
@@ -97,78 +99,137 @@ fn indexes_mut<P>(img: &mut MergeStateImage<P>) -> Vec<&mut Vec<StateEntry<P>>> 
     out
 }
 
+fn key<P>(e: &StateEntry<P>) -> (Time, &P) {
+    (e.vs, &e.payload)
+}
+
 /// Sorted merge-walk over two canonical indexes, producing the diff.
-fn diff_index<P: DurablePayload>(old: &[StateEntry<P>], new: &[StateEntry<P>]) -> IndexDiff<P> {
-    let mut diff = IndexDiff::default();
+fn diff_index<'a, P: DurablePayload>(
+    old: &[StateEntry<P>],
+    new: &'a [StateEntry<P>],
+) -> IndexDiff<&'a StateEntry<P>> {
+    let mut diff = IndexDiff {
+        removed: Vec::new(),
+        upserts: Vec::new(),
+    };
     let (mut i, mut j) = (0, 0);
     while i < old.len() && j < new.len() {
-        let ko = (&old[i].vs, &old[i].payload);
-        let kn = (&new[j].vs, &new[j].payload);
-        match ko.cmp(&kn) {
+        match key(&old[i]).cmp(&key(&new[j])) {
             std::cmp::Ordering::Less => {
-                diff.removed.push((old[i].vs, old[i].payload.clone()));
+                diff.removed.push(i as u32);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                diff.upserts.push(new[j].clone());
+                diff.upserts.push(&new[j]);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
                 if old[i] != new[j] {
-                    diff.upserts.push(new[j].clone());
+                    diff.upserts.push(&new[j]);
                 }
                 i += 1;
                 j += 1;
             }
         }
     }
-    for e in &old[i..] {
-        diff.removed.push((e.vs, e.payload.clone()));
-    }
-    for e in &new[j..] {
-        diff.upserts.push(e.clone());
-    }
+    diff.removed.extend(i as u32..old.len() as u32);
+    diff.upserts.extend(&new[j..]);
     diff
 }
 
-/// Apply a diff to a base index, yielding the new canonical index.
+/// Apply a diff to the index it was taken against, yielding the new
+/// canonical index: one pass, entries moved, none cloned. The diff must
+/// have passed [`get_index_diff`]'s checks (ordinals ascending and in
+/// range, upserts in key order).
 fn apply_diff<P: DurablePayload>(
-    base: &[StateEntry<P>],
-    diff: &IndexDiff<P>,
+    base: Vec<StateEntry<P>>,
+    diff: IndexDiff<StateEntry<P>>,
 ) -> Vec<StateEntry<P>> {
-    let mut map: BTreeMap<(Time, P), StateEntry<P>> = base
-        .iter()
-        .map(|e| ((e.vs, e.payload.clone()), e.clone()))
-        .collect();
-    for key in &diff.removed {
-        map.remove(key);
+    let mut out = Vec::with_capacity(base.len() + diff.upserts.len() - diff.removed.len());
+    let mut removed = diff.removed.into_iter().peekable();
+    let mut upserts = diff.upserts.into_iter().peekable();
+    for (i, kept) in base.into_iter().enumerate() {
+        if removed.next_if(|&r| r as usize == i).is_some() {
+            continue;
+        }
+        while let Some(u) = upserts.next_if(|u| key(u) < key(&kept)) {
+            out.push(u);
+        }
+        out.push(upserts.next_if(|u| key(u) == key(&kept)).unwrap_or(kept));
     }
-    for e in &diff.upserts {
-        map.insert((e.vs, e.payload.clone()), e.clone());
-    }
-    map.into_values().collect()
+    out.extend(upserts);
+    out
 }
 
-/// A copy of `img` with every entry index emptied — the scalar "skeleton"
-/// a delta stores in full.
-fn skeleton<P: DurablePayload>(img: &MergeStateImage<P>) -> MergeStateImage<P> {
-    let mut s = img.clone();
-    for idx in indexes_mut(&mut s) {
-        idx.clear();
+/// Decode one index's diff against a base index of `base_len` entries.
+/// Everything [`apply_diff`] relies on is checked here, before any base
+/// entry is moved: a corrupt delta is a typed error that leaves the image
+/// it was meant for intact.
+fn get_index_diff<P: DurablePayload>(
+    cur: &mut Cursor<'_>,
+    base_len: usize,
+) -> Result<IndexDiff<StateEntry<P>>, DurableError> {
+    let n = cur.count(4)?;
+    let mut removed = Vec::with_capacity(n);
+    for _ in 0..n {
+        let ordinal = cur.u32()?;
+        if ordinal as usize >= base_len {
+            return Err(DurableError::Corrupt(
+                "delta removes an ordinal past its base",
+            ));
+        }
+        if removed.last().is_some_and(|&last| last >= ordinal) {
+            return Err(DurableError::Corrupt("delta removals not ascending"));
+        }
+        removed.push(ordinal);
     }
-    s
+    let n = cur.count(8)?;
+    let mut upserts: Vec<StateEntry<P>> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let e = get_entry(cur)?;
+        if upserts.last().is_some_and(|last| key(last) >= key(&e)) {
+            return Err(DurableError::Corrupt("delta upserts not in key order"));
+        }
+        upserts.push(e);
+    }
+    Ok(IndexDiff { removed, upserts })
 }
 
-/// Whether two images have the same index *structure* (per-input index
-/// count and shard tree). Deltas only make sense between same-structure
-/// images; the store falls back to a snapshot otherwise.
-fn same_structure<P>(a: &MergeStateImage<P>, b: &MergeStateImage<P>) -> bool {
-    a.input_indexes.len() == b.input_indexes.len()
-        && a.shards.len() == b.shards.len()
-        && a.shards
-            .iter()
-            .zip(&b.shards)
-            .all(|(x, y)| same_structure(x, y))
+/// An image's index *shape*: per-input index count and shard count, in
+/// pre-order. Deltas only make sense between same-shape images; the store
+/// falls back to a snapshot otherwise.
+fn shape<P>(img: &MergeStateImage<P>) -> Vec<usize> {
+    let mut out = vec![img.input_indexes.len(), img.shards.len()];
+    for shard in &img.shards {
+        out.extend(shape(shard));
+    }
+    out
+}
+
+/// Where a store stands in its chain: everything that decides the next
+/// save's `(seq, delta)`. The sink keeps a copy so it can answer at the
+/// cut what the writer will do with the image later.
+#[derive(Clone, Debug)]
+struct Chain {
+    next_seq: u64,
+    snapshot_every: u64,
+    since_snapshot: u64,
+    /// [`shape`] of the delta base; `None` before the first save.
+    base_shape: Option<Vec<usize>>,
+}
+
+impl Chain {
+    /// The `(seq, delta)` a save of an image of shape `shape` gets now,
+    /// advancing past it.
+    fn advance(&mut self, shape: Vec<usize>) -> (u64, bool) {
+        let seq = self.next_seq;
+        let delta =
+            self.since_snapshot < self.snapshot_every && self.base_shape.as_ref() == Some(&shape);
+        self.next_seq = seq + 1;
+        self.since_snapshot = if delta { self.since_snapshot + 1 } else { 0 };
+        self.base_shape = Some(shape);
+        (seq, delta)
+    }
 }
 
 fn encode_snapshot<P: DurablePayload>(image: &RunImage<P>) -> Vec<u8> {
@@ -177,7 +238,9 @@ fn encode_snapshot<P: DurablePayload>(image: &RunImage<P>) -> Vec<u8> {
     envelope(FileKind::Snapshot, &payload)
 }
 
-fn encode_delta<P: DurablePayload>(
+/// Encode `new` as a delta file extending checkpoint `base_seq`, whose
+/// image was `base` (same [shape](CheckpointStore) as `new`).
+pub fn encode_delta<P: DurablePayload>(
     base_seq: u64,
     base: &RunImage<P>,
     new: &RunImage<P>,
@@ -193,7 +256,7 @@ fn encode_delta<P: DurablePayload>(
     // The egress image is stored in full: its retained tail is already a
     // compact byte log bounded by the subscribers' acked cursors.
     put_egress_image(&mut payload, &new.egress);
-    put_merge_image(&mut payload, &skeleton(&new.merge));
+    put_merge_skeleton(&mut payload, &new.merge);
     let old_idx = indexes(&base.merge);
     let new_idx = indexes(&new.merge);
     debug_assert_eq!(old_idx.len(), new_idx.len());
@@ -201,9 +264,8 @@ fn encode_delta<P: DurablePayload>(
     for (old, new) in old_idx.iter().zip(&new_idx) {
         let diff = diff_index(old, new);
         put_count(&mut payload, diff.removed.len());
-        for (vs, p) in &diff.removed {
-            payload.extend_from_slice(&vs.0.to_le_bytes());
-            p.encode(&mut payload);
+        for ordinal in &diff.removed {
+            payload.extend_from_slice(&ordinal.to_le_bytes());
         }
         put_count(&mut payload, diff.upserts.len());
         for e in &diff.upserts {
@@ -213,14 +275,18 @@ fn encode_delta<P: DurablePayload>(
     envelope(FileKind::Delta, &payload)
 }
 
-/// Decode a delta payload and apply it to `base`, returning the restored
-/// image and the `base_seq` the delta claims to extend.
-fn apply_delta<P: DurablePayload>(
-    base: &RunImage<P>,
+/// Decode a delta payload that must extend checkpoint `base_seq` and apply
+/// it to `image` in place. The payload is decoded and checked in full
+/// first; on any error `image` is untouched.
+pub fn apply_delta<P: DurablePayload>(
+    image: &mut RunImage<P>,
+    base_seq: u64,
     payload: &[u8],
-) -> Result<(u64, RunImage<P>), DurableError> {
+) -> Result<(), DurableError> {
     let mut cur = Cursor::new(payload);
-    let base_seq = cur.u64()?;
+    if cur.u64()? != base_seq {
+        return Err(DurableError::Corrupt("delta base sequence mismatch"));
+    }
     let exec = get_exec_image(&mut cur)?;
     let n = cur.count(16)?;
     let mut cursors = Vec::with_capacity(n);
@@ -230,45 +296,33 @@ fn apply_delta<P: DurablePayload>(
     }
     let egress = get_egress_image(&mut cur)?;
     let mut merge = get_merge_image::<P>(&mut cur)?;
-    if !same_structure(&merge, &base.merge) {
+    if shape(&merge) != shape(&image.merge) {
         return Err(DurableError::Corrupt("delta structure mismatch"));
     }
-    let n_idx = cur.count(8)?;
-    {
-        let base_idx = indexes(&base.merge);
-        if n_idx != base_idx.len() {
-            return Err(DurableError::Corrupt("delta index count mismatch"));
-        }
-        let mut restored = Vec::with_capacity(n_idx);
-        for old in base_idx {
-            let mut diff = IndexDiff::default();
-            let n = cur.count(8)?;
-            for _ in 0..n {
-                let vs = Time(cur.i64()?);
-                diff.removed.push((vs, P::decode(&mut cur)?));
-            }
-            let n = cur.count(8)?;
-            for _ in 0..n {
-                diff.upserts.push(get_entry(&mut cur)?);
-            }
-            restored.push(apply_diff(old, &diff));
-        }
-        for (slot, idx) in indexes_mut(&mut merge).into_iter().zip(restored) {
-            *slot = idx;
-        }
+    let base_idx = indexes(&image.merge);
+    if cur.count(8)? != base_idx.len() {
+        return Err(DurableError::Corrupt("delta index count mismatch"));
+    }
+    let mut diffs = Vec::with_capacity(base_idx.len());
+    for old in base_idx {
+        diffs.push(get_index_diff::<P>(&mut cur, old.len())?);
     }
     if !cur.is_empty() {
         return Err(DurableError::Corrupt("trailing bytes after delta"));
     }
-    Ok((
-        base_seq,
-        RunImage {
-            merge,
-            exec,
-            cursors,
-            egress,
-        },
-    ))
+    // Infallible from here: move the base's entries through the diffs
+    // into the decoded skeleton, then replace the image by it.
+    let olds = indexes_mut(&mut image.merge);
+    for ((slot, old), diff) in indexes_mut(&mut merge).into_iter().zip(olds).zip(diffs) {
+        *slot = apply_diff(std::mem::take(old), diff);
+    }
+    *image = RunImage {
+        merge,
+        exec,
+        cursors,
+        egress,
+    };
+    Ok(())
 }
 
 fn file_name(seq: u64, delta: bool) -> String {
@@ -318,9 +372,9 @@ pub struct Recovery<P: DurablePayload> {
 /// The on-disk checkpoint chain for one run.
 pub struct CheckpointStore<P: DurablePayload> {
     dir: PathBuf,
-    next_seq: u64,
-    snapshot_every: u64,
-    since_snapshot: u64,
+    /// Held open for the store's life: every save fsyncs it.
+    dir_handle: DirHandle,
+    chain: Chain,
     base: Option<RunImage<P>>,
 }
 
@@ -354,10 +408,14 @@ impl<P: DurablePayload> CheckpointStore<P> {
             Err(e) => return Err(e),
         };
         Ok(CheckpointStore {
+            dir_handle: DirHandle::open(&dir)?,
             dir,
-            next_seq,
-            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            since_snapshot,
+            chain: Chain {
+                next_seq,
+                snapshot_every: DEFAULT_SNAPSHOT_EVERY,
+                since_snapshot,
+                base_shape: base.as_ref().map(|b| shape(&b.merge)),
+            },
             base,
         })
     }
@@ -365,7 +423,7 @@ impl<P: DurablePayload> CheckpointStore<P> {
     /// Override how many deltas may chain after a snapshot.
     #[must_use]
     pub fn with_snapshot_every(mut self, every: u64) -> CheckpointStore<P> {
-        self.snapshot_every = every.max(1);
+        self.chain.snapshot_every = every.max(1);
         self
     }
 
@@ -376,28 +434,36 @@ impl<P: DurablePayload> CheckpointStore<P> {
 
     /// The sequence number the next [`save`](CheckpointStore::save) gets.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.chain.next_seq
     }
 
     /// Persist one image. Returns `(seq, was_delta)`.
     pub fn save(&mut self, image: &RunImage<P>) -> Result<(u64, bool), DurableError> {
-        let seq = self.next_seq;
-        let as_delta = match &self.base {
-            Some(base) if self.since_snapshot < self.snapshot_every => {
-                same_structure(&base.merge, &image.merge)
-            }
-            _ => false,
+        self.save_owned(image.clone())
+            .map(|(seq, delta, _)| (seq, delta))
+    }
+
+    /// [`save`](CheckpointStore::save) for a caller that is done with the
+    /// image: it *becomes* the next delta's base instead of being cloned
+    /// into it. Returns `(seq, was_delta, file bytes)`.
+    pub(crate) fn save_owned(
+        &mut self,
+        image: RunImage<P>,
+    ) -> Result<(u64, bool, usize), DurableError> {
+        let mut chain = self.chain.clone();
+        let (seq, delta) = chain.advance(shape(&image.merge));
+        let bytes = match &self.base {
+            Some(base) if delta => encode_delta(seq - 1, base, &image),
+            _ => encode_snapshot(&image),
         };
-        let bytes = if as_delta {
-            encode_delta(seq - 1, self.base.as_ref().unwrap(), image)
-        } else {
-            encode_snapshot(image)
-        };
-        write_atomic(&self.dir.join(file_name(seq, as_delta)), &bytes)?;
-        self.next_seq = seq + 1;
-        self.since_snapshot = if as_delta { self.since_snapshot + 1 } else { 0 };
-        self.base = Some(image.clone());
-        Ok((seq, as_delta))
+        write_atomic(
+            &self.dir_handle,
+            &self.dir.join(file_name(seq, delta)),
+            &bytes,
+        )?;
+        self.chain = chain;
+        self.base = Some(image);
+        Ok((seq, delta, bytes.len()))
     }
 
     /// Load the most recent restorable image from `dir`. Any corruption
@@ -469,11 +535,8 @@ impl<P: DurablePayload> CheckpointStore<P> {
                     ));
                     break;
                 }
-                match Self::read_delta(dir, &image, seq) {
-                    Ok(next) => {
-                        image = next;
-                        at = seq;
-                    }
+                match Self::read_delta(dir, &mut image, seq) {
+                    Ok(()) => at = seq,
                     Err(e) => {
                         warnings.push(format!(
                             "delta {seq} unreadable ({e}); restoring through checkpoint {at}"
@@ -506,32 +569,93 @@ impl<P: DurablePayload> CheckpointStore<P> {
         Ok(image)
     }
 
-    fn read_delta(dir: &Path, base: &RunImage<P>, seq: u64) -> Result<RunImage<P>, DurableError> {
+    /// Replay delta `seq` onto `image` in place; `image` is untouched if
+    /// the file is unreadable.
+    fn read_delta(dir: &Path, image: &mut RunImage<P>, seq: u64) -> Result<(), DurableError> {
         let bytes = std::fs::read(dir.join(file_name(seq, true)))?;
         let (kind, payload) = open_envelope(&bytes)?;
         if kind != FileKind::Delta {
             return Err(DurableError::Corrupt("delta file with wrong kind tag"));
         }
-        let (base_seq, next) = apply_delta(base, payload)?;
-        if base_seq != seq - 1 {
-            return Err(DurableError::Corrupt("delta base sequence mismatch"));
+        apply_delta(image, seq - 1, payload)
+    }
+}
+
+/// One cut on its way to the writer: the image, the `(seq, delta)` the
+/// sink answered for it, and when it was handed over.
+type Job<P> = (RunImage<P>, (u64, bool), Instant);
+
+/// The writer thread and the sink's two ends of its depth-one hand-off.
+struct Writer<P: DurablePayload> {
+    jobs: SyncSender<Job<P>>,
+    done: Receiver<Result<(), DurableError>>,
+    /// A job was sent and its result not yet received.
+    in_flight: bool,
+    /// Returns the store when `jobs` closes.
+    thread: JoinHandle<CheckpointStore<P>>,
+}
+
+impl<P: DurablePayload> Writer<P> {
+    fn spawn(mut store: CheckpointStore<P>, metrics: CheckpointMetrics) -> Writer<P> {
+        // Capacity one on both channels, and the sink receives a result
+        // before it sends the next job: neither side ever blocks in send.
+        let (jobs, inbox) = sync_channel::<Job<P>>(1);
+        let (outbox, done) = sync_channel(1);
+        let thread = std::thread::Builder::new()
+            .name("lmerge-ckpt".into())
+            .spawn(move || {
+                for (image, told, handed_off) in inbox {
+                    let result = store.save_owned(image).map(|(seq, delta, bytes)| {
+                        debug_assert_eq!((seq, delta), told, "the cut's answer is the writer's");
+                        metrics.bytes.add(bytes as u64);
+                    });
+                    metrics
+                        .persist_seconds
+                        .record_duration(handed_off.elapsed());
+                    metrics.inflight.set(0);
+                    if outbox.send(result).is_err() {
+                        break;
+                    }
+                }
+                store
+            })
+            .expect("spawn the checkpoint writer thread");
+        Writer {
+            jobs,
+            done,
+            in_flight: false,
+            thread,
         }
-        Ok(next)
     }
 }
 
 /// A [`CheckpointSink`] that persists through a [`CheckpointStore`]:
 /// captures on every finite advance of the output stable point, optionally
 /// halting at a chosen sequence number (the recovery tests' reproducible
-/// kill switch). I/O errors are recorded, not panicked — the run continues
-/// uncheckpointed and the caller inspects [`error`](Self::error).
+/// kill switch).
+///
+/// `save` is the *cut*: it polls the cursor sources, decides `(seq,
+/// delta)` and hands the image to a writer thread (started at the first
+/// cut, joined by `finish`) that owns the store and does the I/O. The
+/// hand-off has depth one — `save` first waits for the previous cut to be
+/// durable — and a halting `save` also waits for its own. I/O errors are
+/// recorded, not panicked: they surface one cut late, after which the sink
+/// wants no more cuts, the run continues uncheckpointed and the caller
+/// inspects [`error`](Self::error).
 pub struct DurableCheckpointSink<P: DurablePayload> {
-    store: CheckpointStore<P>,
+    /// The store, except while the writer thread has it.
+    store: Option<CheckpointStore<P>>,
+    writer: Option<Writer<P>>,
+    /// The store's chain position as of the last cut handed over.
+    chain: Chain,
     last_stable: Time,
     halt_at: Option<u64>,
     cursors: Vec<(u64, i64)>,
     cursor_source: Option<CursorSource>,
     egress_source: Option<EgressSource>,
+    metrics: CheckpointMetrics,
+    /// When `want` last said yes: the start of the cut being timed.
+    cut_started: Option<Instant>,
     /// First persistence error, if any.
     pub error: Option<DurableError>,
 }
@@ -557,12 +681,16 @@ impl<P: DurablePayload> DurableCheckpointSink<P> {
             .map(|b| b.merge.max_stable)
             .unwrap_or(Time::MIN);
         DurableCheckpointSink {
-            store,
+            chain: store.chain.clone(),
+            store: Some(store),
+            writer: None,
             last_stable,
             halt_at: None,
             cursors: Vec::new(),
             cursor_source: None,
             egress_source: None,
+            metrics: CheckpointMetrics::new(&MetricsRegistry::new()),
+            cut_started: None,
             error: None,
         }
     }
@@ -597,10 +725,45 @@ impl<P: DurablePayload> DurableCheckpointSink<P> {
         self
     }
 
-    /// The wrapped store.
-    pub fn store(&self) -> &CheckpointStore<P> {
-        &self.store
+    /// Feed the `lmerge_checkpoint_*` wall-clock series of a live registry
+    /// (see [`CheckpointMetrics`]); without this they go nowhere.
+    #[must_use]
+    pub fn with_metrics(mut self, metrics: CheckpointMetrics) -> DurableCheckpointSink<P> {
+        self.metrics = metrics;
+        self
     }
+
+    /// The wrapped store. It is with the writer thread from a run's first
+    /// cut until the executor calls [`CheckpointSink::finish`]; between
+    /// runs it is here.
+    pub fn store(&self) -> &CheckpointStore<P> {
+        self.store
+            .as_ref()
+            .expect("the writer thread holds the store until CheckpointSink::finish")
+    }
+
+    fn fail(&mut self, e: DurableError) {
+        self.metrics.failed.set(1);
+        self.error.get_or_insert(e);
+    }
+
+    /// Wait until the cut in flight, if any, is durable (or has failed).
+    fn settle(&mut self) {
+        let Some(writer) = &mut self.writer else {
+            return;
+        };
+        if std::mem::take(&mut writer.in_flight) {
+            match writer.done.recv() {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => self.fail(e),
+                Err(_) => self.fail(writer_died()),
+            }
+        }
+    }
+}
+
+fn writer_died() -> DurableError {
+    DurableError::Io(std::io::Error::other("checkpoint writer thread died"))
 }
 
 impl<P: DurablePayload> CheckpointSink<P> for DurableCheckpointSink<P> {
@@ -609,15 +772,16 @@ impl<P: DurablePayload> CheckpointSink<P> for DurableCheckpointSink<P> {
     }
 
     fn want(&mut self, stable: Time, _delivered: u64) -> bool {
-        if stable > self.last_stable && stable != Time::INFINITY {
+        if self.error.is_none() && stable > self.last_stable && stable != Time::INFINITY {
             self.last_stable = stable;
+            self.cut_started = Some(Instant::now());
             true
         } else {
             false
         }
     }
 
-    fn save(&mut self, mut image: RunImage<P>) -> CheckpointSave {
+    fn save(&mut self, mut image: RunImage<P>) -> Option<CheckpointSave> {
         if let Some(source) = &self.cursor_source {
             self.cursors = source();
         }
@@ -638,19 +802,61 @@ impl<P: DurablePayload> CheckpointSink<P> for DurableCheckpointSink<P> {
         if let Some(source) = &self.egress_source {
             image.egress = source();
         }
-        match self.store.save(&image) {
-            Ok((seq, delta)) => CheckpointSave {
-                seq,
-                delta,
-                halt: self.halt_at == Some(seq),
-            },
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-                CheckpointSave::default()
+        // Depth one: the previous cut is durable (or has failed, which
+        // ends checkpointing) before this one is handed over.
+        self.settle();
+        if self.error.is_some() {
+            return None;
+        }
+        let (seq, delta) = self.chain.advance(shape(&image.merge));
+        let halt = self.halt_at == Some(seq);
+        let writer = self.writer.get_or_insert_with(|| {
+            let store = self.store.take().expect("the store is here between runs");
+            Writer::spawn(store, self.metrics.clone())
+        });
+        self.metrics.inflight.set(1);
+        if writer
+            .jobs
+            .send((image, (seq, delta), Instant::now()))
+            .is_err()
+        {
+            self.fail(writer_died());
+            return None;
+        }
+        writer.in_flight = true;
+        if halt {
+            // A kill modeled *after* checkpoint `seq`: it must be on disk.
+            self.settle();
+            if self.error.is_some() {
+                return None;
             }
         }
+        if let Some(started) = self.cut_started.take() {
+            self.metrics.cut_seconds.record_duration(started.elapsed());
+        }
+        Some(CheckpointSave { seq, delta, halt })
+    }
+
+    fn finish(&mut self) {
+        self.settle();
+        if let Some(writer) = self.writer.take() {
+            drop(writer.jobs);
+            match writer.thread.join() {
+                Ok(store) => {
+                    // Equal unless a cut failed: the store did not advance.
+                    self.chain = store.chain.clone();
+                    self.store = Some(store);
+                }
+                Err(_) => self.fail(writer_died()),
+            }
+        }
+    }
+}
+
+impl<P: DurablePayload> Drop for DurableCheckpointSink<P> {
+    /// A sink dropped mid-run (the run panicked) still joins its writer.
+    fn drop(&mut self) {
+        self.finish();
     }
 }
 
@@ -703,6 +909,14 @@ mod tests {
         dir
     }
 
+    /// What `get_index_diff` would hand `apply_diff` for this diff.
+    fn owned(diff: IndexDiff<&StateEntry<i32>>) -> IndexDiff<StateEntry<i32>> {
+        IndexDiff {
+            removed: diff.removed,
+            upserts: diff.upserts.into_iter().cloned().collect(),
+        }
+    }
+
     #[test]
     fn diff_and_apply_are_inverse() {
         let old = vec![entry(1, 10, 20), entry(2, 11, 21), entry(3, 12, 22)];
@@ -710,9 +924,34 @@ mod tests {
         changed.output = vec![(Time(25), 2)];
         let new = vec![entry(1, 10, 20), changed, entry(4, 13, 23)];
         let diff = diff_index(&old, &new);
-        assert_eq!(diff.removed, vec![(Time(12), 3)]);
+        assert_eq!(diff.removed, vec![2], "the removed key by its ordinal");
         assert_eq!(diff.upserts.len(), 2);
-        assert_eq!(apply_diff(&old, &diff), new);
+        assert_eq!(apply_diff(old, owned(diff)), new);
+    }
+
+    /// Removals at the first, the last and adjacent ordinals, upserts
+    /// before, between and after what is kept, and the two empty edges.
+    #[test]
+    fn ordinal_removals_apply_at_every_position() {
+        let e = |k: i32| entry(k, 10 + k as i64, 50);
+        let base: Vec<_> = [1, 2, 3, 4, 5, 6].into_iter().map(e).collect();
+        let cases: [(&[i32], &[u32]); 7] = [
+            (&[2, 3, 4, 5, 6], &[0]),
+            (&[1, 2, 3, 4, 5], &[5]),
+            (&[1, 4, 5, 6], &[1, 2]),
+            (&[0, 3, 7], &[0, 1, 3, 4, 5]),
+            (&[], &[0, 1, 2, 3, 4, 5]),
+            (&[1, 2, 3, 4, 5, 6], &[]),
+            (&[7, 8], &[0, 1, 2, 3, 4, 5]),
+        ];
+        for (keys, removed) in cases {
+            let new: Vec<_> = keys.iter().copied().map(e).collect();
+            let diff = diff_index(&base, &new);
+            assert_eq!(diff.removed, removed, "{keys:?}");
+            assert_eq!(apply_diff(base.clone(), owned(diff)), new, "{keys:?}");
+        }
+        let grown = diff_index(&[], &base);
+        assert_eq!(apply_diff(Vec::new(), owned(grown)), base);
     }
 
     #[test]
@@ -796,7 +1035,8 @@ mod tests {
         // staged in the delivery heap; input 1 was drained.
         image.exec.staged = vec![Some((VTime(50), 4)), None, Some((VTime(60), 6))];
         image.exec.pulls = vec![5, 7, 9];
-        let saved = sink.save(image);
+        let saved = sink.save(image).expect("the cut is accepted");
+        sink.finish();
         assert!(sink.error.is_none(), "{:?}", sink.error);
         assert_eq!(saved.seq, 0);
         let (_, restored) = CheckpointStore::<i32>::load_latest(&dir).unwrap();
@@ -926,5 +1166,102 @@ mod tests {
         std::fs::write(&path, &whole[..whole.len() - 3]).unwrap();
         assert!(CheckpointStore::<i32>::load_latest(&dir).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sink that pulls its checkpoint directory out from under the
+    /// writer right after cut `after` is durable.
+    struct PullTheDisk {
+        inner: DurableCheckpointSink<i32>,
+        dir: PathBuf,
+        after: u64,
+    }
+
+    impl CheckpointSink<i32> for PullTheDisk {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn want(&mut self, stable: Time, delivered: u64) -> bool {
+            self.inner.want(stable, delivered)
+        }
+        fn save(&mut self, image: RunImage<i32>) -> Option<CheckpointSave> {
+            let saved = self.inner.save(image)?;
+            if saved.seq == self.after {
+                self.inner.settle();
+                std::fs::remove_dir_all(&self.dir).unwrap();
+            }
+            Some(saved)
+        }
+        fn finish(&mut self) {
+            self.inner.finish();
+        }
+    }
+
+    #[test]
+    fn a_failed_checkpoint_ends_checkpointing_and_the_run_goes_on() {
+        use lmerge_core::{LMergeR3, LogicalMerge, MergePolicy};
+        use lmerge_engine::{MergeRun, Query, RunConfig, TimedElement};
+        use lmerge_obs::{TraceEvent, Tracer};
+        use lmerge_temporal::Element;
+
+        let dir = tmp_dir("enospc");
+        let registry = MetricsRegistry::new();
+        let store: CheckpointStore<i32> = CheckpointStore::create(&dir).unwrap();
+        let mut sink = PullTheDisk {
+            inner: DurableCheckpointSink::new(store)
+                .with_metrics(CheckpointMetrics::new(&registry)),
+            dir,
+            after: 1,
+        };
+        // Eight finite stable advances: eight cuts, were the disk to hold.
+        let mut feed = Vec::new();
+        for i in 0..8i64 {
+            let at = VTime(i as u64 * 20);
+            feed.push(TimedElement::new(
+                at,
+                Element::insert(i as i32, i * 2 + 1, i * 2 + 40),
+            ));
+            feed.push(TimedElement::new(
+                at.advance(10),
+                Element::stable(i * 2 + 2),
+            ));
+        }
+        feed.push(TimedElement::new(
+            VTime(200),
+            Element::stable(Time::INFINITY),
+        ));
+        let lmerge: Box<dyn LogicalMerge<i32>> =
+            Box::new(LMergeR3::with_policy(1, MergePolicy::paper_default()));
+        let mut trace = Tracer::new();
+        let metrics = MergeRun::new(vec![Query::passthrough(feed)], lmerge, RunConfig::default())
+            .run_with_checkpoints(&mut trace, &mut sink);
+
+        assert!(metrics.output_complete_at.is_some(), "the run goes on");
+        let taken: Vec<u64> = trace
+            .events()
+            .filter_map(|e| match e {
+                TraceEvent::CheckpointTaken { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        // Cut 2 was handed over before its failure could be known (the
+        // one-cut lag of the hand-off); cut 3 learned of it and was
+        // refused, and no cut was wanted after that.
+        assert_eq!(taken, vec![0, 1, 2], "no seq-0 phantom, no retry storm");
+        let sink = sink.inner;
+        assert!(
+            matches!(sink.error, Some(DurableError::Io(_))),
+            "{:?}",
+            sink.error
+        );
+        assert_eq!(registry.max_value("lmerge_checkpoint_failed"), Some(1.0));
+        assert_eq!(registry.max_value("lmerge_checkpoint_inflight"), Some(0.0));
+        assert_eq!(
+            registry.sum_value("lmerge_checkpoint_persist_seconds_count"),
+            Some(3.0),
+            "the writer was asked three times, not eight"
+        );
+        assert_eq!(sink.store().next_seq(), 2, "the store never got past cut 1");
+        let mut sink = sink;
+        assert!(!sink.want(Time(1_000), 99), "a failed sink wants nothing");
     }
 }

@@ -2,22 +2,27 @@
 //!
 //! Every durable file — checkpoint snapshot, checkpoint delta, spill run —
 //! is one [`envelope`]: a fixed header (magic, version, kind), a
-//! length-prefixed payload, and a trailing FNV-1a checksum of the payload
-//! bytes, the same checksum discipline `lmerge-net` applies to every wire
-//! frame. Decoding is defensive end to end: every read is bounds-checked
+//! length-prefixed payload, and a trailing checksum of the payload bytes —
+//! FNV-1a folded over 8-byte words ([`fnv1a_words`]): a file sums whole
+//! images, a megabyte at a time, where the byte-wise fold `lmerge-net`
+//! keeps on every (small) wire frame costs a multiply per byte. Decoding
+//! is defensive end to end: every read is bounds-checked
 //! through [`Cursor`], every length is validated against the bytes that
 //! remain, and any corruption surfaces as a typed [`DurableError`] — a
 //! truncated, bit-flipped, or adversarial file must never panic the
 //! reader.
 
-use lmerge_core::hash::fnv1a;
+use lmerge_core::hash::fnv1a_words;
 
 /// Magic bytes opening every durable file.
 pub const MAGIC: [u8; 4] = *b"LMCK";
 
 /// Current format version. v2 appended the egress/broadcast image
-/// (subscriber cursors + retained output tail) to every run image.
-pub const VERSION: u16 = 2;
+/// (subscriber cursors + retained output tail) to every run image; v3
+/// sums the payload by words and names a delta's removed keys by their
+/// ordinal in the base index. Files of another version are refused
+/// ([`DurableError::BadVersion`]), not migrated.
+pub const VERSION: u16 = 3;
 
 /// What a durable file contains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,7 +192,7 @@ pub fn put_count(buf: &mut Vec<u8>, n: usize) {
 }
 
 /// Wrap `payload` in the durable envelope: header, length, payload,
-/// trailing FNV-1a checksum.
+/// trailing word-folded FNV-1a checksum.
 pub fn envelope(kind: FileKind, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 24);
     out.extend_from_slice(&MAGIC);
@@ -196,7 +201,7 @@ pub fn envelope(kind: FileKind, payload: &[u8]) -> Vec<u8> {
     out.push(0); // reserved
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a_words(payload).to_le_bytes());
     out
 }
 
@@ -224,7 +229,7 @@ pub fn open_envelope(data: &[u8]) -> Result<(FileKind, &[u8]), DurableError> {
     }
     let payload = cur.take(len)?;
     let expected = cur.u64()?;
-    let actual = fnv1a(payload);
+    let actual = fnv1a_words(payload);
     if expected != actual {
         return Err(DurableError::Checksum { expected, actual });
     }

@@ -110,6 +110,20 @@ fn get_entries<P: DurablePayload>(
 
 /// Append a full [`MergeStateImage`] (recursing into shard images).
 pub fn put_merge_image<P: DurablePayload>(buf: &mut Vec<u8>, img: &MergeStateImage<P>) {
+    put_merge(buf, img, true);
+}
+
+/// Append `img`'s scalars and index *shape* with every entry index
+/// written empty — what a delta stores in full. Decodes with
+/// [`get_merge_image`] to `img` minus its entries.
+pub(crate) fn put_merge_skeleton<P: DurablePayload>(buf: &mut Vec<u8>, img: &MergeStateImage<P>) {
+    put_merge(buf, img, false);
+}
+
+fn put_merge<P: DurablePayload>(buf: &mut Vec<u8>, img: &MergeStateImage<P>, entries: bool) {
+    let index = |buf: &mut Vec<u8>, es: &[StateEntry<P>]| {
+        put_entries(buf, if entries { es } else { &[] });
+    };
     buf.push(img.kind.tag());
     put_time(buf, img.max_vs);
     put_time(buf, img.max_stable);
@@ -149,14 +163,14 @@ pub fn put_merge_image<P: DurablePayload>(buf: &mut Vec<u8>, img: &MergeStateIma
     for x in [a, b, c, d, e, f, g] {
         buf.extend_from_slice(&x.to_le_bytes());
     }
-    put_entries(buf, &img.entries);
+    index(buf, &img.entries);
     put_count(buf, img.input_indexes.len());
     for idx in &img.input_indexes {
-        put_entries(buf, idx);
+        index(buf, idx);
     }
     put_count(buf, img.shards.len());
     for shard in &img.shards {
-        put_merge_image(buf, shard);
+        put_merge(buf, shard, entries);
     }
 }
 

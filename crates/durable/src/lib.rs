@@ -10,12 +10,14 @@
 //!
 //! Three layers:
 //!
-//! * [`codec`] — the file envelope (magic, version, kind, FNV-1a
-//!   checksum) and a bounds-checked cursor; corruption always surfaces as
-//!   a typed [`DurableError`], never a panic.
+//! * [`codec`] — the file envelope (magic, version, kind, word-folded
+//!   FNV-1a checksum) and a bounds-checked cursor; corruption always
+//!   surfaces as a typed [`DurableError`], never a panic.
 //! * [`checkpoint`] — [`CheckpointStore`]: a chain of full snapshots and
-//!   index-diff deltas; [`DurableCheckpointSink`] plugs the store into the
-//!   executor's [`lmerge_engine::CheckpointSink`] boundary.
+//!   index-diff deltas, written synchronously; [`DurableCheckpointSink`]
+//!   plugs the store into the executor's [`lmerge_engine::CheckpointSink`]
+//!   boundary with the store on a writer thread, so the run pays for the
+//!   cut and not for the disk.
 //! * [`spill`] — [`SpillStore`]: append-only sorted runs, k-way merged on
 //!   read through a [`std::collections::BinaryHeap`];
 //!   [`FileSpillHandler`] plugs it into `lmerge-core`'s
@@ -35,8 +37,8 @@ pub mod payload;
 pub mod spill;
 
 pub use checkpoint::{
-    CheckpointStore, CursorSource, DurableCheckpointSink, EgressSource, Recovery,
-    DEFAULT_SNAPSHOT_EVERY,
+    apply_delta, encode_delta, CheckpointStore, CursorSource, DurableCheckpointSink, EgressSource,
+    Recovery, DEFAULT_SNAPSHOT_EVERY,
 };
 pub use codec::{envelope, open_envelope, Cursor, DurableError, FileKind, MAGIC, VERSION};
 pub use image::{get_merge_image, get_run_image, put_merge_image, put_run_image};

@@ -11,7 +11,7 @@
 //! resident at a time.
 
 use crate::codec::{envelope, open_envelope, put_count, Cursor, DurableError, FileKind};
-use crate::fsutil::{remove_temp_files, write_atomic};
+use crate::fsutil::{remove_temp_files, write_atomic, DirHandle};
 use crate::image::{get_entry, put_entry};
 use crate::payload::DurablePayload;
 use lmerge_core::{SpillHandler, StateEntry};
@@ -35,6 +35,7 @@ fn parse_run_name(name: &str) -> Option<u64> {
 /// An append-only directory of sorted spill runs.
 pub struct SpillStore {
     dir: PathBuf,
+    dir_handle: DirHandle,
     next_run: u64,
 }
 
@@ -52,7 +53,11 @@ impl SpillStore {
                 next_run = next_run.max(n + 1);
             }
         }
-        Ok(SpillStore { dir, next_run })
+        Ok(SpillStore {
+            dir_handle: DirHandle::open(&dir)?,
+            dir,
+            next_run,
+        })
     }
 
     /// The directory this store writes into.
@@ -85,6 +90,7 @@ impl SpillStore {
         }
         let n = self.next_run;
         write_atomic(
+            &self.dir_handle,
             &self.dir.join(run_name(n)),
             &envelope(FileKind::SpillRun, &payload),
         )?;

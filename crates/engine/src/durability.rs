@@ -11,10 +11,13 @@
 //!
 //! The executor offers the cut to a [`CheckpointSink`] at the end of each
 //! delivery iteration. The sink decides *when* to capture (`want`), *how*
-//! to persist (`save` — a full snapshot or a delta is the store's
-//! business), and *whether the run survives* (`save` may halt the run,
-//! which is how the crash-recovery tests model a kill at an exact,
-//! reproducible point). Like tracing and hooks, the default
+//! to persist (`save` — a full snapshot or a delta, on this thread or
+//! handed to another, is the sink's business), and *whether the run
+//! survives* (`save` may halt the run, which is how the crash-recovery
+//! tests model a kill at an exact, reproducible point). The executor only
+//! *cuts*: `save` owns the image and may return before it is durable, so
+//! the run's end calls `finish` to let the sink drain what it still
+//! holds. Like tracing and hooks, the default
 //! [`NoCheckpoint`] is statically disabled and monomorphizes away.
 //!
 //! Resume is replay-based: [`ExecutorImage`] records how many batches each
@@ -102,7 +105,7 @@ pub struct RunImage<P: Payload> {
 }
 
 /// What a [`CheckpointSink::save`] did with the offered image.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointSave {
     /// Checkpoint sequence number assigned by the sink (monotone per run;
     /// a resumed run's sink continues the killed run's numbering).
@@ -119,7 +122,8 @@ pub struct CheckpointSave {
 /// The executor's checkpointing boundary.
 ///
 /// All methods have defaults adding up to "never checkpoint", so only
-/// `enabled`, `want`, and `save` need overriding. `want` must be a pure
+/// `enabled`, `want`, and `save` need overriding (and `finish`, by a sink
+/// that persists after `save` returns). `want` must be a pure
 /// function of its arguments (plus the sink's own deterministic state):
 /// the recovery conformance tests rely on the reference run and the
 /// killed-and-resumed run offering identical cuts.
@@ -137,11 +141,18 @@ pub trait CheckpointSink<P: Payload> {
         false
     }
 
-    /// Persist one image; returns what was done (and whether to halt).
-    fn save(&mut self, image: RunImage<P>) -> CheckpointSave {
+    /// Take one image to persist; returns what was (or will be) done with
+    /// it and whether to halt, or `None` if the cut was *not* persisted —
+    /// the executor then records no `CheckpointTaken` for it. A halting
+    /// save must not return before its image is durable.
+    fn save(&mut self, image: RunImage<P>) -> Option<CheckpointSave> {
         let _ = image;
-        CheckpointSave::default()
+        None
     }
+
+    /// The run is over (completed or halted): make every image `save`
+    /// accepted durable and release what the sink held for the run.
+    fn finish(&mut self) {}
 }
 
 /// The statically disabled sink: the executor's default.

@@ -670,26 +670,29 @@ impl<P: Payload> MergeRun<P> {
                         cursors: Vec::new(),
                         egress: EgressImage::default(),
                     };
-                    let saved = sink.save(image);
-                    if trace.enabled() {
-                        trace.record(TraceEvent::CheckpointTaken {
-                            at: lmerge_ready,
-                            seq: saved.seq,
-                            entries,
-                            delta: saved.delta,
-                        });
-                    }
-                    if saved.halt {
-                        // A modeled kill: no postlude, the trace just
-                        // stops. Merge stats still reflect the state the
-                        // checkpoint captured.
-                        metrics.merge = self.lmerge.stats();
-                        return metrics;
+                    if let Some(saved) = sink.save(image) {
+                        if trace.enabled() {
+                            trace.record(TraceEvent::CheckpointTaken {
+                                at: lmerge_ready,
+                                seq: saved.seq,
+                                entries,
+                                delta: saved.delta,
+                            });
+                        }
+                        if saved.halt {
+                            // A modeled kill: no postlude, the trace just
+                            // stops. Merge stats still reflect the state
+                            // the checkpoint captured.
+                            sink.finish();
+                            metrics.merge = self.lmerge.stats();
+                            return metrics;
+                        }
                     }
                 }
             }
         }
 
+        sink.finish();
         metrics.drained_at = self
             .queries
             .iter()
@@ -1119,15 +1122,15 @@ mod tests {
                     false
                 }
             }
-            fn save(&mut self, image: RunImage<&'static str>) -> CheckpointSave {
+            fn save(&mut self, image: RunImage<&'static str>) -> Option<CheckpointSave> {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 self.images.push(image);
-                CheckpointSave {
+                Some(CheckpointSave {
                     seq,
                     delta: false,
                     halt: self.halt_at == Some(seq),
-                }
+                })
             }
         }
 
@@ -1185,6 +1188,75 @@ mod tests {
             ref_metrics.output_complete_at,
             resumed_metrics.output_complete_at
         );
+    }
+
+    /// The sink contract around a cut that is not persisted and around the
+    /// run's end: `None` from `save` records no `CheckpointTaken`, and
+    /// `finish` is called exactly once — on completion and on a halt alike.
+    #[test]
+    fn refused_cuts_leave_no_trace_and_every_run_ends_in_finish() {
+        use crate::durability::{CheckpointSave, CheckpointSink, RunImage};
+        use lmerge_obs::Tracer;
+
+        struct Picky {
+            offered: u64,
+            accept_below: u64,
+            halt_at: Option<u64>,
+            finished: u32,
+        }
+        impl CheckpointSink<&'static str> for Picky {
+            fn enabled(&self) -> bool {
+                true
+            }
+            fn want(&mut self, stable: Time, _delivered: u64) -> bool {
+                stable != Time::INFINITY
+            }
+            fn save(&mut self, _image: RunImage<&'static str>) -> Option<CheckpointSave> {
+                let seq = self.offered;
+                self.offered += 1;
+                (seq < self.accept_below).then_some(CheckpointSave {
+                    seq,
+                    delta: false,
+                    halt: self.halt_at == Some(seq),
+                })
+            }
+            fn finish(&mut self) {
+                self.finished += 1;
+            }
+        }
+        let feed = timed(&[
+            (0, E::insert("a", 1, 5)),
+            (10, E::stable(2)),
+            (20, E::insert("b", 3, 7)),
+            (30, E::stable(4)),
+            (40, E::stable(Time::INFINITY)),
+        ]);
+        for (halt_at, completes) in [(None, true), (Some(1), false)] {
+            let mut sink = Picky {
+                offered: 0,
+                accept_below: 2,
+                halt_at,
+                finished: 0,
+            };
+            let mut trace = Tracer::new();
+            let m = MergeRun::new(
+                vec![Query::passthrough(feed.clone())],
+                lmr3(1),
+                RunConfig::default(),
+            )
+            .run_with_checkpoints(&mut trace, &mut sink);
+            assert_eq!(m.output_complete_at.is_some(), completes);
+            assert_eq!(sink.finished, 1, "halt_at {halt_at:?}");
+            let taken = trace
+                .events()
+                .filter(|e| matches!(e, TraceEvent::CheckpointTaken { .. }))
+                .count() as u64;
+            assert!(
+                sink.offered > 2 || !completes,
+                "cuts beyond the accepted two"
+            );
+            assert_eq!(taken, sink.offered.min(2), "only persisted cuts are traced");
+        }
     }
 
     #[test]

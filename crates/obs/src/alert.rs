@@ -28,7 +28,7 @@ pub struct AlertRule {
     /// The threshold the observed value must exceed to fire. Units depend
     /// on the kind: wall ms for `WatermarkLag`, application-time units for
     /// `StragglerGap`, resumes per evaluation for `ResumeRate`, evicted
-    /// events for `RingDrop`.
+    /// events for `RingDrop`, the 0/1 failure gauge for `CheckpointFailed`.
     pub threshold: i64,
 }
 
@@ -45,13 +45,15 @@ impl AlertRule {
 
 /// A sensible default rule set for production ingest: warn on a watermark
 /// stalled for 5 s, a straggler 10 000 application-time units behind, more
-/// than 3 resumes between evaluations, or any trace-ring eviction.
+/// than 3 resumes between evaluations, or any trace-ring eviction; page on
+/// a checkpoint that failed to persist.
 pub fn default_rules() -> Vec<AlertRule> {
     vec![
         AlertRule::new(AlertKind::WatermarkLag, Severity::Warn, 5_000),
         AlertRule::new(AlertKind::StragglerGap, Severity::Warn, 10_000),
         AlertRule::new(AlertKind::ResumeRate, Severity::Warn, 3),
         AlertRule::new(AlertKind::RingDrop, Severity::Warn, 0),
+        AlertRule::new(AlertKind::CheckpointFailed, Severity::Critical, 0),
     ]
 }
 
@@ -136,6 +138,10 @@ impl AlertEngine {
             AlertKind::RingDrop => self
                 .registry
                 .max_value("lmerge_trace_ring_dropped_total")
+                .map(|v| v as i64),
+            AlertKind::CheckpointFailed => self
+                .registry
+                .max_value("lmerge_checkpoint_failed")
                 .map(|v| v as i64),
         }
     }

@@ -113,6 +113,8 @@ pub enum AlertKind {
     /// The bounded trace ring evicted events; the exported trace is no
     /// longer complete.
     RingDrop,
+    /// A checkpoint failed to persist; the run continues uncheckpointed.
+    CheckpointFailed,
 }
 
 impl AlertKind {
@@ -123,6 +125,7 @@ impl AlertKind {
             AlertKind::StragglerGap => "straggler_gap",
             AlertKind::ResumeRate => "resume_rate",
             AlertKind::RingDrop => "ring_drop",
+            AlertKind::CheckpointFailed => "checkpoint_failed",
         }
     }
 }

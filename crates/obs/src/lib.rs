@@ -75,8 +75,8 @@ pub use event::{AlertKind, ElementKind, FaultKind, HealthTag, Severity, StableSc
 pub use hist::LogHistogram;
 pub use lag::{InputLag, LagGauges};
 pub use metrics::{
-    parse_prometheus, AtomicHistogram, Counter, EngineMetrics, Gauge, MeteredSink, MetricsRegistry,
-    ScrapedSample,
+    parse_prometheus, AtomicHistogram, CheckpointMetrics, Counter, EngineMetrics, Gauge,
+    MeteredSink, MetricsRegistry, ScrapedSample,
 };
 pub use net::{NetGauges, NetLag};
 pub use ring::EventRing;

@@ -123,6 +123,13 @@ impl AtomicHistogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
+    /// Record a wall-clock duration, in the microseconds a
+    /// [`MetricsRegistry::seconds_histogram`] is kept in.
+    #[inline]
+    pub fn record_duration(&self, d: std::time::Duration) {
+        self.record(d.as_micros() as u64);
+    }
+
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -160,6 +167,8 @@ enum MetricKind {
     Counter,
     Gauge,
     Histogram,
+    /// A histogram recorded in microseconds and exposed in seconds.
+    Seconds,
 }
 
 impl MetricKind {
@@ -167,7 +176,15 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
+            MetricKind::Histogram | MetricKind::Seconds => "histogram",
+        }
+    }
+
+    /// Recorded units per exposed unit (bucket bounds and `_sum`).
+    fn per_unit(self) -> f64 {
+        match self {
+            MetricKind::Seconds => 1e6,
+            _ => 1.0,
         }
     }
 }
@@ -246,7 +263,9 @@ impl MetricsRegistry {
             .or_insert_with(|| match kind {
                 MetricKind::Counter => Series::Counter(Counter::default()),
                 MetricKind::Gauge => Series::Gauge(Gauge::default()),
-                MetricKind::Histogram => Series::Histogram(Arc::new(AtomicHistogram::new())),
+                MetricKind::Histogram | MetricKind::Seconds => {
+                    Series::Histogram(Arc::new(AtomicHistogram::new()))
+                }
             })
             .clone()
     }
@@ -271,6 +290,16 @@ impl MetricsRegistry {
     /// Get or create a histogram series.
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
         match self.register(name, help, labels, MetricKind::Histogram) {
+            Series::Histogram(h) => h,
+            _ => unreachable!(),
+        }
+    }
+
+    /// Get or create a histogram of wall-clock durations: recorded in
+    /// microseconds ([`AtomicHistogram::record_duration`]), exposed in
+    /// seconds as the Prometheus convention for a `*_seconds` family asks.
+    pub fn seconds_histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
+        match self.register(name, help, labels, MetricKind::Seconds) {
             Series::Histogram(h) => h,
             _ => unreachable!(),
         }
@@ -305,7 +334,7 @@ impl MetricsRegistry {
                         out.push(ScrapedSample {
                             name: format!("{name}_sum"),
                             labels,
-                            value: snap.mean() * snap.count() as f64,
+                            value: snap.mean() * snap.count() as f64 / family.kind.per_unit(),
                         });
                     }
                 }
@@ -356,7 +385,9 @@ impl MetricsRegistry {
                     Series::Gauge(g) => {
                         let _ = writeln!(s, "{name}{key} {}", g.get());
                     }
-                    Series::Histogram(h) => render_histogram(&mut s, name, key, &h.snapshot()),
+                    Series::Histogram(h) => {
+                        render_histogram(&mut s, name, key, &h.snapshot(), family.kind.per_unit())
+                    }
                 }
             }
         }
@@ -402,18 +433,24 @@ fn escape_help(v: &str) -> String {
 }
 
 /// A histogram family member: cumulative `_bucket{le=…}` lines over the
-/// non-empty buckets, then `+Inf`, `_sum`, and `_count`.
-fn render_histogram(s: &mut String, name: &str, key: &str, snap: &LogHistogram) {
+/// non-empty buckets, then `+Inf`, `_sum`, and `_count`. Bounds and sum
+/// are divided by `per_unit` (1 except for seconds histograms).
+fn render_histogram(s: &mut String, name: &str, key: &str, snap: &LogHistogram, per_unit: f64) {
     let mut cum = 0u64;
     for (lo, c) in snap.buckets() {
         cum += c;
         // Our bucket holding lower bound `lo` covers integers up to the
         // next bucket's lower bound minus one — that is its inclusive `le`.
         let le = hist::bucket_lower_bound(hist::bucket_index(lo) + 1).saturating_sub(1);
-        let _ = writeln!(s, "{name}_bucket{} {cum}", with_le(key, &le.to_string()));
+        let le = if per_unit == 1.0 {
+            le.to_string()
+        } else {
+            fmt_value(le as f64 / per_unit)
+        };
+        let _ = writeln!(s, "{name}_bucket{} {cum}", with_le(key, &le));
     }
     let _ = writeln!(s, "{name}_bucket{} {}", with_le(key, "+Inf"), snap.count());
-    let sum = snap.mean() * snap.count() as f64;
+    let sum = snap.mean() * snap.count() as f64 / per_unit;
     let _ = writeln!(s, "{name}_sum{key} {}", fmt_value(sum));
     let _ = writeln!(s, "{name}_count{key} {}", snap.count());
 }
@@ -919,6 +956,59 @@ impl EngineMetrics {
 /// Clamp the paper's ±∞ sentinels to something a gauge can carry.
 fn clamp_time(t: i64) -> i64 {
     t.clamp(i64::MIN + 1, i64::MAX - 1)
+}
+
+/// Wall-clock series of the checkpoint cut/persist split, fed by
+/// `lmerge-durable`'s sink (the cut, on the executor) and its writer thread
+/// (the persist). They complement the trace-fed `lmerge_checkpoints_total`
+/// / `lmerge_checkpoint_entries`, which count cuts in virtual time.
+#[derive(Clone, Debug)]
+pub struct CheckpointMetrics {
+    /// Executor time per cut: from the sink wanting one to the hand-off
+    /// returning — the state export, the cursor polls, and any wait for
+    /// the previous cut to become durable. The stall that is left.
+    pub cut_seconds: Histogram,
+    /// Hand-off to durable, per cut: diff, encode, write, fsyncs.
+    pub persist_seconds: Histogram,
+    /// Checkpoint file bytes made durable.
+    pub bytes: Counter,
+    /// Cuts handed off and not yet durable: 0 or 1.
+    pub inflight: Gauge,
+    /// 1 once a checkpoint failed to persist; the run goes on without.
+    pub failed: Gauge,
+}
+
+impl CheckpointMetrics {
+    /// Register the series in `registry`.
+    pub fn new(registry: &MetricsRegistry) -> CheckpointMetrics {
+        CheckpointMetrics {
+            cut_seconds: registry.seconds_histogram(
+                "lmerge_checkpoint_cut_seconds",
+                "Executor time inside one checkpoint cut (export, polls, hand-off wait).",
+                &[],
+            ),
+            persist_seconds: registry.seconds_histogram(
+                "lmerge_checkpoint_persist_seconds",
+                "Writer time from a cut's hand-off to its file being durable.",
+                &[],
+            ),
+            bytes: registry.counter(
+                "lmerge_checkpoint_bytes_total",
+                "Checkpoint file bytes made durable.",
+                &[],
+            ),
+            inflight: registry.gauge(
+                "lmerge_checkpoint_inflight",
+                "Checkpoint cuts handed to the writer and not yet durable (0 or 1).",
+                &[],
+            ),
+            failed: registry.gauge(
+                "lmerge_checkpoint_failed",
+                "1 once a checkpoint failed to persist; checkpointing has stopped.",
+                &[],
+            ),
+        }
+    }
 }
 
 /// A [`TraceSink`] adapter that folds every event into an [`EngineMetrics`]

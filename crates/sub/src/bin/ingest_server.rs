@@ -20,7 +20,10 @@
 //! `--checkpoint-to DIR` captures a durable checkpoint (merge + executor
 //! image + per-input transport cursors + the broadcast buffer's retained
 //! window and subscriber cursors) at every finite advance of the output
-//! stable point. After a crash, `--restore-from DIR` rebuilds the merge
+//! stable point. The merge thread only *cuts* — polls the cursors that must
+//! agree with the image and hands it over; a writer thread encodes, writes
+//! and fsyncs, at most one cut behind (`lmerge_checkpoint_*` on `--metrics`
+//! shows the stall that is left and what the disk takes). After a crash, `--restore-from DIR` rebuilds the merge
 //! *and* the broadcast buffer from the newest checkpoint, so both
 //! rejoining replayers and reconnecting subscribers resume exactly-once.
 
@@ -33,8 +36,8 @@ use lmerge_engine::{
 use lmerge_net::egress::NetHooks;
 use lmerge_net::server::{IngestConfig, IngestServer};
 use lmerge_obs::{
-    default_rules, AlertEngine, EngineMetrics, MeteredSink, MetricsRegistry, MetricsServer,
-    ScrapeAlerts, TraceEvent, TraceSink, Tracer,
+    default_rules, AlertEngine, CheckpointMetrics, EngineMetrics, MeteredSink, MetricsRegistry,
+    MetricsServer, ScrapeAlerts, TraceEvent, TraceSink, Tracer,
 };
 use lmerge_properties::RLevel;
 use lmerge_sub::{BroadcastHooks, EpochBuffer, SubConfig, SubFilter, SubPolicy, SubServer};
@@ -375,10 +378,13 @@ fn main() -> ExitCode {
             Ok(store) => {
                 let cursors = server.cursor_handle();
                 let mut sink = DurableCheckpointSink::new(store)
+                    .with_metrics(CheckpointMetrics::new(&registry))
                     .with_cursor_source(Box::new(move || cursors.cursors()));
                 if let Some(b) = &buf {
-                    // Polled on the executor thread inside save(), so the
-                    // egress image is exactly consistent with the cut.
+                    // Polled on the executor thread inside save() — the
+                    // cut — so the egress image is exactly consistent with
+                    // the merge image; only encoding and writing them
+                    // happens later, on the sink's writer thread.
                     let b = Arc::clone(b);
                     sink = sink.with_egress_source(Box::new(move || b.image()));
                 }

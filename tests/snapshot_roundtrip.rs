@@ -11,14 +11,23 @@
 //!
 //! The flip side of durability is refusing bad bytes: every single-byte
 //! corruption and every truncation of a checkpoint envelope must yield a
-//! typed [`DurableError`], and raw fuzz must never panic the decoder.
+//! typed [`DurableError`], and raw fuzz must never panic the decoder. A
+//! delta (LMCK v3) names the keys it removes by *ordinal* in its base
+//! index, so its decoder has one more thing to refuse: ordinals that are
+//! out of range, out of order or repeated — before a single base entry
+//! has been moved.
 
 use lmerge::chaos::{Variant, ALL_VARIANTS};
 use lmerge::core::{LogicalMerge, MergeStateImage, RobustnessPolicy, ShardConfig, ShardedLMerge};
-use lmerge::durable::{envelope, get_merge_image, open_envelope, Cursor, FileKind};
+use lmerge::core::{StateEntry, VariantKind};
+use lmerge::durable::{
+    apply_delta, encode_delta, envelope, get_merge_image, open_envelope, Cursor, DurableError,
+    FileKind,
+};
+use lmerge::engine::{EgressImage, ExecutorImage, RunImage};
 use lmerge::properties::shrink::{describe, minimize, Knob};
 use lmerge::properties::RLevel;
-use lmerge::temporal::{Element, StreamId, Value};
+use lmerge::temporal::{Element, StreamId, Time, VTime, Value};
 use rand::prelude::*;
 
 const N_INPUTS: usize = 3;
@@ -227,5 +236,129 @@ fn corrupted_and_truncated_snapshots_fail_typed_never_panic() {
         let mut cur = Cursor::new(&junk);
         let _ = get_merge_image::<Value>(&mut cur);
         let _ = open_envelope(&junk);
+    }
+}
+
+fn delta_entry(k: i32, ve: i64) -> StateEntry<Value> {
+    StateEntry {
+        vs: Time(k as i64),
+        payload: Value::synthetic(k, 8),
+        per_input: vec![(0, vec![(Time(ve), 1)])],
+        output: vec![(Time(ve), 1)],
+    }
+}
+
+fn delta_image(entries: Vec<StateEntry<Value>>, n: u64) -> RunImage<Value> {
+    let mut merge = MergeStateImage::empty(VariantKind::R3);
+    merge.max_stable = Time(n as i64);
+    merge.entries = entries;
+    RunImage {
+        merge,
+        exec: ExecutorImage {
+            lmerge_ready: VTime(n),
+            delivered: n,
+            seq: n,
+            last_feedback: Time::MIN,
+            input_stable_hw: vec![Time(n as i64)],
+            output_stable_hw: Time(n as i64),
+            pulls: vec![n],
+            staged: vec![None],
+        },
+        cursors: vec![(n, n as i64)],
+        egress: EgressImage::default(),
+    }
+}
+
+fn same_image(a: &RunImage<Value>, b: &RunImage<Value>) -> bool {
+    a.merge == b.merge && a.exec == b.exec && a.cursors == b.cursors && a.egress == b.egress
+}
+
+/// The delta half of the grid: removals at the first, last and adjacent
+/// ordinals round-trip; out-of-range, unsorted and duplicate ordinals,
+/// out-of-order upserts, a wrong base, every byte flip and every
+/// truncation of the payload are typed errors — never a panic, never an
+/// index out of bounds — that leave the base image exactly as it was.
+#[test]
+fn corrupted_deltas_fail_typed_and_leave_the_base_intact() {
+    let base = delta_image((0..300).map(|k| delta_entry(k, 900)).collect(), 4);
+    // Drop ordinals 0 (first), 257 + 258 (adjacent) and 299 (last),
+    // change entry 10, append two new keys.
+    let mut entries: Vec<_> = (0..302)
+        .filter(|k| ![0, 257, 258, 299].contains(k))
+        .map(|k| delta_entry(k, 900))
+        .collect();
+    entries[9] = delta_entry(10, 950);
+    let new = delta_image(entries, 5);
+
+    let file = encode_delta(4, &base, &new);
+    let (kind, payload) = open_envelope(&file).expect("a fresh delta opens");
+    assert_eq!(kind, FileKind::Delta);
+    let mut restored = base.clone();
+    apply_delta(&mut restored, 4, payload).expect("a fresh delta applies");
+    assert!(same_image(&restored, &new), "delta round-trip");
+    // The point of v3: four removed keys cost four ordinals, not four
+    // `(Vs, payload)` pairs, and 296 untouched entries cost nothing.
+    let mut three = Vec::new();
+    for e in &new.merge.entries[..3] {
+        lmerge::durable::image::put_entry(&mut three, e);
+    }
+    assert!(payload.len() < 2 * three.len() + 256, "{}", payload.len());
+
+    // Locate the removal list: count 4, then the four ordinals.
+    let list: Vec<u8> = [4u32, 0, 257, 258, 299]
+        .iter()
+        .flat_map(|x| x.to_le_bytes())
+        .collect();
+    let hits: Vec<usize> = (0..payload.len() - list.len())
+        .filter(|&i| payload[i..i + list.len()] == list[..])
+        .collect();
+    assert_eq!(hits.len(), 1, "the removal list is where the layout says");
+    let ordinal = |i: usize| hits[0] + 4 + 4 * i;
+    let tampered = |edits: &[(usize, u32)]| {
+        let mut bad = payload.to_vec();
+        for &(i, v) in edits {
+            bad[ordinal(i)..ordinal(i) + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        bad
+    };
+    let refused = |bad: &[u8], base_seq: u64, what: &str| {
+        let mut image = base.clone();
+        let err = apply_delta(&mut image, base_seq, bad).expect_err(what);
+        assert!(same_image(&image, &base), "{what}: base image was touched");
+        err
+    };
+    for (what, bad) in [
+        ("ordinal == base length", tampered(&[(3, 300)])),
+        ("ordinal far out of range", tampered(&[(3, u32::MAX)])),
+        ("unsorted ordinals", tampered(&[(1, 258), (2, 257)])),
+        ("duplicate ordinal", tampered(&[(2, 257)])),
+    ] {
+        let err = refused(&bad, 4, what);
+        assert!(matches!(err, DurableError::Corrupt(_)), "{what}: {err}");
+    }
+    let err = refused(payload, 3, "a delta against another base");
+    assert!(matches!(err, DurableError::Corrupt(_)), "{err}");
+
+    // Upserts out of key order (a non-canonical image was encoded).
+    let mut scrambled = new.clone();
+    let n = scrambled.merge.entries.len();
+    scrambled.merge.entries.swap(n - 1, n - 2);
+    let file = encode_delta(4, &base, &scrambled);
+    let (_, bad) = open_envelope(&file).unwrap();
+    let err = refused(bad, 4, "upserts out of order");
+    assert!(matches!(err, DurableError::Corrupt(_)), "{err}");
+
+    // Every truncation is refused; every byte flip is refused or yields
+    // some image, and neither may panic or touch the base on refusal.
+    for cut in 0..payload.len() {
+        refused(&payload[..cut], 4, "truncated delta");
+    }
+    for i in 0..payload.len() {
+        let mut bad = payload.to_vec();
+        bad[i] ^= 0x40;
+        let mut image = base.clone();
+        if apply_delta(&mut image, 4, &bad).is_err() {
+            assert!(same_image(&image, &base), "flip at {i} touched the base");
+        }
     }
 }

@@ -21,7 +21,7 @@ use lmerge::net::egress::NetHooks;
 use lmerge::net::proxy::{ChaosProxy, ProxyPlan};
 use lmerge::net::server::{IngestConfig, IngestServer};
 use lmerge::net::wire::{self, Frame};
-use lmerge::obs::NullSink;
+use lmerge::obs::{MetricsRegistry, NullSink};
 use lmerge::properties::RLevel;
 use lmerge::sub::{
     subscribe, subscribe_until_finished, BroadcastHooks, EpochBuffer, SubConfig, SubFilter,
@@ -270,12 +270,23 @@ fn open_epoch_streams_to_a_live_subscriber_when_the_input_goes_quiet() {
     sub_server.shutdown();
 }
 
-/// The acceptance bar: a subscriber severed mid-stream reconnects with
-/// `resume_from` across a **merge-process restart from a checkpoint**
-/// and still sees every frame exactly once — its stitched bytes are
-/// identical to a subscriber that watched an uninterrupted stream.
-#[test]
-fn subscriber_resume_is_exactly_once_across_merge_restart() {
+/// What distinguishes the two merge-restart cells below.
+struct RestartCell {
+    tag: &'static str,
+    /// Frames the subscriber streams before it crashes (incarnation 1
+    /// seals 27 before it dies after checkpoint 2).
+    watcher_frames: u64,
+    /// Delete checkpoint 2 before restoring: the process died after the
+    /// cut was taken but before the writer thread made it durable.
+    lose_newest_cut: bool,
+}
+
+/// TCP ingest + live subscriber + a merge that dies right after checkpoint
+/// 2, restored from what the directory still holds and run to completion.
+/// Whatever was lost, the subscriber's stitched bytes must equal those of
+/// an observer that saw one uninterrupted stream, and that stream must be
+/// the output of a merge that never died.
+fn subscriber_resume_across_merge_restart(cell: RestartCell) {
     // One networked input with periodic finite stables, so checkpoints
     // cut mid-feed (same shape as the net-restore conformance test).
     let feed: Vec<TimedElement<Value>> = {
@@ -298,8 +309,18 @@ fn subscriber_resume_is_exactly_once_across_merge_restart() {
         ));
         v
     };
+    // Reference: the same feed merged by a process that never dies.
+    let unkilled = {
+        let queries = vec![Query::new(feed.clone(), Vec::new())];
+        let merge = new_for_level(RLevel::R3, 1, MergePolicy::default());
+        let mut hooks = NetHooks::collector();
+        MergeRun::new(queries, merge, RunConfig::default())
+            .run_with_hooks(&mut NullSink, &mut hooks);
+        hooks.into_parts().0
+    };
 
-    let dir = std::env::temp_dir().join(format!("lmerge-subck-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("lmerge-subck-{}-{}", cell.tag, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     // Incarnation 1: ingest over TCP, fan out through the broadcast
@@ -315,9 +336,15 @@ fn subscriber_resume_is_exactly_once_across_merge_restart() {
     let mut sub_server =
         SubServer::bind("127.0.0.1:0", Arc::clone(&buf1), SubConfig::new()).expect("sub bind");
     let sub_addr1 = sub_server.local_addr().to_string();
-    // The subscriber crashes after 5 frames — before the merge dies.
+    // The subscriber crashes mid-stream — on frames the dying merge had
+    // already sealed.
+    let watcher_frames = cell.watcher_frames;
     let watcher = thread::spawn(move || {
-        subscribe(&sub_addr1, &SubscribeConfig::new(77).with_kill_after(5)).expect("watch")
+        subscribe(
+            &sub_addr1,
+            &SubscribeConfig::new(77).with_kill_after(watcher_frames),
+        )
+        .expect("watch")
     });
     let queries: Vec<Query<Value>> = server
         .sources()
@@ -340,7 +367,7 @@ fn subscriber_resume_is_exactly_once_across_merge_restart() {
     assert!(ck.error.is_none(), "{:?}", ck.error);
     let part1 = watcher.join().expect("watcher");
     assert!(!part1.clean && !part1.finished, "the kill really severed");
-    assert_eq!(part1.received, 5);
+    assert_eq!(part1.received, cell.watcher_frames);
     server.shutdown();
     ingest.join().unwrap();
     sub_server.shutdown();
@@ -349,30 +376,49 @@ fn subscriber_resume_is_exactly_once_across_merge_restart() {
 
     // Incarnation 2: restore the checkpoint — merge state, ingest
     // cursors, AND the egress image — and finish the run.
-    let (seq, image) = CheckpointStore::<Value>::load_latest(&dir).expect("restore");
+    let (seq, mut image) = CheckpointStore::<Value>::load_latest(&dir).expect("restore");
     assert_eq!(seq, 2, "died right after checkpoint 2");
+    if cell.lose_newest_cut {
+        let newest = image;
+        std::fs::remove_file(dir.join("ck-00000002-delta.lmck")).expect("cut 2 is a delta");
+        let (seq, older) = CheckpointStore::<Value>::load_latest(&dir).expect("restore");
+        assert_eq!(seq, 1, "the newest cut is gone: fall back one");
+        assert!(
+            older.cursors[0].0 < newest.cursors[0].0
+                && older.egress.next_seq < newest.egress.next_seq,
+            "cut 1 is strictly behind cut 2 on both planes"
+        );
+        image = older;
+    }
     assert!(
         image.egress.next_seq > 0,
         "the egress image captured retained frames"
     );
     assert!(
-        image.egress.cursors.iter().any(|&(id, _)| id == 77),
+        cell.lose_newest_cut || image.egress.cursors.iter().any(|&(id, _)| id == 77),
         "the watcher's cursor persisted through the checkpoint"
     );
+    let restored_cursor = image.cursors[0].0;
+    let restored_tail = image.egress.next_seq;
     let buf2 = Arc::new(EpochBuffer::restore(&image.egress, retain_all()).expect("egress restore"));
-    let mut server = IngestServer::bind("127.0.0.1:0", IngestConfig::new(1)).expect("rebind");
-    server.restore_cursors(&image.cursors);
-    let addr = server.local_addr().to_string();
-    let feed2 = feed.clone();
-    let ingest = thread::spawn(move || {
-        replay_until_clean(&addr, &feed2, &ReplayConfig::new(0), 10).expect("rejoin")
-    });
-    let mut sub_server =
-        SubServer::bind("127.0.0.1:0", Arc::clone(&buf2), SubConfig::new()).expect("sub rebind");
+    let registry = MetricsRegistry::new();
+    let mut sub_server = SubServer::bind_with_metrics(
+        "127.0.0.1:0",
+        Arc::clone(&buf2),
+        SubConfig::new(),
+        &registry,
+    )
+    .expect("sub rebind");
     let sub_addr2 = sub_server.local_addr().to_string();
-    // The crashed watcher reconnects at its next unseen sequence; an
-    // uninterrupted observer replays the whole stream from 0.
+    // The crashed watcher reconnects at its next unseen sequence — and is
+    // welcomed before the restored merge emits anything, so a cursor ahead
+    // of the restored cut meets a buffer that is still behind it.
     let resume_at = part1.frames.last().map(|(s, _, _)| s + 1).unwrap();
+    assert_eq!(
+        resume_at > restored_tail,
+        cell.lose_newest_cut,
+        "the lost-cut cell, and only it, has the subscriber ahead of the restore"
+    );
     let stitched_tail = {
         let sub_addr2 = sub_addr2.clone();
         thread::spawn(move || {
@@ -384,6 +430,17 @@ fn subscriber_resume_is_exactly_once_across_merge_restart() {
             .expect("resume")
         })
     };
+    while registry.sum_value("lmerge_sub_sessions_opened_total") != Some(1.0) {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let mut server = IngestServer::bind("127.0.0.1:0", IngestConfig::new(1)).expect("rebind");
+    server.restore_cursors(&image.cursors);
+    let addr = server.local_addr().to_string();
+    let feed2 = feed.clone();
+    let ingest = thread::spawn(move || {
+        replay_until_clean(&addr, &feed2, &ReplayConfig::new(0), 10).expect("rejoin")
+    });
+    // An uninterrupted observer replays the whole stream from 0.
     let uninterrupted =
         thread::spawn(move || subscribe(&sub_addr2, &SubscribeConfig::new(88)).expect("observer"));
     let queries: Vec<Query<Value>> = server
@@ -402,6 +459,10 @@ fn subscriber_resume_is_exactly_once_across_merge_restart() {
     assert!(sub_server.await_sessions_closed(Duration::from_secs(5)));
     let ingest_outcome = ingest.join().unwrap();
     assert!(ingest_outcome.clean);
+    assert_eq!(
+        ingest_outcome.resumed_from, restored_cursor,
+        "the replica resumed from the restored cut's cursor"
+    );
     server.shutdown();
     sub_server.shutdown();
 
@@ -410,7 +471,13 @@ fn subscriber_resume_is_exactly_once_across_merge_restart() {
     // that never saw a failure.
     assert!(tail.clean && tail.finished);
     assert!(uninterrupted.clean && uninterrupted.finished);
-    assert_eq!(tail.resumed_from, resume_at, "resume cursor honored");
+    // A watcher ahead of the restored cut is clamped down to its tail: it
+    // is re-sent frames it holds and must drop them.
+    assert_eq!(
+        tail.resumed_from,
+        resume_at.min(restored_tail),
+        "resume cursor honored up to the restored tail"
+    );
     let mut stitched = part1.bytes.clone();
     stitched.extend_from_slice(&tail.bytes);
     assert_eq!(
@@ -422,5 +489,42 @@ fn subscriber_resume_is_exactly_once_across_merge_restart() {
         uninterrupted.received,
         "frame counts disagree"
     );
+    let observed: Vec<Element<Value>> = uninterrupted
+        .frames
+        .iter()
+        .map(|(_, _, e)| e.clone())
+        .collect();
+    assert_eq!(
+        observed, unkilled,
+        "the restarted stream is the unkilled one"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The acceptance bar: a subscriber severed mid-stream reconnects with
+/// `resume_from` across a **merge-process restart from a checkpoint**
+/// and still sees every frame exactly once — its stitched bytes are
+/// identical to a subscriber that watched an uninterrupted stream.
+#[test]
+fn subscriber_resume_is_exactly_once_across_merge_restart() {
+    subscriber_resume_across_merge_restart(RestartCell {
+        tag: "newest",
+        watcher_frames: 5,
+        lose_newest_cut: false,
+    });
+}
+
+/// The crash window of the cut/persist split: the merge died after cut 2
+/// was *taken* — and the run had moved on, streaming output sealed by it —
+/// but before the writer made it durable. The restore falls back to cut
+/// 1: the replica is asked to resume from cut 1's cursor, the merge
+/// re-emits what lay between the cuts, and the subscriber — ahead of the
+/// restored cut — drops that overlap. Nothing lost, nothing twice.
+#[test]
+fn lost_newest_cut_restores_one_back_and_stays_exactly_once() {
+    subscriber_resume_across_merge_restart(RestartCell {
+        tag: "lost",
+        watcher_frames: 22,
+        lose_newest_cut: true,
+    });
 }
