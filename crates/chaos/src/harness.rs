@@ -11,9 +11,7 @@
 
 use crate::inject::ChaosInjector;
 use crate::plan::{Fault, FaultPlan};
-use lmerge_core::{
-    new_for_level, LMergeR3, LMergeR3Naive, LMergeR4, LogicalMerge, MergePolicy, RobustnessPolicy,
-};
+use lmerge_core::{new_for_level, LMergeR3Naive, LogicalMerge, MergePolicy, RobustnessPolicy};
 use lmerge_engine::{MergeRun, Operator, Query, RunConfig, TimedElement};
 use lmerge_gen::{diverge, generate, DivergenceConfig, GenConfig};
 use lmerge_obs::{export, Tracer};
@@ -119,16 +117,15 @@ impl Variant {
     /// robustness policy (applied where the variant supports it).
     pub fn build(&self, n: usize, robustness: RobustnessPolicy) -> Box<dyn LogicalMerge<Value>> {
         match self {
-            Variant::R3 => {
-                let policy = MergePolicy {
+            Variant::R3Naive => Box::new(LMergeR3Naive::new(n)),
+            v => new_for_level(
+                v.level(),
+                n,
+                MergePolicy {
                     robustness,
                     ..MergePolicy::paper_default()
-                };
-                Box::new(LMergeR3::with_policy(n, policy))
-            }
-            Variant::R3Naive => Box::new(LMergeR3Naive::new(n)),
-            Variant::R4 => Box::new(LMergeR4::with_robustness(n, robustness)),
-            v => new_for_level(v.level(), n, MergePolicy::paper_default()),
+                },
+            ),
         }
     }
 }

@@ -5,7 +5,7 @@ use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Payload, StreamId, Time};
 
 /// Per-batch summary computed in one pass: element-kind counts and the
-/// `Vs` range of the data elements. Producers (the engine's `Query`)
+/// largest `Vs` of the data elements. Producers (the engine's `Query`)
 /// compute it once per batch; consumers use it to hoist per-batch
 /// invariants out of the per-element loop — most importantly the O(1)
 /// frozen-prefix discard of [`LogicalMerge::push_batch`]: a batch with no
@@ -20,8 +20,6 @@ pub struct BatchMeta {
     pub adjusts: u32,
     /// Stable (punctuation) elements in the batch.
     pub stables: u32,
-    /// Smallest `Vs` among data elements (`Time::INFINITY` if none).
-    pub min_vs: Time,
     /// Largest `Vs` among data elements (`Time::MIN` if none).
     pub max_vs: Time,
 }
@@ -32,7 +30,6 @@ impl Default for BatchMeta {
             inserts: 0,
             adjusts: 0,
             stables: 0,
-            min_vs: Time::INFINITY,
             max_vs: Time::MIN,
         }
     }
@@ -46,12 +43,10 @@ impl BatchMeta {
             match e {
                 Element::Insert(ev) => {
                     meta.inserts += 1;
-                    meta.min_vs = meta.min_vs.min(ev.vs);
                     meta.max_vs = meta.max_vs.max(ev.vs);
                 }
                 Element::Adjust { vs, .. } => {
                     meta.adjusts += 1;
-                    meta.min_vs = meta.min_vs.min(*vs);
                     meta.max_vs = meta.max_vs.max(*vs);
                 }
                 Element::Stable(_) => meta.stables += 1,
@@ -192,12 +187,5 @@ pub trait LogicalMerge<P: Payload> {
     fn restore_state(&mut self, image: crate::state::MergeStateImage<P>) -> bool {
         let _ = image;
         false
-    }
-
-    /// Install a spill handler: where `max_live_entries` demotions send
-    /// their half-frozen state instead of dropping it. Only the indexed
-    /// variants (R3/R4) accept one; the default ignores the handler.
-    fn set_spill_handler(&mut self, handler: Box<dyn crate::state::SpillHandler<P>>) {
-        let _ = handler;
     }
 }

@@ -181,36 +181,16 @@ impl Inputs {
         self.states.len() * std::mem::size_of::<InputState>()
     }
 
-    /// Export every stream's state in id order (checkpointing).
-    pub fn export_states(&self) -> Vec<crate::state::InputStateImage> {
-        self.states
-            .iter()
-            .map(|s| match s {
-                InputState::Active => crate::state::InputStateImage::Active,
-                InputState::Joining(t) => crate::state::InputStateImage::Joining(*t),
-                InputState::Quarantined => crate::state::InputStateImage::Quarantined,
-                InputState::Left => crate::state::InputStateImage::Left,
-            })
-            .collect()
+    /// Every stream's state in id order (checkpointing).
+    pub fn export_states(&self) -> Vec<InputState> {
+        self.states.clone()
     }
 
     /// Replace the registry wholesale from a checkpoint image: states in id
     /// order plus the lifetime transition counters. The restore path, not a
     /// lifecycle transition — nothing is counted.
-    pub fn restore_registry(
-        &mut self,
-        states: &[crate::state::InputStateImage],
-        transitions: HealthTransitions,
-    ) {
-        self.states = states
-            .iter()
-            .map(|s| match s {
-                crate::state::InputStateImage::Active => InputState::Active,
-                crate::state::InputStateImage::Joining(t) => InputState::Joining(*t),
-                crate::state::InputStateImage::Quarantined => InputState::Quarantined,
-                crate::state::InputStateImage::Left => InputState::Left,
-            })
-            .collect();
+    pub fn restore_registry(&mut self, states: &[InputState], transitions: HealthTransitions) {
+        self.states = states.to_vec();
         self.transitions = transitions;
     }
 }

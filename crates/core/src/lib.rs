@@ -9,9 +9,17 @@
 //! | [`LMergeR0`] | R0: insert-only, strictly increasing `Vs` | `O(1)` | [`r0`] |
 //! | [`LMergeR1`] | R1: insert-only, non-decreasing, deterministic ties | `O(s)` | [`r1`] |
 //! | [`LMergeR2`] | R2: insert-only, non-decreasing, `(Vs, P)` key | `O(g·p)` | [`r2`] |
-//! | [`LMergeR3`] | R3: all elements, any order, `(Vs, P)` key — the `in2t` index | `O(w(p+s))` | [`r3`] |
-//! | [`LMergeR3Naive`] | the paper's `LMR3−` baseline (per-input indexes) | `O(w·p·s)` | [`r3_naive`] |
-//! | [`LMergeR4`] | R4: no restrictions (multiset TDB) — the `in3t` index | `O(w(p+s·d))` | [`r4`] |
+//! | [`LMergeR3`] | R3: all elements, any order, `(Vs, P)` key — the `in2t` index | `O(w(p+s))` | `r3` |
+//! | [`LMergeR3Naive`] | the paper's `LMR3−` baseline (per-input indexes) | `O(w·p·s)` | `r3_naive` |
+//! | [`LMergeR4`] | R4: no restrictions (multiset TDB) — the `in3t` index | `O(w(p+s·d))` | `r4` |
+//!
+//! The last three are one shell over three node kinds: `shell::IndexedMerge`
+//! counts and gates elements, runs the batch path, the robustness guards,
+//! attach/detach and the common state image, and each kind (`r3`,
+//! `r3_naive`, `r4`) supplies its index and the decisions that differ —
+//! insert, adjust, the half-freeze sweep, the stable mapping and the entry
+//! image. R0–R2 keep only the shell's bookkeeping (registry, tallies, stats,
+//! stable point).
 //!
 //! All variants implement the [`LogicalMerge`] trait: feed elements with
 //! [`LogicalMerge::push`], harvest output elements from the supplied vector.
@@ -36,11 +44,12 @@ pub mod policy;
 pub mod r0;
 pub mod r1;
 pub mod r2;
-pub mod r3;
-pub mod r3_naive;
-pub mod r4;
+mod r3;
+mod r3_naive;
+mod r4;
 pub mod select;
 pub mod shard;
+mod shell;
 pub mod spsc;
 pub mod state;
 pub mod stats;
@@ -61,8 +70,6 @@ pub use r3_naive::LMergeR3Naive;
 pub use r4::LMergeR4;
 pub use select::{new_for_level, new_for_properties};
 pub use shard::{queue_bytes, shard_of, ShardConfig, ShardedLMerge};
-pub use state::{
-    CountersImage, InputStateImage, MergeStateImage, SpillHandler, StateEntry, VariantKind,
-};
+pub use state::{CountersImage, InputStateImage, MergeStateImage, StateEntry, VariantKind};
 pub use stats::{InputCounters, MergeStats, PerInput};
 pub use tier::SweepAction;

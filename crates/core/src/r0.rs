@@ -6,9 +6,9 @@
 //! advances `MaxVs`; everything else is a duplicate already emitted via a
 //! faster input.
 
-use crate::api::{InputHealth, LogicalMerge};
-use crate::inputs::Inputs;
-use crate::stats::{InputCounters, MergeStats, PerInput};
+use crate::api::LogicalMerge;
+use crate::shell::Books;
+use crate::state::{MergeStateImage, VariantKind};
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Payload, StreamId, Time};
 
@@ -16,10 +16,7 @@ use lmerge_temporal::{Element, Payload, StreamId, Time};
 #[derive(Debug)]
 pub struct LMergeR0<P: Payload> {
     max_vs: Time,
-    max_stable: Time,
-    inputs: Inputs,
-    stats: MergeStats,
-    per_input: PerInput,
+    books: Books,
     _payload: std::marker::PhantomData<fn() -> P>,
 }
 
@@ -28,10 +25,7 @@ impl<P: Payload> LMergeR0<P> {
     pub fn new(n: usize) -> LMergeR0<P> {
         LMergeR0 {
             max_vs: Time::MIN,
-            max_stable: Time::MIN,
-            inputs: Inputs::new(n),
-            stats: MergeStats::default(),
-            per_input: PerInput::new(n),
+            books: Books::new(n),
             _payload: std::marker::PhantomData,
         }
     }
@@ -39,102 +33,59 @@ impl<P: Payload> LMergeR0<P> {
 
 impl<P: Payload> LogicalMerge<P> for LMergeR0<P> {
     fn push(&mut self, input: StreamId, element: &Element<P>, out: &mut Vec<Element<P>>) {
-        self.per_input.on_element(input, element);
+        let admitted = self.books.admit(input, element);
         match element {
-            Element::Insert(e) => {
-                self.stats.inserts_in += 1;
-                if !self.inputs.accepts_data(input) {
-                    return;
-                }
-                if e.vs > self.max_vs {
-                    self.max_vs = e.vs;
-                    self.stats.inserts_out += 1;
-                    out.push(Element::Insert(e.clone()));
-                } else {
-                    self.stats.dropped += 1;
-                }
-            }
+            // The R0 contract excludes revisions; feeding one is a
+            // plan-analysis bug, not a data condition.
             Element::Adjust { .. } => {
-                // The R0 contract excludes revisions; feeding one is a
-                // plan-analysis bug, not a data condition.
-                panic!("LMergeR0: adjust() elements are not supported in case R0");
+                panic!("LMergeR0: adjust() elements are not supported in case R0")
             }
-            Element::Stable(t) => {
-                self.stats.stables_in += 1;
-                if !self.inputs.accepts_stable(input) {
-                    return;
-                }
-                if *t > self.max_stable {
-                    self.max_stable = *t;
-                    self.inputs.on_stable_advance(self.max_stable);
-                    self.stats.stables_out += 1;
-                    out.push(Element::Stable(*t));
-                }
+            _ if !admitted => {}
+            Element::Insert(e) if e.vs > self.max_vs => {
+                self.max_vs = e.vs;
+                self.books.stats.inserts_out += 1;
+                out.push(Element::Insert(e.clone()));
             }
+            Element::Insert(_) => self.books.stats.dropped += 1,
+            Element::Stable(t) => self.books.propagate(*t, out),
         }
     }
 
     fn attach(&mut self, join_time: Time) -> StreamId {
-        self.per_input.on_attach();
-        self.inputs.attach(join_time)
+        self.books.attach(join_time)
     }
 
     fn detach(&mut self, input: StreamId) {
-        self.inputs.detach(input);
+        self.books.inputs.detach(input);
     }
 
-    fn max_stable(&self) -> Time {
-        self.max_stable
-    }
+    crate::shell::books_accessors!();
 
     fn feedback_point(&self) -> Time {
         // In R0 every element below MaxVs is already settled output.
-        self.max_vs.max(self.max_stable)
-    }
-
-    fn stats(&self) -> MergeStats {
-        self.stats
-    }
-
-    fn input_counters(&self) -> &[InputCounters] {
-        self.per_input.counters()
-    }
-
-    fn input_health(&self, input: StreamId) -> InputHealth {
-        self.inputs.state(input).into()
-    }
-
-    fn health_transitions(&self) -> crate::inputs::HealthTransitions {
-        self.inputs.transitions()
+        self.max_vs.max(self.books.max_stable)
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.inputs.memory_bytes() + self.per_input.memory_bytes()
+        std::mem::size_of::<Self>() + self.books.memory_bytes()
     }
 
     fn level(&self) -> RLevel {
         RLevel::R0
     }
 
-    fn export_state(&self) -> Option<crate::state::MergeStateImage<P>> {
-        let mut img = crate::state::MergeStateImage::with_common(
-            crate::state::VariantKind::R0,
-            &self.inputs,
-            &self.per_input,
-            self.stats,
-        );
+    fn export_state(&self) -> Option<MergeStateImage<P>> {
+        let mut img = self.books.image(VariantKind::R0);
         img.max_vs = self.max_vs;
-        img.max_stable = self.max_stable;
         Some(img)
     }
 
-    fn restore_state(&mut self, image: crate::state::MergeStateImage<P>) -> bool {
-        if image.kind != crate::state::VariantKind::R0 {
+    fn restore_state(&mut self, image: MergeStateImage<P>) -> bool {
+        if image.kind != VariantKind::R0 {
             return false;
         }
-        self.stats = image.apply_common(&mut self.inputs, &mut self.per_input);
+        self.books.restore(&image);
         self.max_vs = image.max_vs;
-        self.max_stable = image.max_stable;
         true
     }
 }

@@ -6,9 +6,9 @@
 //! each input has presented at the current `MaxVs`: an insert is new exactly
 //! when its input's counter catches up with the global maximum.
 
-use crate::api::{InputHealth, LogicalMerge};
-use crate::inputs::Inputs;
-use crate::stats::{InputCounters, MergeStats, PerInput};
+use crate::api::LogicalMerge;
+use crate::shell::Books;
+use crate::state::{MergeStateImage, VariantKind};
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Payload, StreamId, Time};
 
@@ -16,12 +16,9 @@ use lmerge_temporal::{Element, Payload, StreamId, Time};
 #[derive(Debug)]
 pub struct LMergeR1<P: Payload> {
     max_vs: Time,
-    max_stable: Time,
     /// `SameVsCount[s]`: elements with `Vs == MaxVs` seen on input `s`.
     same_vs_count: Vec<u64>,
-    inputs: Inputs,
-    stats: MergeStats,
-    per_input: PerInput,
+    books: Books,
     _payload: std::marker::PhantomData<fn() -> P>,
 }
 
@@ -30,11 +27,8 @@ impl<P: Payload> LMergeR1<P> {
     pub fn new(n: usize) -> LMergeR1<P> {
         LMergeR1 {
             max_vs: Time::MIN,
-            max_stable: Time::MIN,
             same_vs_count: vec![0; n],
-            inputs: Inputs::new(n),
-            stats: MergeStats::default(),
-            per_input: PerInput::new(n),
+            books: Books::new(n),
             _payload: std::marker::PhantomData,
         }
     }
@@ -48,17 +42,14 @@ impl<P: Payload> LMergeR1<P> {
 
 impl<P: Payload> LogicalMerge<P> for LMergeR1<P> {
     fn push(&mut self, input: StreamId, element: &Element<P>, out: &mut Vec<Element<P>>) {
-        self.per_input.on_element(input, element);
+        let admitted = self.books.admit(input, element);
         match element {
+            Element::Adjust { .. } => {
+                panic!("LMergeR1: adjust() elements are not supported in case R1")
+            }
+            _ if !admitted => {}
+            Element::Insert(e) if e.vs < self.max_vs => self.books.stats.dropped += 1,
             Element::Insert(e) => {
-                self.stats.inserts_in += 1;
-                if !self.inputs.accepts_data(input) {
-                    return;
-                }
-                if e.vs < self.max_vs {
-                    self.stats.dropped += 1;
-                    return;
-                }
                 if e.vs > self.max_vs {
                     self.same_vs_count.iter_mut().for_each(|c| *c = 0);
                     self.max_vs = e.vs;
@@ -68,101 +59,60 @@ impl<P: Payload> LogicalMerge<P> for LMergeR1<P> {
                     self.same_vs_count.resize(s + 1, 0);
                 }
                 if self.emitted_at_max_vs() == self.same_vs_count[s] {
-                    self.stats.inserts_out += 1;
+                    self.books.stats.inserts_out += 1;
                     out.push(Element::Insert(e.clone()));
                 } else {
-                    self.stats.dropped += 1;
+                    self.books.stats.dropped += 1;
                 }
                 self.same_vs_count[s] += 1;
             }
-            Element::Adjust { .. } => {
-                panic!("LMergeR1: adjust() elements are not supported in case R1");
-            }
-            Element::Stable(t) => {
-                self.stats.stables_in += 1;
-                if !self.inputs.accepts_stable(input) {
-                    return;
-                }
-                if *t > self.max_stable {
-                    self.max_stable = *t;
-                    self.inputs.on_stable_advance(self.max_stable);
-                    self.stats.stables_out += 1;
-                    out.push(Element::Stable(*t));
-                }
-            }
+            Element::Stable(t) => self.books.propagate(*t, out),
         }
     }
 
     fn attach(&mut self, join_time: Time) -> StreamId {
-        self.per_input.on_attach();
-        let id = self.inputs.attach(join_time);
+        let id = self.books.attach(join_time);
         // A fresh input has presented nothing at the current MaxVs.
-        self.same_vs_count.resize(self.inputs.allocated(), 0);
+        self.same_vs_count.resize(self.books.inputs.allocated(), 0);
         id
     }
 
     fn detach(&mut self, input: StreamId) {
-        self.inputs.detach(input);
+        self.books.inputs.detach(input);
         // Keep the detached counter: it records how many elements at MaxVs
         // were already emitted on its behalf, which still suppresses
         // duplicates from slower inputs.
     }
 
-    fn max_stable(&self) -> Time {
-        self.max_stable
-    }
+    crate::shell::books_accessors!();
 
     fn feedback_point(&self) -> Time {
-        self.max_vs.max(self.max_stable)
-    }
-
-    fn stats(&self) -> MergeStats {
-        self.stats
-    }
-
-    fn input_counters(&self) -> &[InputCounters] {
-        self.per_input.counters()
-    }
-
-    fn input_health(&self, input: StreamId) -> InputHealth {
-        self.inputs.state(input).into()
-    }
-
-    fn health_transitions(&self) -> crate::inputs::HealthTransitions {
-        self.inputs.transitions()
+        self.max_vs.max(self.books.max_stable)
     }
 
     fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.same_vs_count.capacity() * std::mem::size_of::<u64>()
-            + self.inputs.memory_bytes()
-            + self.per_input.memory_bytes()
+            + self.books.memory_bytes()
     }
 
     fn level(&self) -> RLevel {
         RLevel::R1
     }
 
-    fn export_state(&self) -> Option<crate::state::MergeStateImage<P>> {
-        let mut img = crate::state::MergeStateImage::with_common(
-            crate::state::VariantKind::R1,
-            &self.inputs,
-            &self.per_input,
-            self.stats,
-        );
+    fn export_state(&self) -> Option<MergeStateImage<P>> {
+        let mut img = self.books.image(VariantKind::R1);
         img.max_vs = self.max_vs;
-        img.max_stable = self.max_stable;
         img.same_vs_count = self.same_vs_count.clone();
         Some(img)
     }
 
-    fn restore_state(&mut self, image: crate::state::MergeStateImage<P>) -> bool {
-        if image.kind != crate::state::VariantKind::R1 {
+    fn restore_state(&mut self, image: MergeStateImage<P>) -> bool {
+        if image.kind != VariantKind::R1 {
             return false;
         }
-        self.stats = image.apply_common(&mut self.inputs, &mut self.per_input);
+        self.books.restore(&image);
         self.max_vs = image.max_vs;
-        self.max_stable = image.max_stable;
         self.same_vs_count = image.same_vs_count;
         true
     }

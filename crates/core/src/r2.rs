@@ -10,9 +10,9 @@
 //! is the "relaxation to handle duplicates" the paper notes is
 //! "straightforward and omitted".
 
-use crate::api::{InputHealth, LogicalMerge};
-use crate::inputs::Inputs;
-use crate::stats::{InputCounters, MergeStats, PerInput};
+use crate::api::LogicalMerge;
+use crate::shell::Books;
+use crate::state::{MergeStateImage, StateEntry, VariantKind};
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Payload, StreamId, Time};
 use std::collections::HashMap;
@@ -43,14 +43,11 @@ impl Counts {
 #[derive(Debug)]
 pub struct LMergeR2<P: Payload> {
     max_vs: Time,
-    max_stable: Time,
     /// Occurrence counts per payload with `Vs == MaxVs`.
     at_max_vs: HashMap<P, Counts>,
     /// Retained payload bytes in `at_max_vs` (memory metric).
     payload_bytes: usize,
-    inputs: Inputs,
-    stats: MergeStats,
-    per_input: PerInput,
+    books: Books,
 }
 
 impl<P: Payload> LMergeR2<P> {
@@ -58,29 +55,24 @@ impl<P: Payload> LMergeR2<P> {
     pub fn new(n: usize) -> LMergeR2<P> {
         LMergeR2 {
             max_vs: Time::MIN,
-            max_stable: Time::MIN,
             at_max_vs: HashMap::new(),
             payload_bytes: 0,
-            inputs: Inputs::new(n),
-            stats: MergeStats::default(),
-            per_input: PerInput::new(n),
+            books: Books::new(n),
         }
     }
 }
 
 impl<P: Payload> LogicalMerge<P> for LMergeR2<P> {
     fn push(&mut self, input: StreamId, element: &Element<P>, out: &mut Vec<Element<P>>) {
-        self.per_input.on_element(input, element);
+        let admitted = self.books.admit(input, element);
+        let stats = &mut self.books.stats;
         match element {
+            Element::Adjust { .. } => {
+                panic!("LMergeR2: adjust() elements are not supported in case R2")
+            }
+            _ if !admitted => {}
+            Element::Insert(e) if e.vs < self.max_vs => stats.dropped += 1,
             Element::Insert(e) => {
-                self.stats.inserts_in += 1;
-                if !self.inputs.accepts_data(input) {
-                    return;
-                }
-                if e.vs < self.max_vs {
-                    self.stats.dropped += 1;
-                    return;
-                }
                 if e.vs > self.max_vs {
                     self.at_max_vs.clear();
                     self.payload_bytes = 0;
@@ -97,89 +89,49 @@ impl<P: Payload> LogicalMerge<P> for LMergeR2<P> {
                 // occurrences than the output carries.
                 if counts.bump(input) > counts.out {
                     counts.out += 1;
-                    self.stats.inserts_out += 1;
+                    stats.inserts_out += 1;
                     out.push(Element::Insert(e.clone()));
                 } else {
-                    self.stats.dropped += 1;
+                    stats.dropped += 1;
                 }
             }
-            Element::Adjust { .. } => {
-                panic!("LMergeR2: adjust() elements are not supported in case R2");
-            }
-            Element::Stable(t) => {
-                self.stats.stables_in += 1;
-                if !self.inputs.accepts_stable(input) {
-                    return;
-                }
-                if *t > self.max_stable {
-                    self.max_stable = *t;
-                    self.inputs.on_stable_advance(self.max_stable);
-                    self.stats.stables_out += 1;
-                    out.push(Element::Stable(*t));
-                }
-            }
+            Element::Stable(t) => self.books.propagate(*t, out),
         }
     }
 
     fn attach(&mut self, join_time: Time) -> StreamId {
-        self.per_input.on_attach();
-        self.inputs.attach(join_time)
+        self.books.attach(join_time)
     }
 
     fn detach(&mut self, input: StreamId) {
-        self.inputs.detach(input);
+        self.books.inputs.detach(input);
     }
 
-    fn max_stable(&self) -> Time {
-        self.max_stable
-    }
+    crate::shell::books_accessors!();
 
     fn feedback_point(&self) -> Time {
-        self.max_vs.max(self.max_stable)
-    }
-
-    fn stats(&self) -> MergeStats {
-        self.stats
-    }
-
-    fn input_counters(&self) -> &[InputCounters] {
-        self.per_input.counters()
-    }
-
-    fn input_health(&self, input: StreamId) -> InputHealth {
-        self.inputs.state(input).into()
-    }
-
-    fn health_transitions(&self) -> crate::inputs::HealthTransitions {
-        self.inputs.transitions()
+        self.max_vs.max(self.books.max_stable)
     }
 
     fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.at_max_vs.capacity() * std::mem::size_of::<P>()
             + self.payload_bytes
-            + self.inputs.memory_bytes()
-            + self.per_input.memory_bytes()
+            + self.books.memory_bytes()
     }
 
     fn level(&self) -> RLevel {
         RLevel::R2
     }
 
-    fn export_state(&self) -> Option<crate::state::MergeStateImage<P>> {
-        let mut img = crate::state::MergeStateImage::with_common(
-            crate::state::VariantKind::R2,
-            &self.inputs,
-            &self.per_input,
-            self.stats,
-        );
+    fn export_state(&self) -> Option<MergeStateImage<P>> {
+        let mut img = self.books.image(VariantKind::R2);
         img.max_vs = self.max_vs;
-        img.max_stable = self.max_stable;
         // The live table is a hash map, so the export sorts by payload to
         // reach the canonical entry order the image contract requires.
         // Counts are carried as a single `(Time::MIN, n)` bucket — R2 has no
         // per-occurrence `Ve` to remember, only multiplicities at `max_vs`.
-        let mut entries: Vec<crate::state::StateEntry<P>> = self
+        let mut entries: Vec<StateEntry<P>> = self
             .at_max_vs
             .iter()
             .map(|(p, c)| {
@@ -189,7 +141,7 @@ impl<P: Payload> LogicalMerge<P> for LMergeR2<P> {
                     .map(|&(id, n)| (id, vec![(Time::MIN, n)]))
                     .collect();
                 per_input.sort_by_key(|e| e.0);
-                crate::state::StateEntry {
+                StateEntry {
                     vs: self.max_vs,
                     payload: p.clone(),
                     per_input,
@@ -206,29 +158,26 @@ impl<P: Payload> LogicalMerge<P> for LMergeR2<P> {
         Some(img)
     }
 
-    fn restore_state(&mut self, image: crate::state::MergeStateImage<P>) -> bool {
-        if image.kind != crate::state::VariantKind::R2 {
+    fn restore_state(&mut self, image: MergeStateImage<P>) -> bool {
+        if image.kind != VariantKind::R2 {
             return false;
         }
-        self.stats = image.apply_common(&mut self.inputs, &mut self.per_input);
+        self.books.restore(&image);
         self.max_vs = image.max_vs;
-        self.max_stable = image.max_stable;
         self.payload_bytes = image.entries.iter().map(|e| e.payload.heap_bytes()).sum();
         self.at_max_vs = image
             .entries
-            .iter()
+            .into_iter()
             .map(|e| {
-                (
-                    e.payload.clone(),
-                    Counts {
-                        per_input: e
-                            .per_input
-                            .iter()
-                            .map(|(id, m)| (*id, m.first().map_or(0, |&(_, n)| n)))
-                            .collect(),
-                        out: e.output.first().map_or(0, |&(_, n)| n),
-                    },
-                )
+                let counts = Counts {
+                    per_input: e
+                        .per_input
+                        .iter()
+                        .map(|(id, m)| (*id, m.first().map_or(0, |&(_, n)| n)))
+                        .collect(),
+                    out: e.output.first().map_or(0, |&(_, n)| n),
+                };
+                (e.payload, counts)
             })
             .collect();
         true

@@ -8,8 +8,8 @@ use lmerge_temporal::Payload;
 
 /// Instantiate the LMerge algorithm for a given restriction level.
 ///
-/// The `policy` applies to the R3 variant (the only one with policy
-/// freedom); other levels ignore it.
+/// R3 takes the whole `policy` (it is the only variant with output-policy
+/// freedom), R4 its robustness guards; R0–R2 ignore it.
 pub fn new_for_level<P: Payload>(
     level: RLevel,
     n_inputs: usize,
@@ -20,7 +20,7 @@ pub fn new_for_level<P: Payload>(
         RLevel::R1 => Box::new(LMergeR1::new(n_inputs)),
         RLevel::R2 => Box::new(LMergeR2::new(n_inputs)),
         RLevel::R3 => Box::new(LMergeR3::with_policy(n_inputs, policy)),
-        RLevel::R4 => Box::new(LMergeR4::new(n_inputs)),
+        RLevel::R4 => Box::new(LMergeR4::with_robustness(n_inputs, policy.robustness)),
     }
 }
 
@@ -65,6 +65,25 @@ mod tests {
     fn property_driven_construction() {
         let lm = new_for_properties::<&str>(StreamProperties::r2(), 3, MergePolicy::default());
         assert_eq!(lm.level(), RLevel::R2);
+    }
+
+    #[test]
+    fn guarded_r4_from_the_factory_quarantines_a_laggard() {
+        use crate::api::InputHealth;
+        use crate::policy::RobustnessPolicy;
+        let policy = MergePolicy {
+            robustness: RobustnessPolicy::guarded(5, 1_000),
+            ..MergePolicy::default()
+        };
+        let mut lm = new_for_level::<&str>(RLevel::R4, 2, policy);
+        let mut out = Vec::new();
+        lm.push(StreamId(1), &Element::stable(1), &mut out);
+        lm.push(StreamId(0), &Element::stable(10), &mut out);
+        assert_eq!(
+            lm.input_health(StreamId(1)),
+            InputHealth::Quarantined,
+            "stable 1 trails 10 by more than the 5-unit margin"
+        );
     }
 
     #[test]

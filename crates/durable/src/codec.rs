@@ -1,6 +1,6 @@
 //! The durable file codec: framing, primitive readers, and typed errors.
 //!
-//! Every durable file — checkpoint snapshot, checkpoint delta, spill run —
+//! Every durable file — checkpoint snapshot or checkpoint delta —
 //! is one [`envelope`]: a fixed header (magic, version, kind), a
 //! length-prefixed payload, and a trailing checksum of the payload bytes —
 //! FNV-1a folded over 8-byte words ([`fnv1a_words`]): a file sums whole
@@ -31,8 +31,6 @@ pub enum FileKind {
     Snapshot,
     /// An incremental image: diffs against the previous checkpoint.
     Delta,
-    /// One sorted run of spilled state entries.
-    SpillRun,
 }
 
 impl FileKind {
@@ -41,7 +39,6 @@ impl FileKind {
         match self {
             FileKind::Snapshot => 1,
             FileKind::Delta => 2,
-            FileKind::SpillRun => 3,
         }
     }
 
@@ -50,7 +47,6 @@ impl FileKind {
         Some(match tag {
             1 => FileKind::Snapshot,
             2 => FileKind::Delta,
-            3 => FileKind::SpillRun,
             _ => return None,
         })
     }

@@ -1,4 +1,4 @@
-//! Crash-safe file publication shared by the checkpoint and spill stores.
+//! Crash-safe file publication for the checkpoint store.
 
 use crate::codec::DurableError;
 use std::fs::File;

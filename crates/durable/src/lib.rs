@@ -1,14 +1,13 @@
-//! Durable merge state: checkpoint/restore and log-structured spill.
+//! Durable merge state: checkpoint/restore.
 //!
 //! The paper's LMerge operator makes physically independent replicas
 //! interchangeable *while the process lives*; this crate extends the
 //! guarantee across process death. It persists the canonical state images
 //! exported by `lmerge-core` ([`lmerge_core::MergeStateImage`]) together
 //! with the executor's scheduling cut ([`lmerge_engine::ExecutorImage`])
-//! as versioned, checksummed files, and spills half-frozen state demoted
-//! by robustness bounds as sorted on-disk runs instead of dropping it.
+//! as versioned, checksummed files.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`codec`] — the file envelope (magic, version, kind, word-folded
 //!   FNV-1a checksum) and a bounds-checked cursor; corruption always
@@ -18,10 +17,6 @@
 //!   plugs the store into the executor's [`lmerge_engine::CheckpointSink`]
 //!   boundary with the store on a writer thread, so the run pays for the
 //!   cut and not for the disk.
-//! * [`spill`] — [`SpillStore`]: append-only sorted runs, k-way merged on
-//!   read through a [`std::collections::BinaryHeap`];
-//!   [`FileSpillHandler`] plugs it into `lmerge-core`'s
-//!   [`lmerge_core::SpillHandler`] demotion hook.
 //!
 //! Recovery composes the pieces: [`CheckpointStore::load_latest`] yields a
 //! [`lmerge_engine::RunImage`]; `LogicalMerge::restore_state` rebuilds the
@@ -34,7 +29,6 @@ pub mod codec;
 mod fsutil;
 pub mod image;
 pub mod payload;
-pub mod spill;
 
 pub use checkpoint::{
     apply_delta, encode_delta, CheckpointStore, CursorSource, DurableCheckpointSink, EgressSource,
@@ -43,4 +37,3 @@ pub use checkpoint::{
 pub use codec::{envelope, open_envelope, Cursor, DurableError, FileKind, MAGIC, VERSION};
 pub use image::{get_merge_image, get_run_image, put_merge_image, put_run_image};
 pub use payload::DurablePayload;
-pub use spill::{FileSpillHandler, MergedSpill, SpillStore};

@@ -29,7 +29,6 @@
 
 use lmerge_core::MergeStateImage;
 use lmerge_temporal::{Payload, Time, VTime};
-use std::sync::{Arc, Mutex};
 
 /// The executor's scheduling state at a checkpoint: everything `run` needs
 /// to continue mid-stream, minus the batches themselves (replayed from the
@@ -160,31 +159,6 @@ pub struct NoCheckpoint;
 
 impl<P: Payload> CheckpointSink<P> for NoCheckpoint {}
 
-/// A shared mailbox carrying spill notifications from a
-/// [`lmerge_core::SpillHandler`] (which runs deep inside `push_batch`,
-/// with no notion of virtual time) out to the executor, which drains it
-/// after each delivery and stamps the events with the merge's virtual
-/// completion time. Cloning shares the mailbox.
-#[derive(Clone, Debug, Default)]
-pub struct SpillNotices(Arc<Mutex<Vec<(u32, u64)>>>);
-
-impl SpillNotices {
-    /// An empty mailbox.
-    pub fn new() -> SpillNotices {
-        SpillNotices::default()
-    }
-
-    /// Record that `entries` entries of `input`'s state were spilled.
-    pub fn notify(&self, input: u32, entries: u64) {
-        self.0.lock().unwrap().push((input, entries));
-    }
-
-    /// Take all pending notifications, oldest first.
-    pub fn drain(&self) -> Vec<(u32, u64)> {
-        std::mem::take(&mut self.0.lock().unwrap())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,15 +168,5 @@ mod tests {
         let mut c = NoCheckpoint;
         assert!(!CheckpointSink::<&'static str>::enabled(&c));
         assert!(!CheckpointSink::<&'static str>::want(&mut c, Time(5), 3));
-    }
-
-    #[test]
-    fn spill_notices_drain_in_order() {
-        let n = SpillNotices::new();
-        let n2 = n.clone();
-        n.notify(1, 10);
-        n2.notify(0, 4);
-        assert_eq!(n.drain(), vec![(1, 10), (0, 4)]);
-        assert!(n2.drain().is_empty());
     }
 }

@@ -17,9 +17,7 @@
 //! `enabled()` is statically `false` — monomorphizes the whole
 //! instrumentation path away.
 
-use crate::durability::{
-    CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunImage, SpillNotices,
-};
+use crate::durability::{CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunImage};
 use crate::hooks::{ControlAction, FaultAction, NoHooks, RunHooks};
 use crate::metrics::{RunMetrics, Series};
 use crate::query::Query;
@@ -149,9 +147,6 @@ pub struct MergeRun<P: Payload> {
     /// When present, the run continues a killed run from this cut instead
     /// of starting fresh (see [`MergeRun::resumed`]).
     resume: Option<ExecutorImage>,
-    /// When present, spills reported by the merge's handler are drained
-    /// after each delivery and traced at the merge's virtual time.
-    spill_notices: Option<SpillNotices>,
 }
 
 impl<P: Payload> MergeRun<P> {
@@ -167,7 +162,6 @@ impl<P: Payload> MergeRun<P> {
             lmerge,
             config,
             resume: None,
-            spill_notices: None,
         }
     }
 
@@ -195,15 +189,7 @@ impl<P: Payload> MergeRun<P> {
             lmerge,
             config,
             resume: Some(exec),
-            spill_notices: None,
         }
-    }
-
-    /// Trace spills reported through `notices` (see [`SpillNotices`]).
-    #[must_use]
-    pub fn with_spill_notices(mut self, notices: SpillNotices) -> MergeRun<P> {
-        self.spill_notices = Some(notices);
-        self
     }
 
     /// Execute to completion, returning the metrics. Untraced: equivalent
@@ -567,21 +553,6 @@ impl<P: Payload> MergeRun<P> {
                         scope: StableScope::Output,
                         stable: out_stable,
                     });
-                }
-            }
-
-            // Spills that happened inside this push surface now, stamped
-            // with the merge's virtual completion time. Drained even when
-            // untraced so the mailbox stays bounded.
-            if let Some(notices) = &self.spill_notices {
-                for (input, entries) in notices.drain() {
-                    if trace.enabled() {
-                        trace.record(TraceEvent::StateSpilled {
-                            at: lmerge_ready,
-                            input,
-                            entries,
-                        });
-                    }
                 }
             }
 

@@ -34,7 +34,6 @@ pub mod spsc;
 
 pub use durability::{
     CheckpointSave, CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunImage,
-    SpillNotices,
 };
 pub use executor::{MergeRun, RunConfig};
 pub use hooks::{ControlAction, FaultAction, NoHooks, RunHooks};

@@ -364,16 +364,6 @@ pub enum TraceEvent {
         /// Live state entries restored into the merge.
         entries: u64,
     },
-    /// A robustness demotion spilled an input's half-frozen state to a
-    /// durable sorted run instead of dropping it.
-    StateSpilled {
-        /// Virtual time of the demotion.
-        at: VTime,
-        /// The input whose state was spilled.
-        input: u32,
-        /// Entries written to the sorted run.
-        entries: u64,
-    },
     /// An egress subscription session opened (subscribe accepted): one
     /// remote consumer is now tailing the merged output.
     SubSessionOpened {
@@ -433,7 +423,6 @@ impl TraceEvent {
             | TraceEvent::AlertResolved { at, .. }
             | TraceEvent::CheckpointTaken { at, .. }
             | TraceEvent::CheckpointRestored { at, .. }
-            | TraceEvent::StateSpilled { at, .. }
             | TraceEvent::SubSessionOpened { at, .. }
             | TraceEvent::SubSessionClosed { at, .. }
             | TraceEvent::SubEpochDelivered { at, .. } => at,
@@ -462,7 +451,6 @@ impl TraceEvent {
             TraceEvent::AlertResolved { .. } => "alert_resolved",
             TraceEvent::CheckpointTaken { .. } => "checkpoint_taken",
             TraceEvent::CheckpointRestored { .. } => "checkpoint_restored",
-            TraceEvent::StateSpilled { .. } => "state_spilled",
             TraceEvent::SubSessionOpened { .. } => "sub_session_opened",
             TraceEvent::SubSessionClosed { .. } => "sub_session_closed",
             TraceEvent::SubEpochDelivered { .. } => "sub_epoch_delivered",
@@ -560,13 +548,6 @@ mod tests {
         };
         assert_eq!(r.at(), VTime(51));
         assert_eq!(r.name(), "checkpoint_restored");
-        let s = TraceEvent::StateSpilled {
-            at: VTime(52),
-            input: 1,
-            entries: 40,
-        };
-        assert_eq!(s.at(), VTime(52));
-        assert_eq!(s.name(), "state_spilled");
         assert_eq!(FaultKind::CrashMerge.label(), "crash_merge");
     }
 

@@ -131,9 +131,6 @@ fn event_json(e: &TraceEvent) -> Json {
         TraceEvent::CheckpointRestored { seq, entries, .. } => {
             obj.set("seq", seq).set("entries", entries);
         }
-        TraceEvent::StateSpilled { input, entries, .. } => {
-            obj.set("input", input).set("entries", entries);
-        }
         TraceEvent::SubSessionOpened {
             subscriber,
             resume_seq,
@@ -468,15 +465,6 @@ pub fn to_chrome_trace<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Stri
                     Json::object().with("seq", seq).with("entries", entries),
                 ));
             }
-            TraceEvent::StateSpilled { input, entries, .. } => {
-                name_thread(&mut trace, input + 1, format!("input {input}"));
-                trace.push(chrome_instant(
-                    "state spilled",
-                    ts,
-                    input + 1,
-                    Json::object().with("entries", entries),
-                ));
-            }
             TraceEvent::SubSessionOpened {
                 subscriber,
                 resume_seq,
@@ -741,11 +729,6 @@ mod tests {
                 at: VTime(33),
                 seq: 2,
                 entries: 64,
-            },
-            TraceEvent::StateSpilled {
-                at: VTime(34),
-                input: 1,
-                entries: 8,
             },
         ]
     }

@@ -597,8 +597,6 @@ pub struct EngineMetrics {
     checkpoints: [Counter; 2],
     checkpoint_entries: Gauge,
     checkpoint_restores: Counter,
-    spills: Counter,
-    spilled_entries: Counter,
     shards: Vec<(Gauge, Gauge, Gauge)>,
     sessions: Vec<(Counter, Counter, Counter, Counter, Counter, Gauge)>,
     /// Output stable point, mirrored for the `behind` gauges.
@@ -693,16 +691,6 @@ impl EngineMetrics {
             checkpoint_restores: r.counter(
                 "lmerge_checkpoint_restores_total",
                 "Runs rebuilt from a durable checkpoint.",
-                &[],
-            ),
-            spills: r.counter(
-                "lmerge_spills_total",
-                "Robustness demotions that spilled state to a durable run.",
-                &[],
-            ),
-            spilled_entries: r.counter(
-                "lmerge_spilled_entries_total",
-                "State entries written to durable spill runs.",
                 &[],
             ),
             inputs: Vec::new(),
@@ -939,10 +927,6 @@ impl EngineMetrics {
                 self.checkpoint_entries.set(entries as i64);
             }
             TraceEvent::CheckpointRestored { .. } => self.checkpoint_restores.inc(),
-            TraceEvent::StateSpilled { entries, .. } => {
-                self.spills.inc();
-                self.spilled_entries.add(entries);
-            }
             // Subscription sessions keep their own registry series
             // (`SubMetrics` in `lmerge-sub`); the engine bridge stays
             // pinned to its golden exposition.
@@ -1206,16 +1190,9 @@ mod tests {
             seq: 1,
             entries: 15,
         });
-        m.on_event(&TraceEvent::StateSpilled {
-            at: VTime(4),
-            input: 0,
-            entries: 8,
-        });
         assert_eq!(r.sum_value("lmerge_checkpoints_total"), Some(2.0));
         assert_eq!(r.max_value("lmerge_checkpoint_entries"), Some(15.0));
         assert_eq!(r.max_value("lmerge_checkpoint_restores_total"), Some(1.0));
-        assert_eq!(r.max_value("lmerge_spills_total"), Some(1.0));
-        assert_eq!(r.max_value("lmerge_spilled_entries_total"), Some(8.0));
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!
 //! * [`temporal`] — the stream/TDB model (Section III of the paper).
 //! * [`properties`] — compile-time stream properties and algorithm selection.
-//! * [`core`] — the LMerge algorithms R0–R4, policies, attach/detach,
+//! * [`core`] — the LMerge algorithms R0–R4 (R3+, R3− and R4 are one
+//!   indexed-merge shell over three node kinds), policies, attach/detach,
 //!   feedback (Sections IV and V).
 //! * [`engine`] — a mini-DSMS substrate: operators, plans, virtual-time
 //!   executor, metrics (the StreamInsight stand-in for Section VI).
@@ -43,9 +44,8 @@
 //!   reorder, frozen stables, stalls, overflow, merge-process crashes) and
 //!   the differential conformance harness that replays one fault plan
 //!   across the spectrum.
-//! * [`durable`] — checkpoint/restore and log-structured spill: versioned,
-//!   checksummed snapshot + delta files, sorted on-disk runs with a k-way
-//!   merge cursor, and the checkpoint sink that makes a restarted merge
+//! * [`durable`] — checkpoint/restore: versioned, checksummed snapshot +
+//!   delta files and the checkpoint sink that makes a restarted merge
 //!   byte-identical to one that never died.
 //! * [`net`] — wire protocol + TCP ingest/egress: physically independent
 //!   replicas feeding LMerge over real sockets, with credit backpressure,

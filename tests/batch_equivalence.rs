@@ -13,6 +13,7 @@
 
 use lmerge::core::{
     LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR3Naive, LMergeR4, LogicalMerge, MergePolicy,
+    RobustnessPolicy,
 };
 use lmerge::temporal::reconstitute::Reconstituter;
 use lmerge::temporal::{Element, StreamId};
@@ -189,11 +190,28 @@ fn indexed_variants_match_under_garbage() {
     for case in 0..200 {
         let feed = garbage_feed(&mut rng);
         let split_seed = rng.next_u64();
-        let mks: [&dyn Fn() -> Box<dyn LogicalMerge<&'static str>>; 4] = [
+        // The guarded rows use an entry bound small enough to trip inside
+        // a batch: the demotion must land on the same element either way.
+        let mks: [&dyn Fn() -> Box<dyn LogicalMerge<&'static str>>; 6] = [
             &|| Box::new(LMergeR3::new(3)),
             &|| Box::new(LMergeR3::with_policy(3, MergePolicy::eager())),
             &|| Box::new(LMergeR3Naive::new(3)),
             &|| Box::new(LMergeR4::new(3)),
+            &|| {
+                Box::new(LMergeR3::with_policy(
+                    3,
+                    MergePolicy {
+                        robustness: RobustnessPolicy::guarded(4, 2),
+                        ..MergePolicy::default()
+                    },
+                ))
+            },
+            &|| {
+                Box::new(LMergeR4::with_robustness(
+                    3,
+                    RobustnessPolicy::guarded(4, 2),
+                ))
+            },
         ];
         for mk in mks {
             let mut split_rng = StdRng::seed_from_u64(split_seed);

@@ -220,133 +220,84 @@ fn quarantined_laggard_is_demoted_before_memory_runs_away() {
     assert_eq!(lm.memory_bytes(), pinned, "post-demotion flood grew memory");
 }
 
-/// With a spill handler installed, a `max_live_entries` demotion writes
-/// the flooding input's half-frozen entries to disk as a sorted run
-/// instead of dropping them — and the spill is observationally
-/// transparent: output, state image, and counters are identical whether
-/// the handler is file-backed, in-memory, or absent. Reading the runs
-/// back through the k-way heap must yield exactly the globally sorted
-/// `(Vs, payload)` order an in-memory merge of the runs produces, with
-/// ties broken by run number.
+/// A `max_live_entries` demotion detaches the flooding input and drops its
+/// entries; the replica is not lost for good. It rejoins as a new input
+/// from the output's stable point (Section V-B's attach) and replays its
+/// stream: the stitched output is well formed and reconstitutes to the
+/// logical stream, and the rejoined input is trusted once the output
+/// passes its join time.
 #[test]
-fn spilled_demotion_round_trips_through_the_k_way_merge() {
-    use lmerge::core::{SpillHandler, StateEntry};
-    use lmerge::durable::{FileSpillHandler, SpillStore};
-    use lmerge::engine::SpillNotices;
-    use std::sync::{Arc, Mutex};
-
-    type SpilledRuns = Arc<Mutex<Vec<(StreamId, Vec<StateEntry<String>>)>>>;
-    struct MemSpill(SpilledRuns);
-    impl SpillHandler<String> for MemSpill {
-        fn spill(&mut self, input: StreamId, run: &[StateEntry<String>]) -> bool {
-            self.0.lock().unwrap().push((input, run.to_vec()));
-            true
-        }
-    }
-
-    let dir = std::env::temp_dir().join(format!("lmerge-spill-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let policy = MergePolicy {
-        robustness: RobustnessPolicy {
-            quarantine_lag: None,
-            max_live_entries: Some(8),
-        },
-        ..MergePolicy::paper_default()
-    };
-    let build = || Box::new(LMergeR3::<String>::with_policy(3, policy));
-
-    // Inputs 1 then 2 flood past the bound; interleaved `Vs` ranges so the
-    // two spilled runs genuinely interleave on read-back. Input 0 stays
-    // healthy and keeps the merge alive.
-    let feed: Vec<(u32, Element<String>)> = (0..16i64)
-        .map(|i| {
-            (
-                1,
-                Element::insert(format!("a{i:02}"), 100 + 2 * i, 200 + 2 * i),
-            )
+fn demoted_input_rejoins_from_the_output_stable_point() {
+    let logical: Vec<Element<&'static str>> = (0..20i64)
+        .flat_map(|i| {
+            [
+                Element::insert(["a", "b"][i as usize % 2], i, i + 3),
+                Element::stable(i),
+            ]
         })
-        .chain((0..16i64).map(|i| {
-            (
+        .chain(std::iter::once(Element::stable(Time::INFINITY)))
+        .collect();
+    let mks: [&dyn Fn() -> Box<dyn LogicalMerge<&'static str>>; 2] = [
+        &|| {
+            Box::new(LMergeR3::<&str>::with_policy(
                 2,
-                Element::insert(format!("b{i:02}"), 101 + 2 * i, 201 + 2 * i),
-            )
-        }))
-        .chain(std::iter::once((
-            0,
-            Element::insert("live".to_string(), 10, 20),
-        )))
-        .collect();
-
-    let drive = |mut lm: Box<LMergeR3<String>>| {
+                MergePolicy {
+                    robustness: RobustnessPolicy {
+                        quarantine_lag: None,
+                        max_live_entries: Some(8),
+                    },
+                    ..MergePolicy::paper_default()
+                },
+            ))
+        },
+        &|| {
+            Box::new(LMergeR4::<&str>::with_robustness(
+                2,
+                RobustnessPolicy {
+                    quarantine_lag: None,
+                    max_live_entries: Some(8),
+                },
+            ))
+        },
+    ];
+    for mk in mks {
+        let mut lm = mk();
         let mut out = Vec::new();
-        for (s, e) in &feed {
-            lm.push(StreamId(*s), e, &mut out);
+        // Input 1 races ahead with data only (its punctuation is thinned
+        // away), so its live entries pile up past the bound; a healthy
+        // input holds at most four.
+        for e in logical.iter().filter(|e| !e.is_stable()) {
+            lm.push(StreamId(1), e, &mut out);
         }
-        (lm.export_state().expect("exports"), out)
-    };
-
-    // Three identical merges: no handler, in-memory handler, file handler.
-    let (plain_state, plain_out) = drive(build());
-
-    let runs = Arc::new(Mutex::new(Vec::new()));
-    let mut mem_merge = build();
-    mem_merge.set_spill_handler(Box::new(MemSpill(runs.clone())));
-    let (mem_state, mem_out) = drive(mem_merge);
-
-    let notices = SpillNotices::new();
-    let mut file_merge = build();
-    file_merge.set_spill_handler(Box::new(
-        FileSpillHandler::new(SpillStore::create(&dir).unwrap()).with_notices(notices.clone()),
-    ));
-    let (file_state, file_out) = drive(file_merge);
-
-    // Spilling never perturbs the merge itself.
-    assert_eq!(plain_out, mem_out);
-    assert_eq!(plain_out, file_out);
-    assert_eq!(plain_state, mem_state);
-    assert_eq!(plain_state, file_state);
-
-    // Both floods were demoted and produced one run each.
-    let runs = runs.lock().unwrap();
-    assert_eq!(runs.len(), 2, "both flooding inputs spilled");
-    assert_eq!(runs[0].0, StreamId(1));
-    assert_eq!(runs[1].0, StreamId(2));
-    let posted = notices.drain();
-    assert_eq!(
-        posted,
-        runs.iter()
-            .map(|(s, r)| (s.0, r.len() as u64))
-            .collect::<Vec<_>>(),
-        "notices carry the spilled run sizes"
-    );
-
-    // Expected read-back order: the in-memory k-way merge of the runs —
-    // global (Vs, payload) order, ties broken by run number, within-run
-    // order preserved.
-    let mut tagged: Vec<(usize, u32, StateEntry<String>)> = runs
-        .iter()
-        .enumerate()
-        .flat_map(|(n, (s, r))| r.iter().map(move |e| (n, s.0, e.clone())))
-        .collect();
-    tagged.sort_by(|a, b| (a.2.vs, &a.2.payload, a.0).cmp(&(b.2.vs, &b.2.payload, b.0)));
-    let expected: Vec<(u32, StateEntry<String>)> =
-        tagged.into_iter().map(|(_, s, e)| (s, e)).collect();
-
-    let store = SpillStore::create(&dir).unwrap();
-    assert_eq!(store.runs(), 2, "reopened store sees both runs");
-    let read_back: Vec<(u32, StateEntry<String>)> = store
-        .read_merged::<String>()
-        .unwrap()
-        .map(|r| r.map(|(s, e)| (s.0, e)))
-        .collect::<Result<_, _>>()
-        .expect("clean read-back");
-    assert_eq!(
-        read_back, expected,
-        "heap order matches the in-memory merge"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(lm.input_health(StreamId(1)), InputHealth::Left);
+        // Input 0 delivers the first half of the stream.
+        for e in &logical[..20] {
+            lm.push(StreamId(0), e, &mut out);
+        }
+        // The demoted replica rejoins from the output stable point; input
+        // 0's next advance covers its join time.
+        let rejoined = lm.attach(lm.max_stable());
+        assert_eq!(lm.input_health(rejoined), InputHealth::Joining);
+        for e in &logical[20..22] {
+            lm.push(StreamId(0), e, &mut out);
+        }
+        assert_eq!(lm.input_health(rejoined), InputHealth::Active);
+        // It replays from its start and finishes the stream alone.
+        for e in &logical {
+            lm.push(rejoined, e, &mut out);
+        }
+        assert_eq!(
+            lm.max_stable(),
+            Time::INFINITY,
+            "the rejoined input drove it"
+        );
+        let mut rec: Reconstituter<&str> = Reconstituter::new();
+        for e in &out {
+            rec.apply(e).expect("stitched output is well formed");
+        }
+        let want = lmerge::temporal::reconstitute::tdb_of(&logical).unwrap();
+        assert_eq!(format!("{:?}", rec.tdb()), format!("{want:?}"));
+    }
 }
 
 /// Attach/detach churn mid-garbage never corrupts the output either.

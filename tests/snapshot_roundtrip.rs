@@ -159,7 +159,7 @@ fn builds() -> Vec<(&'static str, Build, bool)> {
     v.push((
         "sharded-k3",
         Box::new(|| {
-            // Guarded R4 per shard (`new_for_level` would drop the guards).
+            // Guarded R4 per shard.
             Box::new(ShardedLMerge::from_factory(
                 ShardConfig::with_shards(3),
                 N_INPUTS,
