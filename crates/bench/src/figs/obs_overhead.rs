@@ -24,8 +24,8 @@ use std::time::Instant;
 /// Inputs feeding the measured operator (fig2's middle point).
 pub const INPUTS: usize = 4;
 
-/// Elements between gauge refreshes in the instrumented drive — the same
-/// order of magnitude as the pipeline's `sample_every`.
+/// Elements between gauge refreshes in the instrumented drive — a
+/// periodic sample, like the executor's `mem_sample_every`.
 const GAUGE_EVERY: u64 = 1024;
 
 /// Sweep result.

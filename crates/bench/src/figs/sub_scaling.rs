@@ -21,9 +21,8 @@ use crate::report::{fmt_eps, MetricsRecord};
 use crate::{scale_events, Report, VariantKind};
 use lmerge_engine::{MergeRun, Query, RunConfig, RunMetrics, TimedElement};
 use lmerge_gen::{assign_times, generate, GenConfig};
-use lmerge_net::egress::NetHooks;
 use lmerge_obs::NullSink;
-use lmerge_sub::{subscribe, BroadcastHooks, EpochBuffer, SubConfig, SubPolicy, SubServer};
+use lmerge_sub::{subscribe, EpochBuffer, OutputHook, SubConfig, SubPolicy, SubServer};
 use lmerge_temporal::Value;
 use std::sync::Arc;
 use std::thread;
@@ -141,10 +140,10 @@ pub fn run_point(feed: &[TimedElement<Value>], n: usize) -> SubPoint {
         .collect();
 
     let queries = vec![Query::passthrough(feed.to_vec())];
-    let mut hooks = BroadcastHooks::wrap(NetHooks::streaming(lmerge_engine::NoHooks), buf);
+    let mut output = OutputHook::new().broadcast(buf);
     let metrics = MergeRun::new(queries, VariantKind::R3Plus.build(1), RunConfig::default())
-        .run_with_hooks(&mut NullSink, &mut hooks);
-    hooks.finish();
+        .run_with_hooks(&mut NullSink, &mut output);
+    output.finish().expect("no file, no I/O error");
 
     let received: Vec<u64> = clients
         .into_iter()

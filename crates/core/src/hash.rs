@@ -6,7 +6,7 @@
 //!
 //! * **shard routing** ([`crate::shard::shard_of`]): a data element's
 //!   `(Vs, Payload)` key must map to the same shard on every execution
-//!   path (inline wrapper, threaded pipeline, replayed trace);
+//!   path (live run, restored checkpoint, replayed trace);
 //! * **wire-frame checksums** (`lmerge-net`): every frame crossing a
 //!   socket carries an FNV-1a checksum of its header and payload bytes,
 //!   verified by the receiving side before the frame is trusted.

@@ -14,11 +14,12 @@
 //! The wrapper is itself a [`LogicalMerge`]: single-threaded callers get a
 //! drop-in operator whose output is equivalent to the sequential one after
 //! canonical reordering within stable epochs (asserted by
-//! `tests/shard_equivalence.rs`). The engine's pipelined executor
-//! (`lmerge-engine::pipeline`) runs the same partitioning across worker
-//! threads fed by bounded SPSC queues; [`queue_bytes`] models that
-//! pipeline's queue memory so `memory_bytes` stays honest for the paper's
-//! memory figures whether the shards run inline or threaded.
+//! `tests/shard_equivalence.rs`). It is the one sharded path: the engine's
+//! executor (`MergeRun` with `RunConfig::shards`) drives it inline, with
+//! checkpoints, hooks and traces like any other operator. [`queue_bytes`]
+//! still charges the bounded per-shard delivery queues that running the
+//! shards on worker threads would need, so the memory figures do not
+//! improve merely because the shards run inline.
 //!
 //! One caveat is inherited rather than hidden: robustness policies
 //! (`max_live_entries`, `quarantine_lag`) fire on *shard-local* state, so a
@@ -35,7 +36,7 @@ use lmerge_temporal::{Element, Payload, StreamId, Time};
 use std::hash::{Hash, Hasher};
 
 /// How a sharded operator is laid out: the shard count and the capacity of
-/// the per-shard delivery queue a pipelined executor would allocate.
+/// the per-shard delivery queue a threaded stage would allocate.
 ///
 /// The queue capacity matters even for inline (single-threaded) execution
 /// because [`ShardedLMerge::memory_bytes`] charges the queues either way:
@@ -68,11 +69,10 @@ impl ShardConfig {
     }
 }
 
-/// Estimated bytes of the delivery queues a pipelined executor allocates
-/// for a sharded operator: `shards` SPSC rings of `capacity` slots (one
+/// Estimated bytes of the delivery queues a threaded sharded stage would
+/// allocate: `shards` SPSC rings ([`crate::spsc`]) of `capacity` slots (one
 /// element each) plus two cache-line-padded cursor words per ring. This is
-/// the model `ShardedLMerge::memory_bytes` charges; the engine's
-/// `pipeline` module allocates rings of exactly this shape.
+/// the model `ShardedLMerge::memory_bytes` charges.
 pub fn queue_bytes<P: Payload>(shards: usize, capacity: usize) -> usize {
     const CURSOR_BYTES: usize = 128; // head + tail, each padded to a cache line
     shards * (capacity * std::mem::size_of::<Element<P>>() + CURSOR_BYTES)

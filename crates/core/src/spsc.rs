@@ -1,12 +1,9 @@
 //! A bounded single-producer / single-consumer ring queue.
 //!
-//! Two delivery paths share this ring: the engine's pipelined executor
-//! feeds each shard worker through one (the router thread is the only
-//! producer, the worker the only consumer), and the lmerge-net ingest
-//! server feeds each connection's decoded frames through one (the socket
-//! reader is the only producer, the merge-side `NetSource` the only
-//! consumer — the ring's free space is what the server grants back to the
-//! client as frame credits). The single-producer/single-consumer
+//! The lmerge-net ingest server feeds each connection's decoded frames
+//! through one (the socket reader is the only producer, the merge-side
+//! `NetSource` the only consumer — the ring's free space is what the
+//! server grants back to the client as frame credits). The single-producer/single-consumer
 //! restriction makes a lock-free ring trivial — one monotone `head`
 //! (consumer cursor) and one monotone `tail` (producer cursor), each
 //! written by exactly one side and read by the other with

@@ -1199,7 +1199,7 @@ mod tests {
     #[test]
     fn a_failed_checkpoint_ends_checkpointing_and_the_run_goes_on() {
         use lmerge_core::{LMergeR3, LogicalMerge, MergePolicy};
-        use lmerge_engine::{MergeRun, Query, RunConfig, TimedElement};
+        use lmerge_engine::{MergeRun, NoHooks, Query, RunConfig, TimedElement};
         use lmerge_obs::{TraceEvent, Tracer};
         use lmerge_temporal::Element;
 
@@ -1233,7 +1233,7 @@ mod tests {
             Box::new(LMergeR3::with_policy(1, MergePolicy::paper_default()));
         let mut trace = Tracer::new();
         let metrics = MergeRun::new(vec![Query::passthrough(feed)], lmerge, RunConfig::default())
-            .run_with_checkpoints(&mut trace, &mut sink);
+            .run_checkpointed(&mut trace, &mut NoHooks, &mut sink);
 
         assert!(metrics.output_complete_at.is_some(), "the run goes on");
         let taken: Vec<u64> = trace

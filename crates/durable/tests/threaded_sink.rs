@@ -6,7 +6,8 @@
 use lmerge_core::{LMergeR3, LogicalMerge, MergePolicy, MergeStateImage, StateEntry, VariantKind};
 use lmerge_durable::{CheckpointStore, DurableCheckpointSink};
 use lmerge_engine::{
-    CheckpointSink, EgressImage, ExecutorImage, MergeRun, Query, RunConfig, RunImage, TimedElement,
+    CheckpointSink, EgressImage, ExecutorImage, MergeRun, NoHooks, Query, RunConfig, RunImage,
+    TimedElement,
 };
 use lmerge_obs::{NullSink, TraceEvent, Tracer};
 use lmerge_temporal::{Element, Time, VTime};
@@ -193,7 +194,7 @@ fn a_halted_run_leaves_exactly_its_halting_cut_as_the_newest() {
         let dir = tmp_dir(&format!("halt{k}"));
         let store: CheckpointStore<i32> = CheckpointStore::create(&dir).unwrap();
         let mut sink = DurableCheckpointSink::new(store).halt_after(k);
-        let metrics = merge_run(8).run_with_checkpoints(&mut NullSink, &mut sink);
+        let metrics = merge_run(8).run_checkpointed(&mut NullSink, &mut NoHooks, &mut sink);
         assert!(metrics.output_complete_at.is_none(), "halted mid-run");
         assert_eq!(CheckpointStore::<i32>::load_latest(&dir).unwrap().0, k);
         assert_eq!(listing(&dir).len() as u64, k + 1, "no cut ran ahead");
@@ -211,7 +212,7 @@ fn a_completed_run_has_persisted_every_cut_its_trace_announced() {
     let store: CheckpointStore<i32> = CheckpointStore::create(&dir).unwrap();
     let mut sink = DurableCheckpointSink::new(store);
     let mut trace = Tracer::new();
-    let metrics = merge_run(8).run_with_checkpoints(&mut trace, &mut sink);
+    let metrics = merge_run(8).run_checkpointed(&mut trace, &mut NoHooks, &mut sink);
     assert!(metrics.output_complete_at.is_some());
     let announced: Vec<String> = trace
         .events()

@@ -10,12 +10,15 @@
 //! reaches `∞` — "answers can be pulled from whichever copy finishes
 //! first"), or when every input is drained.
 //!
-//! Every run can optionally be traced: [`MergeRun::run_with`] takes any
-//! [`TraceSink`] and emits typed [`TraceEvent`]s (deliveries, emissions,
-//! stable-point advances, feedback, queue depth, memory). The executor is
-//! generic over the sink, so the default [`NullSink`] — whose
-//! `enabled()` is statically `false` — monomorphizes the whole
-//! instrumentation path away.
+//! This is the workspace's one executor: [`MergeRun::run_checkpointed`] is
+//! the loop, and [`MergeRun::run`] / [`MergeRun::run_with_hooks`] call it
+//! with inert defaults. Its three seams are each statically erasable: a
+//! [`TraceSink`] records typed [`TraceEvent`]s (the default [`NullSink`]
+//! compiles the instrumentation away), a [`RunHooks`] sees every batch and
+//! every emission — [`RunHooks::on_consumed`] is the only way merged output
+//! leaves the loop — and a [`CheckpointSink`] is offered a cut after each
+//! delivery. Sharding is a [`RunConfig::shards`] setting, not a second
+//! executor: the loop drives a `ShardedLMerge` like any other operator.
 
 use crate::durability::{CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunImage};
 use crate::hooks::{ControlAction, FaultAction, NoHooks, RunHooks};
@@ -87,13 +90,10 @@ pub struct RunConfig {
     /// Sample memory every this many delivered batches.
     pub mem_sample_every: usize,
     /// Hash-partition the merge state across this many shards (`K`). With
-    /// the default of 1 the operator runs exactly as before; higher values
+    /// the default of 1 the factory's operator runs as-is; higher values
     /// route through `lmerge_core::ShardedLMerge` (see
     /// [`RunConfig::shard_merge`]).
     pub shards: usize,
-    /// Slots per shard delivery queue (charged to operator memory, and the
-    /// ring capacity used by the threaded `pipeline` executor).
-    pub queue_capacity: usize,
 }
 
 impl Default for RunConfig {
@@ -103,20 +103,11 @@ impl Default for RunConfig {
             lmerge_cost_us: 1,
             mem_sample_every: 256,
             shards: 1,
-            queue_capacity: 256,
         }
     }
 }
 
 impl RunConfig {
-    /// The [`ShardConfig`] slice of these knobs.
-    pub fn shard_config(&self) -> ShardConfig {
-        ShardConfig {
-            shards: self.shards.max(1),
-            queue_capacity: self.queue_capacity,
-        }
-    }
-
     /// Build the merge operator this config calls for: the factory's
     /// operator as-is when `shards <= 1`, otherwise a [`ShardedLMerge`]
     /// whose `K` inner states each come from one `factory()` call (so any
@@ -130,11 +121,8 @@ impl RunConfig {
         if self.shards <= 1 {
             factory()
         } else {
-            Box::new(ShardedLMerge::from_factory(
-                self.shard_config(),
-                n_inputs,
-                factory,
-            ))
+            let config = ShardConfig::with_shards(self.shards);
+            Box::new(ShardedLMerge::from_factory(config, n_inputs, factory))
         }
     }
 }
@@ -192,27 +180,21 @@ impl<P: Payload> MergeRun<P> {
         }
     }
 
-    /// Execute to completion, returning the metrics. Untraced: equivalent
-    /// to [`run_with`](Self::run_with) with a [`NullSink`], which compiles
-    /// the instrumentation away entirely.
+    /// Execute to completion, returning the metrics: untraced, unhooked and
+    /// uncheckpointed, so the instrumentation compiles away entirely.
     pub fn run(self) -> RunMetrics {
-        self.run_with(&mut NullSink)
+        self.run_with_hooks(&mut NullSink, &mut NoHooks)
     }
 
-    /// Execute to completion, recording trace events into `trace`.
+    /// Execute to completion, recording trace events into `trace` and
+    /// handing every batch to `hooks`.
     ///
     /// Pass a [`lmerge_obs::Tracer`] to capture the event ring and per-input
     /// lag gauges; the caller keeps ownership and can export afterwards.
-    pub fn run_with<S: TraceSink>(self, trace: &mut S) -> RunMetrics {
-        self.run_with_hooks(trace, &mut NoHooks)
-    }
-
-    /// Execute to completion with a fault-injection/inspection hook.
-    ///
     /// `hooks` sees every batch at delivery (and may drop, replace, or
-    /// delay it) and is polled for structural [`ControlAction`]s — detach,
-    /// attach, stall — at each virtual-time boundary. With the default
-    /// [`NoHooks`] this is exactly [`run_with`](Self::run_with).
+    /// delay it), every emission through [`RunHooks::on_consumed`], and is
+    /// polled for structural [`ControlAction`]s — detach, attach, stall —
+    /// at each virtual-time boundary. Pass [`NoHooks`] to run without hooks.
     pub fn run_with_hooks<S: TraceSink, H: RunHooks<P>>(
         self,
         trace: &mut S,
@@ -221,19 +203,11 @@ impl<P: Payload> MergeRun<P> {
         self.run_checkpointed(trace, hooks, &mut NoCheckpoint)
     }
 
-    /// Execute to completion, offering checkpoint cuts to `sink` at the
-    /// end of each delivery iteration (see [`CheckpointSink`]). A halting
-    /// `save` ends the run without the completion postlude — the trace
-    /// stops exactly where a killed process's would.
-    pub fn run_with_checkpoints<S: TraceSink, C: CheckpointSink<P>>(
-        self,
-        trace: &mut S,
-        sink: &mut C,
-    ) -> RunMetrics {
-        self.run_checkpointed(trace, &mut NoHooks, sink)
-    }
-
-    /// The full run loop: tracing, fault hooks, and checkpointing.
+    /// The full run loop: tracing, hooks, and checkpoint cuts offered to
+    /// `sink` at the end of each delivery iteration (see
+    /// [`CheckpointSink`]). A halting `save` ends the run without the
+    /// completion postlude — the trace stops exactly where a killed
+    /// process's would.
     pub fn run_checkpointed<S: TraceSink, H: RunHooks<P>, C: CheckpointSink<P>>(
         mut self,
         trace: &mut S,
@@ -430,12 +404,10 @@ impl<P: Payload> MergeRun<P> {
             }
 
             // Batch-level fault actions.
-            let mut dropped = false;
             if hooks.enabled() {
                 match hooks.on_deliver(qi as u32, deliver_at, &batch.elements) {
                     FaultAction::Deliver => {}
                     FaultAction::Drop => {
-                        dropped = true;
                         if trace.enabled() {
                             trace.record(TraceEvent::FaultInjected {
                                 at: deliver_at,
@@ -443,6 +415,22 @@ impl<P: Payload> MergeRun<P> {
                                 kind: FaultKind::DropBatch,
                             });
                         }
+                        // Skip consumption entirely; the query still
+                        // produces its next batch, so only this batch is
+                        // lost.
+                        if let Some(b) = self.queries[qi].next_batch() {
+                            pulls[qi] += 1;
+                            heap.push(Reverse((b.deliver_at, seq, qi)));
+                            staged_seq[qi] = seq;
+                            seq += 1;
+                            pending[qi] = Some(b);
+                        } else if trace.enabled() {
+                            trace.record(TraceEvent::InputDrained {
+                                at: deliver_at,
+                                input: qi as u32,
+                            });
+                        }
+                        continue;
                     }
                     FaultAction::Replace(elems) => {
                         batch.meta = BatchMeta::of(&elems);
@@ -473,24 +461,6 @@ impl<P: Payload> MergeRun<P> {
                         }
                     }
                 }
-            }
-
-            if dropped {
-                // Skip consumption entirely; the query still produces its
-                // next batch below, so only this batch is lost.
-                if let Some(b) = self.queries[qi].next_batch() {
-                    pulls[qi] += 1;
-                    heap.push(Reverse((b.deliver_at, seq, qi)));
-                    staged_seq[qi] = seq;
-                    seq += 1;
-                    pending[qi] = Some(b);
-                } else if trace.enabled() {
-                    trace.record(TraceEvent::InputDrained {
-                        at: deliver_at,
-                        input: qi as u32,
-                    });
-                }
-                continue;
             }
 
             // LMerge consumes the batch once it is both delivered and the
@@ -824,7 +794,7 @@ mod tests {
                 ..RunConfig::default()
             },
         )
-        .run_with(&mut tracer);
+        .run_with_hooks(&mut tracer, &mut NoHooks);
 
         let events: Vec<TraceEvent> = tracer.events().copied().collect();
         let batches = events
@@ -899,7 +869,8 @@ mod tests {
         };
         let plain = MergeRun::new(mk(), lmr3(2), RunConfig::default()).run();
         let mut tracer = Tracer::new();
-        let traced = MergeRun::new(mk(), lmr3(2), RunConfig::default()).run_with(&mut tracer);
+        let traced = MergeRun::new(mk(), lmr3(2), RunConfig::default())
+            .run_with_hooks(&mut tracer, &mut NoHooks);
         assert_eq!(plain.merge, traced.merge, "tracing must not change the run");
         assert_eq!(plain.output_complete_at, traced.output_complete_at);
         assert_eq!(plain.latency, traced.latency);
@@ -1127,15 +1098,21 @@ mod tests {
         // Reference: checkpoints at every stable advance, never killed.
         let mut ref_trace = Tracer::new();
         let mut ref_sink = MemSink::new(None);
-        let ref_metrics = MergeRun::new(queries(), lmr3(2), config)
-            .run_with_checkpoints(&mut ref_trace, &mut ref_sink);
+        let ref_metrics = MergeRun::new(queries(), lmr3(2), config).run_checkpointed(
+            &mut ref_trace,
+            &mut NoHooks,
+            &mut ref_sink,
+        );
         assert!(ref_sink.next_seq >= 2, "multiple checkpoints taken");
 
         // Killed at checkpoint 1, then resumed from its image.
         let mut kill_trace = Tracer::new();
         let mut kill_sink = MemSink::new(Some(1));
-        MergeRun::new(queries(), lmr3(2), config)
-            .run_with_checkpoints(&mut kill_trace, &mut kill_sink);
+        MergeRun::new(queries(), lmr3(2), config).run_checkpointed(
+            &mut kill_trace,
+            &mut NoHooks,
+            &mut kill_sink,
+        );
         let image = kill_sink.images.last().unwrap().clone();
 
         let mut restored = lmr3(2);
@@ -1145,7 +1122,7 @@ mod tests {
         resume_sink.last_stable = image.merge.max_stable;
         resume_sink.next_seq = 2;
         let resumed_metrics = MergeRun::resumed(queries(), restored, config, image.exec)
-            .run_with_checkpoints(&mut resume_trace, &mut resume_sink);
+            .run_checkpointed(&mut resume_trace, &mut NoHooks, &mut resume_sink);
 
         // The killed prefix plus the resumed tail is the unkilled trace.
         let concat = format!(
@@ -1215,7 +1192,7 @@ mod tests {
                 lmr3(1),
                 RunConfig::default(),
             )
-            .run_with_checkpoints(&mut trace, &mut sink);
+            .run_checkpointed(&mut trace, &mut NoHooks, &mut sink);
             assert_eq!(m.output_complete_at.is_some(), completes);
             assert_eq!(sink.finished, 1, "halt_at {halt_at:?}");
             let taken = trace

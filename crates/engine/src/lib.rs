@@ -15,7 +15,13 @@
 //!   own virtual core;
 //! * an [`executor::MergeRun`]: N queries feeding one LMerge under a
 //!   deterministic **virtual-time** executor that models arrival lag,
-//!   bursts, congestion, and CPU cost without wall-clock dependence;
+//!   bursts, congestion, and CPU cost without wall-clock dependence. It is
+//!   the only executor: sharding ([`RunConfig::shards`]), tracing,
+//!   checkpoints ([`durability`]) and fault injection all run through its
+//!   one loop, on the calling thread;
+//! * [`hooks`]: the loop's per-batch boundary. [`RunHooks::on_consumed`]
+//!   is where merged output leaves the executor, and a pair `(A, B)` of
+//!   hooks composes an output sink with a fault injector;
 //! * [`metrics`]: throughput series, latency, memory samples, and output
 //!   chattiness — the measurements behind every figure in Section VI;
 //! * feedback propagation (Section V-D): the executor carries LMerge's
@@ -28,7 +34,6 @@ pub mod hooks;
 pub mod metrics;
 pub mod operator;
 pub mod ops;
-pub mod pipeline;
 pub mod query;
 pub mod spsc;
 
@@ -39,5 +44,4 @@ pub use executor::{MergeRun, RunConfig};
 pub use hooks::{ControlAction, FaultAction, NoHooks, RunHooks};
 pub use metrics::{RunMetrics, Series};
 pub use operator::{Operator, TimedElement};
-pub use pipeline::{run_pipeline, PipeItem, PipelineConfig, PipelineRun};
 pub use query::{Query, Source};

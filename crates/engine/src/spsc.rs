@@ -1,9 +1,6 @@
 //! Re-export of the shared SPSC ring ([`lmerge_core::spsc`]).
 //!
-//! The ring started life here, feeding the pipelined executor's shard
-//! workers; the lmerge-net ingest server now uses the same queue between
-//! its socket readers and the merge-side sources, so the implementation
-//! lives in `lmerge-core` where both crates can reach it. This module
-//! keeps the original `lmerge_engine::spsc` paths working unchanged.
+//! The ring lives in `lmerge-core`, where the lmerge-net ingest server
+//! reaches it; this module keeps the `lmerge_engine::spsc` paths working.
 
 pub use lmerge_core::spsc::*;

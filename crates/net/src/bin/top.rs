@@ -6,8 +6,7 @@
 //!
 //! Scrapes `lmerge-ingest --metrics` (or any [`lmerge_obs::MetricsServer`])
 //! each interval and redraws: watermark progress and real-time lag, active
-//! SLO alerts, per-input session/frame/byte/queue state, and per-shard
-//! queue depths. `--once` prints a single frame without clearing the
+//! SLO alerts, and per-input session/frame/byte/queue state. `--once` prints a single frame without clearing the
 //! screen — the mode CI smoke tests use.
 
 use lmerge_obs::{parse_prometheus, scrape, ScrapedSample};
@@ -101,18 +100,6 @@ fn fmt_count(v: f64) -> String {
     }
 }
 
-/// A fixed-width occupancy bar, `####....`-style (ASCII so it renders in
-/// any terminal CI captures).
-fn bar(fill: f64, width: usize) -> String {
-    let fill = fill.clamp(0.0, 1.0);
-    let on = (fill * width as f64).round() as usize;
-    let mut s = String::with_capacity(width);
-    for i in 0..width {
-        s.push(if i < on { '#' } else { '.' });
-    }
-    s
-}
-
 /// Render one dashboard frame from a parsed scrape. Pure — unit-testable
 /// without a socket.
 fn render(samples: &[ScrapedSample]) -> String {
@@ -185,26 +172,6 @@ fn render(samples: &[ScrapedSample]) -> String {
             ));
         }
     }
-
-    // Per-shard queue occupancy.
-    let shard_ids = label_values(samples, "lmerge_shard_queue_max_depth", "shard");
-    if !shard_ids.is_empty() {
-        out.push_str("\nshard  peak-queue\n");
-        for id in &shard_ids {
-            let depth = labeled(samples, "lmerge_shard_queue_max_depth", "shard", id);
-            let cap = labeled(samples, "lmerge_shard_queue_capacity", "shard", id);
-            let fill = match (depth, cap) {
-                (Some(d), Some(c)) if c > 0.0 => d / c,
-                _ => 0.0,
-            };
-            out.push_str(&format!(
-                "{:>5}  [{}] {}\n",
-                id,
-                bar(fill, 20),
-                depth.map_or("-".to_string(), fmt_count),
-            ));
-        }
-    }
     out
 }
 
@@ -249,7 +216,7 @@ mod tests {
     use lmerge_obs::MetricsRegistry;
 
     #[test]
-    fn renders_inputs_shards_and_alerts_from_a_scrape() {
+    fn renders_inputs_and_alerts_from_a_scrape() {
         let registry = MetricsRegistry::new();
         registry
             .counter("lmerge_net_frames_total", "h", &[("input", "0")])
@@ -257,12 +224,6 @@ mod tests {
         registry
             .counter("lmerge_net_bytes_total", "h", &[("input", "0")])
             .add(2_000_000);
-        registry
-            .gauge("lmerge_shard_queue_max_depth", "h", &[("shard", "0")])
-            .set(12);
-        registry
-            .gauge("lmerge_shard_queue_capacity", "h", &[("shard", "0")])
-            .set(16);
         registry
             .gauge(
                 "lmerge_alert_active",
@@ -275,7 +236,6 @@ mod tests {
         assert!(frame.contains("1.5k"), "frame count rendered: {frame}");
         assert!(frame.contains("2.0M"), "byte count rendered: {frame}");
         assert!(frame.contains("[warn] straggler_gap"), "{frame}");
-        assert!(frame.contains("############...."), "12/16 bar: {frame}");
     }
 
     #[test]
@@ -283,12 +243,5 @@ mod tests {
         let frame = render(&[]);
         assert!(frame.contains("alerts: none"));
         assert!(frame.contains("watermark -"));
-    }
-
-    #[test]
-    fn bars_clamp() {
-        assert_eq!(bar(2.0, 4), "####");
-        assert_eq!(bar(-1.0, 4), "....");
-        assert_eq!(bar(0.5, 4), "##..");
     }
 }

@@ -1,5 +1,5 @@
-//! Network ingest/egress for LMerge: physically independent replicas
-//! feeding the merge over real sockets.
+//! Network ingest for LMerge: physically independent replicas feeding the
+//! merge over real sockets.
 //!
 //! The paper's premise is that LMerge's inputs are *physically independent*
 //! — separate machines, separate failure domains — yet the rest of this
@@ -21,13 +21,15 @@
 //! * [`client`] — the replayer: streams a pre-timed feed with configurable
 //!   pacing, honours credits, and resumes from the server's acked offset
 //!   after a crash or disconnect;
-//! * [`egress`] — [`egress::NetHooks`], a [`lmerge_engine::RunHooks`]
-//!   wrapper that captures the merged output stream and optionally
-//!   serializes it back onto the wire;
 //! * [`proxy`] — a chaos proxy that forwards bytes while injecting
 //!   seeded delays, stalls, and connection resets, so the conformance
 //!   oracle can judge merge output under *real* network faults rather
 //!   than only the in-process injection of the chaos crate.
+//!
+//! The merged output leaves the executor through one `RunHooks` —
+//! `lmerge_sub::OutputHook`, which writes these same wire `Data` frames to
+//! a file and publishes them to subscribers — so this crate has no egress
+//! code of its own.
 //!
 //! The invariant the whole crate defends: because virtual arrival times
 //! travel **inside** the frames, delivering a feed over a socket — even
@@ -37,13 +39,11 @@
 //! affects only *when* the run finishes, never *what* it produces.
 
 pub mod client;
-pub mod egress;
 pub mod proxy;
 pub mod server;
 pub mod wire;
 
 pub use client::{replay, ReplayConfig, ReplayOutcome};
-pub use egress::{NetHooks, SharedBuf};
 pub use proxy::{ChaosProxy, ProxyFault, ProxyPlan};
 pub use server::{IngestConfig, IngestServer, NetSource};
 pub use wire::{

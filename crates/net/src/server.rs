@@ -766,30 +766,6 @@ impl Source<Value> for NetSource {
     }
 }
 
-/// Drain every source to completion on worker threads, returning each
-/// input's full timed feed. The convenient path for batch-style runs
-/// (e.g. feeding [`lmerge_engine::run_pipeline`], which wants vectors);
-/// live runs hand the sources to [`lmerge_engine::Query::from_source`]
-/// instead and never materialize the feeds.
-pub fn drain_sources(sources: Vec<NetSource>) -> Vec<Vec<TimedElement<Value>>> {
-    let handles: Vec<_> = sources
-        .into_iter()
-        .map(|mut s| {
-            thread::spawn(move || {
-                let mut feed = Vec::new();
-                while let Some(te) = s.next() {
-                    feed.push(te);
-                }
-                feed
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("drain thread panicked"))
-        .collect()
-}
-
 /// Errors an ingest client/server interaction can surface to callers.
 pub type NetResult<T> = Result<T, WireError>;
 
@@ -797,6 +773,12 @@ pub type NetResult<T> = Result<T, WireError>;
 mod tests {
     use super::*;
     use crate::client::{replay, ReplayConfig};
+
+    /// Drain input 0's source to completion on this thread.
+    fn drain(server: &mut IngestServer) -> Vec<TimedElement<Value>> {
+        let mut src = server.sources().remove(0);
+        std::iter::from_fn(|| src.next()).collect()
+    }
 
     fn feed(n: u64) -> Vec<TimedElement<Value>> {
         let mut v: Vec<TimedElement<Value>> = (0..n)
@@ -823,7 +805,7 @@ mod tests {
         let client = thread::spawn(move || {
             replay(&addr, &client_feed, &ReplayConfig::new(0)).expect("replay")
         });
-        let got = drain_sources(server.sources()).remove(0);
+        let got = drain(&mut server);
         let outcome = client.join().unwrap();
         assert!(outcome.clean);
         assert_eq!(outcome.sent, 41);
@@ -848,7 +830,7 @@ mod tests {
         let client = thread::spawn(move || {
             replay(&addr, &client_feed, &ReplayConfig::new(0)).expect("replay")
         });
-        let got = drain_sources(server.sources()).remove(0);
+        let got = drain(&mut server);
         client.join().unwrap();
         assert_eq!(got, sent, "nothing lost under a tiny ring");
         let tracer = server.tracer();
@@ -991,7 +973,7 @@ mod tests {
         let client = thread::spawn(move || {
             replay(&addr, &client_feed, &ReplayConfig::new(0)).expect("replay")
         });
-        let got = drain_sources(server.sources()).remove(0);
+        let got = drain(&mut server);
         client.join().unwrap();
         assert_eq!(got, sent);
         let get = |name: &str| {
@@ -1022,7 +1004,7 @@ mod tests {
         let client = thread::spawn(move || {
             replay(&addr, &client_feed, &ReplayConfig::new(0)).expect("replay")
         });
-        let got = drain_sources(server.sources()).remove(0);
+        let got = drain(&mut server);
         assert_eq!(got, sent);
         assert!(
             server.await_sessions_closed(Duration::from_secs(5)),
@@ -1101,7 +1083,7 @@ mod tests {
         let client = thread::spawn(move || {
             replay(&addr, &client_feed, &ReplayConfig::new(0)).expect("replay")
         });
-        got.extend(drain_sources(server.sources()).remove(0));
+        got.extend(drain(&mut server));
         let outcome = client.join().unwrap();
         assert!(outcome.clean);
         assert_eq!(
@@ -1135,7 +1117,7 @@ mod tests {
         let client_feed = sent.clone();
         let client =
             thread::spawn(move || replay(&addr, &client_feed, &ReplayConfig::new(0)).unwrap());
-        let got = drain_sources(server.sources()).remove(0);
+        let got = drain(&mut server);
         client.join().unwrap();
         assert_eq!(got, sent);
     }

@@ -658,6 +658,19 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     w.write_all(&encode(frame))
 }
 
+/// Decode every frame in `buf`; errors if any frame is malformed or the
+/// buffer ends mid-frame.
+pub fn decode_all(buf: &[u8]) -> Result<Vec<Frame>, WireError> {
+    let mut frames = Vec::new();
+    let mut off = 0;
+    while off < buf.len() {
+        let (frame, used) = decode(&buf[off..])?;
+        frames.push(frame);
+        off += used;
+    }
+    Ok(frames)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

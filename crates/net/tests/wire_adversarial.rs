@@ -286,9 +286,9 @@ fn fuzzed_valid_prefix_streams_decode_or_fail_typed() {
 /// the handshake timeout expires, and `shutdown` does not wait for them.
 #[test]
 fn silent_and_half_header_connections_are_dropped_not_served_forever() {
-    use lmerge_engine::TimedElement;
+    use lmerge_engine::{Source, TimedElement};
     use lmerge_net::client::{replay, ReplayConfig};
-    use lmerge_net::server::{drain_sources, IngestConfig, IngestServer, HANDSHAKE_TIMEOUT};
+    use lmerge_net::server::{IngestConfig, IngestServer, HANDSHAKE_TIMEOUT};
     use lmerge_obs::MetricsRegistry;
 
     let registry = MetricsRegistry::new();
@@ -318,7 +318,9 @@ fn silent_and_half_header_connections_are_dropped_not_served_forever() {
         let (addr, feed) = (addr.to_string(), feed.clone());
         std::thread::spawn(move || replay(&addr, &feed, &ReplayConfig::new(0)).expect("replay"))
     };
-    assert_eq!(drain_sources(server.sources()).remove(0), feed);
+    let mut src = server.sources().remove(0);
+    let drained: Vec<TimedElement<Value>> = std::iter::from_fn(|| src.next()).collect();
+    assert_eq!(drained, feed);
     assert!(client.join().unwrap().clean, "a normal session beside them");
 
     let drops = || {

@@ -98,8 +98,8 @@ impl HealthTag {
 /// The SLO condition an alert rule watches (see `alert::AlertRule`).
 ///
 /// Each kind names the live signal it thresholds, not the remedy — the
-/// same `WatermarkLag` alert covers a slow input, a stalled shard, and a
-/// dead network session; the per-input/per-shard series say which.
+/// same `WatermarkLag` alert covers a slow input and a dead network
+/// session; the per-input series say which.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlertKind {
     /// The output stable point has not advanced for too many wall-clock ms.
@@ -159,10 +159,6 @@ pub enum StableScope {
     Output,
     /// The latest punctuation announced by one input replica.
     Input(u32),
-    /// One shard's local stable point under hash-partitioned execution.
-    /// The output stable point is the minimum over shard scopes — a shard
-    /// that trails here is the one holding the aggregate back.
-    Shard(u32),
 }
 
 /// One observation recorded during an executor run.
@@ -255,18 +251,6 @@ pub enum TraceEvent {
         input: u32,
         /// The new health.
         health: HealthTag,
-    },
-    /// Periodic sample of one shard's delivery-queue depth under the
-    /// pipelined executor (occupancy = `depth / capacity`).
-    ShardQueueSampled {
-        /// Virtual sample time.
-        at: VTime,
-        /// The sampled shard.
-        shard: u32,
-        /// Elements in flight in the shard's SPSC ring.
-        depth: u32,
-        /// The ring's capacity in slots.
-        capacity: u32,
     },
     /// A network ingest session opened (handshake accepted): one remote
     /// replica is now feeding this input over a socket.
@@ -414,7 +398,6 @@ impl TraceEvent {
             | TraceEvent::RunCompleted { at }
             | TraceEvent::FaultInjected { at, .. }
             | TraceEvent::InputHealthChanged { at, .. }
-            | TraceEvent::ShardQueueSampled { at, .. }
             | TraceEvent::SessionOpened { at, .. }
             | TraceEvent::SessionClosed { at, .. }
             | TraceEvent::CreditGranted { at, .. }
@@ -442,7 +425,6 @@ impl TraceEvent {
             TraceEvent::RunCompleted { .. } => "run_completed",
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::InputHealthChanged { .. } => "input_health_changed",
-            TraceEvent::ShardQueueSampled { .. } => "shard_queue_sampled",
             TraceEvent::SessionOpened { .. } => "session_opened",
             TraceEvent::SessionClosed { .. } => "session_closed",
             TraceEvent::CreditGranted { .. } => "credit_granted",

@@ -49,7 +49,6 @@ fn event_json(e: &TraceEvent) -> Json {
             match scope {
                 StableScope::Output => obj.set("scope", "output"),
                 StableScope::Input(i) => obj.set("input", i),
-                StableScope::Shard(s) => obj.set("shard", s),
             };
             obj.set("stable", time_json(stable));
         }
@@ -71,16 +70,6 @@ fn event_json(e: &TraceEvent) -> Json {
         }
         TraceEvent::InputHealthChanged { input, health, .. } => {
             obj.set("input", input).set("health", health.label());
-        }
-        TraceEvent::ShardQueueSampled {
-            shard,
-            depth,
-            capacity,
-            ..
-        } => {
-            obj.set("shard", shard)
-                .set("depth", depth)
-                .set("capacity", capacity);
         }
         TraceEvent::SessionOpened {
             input, resume_seq, ..
@@ -186,13 +175,9 @@ pub fn trace_meta(ring: &crate::ring::EventRing) -> String {
 /// Track id used for the merge/output lane in the Chrome trace.
 const OUTPUT_TID: u32 = 0;
 
-/// Shard lanes render above the input lanes: shard `s` is thread
-/// `SHARD_TID_BASE + s` (inputs occupy `1..`, so shards stay clear of any
-/// realistic input count).
-const SHARD_TID_BASE: u32 = 1000;
-
-/// Network session lanes render above the shard lanes: input `i`'s ingest
-/// session is thread `NET_TID_BASE + i`, keeping socket-side events
+/// Network session lanes render above the input lanes (inputs occupy
+/// `1..`): input `i`'s ingest session is thread `NET_TID_BASE + i`,
+/// keeping socket-side events
 /// (handshakes, credits, ring depth) visually separate from the same
 /// input's virtual-time delivery lane.
 const NET_TID_BASE: u32 = 2000;
@@ -288,10 +273,6 @@ pub fn to_chrome_trace<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Stri
                         name_thread(&mut trace, i + 1, format!("input {i}"));
                         (format!("stable[input {i}]"), i + 1)
                     }
-                    StableScope::Shard(s) => {
-                        name_thread(&mut trace, SHARD_TID_BASE + s, format!("shard {s}"));
-                        (format!("stable[shard {s}]"), SHARD_TID_BASE + s)
-                    }
                 };
                 if stable == Time::INFINITY || stable == Time::MIN {
                     trace.push(chrome_instant(
@@ -346,15 +327,6 @@ pub fn to_chrome_trace<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Stri
                     ts,
                     input + 1,
                     Json::object().with("health", health.label()),
-                ));
-            }
-            TraceEvent::ShardQueueSampled { shard, depth, .. } => {
-                name_thread(&mut trace, SHARD_TID_BASE + shard, format!("shard {shard}"));
-                trace.push(chrome_counter_on(
-                    &format!("queue[shard {shard}]"),
-                    ts,
-                    SHARD_TID_BASE + shard,
-                    depth as i64,
                 ));
             }
             TraceEvent::SessionOpened {
@@ -674,17 +646,6 @@ mod tests {
                 at: VTime(23),
                 input: 1,
                 health: crate::event::HealthTag::Quarantined,
-            },
-            TraceEvent::StablePointAdvanced {
-                at: VTime(24),
-                scope: StableScope::Shard(2),
-                stable: Time(11),
-            },
-            TraceEvent::ShardQueueSampled {
-                at: VTime(25),
-                shard: 2,
-                depth: 5,
-                capacity: 64,
             },
             TraceEvent::SessionOpened {
                 at: VTime(26),

@@ -110,8 +110,6 @@ impl LagGauges {
                         }
                     }
                 }
-                // Shard scopes are folded by `shard::ShardGauges`.
-                StableScope::Shard(_) => {}
                 StableScope::Input(i) => {
                     let out = self.output_stable;
                     let was_behind = {

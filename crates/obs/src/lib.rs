@@ -67,7 +67,6 @@ pub mod metrics;
 pub mod net;
 pub mod ring;
 pub mod serve;
-pub mod shard;
 pub mod sink;
 
 pub use alert::{default_rules, AlertEngine, AlertRule};
@@ -81,5 +80,4 @@ pub use metrics::{
 pub use net::{NetGauges, NetLag};
 pub use ring::EventRing;
 pub use serve::{scrape, MetricsServer, ScrapeAlerts};
-pub use shard::{ShardGauges, ShardLag};
 pub use sink::{NullSink, TraceConfig, TraceSink, Tracer};

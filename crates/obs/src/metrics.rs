@@ -1,10 +1,10 @@
-//! The wall-clock telemetry plane: an atomic, shard-safe metrics registry
+//! The wall-clock telemetry plane: an atomic, thread-safe metrics registry
 //! with Prometheus text exposition.
 //!
 //! Everything in [`event`](crate::event) is *virtual-time* tracing — exact,
 //! deterministic, and consumed after a run. This module is the complement:
 //! live series an operator can scrape *while* the system runs. The two
-//! planes deliberately never mix: wall-clock phenomena (router stalls, real
+//! planes deliberately never mix: wall-clock phenomena (ring stalls, real
 //! watermark lag, socket byte counts) are nondeterministic across thread
 //! schedules, so folding them into `TraceEvent`s would break the byte-
 //! identical trace guarantees the conformance tests depend on. They live
@@ -12,7 +12,7 @@
 //!
 //! * [`MetricsRegistry`] — cheaply clonable handle store. Registering the
 //!   same name + label set twice returns the same underlying atomic, so
-//!   shard workers and the scrape thread share series without coordination.
+//!   socket readers and the scrape thread share series without coordination.
 //! * [`Counter`] / [`Gauge`] / [`AtomicHistogram`] — lock-free handles;
 //!   the histogram reuses [`LogHistogram`]'s bucketing behind `AtomicU64`s.
 //! * [`MetricsRegistry::render`] — Prometheus text format (v0.0.4), with
@@ -90,7 +90,7 @@ impl Gauge {
 }
 
 /// [`LogHistogram`] bucketing behind atomics: the same 16-sub-buckets-per-
-/// octave layout, recordable concurrently from shard workers and readable
+/// octave layout, recordable concurrently from any thread and readable
 /// from the scrape thread without locks.
 #[derive(Debug)]
 pub struct AtomicHistogram {
@@ -597,7 +597,6 @@ pub struct EngineMetrics {
     checkpoints: [Counter; 2],
     checkpoint_entries: Gauge,
     checkpoint_restores: Counter,
-    shards: Vec<(Gauge, Gauge, Gauge)>,
     sessions: Vec<(Counter, Counter, Counter, Counter, Counter, Gauge)>,
     /// Output stable point, mirrored for the `behind` gauges.
     last_output_stable: i64,
@@ -694,7 +693,6 @@ impl EngineMetrics {
                 &[],
             ),
             inputs: Vec::new(),
-            shards: Vec::new(),
             sessions: Vec::new(),
             last_output_stable: i64::MIN,
             last_input_stable: Vec::new(),
@@ -742,32 +740,6 @@ impl EngineMetrics {
             self.last_input_stable.push(i64::MIN);
         }
         &self.inputs[i]
-    }
-
-    fn shard(&mut self, s: u32) -> &(Gauge, Gauge, Gauge) {
-        let s = s as usize;
-        while self.shards.len() <= s {
-            let n = self.shards.len().to_string();
-            let l: &[(&str, &str)] = &[("shard", &n)];
-            self.shards.push((
-                self.registry.gauge(
-                    "lmerge_shard_queue_depth",
-                    "Elements in flight in this shard's delivery ring.",
-                    l,
-                ),
-                self.registry.gauge(
-                    "lmerge_shard_queue_capacity",
-                    "Slot capacity of this shard's delivery ring.",
-                    l,
-                ),
-                self.registry.gauge(
-                    "lmerge_shard_stable",
-                    "This shard's local stable point (application time).",
-                    l,
-                ),
-            ));
-        }
-        &self.shards[s]
     }
 
     fn session(&mut self, i: u32) -> &(Counter, Counter, Counter, Counter, Counter, Gauge) {
@@ -864,9 +836,6 @@ impl EngineMetrics {
                             self.inputs[i as usize].behind.set(behind);
                         }
                     }
-                    StableScope::Shard(s) => {
-                        self.shard(s).2.set(v);
-                    }
                 }
             }
             TraceEvent::FeedbackPropagated { .. } => self.feedback.inc(),
@@ -887,16 +856,6 @@ impl EngineMetrics {
                     HealthTag::Left => self.demotions.inc(),
                     _ => {}
                 }
-            }
-            TraceEvent::ShardQueueSampled {
-                shard,
-                depth,
-                capacity,
-                ..
-            } => {
-                let h = self.shard(shard);
-                h.0.set(depth as i64);
-                h.1.set(capacity as i64);
             }
             TraceEvent::SessionOpened {
                 input, resume_seq, ..

@@ -2,8 +2,7 @@
 //!
 //! When inputs arrive over sockets rather than in-process queues, three
 //! session-level diagnostics join the usual lag story, and [`NetGauges`]
-//! folds them out of the trace stream the same way [`crate::ShardGauges`]
-//! does for shards:
+//! folds them out of the trace stream:
 //!
 //! * **Session churn** — each [`TraceEvent::SessionOpened`] /
 //!   [`TraceEvent::SessionClosed`] pair is one connection lifetime; a
@@ -13,8 +12,8 @@
 //! * **Credit flow** — each [`TraceEvent::CreditGranted`] is backpressure
 //!   in action: the server returning ring slots to the client. A starved
 //!   total here means the merge (not the network) is the bottleneck.
-//! * **Ring pressure** — [`TraceEvent::NetQueueSampled`] mirrors the shard
-//!   queue samples for the per-connection ingest ring; occupancy near 1.0
+//! * **Ring pressure** — [`TraceEvent::NetQueueSampled`] samples the
+//!   per-connection ingest ring; occupancy near 1.0
 //!   means the socket reader outruns the merge and credits are about to
 //!   throttle the sender.
 
@@ -206,7 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_occupancy_tracks_like_shard_gauges() {
+    fn ring_occupancy_tracks_depth_and_mean() {
         let mut g = NetGauges::new(1);
         for depth in [8, 32, 16] {
             g.on_event(&TraceEvent::NetQueueSampled {

@@ -12,7 +12,6 @@ use crate::export;
 use crate::lag::LagGauges;
 use crate::net::NetGauges;
 use crate::ring::EventRing;
-use crate::shard::ShardGauges;
 
 /// A consumer of trace events.
 pub trait TraceSink {
@@ -73,7 +72,6 @@ impl Default for TraceConfig {
 pub struct Tracer {
     ring: EventRing,
     lag: LagGauges,
-    shards: ShardGauges,
     net: NetGauges,
     /// Whether the ring-overflow alert has already been recorded — the
     /// warning fires once per tracer, not once per evicted event.
@@ -91,7 +89,6 @@ impl Tracer {
         Tracer {
             ring: EventRing::new(config.capacity),
             lag: LagGauges::default(),
-            shards: ShardGauges::default(),
             net: NetGauges::default(),
             overflow_alerted: false,
         }
@@ -110,12 +107,6 @@ impl Tracer {
     /// The per-input lag gauges accumulated so far.
     pub fn lag(&self) -> &LagGauges {
         &self.lag
-    }
-
-    /// The per-shard gauges accumulated so far (all-zero unless the run
-    /// used the sharded pipeline).
-    pub fn shards(&self) -> &ShardGauges {
-        &self.shards
     }
 
     /// The per-input network-session gauges accumulated so far (all-zero
@@ -160,7 +151,6 @@ impl TraceSink for Tracer {
 
     fn record(&mut self, event: TraceEvent) {
         self.lag.on_event(&event);
-        self.shards.on_event(&event);
         self.net.on_event(&event);
         self.ring.push(event);
         // Surface the first eviction as a warn-level alert *inside* the

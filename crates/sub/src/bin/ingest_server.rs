@@ -8,7 +8,10 @@
 //!
 //! The process exits once every input has delivered a clean `Bye`, the
 //! merge has drained, and subscriber sessions have finished their close
-//! handshakes, printing a run summary to stdout. With `--metrics` a
+//! handshakes, printing a run summary to stdout. Both outputs leave the
+//! merge through one `lmerge_sub::OutputHook`; if the `--out` file fails
+//! (a full disk), the run and the subscribers carry on, and the process
+//! reports the error and exits non-zero at the end. With `--metrics` a
 //! Prometheus scrape endpoint runs for the life of the process (ingest
 //! *and* subscriber series). `--subscribe HOST:PORT` serves the merged
 //! output live through the broadcast buffer, flushed to subscribers
@@ -29,19 +32,15 @@
 
 use lmerge_core::{new_for_level, MergePolicy};
 use lmerge_durable::{CheckpointStore, DurableCheckpointSink};
-use lmerge_engine::{
-    ControlAction, FaultAction, MergeRun, NoCheckpoint, NoHooks, Query, RunConfig, RunHooks,
-    RunImage,
-};
-use lmerge_net::egress::NetHooks;
+use lmerge_engine::{MergeRun, NoCheckpoint, Query, RunConfig, RunImage};
 use lmerge_net::server::{IngestConfig, IngestServer};
 use lmerge_obs::{
     default_rules, AlertEngine, CheckpointMetrics, EngineMetrics, MeteredSink, MetricsRegistry,
     MetricsServer, ScrapeAlerts, TraceEvent, TraceSink, Tracer,
 };
 use lmerge_properties::RLevel;
-use lmerge_sub::{BroadcastHooks, EpochBuffer, SubConfig, SubFilter, SubPolicy, SubServer};
-use lmerge_temporal::{Element, VTime, Value};
+use lmerge_sub::{EpochBuffer, OutputHook, SubConfig, SubFilter, SubPolicy, SubServer};
+use lmerge_temporal::Value;
 use std::io::BufWriter;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -145,49 +144,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// The bin's egress hook: broadcast when `--subscribe` is on, inert
-/// otherwise (no buffer growth when nobody can connect to drain it).
-enum Egress {
-    Broadcast(BroadcastHooks<NoHooks>),
-    Off(NoHooks),
-}
-
-impl RunHooks<Value> for Egress {
-    fn enabled(&self) -> bool {
-        matches!(self, Egress::Broadcast(_))
-    }
-
-    fn on_deliver(
-        &mut self,
-        input: u32,
-        at: VTime,
-        elements: &[Element<Value>],
-    ) -> FaultAction<Value> {
-        match self {
-            Egress::Broadcast(h) => h.on_deliver(input, at, elements),
-            Egress::Off(_) => FaultAction::Deliver,
-        }
-    }
-
-    fn on_consumed(
-        &mut self,
-        input: u32,
-        at: VTime,
-        delivered: &[Element<Value>],
-        emitted: &[Element<Value>],
-    ) {
-        if let Egress::Broadcast(h) = self {
-            h.on_consumed(input, at, delivered, emitted);
-        }
-    }
-
-    fn control(&mut self, at: VTime, actions: &mut Vec<ControlAction<Value>>) {
-        if let Egress::Broadcast(h) = self {
-            h.control(at, actions);
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -345,15 +301,15 @@ fn main() -> ExitCode {
 
     // Streaming, not collecting: a long-lived server must not grow an
     // unbounded output Vec. The broadcast buffer (bounded by subscriber
-    // cursors) and the optional egress file are the outputs.
-    let egress = match &buf {
-        Some(b) => Egress::Broadcast(BroadcastHooks::wrap(NoHooks, Arc::clone(b))),
-        None => Egress::Off(NoHooks),
-    };
-    let mut hooks = NetHooks::streaming(egress);
+    // cursors, and only there when someone can subscribe to drain it) and
+    // the optional egress file are the outputs.
+    let mut output = OutputHook::new();
+    if let Some(b) = &buf {
+        output = output.broadcast(Arc::clone(b));
+    }
     if let Some(path) = &args.out {
         match std::fs::File::create(path) {
-            Ok(f) => hooks = hooks.with_egress(Box::new(BufWriter::new(f))),
+            Ok(f) => output = output.write_to(Box::new(BufWriter::new(f))),
             Err(e) => {
                 eprintln!("create {path}: {e}");
                 return ExitCode::FAILURE;
@@ -398,22 +354,20 @@ fn main() -> ExitCode {
         None => None,
     };
     let metrics = match &mut ck_sink {
-        Some(ck) => run.run_checkpointed(&mut sink, &mut hooks, ck),
-        None => run.run_checkpointed(&mut sink, &mut hooks, &mut NoCheckpoint),
+        Some(ck) => run.run_checkpointed(&mut sink, &mut output, ck),
+        None => run.run_checkpointed(&mut sink, &mut output, &mut NoCheckpoint),
     };
     sink.metrics()
         .set_ring_dropped(sink.inner().ring().dropped());
-    let emitted = hooks.emitted();
+    let emitted = output.emitted();
 
     // The merge drains at watermark = ∞, which a paced client reaches
     // while its final `Bye` round trip is still in flight; give the
     // close handshakes a moment so teardown doesn't sever them. Same for
-    // subscribers: seal the stream first so their sessions see Finished
-    // and run the Bye handshake.
+    // subscribers: seal the stream first (and close the egress file) so
+    // their sessions see Finished and run the Bye handshake.
     server.await_sessions_closed(std::time::Duration::from_secs(2));
-    if let Some(b) = &buf {
-        b.finish();
-    }
+    let written = output.finish();
     if let Some(s) = &sub_server {
         s.await_sessions_closed(std::time::Duration::from_secs(5));
     }
@@ -450,20 +404,32 @@ fn main() -> ExitCode {
         let fired = alert_tracer.lock().unwrap().events().count();
         println!("alert transitions observed: {fired}");
     }
+    let mut failed = false;
     if let Some(path) = &args.out {
-        println!("merged stream written to {path}");
+        match written {
+            Ok(()) => println!("merged stream written to {path}"),
+            Err(e) => {
+                eprintln!("writing merged stream to {path} failed: {e}");
+                failed = true;
+            }
+        }
     }
     if let Some(ck) = &ck_sink {
         if let Some(e) = &ck.error {
             eprintln!("checkpointing failed mid-run: {e}");
-            return ExitCode::FAILURE;
+            failed = true;
+        } else {
+            println!(
+                "{} checkpoint(s) in {}",
+                ck.store().next_seq(),
+                args.checkpoint_to.as_deref().unwrap_or("?")
+            );
         }
-        println!(
-            "{} checkpoint(s) in {}",
-            ck.store().next_seq(),
-            args.checkpoint_to.as_deref().unwrap_or("?")
-        );
     }
     server.shutdown();
-    ExitCode::SUCCESS
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

@@ -1,9 +1,9 @@
 //! The broadcast buffer: merge output written once, fanned out to N
 //! subscribers with zero per-subscriber copies.
 //!
-//! The merge's hooks publish every emitted element into a
-//! publisher-private *tail*, wire-encoding it exactly once (with the
-//! global output sequence NetHooks would have assigned). A
+//! The merge's output hook ([`crate::OutputHook`]) publishes every emitted
+//! element into a publisher-private *tail*, wire-encoding it exactly once
+//! (with the same global output sequence the hook's `--out` file carries). A
 //! [`flush`](EpochBuffer::flush) freezes the tail into an immutable,
 //! refcounted [`Chunk`] — the decoded elements, their encoded `Data`
 //! frames, and lazily built filter bitmaps — and wakes parked sessions:
@@ -688,7 +688,7 @@ mod tests {
         assert_eq!(buf.flushes(), 2);
         // The pre-encoded frames decode back to the published elements
         // with dense global sequences.
-        let frames = lmerge_net::egress::decode_all(c0.bytes()).unwrap();
+        let frames = lmerge_net::wire::decode_all(c0.bytes()).unwrap();
         assert!(
             matches!(frames[0], Frame::Data { seq: 0, .. })
                 && matches!(frames[2], Frame::Data { seq: 2, .. })

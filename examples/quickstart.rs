@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use lmerge::core::{LMergeR3, LogicalMerge};
-use lmerge::engine::{MergeRun, Query, RunConfig, TimedElement};
+use lmerge::engine::{MergeRun, NoHooks, Query, RunConfig, TimedElement};
 use lmerge::obs::Tracer;
 use lmerge::temporal::reconstitute::tdb_of;
 use lmerge::temporal::{Element, StreamId, Time, VTime};
@@ -85,7 +85,7 @@ fn main() {
         Box::new(LMergeR3::<&str>::new(2)),
         RunConfig::default(),
     )
-    .run_with(&mut tracer);
+    .run_with_hooks(&mut tracer, &mut NoHooks);
 
     println!("\n— traced run —");
     print!("{}", tracer.summary());

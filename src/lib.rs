@@ -34,8 +34,10 @@
 //! * [`core`] — the LMerge algorithms R0–R4 (R3+, R3− and R4 are one
 //!   indexed-merge shell over three node kinds), policies, attach/detach,
 //!   feedback (Sections IV and V).
-//! * [`engine`] — a mini-DSMS substrate: operators, plans, virtual-time
-//!   executor, metrics (the StreamInsight stand-in for Section VI).
+//! * [`engine`] — a mini-DSMS substrate: operators, plans, metrics, and
+//!   the one virtual-time executor (`MergeRun`), which also drives sharded
+//!   merges, checkpoints, and the hooks merged output leaves through (the
+//!   StreamInsight stand-in for Section VI).
 //! * [`obs`] — virtual-time tracing and diagnostics: event traces, per-input
 //!   lag gauges, log-bucketed histograms, JSONL / Chrome-trace exporters.
 //! * [`gen`] — the paper's synthetic workload generator and divergence /
@@ -47,10 +49,11 @@
 //! * [`durable`] — checkpoint/restore: versioned, checksummed snapshot +
 //!   delta files and the checkpoint sink that makes a restarted merge
 //!   byte-identical to one that never died.
-//! * [`net`] — wire protocol + TCP ingest/egress: physically independent
+//! * [`net`] — wire protocol + TCP ingest: physically independent
 //!   replicas feeding LMerge over real sockets, with credit backpressure,
 //!   crash/resume sessions, and a fault-injecting chaos proxy.
-//! * [`sub`] — shared incremental fan-out: a chunked broadcast buffer
+//! * [`sub`] — the merged output: `OutputHook` (egress file and fan-out,
+//!   the one way output leaves the executor), a chunked broadcast buffer
 //!   over the merged output (encoded once, visible at each flush, sealed
 //!   into epochs at stable advances), subscriber sessions with resume
 //!   cursors and credit backpressure (the ingest protocol mirrored), and

@@ -31,7 +31,7 @@ use lmerge::core::{
 use lmerge::durable::{
     envelope, get_merge_image, open_envelope, put_merge_image, Cursor, FileKind,
 };
-use lmerge::engine::{MergeRun, Operator, Query, RunConfig, TimedElement};
+use lmerge::engine::{MergeRun, NoHooks, Operator, Query, RunConfig, TimedElement};
 use lmerge::gen::{diverge, generate, DivergenceConfig, GenConfig};
 use lmerge::obs::export::to_jsonl;
 use lmerge::obs::Tracer;
@@ -219,7 +219,7 @@ fn trace(build: &Build, feeds: &Feeds, chunk: usize) -> String {
         ..RunConfig::default()
     };
     let mut tracer = Tracer::new();
-    MergeRun::new(queries, build(), config).run_with(&mut tracer);
+    MergeRun::new(queries, build(), config).run_with_hooks(&mut tracer, &mut NoHooks);
     format!("{:016x}", digest(to_jsonl(tracer.events()).as_bytes()))
 }
 

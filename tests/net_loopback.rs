@@ -8,26 +8,30 @@
 //! networked run consumes exactly the `TimedElement` sequence an
 //! in-process run does, so the merged output — and the full obs trace —
 //! match byte for byte, for every variant of the spectrum, through a
-//! crash-and-rejoin, and through a fault-injecting proxy.
+//! crash-and-rejoin, and through a fault-injecting proxy — and, with the
+//! merge sharded four ways, all the way out to a live subscriber.
 
 use lmerge::chaos::{
     general_feeds, restricted_feeds, ChaosConfig, ChaosInjector, Chunker, Variant, ALL_VARIANTS,
 };
 use lmerge::core::{new_for_level, MergePolicy};
 use lmerge::durable::{CheckpointStore, DurableCheckpointSink};
-use lmerge::engine::{
-    run_pipeline, MergeRun, Operator, PipeItem, PipelineConfig, Query, RunConfig, TimedElement,
-};
+use lmerge::engine::{MergeRun, NoHooks, Operator, Query, RunConfig, TimedElement};
 use lmerge::net::client::{replay, replay_until_clean, ReplayConfig};
-use lmerge::net::egress::NetHooks;
 use lmerge::net::proxy::{ChaosProxy, ProxyPlan};
-use lmerge::net::server::{drain_sources, IngestConfig, IngestServer};
+use lmerge::net::server::{IngestConfig, IngestServer};
 use lmerge::obs::{
     default_rules, parse_prometheus, scrape, AlertEngine, EngineMetrics, MeteredSink,
     MetricsRegistry, MetricsServer, ScrapeAlerts, TraceSink, Tracer,
 };
 use lmerge::properties::RLevel;
-use lmerge::temporal::{Element, StreamId, Time, VTime, Value};
+use lmerge::sub::{
+    subscribe_until_finished, EpochBuffer, OutputHook, SubConfig, SubPolicy, SubServer,
+    SubscribeConfig,
+};
+use lmerge::temporal::reconstitute::tdb_of;
+use lmerge::temporal::{Element, Time, VTime, Value};
+use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -66,9 +70,9 @@ fn feeds_for(
 }
 
 /// Run `variant` with the feeds delivered in-process (the baseline). The
-/// hooks stack — `NetHooks` wrapping a clean-plan `ChaosInjector` oracle —
-/// is identical to the networked run's, so the executor walks the same
-/// code path on both sides of the differential.
+/// hooks — an output collector paired with a clean-plan `ChaosInjector`
+/// oracle — are identical to the networked run's, so the executor walks the
+/// same code path on both sides of the differential.
 fn run_in_process(
     variant: Variant,
     cfg: &ChaosConfig,
@@ -83,7 +87,7 @@ fn run_in_process(
         })
         .collect();
     let merge = variant.build(cfg.n_inputs, cfg.robustness);
-    let mut hooks = NetHooks::wrap(ChaosInjector::oracle(variant.level(), feeds));
+    let mut hooks = (Vec::new(), ChaosInjector::oracle(variant.level(), feeds));
     let mut tracer = Tracer::new();
     MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut tracer, &mut hooks);
     finish(hooks, tracer, reference)
@@ -165,7 +169,7 @@ fn run_networked(
         })
         .collect();
     let merge = variant.build(cfg.n_inputs, cfg.robustness);
-    let mut hooks = NetHooks::wrap(ChaosInjector::oracle(variant.level(), feeds));
+    let mut hooks = (Vec::new(), ChaosInjector::oracle(variant.level(), feeds));
     let mut tracer = Tracer::new();
     MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut tracer, &mut hooks);
 
@@ -177,11 +181,10 @@ fn run_networked(
 }
 
 fn finish(
-    hooks: NetHooks<ChaosInjector>,
+    (output, mut oracle): (Vec<Element<Value>>, ChaosInjector),
     tracer: Tracer,
     reference: &lmerge::temporal::Tdb<Value>,
 ) -> RunResult {
-    let (output, mut oracle) = hooks.into_parts();
     oracle.check_now();
     RunResult {
         output,
@@ -274,11 +277,11 @@ fn proxy_faults_do_not_perturb_the_merge() {
 
 /// The telemetry-plane acceptance path: run the loopback merge with the
 /// live registry attached end to end — ingest server, metered run sink,
-/// sharded pipeline export, SLO alert engine — and scrape the endpoint
-/// over real TCP. The exposition must be valid Prometheus text carrying
-/// per-session, per-shard, and alert series.
+/// SLO alert engine — and scrape the endpoint over real TCP. The
+/// exposition must be valid Prometheus text carrying per-session and alert
+/// series.
 #[test]
-fn live_scrape_exposes_session_shard_and_alert_series() {
+fn live_scrape_exposes_session_and_alert_series() {
     let cfg = ChaosConfig::small(71);
     let variant = Variant::R3;
     let (_reference, feeds) = feeds_for(variant, &cfg);
@@ -329,30 +332,13 @@ fn live_scrape_exposes_session_shard_and_alert_series() {
         .collect();
     let merge = variant.build(cfg.n_inputs, cfg.robustness);
     let mut sink = MeteredSink::new(Tracer::new(), EngineMetrics::new(&registry));
-    MergeRun::new(queries, merge, RunConfig::default()).run_with(&mut sink);
+    MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut sink, &mut NoHooks);
     sink.metrics()
         .set_ring_dropped(sink.inner().ring().dropped());
     for c in clients {
         c.join().expect("client");
     }
     server.shutdown();
-
-    // Per-shard series come from the pipelined executor's export.
-    let pipe_feed: Vec<PipeItem<Value>> = feeds[0]
-        .iter()
-        .map(|te| PipeItem::Deliver(StreamId(0), te.element.clone()))
-        .collect();
-    let pipe = run_pipeline(
-        || variant.build(cfg.n_inputs, cfg.robustness),
-        &pipe_feed,
-        PipelineConfig {
-            shards: 2,
-            queue_capacity: 64,
-            sample_every: 1024,
-        },
-        &mut lmerge::obs::NullSink,
-    );
-    pipe.export_metrics(&registry);
 
     // A live scrape over TCP, parsed back from the wire format.
     let body = scrape(metrics_server.local_addr()).expect("scrape");
@@ -382,13 +368,6 @@ fn live_scrape_exposes_session_shard_and_alert_series() {
         .map(|s| s.value)
         .sum();
     assert!(resumes >= 1.0, "the kill+rejoin registered as a resume");
-
-    // Per-shard series from the pipeline export.
-    let shard_series = samples
-        .iter()
-        .filter(|s| s.name == "lmerge_shard_queue_max_depth")
-        .count();
-    assert_eq!(shard_series, 2, "one queue-depth series per shard");
 
     // Alert series: the engine evaluated during the scrape, so the
     // default rules are all present (firing or not).
@@ -443,10 +422,10 @@ fn networked_restore_replays_frames_staged_at_the_kill() {
     let reference = {
         let queries = vec![Query::new(feed.clone(), Vec::new())];
         let merge = new_for_level(RLevel::R3, 1, MergePolicy::default());
-        let mut hooks = NetHooks::collector();
+        let mut out = Vec::new();
         MergeRun::new(queries, merge, RunConfig::default())
-            .run_with_hooks(&mut lmerge::obs::NullSink, &mut hooks);
-        hooks.into_parts().0
+            .run_with_hooks(&mut lmerge::obs::NullSink, &mut out);
+        out
     };
 
     let dir = std::env::temp_dir().join(format!("lmerge-netck-{}", std::process::id()));
@@ -471,15 +450,14 @@ fn networked_restore_replays_frames_staged_at_the_kill() {
     let mut ck = DurableCheckpointSink::new(CheckpointStore::create(&dir).expect("store"))
         .with_cursor_source(Box::new(move || cursors.cursors()))
         .halt_after(2);
-    let mut hooks = NetHooks::collector();
+    let mut out1 = Vec::new();
     MergeRun::new(
         queries,
         new_for_level(RLevel::R3, 1, MergePolicy::default()),
         RunConfig::default(),
     )
-    .run_checkpointed(&mut lmerge::obs::NullSink, &mut hooks, &mut ck);
+    .run_checkpointed(&mut lmerge::obs::NullSink, &mut out1, &mut ck);
     assert!(ck.error.is_none(), "{:?}", ck.error);
-    let out1 = hooks.into_parts().0;
     server.shutdown();
     client.join().unwrap();
     drop(server);
@@ -507,13 +485,12 @@ fn networked_restore_replays_frames_staged_at_the_kill() {
         .collect();
     let mut merge = new_for_level(RLevel::R3, 1, MergePolicy::default());
     assert!(merge.restore_state(image.merge), "image matches the level");
-    let mut hooks = NetHooks::collector();
+    let mut out2 = Vec::new();
     MergeRun::new(queries, merge, RunConfig::default())
-        .run_with_hooks(&mut lmerge::obs::NullSink, &mut hooks);
+        .run_with_hooks(&mut lmerge::obs::NullSink, &mut out2);
     server.await_sessions_closed(std::time::Duration::from_secs(5));
     let outcome = client.join().unwrap();
     assert!(outcome.clean);
-    let out2 = hooks.into_parts().0;
     server.shutdown();
 
     // Exactly-once across the crash: what incarnation 1 emitted, then
@@ -552,17 +529,42 @@ fn uniform_feed(n: u64, payload_len: usize) -> Vec<TimedElement<Value>> {
     v
 }
 
+/// A `Write` handle over a shared byte vector: reads back what an
+/// [`OutputHook`] wrote to its file.
+#[derive(Clone, Default)]
+struct SharedBytes(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBytes {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Run `queries` through `merge` under `hooks` paired with an
+/// [`OutputHook`] writing to memory; return the hooks and the file bytes.
+fn run_to_bytes<H: lmerge::engine::RunHooks<Value>>(
+    queries: Vec<Query<Value>>,
+    merge: Box<dyn lmerge::core::LogicalMerge<Value>>,
+    config: RunConfig,
+    hooks: H,
+) -> (H, Vec<u8>) {
+    let file = SharedBytes::default();
+    let mut hooks = (hooks, OutputHook::new().write_to(Box::new(file.clone())));
+    MergeRun::new(queries, merge, config).run_with_hooks(&mut lmerge::obs::NullSink, &mut hooks);
+    hooks.1.finish().expect("in-memory file");
+    let bytes = file.0.lock().unwrap().clone();
+    (hooks.0, bytes)
+}
+
 /// Merge two replicas of `feed` and return the output as wire bytes.
 fn merged_bytes(queries: Vec<Query<Value>>) -> Vec<u8> {
-    let egress = lmerge::net::SharedBuf::new();
-    let mut hooks = NetHooks::collector().with_egress(Box::new(egress.clone()));
-    MergeRun::new(
-        queries,
-        new_for_level(RLevel::R3, 2, MergePolicy::default()),
-        RunConfig::default(),
-    )
-    .run_with_hooks(&mut lmerge::obs::NullSink, &mut hooks);
-    egress.bytes()
+    let merge = new_for_level(RLevel::R3, 2, MergePolicy::default());
+    run_to_bytes(queries, merge, RunConfig::default(), NoHooks).1
 }
 
 /// The client coalesces frames into large writes and the server takes every
@@ -667,13 +669,55 @@ fn cut_inside_a_coalesced_run_resumes_exactly_once() {
     }
 }
 
+/// The composed cell, through the one executor loop: replicas stream over
+/// TCP into a merge sharded four ways, whose output hook feeds a live
+/// subscriber that is killed mid-stream and resumes. The subscriber's
+/// stitched bytes are an in-process K=4 run's output file, frame for frame
+/// and byte for byte, and the logical stream it reconstitutes is the
+/// unsharded (K=1) merge's.
 #[test]
-fn drained_net_feeds_drive_the_sharded_pipeline() {
+fn sharded_tcp_ingest_streams_to_a_live_subscriber() {
     let cfg = ChaosConfig::small(53);
     let variant = Variant::R3;
     let (_reference, feeds) = feeds_for(variant, &cfg);
+    let sharded = |k: usize| {
+        let config = RunConfig {
+            shards: k,
+            ..RunConfig::default()
+        };
+        (
+            config,
+            config.shard_merge(feeds.len(), || variant.build(cfg.n_inputs, cfg.robustness)),
+        )
+    };
+    let in_process = || {
+        feeds
+            .iter()
+            .map(|f| Query::passthrough(f.clone()))
+            .collect::<Vec<_>>()
+    };
 
-    // Stream the feeds over TCP, collect them back with drain_sources.
+    // In-process references: K=4 (collected and as file bytes) and K=1.
+    let (config, merge) = sharded(4);
+    let (k4_out, k4_bytes) = run_to_bytes(in_process(), merge, config, Vec::new());
+    let (config, merge) = sharded(1);
+    let mut k1_out = Vec::new();
+    MergeRun::new(in_process(), merge, config)
+        .run_with_hooks(&mut lmerge::obs::NullSink, &mut k1_out);
+    assert_ne!(k4_out, k1_out, "sharding reorders within stable epochs");
+
+    // The live system: TCP ingest → K=4 merge → output hook → subscriber.
+    let buf = Arc::new(EpochBuffer::new(SubPolicy {
+        retain_min_epochs: u64::MAX,
+        ..SubPolicy::default()
+    }));
+    let mut sub_server =
+        SubServer::bind("127.0.0.1:0", Arc::clone(&buf), SubConfig::new()).expect("sub bind");
+    let sub_addr = sub_server.local_addr().to_string();
+    let subscriber = thread::spawn(move || {
+        let config = SubscribeConfig::new(1).with_kill_after(40);
+        subscribe_until_finished(&sub_addr, &config, 10).expect("subscriber")
+    });
     let mut server =
         IngestServer::bind("127.0.0.1:0", IngestConfig::new(feeds.len())).expect("bind");
     let addr = server.local_addr().to_string();
@@ -688,40 +732,35 @@ fn drained_net_feeds_drive_the_sharded_pipeline() {
             })
         })
         .collect();
-    let drained = drain_sources(server.sources());
+    let queries = server
+        .sources()
+        .into_iter()
+        .map(|src| Query::from_source(Box::new(src), Vec::new()))
+        .collect();
+    let (config, merge) = sharded(4);
+    let mut output = OutputHook::new().broadcast(Arc::clone(&buf));
+    MergeRun::new(queries, merge, config).run_with_hooks(&mut lmerge::obs::NullSink, &mut output);
     for c in clients {
-        c.join().unwrap();
+        assert!(c.join().unwrap().clean);
     }
+    server.await_sessions_closed(std::time::Duration::from_secs(5));
+    output.finish().expect("no file, no I/O error");
+    let seen = subscriber.join().expect("subscriber thread");
+    sub_server.shutdown();
     server.shutdown();
-    assert_eq!(drained, feeds, "network drain reproduces the feeds exactly");
 
-    // Interleave by virtual arrival (ties by input, the executor's own
-    // ordering) and push the result through the sharded pipeline.
-    let mut interleaved: Vec<(u64, u32, Element<Value>)> = drained
-        .into_iter()
-        .enumerate()
-        .flat_map(|(i, feed)| {
-            feed.into_iter()
-                .map(move |te| (te.at.0, i as u32, te.element))
-        })
-        .collect();
-    interleaved.sort_by_key(|&(at, input, _)| (at, input));
-    let pipe_feed: Vec<PipeItem<Value>> = interleaved
-        .into_iter()
-        .map(|(_, input, e)| PipeItem::Deliver(StreamId(input), e))
-        .collect();
-    let pipe = run_pipeline(
-        || variant.build(cfg.n_inputs, cfg.robustness),
-        &pipe_feed,
-        PipelineConfig {
-            shards: 2,
-            queue_capacity: 64,
-            sample_every: 1024,
-        },
-        &mut lmerge::obs::NullSink,
+    assert!(seen.clean && seen.finished);
+    assert!(seen.attempts > 1, "the kill never fired");
+    assert_eq!(output.emitted(), k4_out.len() as u64);
+    assert_eq!(
+        seen.bytes, k4_bytes,
+        "stitched bytes = in-process K=4 output"
     );
-    assert!(
-        !pipe.output.is_empty(),
-        "networked feeds drive the sharded pipeline end to end"
+    let elements: Vec<Element<Value>> = seen.frames.iter().map(|(_, _, e)| e.clone()).collect();
+    assert_eq!(elements, k4_out);
+    assert_eq!(
+        tdb_of(&elements).expect("well formed"),
+        tdb_of(&k1_out).expect("well formed"),
+        "the sharded stream means what the unsharded one does"
     );
 }

@@ -19,7 +19,7 @@
 use lmerge::chaos::{general_feeds, restricted_feeds, ChaosConfig, Chunker, Variant, ALL_VARIANTS};
 use lmerge::core::LogicalMerge;
 use lmerge::durable::{CheckpointStore, DurableCheckpointSink};
-use lmerge::engine::{MergeRun, Operator, Query, RunConfig, RunMetrics, TimedElement};
+use lmerge::engine::{MergeRun, NoHooks, Operator, Query, RunConfig, RunMetrics, TimedElement};
 use lmerge::obs::export::to_jsonl;
 use lmerge::obs::Tracer;
 use lmerge::properties::RLevel;
@@ -86,8 +86,11 @@ fn assert_recovery_byte_identical(
     let ref_dir = tmp_dir(&format!("{tag}-ref"));
     let mut ref_sink = sink(&ref_dir);
     let mut ref_trace = Tracer::new();
-    let ref_metrics = MergeRun::new(queries(feeds, 4), build(), config)
-        .run_with_checkpoints(&mut ref_trace, &mut ref_sink);
+    let ref_metrics = MergeRun::new(queries(feeds, 4), build(), config).run_checkpointed(
+        &mut ref_trace,
+        &mut NoHooks,
+        &mut ref_sink,
+    );
     assert!(ref_sink.error.is_none(), "{tag}: reference persistence");
     assert!(ref_metrics.output_complete_at.is_some());
     let cuts = ref_sink.store().next_seq();
@@ -104,8 +107,11 @@ fn assert_recovery_byte_identical(
     let mut stitched = String::new();
     let mut trace = Tracer::new();
     let mut first_sink = sink(&dir).halt_after(kill_seqs[0]);
-    let killed = MergeRun::new(queries(feeds, 4), build(), config)
-        .run_with_checkpoints(&mut trace, &mut first_sink);
+    let killed = MergeRun::new(queries(feeds, 4), build(), config).run_checkpointed(
+        &mut trace,
+        &mut NoHooks,
+        &mut first_sink,
+    );
     assert!(first_sink.error.is_none());
     assert!(
         killed.output_complete_at.is_none(),
@@ -134,7 +140,7 @@ fn assert_recovery_byte_identical(
         }
         let mut resume_trace = Tracer::new();
         let metrics = MergeRun::resumed(queries(feeds, 4), merge, config, image.exec)
-            .run_with_checkpoints(&mut resume_trace, &mut resume_sink);
+            .run_checkpointed(&mut resume_trace, &mut NoHooks, &mut resume_sink);
         assert!(resume_sink.error.is_none());
         stitched.push_str(&to_jsonl(resume_trace.events()));
         match halt {

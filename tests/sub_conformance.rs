@@ -4,8 +4,8 @@
 //! mid-stream — must end up with a **byte-identical** filtered copy of
 //! the single-writer reference output.
 //!
-//! The reference on each run is twofold: the in-process `NetHooks`
-//! collector (what the merge emitted, element by element) and the
+//! The reference on each run is twofold: an in-process output collector
+//! (what the merge emitted, element by element) and the
 //! full-stream subscriber's wire bytes (what the fan-out encoded). A
 //! filtered class's expectation is derived mechanically from the latter
 //! by re-encoding the admitted frames, so the comparison pins the whole
@@ -17,15 +17,14 @@ use lmerge::core::{new_for_level, MergePolicy};
 use lmerge::durable::{CheckpointStore, DurableCheckpointSink};
 use lmerge::engine::{MergeRun, Query, RunConfig, TimedElement};
 use lmerge::net::client::{replay, replay_until_clean, ReplayConfig};
-use lmerge::net::egress::NetHooks;
 use lmerge::net::proxy::{ChaosProxy, ProxyPlan};
 use lmerge::net::server::{IngestConfig, IngestServer};
 use lmerge::net::wire::{self, Frame};
 use lmerge::obs::{MetricsRegistry, NullSink};
 use lmerge::properties::RLevel;
 use lmerge::sub::{
-    subscribe, subscribe_until_finished, BroadcastHooks, EpochBuffer, SubConfig, SubFilter,
-    SubOutcome, SubPolicy, SubServer, SubscribeConfig,
+    subscribe, subscribe_until_finished, EpochBuffer, OutputHook, SubConfig, SubFilter, SubOutcome,
+    SubPolicy, SubServer, SubscribeConfig,
 };
 use lmerge::temporal::{Element, Time, VTime, Value};
 use std::sync::Arc;
@@ -129,16 +128,16 @@ fn mixed_subscribers_receive_byte_identical_filtered_slices() {
     };
 
     // The producer: an in-process merge publishing through the broadcast
-    // buffer, with the NetHooks collector as the single-writer reference.
+    // buffer, with a plain collector as the single-writer reference.
     let queries: Vec<Query<Value>> = feeds
         .iter()
         .map(|f| Query::new(f.clone(), Vec::new()))
         .collect();
     let merge = Variant::R3.build(cfg.n_inputs, cfg.robustness);
-    let mut hooks = BroadcastHooks::wrap(NetHooks::collector(), Arc::clone(&buf));
+    let mut hooks = (Vec::new(), OutputHook::new().broadcast(Arc::clone(&buf)));
     MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut NullSink, &mut hooks);
-    hooks.finish();
-    let collected = hooks.into_inner().into_parts().0;
+    hooks.1.finish().expect("no file, no I/O error");
+    let collected = hooks.0;
 
     let full = full.join().expect("full");
     let moddy = moddy.join().expect("moddy");
@@ -225,14 +224,14 @@ fn open_epoch_streams_to_a_live_subscriber_when_the_input_goes_quiet() {
     let merge = {
         let buf = Arc::clone(&buf);
         thread::spawn(move || {
-            let mut hooks = BroadcastHooks::wrap(NetHooks::collector(), buf);
+            let mut output = OutputHook::new().broadcast(buf);
             MergeRun::new(
                 queries,
                 new_for_level(RLevel::R3, 1, MergePolicy::default()),
                 RunConfig::default(),
             )
-            .run_with_hooks(&mut NullSink, &mut hooks);
-            hooks.finish();
+            .run_with_hooks(&mut NullSink, &mut output);
+            output.finish().expect("no file, no I/O error");
         })
     };
 
@@ -313,10 +312,9 @@ fn subscriber_resume_across_merge_restart(cell: RestartCell) {
     let unkilled = {
         let queries = vec![Query::new(feed.clone(), Vec::new())];
         let merge = new_for_level(RLevel::R3, 1, MergePolicy::default());
-        let mut hooks = NetHooks::collector();
-        MergeRun::new(queries, merge, RunConfig::default())
-            .run_with_hooks(&mut NullSink, &mut hooks);
-        hooks.into_parts().0
+        let mut out = Vec::new();
+        MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut NullSink, &mut out);
+        out
     };
 
     let dir =
@@ -357,13 +355,13 @@ fn subscriber_resume_across_merge_restart(cell: RestartCell) {
         .with_cursor_source(Box::new(move || cursors.cursors()))
         .with_egress_source(Box::new(move || egress_buf.image()))
         .halt_after(2);
-    let mut hooks = BroadcastHooks::wrap(NetHooks::collector(), Arc::clone(&buf1));
+    let mut output = OutputHook::new().broadcast(Arc::clone(&buf1));
     MergeRun::new(
         queries,
         new_for_level(RLevel::R3, 1, MergePolicy::default()),
         RunConfig::default(),
     )
-    .run_checkpointed(&mut NullSink, &mut hooks, &mut ck);
+    .run_checkpointed(&mut NullSink, &mut output, &mut ck);
     assert!(ck.error.is_none(), "{:?}", ck.error);
     let part1 = watcher.join().expect("watcher");
     assert!(!part1.clean && !part1.finished, "the kill really severed");
@@ -450,10 +448,10 @@ fn subscriber_resume_across_merge_restart(cell: RestartCell) {
         .collect();
     let mut merge = new_for_level(RLevel::R3, 1, MergePolicy::default());
     assert!(merge.restore_state(image.merge), "image matches the level");
-    let mut hooks = BroadcastHooks::wrap(NetHooks::collector(), Arc::clone(&buf2));
-    MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut NullSink, &mut hooks);
+    let mut output = OutputHook::new().broadcast(Arc::clone(&buf2));
+    MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut NullSink, &mut output);
     server.await_sessions_closed(Duration::from_secs(5));
-    hooks.finish();
+    output.finish().expect("no file, no I/O error");
     let tail = stitched_tail.join().expect("stitched tail");
     let uninterrupted = uninterrupted.join().expect("uninterrupted");
     assert!(sub_server.await_sessions_closed(Duration::from_secs(5)));
