@@ -18,6 +18,9 @@
 //!   [`lmerge_core::spsc`] ring, and a [`server::NetSource`] implementing
 //!   the engine's [`lmerge_engine::Source`] so decoded elements enter the
 //!   ordinary virtual-time executor;
+//! * [`listener`] — the accept loop both session servers and the chaos
+//!   proxy share, the handshake timeout, and [`listener::SessionCounts`]:
+//!   registry series, the only account of a session (none is traced);
 //! * [`client`] — the replayer: streams a pre-timed feed with configurable
 //!   pacing, honours credits, and resumes from the server's acked offset
 //!   after a crash or disconnect;
@@ -39,6 +42,7 @@
 //! affects only *when* the run finishes, never *what* it produces.
 
 pub mod client;
+pub mod listener;
 pub mod proxy;
 pub mod server;
 pub mod wire;

@@ -18,11 +18,12 @@
 //! across connections, so a client that reconnects after a reset
 //! continues through the *remaining* faults instead of replaying them.
 
+use crate::listener::Listener;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
 /// One transport-layer fault.
@@ -94,19 +95,15 @@ struct PlanState {
 
 /// A TCP proxy in front of one upstream address.
 pub struct ChaosProxy {
-    local_addr: SocketAddr,
+    listener: Listener,
     shutdown: Arc<AtomicBool>,
     state: Arc<Mutex<PlanState>>,
-    accept: Option<JoinHandle<()>>,
 }
 
 impl ChaosProxy {
     /// Listen on an ephemeral local port, forwarding each accepted
     /// connection to `upstream` with `plan`'s faults applied.
     pub fn spawn(upstream: SocketAddr, plan: ProxyPlan) -> io::Result<ChaosProxy> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(Mutex::new(PlanState {
             faults: plan.faults,
@@ -114,22 +111,25 @@ impl ChaosProxy {
             next: 0,
             resets: 0,
         }));
-        let accept = {
+        let listener = {
             let shutdown = Arc::clone(&shutdown);
             let state = Arc::clone(&state);
-            thread::spawn(move || accept_loop(listener, upstream, shutdown, state))
+            // Upstream connects happen here, on the accept thread, in the
+            // order clients connected.
+            Listener::bind("127.0.0.1:0", move |client| {
+                forward(client, upstream, &shutdown, &state)
+            })?
         };
         Ok(ChaosProxy {
-            local_addr,
+            listener,
             shutdown,
             state,
-            accept: Some(accept),
         })
     }
 
     /// The address clients should connect to instead of the upstream.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Faults fired so far.
@@ -146,9 +146,7 @@ impl ChaosProxy {
     /// their own as their sockets close).
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.listener.stop();
     }
 }
 
@@ -158,51 +156,41 @@ impl Drop for ChaosProxy {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
+/// Connect one accepted client upstream and start its two forwarding legs.
+fn forward(
+    client: TcpStream,
     upstream: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    state: Arc<Mutex<PlanState>>,
+    shutdown: &Arc<AtomicBool>,
+    state: &Arc<Mutex<PlanState>>,
 ) {
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((client, _)) => {
-                let Ok(server) = TcpStream::connect(upstream) else {
-                    continue;
-                };
-                let _ = client.set_nodelay(true);
-                let _ = server.set_nodelay(true);
-                // Server→client leg: transparent copy.
-                if let (Ok(from), Ok(to)) = (server.try_clone(), client.try_clone()) {
-                    let shutdown = Arc::clone(&shutdown);
-                    thread::spawn(move || forward_plain(from, to, shutdown));
-                }
-                // Client→server leg: fault-injecting copy.
-                let state = Arc::clone(&state);
-                let shutdown = Arc::clone(&shutdown);
-                thread::spawn(move || forward_faulted(client, server, state, shutdown));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
-        }
+    let Ok(server) = TcpStream::connect(upstream) else {
+        return;
+    };
+    let _ = client.set_nodelay(true);
+    let _ = server.set_nodelay(true);
+    // Server→client leg: transparent copy.
+    if let (Ok(from), Ok(to)) = (server.try_clone(), client.try_clone()) {
+        let shutdown = Arc::clone(shutdown);
+        thread::spawn(move || forward_plain(from, to, shutdown));
     }
+    // Client→server leg: fault-injecting copy.
+    let state = Arc::clone(state);
+    let shutdown = Arc::clone(shutdown);
+    thread::spawn(move || forward_faulted(client, server, state, shutdown));
 }
 
+/// Copy server→client until the server hangs up, dropping the bytes once
+/// the client is gone: closing the server socket with unread bytes makes
+/// the kernel reset it, discarding what the server has not yet received.
 fn forward_plain(mut from: TcpStream, mut to: TcpStream, shutdown: Arc<AtomicBool>) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(100)));
     let mut buf = [0u8; 4096];
+    let mut client_gone = false;
     loop {
         match from.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
-                if to.write_all(&buf[..n]).is_err() {
-                    break;
-                }
+                client_gone = client_gone || to.write_all(&buf[..n]).is_err();
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -267,9 +255,10 @@ fn forward_faulted(
                     thread::sleep(Duration::from_millis(ms));
                 }
                 ProxyFault::Reset => {
+                    // The prefix, then EOF: `forward_plain` drains the rest.
                     let _ = to.write_all(&buf[..keep]);
                     let _ = from.shutdown(Shutdown::Both);
-                    let _ = to.shutdown(Shutdown::Both);
+                    let _ = to.shutdown(Shutdown::Write);
                     return;
                 }
             }
@@ -284,6 +273,7 @@ fn forward_faulted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn seeded_plans_are_deterministic_and_sorted() {

@@ -24,9 +24,8 @@
 //! (the socket's TCP window then pushes back on the client). Credits are
 //! the *advisory* layer that keeps well-behaved clients from ever hitting
 //! that spin: the merge-side [`NetSource`] grants `credit_batch` credits
-//! back each time it has popped that many items. Occupancy is sampled
-//! into the server's own tracer as `net_queue_sampled` events alongside
-//! `credit_granted`, `session_opened`, and `session_closed`.
+//! back each time it has popped that many items, and samples the ring's
+//! occupancy into `lmerge_net_queue_depth` as it does.
 //!
 //! # Pay per read, not per frame
 //!
@@ -42,23 +41,23 @@
 //! waits for a frame that sits in user space. The consumer can hang its own
 //! output flush on the same loop ([`NetSource::on_quiet`]).
 //!
-//! # Trace purity
+//! # Telemetry
 //!
-//! The server owns a private [`Tracer`]. Network-session events never
-//! touch the *run's* tracer — a networked run must produce a trace
-//! byte-identical to the in-process run of the same feeds, and it could
-//! not if socket lifecycle noise leaked in.
+//! Sessions, credits and ring depth are counted in [`NetMetrics`], the
+//! registry series, and nowhere else: the server records no trace, so a
+//! networked run's trace is the in-process run's by construction.
 
+use crate::listener::{Listener, SessionCounts, HANDSHAKE_TIMEOUT};
 use crate::wire::{self, Frame, FrameReader, WireError, PROTOCOL_VERSION};
 use lmerge_core::spsc::{self, Consumer, Producer};
 use lmerge_engine::{Source, TimedElement};
-use lmerge_obs::{Counter, Gauge, MetricsRegistry, TraceEvent, TraceSink, Tracer};
-use lmerge_temporal::{Element, Time, VTime, Value};
+use lmerge_obs::{Counter, Gauge, MetricsRegistry};
+use lmerge_temporal::{Element, Time, Value};
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Mutex};
+use std::thread;
 use std::time::Duration;
 
 /// One decoded element in flight between a session thread and the merge.
@@ -90,16 +89,9 @@ impl IngestConfig {
     }
 }
 
-/// Wall-clock telemetry handles for one input's sessions. These are the
-/// live-ops counterpart of the tracer's deterministic session events:
-/// socket byte counts, spin retries, and corruption counts depend on real
-/// network timing, so they live in registry atomics and never touch the
-/// trace (see "Trace purity" above).
+/// Wall-clock telemetry handles for one input's sessions.
 struct InputNetMetrics {
-    sessions_opened: Counter,
-    resumes: Counter,
-    clean_closes: Counter,
-    lost_closes: Counter,
+    sessions: SessionCounts,
     frames: Counter,
     bytes: Counter,
     credits: Counter,
@@ -126,26 +118,7 @@ impl NetMetrics {
                 let id = i.to_string();
                 let l: [(&str, &str); 1] = [("input", id.as_str())];
                 InputNetMetrics {
-                    sessions_opened: registry.counter(
-                        "lmerge_net_sessions_opened_total",
-                        "Ingest sessions accepted (handshake completed), per input.",
-                        &l,
-                    ),
-                    resumes: registry.counter(
-                        "lmerge_net_resumes_total",
-                        "Sessions that resumed mid-stream (welcomed with resume_seq > 0).",
-                        &l,
-                    ),
-                    clean_closes: registry.counter(
-                        "lmerge_net_session_closes_clean_total",
-                        "Sessions that ended with a clean Bye.",
-                        &l,
-                    ),
-                    lost_closes: registry.counter(
-                        "lmerge_net_session_closes_lost_total",
-                        "Sessions that ended uncleanly (EOF, gap, corruption, i/o error).",
-                        &l,
-                    ),
+                    sessions: SessionCounts::new(registry, "lmerge_net", "Ingest", &l),
                     frames: registry.counter(
                         "lmerge_net_frames_total",
                         "Data frames accepted into the ring, per input.",
@@ -188,7 +161,8 @@ impl NetMetrics {
             inputs,
             handshake_drops: registry.counter(
                 "lmerge_net_handshake_drops_total",
-                "Connections dropped before a session opened (no or bad Hello within the timeout).",
+                "Connections dropped before a session opened (no or bad Hello within the timeout, \
+                 the input still held by another session, or a failed Welcome write).",
                 &[],
             ),
         }
@@ -213,23 +187,17 @@ struct InputShared {
     finished: AtomicBool,
     /// Items the merge side has popped — the checkpoint resume cursor.
     pops: AtomicU64,
-    capacity: u32,
 }
 
 /// State shared by every thread the server spawns.
 struct ServerShared {
     inputs: Vec<InputShared>,
     shutdown: AtomicBool,
-    tracer: Mutex<Tracer>,
     credit_batch: u32,
     metrics: NetMetrics,
 }
 
 impl ServerShared {
-    fn trace(&self, event: TraceEvent) {
-        self.tracer.lock().unwrap().record(event);
-    }
-
     /// Write encoded frames to an input's live connection; best-effort
     /// (bytes for a dead connection are dropped and the writer cleared —
     /// the client will learn everything it needs from its next `Welcome`).
@@ -245,10 +213,9 @@ impl ServerShared {
 
 /// A TCP ingest server feeding `inputs` independent element streams.
 pub struct IngestServer {
-    local_addr: SocketAddr,
+    listener: Listener,
     shared: Arc<ServerShared>,
     consumers: Vec<Option<Consumer<Item>>>,
-    accept: Option<JoinHandle<()>>,
 }
 
 impl IngestServer {
@@ -272,9 +239,6 @@ impl IngestServer {
             config.ring_capacity > config.credit_batch as usize,
             "ring_capacity must exceed credit_batch or clients starve"
         );
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let mut inputs = Vec::with_capacity(config.inputs);
         let mut consumers = Vec::with_capacity(config.inputs);
         for _ in 0..config.inputs {
@@ -286,30 +250,30 @@ impl IngestServer {
                 acked_stable: AtomicI64::new(Time::MIN.0),
                 finished: AtomicBool::new(false),
                 pops: AtomicU64::new(0),
-                capacity: config.ring_capacity as u32,
             });
             consumers.push(Some(rx));
         }
         let shared = Arc::new(ServerShared {
             inputs,
             shutdown: AtomicBool::new(false),
-            tracer: Mutex::new(Tracer::new()),
             credit_batch: config.credit_batch,
             metrics: NetMetrics::new(registry, config.inputs),
         });
         let accept_shared = Arc::clone(&shared);
-        let accept = thread::spawn(move || accept_loop(listener, accept_shared));
+        let listener = Listener::bind(addr, move |stream| {
+            let shared = Arc::clone(&accept_shared);
+            thread::spawn(move || session(shared, stream));
+        })?;
         Ok(IngestServer {
-            local_addr,
+            listener,
             shared,
             consumers,
-            accept: Some(accept),
         })
     }
 
     /// The bound address (connect clients and proxies here).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Take the merge-side sources, one per input, in input order. Each
@@ -323,16 +287,10 @@ impl IngestServer {
                 consumer: c.take().expect("sources() already taken"),
                 shared: Arc::clone(&self.shared),
                 since_credit: 0,
-                capacity: self.shared.inputs[i].capacity,
                 out: Vec::new(),
                 on_quiet: None,
             })
             .collect()
-    }
-
-    /// The server's private session tracer (session/credit/queue events).
-    pub fn tracer(&self) -> MutexGuard<'_, Tracer> {
-        self.shared.tracer.lock().unwrap()
     }
 
     /// Per-input transport resume cursors for a checkpoint: `(frames the
@@ -374,34 +332,18 @@ impl IngestServer {
     /// clean closes into lost ones. Call this between merge completion
     /// and [`shutdown`](IngestServer::shutdown).
     pub fn await_sessions_closed(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let all_closed = self
-                .shared
-                .metrics
-                .inputs
-                .iter()
-                .all(|m| m.clean_closes.get() + m.lost_closes.get() >= m.sessions_opened.get());
-            if all_closed {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
+        let inputs = self.shared.metrics.inputs.iter();
+        SessionCounts::await_closed(inputs.map(|m| &m.sessions), timeout)
     }
 
-    /// Stop accepting, sever live sessions, and join the accept loop.
+    /// Stop accepting, join the accept loop, and sever live sessions.
     pub fn shutdown(&mut self) {
+        self.listener.stop();
         self.shared.shutdown.store(true, Ordering::Relaxed);
         for input in &self.shared.inputs {
             if let Some(w) = input.writer.lock().unwrap().as_ref() {
                 let _ = w.shutdown(Shutdown::Both);
             }
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
         }
     }
 }
@@ -411,31 +353,6 @@ impl Drop for IngestServer {
         self.shutdown();
     }
 }
-
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let session_shared = Arc::clone(&shared);
-                thread::spawn(move || session(session_shared, stream));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
-        }
-    }
-}
-
-/// How long a fresh connection may take to present its handshake frame
-/// (`Hello` here, `Subscribe` on the fan-out plane) before it is dropped.
-/// Clients send it right after `connect`, so this only ever expires on a
-/// peer that connected and went quiet — which would otherwise pin its
-/// session thread for the life of the process, `shutdown` included.
-pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Frames a session has pushed to the ring since it last published.
 #[derive(Default)]
@@ -495,7 +412,11 @@ fn session(shared: Arc<ServerShared>, stream: TcpStream) {
         }
         thread::sleep(Duration::from_micros(500));
     }
-    let Some(mut producer) = producer else { return };
+    // The input is still held by a live session: no session for this one.
+    let Some(mut producer) = producer else {
+        shared.metrics.handshake_drops.inc();
+        return;
+    };
 
     let resume_seq = slot.next_seq.load(Ordering::Acquire);
     let welcome = Frame::Welcome {
@@ -506,21 +427,14 @@ fn session(shared: Arc<ServerShared>, stream: TcpStream) {
     };
     if wire::write_frame(&mut &stream, &welcome).is_err() {
         *slot.producer.lock().unwrap() = Some(producer);
+        shared.metrics.handshake_drops.inc();
         return;
     }
     let _ = stream.set_read_timeout(None);
     if let Ok(w) = stream.try_clone() {
         *slot.writer.lock().unwrap() = Some(w);
     }
-    shared.trace(TraceEvent::SessionOpened {
-        at: VTime(resume_seq),
-        input,
-        resume_seq,
-    });
-    live.sessions_opened.inc();
-    if resume_seq > 0 {
-        live.resumes.inc();
-    }
+    live.sessions.on_open(resume_seq > 0);
 
     let mut expected = resume_seq;
     let mut pending = Unpublished::default();
@@ -598,16 +512,7 @@ fn session(shared: Arc<ServerShared>, stream: TcpStream) {
 
     *slot.writer.lock().unwrap() = None;
     *slot.producer.lock().unwrap() = Some(producer);
-    shared.trace(TraceEvent::SessionClosed {
-        at: VTime(slot.next_seq.load(Ordering::Relaxed)),
-        input,
-        clean,
-    });
-    if clean {
-        live.clean_closes.inc();
-    } else {
-        live.lost_closes.inc();
-    }
+    live.sessions.on_close(clean);
 }
 
 /// A cloneable reader of the server's live per-input resume cursors
@@ -646,7 +551,6 @@ pub struct NetSource {
     consumer: Consumer<Item>,
     shared: Arc<ServerShared>,
     since_credit: u32,
-    capacity: u32,
     /// `Ack`/`Credit` frames encoded but not yet written.
     out: Vec<u8>,
     /// The consumer's own output flush, run once the ring has stayed
@@ -693,21 +597,9 @@ impl NetSource {
             self.since_credit = 0;
             wire::encode_into(&Frame::Credit { n }, &mut self.out);
             self.flush();
-            let depth = self.consumer.len() as u32;
             let live = &self.shared.metrics.inputs[self.input as usize];
             live.credits.add(n as u64);
-            live.queue_depth.set(depth as i64);
-            self.shared.trace(TraceEvent::CreditGranted {
-                at: item.te.at,
-                input: self.input,
-                credits: n,
-            });
-            self.shared.trace(TraceEvent::NetQueueSampled {
-                at: item.te.at,
-                input: self.input,
-                depth,
-                capacity: self.capacity,
-            });
+            live.queue_depth.set(self.consumer.len() as i64);
         }
     }
 
@@ -757,8 +649,8 @@ impl Source<Value> for NetSource {
 
     fn memory_bytes(&self) -> usize {
         // Deliberately 0: the ring is constant-size preallocated transport
-        // buffering, not merge state, and it is already accounted by the
-        // server tracer's `net_queue_sampled` gauge. Reporting it here
+        // buffering, not merge state, and its occupancy is already the
+        // `lmerge_net_queue_depth` gauge. Reporting it here
         // would shift every `memory_sampled` trace line by a constant and
         // break the byte-identity between networked and in-process runs
         // of the same feeds.
@@ -773,6 +665,7 @@ pub type NetResult<T> = Result<T, WireError>;
 mod tests {
     use super::*;
     use crate::client::{replay, ReplayConfig};
+    use lmerge_temporal::VTime;
 
     /// Drain input 0's source to completion on this thread.
     fn drain(server: &mut IngestServer) -> Vec<TimedElement<Value>> {
@@ -796,9 +689,21 @@ mod tests {
         v
     }
 
+    /// Bind a server whose series land in a registry the test can read.
+    fn bind_metered(config: IngestConfig) -> (IngestServer, MetricsRegistry) {
+        let registry = MetricsRegistry::new();
+        let server = IngestServer::bind_with_metrics("127.0.0.1:0", config, &registry).unwrap();
+        (server, registry)
+    }
+
+    /// The sum of one series over every input (0 if it is missing).
+    fn total(registry: &MetricsRegistry, name: &str) -> f64 {
+        registry.sum_value(name).unwrap_or(0.0)
+    }
+
     #[test]
     fn single_input_round_trip() {
-        let mut server = IngestServer::bind("127.0.0.1:0", IngestConfig::new(1)).unwrap();
+        let (mut server, registry) = bind_metered(IngestConfig::new(1));
         let addr = server.local_addr().to_string();
         let sent = feed(40);
         let client_feed = sent.clone();
@@ -810,10 +715,12 @@ mod tests {
         assert!(outcome.clean);
         assert_eq!(outcome.sent, 41);
         assert_eq!(got, sent, "elements and stamps survive the socket");
-        let tracer = server.tracer();
-        assert_eq!(tracer.net().inputs()[0].sessions, 1);
-        assert_eq!(tracer.net().inputs()[0].clean_closes, 1);
-        drop(tracer);
+        assert!(server.await_sessions_closed(Duration::from_secs(5)));
+        assert_eq!(total(&registry, "lmerge_net_sessions_opened_total"), 1.0);
+        assert_eq!(
+            total(&registry, "lmerge_net_session_closes_clean_total"),
+            1.0
+        );
     }
 
     #[test]
@@ -823,7 +730,7 @@ mod tests {
             ring_capacity: 8,
             credit_batch: 4,
         };
-        let mut server = IngestServer::bind("127.0.0.1:0", config).unwrap();
+        let (mut server, registry) = bind_metered(config);
         let addr = server.local_addr().to_string();
         let sent = feed(200);
         let client_feed = sent.clone();
@@ -833,13 +740,8 @@ mod tests {
         let got = drain(&mut server);
         client.join().unwrap();
         assert_eq!(got, sent, "nothing lost under a tiny ring");
-        let tracer = server.tracer();
-        assert!(
-            tracer.net().inputs()[0].credits_granted >= 190,
-            "credits flowed: {}",
-            tracer.net().inputs()[0].credits_granted
-        );
-        drop(tracer);
+        let credits = total(&registry, "lmerge_net_credits_granted_total");
+        assert!(credits >= 190.0, "credits flowed: {credits}");
     }
 
     #[test]
@@ -997,7 +899,7 @@ mod tests {
 
     #[test]
     fn await_sessions_closed_observes_the_bye_handshake() {
-        let mut server = IngestServer::bind("127.0.0.1:0", IngestConfig::new(1)).unwrap();
+        let (mut server, registry) = bind_metered(IngestConfig::new(1));
         let addr = server.local_addr().to_string();
         let sent = feed(20);
         let client_feed = sent.clone();
@@ -1011,9 +913,36 @@ mod tests {
             "clean close lands within the grace period"
         );
         assert!(client.join().unwrap().clean);
-        let tracer = server.tracer();
-        assert_eq!(tracer.net().inputs()[0].clean_closes, 1);
-        drop(tracer);
+        assert_eq!(
+            total(&registry, "lmerge_net_session_closes_clean_total"),
+            1.0
+        );
+    }
+
+    #[test]
+    fn a_rejoin_while_the_input_is_live_is_dropped_and_counted() {
+        let (server, registry) = bind_metered(IngestConfig::new(1));
+        let hello = Frame::Hello {
+            protocol: PROTOCOL_VERSION,
+            input: 0,
+        };
+        let mut live = TcpStream::connect(server.local_addr()).unwrap();
+        wire::write_frame(&mut live, &hello).unwrap();
+        assert!(matches!(
+            wire::read_frame(&mut live),
+            Ok(Some(Frame::Welcome { .. }))
+        ));
+        // A second replica says Hello for the same input while the first
+        // still holds its ring: the claim wait runs out, the connection
+        // closes without a Welcome, and the drop is counted.
+        let mut second = TcpStream::connect(server.local_addr()).unwrap();
+        second
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        wire::write_frame(&mut second, &hello).unwrap();
+        assert_eq!(wire::read_frame(&mut second), Ok(None), "EOF, no Welcome");
+        assert_eq!(total(&registry, "lmerge_net_handshake_drops_total"), 1.0);
+        assert_eq!(total(&registry, "lmerge_net_sessions_opened_total"), 1.0);
     }
 
     #[test]

@@ -288,7 +288,8 @@ fn fuzzed_valid_prefix_streams_decode_or_fail_typed() {
 fn silent_and_half_header_connections_are_dropped_not_served_forever() {
     use lmerge_engine::{Source, TimedElement};
     use lmerge_net::client::{replay, ReplayConfig};
-    use lmerge_net::server::{IngestConfig, IngestServer, HANDSHAKE_TIMEOUT};
+    use lmerge_net::listener::HANDSHAKE_TIMEOUT;
+    use lmerge_net::server::{IngestConfig, IngestServer};
     use lmerge_obs::MetricsRegistry;
 
     let registry = MetricsRegistry::new();

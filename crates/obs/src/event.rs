@@ -252,49 +252,6 @@ pub enum TraceEvent {
         /// The new health.
         health: HealthTag,
     },
-    /// A network ingest session opened (handshake accepted): one remote
-    /// replica is now feeding this input over a socket.
-    SessionOpened {
-        /// Virtual time of the handshake (the session's resume point for a
-        /// rejoin, `VTime::ZERO` for a first connection).
-        at: VTime,
-        /// The input the session feeds.
-        input: u32,
-        /// The first frame sequence number the server expects — 0 for a
-        /// fresh session, the resume point for a rejoin.
-        resume_seq: u64,
-    },
-    /// A network ingest session ended (clean `bye` or connection loss).
-    SessionClosed {
-        /// Virtual time of the last element the session delivered.
-        at: VTime,
-        /// The input the session fed.
-        input: u32,
-        /// Whether the client said `bye` (vs. a reset/mid-frame drop).
-        clean: bool,
-    },
-    /// The ingest server granted frame credits back to a client
-    /// (credit-based backpressure: credits track ring free space).
-    CreditGranted {
-        /// Virtual time of the latest element popped before the grant.
-        at: VTime,
-        /// The input whose client received the credits.
-        input: u32,
-        /// Number of frame credits granted.
-        credits: u32,
-    },
-    /// Periodic sample of one net ingest session's SPSC ring depth
-    /// (occupancy = `depth / capacity`; what the credit grants key off).
-    NetQueueSampled {
-        /// Virtual sample time.
-        at: VTime,
-        /// The input whose ingest ring was sampled.
-        input: u32,
-        /// Decoded frames in flight between socket reader and merge.
-        depth: u32,
-        /// The ring's capacity in slots.
-        capacity: u32,
-    },
     /// An SLO alert rule crossed its threshold.
     ///
     /// Unlike every other variant, alerts originate on the *wall-clock*
@@ -348,40 +305,6 @@ pub enum TraceEvent {
         /// Live state entries restored into the merge.
         entries: u64,
     },
-    /// An egress subscription session opened (subscribe accepted): one
-    /// remote consumer is now tailing the merged output.
-    SubSessionOpened {
-        /// The resume sequence carried as a virtual timestamp (subscriber
-        /// sessions live on the output-seq axis, not input virtual time).
-        at: VTime,
-        /// The subscriber's stable identity.
-        subscriber: u64,
-        /// First output sequence the session will actually send — the
-        /// client's `resume_from`, possibly clamped up to the compaction
-        /// horizon.
-        resume_seq: u64,
-    },
-    /// An egress subscription session ended (clean `bye` or loss).
-    SubSessionClosed {
-        /// The last output sequence sent, as a virtual timestamp.
-        at: VTime,
-        /// The subscriber's stable identity.
-        subscriber: u64,
-        /// Whether the close was a clean `bye` handshake.
-        clean: bool,
-    },
-    /// One sealed output epoch was delivered to one subscriber (after
-    /// filtering; the shared segment is written once and fanned out).
-    SubEpochDelivered {
-        /// The epoch's base output sequence, as a virtual timestamp.
-        at: VTime,
-        /// The receiving subscriber.
-        subscriber: u64,
-        /// The epoch index in the broadcast buffer.
-        epoch: u64,
-        /// Frames actually sent after the session's filter.
-        frames: u32,
-    },
 }
 
 impl TraceEvent {
@@ -398,17 +321,10 @@ impl TraceEvent {
             | TraceEvent::RunCompleted { at }
             | TraceEvent::FaultInjected { at, .. }
             | TraceEvent::InputHealthChanged { at, .. }
-            | TraceEvent::SessionOpened { at, .. }
-            | TraceEvent::SessionClosed { at, .. }
-            | TraceEvent::CreditGranted { at, .. }
-            | TraceEvent::NetQueueSampled { at, .. }
             | TraceEvent::AlertFired { at, .. }
             | TraceEvent::AlertResolved { at, .. }
             | TraceEvent::CheckpointTaken { at, .. }
-            | TraceEvent::CheckpointRestored { at, .. }
-            | TraceEvent::SubSessionOpened { at, .. }
-            | TraceEvent::SubSessionClosed { at, .. }
-            | TraceEvent::SubEpochDelivered { at, .. } => at,
+            | TraceEvent::CheckpointRestored { at, .. } => at,
         }
     }
 
@@ -425,17 +341,10 @@ impl TraceEvent {
             TraceEvent::RunCompleted { .. } => "run_completed",
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::InputHealthChanged { .. } => "input_health_changed",
-            TraceEvent::SessionOpened { .. } => "session_opened",
-            TraceEvent::SessionClosed { .. } => "session_closed",
-            TraceEvent::CreditGranted { .. } => "credit_granted",
-            TraceEvent::NetQueueSampled { .. } => "net_queue_sampled",
             TraceEvent::AlertFired { .. } => "alert_fired",
             TraceEvent::AlertResolved { .. } => "alert_resolved",
             TraceEvent::CheckpointTaken { .. } => "checkpoint_taken",
             TraceEvent::CheckpointRestored { .. } => "checkpoint_restored",
-            TraceEvent::SubSessionOpened { .. } => "sub_session_opened",
-            TraceEvent::SubSessionClosed { .. } => "sub_session_closed",
-            TraceEvent::SubEpochDelivered { .. } => "sub_epoch_delivered",
         }
     }
 }
@@ -531,38 +440,5 @@ mod tests {
         assert_eq!(r.at(), VTime(51));
         assert_eq!(r.name(), "checkpoint_restored");
         assert_eq!(FaultKind::CrashMerge.label(), "crash_merge");
-    }
-
-    #[test]
-    fn net_session_events() {
-        let o = TraceEvent::SessionOpened {
-            at: VTime(5),
-            input: 2,
-            resume_seq: 17,
-        };
-        assert_eq!(o.at(), VTime(5));
-        assert_eq!(o.name(), "session_opened");
-        let c = TraceEvent::SessionClosed {
-            at: VTime(9),
-            input: 2,
-            clean: false,
-        };
-        assert_eq!(c.at(), VTime(9));
-        assert_eq!(c.name(), "session_closed");
-        let g = TraceEvent::CreditGranted {
-            at: VTime(11),
-            input: 0,
-            credits: 32,
-        };
-        assert_eq!(g.at(), VTime(11));
-        assert_eq!(g.name(), "credit_granted");
-        let q = TraceEvent::NetQueueSampled {
-            at: VTime(12),
-            input: 0,
-            depth: 7,
-            capacity: 64,
-        };
-        assert_eq!(q.at(), VTime(12));
-        assert_eq!(q.name(), "net_queue_sampled");
     }
 }

@@ -71,27 +71,6 @@ fn event_json(e: &TraceEvent) -> Json {
         TraceEvent::InputHealthChanged { input, health, .. } => {
             obj.set("input", input).set("health", health.label());
         }
-        TraceEvent::SessionOpened {
-            input, resume_seq, ..
-        } => {
-            obj.set("input", input).set("resume_seq", resume_seq);
-        }
-        TraceEvent::SessionClosed { input, clean, .. } => {
-            obj.set("input", input).set("clean", clean);
-        }
-        TraceEvent::CreditGranted { input, credits, .. } => {
-            obj.set("input", input).set("credits", credits);
-        }
-        TraceEvent::NetQueueSampled {
-            input,
-            depth,
-            capacity,
-            ..
-        } => {
-            obj.set("input", input)
-                .set("depth", depth)
-                .set("capacity", capacity);
-        }
         TraceEvent::AlertFired {
             kind,
             severity,
@@ -119,29 +98,6 @@ fn event_json(e: &TraceEvent) -> Json {
         }
         TraceEvent::CheckpointRestored { seq, entries, .. } => {
             obj.set("seq", seq).set("entries", entries);
-        }
-        TraceEvent::SubSessionOpened {
-            subscriber,
-            resume_seq,
-            ..
-        } => {
-            obj.set("subscriber", subscriber)
-                .set("resume_seq", resume_seq);
-        }
-        TraceEvent::SubSessionClosed {
-            subscriber, clean, ..
-        } => {
-            obj.set("subscriber", subscriber).set("clean", clean);
-        }
-        TraceEvent::SubEpochDelivered {
-            subscriber,
-            epoch,
-            frames,
-            ..
-        } => {
-            obj.set("subscriber", subscriber)
-                .set("epoch", epoch)
-                .set("frames", frames);
         }
     }
     obj
@@ -174,23 +130,6 @@ pub fn trace_meta(ring: &crate::ring::EventRing) -> String {
 
 /// Track id used for the merge/output lane in the Chrome trace.
 const OUTPUT_TID: u32 = 0;
-
-/// Network session lanes render above the input lanes (inputs occupy
-/// `1..`): input `i`'s ingest session is thread `NET_TID_BASE + i`,
-/// keeping socket-side events
-/// (handshakes, credits, ring depth) visually separate from the same
-/// input's virtual-time delivery lane.
-const NET_TID_BASE: u32 = 2000;
-
-/// Subscriber lanes render above the net lanes: subscriber `s`'s egress
-/// session is thread `SUB_TID_BASE + s` (ids are folded into the lane
-/// window so a million-subscriber run still renders).
-const SUB_TID_BASE: u32 = 3000;
-
-/// Fold a subscriber id into its chrome lane.
-fn sub_tid(subscriber: u64) -> u32 {
-    SUB_TID_BASE + (subscriber % 1000) as u32
-}
 
 fn chrome_instant(name: &str, ts: u64, tid: u32, args: Json) -> Json {
     Json::object()
@@ -329,64 +268,6 @@ pub fn to_chrome_trace<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Stri
                     Json::object().with("health", health.label()),
                 ));
             }
-            TraceEvent::SessionOpened {
-                input, resume_seq, ..
-            } => {
-                name_thread(
-                    &mut trace,
-                    NET_TID_BASE + input,
-                    format!("net input {input}"),
-                );
-                trace.push(chrome_instant(
-                    "session open",
-                    ts,
-                    NET_TID_BASE + input,
-                    Json::object().with("resume_seq", resume_seq),
-                ));
-            }
-            TraceEvent::SessionClosed { input, clean, .. } => {
-                name_thread(
-                    &mut trace,
-                    NET_TID_BASE + input,
-                    format!("net input {input}"),
-                );
-                trace.push(chrome_instant(
-                    if clean {
-                        "session close"
-                    } else {
-                        "session lost"
-                    },
-                    ts,
-                    NET_TID_BASE + input,
-                    Json::object().with("clean", clean),
-                ));
-            }
-            TraceEvent::CreditGranted { input, credits, .. } => {
-                name_thread(
-                    &mut trace,
-                    NET_TID_BASE + input,
-                    format!("net input {input}"),
-                );
-                trace.push(chrome_counter_on(
-                    &format!("credits[input {input}]"),
-                    ts,
-                    NET_TID_BASE + input,
-                    credits as i64,
-                ));
-            }
-            TraceEvent::NetQueueSampled { input, depth, .. } => {
-                name_thread(
-                    &mut trace,
-                    NET_TID_BASE + input,
-                    format!("net input {input}"),
-                );
-                trace.push(chrome_counter_on(
-                    &format!("queue[net input {input}]"),
-                    ts,
-                    NET_TID_BASE + input,
-                    depth as i64,
-                ));
-            }
             TraceEvent::AlertFired {
                 kind,
                 severity,
@@ -435,60 +316,6 @@ pub fn to_chrome_trace<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Stri
                     ts,
                     OUTPUT_TID,
                     Json::object().with("seq", seq).with("entries", entries),
-                ));
-            }
-            TraceEvent::SubSessionOpened {
-                subscriber,
-                resume_seq,
-                ..
-            } => {
-                name_thread(
-                    &mut trace,
-                    sub_tid(subscriber),
-                    format!("subscriber {subscriber}"),
-                );
-                trace.push(chrome_instant(
-                    "subscribe",
-                    ts,
-                    sub_tid(subscriber),
-                    Json::object().with("resume_seq", resume_seq),
-                ));
-            }
-            TraceEvent::SubSessionClosed {
-                subscriber, clean, ..
-            } => {
-                name_thread(
-                    &mut trace,
-                    sub_tid(subscriber),
-                    format!("subscriber {subscriber}"),
-                );
-                trace.push(chrome_instant(
-                    if clean {
-                        "subscriber close"
-                    } else {
-                        "subscriber lost"
-                    },
-                    ts,
-                    sub_tid(subscriber),
-                    Json::object().with("clean", clean),
-                ));
-            }
-            TraceEvent::SubEpochDelivered {
-                subscriber,
-                epoch,
-                frames,
-                ..
-            } => {
-                name_thread(
-                    &mut trace,
-                    sub_tid(subscriber),
-                    format!("subscriber {subscriber}"),
-                );
-                trace.push(chrome_instant(
-                    &format!("epoch {epoch}"),
-                    ts,
-                    sub_tid(subscriber),
-                    Json::object().with("epoch", epoch).with("frames", frames),
                 ));
             }
         }
@@ -646,27 +473,6 @@ mod tests {
                 at: VTime(23),
                 input: 1,
                 health: crate::event::HealthTag::Quarantined,
-            },
-            TraceEvent::SessionOpened {
-                at: VTime(26),
-                input: 1,
-                resume_seq: 40,
-            },
-            TraceEvent::CreditGranted {
-                at: VTime(27),
-                input: 1,
-                credits: 16,
-            },
-            TraceEvent::NetQueueSampled {
-                at: VTime(28),
-                input: 1,
-                depth: 3,
-                capacity: 64,
-            },
-            TraceEvent::SessionClosed {
-                at: VTime(29),
-                input: 1,
-                clean: true,
             },
             TraceEvent::AlertFired {
                 at: VTime(30),

@@ -51,7 +51,9 @@
 //!
 //! * [`metrics`] — an atomic registry of counters/gauges/histograms with
 //!   Prometheus text exposition, plus [`metrics::MeteredSink`] to fold the
-//!   trace event stream into live series;
+//!   trace event stream into live series. Socket sessions (ingest and
+//!   subscriber) are accounted here only, by their servers: the trace is
+//!   the run's, and a session is not an event of the run;
 //! * [`alert`] — a declarative SLO rule engine (watermark lag, straggler
 //!   gap, resume rate, ring drops) firing typed alert events;
 //! * [`serve`] — a side-listener scrape endpoint ([`serve::MetricsServer`])
@@ -64,7 +66,6 @@ pub mod hist;
 pub mod json;
 pub mod lag;
 pub mod metrics;
-pub mod net;
 pub mod ring;
 pub mod serve;
 pub mod sink;
@@ -77,7 +78,6 @@ pub use metrics::{
     parse_prometheus, AtomicHistogram, CheckpointMetrics, Counter, EngineMetrics, Gauge,
     MeteredSink, MetricsRegistry, ScrapedSample,
 };
-pub use net::{NetGauges, NetLag};
 pub use ring::EventRing;
 pub use serve::{scrape, MetricsServer, ScrapeAlerts};
 pub use sink::{NullSink, TraceConfig, TraceSink, Tracer};

@@ -597,7 +597,6 @@ pub struct EngineMetrics {
     checkpoints: [Counter; 2],
     checkpoint_entries: Gauge,
     checkpoint_restores: Counter,
-    sessions: Vec<(Counter, Counter, Counter, Counter, Counter, Gauge)>,
     /// Output stable point, mirrored for the `behind` gauges.
     last_output_stable: i64,
     last_input_stable: Vec<i64>,
@@ -693,7 +692,6 @@ impl EngineMetrics {
                 &[],
             ),
             inputs: Vec::new(),
-            sessions: Vec::new(),
             last_output_stable: i64::MIN,
             last_input_stable: Vec::new(),
             registry: r,
@@ -740,47 +738,6 @@ impl EngineMetrics {
             self.last_input_stable.push(i64::MIN);
         }
         &self.inputs[i]
-    }
-
-    fn session(&mut self, i: u32) -> &(Counter, Counter, Counter, Counter, Counter, Gauge) {
-        let i = i as usize;
-        while self.sessions.len() <= i {
-            let n = self.sessions.len().to_string();
-            let l: &[(&str, &str)] = &[("input", &n)];
-            self.sessions.push((
-                self.registry.counter(
-                    "lmerge_net_sessions_opened_total",
-                    "Ingest sessions accepted, per input.",
-                    l,
-                ),
-                self.registry.counter(
-                    "lmerge_net_resumes_total",
-                    "Sessions that resumed from a nonzero sequence, per input.",
-                    l,
-                ),
-                self.registry.counter(
-                    "lmerge_net_session_closes_clean_total",
-                    "Sessions ended by a clean bye, per input.",
-                    l,
-                ),
-                self.registry.counter(
-                    "lmerge_net_session_closes_lost_total",
-                    "Sessions ended by connection loss, per input.",
-                    l,
-                ),
-                self.registry.counter(
-                    "lmerge_net_credits_granted_total",
-                    "Frame credits granted back to the client, per input.",
-                    l,
-                ),
-                self.registry.gauge(
-                    "lmerge_net_queue_depth",
-                    "Decoded frames in flight between socket and merge, per input.",
-                    l,
-                ),
-            ));
-        }
-        &self.sessions[i]
     }
 
     /// Mirror the trace ring's drop counter into the scrapeable plane.
@@ -857,41 +814,12 @@ impl EngineMetrics {
                     _ => {}
                 }
             }
-            TraceEvent::SessionOpened {
-                input, resume_seq, ..
-            } => {
-                let s = self.session(input);
-                s.0.inc();
-                if resume_seq > 0 {
-                    s.1.inc();
-                }
-            }
-            TraceEvent::SessionClosed { input, clean, .. } => {
-                let s = self.session(input);
-                if clean {
-                    s.2.inc();
-                } else {
-                    s.3.inc();
-                }
-            }
-            TraceEvent::CreditGranted { input, credits, .. } => {
-                self.session(input).4.add(credits as u64);
-            }
-            TraceEvent::NetQueueSampled { input, depth, .. } => {
-                self.session(input).5.set(depth as i64);
-            }
             TraceEvent::AlertFired { .. } | TraceEvent::AlertResolved { .. } => {}
             TraceEvent::CheckpointTaken { entries, delta, .. } => {
                 self.checkpoints[delta as usize].inc();
                 self.checkpoint_entries.set(entries as i64);
             }
             TraceEvent::CheckpointRestored { .. } => self.checkpoint_restores.inc(),
-            // Subscription sessions keep their own registry series
-            // (`SubMetrics` in `lmerge-sub`); the engine bridge stays
-            // pinned to its golden exposition.
-            TraceEvent::SubSessionOpened { .. }
-            | TraceEvent::SubSessionClosed { .. }
-            | TraceEvent::SubEpochDelivered { .. } => {}
         }
     }
 }

@@ -10,7 +10,6 @@
 use crate::event::TraceEvent;
 use crate::export;
 use crate::lag::LagGauges;
-use crate::net::NetGauges;
 use crate::ring::EventRing;
 
 /// A consumer of trace events.
@@ -72,7 +71,6 @@ impl Default for TraceConfig {
 pub struct Tracer {
     ring: EventRing,
     lag: LagGauges,
-    net: NetGauges,
     /// Whether the ring-overflow alert has already been recorded — the
     /// warning fires once per tracer, not once per evicted event.
     overflow_alerted: bool,
@@ -89,7 +87,6 @@ impl Tracer {
         Tracer {
             ring: EventRing::new(config.capacity),
             lag: LagGauges::default(),
-            net: NetGauges::default(),
             overflow_alerted: false,
         }
     }
@@ -107,13 +104,6 @@ impl Tracer {
     /// The per-input lag gauges accumulated so far.
     pub fn lag(&self) -> &LagGauges {
         &self.lag
-    }
-
-    /// The per-input network-session gauges accumulated so far (all-zero
-    /// unless the run's inputs arrived through the lmerge-net ingest
-    /// server).
-    pub fn net(&self) -> &NetGauges {
-        &self.net
     }
 
     /// Export the retained events as JSON-lines (one object per line),
@@ -151,7 +141,6 @@ impl TraceSink for Tracer {
 
     fn record(&mut self, event: TraceEvent) {
         self.lag.on_event(&event);
-        self.net.on_event(&event);
         self.ring.push(event);
         // Surface the first eviction as a warn-level alert *inside* the
         // trace: anyone reading the export learns the ring wrapped without

@@ -49,16 +49,12 @@ struct Args {
     addr: String,
     inputs: usize,
     level: RLevel,
-    ring: usize,
-    credit: u32,
     out: Option<String>,
     metrics: Option<String>,
     checkpoint_to: Option<String>,
     restore_from: Option<String>,
     subscribe: Option<String>,
     filters: Vec<SubFilter>,
-    sub_max_lag: u64,
-    sub_retain_min: u64,
 }
 
 fn parse_level(s: &str) -> Option<RLevel> {
@@ -77,16 +73,12 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7171".to_string(),
         inputs: 3,
         level: RLevel::R3,
-        ring: 256,
-        credit: 32,
         out: None,
         metrics: None,
         checkpoint_to: None,
         restore_from: None,
         subscribe: None,
         filters: vec![SubFilter::All],
-        sub_max_lag: u64::MAX,
-        sub_retain_min: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -102,16 +94,6 @@ fn parse_args() -> Result<Args, String> {
                 let s = value("--level")?;
                 args.level = parse_level(&s).ok_or(format!("--level: unknown level {s:?}"))?
             }
-            "--ring" => {
-                args.ring = value("--ring")?
-                    .parse()
-                    .map_err(|e| format!("--ring: {e}"))?
-            }
-            "--credit" => {
-                args.credit = value("--credit")?
-                    .parse()
-                    .map_err(|e| format!("--credit: {e}"))?
-            }
             "--out" => args.out = Some(value("--out")?),
             "--metrics" => args.metrics = Some(value("--metrics")?),
             "--checkpoint-to" => args.checkpoint_to = Some(value("--checkpoint-to")?),
@@ -122,22 +104,11 @@ fn parse_args() -> Result<Args, String> {
                 args.filters
                     .push(SubFilter::parse(&s).ok_or(format!("--filter: bad spec {s:?}"))?);
             }
-            "--sub-max-lag" => {
-                args.sub_max_lag = value("--sub-max-lag")?
-                    .parse()
-                    .map_err(|e| format!("--sub-max-lag: {e}"))?
-            }
-            "--sub-retain-min" => {
-                args.sub_retain_min = value("--sub-retain-min")?
-                    .parse()
-                    .map_err(|e| format!("--sub-retain-min: {e}"))?
-            }
             "--help" | "-h" => {
                 return Err("usage: lmerge-ingest [--addr HOST:PORT] [--inputs N] \
-                     [--level r0..r4] [--ring SLOTS] [--credit N] [--out FILE] \
-                     [--metrics HOST:PORT] [--checkpoint-to DIR] [--restore-from DIR] \
-                     [--subscribe HOST:PORT] [--filter SPEC]... [--sub-max-lag N] \
-                     [--sub-retain-min N]"
+                     [--level r0..r4] [--out FILE] [--metrics HOST:PORT] \
+                     [--checkpoint-to DIR] [--restore-from DIR] \
+                     [--subscribe HOST:PORT] [--filter SPEC]..."
                     .to_string())
             }
             other => return Err(format!("unknown flag {other:?}")),
@@ -155,11 +126,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let config = IngestConfig {
-        inputs: args.inputs,
-        ring_capacity: args.ring,
-        credit_batch: args.credit,
-    };
+    let config = IngestConfig::new(args.inputs);
     let registry = MetricsRegistry::new();
     let mut server = match IngestServer::bind_with_metrics(&args.addr, config, &registry) {
         Ok(s) => s,
@@ -203,10 +170,7 @@ fn main() -> ExitCode {
     };
 
     // The broadcast buffer and subscriber server, when fan-out is on.
-    let sub_policy = SubPolicy {
-        max_lag_epochs: args.sub_max_lag,
-        retain_min_epochs: args.sub_retain_min,
-    };
+    let sub_policy = SubPolicy::default();
     let buf: Option<Arc<EpochBuffer>> = match &args.subscribe {
         Some(_) => {
             let buf = match &restored {
@@ -376,14 +340,22 @@ fn main() -> ExitCode {
         "merged {} elements from {} inputs in {} virtual µs",
         emitted, args.inputs, metrics.drained_at.0
     );
-    {
-        let session_tracer = server.tracer();
-        for (i, lag) in session_tracer.net().inputs().iter().enumerate() {
-            println!(
-                "input {i}: {} session(s), {} clean close(s), {} credits granted, max queue {}",
-                lag.sessions, lag.clean_closes, lag.credits_granted, lag.max_depth
-            );
-        }
+    // Read back from the series the scrape endpoint serves.
+    let samples = registry.samples();
+    let per_input = |name: &str, i: usize| {
+        let id = i.to_string();
+        samples
+            .iter()
+            .find(|s| s.name == name && s.label("input") == Some(id.as_str()))
+            .map_or(0, |s| s.value as u64)
+    };
+    for i in 0..args.inputs {
+        println!(
+            "input {i}: {} session(s), {} clean close(s), {} credits granted",
+            per_input("lmerge_net_sessions_opened_total", i),
+            per_input("lmerge_net_session_closes_clean_total", i),
+            per_input("lmerge_net_credits_granted_total", i)
+        );
     }
     if let Some(mut s) = sub_server {
         let opened = registry

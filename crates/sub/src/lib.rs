@@ -25,8 +25,8 @@
 //!   catch-up-from-stable.
 //! - [`SubFilter`] predicates are evaluated once per chunk per filter
 //!   class (a shared bitmap), not once per subscriber.
-//! - Sessions surface in the PR 6 metrics registry (`lmerge_sub_*`
-//!   series) and as subscriber lanes in chrome traces; subscriber
+//! - Sessions are accounted in the metrics registry only (`lmerge_sub_*`,
+//!   through `lmerge_net::listener` as on ingest); subscriber
 //!   cursors and the retained frame window persist through PR 7
 //!   checkpoints as the run image's egress section, so a merge-process
 //!   restart keeps every subscriber's exactly-once guarantee.

@@ -28,24 +28,22 @@
 //! re-`Welcome`d from there (catch-up-from-stable, the paper's rejoining
 //! replica move applied to an output replica).
 //!
-//! # Trace purity
+//! # Telemetry
 //!
-//! Like the ingest server, subscriber lifecycle events land in a private
-//! [`Tracer`] (`sub_session_opened` / `sub_epoch_delivered` /
-//! `sub_session_closed`), never the run's — the merged output must stay
-//! byte-identical to an unobserved run.
+//! Like the ingest server, this one accepts on `lmerge_net`'s shared
+//! listener and accounts for its sessions in the registry only
+//! ([`SubMetrics`]): it records no trace.
 
 use crate::buffer::{Chunk, EpochBuffer, EpochWait, SubFilter};
-use lmerge_net::server::HANDSHAKE_TIMEOUT;
+use lmerge_net::listener::{Listener, SessionCounts, HANDSHAKE_TIMEOUT};
 use lmerge_net::wire::{self, Frame, FrameReader, PROTOCOL_VERSION};
 use lmerge_net::WireError;
-use lmerge_obs::{Counter, Gauge, MetricsRegistry, TraceEvent, TraceSink, Tracer};
-use lmerge_temporal::VTime;
+use lmerge_obs::{Counter, Gauge, MetricsRegistry};
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread;
 use std::time::Duration;
 
 /// Subscriber-plane configuration: the filter classes sessions may pick
@@ -81,12 +79,9 @@ impl Default for SubConfig {
 /// Per-session series (`subscriber` label) are minted lazily at each
 /// handshake from the stored registry handle.
 pub struct SubMetrics {
-    sessions_opened: Counter,
+    sessions: SessionCounts,
     sessions_active: Gauge,
-    resumes: Counter,
     demotions: Counter,
-    clean_closes: Counter,
-    lost_closes: Counter,
     handshake_drops: Counter,
     credit_stalls: Counter,
     epochs_retained: Gauge,
@@ -98,19 +93,10 @@ impl SubMetrics {
     fn new(registry: &MetricsRegistry) -> SubMetrics {
         let l: [(&str, &str); 0] = [];
         SubMetrics {
-            sessions_opened: registry.counter(
-                "lmerge_sub_sessions_opened_total",
-                "Subscriber sessions accepted (handshake completed).",
-                &l,
-            ),
+            sessions: SessionCounts::new(registry, "lmerge_sub", "Subscriber", &l),
             sessions_active: registry.gauge(
                 "lmerge_sub_sessions_active",
                 "Subscriber sessions currently open.",
-                &l,
-            ),
-            resumes: registry.counter(
-                "lmerge_sub_resumes_total",
-                "Sessions welcomed with resume_from > 0 (reconnects).",
                 &l,
             ),
             demotions: registry.counter(
@@ -118,19 +104,10 @@ impl SubMetrics {
                 "Slow-subscriber demotions: sessions jumped to the compaction horizon.",
                 &l,
             ),
-            clean_closes: registry.counter(
-                "lmerge_sub_session_closes_clean_total",
-                "Subscriber sessions that ended with the Bye handshake.",
-                &l,
-            ),
-            lost_closes: registry.counter(
-                "lmerge_sub_session_closes_lost_total",
-                "Subscriber sessions that ended uncleanly (EOF, i/o error).",
-                &l,
-            ),
             handshake_drops: registry.counter(
                 "lmerge_sub_handshake_drops_total",
-                "Connections dropped before a session opened (no or bad Subscribe within the timeout).",
+                "Connections dropped before a session opened (no or bad Subscribe within the \
+                 timeout, or a failed Welcome write).",
                 &l,
             ),
             credit_stalls: registry.counter(
@@ -193,15 +170,8 @@ struct SubShared {
     buf: Arc<EpochBuffer>,
     filters: Vec<SubFilter>,
     shutdown: AtomicBool,
-    tracer: Mutex<Tracer>,
     metrics: SubMetrics,
     registry: MetricsRegistry,
-}
-
-impl SubShared {
-    fn trace(&self, event: TraceEvent) {
-        self.tracer.lock().unwrap().record(event);
-    }
 }
 
 /// Credit/close state shared between a session's writer and its reader
@@ -228,9 +198,8 @@ impl SessionState {
 
 /// A TCP server fanning the shared [`EpochBuffer`] out to subscribers.
 pub struct SubServer {
-    local_addr: SocketAddr,
+    listener: Listener,
     shared: Arc<SubShared>,
-    accept: Option<JoinHandle<()>>,
 }
 
 impl SubServer {
@@ -251,29 +220,24 @@ impl SubServer {
         registry: &MetricsRegistry,
     ) -> io::Result<SubServer> {
         assert!(!config.filters.is_empty(), "at least one filter class");
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(SubShared {
             buf,
             filters: config.filters,
             shutdown: AtomicBool::new(false),
-            tracer: Mutex::new(Tracer::new()),
             metrics: SubMetrics::new(registry),
             registry: registry.clone(),
         });
         let accept_shared = Arc::clone(&shared);
-        let accept = thread::spawn(move || accept_loop(listener, accept_shared));
-        Ok(SubServer {
-            local_addr,
-            shared,
-            accept: Some(accept),
-        })
+        let listener = Listener::bind(addr, move |stream| {
+            let shared = Arc::clone(&accept_shared);
+            thread::spawn(move || session(shared, stream));
+        })?;
+        Ok(SubServer { listener, shared })
     }
 
     /// The bound address (point `lmerge-subscribe` here).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// The shared broadcast buffer this server fans out.
@@ -281,62 +245,27 @@ impl SubServer {
         &self.shared.buf
     }
 
-    /// The server's private session tracer (subscriber lane events).
-    pub fn tracer(&self) -> MutexGuard<'_, Tracer> {
-        self.shared.tracer.lock().unwrap()
-    }
-
     /// Wait (up to `timeout`) for every accepted session to finish its
     /// close handshake; returns `true` once all have. Call between
     /// publishing `finish()` and [`shutdown`](SubServer::shutdown) so
     /// paced subscribers' final `Bye` round trips are not severed.
     pub fn await_sessions_closed(&self, timeout: Duration) -> bool {
-        let m = &self.shared.metrics;
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if m.clean_closes.get() + m.lost_closes.get() >= m.sessions_opened.get() {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
+        SessionCounts::await_closed([&self.shared.metrics.sessions], timeout)
     }
 
-    /// Stop accepting, wake blocked sessions, and join the accept loop.
+    /// Stop accepting, join the accept loop, and wake blocked sessions.
     /// Live sessions notice the flag at their next delivery wait.
     pub fn shutdown(&mut self) {
+        self.listener.stop();
         self.shared.shutdown.store(true, Ordering::Relaxed);
         // Unstick writers blocked on a flush wait.
         self.shared.buf.finish();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
     }
 }
 
 impl Drop for SubServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<SubShared>) {
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let session_shared = Arc::clone(&shared);
-                thread::spawn(move || session(session_shared, stream));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
-        }
     }
 }
 
@@ -392,7 +321,9 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
         resume_stable: compact_stable,
         credits: initial_credits,
     };
+    let m = &shared.metrics;
     if wire::write_frame(&mut stream, &welcome).is_err() {
+        m.handshake_drops.inc();
         return;
     }
     let _ = stream.set_read_timeout(None);
@@ -401,21 +332,12 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
     // older clamped cursor cannot move it backwards).
     shared.buf.ack(subscriber, resume_seq);
 
-    let m = &shared.metrics;
-    m.sessions_opened.inc();
+    m.sessions.on_open(resume_from > 0);
     m.sessions_active.add(1);
-    if resume_from > 0 {
-        m.resumes.inc();
-    }
     if demoted_at_join {
         m.demotions.inc();
     }
     let session_m = SessionMetrics::new(&shared.registry, subscriber);
-    shared.trace(TraceEvent::SubSessionOpened {
-        at: VTime(resume_seq),
-        subscriber,
-        resume_seq,
-    });
 
     // Reader thread: drains Credit/Ack/Bye while the writer streams.
     let state = Arc::new(SessionState {
@@ -446,17 +368,8 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
     state.wake();
     let _ = reader.join();
-    shared.trace(TraceEvent::SubSessionClosed {
-        at: VTime(resume_seq),
-        subscriber,
-        clean,
-    });
     m.sessions_active.add(-1);
-    if clean {
-        m.clean_closes.inc();
-    } else {
-        m.lost_closes.inc();
-    }
+    m.sessions.on_close(clean);
 }
 
 /// Drain subscriber-to-server frames: credit grants, cursor acks, Bye.
@@ -511,8 +424,6 @@ fn writer_loop(
 ) -> bool {
     let m = &shared.metrics;
     let mut seq_cursor = resume_seq;
-    // Frames delivered since the last seal marker this session crossed.
-    let mut epoch_frames: u32 = 0;
     loop {
         if state.dead.load(Ordering::Acquire) {
             return false;
@@ -544,7 +455,6 @@ fn writer_loop(
                     return false;
                 }
                 seq_cursor = horizon_seq;
-                epoch_frames = 0;
                 shared.buf.ack(subscriber, seq_cursor);
             }
             EpochWait::Finished => {
@@ -600,24 +510,18 @@ fn writer_loop(
                 // the shared buffer lock per delivery.
                 m.next_seq.set(next_seq as i64);
                 m.flushes.raise_to(flushes);
-                let Some(frames) = deliver_chunk(
+                let delivered = deliver_chunk(
                     shared, stream, state, session_m, filter, class, &chunk, seq_cursor,
-                ) else {
+                );
+                if delivered.is_none() {
                     return false;
-                };
-                epoch_frames += frames;
+                }
                 seq_cursor = chunk.end_seq();
                 if let Some(seal) = seal {
                     m.epochs_retained.set(retained as i64);
                     session_m
                         .lag_epochs
                         .set(sealed.saturating_sub(seal.index) as i64);
-                    shared.trace(TraceEvent::SubEpochDelivered {
-                        at: VTime(seal.end_seq),
-                        subscriber,
-                        epoch: seal.index,
-                        frames: std::mem::take(&mut epoch_frames),
-                    });
                 }
             }
         }
@@ -626,8 +530,7 @@ fn writer_loop(
 
 /// Send one chunk's admitted frames from `seq_cursor` on, spending one
 /// credit per frame and coalescing contiguous admitted runs into single
-/// writes out of the shared chunk bytes. Returns the frames delivered,
-/// or `None` if the session died.
+/// writes out of the shared chunk bytes. `None` if the session died.
 #[allow(clippy::too_many_arguments)]
 fn deliver_chunk(
     shared: &Arc<SubShared>,
@@ -638,13 +541,13 @@ fn deliver_chunk(
     class: u32,
     chunk: &Chunk,
     seq_cursor: u64,
-) -> Option<u32> {
+) -> Option<()> {
     // The whole-stream class admits every frame: no bitmap to build, per
     // chunk, for the class nearly every session is in.
     let bits = (*filter != SubFilter::All).then(|| chunk.bitmap(class, filter));
     let start = (seq_cursor.saturating_sub(chunk.base_seq)) as usize;
     let mut taken: u64 = 0; // credits in hand
-    let mut delivered: u32 = 0;
+    let mut delivered: u64 = 0;
     let mut bytes_sent: u64 = 0;
     // A contiguous run of admitted frames: byte range into the chunk.
     let mut run: Option<(usize, usize)> = None;
@@ -685,9 +588,9 @@ fn deliver_chunk(
     if taken > 0 {
         *state.credits.lock().unwrap() += taken;
     }
-    session_m.frames.add(delivered as u64);
+    session_m.frames.add(delivered);
     session_m.bytes.add(bytes_sent);
-    Some(delivered)
+    Some(())
 }
 
 /// Write out the pending run, if any. Returns `false` on i/o failure.
@@ -739,7 +642,7 @@ mod tests {
     use super::*;
     use crate::client::{subscribe, subscribe_until_finished, SubscribeConfig};
     use crate::SubPolicy;
-    use lmerge_temporal::{Element, Time, Value};
+    use lmerge_temporal::{Element, Time, VTime, Value};
 
     fn publish_feed(buf: &EpochBuffer, n: u64) -> Vec<u8> {
         // Reference bytes: the canonical encoding of the full stream.
@@ -1153,12 +1056,5 @@ mod tests {
             registry.sum_value("lmerge_sub_session_closes_clean_total"),
             Some(8.0)
         );
-        let tracer = server.tracer();
-        let opened = tracer
-            .events()
-            .filter(|e| matches!(e, TraceEvent::SubSessionOpened { .. }))
-            .count();
-        assert_eq!(opened, 8, "subscriber lanes landed in the tracer");
-        drop(tracer);
     }
 }

@@ -234,7 +234,7 @@ fn server_buf(buf: &Arc<EpochBuffer>) -> &Arc<EpochBuffer> {
 /// when the handshake timeout expires, and `shutdown` does not wait.
 #[test]
 fn silent_and_half_header_connections_are_dropped_not_served_forever() {
-    use lmerge_net::server::HANDSHAKE_TIMEOUT;
+    use lmerge_net::listener::HANDSHAKE_TIMEOUT;
     use std::time::Instant;
 
     let registry = lmerge_obs::MetricsRegistry::new();
