@@ -19,6 +19,11 @@ pub struct Fig5Row {
     pub eps_one_lagging: f64,
     /// Input-element throughput with two streams lagging.
     pub eps_two_lagging: f64,
+    /// Elements the merge dropped (`MergeStats::dropped`) with one stream
+    /// lagging: the cheap path lag opens, counted rather than timed.
+    pub dropped_one: u64,
+    /// The same count with two streams lagging.
+    pub dropped_two: u64,
     /// Headline record of the one-lagging run.
     pub rec_one: MetricsRecord,
     /// Headline record of the two-lagging run.
@@ -38,8 +43,7 @@ fn workload(events: usize) -> GenConfig {
     }
 }
 
-/// Run the lag sweep serially (test entry point — the shape assertions
-/// compare timing between points, so they avoid concurrent interference).
+/// Run the lag sweep serially (the test entry point).
 pub fn run(events: usize) -> Vec<Fig5Row> {
     run_with_threads(events, 1)
 }
@@ -69,13 +73,16 @@ pub fn run_with_threads(events: usize, threads: usize) -> Vec<Fig5Row> {
                 })
                 .collect();
             let mut lm = VariantKind::R3Plus.build(3);
-            MetricsRecord::from_wallclock(&drive_wallclock(lm.as_mut(), &timed))
+            let run = drive_wallclock(lm.as_mut(), &timed);
+            (MetricsRecord::from_wallclock(&run), run.stats.dropped)
         };
-        let (rec_one, rec_two) = (measure(1), measure(2));
+        let ((rec_one, dropped_one), (rec_two, dropped_two)) = (measure(1), measure(2));
         Fig5Row {
             lag_s,
             eps_one_lagging: rec_one.throughput_eps,
             eps_two_lagging: rec_two.throughput_eps,
+            dropped_one,
+            dropped_two,
             rec_one,
             rec_two,
         }
@@ -113,19 +120,30 @@ pub fn report() -> Report {
 mod tests {
     use super::*;
 
+    /// The mechanism behind the throughput gain, counted rather than timed
+    /// so that a loaded host cannot fail it: a lagging replica's elements
+    /// arrive behind the output stable point and are dropped, not merged.
     #[test]
-    fn throughput_rises_with_lag() {
+    fn lag_turns_merge_work_into_drops() {
         let rows = run(6_000);
-        let (first, last) = (&rows[0], rows.last().unwrap());
-        assert!(
-            last.eps_two_lagging > 1.15 * first.eps_two_lagging,
-            "lagging streams must get cheaper to absorb: {} → {}",
-            first.eps_two_lagging,
-            last.eps_two_lagging
-        );
-        assert!(
-            last.eps_two_lagging > last.eps_one_lagging,
-            "more lagging streams → higher gains"
-        );
+        let first = &rows[0];
+        for pair in rows.windows(2) {
+            assert!(pair[1].dropped_one >= pair[0].dropped_one);
+            assert!(pair[1].dropped_two >= pair[0].dropped_two);
+        }
+        for r in &rows[1..] {
+            assert!(
+                r.dropped_one > first.dropped_one,
+                "lag {} s drops more than none: {} vs {}",
+                r.lag_s,
+                r.dropped_one,
+                first.dropped_one
+            );
+            assert!(
+                r.dropped_two > r.dropped_one,
+                "two lagging streams drop more than one at lag {} s",
+                r.lag_s
+            );
+        }
     }
 }

@@ -6,8 +6,10 @@
 //!
 //! Scrapes `lmerge-ingest --metrics` (or any [`lmerge_obs::MetricsServer`])
 //! each interval and redraws: watermark progress and real-time lag, active
-//! SLO alerts, and per-input session/frame/byte/queue state. `--once` prints a single frame without clearing the
-//! screen — the mode CI smoke tests use.
+//! SLO alerts, and per-input session/frame/byte/queue state (rows come from
+//! the net series, or from the engine's `lmerge_elements_delivered_total`
+//! when a registry has no sockets). `--once` prints a single frame without
+//! clearing the screen — the mode CI smoke tests use.
 
 use lmerge_obs::{parse_prometheus, scrape, ScrapedSample};
 use std::process::ExitCode;
@@ -123,10 +125,9 @@ fn render(samples: &[ScrapedSample]) -> String {
         .map(|s| s.value)
         .sum();
     out.push_str(&format!(
-        "emitted {}  resumes {}  ring-dropped {}\n",
+        "emitted {}  resumes {}\n",
         fmt_count(emitted),
         fmt_count(resumes),
-        max_of(samples, "lmerge_trace_ring_dropped_total").map_or("-".to_string(), fmt_count),
     ));
 
     // Active SLO alerts, loudest first.
@@ -153,7 +154,7 @@ fn render(samples: &[ScrapedSample]) -> String {
     let input_ids = {
         let mut ids = label_values(samples, "lmerge_net_frames_total", "input");
         if ids.is_empty() {
-            ids = label_values(samples, "lmerge_input_elements_total", "input");
+            ids = label_values(samples, "lmerge_elements_delivered_total", "input");
         }
         ids
     };
@@ -213,7 +214,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmerge_obs::MetricsRegistry;
+    use lmerge_obs::{EngineMetrics, MetricsRegistry, TraceEvent};
+    use lmerge_temporal::VTime;
 
     #[test]
     fn renders_inputs_and_alerts_from_a_scrape() {
@@ -236,6 +238,31 @@ mod tests {
         assert!(frame.contains("1.5k"), "frame count rendered: {frame}");
         assert!(frame.contains("2.0M"), "byte count rendered: {frame}");
         assert!(frame.contains("[warn] straggler_gap"), "{frame}");
+    }
+
+    #[test]
+    fn an_in_process_registry_lists_its_inputs() {
+        // No net series: the rows come from the engine's per-input series.
+        let registry = MetricsRegistry::new();
+        let mut engine = EngineMetrics::new(&registry);
+        for input in 0..2 {
+            engine.on_event(&TraceEvent::BatchDelivered {
+                at: VTime(1),
+                input,
+                elements: 3,
+                data: 2,
+            });
+        }
+        let frame = render(&parse_prometheus(&registry.render()));
+        assert!(frame.contains("\ninput  frames"), "{frame}");
+        for id in ["0", "1"] {
+            assert!(
+                frame
+                    .lines()
+                    .any(|l| l.trim_start().starts_with(&format!("{id} "))),
+                "no row for input {id}: {frame}"
+            );
+        }
     }
 
     #[test]

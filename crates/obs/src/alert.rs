@@ -2,21 +2,70 @@
 //!
 //! Rules are data — a condition kind, a threshold, a severity — and the
 //! engine evaluates them against live [`MetricsRegistry`] series. Alert
-//! state lives in the registry itself (`lmerge_alert_active{rule=…}` and
-//! `lmerge_alerts_fired_total{rule=…}`), so a scrape always carries the
-//! current alert picture; transitions additionally fire typed
-//! [`TraceEvent::AlertFired`] / [`TraceEvent::AlertResolved`] events into
-//! whatever sink the caller provides, landing them in the JSONL and Chrome
-//! exporters alongside the virtual-time trace.
+//! state lives in the registry and nowhere else
+//! (`lmerge_alert_active{rule=…}` and `lmerge_alerts_fired_total{rule=…}`),
+//! so a scrape always carries the current alert picture. An alert is about
+//! the operator's now, not the run's replayable history: [`AlertKind`] and
+//! [`Severity`] label series, and no alert is ever a trace event.
 //!
 //! Evaluation is pull-based: call [`AlertEngine::evaluate`] on whatever
 //! cadence suits — the scrape endpoint does it once per scrape, so the
 //! alert series are exactly as fresh as the metrics they gate.
 
-use crate::event::{AlertKind, Severity, TraceEvent};
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
-use crate::sink::TraceSink;
-use lmerge_temporal::VTime;
+
+/// The SLO condition an alert rule watches (see [`AlertRule`]).
+///
+/// Each kind names the live signal it thresholds, not the remedy — the
+/// same `WatermarkLag` alert covers a slow input and a dead network
+/// session; the per-input series say which.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AlertKind {
+    /// The output stable point has not advanced for too many wall-clock ms.
+    WatermarkLag,
+    /// The worst input's stable point trails the output beyond the bound
+    /// (application-time units).
+    StragglerGap,
+    /// Too many session resumes per evaluation window — a flapping client
+    /// or network.
+    ResumeRate,
+    /// A checkpoint failed to persist; the run continues uncheckpointed.
+    CheckpointFailed,
+}
+
+impl AlertKind {
+    /// Snake-case `rule` label of the alert series.
+    pub fn label(self) -> &'static str {
+        match self {
+            AlertKind::WatermarkLag => "watermark_lag",
+            AlertKind::StragglerGap => "straggler_gap",
+            AlertKind::ResumeRate => "resume_rate",
+            AlertKind::CheckpointFailed => "checkpoint_failed",
+        }
+    }
+}
+
+/// How loudly an alert rule fires.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Severity {
+    /// Operator should know eventually.
+    Info,
+    /// Operator should look soon.
+    Warn,
+    /// Operator should look now.
+    Critical,
+}
+
+impl Severity {
+    /// Lower-case `severity` label of the alert series.
+    pub fn label(self) -> &'static str {
+        match self {
+            Severity::Info => "info",
+            Severity::Warn => "warn",
+            Severity::Critical => "critical",
+        }
+    }
+}
 
 /// One declarative SLO rule.
 #[derive(Clone, Copy, Debug)]
@@ -27,8 +76,8 @@ pub struct AlertRule {
     pub severity: Severity,
     /// The threshold the observed value must exceed to fire. Units depend
     /// on the kind: wall ms for `WatermarkLag`, application-time units for
-    /// `StragglerGap`, resumes per evaluation for `ResumeRate`, evicted
-    /// events for `RingDrop`, the 0/1 failure gauge for `CheckpointFailed`.
+    /// `StragglerGap`, resumes per evaluation for `ResumeRate`, the 0/1
+    /// failure gauge for `CheckpointFailed`.
     pub threshold: i64,
 }
 
@@ -44,15 +93,14 @@ impl AlertRule {
 }
 
 /// A sensible default rule set for production ingest: warn on a watermark
-/// stalled for 5 s, a straggler 10 000 application-time units behind, more
-/// than 3 resumes between evaluations, or any trace-ring eviction; page on
-/// a checkpoint that failed to persist.
+/// stalled for 5 s, a straggler 10 000 application-time units behind, or
+/// more than 3 resumes between evaluations; page on a checkpoint that
+/// failed to persist.
 pub fn default_rules() -> Vec<AlertRule> {
     vec![
         AlertRule::new(AlertKind::WatermarkLag, Severity::Warn, 5_000),
         AlertRule::new(AlertKind::StragglerGap, Severity::Warn, 10_000),
         AlertRule::new(AlertKind::ResumeRate, Severity::Warn, 3),
-        AlertRule::new(AlertKind::RingDrop, Severity::Warn, 0),
         AlertRule::new(AlertKind::CheckpointFailed, Severity::Critical, 0),
     ]
 }
@@ -66,7 +114,8 @@ struct RuleState {
     fired_total: Counter,
 }
 
-/// Evaluates a rule set against a registry; fires transition events.
+/// Evaluates a rule set against a registry, keeping each rule's state in
+/// its alert series.
 pub struct AlertEngine {
     registry: MetricsRegistry,
     rules: Vec<RuleState>,
@@ -135,10 +184,6 @@ impl AlertEngine {
                 self.rules[idx].last_total = total;
                 Some(delta)
             }
-            AlertKind::RingDrop => self
-                .registry
-                .max_value("lmerge_trace_ring_dropped_total")
-                .map(|v| v as i64),
             AlertKind::CheckpointFailed => self
                 .registry
                 .max_value("lmerge_checkpoint_failed")
@@ -146,12 +191,11 @@ impl AlertEngine {
         }
     }
 
-    /// Evaluate every rule once. Fires [`TraceEvent::AlertFired`] /
-    /// [`TraceEvent::AlertResolved`] into `sink` on transitions; alert
-    /// gauges/counters in the registry always reflect the latest pass.
-    /// Returns the number of rules currently firing.
-    pub fn evaluate(&mut self, sink: &mut (impl TraceSink + ?Sized)) -> usize {
-        let now = VTime(self.registry.uptime_ms());
+    /// Evaluate every rule once. A rule that crosses its threshold sets
+    /// its `lmerge_alert_active` gauge and bumps `lmerge_alerts_fired_total`;
+    /// one that drops back under clears the gauge. Returns the number of
+    /// rules currently firing.
+    pub fn evaluate(&mut self) -> usize {
         let mut firing = 0;
         for idx in 0..self.rules.len() {
             let value = match self.observe(idx) {
@@ -167,25 +211,9 @@ impl AlertEngine {
                 state.active = true;
                 state.active_gauge.set(1);
                 state.fired_total.inc();
-                if sink.enabled() {
-                    sink.record(TraceEvent::AlertFired {
-                        at: now,
-                        kind: state.rule.kind,
-                        severity: state.rule.severity,
-                        value,
-                        threshold: state.rule.threshold,
-                    });
-                }
             } else if !breach && state.active {
                 state.active = false;
                 state.active_gauge.set(0);
-                if sink.enabled() {
-                    sink.record(TraceEvent::AlertResolved {
-                        at: now,
-                        kind: state.rule.kind,
-                        value,
-                    });
-                }
             }
         }
         firing
@@ -200,7 +228,6 @@ impl AlertEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::Tracer;
 
     #[test]
     fn straggler_rule_fires_and_resolves() {
@@ -214,46 +241,34 @@ mod tests {
                 100,
             )],
         );
-        let mut sink = Tracer::new();
+        let active = || {
+            r.samples()
+                .into_iter()
+                .find(|s| {
+                    s.name == "lmerge_alert_active"
+                        && s.label("rule") == Some("straggler_gap")
+                        && s.label("severity") == Some("critical")
+                })
+                .map(|s| s.value)
+        };
 
         // Below threshold: nothing fires.
         behind.set(50);
-        assert_eq!(engine.evaluate(&mut sink), 0);
-        assert_eq!(sink.events().count(), 0);
+        assert_eq!(engine.evaluate(), 0);
+        assert_eq!(active(), Some(0.0));
 
-        // Breach: one AlertFired, gauge flips, counter bumps.
+        // Breach: the gauge flips and the counter bumps, once.
         behind.set(500);
-        assert_eq!(engine.evaluate(&mut sink), 1);
-        assert_eq!(
-            engine.evaluate(&mut sink),
-            1,
-            "steady breach does not re-fire"
-        );
-        let fired: Vec<_> = sink
-            .events()
-            .filter(|e| matches!(e, TraceEvent::AlertFired { .. }))
-            .collect();
-        assert_eq!(fired.len(), 1);
-        match fired[0] {
-            TraceEvent::AlertFired {
-                kind: AlertKind::StragglerGap,
-                severity: Severity::Critical,
-                value: 500,
-                threshold: 100,
-                ..
-            } => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(r.max_value("lmerge_alert_active"), Some(1.0));
+        assert_eq!(engine.evaluate(), 1);
+        assert_eq!(engine.evaluate(), 1, "steady breach does not re-fire");
+        assert_eq!(active(), Some(1.0));
         assert_eq!(r.max_value("lmerge_alerts_fired_total"), Some(1.0));
 
-        // Recovery: one AlertResolved, gauge drops.
+        // Recovery: the gauge drops, the counter keeps its history.
         behind.set(10);
-        assert_eq!(engine.evaluate(&mut sink), 0);
-        assert!(sink
-            .events()
-            .any(|e| matches!(e, TraceEvent::AlertResolved { .. })));
-        assert_eq!(r.max_value("lmerge_alert_active"), Some(0.0));
+        assert_eq!(engine.evaluate(), 0);
+        assert_eq!(active(), Some(0.0));
+        assert_eq!(r.max_value("lmerge_alerts_fired_total"), Some(1.0));
     }
 
     #[test]
@@ -264,34 +279,29 @@ mod tests {
             &r,
             vec![AlertRule::new(AlertKind::ResumeRate, Severity::Warn, 2)],
         );
-        let mut sink = Tracer::new();
         resumes.add(2);
-        assert_eq!(engine.evaluate(&mut sink), 0, "2 resumes ≤ threshold 2");
+        assert_eq!(engine.evaluate(), 0, "2 resumes ≤ threshold 2");
         resumes.add(5);
-        assert_eq!(engine.evaluate(&mut sink), 1, "5 new resumes > 2");
-        assert_eq!(engine.evaluate(&mut sink), 0, "no new resumes → resolves");
+        assert_eq!(engine.evaluate(), 1, "5 new resumes > 2");
+        assert_eq!(engine.evaluate(), 0, "no new resumes → resolves");
     }
 
     #[test]
     fn missing_series_never_fires() {
         let r = MetricsRegistry::new();
         let mut engine = AlertEngine::new(&r, default_rules());
-        let mut sink = Tracer::new();
-        assert_eq!(engine.evaluate(&mut sink), 0);
-        assert_eq!(sink.events().count(), 0);
+        assert_eq!(engine.evaluate(), 0);
         // The alert series still exist (at zero) for scrapes.
         assert_eq!(r.max_value("lmerge_alert_active"), Some(0.0));
+        assert_eq!(r.sum_value("lmerge_alerts_fired_total"), Some(0.0));
     }
 
     #[test]
-    fn ring_drop_rule_fires_on_any_eviction() {
-        let r = MetricsRegistry::new();
-        r.gauge("lmerge_trace_ring_dropped_total", "h", &[]).set(7);
-        let mut engine = AlertEngine::new(
-            &r,
-            vec![AlertRule::new(AlertKind::RingDrop, Severity::Warn, 0)],
-        );
-        let mut sink = Tracer::new();
-        assert_eq!(engine.evaluate(&mut sink), 1);
+    fn labels() {
+        assert_eq!(AlertKind::StragglerGap.label(), "straggler_gap");
+        assert_eq!(AlertKind::ResumeRate.label(), "resume_rate");
+        assert_eq!(AlertKind::CheckpointFailed.label(), "checkpoint_failed");
+        assert_eq!(Severity::Critical.label(), "critical");
+        assert!(Severity::Info < Severity::Warn);
     }
 }

@@ -95,63 +95,6 @@ impl HealthTag {
     }
 }
 
-/// The SLO condition an alert rule watches (see `alert::AlertRule`).
-///
-/// Each kind names the live signal it thresholds, not the remedy — the
-/// same `WatermarkLag` alert covers a slow input and a dead network
-/// session; the per-input series say which.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AlertKind {
-    /// The output stable point has not advanced for too many wall-clock ms.
-    WatermarkLag,
-    /// The worst input's stable point trails the output beyond the bound
-    /// (application-time units).
-    StragglerGap,
-    /// Too many session resumes per evaluation window — a flapping client
-    /// or network.
-    ResumeRate,
-    /// The bounded trace ring evicted events; the exported trace is no
-    /// longer complete.
-    RingDrop,
-    /// A checkpoint failed to persist; the run continues uncheckpointed.
-    CheckpointFailed,
-}
-
-impl AlertKind {
-    /// Snake-case label used by the exporters and the metrics plane.
-    pub fn label(self) -> &'static str {
-        match self {
-            AlertKind::WatermarkLag => "watermark_lag",
-            AlertKind::StragglerGap => "straggler_gap",
-            AlertKind::ResumeRate => "resume_rate",
-            AlertKind::RingDrop => "ring_drop",
-            AlertKind::CheckpointFailed => "checkpoint_failed",
-        }
-    }
-}
-
-/// How loudly an alert rule fires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Operator should know eventually.
-    Info,
-    /// Operator should look soon.
-    Warn,
-    /// Operator should look now.
-    Critical,
-}
-
-impl Severity {
-    /// Lower-case label used by the exporters.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Info => "info",
-            Severity::Warn => "warn",
-            Severity::Critical => "critical",
-        }
-    }
-}
-
 /// Whose stable point advanced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StableScope {
@@ -252,33 +195,6 @@ pub enum TraceEvent {
         /// The new health.
         health: HealthTag,
     },
-    /// An SLO alert rule crossed its threshold.
-    ///
-    /// Unlike every other variant, alerts originate on the *wall-clock*
-    /// plane: `at` carries milliseconds of monotonic process time (as
-    /// micro-granular `VTime`), not virtual time — an alert is about the
-    /// operator's now, not the run's replayable history.
-    AlertFired {
-        /// Wall-clock ms since metrics start, carried as `VTime` micros.
-        at: VTime,
-        /// Which SLO condition fired.
-        kind: AlertKind,
-        /// How loudly.
-        severity: Severity,
-        /// The observed value that crossed the threshold.
-        value: i64,
-        /// The configured threshold.
-        threshold: i64,
-    },
-    /// A previously fired alert dropped back under its threshold.
-    AlertResolved {
-        /// Wall-clock ms since metrics start, carried as `VTime` micros.
-        at: VTime,
-        /// Which SLO condition resolved.
-        kind: AlertKind,
-        /// The observed value at resolution.
-        value: i64,
-    },
     /// The durability layer captured a consistent image of the run.
     ///
     /// `seq` is the checkpoint sequence number (monotone per run); a
@@ -294,16 +210,6 @@ pub enum TraceEvent {
         /// Whether the image was persisted as a delta against the previous
         /// checkpoint (`true`) or a full snapshot (`false`).
         delta: bool,
-    },
-    /// A run was rebuilt from a durable checkpoint instead of starting
-    /// empty.
-    CheckpointRestored {
-        /// Virtual time the restored executor resumes at.
-        at: VTime,
-        /// Sequence number of the checkpoint the run was rebuilt from.
-        seq: u64,
-        /// Live state entries restored into the merge.
-        entries: u64,
     },
 }
 
@@ -321,10 +227,7 @@ impl TraceEvent {
             | TraceEvent::RunCompleted { at }
             | TraceEvent::FaultInjected { at, .. }
             | TraceEvent::InputHealthChanged { at, .. }
-            | TraceEvent::AlertFired { at, .. }
-            | TraceEvent::AlertResolved { at, .. }
-            | TraceEvent::CheckpointTaken { at, .. }
-            | TraceEvent::CheckpointRestored { at, .. } => at,
+            | TraceEvent::CheckpointTaken { at, .. } => at,
         }
     }
 
@@ -341,10 +244,7 @@ impl TraceEvent {
             TraceEvent::RunCompleted { .. } => "run_completed",
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::InputHealthChanged { .. } => "input_health_changed",
-            TraceEvent::AlertFired { .. } => "alert_fired",
-            TraceEvent::AlertResolved { .. } => "alert_resolved",
             TraceEvent::CheckpointTaken { .. } => "checkpoint_taken",
-            TraceEvent::CheckpointRestored { .. } => "checkpoint_restored",
         }
     }
 }
@@ -398,31 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn alert_events() {
-        let f = TraceEvent::AlertFired {
-            at: VTime(30),
-            kind: AlertKind::WatermarkLag,
-            severity: Severity::Warn,
-            value: 1200,
-            threshold: 1000,
-        };
-        assert_eq!(f.at(), VTime(30));
-        assert_eq!(f.name(), "alert_fired");
-        let r = TraceEvent::AlertResolved {
-            at: VTime(31),
-            kind: AlertKind::WatermarkLag,
-            value: 10,
-        };
-        assert_eq!(r.at(), VTime(31));
-        assert_eq!(r.name(), "alert_resolved");
-        assert_eq!(AlertKind::StragglerGap.label(), "straggler_gap");
-        assert_eq!(AlertKind::ResumeRate.label(), "resume_rate");
-        assert_eq!(AlertKind::RingDrop.label(), "ring_drop");
-        assert_eq!(Severity::Critical.label(), "critical");
-        assert!(Severity::Info < Severity::Warn);
-    }
-
-    #[test]
     fn durability_events() {
         let t = TraceEvent::CheckpointTaken {
             at: VTime(50),
@@ -432,13 +307,6 @@ mod tests {
         };
         assert_eq!(t.at(), VTime(50));
         assert_eq!(t.name(), "checkpoint_taken");
-        let r = TraceEvent::CheckpointRestored {
-            at: VTime(51),
-            seq: 3,
-            entries: 120,
-        };
-        assert_eq!(r.at(), VTime(51));
-        assert_eq!(r.name(), "checkpoint_restored");
         assert_eq!(FaultKind::CrashMerge.label(), "crash_merge");
     }
 }

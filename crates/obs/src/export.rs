@@ -71,21 +71,6 @@ fn event_json(e: &TraceEvent) -> Json {
         TraceEvent::InputHealthChanged { input, health, .. } => {
             obj.set("input", input).set("health", health.label());
         }
-        TraceEvent::AlertFired {
-            kind,
-            severity,
-            value,
-            threshold,
-            ..
-        } => {
-            obj.set("kind", kind.label())
-                .set("severity", severity.label())
-                .set("value", value)
-                .set("threshold", threshold);
-        }
-        TraceEvent::AlertResolved { kind, value, .. } => {
-            obj.set("kind", kind.label()).set("value", value);
-        }
         TraceEvent::CheckpointTaken {
             seq,
             entries,
@@ -95,9 +80,6 @@ fn event_json(e: &TraceEvent) -> Json {
             obj.set("seq", seq)
                 .set("entries", entries)
                 .set("delta", delta);
-        }
-        TraceEvent::CheckpointRestored { seq, entries, .. } => {
-            obj.set("seq", seq).set("entries", entries);
         }
     }
     obj
@@ -268,31 +250,6 @@ pub fn to_chrome_trace<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Stri
                     Json::object().with("health", health.label()),
                 ));
             }
-            TraceEvent::AlertFired {
-                kind,
-                severity,
-                value,
-                threshold,
-                ..
-            } => {
-                trace.push(chrome_instant(
-                    &format!("alert[{}]", kind.label()),
-                    ts,
-                    OUTPUT_TID,
-                    Json::object()
-                        .with("severity", severity.label())
-                        .with("value", value)
-                        .with("threshold", threshold),
-                ));
-            }
-            TraceEvent::AlertResolved { kind, value, .. } => {
-                trace.push(chrome_instant(
-                    &format!("alert resolved[{}]", kind.label()),
-                    ts,
-                    OUTPUT_TID,
-                    Json::object().with("value", value),
-                ));
-            }
             TraceEvent::CheckpointTaken {
                 seq,
                 entries,
@@ -305,14 +262,6 @@ pub fn to_chrome_trace<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Stri
                     } else {
                         "checkpoint (snapshot)"
                     },
-                    ts,
-                    OUTPUT_TID,
-                    Json::object().with("seq", seq).with("entries", entries),
-                ));
-            }
-            TraceEvent::CheckpointRestored { seq, entries, .. } => {
-                trace.push(chrome_instant(
-                    "checkpoint restored",
                     ts,
                     OUTPUT_TID,
                     Json::object().with("seq", seq).with("entries", entries),
@@ -474,28 +423,11 @@ mod tests {
                 input: 1,
                 health: crate::event::HealthTag::Quarantined,
             },
-            TraceEvent::AlertFired {
-                at: VTime(30),
-                kind: crate::event::AlertKind::WatermarkLag,
-                severity: crate::event::Severity::Warn,
-                value: 2500,
-                threshold: 1000,
-            },
-            TraceEvent::AlertResolved {
-                at: VTime(31),
-                kind: crate::event::AlertKind::WatermarkLag,
-                value: 12,
-            },
             TraceEvent::CheckpointTaken {
                 at: VTime(32),
                 seq: 2,
                 entries: 64,
                 delta: false,
-            },
-            TraceEvent::CheckpointRestored {
-                at: VTime(33),
-                seq: 2,
-                entries: 64,
             },
         ]
     }

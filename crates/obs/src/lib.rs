@@ -55,9 +55,13 @@
 //!   subscriber) are accounted here only, by their servers: the trace is
 //!   the run's, and a session is not an event of the run;
 //! * [`alert`] — a declarative SLO rule engine (watermark lag, straggler
-//!   gap, resume rate, ring drops) firing typed alert events;
+//!   gap, resume rate, failed checkpoints) whose state is registry series;
 //! * [`serve`] — a side-listener scrape endpoint ([`serve::MetricsServer`])
 //!   and the matching [`serve::scrape`] client.
+//!
+//! The two planes never mix, and the types say so: every [`TraceEvent`]
+//! carries virtual time and only the executor (or a test) constructs one;
+//! the wall-clock plane reads the trace stream and never writes to it.
 
 pub mod alert;
 pub mod event;
@@ -70,8 +74,8 @@ pub mod ring;
 pub mod serve;
 pub mod sink;
 
-pub use alert::{default_rules, AlertEngine, AlertRule};
-pub use event::{AlertKind, ElementKind, FaultKind, HealthTag, Severity, StableScope, TraceEvent};
+pub use alert::{default_rules, AlertEngine, AlertKind, AlertRule, Severity};
+pub use event::{ElementKind, FaultKind, HealthTag, StableScope, TraceEvent};
 pub use hist::LogHistogram;
 pub use lag::{InputLag, LagGauges};
 pub use metrics::{
@@ -79,5 +83,5 @@ pub use metrics::{
     MeteredSink, MetricsRegistry, ScrapedSample,
 };
 pub use ring::EventRing;
-pub use serve::{scrape, MetricsServer, ScrapeAlerts};
+pub use serve::{scrape, MetricsServer};
 pub use sink::{NullSink, TraceConfig, TraceSink, Tracer};

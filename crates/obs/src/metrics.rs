@@ -4,11 +4,12 @@
 //! Everything in [`event`](crate::event) is *virtual-time* tracing — exact,
 //! deterministic, and consumed after a run. This module is the complement:
 //! live series an operator can scrape *while* the system runs. The two
-//! planes deliberately never mix: wall-clock phenomena (ring stalls, real
-//! watermark lag, socket byte counts) are nondeterministic across thread
-//! schedules, so folding them into `TraceEvent`s would break the byte-
-//! identical trace guarantees the conformance tests depend on. They live
-//! here instead, behind plain atomics.
+//! planes never mix: wall-clock phenomena (ring stalls, real watermark
+//! lag, socket byte counts, alerts, restores) are nondeterministic across
+//! thread schedules, so folding them into `TraceEvent`s would break the
+//! byte-identical trace guarantees the conformance tests depend on. They
+//! live here instead, behind plain atomics, and `TraceEvent` has no
+//! variant that could carry them.
 //!
 //! * [`MetricsRegistry`] — cheaply clonable handle store. Registering the
 //!   same name + label set twice returns the same underlying atomic, so
@@ -596,7 +597,6 @@ pub struct EngineMetrics {
     /// `[snapshot, delta]` checkpoint counters.
     checkpoints: [Counter; 2],
     checkpoint_entries: Gauge,
-    checkpoint_restores: Counter,
     /// Output stable point, mirrored for the `behind` gauges.
     last_output_stable: i64,
     last_input_stable: Vec<i64>,
@@ -686,11 +686,6 @@ impl EngineMetrics {
                 "Live state entries captured by the most recent checkpoint.",
                 &[],
             ),
-            checkpoint_restores: r.counter(
-                "lmerge_checkpoint_restores_total",
-                "Runs rebuilt from a durable checkpoint.",
-                &[],
-            ),
             inputs: Vec::new(),
             last_output_stable: i64::MIN,
             last_input_stable: Vec::new(),
@@ -738,17 +733,6 @@ impl EngineMetrics {
             self.last_input_stable.push(i64::MIN);
         }
         &self.inputs[i]
-    }
-
-    /// Mirror the trace ring's drop counter into the scrapeable plane.
-    pub fn set_ring_dropped(&self, dropped: u64) {
-        self.registry
-            .gauge(
-                "lmerge_trace_ring_dropped_total",
-                "Trace events evicted from the bounded ring before export.",
-                &[],
-            )
-            .set(dropped as i64);
     }
 
     /// Fold one trace event into the live series.
@@ -814,12 +798,10 @@ impl EngineMetrics {
                     _ => {}
                 }
             }
-            TraceEvent::AlertFired { .. } | TraceEvent::AlertResolved { .. } => {}
             TraceEvent::CheckpointTaken { entries, delta, .. } => {
                 self.checkpoints[delta as usize].inc();
                 self.checkpoint_entries.set(entries as i64);
             }
-            TraceEvent::CheckpointRestored { .. } => self.checkpoint_restores.inc(),
         }
     }
 }
@@ -899,21 +881,6 @@ impl<S: TraceSink> MeteredSink<S> {
     /// Wrap `inner`, folding events into `metrics` on the way through.
     pub fn new(inner: S, metrics: EngineMetrics) -> MeteredSink<S> {
         MeteredSink { inner, metrics }
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwrap, returning the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// The metrics bridge.
-    pub fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
     }
 }
 
@@ -1072,14 +1039,8 @@ mod tests {
             entries: 15,
             delta: true,
         });
-        m.on_event(&TraceEvent::CheckpointRestored {
-            at: VTime(3),
-            seq: 1,
-            entries: 15,
-        });
         assert_eq!(r.sum_value("lmerge_checkpoints_total"), Some(2.0));
         assert_eq!(r.max_value("lmerge_checkpoint_entries"), Some(15.0));
-        assert_eq!(r.max_value("lmerge_checkpoint_restores_total"), Some(1.0));
     }
 
     #[test]

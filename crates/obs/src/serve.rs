@@ -10,23 +10,12 @@
 
 use crate::alert::AlertEngine;
 use crate::metrics::MetricsRegistry;
-use crate::sink::TraceSink;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-
-/// Alert evaluation attached to a scrape endpoint: the engine plus the
-/// sink its transition events are recorded into.
-pub struct ScrapeAlerts {
-    /// The rule engine, evaluated once per scrape.
-    pub engine: AlertEngine,
-    /// Where `AlertFired` / `AlertResolved` events land (shared with
-    /// whoever exports the trace afterwards).
-    pub sink: Arc<Mutex<dyn TraceSink + Send>>,
-}
 
 /// A background scrape endpoint for one [`MetricsRegistry`].
 pub struct MetricsServer {
@@ -47,7 +36,7 @@ impl MetricsServer {
     pub fn bind_with_alerts(
         addr: impl ToSocketAddrs,
         registry: MetricsRegistry,
-        alerts: ScrapeAlerts,
+        alerts: AlertEngine,
     ) -> io::Result<MetricsServer> {
         MetricsServer::bind_inner(addr, registry, Some(alerts))
     }
@@ -55,7 +44,7 @@ impl MetricsServer {
     fn bind_inner(
         addr: impl ToSocketAddrs,
         registry: MetricsRegistry,
-        alerts: Option<ScrapeAlerts>,
+        alerts: Option<AlertEngine>,
     ) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -75,9 +64,8 @@ impl MetricsServer {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             uptime.set(registry.uptime_ms() as i64);
-                            if let Some(a) = alerts.as_mut() {
-                                let mut sink = a.sink.lock().unwrap();
-                                a.engine.evaluate(&mut *sink);
+                            if let Some(engine) = alerts.as_mut() {
+                                engine.evaluate();
                             }
                             let _ = serve_one(stream, &registry);
                         }
@@ -154,10 +142,8 @@ pub fn scrape(addr: impl ToSocketAddrs) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alert::AlertRule;
-    use crate::event::{AlertKind, Severity};
+    use crate::alert::{AlertKind, AlertRule, Severity};
     use crate::metrics::parse_prometheus;
-    use crate::sink::Tracer;
 
     #[test]
     fn scrape_roundtrips_registry_contents() {
@@ -184,16 +170,7 @@ mod tests {
             &registry,
             vec![AlertRule::new(AlertKind::StragglerGap, Severity::Warn, 100)],
         );
-        let sink: Arc<Mutex<dyn TraceSink + Send>> = Arc::new(Mutex::new(Tracer::new()));
-        let server = MetricsServer::bind_with_alerts(
-            "127.0.0.1:0",
-            registry,
-            ScrapeAlerts {
-                engine,
-                sink: sink.clone(),
-            },
-        )
-        .unwrap();
+        let server = MetricsServer::bind_with_alerts("127.0.0.1:0", registry, engine).unwrap();
         let body = scrape(server.local_addr()).unwrap();
         let samples = parse_prometheus(&body);
         let active = samples

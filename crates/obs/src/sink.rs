@@ -64,16 +64,15 @@ impl Default for TraceConfig {
 
 /// The standard sink: a bounded event ring plus live lag gauges.
 ///
-/// The ring keeps the most recent events for export; the gauges fold the
-/// *entire* stream (including evicted events) into per-input diagnostics,
-/// so "who lagged and by how much" is exact even when the ring wrapped.
+/// The ring keeps the most recent events for export and counts the ones it
+/// evicts, which [`Tracer::to_jsonl`]'s `trace_meta` line and
+/// [`Tracer::summary`] report; the gauges fold the *entire* stream
+/// (including evicted events) into per-input diagnostics, so "who lagged
+/// and by how much" is exact even when the ring wrapped.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     ring: EventRing,
     lag: LagGauges,
-    /// Whether the ring-overflow alert has already been recorded — the
-    /// warning fires once per tracer, not once per evicted event.
-    overflow_alerted: bool,
 }
 
 impl Tracer {
@@ -87,7 +86,6 @@ impl Tracer {
         Tracer {
             ring: EventRing::new(config.capacity),
             lag: LagGauges::default(),
-            overflow_alerted: false,
         }
     }
 
@@ -142,20 +140,6 @@ impl TraceSink for Tracer {
     fn record(&mut self, event: TraceEvent) {
         self.lag.on_event(&event);
         self.ring.push(event);
-        // Surface the first eviction as a warn-level alert *inside* the
-        // trace: anyone reading the export learns the ring wrapped without
-        // checking the summary. Stamped with the overflowing event's
-        // virtual time; fires once.
-        if !self.overflow_alerted && self.ring.dropped() > 0 {
-            self.overflow_alerted = true;
-            self.ring.push(TraceEvent::AlertFired {
-                at: event.at(),
-                kind: crate::event::AlertKind::RingDrop,
-                severity: crate::event::Severity::Warn,
-                value: self.ring.dropped() as i64,
-                threshold: 0,
-            });
-        }
     }
 }
 
@@ -198,47 +182,24 @@ mod tests {
             });
         }
         assert_eq!(t.ring().len(), 2, "ring stayed bounded");
-        // 98 batches evicted, plus one slot evicted by the overflow alert.
-        assert_eq!(t.ring().dropped(), 99);
+        assert_eq!(t.ring().dropped(), 98, "every eviction is a batch");
         assert_eq!(t.lag().inputs()[0].delivered, 100, "gauges saw everything");
     }
 
     #[test]
-    fn ring_overflow_fires_one_warn_alert() {
+    fn an_overflowed_ring_ends_its_jsonl_with_its_drops() {
         let mut t = Tracer::with_config(TraceConfig { capacity: 4 });
-        // Five records into a four-slot ring: the fifth evicts the first
-        // and the overflow alert lands as the newest retained event.
-        for k in 0..5u64 {
+        for k in 0..20u64 {
             t.record(TraceEvent::RunCompleted { at: VTime(k) });
         }
-        let alerts: Vec<_> = t
-            .events()
-            .filter(|e| matches!(e, TraceEvent::AlertFired { .. }))
-            .collect();
-        assert_eq!(alerts.len(), 1, "alert fires exactly once");
-        match alerts[0] {
-            TraceEvent::AlertFired {
-                kind: crate::event::AlertKind::RingDrop,
-                severity: crate::event::Severity::Warn,
-                ..
-            } => {}
-            other => panic!("unexpected alert {other:?}"),
-        }
-        // Further overflow does not re-fire (drop-oldest may evict the
-        // alert itself later; the trace_meta line keeps the evidence).
-        for k in 5..20u64 {
-            t.record(TraceEvent::RunCompleted { at: VTime(k) });
-        }
-        let refired = t
-            .events()
-            .filter(|e| matches!(e, TraceEvent::AlertFired { .. }))
-            .count();
-        assert_eq!(refired, 0, "no repeat alerts after eviction");
-        // The JSONL export ends with the drop accounting.
+        // The ring holds the newest recorded events and nothing else.
+        let kept: Vec<VTime> = t.events().map(TraceEvent::at).collect();
+        assert_eq!(kept, [VTime(16), VTime(17), VTime(18), VTime(19)]);
         let jsonl = t.to_jsonl();
         let last = jsonl.lines().last().unwrap();
         assert!(last.contains("\"event\":\"trace_meta\""), "got: {last}");
-        assert!(last.contains("\"dropped\""), "got: {last}");
+        assert!(last.contains("\"recorded\":20"), "got: {last}");
+        assert!(last.contains("\"dropped\":16"), "got: {last}");
     }
 
     #[test]

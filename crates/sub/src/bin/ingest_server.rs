@@ -12,8 +12,11 @@
 //! merge through one `lmerge_sub::OutputHook`; if the `--out` file fails
 //! (a full disk), the run and the subscribers carry on, and the process
 //! reports the error and exits non-zero at the end. With `--metrics` a
-//! Prometheus scrape endpoint runs for the life of the process (ingest
-//! *and* subscriber series). `--subscribe HOST:PORT` serves the merged
+//! Prometheus scrape endpoint runs for the life of the process (ingest,
+//! engine *and* subscriber series) and evaluates the default SLO rules at
+//! each scrape; the summary's `alerts fired: N` line reads them back. The
+//! registry is the server's only account of the run: it keeps no trace.
+//! `--subscribe HOST:PORT` serves the merged
 //! output live through the broadcast buffer, flushed to subscribers
 //! whenever the input goes quiet, every 32 KiB, and at every stable advance;
 //! `--filter SPEC` (repeatable; `all`, `mod:M:R`, `range:LO:HI`) adds
@@ -28,7 +31,8 @@
 //! and fsyncs, at most one cut behind (`lmerge_checkpoint_*` on `--metrics`
 //! shows the stall that is left and what the disk takes). After a crash, `--restore-from DIR` rebuilds the merge
 //! *and* the broadcast buffer from the newest checkpoint, so both
-//! rejoining replayers and reconnecting subscribers resume exactly-once.
+//! rejoining replayers and reconnecting subscribers resume exactly-once;
+//! `lmerge_checkpoint_restores_total` counts the rebuild.
 
 use lmerge_core::{new_for_level, MergePolicy};
 use lmerge_durable::{CheckpointStore, DurableCheckpointSink};
@@ -36,14 +40,14 @@ use lmerge_engine::{MergeRun, NoCheckpoint, Query, RunConfig, RunImage};
 use lmerge_net::server::{IngestConfig, IngestServer};
 use lmerge_obs::{
     default_rules, AlertEngine, CheckpointMetrics, EngineMetrics, MeteredSink, MetricsRegistry,
-    MetricsServer, ScrapeAlerts, TraceEvent, TraceSink, Tracer,
+    MetricsServer, NullSink,
 };
 use lmerge_properties::RLevel;
 use lmerge_sub::{EpochBuffer, OutputHook, SubConfig, SubFilter, SubPolicy, SubServer};
 use lmerge_temporal::Value;
 use std::io::BufWriter;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 struct Args {
     addr: String,
@@ -147,7 +151,7 @@ fn main() -> ExitCode {
     // cursors when the first rejoining replayer says `Hello` — and the
     // broadcast buffer must already hold its retained window and
     // subscriber cursors when the first subscriber says `Subscribe`.
-    let restored: Option<(u64, RunImage<Value>)> = match &args.restore_from {
+    let restored: Option<RunImage<Value>> = match &args.restore_from {
         Some(dir) => match CheckpointStore::<Value>::load_latest(dir) {
             Ok((seq, image)) => {
                 server.restore_cursors(&image.cursors);
@@ -159,7 +163,7 @@ fn main() -> ExitCode {
                     image.cursors.len(),
                     image.egress.cursors.len()
                 );
-                Some((seq, image))
+                Some(image)
             }
             Err(e) => {
                 eprintln!("restore from {dir}: {e}");
@@ -174,7 +178,7 @@ fn main() -> ExitCode {
     let buf: Option<Arc<EpochBuffer>> = match &args.subscribe {
         Some(_) => {
             let buf = match &restored {
-                Some((_, image)) => match EpochBuffer::restore(&image.egress, sub_policy) {
+                Some(image) => match EpochBuffer::restore(&image.egress, sub_policy) {
                     Ok(b) => b,
                     Err(e) => {
                         eprintln!("restore broadcast buffer: {e}");
@@ -210,19 +214,10 @@ fn main() -> ExitCode {
         _ => None,
     };
 
-    // Alert transitions land in their own tracer: the run tracer is busy
-    // on the merge thread, and alert noise must never perturb the run's
-    // deterministic trace anyway.
-    let alert_tracer = Arc::new(Mutex::new(Tracer::new()));
     let _metrics_server = match &args.metrics {
         Some(addr) => {
             let engine = AlertEngine::new(&registry, default_rules());
-            let sink: Arc<Mutex<dyn TraceSink + Send>> = alert_tracer.clone();
-            match MetricsServer::bind_with_alerts(
-                addr.as_str(),
-                registry.clone(),
-                ScrapeAlerts { engine, sink },
-            ) {
+            match MetricsServer::bind_with_alerts(addr.as_str(), registry.clone(), engine) {
                 Ok(s) => {
                     println!("metrics on http://{}/metrics", s.local_addr());
                     Some(s)
@@ -253,15 +248,20 @@ fn main() -> ExitCode {
         })
         .collect();
     let mut lmerge = new_for_level(args.level, args.inputs, MergePolicy::default());
-    let restored_cut = restored.map(|(seq, image)| {
-        let at = image.exec.lmerge_ready;
-        let entries = image.merge.total_entries() as u64;
+    // Registered on every run, so a scrape always says whether this
+    // process started from a checkpoint.
+    let restores = registry.counter(
+        "lmerge_checkpoint_restores_total",
+        "Runs rebuilt from a durable checkpoint.",
+        &[],
+    );
+    if let Some(image) = restored {
         if !lmerge.restore_state(image.merge) {
             eprintln!("checkpoint kind does not match --level {:?}", args.level);
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
-        (seq, at, entries)
-    });
+        restores.inc();
+    }
 
     // Streaming, not collecting: a long-lived server must not grow an
     // unbounded output Vec. The broadcast buffer (bounded by subscriber
@@ -281,12 +281,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // The run tracer stays deterministic; the metered wrapper folds every
-    // event into the live registry on the side.
-    let mut sink = MeteredSink::new(Tracer::new(), EngineMetrics::new(&registry));
-    if let Some((seq, at, entries)) = restored_cut {
-        sink.record(TraceEvent::CheckpointRestored { at, seq, entries });
-    }
+    // The registry is the server's only account of the run: every event
+    // is folded into its series, and none is kept.
+    let mut sink = MeteredSink::new(NullSink, EngineMetrics::new(&registry));
 
     // A restored run uses a fresh executor over the restored merge — NOT
     // the replay-based `MergeRun::resumed`, whose re-pulls would consume
@@ -321,8 +318,6 @@ fn main() -> ExitCode {
         Some(ck) => run.run_checkpointed(&mut sink, &mut output, ck),
         None => run.run_checkpointed(&mut sink, &mut output, &mut NoCheckpoint),
     };
-    sink.metrics()
-        .set_ring_dropped(sink.inner().ring().dropped());
     let emitted = output.emitted();
 
     // The merge drains at watermark = ∞, which a paced client reaches
@@ -373,8 +368,10 @@ fn main() -> ExitCode {
         s.shutdown();
     }
     if args.metrics.is_some() {
-        let fired = alert_tracer.lock().unwrap().events().count();
-        println!("alert transitions observed: {fired}");
+        let fired = registry
+            .sum_value("lmerge_alerts_fired_total")
+            .unwrap_or(0.0);
+        println!("alerts fired: {fired}");
     }
     let mut failed = false;
     if let Some(path) = &args.out {

@@ -22,7 +22,7 @@ use lmerge::net::proxy::{ChaosProxy, ProxyPlan};
 use lmerge::net::server::{IngestConfig, IngestServer};
 use lmerge::obs::{
     default_rules, parse_prometheus, scrape, AlertEngine, EngineMetrics, MeteredSink,
-    MetricsRegistry, MetricsServer, ScrapeAlerts, TraceSink, Tracer,
+    MetricsRegistry, MetricsServer, NullSink, Tracer,
 };
 use lmerge::properties::RLevel;
 use lmerge::sub::{
@@ -293,14 +293,10 @@ fn live_scrape_exposes_session_and_alert_series() {
             .expect("bind ingest server");
     let server_addr = server.local_addr().to_string();
 
-    let alert_sink: Arc<Mutex<dyn TraceSink + Send>> = Arc::new(Mutex::new(Tracer::new()));
     let metrics_server = MetricsServer::bind_with_alerts(
         "127.0.0.1:0",
         registry.clone(),
-        ScrapeAlerts {
-            engine: AlertEngine::new(&registry, default_rules()),
-            sink: alert_sink,
-        },
+        AlertEngine::new(&registry, default_rules()),
     )
     .expect("bind metrics server");
 
@@ -331,10 +327,9 @@ fn live_scrape_exposes_session_and_alert_series() {
         .map(|src| Query::from_source(Box::new(src), Vec::new()))
         .collect();
     let merge = variant.build(cfg.n_inputs, cfg.robustness);
-    let mut sink = MeteredSink::new(Tracer::new(), EngineMetrics::new(&registry));
+    // Metered as the deployed server is: the registry is the only account.
+    let mut sink = MeteredSink::new(NullSink, EngineMetrics::new(&registry));
     MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut sink, &mut NoHooks);
-    sink.metrics()
-        .set_ring_dropped(sink.inner().ring().dropped());
     for c in clients {
         c.join().expect("client");
     }
@@ -376,6 +371,10 @@ fn live_scrape_exposes_session_and_alert_series() {
         .filter(|s| s.name == "lmerge_alert_active")
         .count();
     assert_eq!(alert_rules, default_rules().len(), "every rule exposed");
+    assert!(
+        !samples.iter().any(|s| s.name.contains("ring_dropped")),
+        "the server keeps no trace ring to report on"
+    );
 
     // Engine series folded by the metered sink.
     assert!(
