@@ -12,7 +12,6 @@ fn main() {
     lmerge_bench::figs::fig10::report().emit();
     lmerge_bench::figs::table4::report().emit();
     lmerge_bench::figs::ablation::report().emit();
-    lmerge_bench::figs::shard_scaling::report().emit();
     lmerge_bench::figs::checkpoint_overhead::report().emit();
     lmerge_bench::figs::sub_scaling::report().emit();
 }

@@ -3,8 +3,8 @@
 //!
 //! Usage: `cargo run --release -p lmerge-bench --bin check_regression`
 //!
-//! The checked figures (fig2, shard_scaling, net_loopback, and
-//! obs_overhead) are regenerated
+//! The checked figures (fig2, net_loopback, obs_overhead,
+//! checkpoint_overhead and sub_scaling) are regenerated
 //! **in-process at default scale** — the same scale the committed
 //! baselines were produced at — so the comparison is apples-to-apples
 //! even when the surrounding CI job runs other benches in quick mode.
@@ -16,13 +16,10 @@
 //!   a few CI runs establish the committed numbers are reproducible);
 //! * `throughput_eps` — only under `LMERGE_CHECK_THROUGHPUT=1`, because
 //!   wall-clock throughput on shared CI runners is noisy;
-//! * the shard-scaling acceptance bar — the *committed*
-//!   `BENCH_shard_scaling.json` must show a `K = 4` critical-path
-//!   speedup of at least 2.5x over `K = 1` (checked on the committed
-//!   file, which is timing-free at check time);
 //! * the telemetry-overhead bar — the committed `BENCH_obs_overhead.json`
 //!   must show instrumented throughput at least 0.95x the uninstrumented
-//!   drive (same committed-file discipline);
+//!   drive (checked on the committed file, which is timing-free at check
+//!   time);
 //! * the checkpoint-overhead bar — the committed
 //!   `BENCH_checkpoint_overhead.json` must show checkpointed throughput
 //!   at least 0.90x the bare drive (same committed-file discipline);
@@ -143,30 +140,6 @@ impl Gate {
     }
 }
 
-/// The committed shard-scaling record must clear the acceptance bar:
-/// `K = 4` critical-path throughput at least 2.5x the `K = 1` baseline.
-fn check_scaling_bar(gate: &mut Gate) -> Result<(), String> {
-    let base = load_baseline("shard_scaling")?;
-    let eps = |label: &str| {
-        base.iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, m)| m.throughput_eps)
-            .ok_or_else(|| format!("BENCH_shard_scaling.json: no {label} record"))
-    };
-    let k1 = eps("LMR3+@K1")?;
-    let k4 = eps("LMR3+@K4")?;
-    gate.checked += 1;
-    let speedup = if k1 > 0.0 { k4 / k1 } else { 0.0 };
-    if speedup < 2.5 {
-        gate.violations.push(format!(
-            "shard_scaling: committed K=4 speedup {speedup:.2}x below the 2.5x bar"
-        ));
-    } else {
-        println!("shard_scaling: committed K=4 speedup {speedup:.2}x (bar: 2.5x)");
-    }
-    Ok(())
-}
-
 /// The committed telemetry-overhead record must clear the acceptance bar:
 /// instrumented throughput at least 0.95x the uninstrumented drive.
 fn check_overhead_bar(gate: &mut Gate) -> Result<(), String> {
@@ -250,7 +223,6 @@ fn check_sub_scaling_bar(gate: &mut Gate) -> Result<(), String> {
 fn main() {
     println!("regenerating checked figures at default scale...");
     let fig2 = lmerge_bench::figs::fig2::report();
-    let scaling = lmerge_bench::figs::shard_scaling::report();
     let net = lmerge_bench::figs::net_loopback::report();
     let obs = lmerge_bench::figs::obs_overhead::report();
     let ck = lmerge_bench::figs::checkpoint_overhead::report();
@@ -263,7 +235,6 @@ fn main() {
     let mut errors = Vec::new();
     for (id, fresh) in [
         ("fig2", &fig2),
-        ("shard_scaling", &scaling),
         ("net_loopback", &net),
         ("obs_overhead", &obs),
         ("checkpoint_overhead", &ck),
@@ -272,9 +243,6 @@ fn main() {
         if let Err(e) = gate.diff(id, fresh) {
             errors.push(e);
         }
-    }
-    if let Err(e) = check_scaling_bar(&mut gate) {
-        errors.push(e);
     }
     if let Err(e) = check_overhead_bar(&mut gate) {
         errors.push(e);

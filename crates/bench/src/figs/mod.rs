@@ -15,6 +15,5 @@ pub mod fig8;
 pub mod fig9;
 pub mod net_loopback;
 pub mod obs_overhead;
-pub mod shard_scaling;
 pub mod sub_scaling;
 pub mod table4;

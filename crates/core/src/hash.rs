@@ -1,25 +1,22 @@
 //! The workspace's one deterministic byte hash: 64-bit FNV-1a.
 //!
-//! Two subsystems need a hash that is a pure function of its input bytes —
+//! Two formats need a checksum that is a pure function of its input bytes —
 //! identical across runs, processes, machines, and the two sides of a
 //! network connection:
 //!
-//! * **shard routing** ([`crate::shard::shard_of`]): a data element's
-//!   `(Vs, Payload)` key must map to the same shard on every execution
-//!   path (live run, restored checkpoint, replayed trace);
-//! * **wire-frame checksums** (`lmerge-net`): every frame crossing a
-//!   socket carries an FNV-1a checksum of its header and payload bytes,
-//!   verified by the receiving side before the frame is trusted.
+//! * **wire-frame checksums** (`lmerge-net`, [`fnv1a`] / [`Fnv1a`]): every
+//!   frame crossing a socket carries an FNV-1a checksum of its header and
+//!   payload bytes, verified by the receiving side before the frame is
+//!   trusted;
+//! * **durable envelopes** (`lmerge-durable`, [`fnv1a_words`]): every
+//!   checkpoint file ends in the word-folded variant over its payload.
 //!
-//! Keeping both on one implementation (with the canonical constants pinned
-//! by test vectors below) means the on-wire checksum can never silently
-//! drift from the router hash: a change to either breaks the pinned tests.
+//! The canonical constants are pinned by the test vectors below, so a file
+//! written or a frame sent by one build checks out in the next.
 //!
-//! FNV-1a is not cryptographic — it detects corruption and distributes
-//! keys, nothing more. That is exactly the contract both call sites need,
-//! and it costs ~1 multiply per byte on the hot paths it serves.
-
-use std::hash::Hasher;
+//! FNV-1a is not cryptographic — it detects corruption, nothing more. That
+//! is exactly the contract both call sites need, and it costs ~1 multiply
+//! per byte (per word, for envelopes) on the paths it serves.
 
 /// The FNV-1a 64-bit offset basis (the hash of the empty input).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -27,11 +24,8 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// An incremental 64-bit FNV-1a hasher.
-///
-/// Implements [`std::hash::Hasher`] so `Hash` types (shard keys) can feed
-/// it directly; byte slices can also be folded in manually via
-/// [`Fnv1a::update`] (wire checksums).
+/// An incremental 64-bit FNV-1a hasher: fold byte slices in with
+/// [`Fnv1a::update`], read the sum with [`Fnv1a::value`].
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a(pub u64);
 
@@ -62,18 +56,6 @@ impl Default for Fnv1a {
     }
 }
 
-impl Hasher for Fnv1a {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        self.update(bytes);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// One-shot FNV-1a of a byte slice.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -87,9 +69,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// This is a *different function* from [`fnv1a`] (they agree only below
 /// eight bytes) and serves durable file envelopes, where whole images are
-/// summed; wire frames and shard routing keep the byte-wise fold. Every
-/// step is `h -> (h ^ x) * PRIME`, a bijection of the state for fixed `x`
-/// and injective in `x` for fixed `h`, so two inputs of equal length that
+/// summed; wire frames keep the byte-wise fold. Every step is
+/// `h -> (h ^ x) * PRIME`, a bijection of the state for fixed `x` and
+/// injective in `x` for fixed `h`, so two inputs of equal length that
 /// differ in exactly one word (or tail byte) never collide.
 pub fn fnv1a_words(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
@@ -109,8 +91,8 @@ mod tests {
     use super::*;
 
     /// Canonical FNV-1a 64-bit test vectors (Noll's reference set). These
-    /// pin the exact function: shard routing and the lmerge-net wire
-    /// checksum both break loudly if the constants or the fold ever change.
+    /// pin the exact function: the lmerge-net wire checksum breaks loudly
+    /// if the constants or the fold ever change.
     #[test]
     fn pinned_reference_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
@@ -158,12 +140,5 @@ mod tests {
         h.update(b"foo");
         h.update(b"bar");
         assert_eq!(h.value(), fnv1a(b"foobar"));
-    }
-
-    #[test]
-    fn hasher_trait_feeds_the_same_fold() {
-        let mut h = Fnv1a::new();
-        std::hash::Hasher::write(&mut h, b"a");
-        assert_eq!(h.finish(), fnv1a(b"a"));
     }
 }

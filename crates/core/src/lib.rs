@@ -48,7 +48,6 @@ mod r3;
 mod r3_naive;
 mod r4;
 pub mod select;
-pub mod shard;
 mod shell;
 pub mod spsc;
 pub mod state;
@@ -69,7 +68,6 @@ pub use r3::LMergeR3;
 pub use r3_naive::LMergeR3Naive;
 pub use r4::LMergeR4;
 pub use select::{new_for_level, new_for_properties};
-pub use shard::{queue_bytes, shard_of, ShardConfig, ShardedLMerge};
 pub use state::{CountersImage, InputStateImage, MergeStateImage, StateEntry, VariantKind};
 pub use stats::{InputCounters, MergeStats, PerInput};
 pub use tier::SweepAction;

@@ -34,8 +34,6 @@ pub enum VariantKind {
     R3Naive,
     /// R4: the multiset algorithm (in3t).
     R4,
-    /// A hash-partitioned wrapper around per-shard images.
-    Sharded,
 }
 
 impl VariantKind {
@@ -48,7 +46,6 @@ impl VariantKind {
             VariantKind::R3 => 3,
             VariantKind::R3Naive => 4,
             VariantKind::R4 => 5,
-            VariantKind::Sharded => 6,
         }
     }
 
@@ -61,7 +58,6 @@ impl VariantKind {
             3 => VariantKind::R3,
             4 => VariantKind::R3Naive,
             5 => VariantKind::R4,
-            6 => VariantKind::Sharded,
             _ => return None,
         })
     }
@@ -110,8 +106,6 @@ pub struct MergeStateImage<P> {
     pub max_vs: Time,
     /// The output stable point.
     pub max_stable: Time,
-    /// Sharded wrapper's emitted watermark (min over shard stables).
-    pub watermark: Time,
     /// R3's sweep leader (the input whose punctuation drove the last sweep).
     pub leader: Option<u32>,
     /// R1's per-input emitted-at-`max_vs` tallies.
@@ -134,8 +128,6 @@ pub struct MergeStateImage<P> {
     /// The naive baseline's per-input indexes, indexed by stream id; each
     /// entry's `output` field carries that index's `Ve` as `[(ve, 1)]`.
     pub input_indexes: Vec<Vec<StateEntry<P>>>,
-    /// Per-shard images for [`VariantKind::Sharded`]; empty otherwise.
-    pub shards: Vec<MergeStateImage<P>>,
 }
 
 impl<P: Payload> MergeStateImage<P> {
@@ -145,7 +137,6 @@ impl<P: Payload> MergeStateImage<P> {
             kind,
             max_vs: Time::MIN,
             max_stable: Time::MIN,
-            watermark: Time::MIN,
             leader: None,
             same_vs_count: Vec::new(),
             live_entries: Vec::new(),
@@ -155,17 +146,14 @@ impl<P: Payload> MergeStateImage<P> {
             stats: (0, 0, 0, 0, 0, 0, 0),
             entries: Vec::new(),
             input_indexes: Vec::new(),
-            shards: Vec::new(),
         }
     }
 
-    /// Total entries across the shared index, the per-input indexes, and
-    /// nested shard images — the "how much state would we persist" figure
-    /// behind the checkpoint metrics.
+    /// Total entries across the shared index and the per-input indexes —
+    /// the "how much state would we persist" figure behind the checkpoint
+    /// metrics.
     pub fn total_entries(&self) -> usize {
-        self.entries.len()
-            + self.input_indexes.iter().map(Vec::len).sum::<usize>()
-            + self.shards.iter().map(Self::total_entries).sum::<usize>()
+        self.entries.len() + self.input_indexes.iter().map(Vec::len).sum::<usize>()
     }
 
     /// An image of `kind` pre-filled with the state every variant shares:
@@ -220,10 +208,10 @@ mod tests {
             VariantKind::R3,
             VariantKind::R3Naive,
             VariantKind::R4,
-            VariantKind::Sharded,
         ] {
             assert_eq!(VariantKind::from_tag(kind.tag()), Some(kind));
         }
+        assert_eq!(VariantKind::from_tag(6), None);
         assert_eq!(VariantKind::from_tag(200), None);
     }
 

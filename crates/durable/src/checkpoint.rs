@@ -16,10 +16,10 @@
 //! `crate::fsutil`) so neither a process kill nor a power loss can leave a
 //! torn checkpoint — at worst a stray temp file, cleared on the next open.
 //! A delta stores the executor image and the merge image's scalars in full
-//! (they are tiny) plus, for each index in a fixed pre-order traversal
-//! (shared entries, per-input indexes, then shards recursively), what a
-//! sorted merge-walk over the canonical `(Vs, payload)` order finds
-//! changed: a removed key as its `u32` *ordinal* in the previous index
+//! (they are tiny) plus, for each index in a fixed order (shared entries,
+//! then per-input indexes), what a sorted merge-walk over the canonical
+//! `(Vs, payload)` order finds changed: a removed key as its `u32`
+//! *ordinal* in the previous index
 //! (both sides hold it, in the same order — a 1 KB payload is not written
 //! again to say it is gone), an inserted-or-changed entry in full.
 //! Applying a delta is the same walk.
@@ -66,37 +66,19 @@ struct IndexDiff<E> {
     upserts: Vec<E>,
 }
 
-/// Collect references to every entry index of an image in pre-order:
-/// shared entries, then per-input indexes, then shards recursively.
+/// Collect references to every entry index of an image: shared entries,
+/// then per-input indexes.
 fn indexes<P>(img: &MergeStateImage<P>) -> Vec<&Vec<StateEntry<P>>> {
-    fn walk<'a, P>(img: &'a MergeStateImage<P>, out: &mut Vec<&'a Vec<StateEntry<P>>>) {
-        out.push(&img.entries);
-        for idx in &img.input_indexes {
-            out.push(idx);
-        }
-        for shard in &img.shards {
-            walk(shard, out);
-        }
-    }
-    let mut out = Vec::new();
-    walk(img, &mut out);
-    out
+    std::iter::once(&img.entries)
+        .chain(&img.input_indexes)
+        .collect()
 }
 
-/// Mutable counterpart of [`indexes`] — same traversal order.
+/// Mutable counterpart of [`indexes`] — same order.
 fn indexes_mut<P>(img: &mut MergeStateImage<P>) -> Vec<&mut Vec<StateEntry<P>>> {
-    fn walk<'a, P>(img: &'a mut MergeStateImage<P>, out: &mut Vec<&'a mut Vec<StateEntry<P>>>) {
-        out.push(&mut img.entries);
-        for idx in img.input_indexes.iter_mut() {
-            out.push(idx);
-        }
-        for shard in img.shards.iter_mut() {
-            walk(shard, out);
-        }
-    }
-    let mut out = Vec::new();
-    walk(img, &mut out);
-    out
+    std::iter::once(&mut img.entries)
+        .chain(&mut img.input_indexes)
+        .collect()
 }
 
 fn key<P>(e: &StateEntry<P>) -> (Time, &P) {
@@ -195,15 +177,11 @@ fn get_index_diff<P: DurablePayload>(
     Ok(IndexDiff { removed, upserts })
 }
 
-/// An image's index *shape*: per-input index count and shard count, in
-/// pre-order. Deltas only make sense between same-shape images; the store
-/// falls back to a snapshot otherwise.
-fn shape<P>(img: &MergeStateImage<P>) -> Vec<usize> {
-    let mut out = vec![img.input_indexes.len(), img.shards.len()];
-    for shard in &img.shards {
-        out.extend(shape(shard));
-    }
-    out
+/// An image's index *shape*: its per-input index count. Deltas only make
+/// sense between same-shape images; the store falls back to a snapshot
+/// otherwise.
+fn shape<P>(img: &MergeStateImage<P>) -> usize {
+    img.input_indexes.len()
 }
 
 /// Where a store stands in its chain: everything that decides the next
@@ -215,16 +193,15 @@ struct Chain {
     snapshot_every: u64,
     since_snapshot: u64,
     /// [`shape`] of the delta base; `None` before the first save.
-    base_shape: Option<Vec<usize>>,
+    base_shape: Option<usize>,
 }
 
 impl Chain {
     /// The `(seq, delta)` a save of an image of shape `shape` gets now,
     /// advancing past it.
-    fn advance(&mut self, shape: Vec<usize>) -> (u64, bool) {
+    fn advance(&mut self, shape: usize) -> (u64, bool) {
         let seq = self.next_seq;
-        let delta =
-            self.since_snapshot < self.snapshot_every && self.base_shape.as_ref() == Some(&shape);
+        let delta = self.since_snapshot < self.snapshot_every && self.base_shape == Some(shape);
         self.next_seq = seq + 1;
         self.since_snapshot = if delta { self.since_snapshot + 1 } else { 0 };
         self.base_shape = Some(shape);

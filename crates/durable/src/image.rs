@@ -13,10 +13,6 @@ use lmerge_core::{CountersImage, InputStateImage, MergeStateImage, StateEntry, V
 use lmerge_engine::{EgressImage, ExecutorImage, RunImage};
 use lmerge_temporal::{Time, VTime};
 
-/// Sharded images nest per-shard images; one level is all the core layer
-/// ever produces, so anything deeper than this is corruption, not data.
-const MAX_SHARD_DEPTH: u32 = 4;
-
 fn put_time(buf: &mut Vec<u8>, t: Time) {
     buf.extend_from_slice(&t.0.to_le_bytes());
 }
@@ -108,7 +104,12 @@ fn get_entries<P: DurablePayload>(
     Ok(out)
 }
 
-/// Append a full [`MergeStateImage`] (recursing into shard images).
+/// Append a full [`MergeStateImage`].
+///
+/// Two slots of the layout are reserved, kept so that LMCK v3 files stay
+/// byte-identical: the retired sharded wrapper's watermark (always
+/// `Time::MIN`) after the stable point, and its nested-image count (always
+/// 0) at the end.
 pub fn put_merge_image<P: DurablePayload>(buf: &mut Vec<u8>, img: &MergeStateImage<P>) {
     put_merge(buf, img, true);
 }
@@ -127,7 +128,7 @@ fn put_merge<P: DurablePayload>(buf: &mut Vec<u8>, img: &MergeStateImage<P>, ent
     buf.push(img.kind.tag());
     put_time(buf, img.max_vs);
     put_time(buf, img.max_stable);
-    put_time(buf, img.watermark);
+    put_time(buf, Time::MIN); // reserved
     match img.leader {
         Some(l) => {
             buf.push(1);
@@ -168,32 +169,22 @@ fn put_merge<P: DurablePayload>(buf: &mut Vec<u8>, img: &MergeStateImage<P>, ent
     for idx in &img.input_indexes {
         index(buf, idx);
     }
-    put_count(buf, img.shards.len());
-    for shard in &img.shards {
-        put_merge(buf, shard, entries);
-    }
+    put_count(buf, 0); // reserved
 }
 
-/// Decode a full [`MergeStateImage`].
+/// Decode a full [`MergeStateImage`]. The reserved slots must hold what
+/// [`put_merge_image`] writes; anything else is [`DurableError::Corrupt`].
 pub fn get_merge_image<P: DurablePayload>(
     cur: &mut Cursor<'_>,
 ) -> Result<MergeStateImage<P>, DurableError> {
-    get_merge_image_at(cur, 0)
-}
-
-fn get_merge_image_at<P: DurablePayload>(
-    cur: &mut Cursor<'_>,
-    depth: u32,
-) -> Result<MergeStateImage<P>, DurableError> {
-    if depth > MAX_SHARD_DEPTH {
-        return Err(DurableError::Corrupt("shard nesting too deep"));
-    }
     let tag = cur.u8()?;
     let kind = VariantKind::from_tag(tag).ok_or(DurableError::BadTag(tag))?;
     let mut img = MergeStateImage::empty(kind);
     img.max_vs = get_time(cur)?;
     img.max_stable = get_time(cur)?;
-    img.watermark = get_time(cur)?;
+    if get_time(cur)? != Time::MIN {
+        return Err(DurableError::Corrupt("reserved watermark slot is set"));
+    }
     img.leader = match cur.u8()? {
         0 => None,
         1 => Some(cur.u32()?),
@@ -238,10 +229,8 @@ fn get_merge_image_at<P: DurablePayload>(
     for _ in 0..n {
         img.input_indexes.push(get_entries(cur)?);
     }
-    let n = cur.count(1)?;
-    img.shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        img.shards.push(get_merge_image_at(cur, depth + 1)?);
+    if cur.u32()? != 0 {
+        return Err(DurableError::Corrupt("reserved nested-image count is set"));
     }
     Ok(img)
 }
@@ -394,7 +383,6 @@ mod tests {
         let mut img = MergeStateImage::empty(VariantKind::R4);
         img.max_vs = Time(41);
         img.max_stable = Time(17);
-        img.watermark = Time(11);
         img.leader = Some(1);
         img.same_vs_count = vec![3, 0, 9];
         img.live_entries = vec![2, 2, 1];
@@ -417,21 +405,38 @@ mod tests {
         img
     }
 
-    #[test]
-    fn merge_image_round_trips_including_shards() {
-        let mut outer: MergeStateImage<i32> = MergeStateImage::empty(VariantKind::Sharded);
-        outer.watermark = Time(11);
-        outer.shards = vec![sample_image(), MergeStateImage::empty(VariantKind::R4)];
-        let mut buf = Vec::new();
-        put_merge_image(&mut buf, &outer);
-        let mut cur = Cursor::new(&buf);
-        let back = get_merge_image::<i32>(&mut cur).unwrap();
+    /// Encode `img`, apply `edit` to the bytes, wrap them in a snapshot
+    /// envelope and decode them back (the whole payload must be consumed).
+    fn decode_edited(
+        img: &MergeStateImage<i32>,
+        edit: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<MergeStateImage<i32>, DurableError> {
+        use crate::codec::{envelope, open_envelope, FileKind};
+        let mut body = Vec::new();
+        put_merge_image(&mut body, img);
+        edit(&mut body);
+        let file = envelope(FileKind::Snapshot, &body);
+        let (_, payload) = open_envelope(&file)?;
+        let mut cur = Cursor::new(payload);
+        let back = get_merge_image(&mut cur)?;
         assert!(cur.is_empty());
-        assert_eq!(back, outer);
+        Ok(back)
+    }
+
+    #[test]
+    fn merge_image_round_trips_and_the_retired_sharded_tag_is_refused() {
+        let img = sample_image();
+        let back = decode_edited(&img, |_| {}).unwrap();
+        assert_eq!(back, img);
         // Canonical property: re-encoding the decoded image is byte-identical.
-        let mut buf2 = Vec::new();
+        let (mut buf, mut buf2) = (Vec::new(), Vec::new());
+        put_merge_image(&mut buf, &img);
         put_merge_image(&mut buf2, &back);
         assert_eq!(buf, buf2);
+
+        // Tag 6 was the sharded wrapper; its layout is gone.
+        let err = decode_edited(&img, |b| b[0] = 6).unwrap_err();
+        assert!(matches!(err, DurableError::BadTag(6)), "{err}");
     }
 
     #[test]
@@ -469,20 +474,24 @@ mod tests {
     }
 
     #[test]
-    fn excessive_shard_depth_is_rejected() {
-        // Hand-build a chain of Sharded images deeper than the guard.
-        let mut img: MergeStateImage<i32> = MergeStateImage::empty(VariantKind::R3);
-        for _ in 0..(MAX_SHARD_DEPTH + 2) {
-            let mut outer = MergeStateImage::empty(VariantKind::Sharded);
-            outer.shards = vec![img];
-            img = outer;
-        }
-        let mut buf = Vec::new();
-        put_merge_image(&mut buf, &img);
-        let mut cur = Cursor::new(&buf);
-        assert!(matches!(
-            get_merge_image::<i32>(&mut cur),
-            Err(DurableError::Corrupt("shard nesting too deep"))
-        ));
+    fn reserved_slots_must_hold_what_the_encoder_writes() {
+        let mut img = sample_image();
+        img.kind = VariantKind::R3;
+        // The watermark slot follows the tag, `max_vs` and `max_stable`.
+        let err = decode_edited(&img, |b| b[17..25].copy_from_slice(&11i64.to_le_bytes()));
+        assert!(
+            matches!(err, Err(DurableError::Corrupt(_))),
+            "watermark: {err:?}"
+        );
+        // A nested-image count of 1, followed by a well-formed nested image.
+        let err = decode_edited(&img, |b| {
+            let n = b.len();
+            b[n - 4..].copy_from_slice(&1u32.to_le_bytes());
+            put_merge_image(b, &MergeStateImage::<i32>::empty(VariantKind::R3));
+        });
+        assert!(
+            matches!(err, Err(DurableError::Corrupt(_))),
+            "nested count: {err:?}"
+        );
     }
 }

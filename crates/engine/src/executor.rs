@@ -17,14 +17,13 @@
 //! compiles the instrumentation away), a [`RunHooks`] sees every batch and
 //! every emission — [`RunHooks::on_consumed`] is the only way merged output
 //! leaves the loop — and a [`CheckpointSink`] is offered a cut after each
-//! delivery. Sharding is a [`RunConfig::shards`] setting, not a second
-//! executor: the loop drives a `ShardedLMerge` like any other operator.
+//! delivery.
 
 use crate::durability::{CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunImage};
 use crate::hooks::{ControlAction, FaultAction, NoHooks, RunHooks};
 use crate::metrics::{RunMetrics, Series};
 use crate::query::Query;
-use lmerge_core::{BatchMeta, InputHealth, LogicalMerge, ShardConfig, ShardedLMerge};
+use lmerge_core::{BatchMeta, InputHealth, LogicalMerge};
 use lmerge_obs::{ElementKind, FaultKind, HealthTag, NullSink, StableScope, TraceEvent, TraceSink};
 use lmerge_temporal::{Element, Payload, StreamId, Time, VTime};
 use std::cmp::Reverse;
@@ -89,11 +88,6 @@ pub struct RunConfig {
     pub lmerge_cost_us: u64,
     /// Sample memory every this many delivered batches.
     pub mem_sample_every: usize,
-    /// Hash-partition the merge state across this many shards (`K`). With
-    /// the default of 1 the factory's operator runs as-is; higher values
-    /// route through `lmerge_core::ShardedLMerge` (see
-    /// [`RunConfig::shard_merge`]).
-    pub shards: usize,
 }
 
 impl Default for RunConfig {
@@ -102,27 +96,6 @@ impl Default for RunConfig {
             feedback: false,
             lmerge_cost_us: 1,
             mem_sample_every: 256,
-            shards: 1,
-        }
-    }
-}
-
-impl RunConfig {
-    /// Build the merge operator this config calls for: the factory's
-    /// operator as-is when `shards <= 1`, otherwise a [`ShardedLMerge`]
-    /// whose `K` inner states each come from one `factory()` call (so any
-    /// variant — or the chaos harness's custom builds — can run sharded
-    /// without new constructors).
-    pub fn shard_merge<P: Payload>(
-        &self,
-        n_inputs: usize,
-        mut factory: impl FnMut() -> Box<dyn LogicalMerge<P>>,
-    ) -> Box<dyn LogicalMerge<P>> {
-        if self.shards <= 1 {
-            factory()
-        } else {
-            let config = ShardConfig::with_shards(self.shards);
-            Box::new(ShardedLMerge::from_factory(config, n_inputs, factory))
         }
     }
 }

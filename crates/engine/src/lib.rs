@@ -16,9 +16,8 @@
 //! * an [`executor::MergeRun`]: N queries feeding one LMerge under a
 //!   deterministic **virtual-time** executor that models arrival lag,
 //!   bursts, congestion, and CPU cost without wall-clock dependence. It is
-//!   the only executor: sharding ([`RunConfig::shards`]), tracing,
-//!   checkpoints ([`durability`]) and fault injection all run through its
-//!   one loop, on the calling thread;
+//!   the only executor: tracing, checkpoints ([`durability`]) and fault
+//!   injection all run through its one loop, on the calling thread;
 //! * [`hooks`]: the loop's per-batch boundary. [`RunHooks::on_consumed`]
 //!   is where merged output leaves the executor, and a pair `(A, B)` of
 //!   hooks composes an output sink with a fault injector;

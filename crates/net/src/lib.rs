@@ -8,8 +8,7 @@
 //!
 //! * [`wire`] — a versioned, length-prefixed binary frame format for
 //!   `insert`/`adjust`/`stable` plus session control, with a per-frame
-//!   FNV-1a checksum (the same [`lmerge_core::hash`] the shard router
-//!   uses), typed, panic-free decode errors, and [`wire::FrameReader`] —
+//!   FNV-1a checksum (the workspace's one [`lmerge_core::hash`]), typed, panic-free decode errors, and [`wire::FrameReader`] —
 //!   the one buffered reader every socket on every plane is read through,
 //!   so system calls are paid per read, not per frame;
 //! * [`server`] — the ingest side: one TCP connection per input, a

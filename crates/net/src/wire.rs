@@ -12,9 +12,9 @@
 //! | 12     | n    | payload |
 //! | 12+n   | 8    | FNV-1a 64 checksum of bytes `[0, 12+n)` (LE) |
 //!
-//! The checksum is the workspace's shared [`lmerge_core::hash`] — the same
-//! function that routes shard keys — so its constants are pinned by the
-//! core crate's reference vectors and cannot drift per subsystem.
+//! The checksum is the workspace's shared [`lmerge_core::hash`], so its
+//! constants are pinned by the core crate's reference vectors and cannot
+//! drift per subsystem.
 //!
 //! Data frames (`insert`/`adjust`/`stable`) carry two transport fields on
 //! top of the element model: a per-session monotone `seq` (the replayer's
@@ -807,7 +807,7 @@ mod tests {
     fn checksum_is_the_shared_fnv1a() {
         // The trailing 8 bytes must equal the core crate's one-shot FNV-1a
         // over everything before them — pinning the wire checksum to the
-        // same function the shard router uses.
+        // core crate's pinned function.
         let bytes = encode(&Frame::Bye);
         let body = &bytes[..bytes.len() - CHECKSUM_LEN];
         let carried = u64::from_le_bytes(bytes[bytes.len() - CHECKSUM_LEN..].try_into().unwrap());

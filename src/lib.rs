@@ -35,8 +35,8 @@
 //!   indexed-merge shell over three node kinds), policies, attach/detach,
 //!   feedback (Sections IV and V).
 //! * [`engine`] — a mini-DSMS substrate: operators, plans, metrics, and
-//!   the one virtual-time executor (`MergeRun`), which also drives sharded
-//!   merges, checkpoints, and the hooks merged output leaves through (the
+//!   the one virtual-time executor (`MergeRun`), which also drives
+//!   checkpoints and the hooks merged output leaves through (the
 //!   StreamInsight stand-in for Section VI).
 //! * [`obs`] — virtual-time tracing and diagnostics: event traces, per-input
 //!   lag gauges, log-bucketed histograms, JSONL / Chrome-trace exporters.

@@ -14,8 +14,8 @@
 //! * `trace` — the JSONL trace of a `MergeRun` over the same feeds with
 //!   memory sampling off.
 //!
-//! Feeds: R0–R2 on ordered copies; R3+ under six policies, R3−, R4 and
-//! K = 4 sharded R3+/R4 on generated divergent copies and on garbage. Each
+//! Feeds: R0–R2 on ordered copies; R3+ under six policies, R3− and R4 on
+//! generated divergent copies and on garbage. Each
 //! operator is driven element by element and in seeded `push_batch` runs,
 //! and traced with one-element and four-element executor batches.
 //!
@@ -26,7 +26,7 @@ use lmerge::chaos::{restricted_feeds, timed, ChaosConfig, Chunker};
 use lmerge::core::hash::Fnv1a;
 use lmerge::core::{
     InsertPolicy, LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR3Naive, LMergeR4, LogicalMerge,
-    MergePolicy, ShardConfig, ShardedLMerge, StablePolicy,
+    MergePolicy, StablePolicy,
 };
 use lmerge::durable::{
     envelope, get_merge_image, open_envelope, put_merge_image, Cursor, FileKind,
@@ -35,7 +35,6 @@ use lmerge::engine::{MergeRun, NoHooks, Operator, Query, RunConfig, TimedElement
 use lmerge::gen::{diverge, generate, DivergenceConfig, GenConfig};
 use lmerge::obs::export::to_jsonl;
 use lmerge::obs::Tracer;
-use lmerge::properties::RLevel;
 use lmerge::temporal::{Element, StreamId, Value};
 use rand::prelude::*;
 use std::fmt::Write as _;
@@ -231,17 +230,6 @@ fn r3(policy: MergePolicy) -> Build {
     build(move || Box::new(LMergeR3::with_policy(N_INPUTS, policy)))
 }
 
-fn sharded(level: RLevel) -> Build {
-    build(move || {
-        Box::new(ShardedLMerge::for_level(
-            ShardConfig::with_shards(4),
-            level,
-            N_INPUTS,
-            MergePolicy::default(),
-        ))
-    })
-}
-
 /// Every `(cell name, operator, feeds)` the golden file pins.
 fn cells() -> Vec<(String, Build, Feeds)> {
     let restricted = [
@@ -278,8 +266,6 @@ fn cells() -> Vec<(String, Build, Feeds)> {
             0.0,
         ),
         ("r4", build(|| Box::new(LMergeR4::new(N_INPUTS))), 0.1),
-        ("sharded4_r3", sharded(RLevel::R3), 0.0),
-        ("sharded4_r4", sharded(RLevel::R4), 0.1),
     ];
     let mut cells = Vec::new();
     for (name, mk) in restricted {

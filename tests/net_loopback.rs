@@ -8,8 +8,8 @@
 //! networked run consumes exactly the `TimedElement` sequence an
 //! in-process run does, so the merged output — and the full obs trace —
 //! match byte for byte, for every variant of the spectrum, through a
-//! crash-and-rejoin, and through a fault-injecting proxy — and, with the
-//! merge sharded four ways, all the way out to a live subscriber.
+//! crash-and-rejoin, and through a fault-injecting proxy — and all the way
+//! out to a live subscriber.
 
 use lmerge::chaos::{
     general_feeds, restricted_feeds, ChaosConfig, ChaosInjector, Chunker, Variant, ALL_VARIANTS,
@@ -669,43 +669,25 @@ fn cut_inside_a_coalesced_run_resumes_exactly_once() {
 }
 
 /// The composed cell, through the one executor loop: replicas stream over
-/// TCP into a merge sharded four ways, whose output hook feeds a live
-/// subscriber that is killed mid-stream and resumes. The subscriber's
-/// stitched bytes are an in-process K=4 run's output file, frame for frame
-/// and byte for byte, and the logical stream it reconstitutes is the
-/// unsharded (K=1) merge's.
+/// TCP into the merge, whose output hook feeds a live subscriber that is
+/// killed mid-stream and resumes. The subscriber's stitched bytes are an
+/// in-process run's output file, frame for frame and byte for byte, and
+/// its elements are that run's collected output.
 #[test]
-fn sharded_tcp_ingest_streams_to_a_live_subscriber() {
+fn tcp_ingest_streams_to_a_live_subscriber() {
     let cfg = ChaosConfig::small(53);
     let variant = Variant::R3;
     let (_reference, feeds) = feeds_for(variant, &cfg);
-    let sharded = |k: usize| {
-        let config = RunConfig {
-            shards: k,
-            ..RunConfig::default()
-        };
-        (
-            config,
-            config.shard_merge(feeds.len(), || variant.build(cfg.n_inputs, cfg.robustness)),
-        )
-    };
-    let in_process = || {
-        feeds
-            .iter()
-            .map(|f| Query::passthrough(f.clone()))
-            .collect::<Vec<_>>()
-    };
+    let merge = || variant.build(cfg.n_inputs, cfg.robustness);
+    let in_process = feeds
+        .iter()
+        .map(|f| Query::passthrough(f.clone()))
+        .collect::<Vec<_>>();
 
-    // In-process references: K=4 (collected and as file bytes) and K=1.
-    let (config, merge) = sharded(4);
-    let (k4_out, k4_bytes) = run_to_bytes(in_process(), merge, config, Vec::new());
-    let (config, merge) = sharded(1);
-    let mut k1_out = Vec::new();
-    MergeRun::new(in_process(), merge, config)
-        .run_with_hooks(&mut lmerge::obs::NullSink, &mut k1_out);
-    assert_ne!(k4_out, k1_out, "sharding reorders within stable epochs");
+    // The in-process reference, collected and as file bytes.
+    let (out, bytes) = run_to_bytes(in_process, merge(), RunConfig::default(), Vec::new());
 
-    // The live system: TCP ingest → K=4 merge → output hook → subscriber.
+    // The live system: TCP ingest → merge → output hook → subscriber.
     let buf = Arc::new(EpochBuffer::new(SubPolicy {
         retain_min_epochs: u64::MAX,
         ..SubPolicy::default()
@@ -736,9 +718,9 @@ fn sharded_tcp_ingest_streams_to_a_live_subscriber() {
         .into_iter()
         .map(|src| Query::from_source(Box::new(src), Vec::new()))
         .collect();
-    let (config, merge) = sharded(4);
     let mut output = OutputHook::new().broadcast(Arc::clone(&buf));
-    MergeRun::new(queries, merge, config).run_with_hooks(&mut lmerge::obs::NullSink, &mut output);
+    MergeRun::new(queries, merge(), RunConfig::default())
+        .run_with_hooks(&mut lmerge::obs::NullSink, &mut output);
     for c in clients {
         assert!(c.join().unwrap().clean);
     }
@@ -750,16 +732,9 @@ fn sharded_tcp_ingest_streams_to_a_live_subscriber() {
 
     assert!(seen.clean && seen.finished);
     assert!(seen.attempts > 1, "the kill never fired");
-    assert_eq!(output.emitted(), k4_out.len() as u64);
-    assert_eq!(
-        seen.bytes, k4_bytes,
-        "stitched bytes = in-process K=4 output"
-    );
+    assert_eq!(output.emitted(), out.len() as u64);
+    assert_eq!(seen.bytes, bytes, "stitched bytes = in-process output file");
     let elements: Vec<Element<Value>> = seen.frames.iter().map(|(_, _, e)| e.clone()).collect();
-    assert_eq!(elements, k4_out);
-    assert_eq!(
-        tdb_of(&elements).expect("well formed"),
-        tdb_of(&k1_out).expect("well formed"),
-        "the sharded stream means what the unsharded one does"
-    );
+    assert_eq!(elements, out);
+    tdb_of(&elements).expect("well formed");
 }

@@ -34,10 +34,9 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// Memory sampling off: capacity-based accounting is not restorable state,
 /// so recovery byte-identity is defined over runs without `MemorySampled`.
-fn run_config(shards: usize) -> RunConfig {
+fn run_config() -> RunConfig {
     RunConfig {
         mem_sample_every: 0,
-        shards,
         ..RunConfig::default()
     }
 }
@@ -178,23 +177,8 @@ fn every_variant_recovers_byte_identically() {
     for v in ALL_VARIANTS {
         let feeds = feeds_for(v.level(), &cfg);
         let build = move || v.build(cfg.n_inputs, cfg.robustness);
-        assert_recovery_byte_identical(v.name(), &build, &feeds, run_config(1), &[1]);
+        assert_recovery_byte_identical(v.name(), &build, &feeds, run_config(), &[1]);
     }
-}
-
-/// The same contract with the merge state hash-partitioned across K = 4
-/// shards: the recursive shard-tree image restores every partition.
-#[test]
-fn sharded_merge_recovers_byte_identically() {
-    let cfg = ChaosConfig::small(0xD0_0002);
-    let feeds = feeds_for(RLevel::R4, &cfg);
-    let config = run_config(4);
-    let build = move || {
-        config.shard_merge(cfg.n_inputs, || {
-            Variant::R4.build(cfg.n_inputs, cfg.robustness)
-        })
-    };
-    assert_recovery_byte_identical("sharded-k4", &build, &feeds, config, &[1]);
 }
 
 /// A second crash while the first restore is still catching up: the chain
@@ -212,7 +196,7 @@ fn second_kill_mid_restore_recovers() {
             &format!("{}-double", v.name()),
             &build,
             &feeds,
-            run_config(1),
+            run_config(),
             &[1, 3],
         );
     }

@@ -1,6 +1,6 @@
 //! Property-based snapshot fidelity: for every variant of the spectrum —
-//! including states with quarantined and demoted inputs, and the sharded
-//! wrapper's recursive image — a seeded garbage workload's exported state
+//! including states with quarantined and demoted inputs — a seeded garbage
+//! workload's exported state
 //! must survive encode → decode → re-encode with the decoded image equal
 //! to the original and the re-encoding byte-identical (the canonical
 //! `(Vs, payload)` entry order makes equal states encode equally).
@@ -18,7 +18,7 @@
 //! has been moved.
 
 use lmerge::chaos::{Variant, ALL_VARIANTS};
-use lmerge::core::{LogicalMerge, MergeStateImage, RobustnessPolicy, ShardConfig, ShardedLMerge};
+use lmerge::core::{LogicalMerge, MergeStateImage, RobustnessPolicy};
 use lmerge::core::{StateEntry, VariantKind};
 use lmerge::durable::{
     apply_delta, encode_delta, envelope, get_merge_image, open_envelope, Cursor, DurableError,
@@ -109,14 +109,12 @@ fn state_after(
     lm.export_state().expect("every variant exports state")
 }
 
-/// Whether any input anywhere in the image (shard-local states included —
-/// robustness guards fire per shard) is quarantined, joining, or demoted.
+/// Whether any input in the image is quarantined, joining, or demoted.
 fn any_non_active(image: &MergeStateImage<Value>) -> bool {
     image
         .input_states
         .iter()
         .any(|s| !matches!(s, lmerge::core::InputStateImage::Active))
-        || image.shards.iter().any(any_non_active)
 }
 
 fn encode(image: &MergeStateImage<Value>) -> Vec<u8> {
@@ -138,12 +136,11 @@ fn round_trips(image: &MergeStateImage<Value>) -> bool {
 
 type Build = Box<dyn Fn() -> Box<dyn LogicalMerge<Value>>>;
 
-/// Every build the property sweeps: the six spectrum variants plus the
-/// sharded wrapper. `general` marks the builds that tolerate arbitrary
-/// garbage (and own robustness guards); the restricted variants get a
-/// contract-abiding feed instead.
+/// Every build the property sweeps: the six spectrum variants. `general`
+/// marks the builds that tolerate arbitrary garbage (and own robustness
+/// guards); the restricted variants get a contract-abiding feed instead.
 fn builds() -> Vec<(&'static str, Build, bool)> {
-    let mut v: Vec<(&'static str, Build, bool)> = ALL_VARIANTS
+    ALL_VARIANTS
         .iter()
         .map(|&variant| {
             // The naive baseline takes no robustness policy, so it gets the
@@ -155,20 +152,7 @@ fn builds() -> Vec<(&'static str, Build, bool)> {
                 general,
             )
         })
-        .collect();
-    v.push((
-        "sharded-k3",
-        Box::new(|| {
-            // Guarded R4 per shard.
-            Box::new(ShardedLMerge::from_factory(
-                ShardConfig::with_shards(3),
-                N_INPUTS,
-                || Variant::R4.build(N_INPUTS, tight()),
-            ))
-        }),
-        true,
-    ));
-    v
+        .collect()
 }
 
 /// Seeded property loop: 64 cases per build; a failure shrinks before it

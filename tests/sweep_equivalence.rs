@@ -27,16 +27,13 @@
 //! Failing knob vectors shrink through `properties::shrink` before the
 //! panic, so the report names a minimal reproduction.
 
-use lmerge::core::{
-    InsertPolicy, LMergeR3, LMergeR4, LogicalMerge, MergePolicy, ShardConfig, ShardedLMerge,
-};
+use lmerge::core::{InsertPolicy, LMergeR3, LMergeR4, LogicalMerge, MergePolicy};
 use lmerge::gen::timing::add_lag;
 use lmerge::gen::{assign_times, diverge, generate, DivergenceConfig, GenConfig};
 use lmerge::properties::shrink::{describe, minimize, Knob};
 use lmerge::temporal::{Element, Event, Payload, StreamId, Time, Value};
 use rand::prelude::*;
 
-const K: usize = 4;
 const INPUTS: usize = 3;
 /// Arrival rate of every generated replica, elements per virtual second.
 const RATE_EPS: f64 = 50_000.0;
@@ -71,7 +68,7 @@ fn diverges<P: Payload>(mk: Factory<P>, script: &[Op<P>]) -> Option<String> {
         match op {
             Op::Push(s, e) => {
                 if matches!(e, Element::Stable(_)) {
-                    let image = b.export_state().expect("R3/R4/sharded export");
+                    let image = b.export_state().expect("R3/R4 export");
                     assert!(b.restore_state(image), "own image restores");
                 }
                 a.push(StreamId(*s), e, &mut out_a);
@@ -226,36 +223,19 @@ fn replica_script(k: &[Knob]) -> Vec<Op<Value>> {
 
 #[test]
 fn skipping_is_unobservable_on_divergent_replicas_with_detach_and_join() {
-    let eager = MergePolicy::eager();
     let r3_default = r3(MergePolicy::default());
-    let r3_eager = r3(eager);
+    let r3_eager = r3(MergePolicy::eager());
     let r3_wait = r3(insert_policy(InsertPolicy::WaitHalfFrozen));
     let r3_quorum = r3(insert_policy(InsertPolicy::Quorum(2)));
     let r3_leader = r3(insert_policy(InsertPolicy::FollowLeader));
     let r4 = || Box::new(LMergeR4::new(INPUTS)) as Box<dyn LogicalMerge<Value>>;
-    let sharded_r3 = || {
-        Box::new(ShardedLMerge::from_factory(
-            ShardConfig::with_shards(K),
-            INPUTS,
-            &r3(eager),
-        )) as Box<dyn LogicalMerge<Value>>
-    };
-    let sharded_r4 = || {
-        Box::new(ShardedLMerge::from_factory(
-            ShardConfig::with_shards(K),
-            INPUTS,
-            &r4,
-        )) as Box<dyn LogicalMerge<Value>>
-    };
-    let mks: [(&str, Factory<Value>); 8] = [
+    let mks: [(&str, Factory<Value>); 6] = [
         ("LMR3+", &r3_default),
         ("LMR3+ eager adjusts", &r3_eager),
         ("LMR3+ WaitHalfFrozen", &r3_wait),
         ("LMR3+ Quorum(2)", &r3_quorum),
         ("LMR3+ FollowLeader", &r3_leader),
         ("LMR4", &r4),
-        ("K=4 sharded LMR3+ eager", &sharded_r3),
-        ("K=4 sharded LMR4", &sharded_r4),
     ];
     for seed in 0..6u64 {
         let knobs = vec![
@@ -348,19 +328,11 @@ fn skipping_is_unobservable_under_garbage_and_control() {
     let r3_eager = r3(MergePolicy::eager());
     let r3_quorum = r3(insert_policy(InsertPolicy::Quorum(2)));
     let r4 = || Box::new(LMergeR4::new(INPUTS)) as Box<dyn LogicalMerge<S>>;
-    let sharded = || {
-        Box::new(ShardedLMerge::from_factory(
-            ShardConfig::with_shards(K),
-            INPUTS,
-            &r3(MergePolicy::default()),
-        )) as Box<dyn LogicalMerge<S>>
-    };
-    let mks: [(&str, Factory<S>); 5] = [
+    let mks: [(&str, Factory<S>); 4] = [
         ("LMR3+", &r3_default),
         ("LMR3+ eager", &r3_eager),
         ("LMR3+ Quorum(2)", &r3_quorum),
         ("LMR4", &r4),
-        ("K=4 sharded LMR3+", &sharded),
     ];
     for seed in 0..120u64 {
         let knobs = vec![Knob::new("steps", 160, 1), Knob::new("seed", seed, 0)];
