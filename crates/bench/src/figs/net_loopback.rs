@@ -127,6 +127,7 @@ fn run_loopback(feeds: Vec<Vec<TimedElement<Value>>>) -> (f64, RunMetrics) {
         .map(|src| Query::from_source(Box::new(src), Vec::new()))
         .collect();
     let metrics = MergeRun::new(queries, VariantKind::R3Plus.build(n), RunConfig::default()).run();
+    server.serve_until(|| clients.iter().all(|c| c.is_finished()));
     for c in clients {
         c.join().expect("replayer thread");
     }

@@ -1,9 +1,6 @@
-//! A bounded single-producer / single-consumer ring queue.
-//!
-//! The lmerge-net ingest server feeds each connection's decoded frames
-//! through one (the socket reader is the only producer, the merge-side
-//! `NetSource` the only consumer — the ring's free space is what the
-//! server grants back to the client as frame credits). The single-producer/single-consumer
+//! A bounded single-producer / single-consumer ring queue, for handing
+//! items from one thread to another (the benchmark times one op of it as
+//! `engine.spsc_ns_per_op`). The single-producer/single-consumer
 //! restriction makes a lock-free ring trivial — one monotone `head`
 //! (consumer cursor) and one monotone `tail` (producer cursor), each
 //! written by exactly one side and read by the other with

@@ -13,10 +13,10 @@
 //!   so system calls are paid per read, not per frame;
 //! * [`server`] — the ingest side: one TCP connection per input, a
 //!   handshake carrying protocol version / input id / resume offset,
-//!   credit-based backpressure keyed off a bounded
-//!   [`lmerge_core::spsc`] ring, and a [`server::NetSource`] implementing
-//!   the engine's [`lmerge_engine::Source`] so decoded elements enter the
-//!   ordinary virtual-time executor;
+//!   credit-based backpressure keyed off a bounded per-input buffer, and a
+//!   [`server::NetSource`] implementing the engine's [`lmerge_engine::Source`]
+//!   that reads the sockets on the merge thread itself, so decoded elements
+//!   enter the ordinary virtual-time executor;
 //! * [`listener`] — the accept loop both session servers and the chaos
 //!   proxy share, the handshake timeout, and [`listener::SessionCounts`]:
 //!   registry series, the only account of a session (none is traced);

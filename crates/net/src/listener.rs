@@ -10,7 +10,7 @@
 
 use lmerge_obs::{Counter, MetricsRegistry};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -20,11 +20,11 @@ use std::time::{Duration, Instant};
 /// (`Hello` on ingest, `Subscribe` on the fan-out plane) before it is
 /// dropped. Clients send it right after `connect`, so this only ever
 /// expires on a peer that connected and went quiet — which would otherwise
-/// pin its session thread for the life of the process, `shutdown` included.
+/// pin its handshake thread for the life of the process, `shutdown` included.
 pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// A bound TCP socket whose accept loop runs on its own thread until
-/// [`stop`](Listener::stop) or drop.
+/// A bound TCP socket whose accept loop runs on its own thread, blocked in
+/// `accept`, until [`stop`](Listener::stop) or drop.
 pub struct Listener {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -39,19 +39,17 @@ impl Listener {
         mut on_accept: impl FnMut(TcpStream) + Send + 'static,
     ) -> io::Result<Listener> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stopped = Arc::clone(&stop);
-        let accept = thread::spawn(move || {
-            while !stopped.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => on_accept(stream),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_micros(500));
-                    }
-                    Err(_) => thread::sleep(Duration::from_millis(1)),
-                }
+        let accept = thread::spawn(move || loop {
+            let accepted = listener.accept();
+            if stopped.load(Ordering::Acquire) {
+                break;
+            }
+            match accepted {
+                Ok((stream, _)) => on_accept(stream),
+                Err(_) => thread::sleep(Duration::from_millis(1)), // out of fds, say
             }
         });
         Ok(Listener {
@@ -66,12 +64,26 @@ impl Listener {
         self.local_addr
     }
 
-    /// Stop accepting and join the accept thread. Connections already
-    /// handed to the callback are their owner's to end.
+    /// Stop accepting and join the accept thread, woken by a connection to
+    /// its own address (loopback if bound to all interfaces; if that fails,
+    /// the thread exits by itself). Connections already handed to the
+    /// callback are their owner's to end.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::Release);
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            let v4 = wake.is_ipv4();
+            wake.set_ip(if v4 {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            let _ = accept.join();
         }
     }
 }
@@ -142,7 +154,8 @@ impl SessionCounts {
         }
     }
 
-    fn all_closed(&self) -> bool {
+    /// Every session opened so far has closed.
+    pub fn all_closed(&self) -> bool {
         self.clean.get() + self.lost.get() >= self.opened.get()
     }
 
@@ -161,6 +174,42 @@ impl SessionCounts {
                 return false;
             }
             thread::sleep(Duration::from_micros(200));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn stop_wakes_the_blocked_accept_and_later_connections_never_reach_the_callback() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&calls);
+            let mut listener = Listener::bind(addr, move |_| {
+                seen.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
+            let mut target = listener.local_addr();
+            target.set_ip(Ipv4Addr::LOCALHOST.into());
+            // Let the accept thread block before it is stopped.
+            thread::sleep(Duration::from_millis(20));
+            let started = Instant::now();
+            listener.stop();
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(100),
+                "{addr}: stop took {took:?}"
+            );
+            let _ = TcpStream::connect_timeout(&target, Duration::from_millis(100));
+            thread::sleep(Duration::from_millis(20));
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                0,
+                "{addr}: no callback after stop"
+            );
         }
     }
 }

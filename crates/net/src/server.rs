@@ -1,85 +1,86 @@
-//! The ingest server: one TCP connection per input, feeding decoded
-//! elements into the virtual-time executor through bounded SPSC rings.
+//! The ingest server: one TCP connection per input, read on the merge
+//! thread by the input's [`NetSource`].
 //!
 //! # Session lifecycle
 //!
-//! A client opens a connection and sends `Hello { protocol, input }`. The
-//! server validates the version and input id, claims the input's producer
-//! half (waiting briefly if a dying predecessor session still holds it),
-//! and answers `Welcome { resume_seq, resume_stable, credits }`:
+//! A client connects and sends `Hello { protocol, input }`. A short-lived
+//! handshake thread validates it, claims the input (waiting briefly for the
+//! merge side to release a dying predecessor's connection), answers
+//! `Welcome { resume_seq, resume_stable, credits }`, installs the stream in
+//! the input's slot and exits:
 //!
 //! * `resume_seq` — the next data sequence the server will accept. Data
 //!   sequence numbers are the *feed index*, so a rejoining replayer
 //!   simply skips `feed[..resume_seq]` — everything the server already
-//!   holds (acked **or** still sitting un-popped in the ring) is covered,
-//!   giving exactly-once delivery across crashes without any replay log.
+//!   holds (consumed **or** still buffered) is covered, giving
+//!   exactly-once delivery across crashes without any replay log.
 //! * `resume_stable` — the last stable point the merge side actually
 //!   consumed (the paper's catch-up point for a rejoining replica).
-//! * `credits` — free ring slots: how many data frames the client may
+//! * `credits` — free buffer slots: how many data frames the client may
 //!   send before waiting for `Credit` grants.
+//!
+//! From then on only the merge side reads the connection: when the input a
+//! [`NetSource`] must deliver has nothing buffered, it reads *every*
+//! input's connection, so one that died is released within a poll even
+//! while the executor waits on another. `Bye` finishes the input and is
+//! echoed; EOF, a gap or a bad checksum end the session as lost. After the
+//! merge, [`IngestServer::serve_until`] does the reading.
 //!
 //! # Backpressure
 //!
-//! The ring is the hard limit: a session thread that finds it full spins
-//! (the socket's TCP window then pushes back on the client). Credits are
-//! the *advisory* layer that keeps well-behaved clients from ever hitting
-//! that spin: the merge-side [`NetSource`] grants `credit_batch` credits
-//! back each time it has popped that many items, and samples the ring's
-//! occupancy into `lmerge_net_queue_depth` as it does.
+//! An input holds at most `ring_capacity` decoded, unconsumed frames (the
+//! window): the merge side stops reading a full input, and TCP pushes back
+//! on the client. Credits keep a well-behaved client inside the window: the
+//! [`NetSource`] grants `credit_batch` back each time it has consumed that
+//! many, and samples the input's depth into `lmerge_net_queue_depth`.
 //!
 //! # Pay per read, not per frame
 //!
-//! A session reads its socket through one [`FrameReader`]: every whole
-//! frame of a refill is sequence-checked and pushed to the ring, and only
-//! then are `next_seq` and the frame/byte counters published, once, for the
-//! lot. A bad frame ends the session *after* the good frames before it in
-//! the same buffer were delivered and counted, so the resume point a
-//! rejoining client is welcomed with is exactly what the ring took. The
-//! merge side mirrors it: `Ack`/`Credit` frames are queued in the
-//! [`NetSource`] and leave in one `write` when a credit batch is due — or
-//! before [`NetSource::next`] sleeps on an empty ring, so a client never
-//! waits for a frame that sits in user space. The consumer can hang its own
-//! output flush on the same loop ([`NetSource::on_quiet`]).
-//!
-//! # Telemetry
-//!
-//! Sessions, credits and ring depth are counted in [`NetMetrics`], the
-//! registry series, and nowhere else: the server records no trace, so a
-//! networked run's trace is the in-process run's by construction.
+//! A refill takes the whole frames its [`FrameReader`] holds, then one
+//! non-blocking `read`'s worth, up to the window, and publishes `next_seq`
+//! and the frame/byte counters once for the lot; a bad frame ends the
+//! session *after* the good ones before it count. `Ack`/`Credit` frames
+//! queue in the [`NetSource`] and leave in one `write` when a credit batch
+//! is due, or before [`NetSource::next`] sleeps on an empty input, so a
+//! client never waits for a frame that sits in user space;
+//! [`NetSource::on_quiet`] hangs the consumer's output flush on that loop.
+//! Sessions, credits and depth are counted in [`NetMetrics`] only: the
+//! server records no trace, so a networked run's trace is the in-process
+//! run's by construction.
 
 use crate::listener::{Listener, SessionCounts, HANDSHAKE_TIMEOUT};
 use crate::wire::{self, Frame, FrameReader, WireError, PROTOCOL_VERSION};
-use lmerge_core::spsc::{self, Consumer, Producer};
 use lmerge_engine::{Source, TimedElement};
 use lmerge_obs::{Counter, Gauge, MetricsRegistry};
 use lmerge_temporal::{Element, Time, Value};
+use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// One decoded element in flight between a session thread and the merge.
-struct Item {
-    seq: u64,
-    te: TimedElement<Value>,
-}
+/// How long the merge side sleeps between reads of an idle input (the
+/// kernel's default timer slack adds up to another 50 µs).
+const POLL: Duration = Duration::from_micros(50);
 
 /// Ingest server sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct IngestConfig {
     /// Number of inputs (one TCP session each).
     pub inputs: usize,
-    /// Slots per input ring — the hard in-flight bound per connection.
+    /// Decoded frames an input may hold unconsumed — the window, the hard
+    /// in-flight bound per connection: the merge side stops reading a
+    /// connection whose input holds this many.
     pub ring_capacity: usize,
-    /// Credits granted back per batch of pops. Must be smaller than
-    /// `ring_capacity` or clients could starve waiting for a grant.
+    /// Credits granted back per batch of consumed frames. Must be smaller
+    /// than `ring_capacity` or clients could starve waiting for a grant.
     pub credit_batch: u32,
 }
 
 impl IngestConfig {
-    /// Defaults: 256-slot rings, credits granted 32 at a time.
+    /// Defaults: a 256-frame window, credits granted 32 at a time.
     pub fn new(inputs: usize) -> IngestConfig {
         IngestConfig {
             inputs,
@@ -95,14 +96,13 @@ struct InputNetMetrics {
     frames: Counter,
     bytes: Counter,
     credits: Counter,
-    ring_full_stalls: Counter,
     checksum_failures: Counter,
     next_seq: Gauge,
     queue_depth: Gauge,
 }
 
 /// Per-input live telemetry for an ingest server, pre-registered at bind
-/// so session threads only ever touch lock-free handles.
+/// so the merge side and the handshakes only ever touch lock-free handles.
 pub struct NetMetrics {
     inputs: Vec<InputNetMetrics>,
     /// Connections dropped before a session existed; they name no input.
@@ -121,7 +121,7 @@ impl NetMetrics {
                     sessions: SessionCounts::new(registry, "lmerge_net", "Ingest", &l),
                     frames: registry.counter(
                         "lmerge_net_frames_total",
-                        "Data frames accepted into the ring, per input.",
+                        "Data frames accepted into the input's buffer, per input.",
                         &l,
                     ),
                     bytes: registry.counter(
@@ -132,11 +132,6 @@ impl NetMetrics {
                     credits: registry.counter(
                         "lmerge_net_credits_granted_total",
                         "Flow-control credits granted back to the client.",
-                        &l,
-                    ),
-                    ring_full_stalls: registry.counter(
-                        "lmerge_net_ring_full_stalls_total",
-                        "Session-thread spin retries on a full ingest ring (credit starvation).",
                         &l,
                     ),
                     checksum_failures: registry.counter(
@@ -151,7 +146,7 @@ impl NetMetrics {
                     ),
                     queue_depth: registry.gauge(
                         "lmerge_net_queue_depth",
-                        "Ingest ring occupancy sampled at each credit grant.",
+                        "Frames decoded but not yet consumed, sampled at each credit grant.",
                         &l,
                     ),
                 }
@@ -169,44 +164,137 @@ impl NetMetrics {
     }
 }
 
-/// Per-input state shared between the accept loop, the active session
-/// thread, and the merge-side [`NetSource`].
-struct InputShared {
-    /// The ring's producer half. A session thread takes it while serving
-    /// a connection and hands it back on exit, so a rejoining client can
-    /// only stream once its predecessor is gone — one producer, ever.
-    producer: Mutex<Option<Producer<Item>>>,
-    /// Write half of the live connection, for merge-side `Credit`/`Ack`.
-    writer: Mutex<Option<TcpStream>>,
-    /// Next data sequence the server will accept (== frames consumed into
-    /// the ring so far, since sequences are dense from 0).
-    next_seq: AtomicU64,
-    /// Raw value of the last stable point popped by the merge side.
-    acked_stable: AtomicI64,
-    /// Set on a clean `Bye`; tells the `NetSource` the stream is over.
-    finished: AtomicBool,
-    /// Items the merge side has popped — the checkpoint resume cursor.
-    pops: AtomicU64,
+/// One input: its decoded, unconsumed frames, its live connection and its
+/// resume cursors. A handshake thread locks it only to claim the input and
+/// install a stream; the stream is read on the merge side alone.
+struct Inbox {
+    /// `(seq, element)`; never longer than the window.
+    buf: VecDeque<(u64, TimedElement<Value>)>,
+    conn: Option<FrameReader<TcpStream>>,
+    /// Next data sequence the server will accept (== frames that entered
+    /// `buf` so far, since sequences are dense from 0).
+    next_seq: u64,
+    /// The last stable point the merge side consumed.
+    acked_stable: Time,
+    /// Set on a clean `Bye`: the stream is over once `buf` is empty.
+    finished: bool,
+    /// Frames the merge side has consumed — the checkpoint resume cursor.
+    pops: u64,
 }
 
-/// State shared by every thread the server spawns.
+impl Inbox {
+    /// Take what the connection has: the whole frames already buffered,
+    /// then one non-blocking `read`, decoded into `buf` up to `window`.
+    /// `Bye`, EOF, a gap or corruption end the session here.
+    fn refill(&mut self, live: &InputNetMetrics, window: usize) {
+        let Some(reader) = self.conn.as_mut() else {
+            return;
+        };
+        let (mut frames, mut bytes, mut read) = (0u64, 0u64, false);
+        // `Some(clean)` once the session is over.
+        let verdict = loop {
+            // A full input is not read on: TCP pushes back. The control
+            // frame after the window's last data frame (a `Bye`) still is.
+            if self.buf.len() >= window && reader.data_next() {
+                break None;
+            }
+            match reader.next_buffered() {
+                Ok(Some((Frame::Data { seq, at, element }, size))) => {
+                    if seq < self.next_seq {
+                        // Duplicate from before the resume point (client
+                        // raced a reconnect); exactly-once by dropping here.
+                        continue;
+                    }
+                    if seq > self.next_seq {
+                        break Some(false); // gap: protocol violation
+                    }
+                    self.buf.push_back((seq, TimedElement::new(at, element)));
+                    self.next_seq += 1;
+                    frames += 1;
+                    bytes += size as u64;
+                }
+                Ok(Some((Frame::Bye, _))) => break Some(true),
+                Ok(Some(_)) => break Some(false), // wrong frame for this state
+                Ok(None) if !read => {
+                    read = true;
+                    match reader.fill() {
+                        Ok(n) if n > 0 => {}
+                        Err(WireError::Io(io::ErrorKind::WouldBlock)) => break None,
+                        // EOF without `Bye` (at a frame boundary or inside
+                        // one): the replica died mid-stream. `finished`
+                        // stays unset; it may rejoin from `next_seq`.
+                        _ => break Some(false),
+                    }
+                }
+                Ok(None) => break None,
+                Err(e) => {
+                    if let WireError::Checksum { .. } = e {
+                        live.checksum_failures.inc();
+                    }
+                    break Some(false);
+                }
+            }
+        };
+        // Whatever ended the refill, the frames before it are buffered and
+        // count: publish them before the session's end is acted on.
+        if frames > 0 {
+            live.frames.add(frames);
+            live.bytes.add(bytes);
+            live.next_seq.set(self.next_seq as i64);
+        }
+        match verdict {
+            Some(true) => {
+                self.finished = true;
+                // Acknowledge the close: through a faulty transport a
+                // client's successful *write* of `Bye` does not prove
+                // *delivery*, so it only reports a clean session once
+                // this echo arrives (and resends the `Bye` otherwise).
+                let _ = reader.get_ref().write_all(&wire::encode(&Frame::Bye));
+                self.release(live, true);
+            }
+            Some(false) => self.release(live, false),
+            None => {}
+        }
+    }
+
+    /// Write the queued control frames in one `write` and clear them. A
+    /// write that fails — or would block: a client that leaves a socket
+    /// buffer of them unread has stopped listening — ends the session.
+    fn flush(&mut self, live: &InputNetMetrics, out: &mut Vec<u8>) {
+        let failed = |r: &FrameReader<TcpStream>| r.get_ref().write_all(out).is_err();
+        if !out.is_empty() && self.conn.as_ref().is_some_and(failed) {
+            self.release(live, false);
+        }
+        out.clear();
+    }
+
+    /// Close the live connection, if any, and count how its session ended.
+    fn release(&mut self, live: &InputNetMetrics, clean: bool) {
+        if self.conn.take().is_some() {
+            live.sessions.on_close(clean);
+        }
+    }
+}
+
+/// State shared by the handshake threads and the merge side.
 struct ServerShared {
-    inputs: Vec<InputShared>,
+    inputs: Vec<Mutex<Inbox>>,
     shutdown: AtomicBool,
+    /// Frames an input may hold unconsumed (`IngestConfig::ring_capacity`).
+    window: usize,
     credit_batch: u32,
     metrics: NetMetrics,
 }
 
 impl ServerShared {
-    /// Write encoded frames to an input's live connection; best-effort
-    /// (bytes for a dead connection are dropped and the writer cleared —
-    /// the client will learn everything it needs from its next `Welcome`).
-    fn write(&self, input: u32, frames: &[u8]) {
-        let mut guard = self.inputs[input as usize].writer.lock().unwrap();
-        if let Some(w) = guard.as_mut() {
-            if w.write_all(frames).is_err() {
-                *guard = None;
-            }
+    fn inbox(&self, input: usize) -> MutexGuard<'_, Inbox> {
+        self.inputs[input].lock().unwrap()
+    }
+
+    /// Refill every input from its connection.
+    fn refill_all(&self) {
+        for (i, live) in self.metrics.inputs.iter().enumerate() {
+            self.inbox(i).refill(live, self.window);
         }
     }
 }
@@ -215,7 +303,7 @@ impl ServerShared {
 pub struct IngestServer {
     listener: Listener,
     shared: Arc<ServerShared>,
-    consumers: Vec<Option<Consumer<Item>>>,
+    sources_taken: bool,
 }
 
 impl IngestServer {
@@ -228,8 +316,8 @@ impl IngestServer {
     }
 
     /// Like [`bind`](IngestServer::bind), registering the per-input net
-    /// series (sessions, frames, bytes, credits, stalls, corruption) in the
-    /// caller's `registry` so a scrape endpoint can expose them live.
+    /// series (sessions, frames, bytes, credits, queue depth, corruption)
+    /// in the caller's `registry` so a scrape endpoint can expose them live.
     pub fn bind_with_metrics(
         addr: &str,
         config: IngestConfig,
@@ -239,35 +327,34 @@ impl IngestServer {
             config.ring_capacity > config.credit_batch as usize,
             "ring_capacity must exceed credit_batch or clients starve"
         );
-        let mut inputs = Vec::with_capacity(config.inputs);
-        let mut consumers = Vec::with_capacity(config.inputs);
-        for _ in 0..config.inputs {
-            let (tx, rx) = spsc::ring::<Item>(config.ring_capacity);
-            inputs.push(InputShared {
-                producer: Mutex::new(Some(tx)),
-                writer: Mutex::new(None),
-                next_seq: AtomicU64::new(0),
-                acked_stable: AtomicI64::new(Time::MIN.0),
-                finished: AtomicBool::new(false),
-                pops: AtomicU64::new(0),
-            });
-            consumers.push(Some(rx));
-        }
+        let inputs = (0..config.inputs)
+            .map(|_| {
+                Mutex::new(Inbox {
+                    buf: VecDeque::with_capacity(config.ring_capacity),
+                    conn: None,
+                    next_seq: 0,
+                    acked_stable: Time::MIN,
+                    finished: false,
+                    pops: 0,
+                })
+            })
+            .collect();
         let shared = Arc::new(ServerShared {
             inputs,
             shutdown: AtomicBool::new(false),
+            window: config.ring_capacity,
             credit_batch: config.credit_batch,
             metrics: NetMetrics::new(registry, config.inputs),
         });
         let accept_shared = Arc::clone(&shared);
         let listener = Listener::bind(addr, move |stream| {
             let shared = Arc::clone(&accept_shared);
-            thread::spawn(move || session(shared, stream));
+            thread::spawn(move || handshake(&shared, stream));
         })?;
         Ok(IngestServer {
             listener,
             shared,
-            consumers,
+            sources_taken: false,
         })
     }
 
@@ -277,29 +364,23 @@ impl IngestServer {
     }
 
     /// Take the merge-side sources, one per input, in input order. Each
-    /// is the single consumer of its input's ring; callable once.
+    /// is the single consumer of its input; callable once. The connections
+    /// are read only inside a source's [`next`](Source::next) and
+    /// [`serve_until`](IngestServer::serve_until).
     pub fn sources(&mut self) -> Vec<NetSource> {
-        self.consumers
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| NetSource {
+        assert!(
+            !std::mem::replace(&mut self.sources_taken, true),
+            "sources() already taken"
+        );
+        (0..self.shared.inputs.len())
+            .map(|i| NetSource {
                 input: i as u32,
-                consumer: c.take().expect("sources() already taken"),
                 shared: Arc::clone(&self.shared),
                 since_credit: 0,
                 out: Vec::new(),
                 on_quiet: None,
             })
             .collect()
-    }
-
-    /// Per-input transport resume cursors for a checkpoint: `(frames the
-    /// merge side has consumed, last acked stable point)`. The *consumed*
-    /// count — not `next_seq` — is the exactly-once resume point: frames
-    /// pushed into the ring but never popped die with the process, so a
-    /// restarted server must have the client re-send them.
-    pub fn cursors(&self) -> Vec<(u64, i64)> {
-        self.cursor_handle().cursors()
     }
 
     /// A cloneable handle reading the live resume cursors — what a
@@ -314,36 +395,48 @@ impl IngestServer {
     /// Pre-seed each input's resume cursor from a restored checkpoint.
     /// Call before any client connects: a rejoining replayer is then
     /// welcomed with `resume_seq` equal to the checkpoint's consumed
-    /// prefix and replays exactly what the restored merge has not seen
-    /// (PR 5's resume handshake, driven by recovered state instead of a
-    /// surviving process).
+    /// prefix and replays exactly what the restored merge has not seen.
     pub fn restore_cursors(&self, cursors: &[(u64, i64)]) {
-        for (slot, &(next_seq, acked)) in self.shared.inputs.iter().zip(cursors) {
-            slot.next_seq.store(next_seq, Ordering::Release);
-            slot.acked_stable.store(acked, Ordering::Release);
+        for (inbox, &(next_seq, acked)) in self.shared.inputs.iter().zip(cursors) {
+            let mut inbox = inbox.lock().unwrap();
+            inbox.next_seq = next_seq;
+            inbox.acked_stable = Time(acked);
         }
     }
 
-    /// Wait (up to `timeout`) for every accepted session to finish its
-    /// close handshake; returns `true` once all have. The merge side
-    /// completes at watermark = ∞ — which a paced client reaches while
-    /// its final `Bye` round trip is still in flight — so a driver that
-    /// tears the server down the instant the merge drains would sever
-    /// clean closes into lost ones. Call this between merge completion
-    /// and [`shutdown`](IngestServer::shutdown).
+    /// Read every connection (each input up to its window) every poll
+    /// interval until `done()` holds. The merge completes at watermark = ∞,
+    /// which a client reaches while its tail and `Bye` may still be in
+    /// flight, and nothing else reads the connections after it: a caller
+    /// waiting on replicas that are still finishing serves them here.
+    pub fn serve_until(&self, mut done: impl FnMut() -> bool) {
+        loop {
+            self.shared.refill_all();
+            if done() {
+                return;
+            }
+            thread::sleep(POLL);
+        }
+    }
+
+    /// [`serve_until`](IngestServer::serve_until) every accepted session
+    /// has finished its close handshake, or `timeout` passes; `true` once
+    /// all have. Call it between merge completion and
+    /// [`shutdown`](IngestServer::shutdown), which severs what is open.
     pub fn await_sessions_closed(&self, timeout: Duration) -> bool {
-        let inputs = self.shared.metrics.inputs.iter();
-        SessionCounts::await_closed(inputs.map(|m| &m.sessions), timeout)
+        let deadline = Instant::now() + timeout;
+        let inputs = &self.shared.metrics.inputs;
+        let closed = || inputs.iter().all(|m| m.sessions.all_closed());
+        self.serve_until(|| closed() || Instant::now() >= deadline);
+        closed()
     }
 
     /// Stop accepting, join the accept loop, and sever live sessions.
     pub fn shutdown(&mut self) {
         self.listener.stop();
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        for input in &self.shared.inputs {
-            if let Some(w) = input.writer.lock().unwrap().as_ref() {
-                let _ = w.shutdown(Shutdown::Both);
-            }
+        for (i, live) in self.shared.metrics.inputs.iter().enumerate() {
+            self.shared.inbox(i).release(live, false);
         }
     }
 }
@@ -354,34 +447,12 @@ impl Drop for IngestServer {
     }
 }
 
-/// Frames a session has pushed to the ring since it last published.
-#[derive(Default)]
-struct Unpublished {
-    frames: u64,
-    bytes: u64,
-}
-
-impl Unpublished {
-    /// Publish the resume point and the counters for everything pushed so
-    /// far. `next_seq` moves only here — after the items are in the ring —
-    /// so a resume point never names a frame the ring did not take.
-    fn publish(&mut self, slot: &InputShared, live: &InputNetMetrics, next_seq: u64) {
-        if self.frames == 0 {
-            return;
-        }
-        slot.next_seq.store(next_seq, Ordering::Release);
-        live.frames.add(self.frames);
-        live.bytes.add(self.bytes);
-        live.next_seq.set(next_seq as i64);
-        *self = Unpublished::default();
-    }
-}
-
-/// Serve one connection: handshake, then pump data frames into the ring.
-fn session(shared: Arc<ServerShared>, stream: TcpStream) {
+/// Serve one connection's handshake: read its `Hello`, claim the input,
+/// answer `Welcome`, and install the stream for the merge side to read.
+fn handshake(shared: &ServerShared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    let mut reader = FrameReader::new(&stream);
+    let mut reader = FrameReader::new(stream);
     let input = match reader.next_frame() {
         Ok(Some(Frame::Hello { protocol, input }))
             if protocol == PROTOCOL_VERSION && (input as usize) < shared.inputs.len() =>
@@ -395,165 +466,78 @@ fn session(shared: Arc<ServerShared>, stream: TcpStream) {
             return;
         }
     };
-    let slot = &shared.inputs[input as usize];
-    let live = &shared.metrics.inputs[input as usize];
-
-    // Claim the producer. After an unclean disconnect the predecessor
-    // session may still be unwinding, so wait a grace period for it to
-    // hand the producer back rather than rejecting the rejoin.
-    let mut producer = None;
+    // Claim the input. After an unclean disconnect the predecessor's
+    // connection stays installed until the merge side reads its end, so
+    // wait a grace period for that rather than rejecting the rejoin.
     for _ in 0..4000 {
-        if let Some(p) = slot.producer.lock().unwrap().take() {
-            producer = Some(p);
-            break;
-        }
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
+        let mut inbox = shared.inbox(input as usize);
+        if inbox.conn.is_none() {
+            let welcome = Frame::Welcome {
+                input,
+                resume_seq: inbox.next_seq,
+                resume_stable: inbox.acked_stable,
+                credits: (shared.window - inbox.buf.len()) as u32,
+            };
+            let mut stream = reader.get_ref();
+            if wire::write_frame(&mut stream, &welcome).is_err()
+                || stream.set_nonblocking(true).is_err()
+            {
+                break;
+            }
+            let sessions = &shared.metrics.inputs[input as usize].sessions;
+            sessions.on_open(inbox.next_seq > 0);
+            inbox.conn = Some(reader);
+            return;
+        }
+        drop(inbox);
         thread::sleep(Duration::from_micros(500));
     }
-    // The input is still held by a live session: no session for this one.
-    let Some(mut producer) = producer else {
-        shared.metrics.handshake_drops.inc();
-        return;
-    };
-
-    let resume_seq = slot.next_seq.load(Ordering::Acquire);
-    let welcome = Frame::Welcome {
-        input,
-        resume_seq,
-        resume_stable: Time(slot.acked_stable.load(Ordering::Acquire)),
-        credits: (producer.capacity() - producer.len()) as u32,
-    };
-    if wire::write_frame(&mut &stream, &welcome).is_err() {
-        *slot.producer.lock().unwrap() = Some(producer);
-        shared.metrics.handshake_drops.inc();
-        return;
-    }
-    let _ = stream.set_read_timeout(None);
-    if let Ok(w) = stream.try_clone() {
-        *slot.writer.lock().unwrap() = Some(w);
-    }
-    live.sessions.on_open(resume_seq > 0);
-
-    let mut expected = resume_seq;
-    let mut pending = Unpublished::default();
-    let clean = 'conn: loop {
-        // Hand every whole frame of this refill to the ring; `verdict` is
-        // how the session ends, if one of them ends it.
-        let verdict = 'refill: loop {
-            match reader.next_buffered() {
-                Ok(Some((Frame::Data { seq, at, element }, size))) => {
-                    if seq < expected {
-                        // Duplicate from before the resume point (client
-                        // raced a reconnect); exactly-once by dropping here.
-                        continue;
-                    }
-                    if seq > expected {
-                        break 'refill Some(false); // gap: protocol violation
-                    }
-                    let mut item = Item {
-                        seq,
-                        te: TimedElement::new(at, element),
-                    };
-                    // Ring full ⇒ spin; TCP flow control does the rest.
-                    while let Err(back) = producer.push(item) {
-                        item = back;
-                        live.ring_full_stalls.inc();
-                        if shared.shutdown.load(Ordering::Relaxed) {
-                            break 'refill Some(false);
-                        }
-                        // Never sleep on unpublished frames: the stall
-                        // lasts as long as the merge side likes.
-                        pending.publish(slot, live, expected);
-                        thread::sleep(Duration::from_micros(50));
-                    }
-                    expected += 1;
-                    pending.frames += 1;
-                    pending.bytes += size as u64;
-                }
-                Ok(Some((Frame::Bye, _))) => break 'refill Some(true),
-                Ok(Some(_)) => break 'refill Some(false), // wrong frame for this state
-                Ok(None) => break 'refill None,
-                Err(WireError::Checksum { .. }) => {
-                    live.checksum_failures.inc();
-                    break 'refill Some(false);
-                }
-                Err(_) => break 'refill Some(false),
-            }
-        };
-        // Whatever ended the refill, the frames before it are in the ring
-        // and count: publish them before anything else can observe the
-        // session's end.
-        pending.publish(slot, live, expected);
-        match verdict {
-            Some(true) => {
-                // Release ordering pairs with the NetSource's Acquire
-                // load: once it sees `finished`, every push is visible.
-                slot.finished.store(true, Ordering::Release);
-                // Acknowledge the close: through a faulty transport a
-                // client's successful *write* of `Bye` does not prove
-                // *delivery*, so it only reports a clean session once
-                // this echo arrives (and resends the `Bye` otherwise).
-                shared.write(input, &wire::encode(&Frame::Bye));
-                break 'conn true;
-            }
-            Some(false) => break 'conn false,
-            None => {}
-        }
-        // EOF without Bye (at a frame boundary or inside a frame): the
-        // replica died mid-stream. Leave `finished` unset — the ring keeps
-        // what arrived, and the replica may rejoin and resume from
-        // `next_seq`.
-        if !matches!(reader.fill(), Ok(n) if n > 0) {
-            break 'conn false;
-        }
-    };
-
-    *slot.writer.lock().unwrap() = None;
-    *slot.producer.lock().unwrap() = Some(producer);
-    live.sessions.on_close(clean);
+    // The input is still held by a live session, or the `Welcome` could
+    // not be written: no session for this one.
+    shared.metrics.handshake_drops.inc();
 }
 
-/// A cloneable reader of the server's live per-input resume cursors
-/// (see [`IngestServer::cursors`]).
+/// A cloneable reader of the server's live per-input transport resume
+/// cursors, for a checkpoint. The *consumed* count — not `next_seq` — is
+/// the exactly-once resume point: frames buffered but never consumed die
+/// with the process, so a restarted server must have the client re-send
+/// them.
 #[derive(Clone)]
 pub struct CursorHandle {
     shared: Arc<ServerShared>,
 }
 
 impl CursorHandle {
-    /// `(popped frames, acked stable)` per input, in input order.
+    /// `(consumed frames, acked stable)` per input, in input order.
     ///
-    /// A pop count includes the frame the executor has staged but not
+    /// A consumed count includes the frame the executor has staged but not
     /// yet merged; `DurableCheckpointSink` discounts staged frames when
     /// persisting, so checkpointed cursors mean *delivered into the
     /// merge* and a restored server replays the staged frame.
     pub fn cursors(&self) -> Vec<(u64, i64)> {
-        self.shared
-            .inputs
-            .iter()
-            .map(|s| {
-                (
-                    s.pops.load(Ordering::Acquire),
-                    s.acked_stable.load(Ordering::Acquire),
-                )
+        (0..self.shared.inputs.len())
+            .map(|i| {
+                let inbox = self.shared.inbox(i);
+                (inbox.pops, inbox.acked_stable.0)
             })
             .collect()
     }
 }
 
-/// The merge-side end of one ingest ring: an engine [`Source`] that
-/// blocks until the connected replica delivers (or finishes), grants
-/// credits as it drains, and acks consumed stable points.
+/// The merge-side end of one input: an engine [`Source`] that reads the
+/// connections when its input has nothing buffered, blocks until the
+/// connected replica delivers (or finishes), grants credits as it
+/// consumes, and acks consumed stable points.
 pub struct NetSource {
     input: u32,
-    consumer: Consumer<Item>,
     shared: Arc<ServerShared>,
     since_credit: u32,
     /// `Ack`/`Credit` frames encoded but not yet written.
     out: Vec<u8>,
-    /// The consumer's own output flush, run once the ring has stayed
+    /// The consumer's own output flush, run once the input has stayed
     /// empty across a poll (see [`NetSource::on_quiet`]).
     on_quiet: Option<Box<dyn FnMut() + Send>>,
 }
@@ -565,7 +549,7 @@ impl NetSource {
     }
 
     /// Extend the flush-before-block rule to the consumer's output: run
-    /// `flush` whenever [`next`](Source::next) finds the ring empty, has
+    /// `flush` whenever [`next`](Source::next) finds the input empty, has
     /// slept one poll interval, and finds it empty still — the input has
     /// gone quiet (so every ~50 µs while idle: it must be free when there
     /// is nothing to flush). The thread that merges is the thread that
@@ -580,35 +564,26 @@ impl NetSource {
         self
     }
 
-    fn after_pop(&mut self, item: &Item) {
-        let slot = &self.shared.inputs[self.input as usize];
-        slot.pops.fetch_add(1, Ordering::Relaxed);
-        if let Element::Stable(t) = item.te.element {
-            slot.acked_stable.store(t.0, Ordering::Release);
-            let ack = Frame::Ack {
-                seq: item.seq,
-                stable: t,
-            };
-            wire::encode_into(&ack, &mut self.out);
+    /// Consume the input's next buffered frame: count it, queue the ack of
+    /// a stable point, and grant credits when a batch is due.
+    fn pop(&mut self) -> Option<TimedElement<Value>> {
+        let mut inbox = self.shared.inbox(self.input as usize);
+        let (seq, te) = inbox.buf.pop_front()?;
+        inbox.pops += 1;
+        if let Element::Stable(t) = te.element {
+            inbox.acked_stable = t;
+            wire::encode_into(&Frame::Ack { seq, stable: t }, &mut self.out);
         }
         self.since_credit += 1;
         if self.since_credit >= self.shared.credit_batch {
-            let n = self.since_credit;
-            self.since_credit = 0;
+            let n = std::mem::take(&mut self.since_credit);
             wire::encode_into(&Frame::Credit { n }, &mut self.out);
-            self.flush();
             let live = &self.shared.metrics.inputs[self.input as usize];
+            inbox.flush(live, &mut self.out);
             live.credits.add(n as u64);
-            live.queue_depth.set(self.consumer.len() as i64);
+            live.queue_depth.set(inbox.buf.len() as i64);
         }
-    }
-
-    /// Write the queued control frames, if any, in one `write`.
-    fn flush(&mut self) {
-        if !self.out.is_empty() {
-            self.shared.write(self.input, &self.out);
-            self.out.clear();
-        }
+        Some(te)
     }
 }
 
@@ -616,56 +591,51 @@ impl Source<Value> for NetSource {
     fn next(&mut self) -> Option<TimedElement<Value>> {
         let mut slept = false;
         loop {
-            // Load `finished` BEFORE popping: if the flag was already set
-            // and the pop still comes up empty, the Release/Acquire pair
-            // guarantees no further item can appear — returning `None` is
-            // race-free. (Popping first then checking the flag could miss
-            // an item pushed between the two.)
-            let finished = self.shared.inputs[self.input as usize]
-                .finished
-                .load(Ordering::Acquire);
-            if let Some(item) = self.consumer.pop() {
-                self.after_pop(&item);
-                return Some(item.te);
+            if let Some(te) = self.pop() {
+                return Some(te);
             }
-            // Flush before blocking: nothing may sit in user space while
-            // this thread sleeps. With an empty ring the client may be
-            // waiting on exactly the frames queued here, and the next pop
-            // that would flush them may be waiting on the client — a queued
-            // grant held back here is a deadlock, a queued ack a stall.
-            self.flush();
-            if finished || self.shared.shutdown.load(Ordering::Relaxed) {
+            // Nothing buffered: read every input's connection — this one
+            // for what it sent, the others so that one that died while the
+            // executor waits here is released and its replica can rejoin.
+            self.shared.refill_all();
+            let live = &self.shared.metrics.inputs[self.input as usize];
+            let mut inbox = self.shared.inbox(self.input as usize);
+            if !inbox.buf.is_empty() {
+                continue;
+            }
+            // Flush before blocking: the client may be waiting on exactly
+            // the frames queued here, and the frame that would flush them
+            // on the client — a grant held back is a deadlock, an ack a stall.
+            inbox.flush(live, &mut self.out);
+            if inbox.finished || self.shared.shutdown.load(Ordering::Relaxed) {
                 return None;
             }
+            drop(inbox);
             // Still empty after a sleep: the input has gone quiet, so the
             // consumer's output (the egress buffer) leaves too.
             if let (true, Some(flush)) = (slept, &mut self.on_quiet) {
                 flush();
             }
-            thread::sleep(Duration::from_micros(50));
+            thread::sleep(POLL);
             slept = true;
         }
     }
 
     fn memory_bytes(&self) -> usize {
-        // Deliberately 0: the ring is constant-size preallocated transport
-        // buffering, not merge state, and its occupancy is already the
-        // `lmerge_net_queue_depth` gauge. Reporting it here
-        // would shift every `memory_sampled` trace line by a constant and
-        // break the byte-identity between networked and in-process runs
-        // of the same feeds.
+        // Deliberately 0: the input's buffer is window-bounded transport
+        // buffering, not merge state, and its depth is the queue-depth
+        // gauge. Counting it would shift every `memory_sampled` trace line
+        // off the in-process run's.
         0
     }
 }
 
-/// Errors an ingest client/server interaction can surface to callers.
-pub type NetResult<T> = Result<T, WireError>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{replay, ReplayConfig};
+    use crate::client::{replay, replay_until_clean, ReplayConfig};
     use lmerge_temporal::VTime;
+    use std::net::Shutdown;
 
     /// Drain input 0's source to completion on this thread.
     fn drain(server: &mut IngestServer) -> Vec<TimedElement<Value>> {
@@ -774,7 +744,8 @@ mod tests {
             hook.fetch_add(1, Ordering::Relaxed);
         });
         // Frames that are there (or arrive within a poll) cost no call…
-        while server.shared.inputs[0].next_seq.load(Ordering::Acquire) < 6 {
+        while server.shared.inbox(0).next_seq < 6 {
+            server.shared.refill_all();
             thread::sleep(Duration::from_millis(1));
         }
         for te in &sent {
@@ -997,7 +968,7 @@ mod tests {
         for _ in 0..25 {
             got.push(source.next().expect("killed client's frames all arrive"));
         }
-        let cursors = server.cursors();
+        let cursors = server.cursor_handle().cursors();
         assert_eq!(cursors, vec![(25, Time::MIN.0)]);
         drop(source);
         drop(server);
@@ -1049,5 +1020,123 @@ mod tests {
         let got = drain(&mut server);
         client.join().unwrap();
         assert_eq!(got, sent);
+    }
+
+    /// Connect a raw client for `input` and read its `Welcome`.
+    fn hello(server: &IngestServer, input: u32) -> (TcpStream, Frame) {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let hello = Frame::Hello {
+            protocol: PROTOCOL_VERSION,
+            input,
+        };
+        wire::write_frame(&mut stream, &hello).unwrap();
+        let welcome = wire::read_frame(&mut stream).unwrap().expect("welcome");
+        assert!(matches!(welcome, Frame::Welcome { .. }));
+        (stream, welcome)
+    }
+
+    /// `feed` as encoded data frames, from sequence 0.
+    fn data_frames(feed: &[TimedElement<Value>]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (i, te) in feed.iter().enumerate() {
+            let frame = Frame::Data {
+                seq: i as u64,
+                at: te.at,
+                element: te.element.clone(),
+            };
+            wire::encode_into(&frame, &mut bytes);
+        }
+        bytes
+    }
+
+    #[test]
+    fn frames_a_dead_replica_left_in_the_kernel_are_delivered_exactly_once() {
+        let (mut server, registry) = bind_metered(IngestConfig::new(1));
+        let sent = feed(40);
+        // The replica writes its 40 inserts, hangs up and is gone before
+        // the merge side has read a byte of them.
+        let (mut dead, _) = hello(&server, 0);
+        dead.write_all(&data_frames(&sent[..40])).unwrap();
+        dead.shutdown(Shutdown::Both).unwrap();
+        drop(dead);
+        // Its rejoin is welcomed only once the merge side has read the
+        // dead connection to its end, so it resumes behind all 40.
+        let addr = server.local_addr().to_string();
+        let client_feed = sent.clone();
+        let client = thread::spawn(move || {
+            replay_until_clean(&addr, &client_feed, &ReplayConfig::new(0), 10).expect("rejoin")
+        });
+        let got = drain(&mut server);
+        let outcome = client.join().unwrap();
+        assert!(outcome.clean);
+        assert_eq!(outcome.resumed_from, 40);
+        assert_eq!(outcome.sent, 1);
+        assert_eq!(got, sent, "exactly once");
+        assert_eq!(
+            total(&registry, "lmerge_net_session_closes_lost_total"),
+            1.0
+        );
+        assert_eq!(total(&registry, "lmerge_net_frames_total"), 41.0);
+    }
+
+    #[test]
+    fn a_rejoin_is_welcomed_while_the_merge_waits_on_a_silent_input() {
+        let mut server = IngestServer::bind("127.0.0.1:0", IngestConfig::new(2)).unwrap();
+        let (mut silent, _) = hello(&server, 1);
+        let (dying, _) = hello(&server, 0);
+        let mut waiting = server.sources().pop().unwrap();
+        assert_eq!(waiting.input(), 1);
+        let blocked = thread::spawn(move || waiting.next());
+        thread::sleep(Duration::from_millis(20));
+        // Input 0's replica dies; the merge, waiting on input 1, reads its
+        // end on its next poll, so the rejoin's claim succeeds at once.
+        dying.shutdown(Shutdown::Both).unwrap();
+        drop(dying);
+        let started = Instant::now();
+        let (_rejoined, welcome) = hello(&server, 0);
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "Welcome took {took:?}");
+        assert!(matches!(welcome, Frame::Welcome { resume_seq: 0, .. }));
+        wire::write_frame(&mut silent, &Frame::Bye).unwrap();
+        assert_eq!(blocked.join().unwrap(), None);
+    }
+
+    #[test]
+    fn a_client_flooding_past_its_credits_loses_nothing_and_never_overfills_its_input() {
+        let config = IngestConfig {
+            inputs: 1,
+            ring_capacity: 8,
+            credit_batch: 4,
+        };
+        let (mut server, registry) = bind_metered(config);
+        let sent = feed(79); // 80 frames: ten windows
+        let (mut flood, _) = hello(&server, 0);
+        let mut bytes = data_frames(&sent);
+        wire::encode_into(&Frame::Bye, &mut bytes);
+        let flooder = thread::spawn(move || {
+            flood.write_all(&bytes).unwrap();
+            let mut reader = FrameReader::new(flood);
+            while !matches!(
+                reader.next_frame(),
+                Ok(Some(Frame::Bye)) | Ok(None) | Err(_)
+            ) {}
+        });
+        let mut source = server.sources().remove(0);
+        let mut got = Vec::new();
+        while let Some(te) = source.next() {
+            got.push(te);
+            assert!(server.shared.inbox(0).buf.len() <= 8);
+            assert!(total(&registry, "lmerge_net_queue_depth") <= 8.0);
+        }
+        flooder.join().unwrap();
+        assert_eq!(got, sent, "nothing lost");
+        assert!(server.await_sessions_closed(Duration::from_secs(5)));
+        assert_eq!(
+            total(&registry, "lmerge_net_session_closes_clean_total"),
+            1.0
+        );
     }
 }

@@ -566,6 +566,14 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
+    /// Whether the next buffered frame is a data frame (`insert`, `adjust`
+    /// or `stable`), judged from its header alone: how a reader that takes
+    /// no more data right now still takes a control frame behind it.
+    pub fn data_next(&self) -> bool {
+        let next = parse_header(&self.buf[self.start..self.end]);
+        matches!(next, Ok((tag::INSERT..=tag::STABLE, _)))
+    }
+
     /// Issue one `read` for as much as the buffer takes. `Ok(0)` is EOF;
     /// a read timeout surfaces as [`WireError::Io`] with the buffered
     /// bytes kept. Call only after [`next_buffered`](FrameReader::next_buffered)

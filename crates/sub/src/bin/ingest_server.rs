@@ -8,7 +8,12 @@
 //!
 //! The process exits once every input has delivered a clean `Bye`, the
 //! merge has drained, and subscriber sessions have finished their close
-//! handshakes, printing a run summary to stdout. Both outputs leave the
+//! handshakes, printing a run summary to stdout. The merge thread reads the
+//! input connections itself; a connection has a thread of its own only for
+//! its handshake, so while replicas stream the process runs the main
+//! (merge) thread, the accept loops, the `--metrics` endpoint, the
+//! checkpoint writer and a writer and a reader per subscriber — and no
+//! thread per input. Both outputs leave the
 //! merge through one `lmerge_sub::OutputHook`; if the `--out` file fails
 //! (a full disk), the run and the subscribers carry on, and the process
 //! reports the error and exits non-zero at the end. With `--metrics` a

@@ -410,11 +410,18 @@ impl EpochBuffer {
     /// advance of the output stable point. Called by the merge's hooks
     /// with each consumption's emissions — single-publisher by
     /// construction. Nothing is visible to sessions before a flush.
+    ///
+    /// A call that flushed yields the CPU once the lock is released. The
+    /// publisher is the merge thread, which need not block again soon — it
+    /// reads its own inputs — so on a server whose threads share a core the
+    /// sessions the flush woke would otherwise wait for the end of its time
+    /// slice to send what it made visible.
     pub fn publish(&self, at: VTime, emitted: &[Element<Value>]) {
         if emitted.is_empty() {
             return;
         }
         let mut inner = self.inner.lock().unwrap();
+        let flushes = inner.flushes;
         let mut sealed_any = false;
         for e in emitted {
             let frame = Frame::Data {
@@ -449,6 +456,11 @@ impl EpochBuffer {
         }
         if !inner.tail_offsets.is_empty() {
             self.unflushed.store(true, Ordering::Relaxed);
+        }
+        let flushed = inner.flushes != flushes;
+        drop(inner);
+        if flushed {
+            std::thread::yield_now();
         }
     }
 

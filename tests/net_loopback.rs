@@ -173,6 +173,9 @@ fn run_networked(
     let mut tracer = Tracer::new();
     MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut tracer, &mut hooks);
 
+    // The merge ends at the first stable ∞; the replicas' tails, `Bye`s
+    // and late rejoins are read while the server serves.
+    server.serve_until(|| clients.iter().all(|c| c.is_finished()));
     let faults_applied: usize = clients.into_iter().map(|c| c.join().expect("client")).sum();
     server.shutdown();
     let mut result = finish(hooks, tracer, reference);
@@ -330,6 +333,7 @@ fn live_scrape_exposes_session_and_alert_series() {
     // Metered as the deployed server is: the registry is the only account.
     let mut sink = MeteredSink::new(NullSink, EngineMetrics::new(&registry));
     MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut sink, &mut NoHooks);
+    server.serve_until(|| clients.iter().all(|c| c.is_finished()));
     for c in clients {
         c.join().expect("client");
     }
@@ -650,7 +654,15 @@ fn cut_inside_a_coalesced_run_resumes_exactly_once() {
         );
         assert_eq!(input0("lmerge_net_frames_total") as u64, took);
 
-        let resumed = replay(&proxied, &feed, &ReplayConfig::new(0)).expect("resumed session");
+        let resumed = {
+            let feed = feed.clone();
+            thread::spawn(move || {
+                replay(&proxied, &feed, &ReplayConfig::new(0)).expect("resumed session")
+            })
+        };
+        let net = merge.join().unwrap();
+        server.serve_until(|| resumed.is_finished() && direct.is_finished());
+        let resumed = resumed.join().unwrap();
         assert!(resumed.clean);
         assert_eq!(
             resumed.resumed_from, took,
@@ -659,7 +671,6 @@ fn cut_inside_a_coalesced_run_resumes_exactly_once() {
         assert_eq!(resumed.sent, feed.len() as u64 - took);
         assert!(direct.join().unwrap().clean);
 
-        let net = merge.join().unwrap();
         server.shutdown();
         assert_eq!(
             net, base,
@@ -721,6 +732,7 @@ fn tcp_ingest_streams_to_a_live_subscriber() {
     let mut output = OutputHook::new().broadcast(Arc::clone(&buf));
     MergeRun::new(queries, merge(), RunConfig::default())
         .run_with_hooks(&mut lmerge::obs::NullSink, &mut output);
+    server.serve_until(|| clients.iter().all(|c| c.is_finished()));
     for c in clients {
         assert!(c.join().unwrap().clean);
     }

@@ -251,9 +251,15 @@ fn open_epoch_streams_to_a_live_subscriber_when_the_input_goes_quiet() {
     assert_eq!((stable, sealed), (Time::MIN, 0), "no punctuation yet");
 
     // The replica rejoins and finishes; the subscriber resumes mid-epoch.
-    let rest = replay_until_clean(&addr, &feed, &ReplayConfig::new(0), 10).expect("rejoin");
-    assert!(rest.clean);
+    let rest = thread::spawn(move || {
+        replay_until_clean(&addr, &feed, &ReplayConfig::new(0), 10).expect("rejoin")
+    });
     merge.join().expect("merge thread");
+    // The merge ends at stable ∞; what the replica sends after it (its
+    // `Bye`) is read while the server serves.
+    server.serve_until(|| rest.is_finished());
+    let rest = rest.join().expect("rejoin thread");
+    assert!(rest.clean);
     let late = subscribe(
         &sub_addr,
         &SubscribeConfig::new(1).with_resume_from(inserts),
