@@ -5,17 +5,16 @@
 //! rejoining client where to resume (`feed[resume_seq..]`), so driving a
 //! crash-recovery scenario is just calling `replay` again after a
 //! connection died — by choice ([`ReplayConfig::kill_after`]) or by a
-//! proxy-injected reset. A background reader thread consumes `Credit`
-//! grants (waking the sender) and `Ack` frames (tracking the last stable
-//! point the merge durably consumed).
+//! proxy-injected reset. The session is the calling thread alone: it
+//! takes the server's `Credit` grants and `Ack` frames (the last stable
+//! point the merge durably consumed) between the frames it writes, at each
+//! flush, and blocks on the socket only out of credits or waiting for the
+//! `Bye` echo.
 
 use crate::wire::{self, Frame, FrameReader, WireError, PROTOCOL_VERSION};
 use lmerge_engine::TimedElement;
 use lmerge_temporal::{Time, Value};
-use std::io::Write;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -74,14 +73,55 @@ pub struct ReplayOutcome {
     pub acked_stable: Time,
 }
 
-/// Credit/ack state shared with the session's reader thread.
-struct ReaderState {
-    credits: Mutex<u64>,
-    granted: Condvar,
-    gone: AtomicBool,
-    acked_stable: AtomicI64,
-    /// The server echoed our `Bye`: the close is durably acknowledged.
-    bye_acked: AtomicBool,
+/// One session's socket and what the server has said on it, taken
+/// between writes.
+struct Link {
+    reader: FrameReader<TcpStream>,
+    credits: u64,
+    /// Highest stable point the server acked as durably consumed.
+    acked_stable: Time,
+    /// `Some(echoed)` once the server has closed: `true` for the echo of
+    /// our `Bye`, `false` for EOF, an error, or a frame that makes no sense
+    /// here.
+    closed: Option<bool>,
+}
+
+impl Link {
+    /// Take the frames that have arrived; with `wait`, block for the first.
+    fn take(&mut self, wait: bool) {
+        let mut next = if wait {
+            self.reader.wait_arrived()
+        } else {
+            self.reader.next_arrived()
+        };
+        loop {
+            match next {
+                Ok(None) => return,
+                Ok(Some(Frame::Credit { n })) => self.credits += u64::from(n),
+                Ok(Some(Frame::Ack { stable, .. })) => self.acked_stable = stable,
+                Ok(Some(Frame::Bye)) => {
+                    self.closed = Some(true);
+                    return;
+                }
+                // EOF, an unexpected frame, or any transport error ends the
+                // session from our side too.
+                Ok(Some(_)) | Err(_) => {
+                    self.closed = Some(false);
+                    return;
+                }
+            }
+            next = self.reader.next_arrived();
+        }
+    }
+
+    /// Write the queued frames and clear them, then take what has arrived
+    /// meanwhile without waiting. `false` if the write failed.
+    fn flush(&mut self, out: &mut Vec<u8>) -> bool {
+        let wrote = self.reader.send(out).is_ok();
+        out.clear();
+        self.take(false);
+        wrote
+    }
 }
 
 /// Run one replay session against `addr`. Returns when the feed is fully
@@ -93,16 +133,16 @@ pub fn replay(
     feed: &[TimedElement<Value>],
     config: &ReplayConfig,
 ) -> Result<ReplayOutcome, WireError> {
-    let mut stream = TcpStream::connect(addr)?;
+    let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
+    let mut reader = FrameReader::new(stream);
     wire::write_frame(
-        &mut stream,
+        &mut reader.get_ref(),
         &Frame::Hello {
             protocol: PROTOCOL_VERSION,
             input: config.input,
         },
     )?;
-    let mut reader = FrameReader::new(stream.try_clone()?);
     let (resume_seq, credits) = match reader.next_frame()? {
         Some(Frame::Welcome {
             resume_seq,
@@ -112,39 +152,35 @@ pub fn replay(
         Some(_) => return Err(WireError::Protocol("expected welcome")),
         None => return Err(WireError::Protocol("connection closed during handshake")),
     };
+    reader.get_ref().set_nonblocking(true)?;
 
-    let state = Arc::new(ReaderState {
-        credits: Mutex::new(credits as u64),
-        granted: Condvar::new(),
-        gone: AtomicBool::new(false),
-        acked_stable: AtomicI64::new(Time::MIN.0),
-        bye_acked: AtomicBool::new(false),
-    });
-    let reader = {
-        let state = Arc::clone(&state);
-        thread::spawn(move || reader_loop(reader, state))
+    let mut link = Link {
+        reader,
+        credits: u64::from(credits),
+        acked_stable: Time::MIN,
+        closed: None,
     };
-
     let mut sent = 0u64;
-    let streamed = send_feed(&mut stream, &state, feed, resume_seq, config, &mut sent);
-    // Half-close after a streamed `Bye`: the server reads it, echoes it as
-    // an ack, and drops the session, which closes its end and lets our
-    // reader thread see EOF. A written-but-unacked `Bye` is NOT a clean
-    // close — a transport fault may have eaten it after our write
+    let streamed = send_feed(&mut link, feed, resume_seq, config, &mut sent);
+    // Half-close after a streamed `Bye` and wait for the server to echo it
+    // as an ack and drop the session. A written-but-unacked `Bye` is NOT a
+    // clean close — a transport fault may have eaten it after our write
     // succeeded — so the session reports unclean and the caller resumes
     // (from `resume_seq == feed.len()`, i.e. it just re-sends the `Bye`).
     // Anything else (kill point, lost connection) severs both ways.
-    let _ = stream.shutdown(if streamed {
-        Shutdown::Write
+    if streamed {
+        let _ = link.reader.get_ref().shutdown(Shutdown::Write);
+        while link.closed.is_none() {
+            link.take(true);
+        }
     } else {
-        Shutdown::Both
-    });
-    let _ = reader.join();
+        let _ = link.reader.get_ref().shutdown(Shutdown::Both);
+    }
     Ok(ReplayOutcome {
         sent,
         resumed_from: resume_seq,
-        clean: streamed && state.bye_acked.load(Ordering::Acquire),
-        acked_stable: Time(state.acked_stable.load(Ordering::Acquire)),
+        clean: streamed && link.closed == Some(true),
+        acked_stable: link.acked_stable,
     })
 }
 
@@ -153,28 +189,30 @@ pub fn replay(
 /// `write`s as the protocol allows: the buffer is flushed when it reaches
 /// [`wire::READ_BUF_LEN`], and before every wait — for a credit, for a
 /// pace interval, for the `Bye` echo — so no frame sits in user space while
-/// this thread sleeps. Returns whether the `Bye` was written; `false` means
-/// the kill point was reached or the connection died (resumable).
+/// this thread sleeps. Each flush is followed by a look at what the server
+/// has sent meanwhile, without waiting; the socket is waited on only out
+/// of credits. Returns whether the `Bye` was written; `false` means the
+/// kill point was reached or the connection died (resumable).
 fn send_feed(
-    stream: &mut TcpStream,
-    state: &ReaderState,
+    link: &mut Link,
     feed: &[TimedElement<Value>],
     resume_seq: u64,
     config: &ReplayConfig,
     sent: &mut u64,
 ) -> bool {
     let mut out = Vec::with_capacity(wire::READ_BUF_LEN);
-    let mut flush = |out: &mut Vec<u8>| {
-        let wrote = stream.write_all(out);
-        out.clear();
-        wrote.is_ok()
-    };
     for (i, te) in feed.iter().enumerate().skip(resume_seq as usize) {
         // Out of credits: what is queued goes out before waiting for more.
-        let credited = try_take_credit(state) || (flush(&mut out) && take_credit(state));
-        if !credited {
+        if link.credits == 0 && !link.flush(&mut out) {
             return false;
         }
+        while link.credits == 0 && link.closed.is_none() {
+            link.take(true);
+        }
+        if link.closed.is_some() {
+            return false;
+        }
+        link.credits -= 1;
         let frame = Frame::Data {
             seq: i as u64,
             at: te.at,
@@ -183,7 +221,8 @@ fn send_feed(
         wire::encode_into(&frame, &mut out);
         *sent += 1;
         let kill = config.kill_after == Some(*sent);
-        if (kill || config.pace_us > 0 || out.len() >= wire::READ_BUF_LEN) && !flush(&mut out) {
+        if (kill || config.pace_us > 0 || out.len() >= wire::READ_BUF_LEN) && !link.flush(&mut out)
+        {
             return false;
         }
         if kill {
@@ -194,7 +233,7 @@ fn send_feed(
         }
     }
     wire::encode_into(&Frame::Bye, &mut out);
-    flush(&mut out)
+    link.flush(&mut out)
 }
 
 /// Replay to completion, reconnecting after crashes or injected resets.
@@ -217,56 +256,4 @@ pub fn replay_until_clean(
         thread::sleep(Duration::from_millis(20));
     }
     Err(last)
-}
-
-/// Take a credit if one is in hand.
-fn try_take_credit(state: &ReaderState) -> bool {
-    let mut credits = state.credits.lock().unwrap();
-    if *credits == 0 {
-        return false;
-    }
-    *credits -= 1;
-    true
-}
-
-/// Wait for a credit and take it; `false` once the server is gone.
-fn take_credit(state: &ReaderState) -> bool {
-    let mut credits = state.credits.lock().unwrap();
-    loop {
-        if *credits > 0 {
-            *credits -= 1;
-            return true;
-        }
-        if state.gone.load(Ordering::Relaxed) {
-            return false;
-        }
-        let (guard, _timeout) = state
-            .granted
-            .wait_timeout(credits, Duration::from_millis(100))
-            .unwrap();
-        credits = guard;
-    }
-}
-
-fn reader_loop(mut reader: FrameReader<TcpStream>, state: Arc<ReaderState>) {
-    loop {
-        match reader.next_frame() {
-            Ok(Some(Frame::Credit { n })) => {
-                *state.credits.lock().unwrap() += n as u64;
-                state.granted.notify_all();
-            }
-            Ok(Some(Frame::Ack { stable, .. })) => {
-                state.acked_stable.store(stable.0, Ordering::Release);
-            }
-            Ok(Some(Frame::Bye)) => {
-                state.bye_acked.store(true, Ordering::Release);
-                break;
-            }
-            // EOF, an unexpected frame, or any transport error ends the
-            // session from our side too.
-            Ok(Some(_)) | Ok(None) | Err(_) => break,
-        }
-    }
-    state.gone.store(true, Ordering::Relaxed);
-    state.granted.notify_all();
 }

@@ -693,6 +693,39 @@ mod tests {
         );
     }
 
+    /// The replayer reads the server's `Ack`s between its own writes and
+    /// while it waits for the `Bye` echo: a clean session ends knowing the
+    /// last stable point the merge consumed.
+    #[test]
+    fn a_clean_replay_reports_the_last_stable_the_merge_consumed() {
+        let (mut server, _registry) = bind_metered(IngestConfig::new(1));
+        let addr = server.local_addr().to_string();
+        let mut sent: Vec<TimedElement<Value>> = (0..4)
+            .map(|i| TimedElement::new(VTime(i), Element::insert(Value::bare(i as i32), 1, 50)))
+            .collect();
+        for t in [10, 20, 30] {
+            sent.push(TimedElement::new(VTime(t as u64), Element::stable(Time(t))));
+        }
+        let client_feed = sent.clone();
+        // The server echoes `Bye` when it reads it, not when the merge has
+        // consumed what came before; the pace puts the `Bye` well behind
+        // the last stable's consumption and the flush of its `Ack`.
+        let client = thread::spawn(move || {
+            replay(
+                &addr,
+                &client_feed,
+                &ReplayConfig::new(0).with_pace_us(20_000),
+            )
+            .expect("replay")
+        });
+        assert_eq!(drain(&mut server), sent);
+        let outcome = client.join().unwrap();
+        let consumed = Time(server.cursor_handle().cursors()[0].1);
+        assert_eq!(consumed, Time(30));
+        assert!(outcome.clean);
+        assert_eq!(outcome.acked_stable, consumed);
+    }
+
     #[test]
     fn small_ring_exercises_credit_backpressure() {
         let config = IngestConfig {

@@ -32,7 +32,8 @@
 use bytes::Bytes;
 use lmerge_core::hash::Fnv1a;
 use lmerge_temporal::{Element, Time, VTime, Value};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 /// Frame magic: `LMRG` interpreted as a little-endian u32.
 pub const MAGIC: u32 = 0x4C4D_5247;
@@ -618,6 +619,65 @@ impl<R: Read> FrameReader<R> {
                 };
             }
         }
+    }
+
+    /// The next frame that has already arrived: a buffered one, else what
+    /// one `read` brings. `Ok(None)` means no whole frame has: the read
+    /// found nothing (`WouldBlock` — at once on a non-blocking stream, at
+    /// the read timeout on a blocking one) or part of a frame. How a thread
+    /// that writes a socket takes its peer's control frames between writes:
+    /// on a non-blocking socket with nothing new, one `read` that returns
+    /// `EAGAIN`. EOF is an error even at a frame boundary.
+    pub fn next_arrived(&mut self) -> Result<Option<Frame>, WireError> {
+        if let Some((frame, _size)) = self.next_buffered()? {
+            return Ok(Some(frame));
+        }
+        match self.fill() {
+            Ok(0) if self.start == self.end => Err(WireError::Io(io::ErrorKind::UnexpectedEof)),
+            Ok(0) => Err(WireError::Truncated),
+            Ok(_) => Ok(self.next_buffered()?.map(|(frame, _size)| frame)),
+            Err(WireError::Io(io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// A sending thread that owns its socket keeps it non-blocking, so that
+/// [`next_arrived`](FrameReader::next_arrived) between its writes never
+/// waits, and makes it blocking only to wait: for a frame, or for room.
+impl FrameReader<TcpStream> {
+    /// [`next_arrived`](FrameReader::next_arrived) on the socket made
+    /// blocking for the one read: waits for the peer up to the socket's
+    /// read timeout (for ever without one).
+    pub fn wait_arrived(&mut self) -> Result<Option<Frame>, WireError> {
+        if let Some((frame, _size)) = self.next_buffered()? {
+            return Ok(Some(frame));
+        }
+        self.inner.set_nonblocking(false)?;
+        let next = self.next_arrived();
+        self.inner.set_nonblocking(true)?;
+        next
+    }
+
+    /// Write all of `bytes` to the non-blocking socket, making it blocking
+    /// for the rest once it is full.
+    pub fn send(&self, mut bytes: &[u8]) -> io::Result<()> {
+        let mut w = &self.inner;
+        while !bytes.is_empty() {
+            match w.write(bytes) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.inner.set_nonblocking(false)?;
+                    let wrote = w.write_all(bytes);
+                    self.inner.set_nonblocking(true)?;
+                    return wrote;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 

@@ -2,7 +2,8 @@
 //! pinned here independently of any socket: however the byte stream is cut
 //! into `read`s, the frames (and their on-wire sizes) that come out are
 //! exactly what a `wire::decode` loop over the whole byte string yields —
-//! and a run of frames that arrives in one chunk costs one `read`.
+//! and a run of frames that arrives in one chunk costs one `read`, as does
+//! looking for frames on a socket that has none.
 
 use lmerge_net::wire::{
     self, Frame, FrameReader, WireError, CHECKSUM_LEN, HEADER_LEN, MAX_PAYLOAD_LEN, READ_BUF_LEN,
@@ -209,6 +210,62 @@ fn frames_that_arrive_in_one_chunk_cost_one_read() {
     assert_eq!(reader.get_ref().reads, 1, "200 frames, one read");
     assert_eq!(reader.next_frame(), Ok(None));
     assert_eq!(reader.get_ref().reads, 2, "…and one more to learn of EOF");
+}
+
+/// A non-blocking socket as a script of reads: `Some(bytes)` arrives,
+/// `None` is `WouldBlock`, and past the end is EOF.
+struct Arrivals {
+    script: std::collections::VecDeque<Option<Vec<u8>>>,
+    reads: usize,
+}
+
+impl Read for Arrivals {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        match self.script.pop_front() {
+            Some(Some(bytes)) => {
+                buf[..bytes.len()].copy_from_slice(&bytes);
+                Ok(bytes.len())
+            }
+            Some(None) => Err(std::io::ErrorKind::WouldBlock.into()),
+            None => Ok(0),
+        }
+    }
+}
+
+#[test]
+fn next_arrived_takes_what_has_arrived_one_read_at_a_time() {
+    let frames = [Frame::Credit { n: 4 }, Frame::Bye, Frame::Credit { n: 9 }];
+    let bytes = encode_all(&frames);
+    let cut = bytes.len() - 3;
+    let script = [
+        None,
+        Some(bytes[..cut].to_vec()),
+        None,
+        Some(bytes[cut..].to_vec()),
+    ];
+    let mut reader = FrameReader::new(Arrivals {
+        script: script.into_iter().collect(),
+        reads: 0,
+    });
+    let mut step = |want: Result<Option<Frame>, WireError>, reads: usize| {
+        assert_eq!(reader.next_arrived(), want);
+        assert_eq!(reader.get_ref().reads, reads);
+    };
+    step(Ok(None), 1); // nothing yet: one read, WouldBlock
+    step(Ok(Some(frames[0].clone())), 2);
+    step(Ok(Some(frames[1].clone())), 2); // buffered: no read
+    step(Ok(None), 3); // half a frame buffered, nothing more arrived
+    step(Ok(Some(frames[2].clone())), 4);
+    step(Err(WireError::Io(std::io::ErrorKind::UnexpectedEof)), 5);
+
+    let mut reader = FrameReader::new(Arrivals {
+        script: [Some(bytes[..cut].to_vec())].into_iter().collect(),
+        reads: 0,
+    });
+    assert_eq!(reader.next_arrived(), Ok(Some(frames[0].clone())));
+    assert_eq!(reader.next_arrived(), Ok(Some(frames[1].clone())));
+    assert_eq!(reader.next_arrived(), Err(WireError::Truncated));
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! input connections itself; a connection has a thread of its own only for
 //! its handshake, so while replicas stream the process runs the main
 //! (merge) thread, the accept loops, the `--metrics` endpoint, the
-//! checkpoint writer and a writer and a reader per subscriber — and no
-//! thread per input. Both outputs leave the
+//! checkpoint writer and one thread per subscriber — and no thread per
+//! input. Both outputs leave the
 //! merge through one `lmerge_sub::OutputHook`; if the `--out` file fails
 //! (a full disk), the run and the subscribers carry on, and the process
 //! reports the error and exits non-zero at the end. With `--metrics` a

@@ -28,6 +28,15 @@
 //! re-`Welcome`d from there (catch-up-from-stable, the paper's rejoining
 //! replica move applied to an output replica).
 //!
+//! # One thread per session
+//!
+//! A session is one thread that owns its socket and keeps it
+//! non-blocking. It writes the subscriber's chunks and, after each chunk
+//! and each idle poll, takes the `Credit`/`Ack`/`Bye` frames that have
+//! already arrived. It blocks on the socket only when it may not send:
+//! out of credits, or waiting for the `Bye` echo, one `EPOCH_POLL` read
+//! timeout at a time.
+//!
 //! # Telemetry
 //!
 //! Like the ingest server, this one accepts on `lmerge_net`'s shared
@@ -39,12 +48,12 @@ use lmerge_net::listener::{Listener, SessionCounts, HANDSHAKE_TIMEOUT};
 use lmerge_net::wire::{self, Frame, FrameReader, PROTOCOL_VERSION};
 use lmerge_net::WireError;
 use lmerge_obs::{Counter, Gauge, MetricsRegistry};
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Subscriber-plane configuration: the filter classes sessions may pick
 /// from. Class 0 should usually be [`SubFilter::All`].
@@ -174,25 +183,66 @@ struct SubShared {
     registry: MetricsRegistry,
 }
 
-/// Credit/close state shared between a session's writer and its reader
-/// thread (the reader drains `Credit`/`Ack`/`Bye` from the subscriber).
-struct SessionState {
-    credits: Mutex<u64>,
-    granted: Condvar,
+/// One session's socket and what the subscriber has said on it. The
+/// session thread owns both: it takes the subscriber's `Credit`/`Ack`/`Bye`
+/// frames between the chunks it writes.
+struct Link {
+    reader: FrameReader<TcpStream>,
+    subscriber: u64,
+    credits: u64,
     /// The subscriber sent `Bye` (unsubscribe, or echo of ours).
-    bye: AtomicBool,
-    /// The connection died (EOF, gap, corruption, i/o error).
-    dead: AtomicBool,
-    /// When the reader last heard *any* frame from the subscriber — the
-    /// liveness signal the close handshake waits on. A wide fan-out can
-    /// park the whole stream in socket buffers, so "no echo yet" says
-    /// nothing; "no frame for a long quiet period" does.
-    last_heard: Mutex<std::time::Instant>,
+    bye: bool,
+    /// When a frame last arrived from the subscriber — the liveness signal
+    /// the close handshake waits on. A wide fan-out can park the whole
+    /// stream in socket buffers, so "no echo yet" says nothing; "no frame
+    /// for a long quiet period" does.
+    last_heard: Instant,
 }
 
-impl SessionState {
-    fn wake(&self) {
-        self.granted.notify_all();
+impl Link {
+    /// Take the frames that have arrived; with `wait`, block for the first
+    /// up to the socket's read timeout ([`EPOCH_POLL`]). The highest `Ack`
+    /// among them advances the subscriber's durable cursor (pins retention,
+    /// persists via checkpoints). Nothing is read after a `Bye`. `false`:
+    /// the connection is dead — EOF, a frame that makes no sense here,
+    /// corruption, an i/o error.
+    fn hear(&mut self, buf: &EpochBuffer, wait: bool) -> bool {
+        if self.bye {
+            return true;
+        }
+        let mut next = if wait {
+            self.reader.wait_arrived()
+        } else {
+            self.reader.next_arrived()
+        };
+        let mut acked = None;
+        let alive = loop {
+            let frame = match next {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break true,
+                Err(_) => break false,
+            };
+            self.last_heard = Instant::now();
+            match frame {
+                Frame::Credit { n } => self.credits += u64::from(n),
+                Frame::Ack { seq, .. } => acked = acked.max(Some(seq.saturating_add(1))),
+                Frame::Bye => {
+                    self.bye = true;
+                    break true;
+                }
+                _ => break false,
+            }
+            next = self.reader.next_arrived();
+        };
+        if let Some(seq) = acked {
+            buf.ack(self.subscriber, seq);
+        }
+        alive
+    }
+
+    /// Write one frame.
+    fn send_frame(&self, frame: &Frame) -> bool {
+        self.reader.send(&wire::encode(frame)).is_ok()
     }
 }
 
@@ -254,7 +304,8 @@ impl SubServer {
     }
 
     /// Stop accepting, join the accept loop, and wake blocked sessions.
-    /// Live sessions notice the flag at their next delivery wait.
+    /// Live sessions notice the flag within one `EPOCH_POLL` of any wait,
+    /// on the buffer or on the socket.
     pub fn shutdown(&mut self) {
         self.listener.stop();
         self.shared.shutdown.store(true, Ordering::Relaxed);
@@ -269,7 +320,9 @@ impl Drop for SubServer {
     }
 }
 
-/// How long a writer waits per flush poll before re-checking liveness.
+/// How long a session waits at once — on the buffer for a flush, on the
+/// socket for a credit or the `Bye` echo — before re-checking liveness; so
+/// it bounds how late [`SubServer::shutdown`] is noticed.
 const EPOCH_POLL: Duration = Duration::from_millis(50);
 
 /// How long the close handshake waits for the subscriber's `Bye` echo
@@ -279,16 +332,13 @@ const EPOCH_POLL: Duration = Duration::from_millis(50);
 const BYE_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Serve one subscriber: handshake, then stream chunks under credits.
-fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
+fn session(shared: Arc<SubShared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // A peer that connects and says nothing must not pin this thread.
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
     // One reader for the connection's life: the handshake frame and the
     // Credit/Ack/Bye stream behind it come out of the same buffer.
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = FrameReader::new(read_half);
+    let mut reader = FrameReader::new(stream);
     let (subscriber, class, resume_from, initial_credits) = match reader.next_frame() {
         Ok(Some(Frame::Subscribe {
             protocol,
@@ -322,11 +372,14 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
         credits: initial_credits,
     };
     let m = &shared.metrics;
-    if wire::write_frame(&mut stream, &welcome).is_err() {
+    let mut stream = reader.get_ref();
+    if wire::write_frame(&mut stream, &welcome).is_err()
+        || stream.set_read_timeout(Some(EPOCH_POLL)).is_err()
+        || stream.set_nonblocking(true).is_err()
+    {
         m.handshake_drops.inc();
         return;
     }
-    let _ = stream.set_read_timeout(None);
     // Pin retention from the session's position so its window survives
     // until it acks (the durable cursor is monotone, so a rejoin with an
     // older clamped cursor cannot move it backwards).
@@ -338,86 +391,25 @@ fn session(shared: Arc<SubShared>, mut stream: TcpStream) {
         m.demotions.inc();
     }
     let session_m = SessionMetrics::new(&shared.registry, subscriber);
-
-    // Reader thread: drains Credit/Ack/Bye while the writer streams.
-    let state = Arc::new(SessionState {
-        credits: Mutex::new(initial_credits as u64),
-        granted: Condvar::new(),
-        bye: AtomicBool::new(false),
-        dead: AtomicBool::new(false),
-        last_heard: Mutex::new(std::time::Instant::now()),
-    });
-    let reader = {
-        let state = Arc::clone(&state);
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || reader_loop(reader, state, shared, subscriber))
-    };
-
-    let clean = writer_loop(
-        &shared,
-        &mut stream,
-        &state,
-        &session_m,
+    let link = Link {
+        reader,
         subscriber,
-        class,
-        &filter,
-        resume_seq,
-    );
-
-    // Unblock and collect the reader before reporting the close.
-    let _ = stream.shutdown(Shutdown::Both);
-    state.wake();
-    let _ = reader.join();
+        credits: u64::from(initial_credits),
+        bye: false,
+        last_heard: Instant::now(),
+    };
+    // The loop owns the link: the socket is closed before the close counts.
+    let clean = session_loop(&shared, link, &session_m, class, &filter, resume_seq);
     m.sessions_active.add(-1);
     m.sessions.on_close(clean);
 }
 
-/// Drain subscriber-to-server frames: credit grants, cursor acks, Bye.
-fn reader_loop(
-    mut reader: FrameReader<TcpStream>,
-    state: Arc<SessionState>,
-    shared: Arc<SubShared>,
-    subscriber: u64,
-) {
-    loop {
-        let frame = reader.next_frame();
-        if matches!(frame, Ok(Some(_))) {
-            *state.last_heard.lock().unwrap() = std::time::Instant::now();
-        }
-        match frame {
-            Ok(Some(Frame::Credit { n })) => {
-                *state.credits.lock().unwrap() += n as u64;
-                state.wake();
-            }
-            Ok(Some(Frame::Ack { seq, .. })) => {
-                // The subscriber durably consumed through `seq`: advance
-                // its cursor (pins retention, persists via checkpoints).
-                shared.buf.ack(subscriber, seq.saturating_add(1));
-            }
-            Ok(Some(Frame::Bye)) => {
-                state.bye.store(true, Ordering::Release);
-                state.wake();
-                return;
-            }
-            // EOF, a frame that makes no sense here, corruption, i/o
-            // error: the session is over; never panic.
-            Ok(None) | Ok(Some(_)) | Err(_) => {
-                state.dead.store(true, Ordering::Release);
-                state.wake();
-                return;
-            }
-        }
-    }
-}
-
-/// Stream flushed chunks to one subscriber. Returns whether the close was clean.
-#[allow(clippy::too_many_arguments)]
-fn writer_loop(
-    shared: &Arc<SubShared>,
-    stream: &mut TcpStream,
-    state: &SessionState,
+/// Stream flushed chunks to one subscriber, taking what it has sent after
+/// each chunk and each idle poll. Returns whether the close was clean.
+fn session_loop(
+    shared: &SubShared,
+    mut link: Link,
     session_m: &SessionMetrics,
-    subscriber: u64,
     class: u32,
     filter: &SubFilter,
     resume_seq: u64,
@@ -425,12 +417,12 @@ fn writer_loop(
     let m = &shared.metrics;
     let mut seq_cursor = resume_seq;
     loop {
-        if state.dead.load(Ordering::Acquire) {
+        if !link.hear(&shared.buf, false) {
             return false;
         }
-        if state.bye.load(Ordering::Acquire) {
+        if link.bye {
             // Unsolicited unsubscribe: acknowledge and part cleanly.
-            return wire::write_frame(stream, &Frame::Bye).is_ok();
+            return link.send_frame(&Frame::Bye);
         }
         if shared.shutdown.load(Ordering::Relaxed) {
             return false;
@@ -451,16 +443,16 @@ fn writer_loop(
                     resume_stable: stable,
                     credits: 0,
                 };
-                if wire::write_frame(stream, &rewelcome).is_err() {
+                if !link.send_frame(&rewelcome) {
                     return false;
                 }
                 seq_cursor = horizon_seq;
-                shared.buf.ack(subscriber, seq_cursor);
+                shared.buf.ack(link.subscriber, seq_cursor);
             }
             EpochWait::Finished => {
                 // Stream over: initiate the close handshake and wait for
                 // the subscriber's echo (mirror of the ingest Bye ack).
-                if wire::write_frame(stream, &Frame::Bye).is_err() {
+                if !link.send_frame(&Frame::Bye) {
                     return false;
                 }
                 // The wait is bounded by *idle time*, not time-since-Bye:
@@ -471,30 +463,17 @@ fn writer_loop(
                 // sessions mid-drain — and closing with unread acks
                 // queued turns the close into an RST that destroys the
                 // buffered tail. Only a subscriber that goes *quiet* for
-                // the full window is presumed dead.
-                let sent = std::time::Instant::now();
-                while !state.bye.load(Ordering::Acquire) {
-                    if state.dead.load(Ordering::Acquire) || shared.shutdown.load(Ordering::Relaxed)
+                // the full window is presumed dead. The wait blocks on the
+                // socket, one read timeout at a time, so hundreds of
+                // finished sessions cost no wake-ups but their peers'.
+                let sent = Instant::now();
+                while !link.bye {
+                    if shared.shutdown.load(Ordering::Relaxed)
+                        || link.last_heard.max(sent).elapsed() >= BYE_IDLE_TIMEOUT
+                        || !link.hear(&shared.buf, true)
                     {
                         return false;
                     }
-                    let heard = *state.last_heard.lock().unwrap();
-                    let deadline = heard.max(sent) + BYE_IDLE_TIMEOUT;
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return false;
-                    }
-                    // Block on the session condvar — the reader notifies
-                    // it on Bye, death, and credit traffic — rather than
-                    // sleep-polling. With a wide fan-out, hundreds of
-                    // finished sessions reach this wait together, and
-                    // even a gentle 2 ms poll multiplied across them
-                    // floods the scheduler with wakeups that starve the
-                    // very clients whose echo this wait is for. The cap
-                    // only bounds how late a server shutdown is noticed.
-                    let wait = (deadline - now).min(Duration::from_millis(100));
-                    let guard = state.credits.lock().unwrap();
-                    let _ = state.granted.wait_timeout(guard, wait).unwrap();
                 }
                 return true;
             }
@@ -510,10 +489,11 @@ fn writer_loop(
                 // the shared buffer lock per delivery.
                 m.next_seq.set(next_seq as i64);
                 m.flushes.raise_to(flushes);
-                let delivered = deliver_chunk(
-                    shared, stream, state, session_m, filter, class, &chunk, seq_cursor,
-                );
-                if delivered.is_none() {
+                if deliver_chunk(
+                    shared, &mut link, session_m, filter, class, &chunk, seq_cursor,
+                )
+                .is_none()
+                {
                     return false;
                 }
                 seq_cursor = chunk.end_seq();
@@ -531,11 +511,9 @@ fn writer_loop(
 /// Send one chunk's admitted frames from `seq_cursor` on, spending one
 /// credit per frame and coalescing contiguous admitted runs into single
 /// writes out of the shared chunk bytes. `None` if the session died.
-#[allow(clippy::too_many_arguments)]
 fn deliver_chunk(
-    shared: &Arc<SubShared>,
-    stream: &mut TcpStream,
-    state: &SessionState,
+    shared: &SubShared,
+    link: &mut Link,
     session_m: &SessionMetrics,
     filter: &SubFilter,
     class: u32,
@@ -546,92 +524,67 @@ fn deliver_chunk(
     // chunk, for the class nearly every session is in.
     let bits = (*filter != SubFilter::All).then(|| chunk.bitmap(class, filter));
     let start = (seq_cursor.saturating_sub(chunk.base_seq)) as usize;
-    let mut taken: u64 = 0; // credits in hand
     let mut delivered: u64 = 0;
     let mut bytes_sent: u64 = 0;
     // A contiguous run of admitted frames: byte range into the chunk.
     let mut run: Option<(usize, usize)> = None;
     for i in start..chunk.frames() {
         if bits.as_ref().is_some_and(|b| !Chunk::admitted(b, i)) {
-            if !flush(stream, chunk, &mut run, &mut bytes_sent) {
-                return None;
-            }
+            flush(link, chunk, &mut run, &mut bytes_sent)?;
             continue;
         }
-        if taken == 0 {
+        if link.credits == 0 {
             // Flush before blocking so the subscriber can consume what it
             // already has and grant more.
-            if !flush(stream, chunk, &mut run, &mut bytes_sent) {
-                return None;
-            }
-            taken = take_credits(shared, state)?;
+            flush(link, chunk, &mut run, &mut bytes_sent)?;
+            take_credits(shared, link)?;
         }
-        taken -= 1;
+        link.credits -= 1;
         delivered += 1;
         let frame = chunk.frame_bytes(i);
         let off = frame.as_ptr() as usize - chunk.bytes().as_ptr() as usize;
         run = match run {
             Some((a, b)) if b == off => Some((a, off + frame.len())),
             Some(_) => {
-                if !flush(stream, chunk, &mut run, &mut bytes_sent) {
-                    return None;
-                }
+                flush(link, chunk, &mut run, &mut bytes_sent)?;
                 Some((off, off + frame.len()))
             }
             None => Some((off, off + frame.len())),
         };
     }
-    if !flush(stream, chunk, &mut run, &mut bytes_sent) {
-        return None;
-    }
-    // Return unused credits to the pool for the next chunk.
-    if taken > 0 {
-        *state.credits.lock().unwrap() += taken;
-    }
+    flush(link, chunk, &mut run, &mut bytes_sent)?;
     session_m.frames.add(delivered);
     session_m.bytes.add(bytes_sent);
     Some(())
 }
 
-/// Write out the pending run, if any. Returns `false` on i/o failure.
+/// Write out the pending run, if any. `None` on i/o failure.
 fn flush(
-    stream: &mut TcpStream,
+    link: &Link,
     chunk: &Chunk,
     run: &mut Option<(usize, usize)>,
     bytes_sent: &mut u64,
-) -> bool {
+) -> Option<()> {
     if let Some((a, b)) = run.take() {
-        if stream.write_all(&chunk.bytes()[a..b]).is_err() {
-            return false;
-        }
+        link.reader.send(&chunk.bytes()[a..b]).ok()?;
         *bytes_sent += (b - a) as u64;
     }
-    true
+    Some(())
 }
 
-/// Block until the subscriber grants credits (or the session ends).
-/// Takes the whole pool. `None` means the session is over.
-fn take_credits(shared: &Arc<SubShared>, state: &SessionState) -> Option<u64> {
-    let mut credits = state.credits.lock().unwrap();
-    if *credits == 0 {
-        shared.metrics.credit_stalls.inc();
-    }
-    loop {
-        if *credits > 0 {
-            return Some(std::mem::take(&mut *credits));
-        }
-        if state.dead.load(Ordering::Acquire)
-            || state.bye.load(Ordering::Acquire)
-            || shared.shutdown.load(Ordering::Relaxed)
-        {
+/// The credits in hand are spent — a stall, counted: take the grants that
+/// have arrived, and wait on the socket only if none has. `None` means the
+/// session is over.
+fn take_credits(shared: &SubShared, link: &mut Link) -> Option<()> {
+    shared.metrics.credit_stalls.inc();
+    let mut wait = false;
+    while link.credits == 0 {
+        if link.bye || shared.shutdown.load(Ordering::Relaxed) || !link.hear(&shared.buf, wait) {
             return None;
         }
-        let (guard, _) = state
-            .granted
-            .wait_timeout(credits, Duration::from_millis(10))
-            .unwrap();
-        credits = guard;
+        wait = true;
     }
+    Some(())
 }
 
 /// Errors a subscriber client/server interaction surfaces to callers.
@@ -1010,6 +963,100 @@ mod tests {
                 .unwrap_or(0.0)
                 >= 1.0,
             "a 2-credit window must have stalled at least once"
+        );
+    }
+
+    /// A subscriber whose window covers the whole stream never stalls, so
+    /// its acks must be taken between chunks: retention follows them epoch
+    /// by epoch rather than growing until a credit stall that never comes.
+    #[test]
+    fn acks_release_epochs_without_a_credit_stall() {
+        let policy = SubPolicy::default();
+        let buf = Arc::new(EpochBuffer::new(policy));
+        let registry = MetricsRegistry::new();
+        let server = SubServer::bind_with_metrics(
+            "127.0.0.1:0",
+            Arc::clone(&buf),
+            SubConfig::new(),
+            &registry,
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let epochs = 8;
+        let client = thread::spawn(move || {
+            subscribe(&addr, &SubscribeConfig::new(9).with_credits(4 * epochs)).expect("subscribe")
+        });
+        await_opened(&registry, 1.0);
+        let mut retained_max = 0;
+        for i in 0..epochs {
+            let elements = [
+                Element::insert(Value::bare(i as i32), i as i64, i as i64 + 5),
+                Element::<Value>::stable(Time(i as i64 + 1)),
+            ];
+            buf.publish(VTime(i as u64), &elements);
+            // The sealed epoch's stable is acked once it arrives.
+            let acked = buf.stats().0;
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !buf.cursors().contains(&(9, acked)) {
+                assert!(Instant::now() < deadline, "epoch {i}'s ack was not taken");
+                thread::sleep(Duration::from_millis(1));
+            }
+            retained_max = retained_max.max(buf.stats().3);
+        }
+        buf.finish();
+        let outcome = client.join().unwrap();
+        assert!(outcome.clean && outcome.finished);
+        assert_eq!(outcome.received, 2 * epochs as u64);
+        assert!(
+            retained_max <= policy.retain_min_epochs + 1,
+            "retained {retained_max} epochs"
+        );
+        assert_eq!(
+            registry.sum_value("lmerge_sub_credit_stalls_total"),
+            Some(0.0)
+        );
+    }
+
+    #[test]
+    fn an_unsolicited_bye_on_an_idle_stream_is_echoed_and_closes_clean() {
+        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        let registry = MetricsRegistry::new();
+        let server = SubServer::bind_with_metrics(
+            "127.0.0.1:0",
+            Arc::clone(&buf),
+            SubConfig::new(),
+            &registry,
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let subscribe = Frame::Subscribe {
+            protocol: PROTOCOL_VERSION,
+            subscriber: 7,
+            filter: 0,
+            resume_from: 0,
+            credits: 16,
+        };
+        wire::write_frame(&mut stream, &subscribe).unwrap();
+        let mut reader = FrameReader::new(stream.try_clone().unwrap());
+        assert!(matches!(
+            reader.next_frame(),
+            Ok(Some(Frame::Welcome { .. }))
+        ));
+        // Nothing is published: the session waits on the buffer, not on
+        // this socket, and still hears the `Bye`.
+        let asked = Instant::now();
+        wire::write_frame(&mut stream, &Frame::Bye).unwrap();
+        assert_eq!(reader.next_frame(), Ok(Some(Frame::Bye)));
+        while registry.sum_value("lmerge_sub_session_closes_clean_total") != Some(1.0) {
+            assert!(asked.elapsed() < Duration::from_secs(1), "no clean close");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            registry.sum_value("lmerge_sub_session_closes_lost_total"),
+            Some(0.0)
         );
     }
 
