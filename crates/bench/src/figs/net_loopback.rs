@@ -3,9 +3,9 @@
 //!
 //! Not a paper figure — it measures the lmerge-net subsystem that makes
 //! the paper's "physically independent" inputs literal. Each replica is
-//! framed (insert/adjust/stable + per-frame FNV-1a checksum), shipped
-//! through a loopback socket with credit backpressure, decoded by a
-//! session thread, and handed to the merge through a bounded SPSC ring.
+//! framed (insert/adjust/stable + per-frame word-folded FNV-1a checksum),
+//! shipped through a loopback socket with credit backpressure, and read
+//! and decoded by the merge thread itself.
 //! Virtual arrival times travel inside the frames, so the executor
 //! consumes exactly the timed sequence the in-process run does: the
 //! merged output — and therefore the deterministic gate fields (peak
@@ -233,11 +233,11 @@ pub fn report() -> Report {
     }
     report.note(format!(
         "{events} events/stream x {INPUTS} replicas; framed insert/adjust/stable with \
-         per-frame FNV-1a checksums, 256-slot rings, credits 32 at a time"
+         per-frame word-folded FNV-1a checksums, credits 32 at a time"
     ));
     report.note(
         "thruput = elements / wall clock of the full path (replayer threads, \
-         loopback sockets, decode, ring, merge); peak memory and chattiness \
+         loopback sockets, decode, merge); peak memory and chattiness \
          are delivery-path-invariant and gated by check_regression",
     );
     for (label, m) in &result.metrics {

@@ -48,14 +48,6 @@ impl VariantKind {
             VariantKind::R4 => Box::new(LMergeR4::new(n)),
         }
     }
-
-    /// Whether the variant tolerates adjust elements.
-    pub fn supports_adjusts(self) -> bool {
-        matches!(
-            self,
-            VariantKind::R3Plus | VariantKind::R3Minus | VariantKind::R4
-        )
-    }
 }
 
 /// All variants, cheapest first.

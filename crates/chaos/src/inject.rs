@@ -170,11 +170,6 @@ impl ChaosInjector {
         &self.in_recs
     }
 
-    /// Whether input `i` was crashed out of the run.
-    pub fn is_crashed(&self, i: usize) -> bool {
-        self.crashed.get(i).copied().unwrap_or(false)
-    }
-
     /// Run the compatibility oracle on the current prefixes: the output
     /// view must be compatible with every input's *delivered* view. A
     /// crashed replica's view stays frozen at its crash point — it is

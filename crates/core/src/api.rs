@@ -178,6 +178,16 @@ pub trait LogicalMerge<P: Payload> {
         None
     }
 
+    /// Export what changed since the previous cut (see
+    /// [`MergeCut`](crate::state::MergeCut)) and start the next one. Folding
+    /// every cut of an operator, in order, into an empty image yields
+    /// [`export_state`](Self::export_state); so does folding its first cut
+    /// after it was built or restored into any image. The default is the
+    /// whole state, every tier changed.
+    fn export_cut(&mut self) -> Option<crate::state::MergeCut<P>> {
+        self.export_state().map(crate::state::MergeCut::from)
+    }
+
     /// Rebuild the operator's state from an image previously produced by
     /// [`export_state`](Self::export_state) on a *freshly constructed*
     /// operator of the same variant and configuration (policies are not

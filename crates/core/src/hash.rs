@@ -2,21 +2,23 @@
 //!
 //! Two formats need a checksum that is a pure function of its input bytes —
 //! identical across runs, processes, machines, and the two sides of a
-//! network connection:
+//! network connection — and both use the word-folded variant,
+//! [`fnv1a_words`]:
 //!
-//! * **wire-frame checksums** (`lmerge-net`, [`fnv1a`] / [`Fnv1a`]): every
-//!   frame crossing a socket carries an FNV-1a checksum of its header and
-//!   payload bytes, verified by the receiving side before the frame is
-//!   trusted;
-//! * **durable envelopes** (`lmerge-durable`, [`fnv1a_words`]): every
-//!   checkpoint file ends in the word-folded variant over its payload.
+//! * **wire-frame checksums** (`lmerge-net`): every frame crossing a socket
+//!   carries the checksum of its header and payload bytes, verified by the
+//!   receiving side before the frame is trusted;
+//! * **durable envelopes** (`lmerge-durable`): every checkpoint file ends
+//!   in the checksum of its payload.
 //!
-//! The canonical constants are pinned by the test vectors below, so a file
-//! written or a frame sent by one build checks out in the next.
+//! The byte-wise fold ([`fnv1a`], [`Fnv1a`]) digests test records (the
+//! golden merge digests). The canonical constants are pinned by the test
+//! vectors below, so a file written or a frame sent by one build checks
+//! out in the next.
 //!
 //! FNV-1a is not cryptographic — it detects corruption, nothing more. That
-//! is exactly the contract both call sites need, and it costs ~1 multiply
-//! per byte (per word, for envelopes) on the paths it serves.
+//! is exactly the contract both call sites need, and the word fold costs
+//! one multiply per eight bytes on the paths it serves.
 
 /// The FNV-1a 64-bit offset basis (the hash of the empty input).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -68,8 +70,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// bytes) folded singly: one multiply per word instead of one per byte.
 ///
 /// This is a *different function* from [`fnv1a`] (they agree only below
-/// eight bytes) and serves durable file envelopes, where whole images are
-/// summed; wire frames keep the byte-wise fold. Every step is
+/// eight bytes) and serves wire frames and durable file envelopes. Every
+/// step is
 /// `h -> (h ^ x) * PRIME`, a bijection of the state for fixed `x` and
 /// injective in `x` for fixed `h`, so two inputs of equal length that
 /// differ in exactly one word (or tail byte) never collide.
@@ -91,8 +93,8 @@ mod tests {
     use super::*;
 
     /// Canonical FNV-1a 64-bit test vectors (Noll's reference set). These
-    /// pin the exact function: the lmerge-net wire checksum breaks loudly
-    /// if the constants or the fold ever change.
+    /// pin the exact function: the golden digests break loudly if the
+    /// constants or the fold ever change.
     #[test]
     fn pinned_reference_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
@@ -102,7 +104,8 @@ mod tests {
 
     /// The word fold's own pinned vectors over prefixes of one string:
     /// below eight bytes it *is* the byte fold, from eight up it is not.
-    /// Durable files written by one build must open in the next.
+    /// Frames sent and durable files written by one build must check out
+    /// in the next.
     #[test]
     fn word_fold_pinned_vectors() {
         let s = b"0123456789abcdef";

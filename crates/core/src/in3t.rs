@@ -207,8 +207,24 @@ impl<P: Payload> In3t<P> {
         }
     }
 
-    /// Iterate every node in canonical `(Vs, payload)` order — the
-    /// checkpoint export walk, including nodes at `Vs = ∞`.
+    /// The index's share of a checkpoint cut (see `Tiers::export`).
+    pub(crate) fn export<E>(
+        &self,
+        changed_only: bool,
+        keys: &mut Vec<Time>,
+        entries: &mut Vec<E>,
+        entry: impl FnMut(Time, &P, &Node) -> E,
+    ) {
+        self.tiers.export(changed_only, keys, entries, entry);
+    }
+
+    /// Start the next cut.
+    pub(crate) fn clear_changed(&mut self) {
+        self.tiers.clear_changed();
+    }
+
+    /// Iterate every node in canonical `(Vs, payload)` order, including
+    /// nodes at `Vs = ∞`.
     pub fn iter_all(&self) -> impl Iterator<Item = (Time, &P, &Node)> + '_ {
         self.tiers.iter()
     }

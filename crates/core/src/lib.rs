@@ -68,6 +68,9 @@ pub use r3::LMergeR3;
 pub use r3_naive::LMergeR3Naive;
 pub use r4::LMergeR4;
 pub use select::{new_for_level, new_for_properties};
-pub use state::{CountersImage, InputStateImage, MergeStateImage, StateEntry, VariantKind};
+pub use state::{
+    CountersImage, IndexChanges, InputStateImage, MergeCut, MergeStateImage, StateEntry,
+    VariantKind,
+};
 pub use stats::{InputCounters, MergeStats, PerInput};
 pub use tier::SweepAction;

@@ -11,7 +11,7 @@
 use crate::in2t::{In2t, SweepAction};
 use crate::policy::{AdjustPolicy, InsertPolicy, MergePolicy, StablePolicy};
 use crate::shell::{Ctx, IndexedMerge, NodeKind};
-use crate::state::{MergeStateImage, StateEntry, VariantKind};
+use crate::state::{MergeCut, MergeStateImage, StateEntry, VariantKind};
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Event, Payload, StreamId, Time};
 
@@ -260,12 +260,15 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
         self.index.memory_bytes()
     }
 
-    fn export(&self, img: &mut MergeStateImage<P>) {
-        img.leader = self.leader.map(|s| s.0);
-        img.entries = self
-            .index
-            .iter_all()
-            .map(|(vs, payload, node)| {
+    fn export(&self, cut: &mut MergeCut<P>, changed_only: bool) {
+        cut.image.leader = self.leader.map(|s| s.0);
+        cut.entries = self.index.len();
+        let mut keys = Vec::new();
+        self.index.export(
+            changed_only,
+            &mut keys,
+            &mut cut.image.entries,
+            |vs, payload, node| {
                 let mut per_input: Vec<(u32, Vec<(Time, u64)>)> =
                     node.entries().map(|(s, ve)| (s.0, vec![(ve, 1)])).collect();
                 per_input.sort_by_key(|e| e.0);
@@ -275,8 +278,13 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
                     per_input,
                     output: node.output_ve().map(|v| vec![(v, 1)]).unwrap_or_default(),
                 }
-            })
-            .collect();
+            },
+        );
+        cut.tiers.push(keys);
+    }
+
+    fn clear_changed(&mut self) {
+        self.index.clear_changed();
     }
 
     fn restore(&mut self, img: MergeStateImage<P>) {

@@ -10,23 +10,23 @@
 //! input's index stores its own copy of every live payload) — the contrast
 //! Figures 2 and 7 measure.
 
-use crate::in2t::SweepAction;
 use crate::policy::RobustnessPolicy;
 use crate::shell::{Ctx, IndexedMerge, NodeKind};
-use crate::state::{MergeStateImage, StateEntry, VariantKind};
+use crate::state::{MergeCut, MergeStateImage, StateEntry, VariantKind};
+use crate::tier::{SweepAction, Tiers};
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Event, Payload, StreamId, Time};
-use std::collections::BTreeMap;
 
-/// One per-stream event index: `Vs → (Payload → Ve)`, payloads owned.
+/// One per-stream event index: `Vs → (Payload → Ve)`, payloads owned, on
+/// the tier map R3+ and R4 use.
 ///
 /// The inner tier is an ordered map (not a hash map) for the same reason as
 /// `in2t`: reconciliation sweeps iterate it and their emission order is
 /// consumer-visible, so iteration must be a pure function of contents for a
 /// checkpoint-restored index to replay byte-identically.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct EventIndex<P: Payload> {
-    map: BTreeMap<Time, BTreeMap<P, Time>>,
+    tiers: Tiers<P, Time>,
     payload_bytes: usize,
     entries: usize,
 }
@@ -34,19 +34,18 @@ struct EventIndex<P: Payload> {
 impl<P: Payload> EventIndex<P> {
     fn new() -> Self {
         EventIndex {
-            map: BTreeMap::new(),
+            tiers: Tiers::new(),
             payload_bytes: 0,
             entries: 0,
         }
     }
 
     fn get(&self, vs: Time, p: &P) -> Option<Time> {
-        self.map.get(&vs).and_then(|m| m.get(p)).copied()
+        self.tiers.get(vs, p).copied()
     }
 
     fn set(&mut self, vs: Time, p: &P, ve: Time) {
-        let m = self.map.entry(vs).or_default();
-        if m.insert(p.clone(), ve).is_none() {
+        if self.tiers.tier_mut(vs).insert(p.clone(), ve).is_none() {
             // Each index stores its own payload copy — the duplication that
             // makes LMR3− degrade linearly with the number of inputs.
             self.payload_bytes += p.heap_bytes();
@@ -55,32 +54,25 @@ impl<P: Payload> EventIndex<P> {
     }
 
     /// Visit every entry with `Vs < t` once, in `Vs` order, unlinking the
-    /// ones the visitor retires — the allocation-free replacement for
-    /// cloning the half-frozen prefix out and re-removing key by key.
+    /// ones the visitor retires. The visitor answers `Keep` or `Retire`, so
+    /// no tier is ever skipped.
     fn sweep_before<F>(&mut self, t: Time, mut visit: F)
     where
         F: FnMut(Time, &P, Time) -> SweepAction,
     {
         let EventIndex {
-            map,
+            tiers,
             payload_bytes,
             entries,
         } = self;
-        let mut emptied = false;
-        for (vs, m) in map.range_mut(..t) {
-            m.retain(|p, ve| match visit(*vs, p, *ve) {
-                SweepAction::Keep | SweepAction::KeepUntil(_) => true,
-                SweepAction::Retire => {
-                    *payload_bytes -= p.heap_bytes();
-                    *entries -= 1;
-                    false
-                }
-            });
-            emptied |= m.is_empty();
-        }
-        if emptied {
-            map.retain(|_, m| !m.is_empty());
-        }
+        tiers.sweep(
+            t,
+            |vs, p, ve| visit(vs, p, *ve),
+            |p, _| {
+                *payload_bytes -= p.heap_bytes();
+                *entries -= 1;
+            },
+        );
     }
 
     /// Purge entries fully frozen by `t` (both `vs` and recorded `ve` < `t`).
@@ -97,25 +89,28 @@ impl<P: Payload> EventIndex<P> {
     fn memory_bytes(&self) -> usize {
         const TIER_OVERHEAD: usize = 48;
         const ENTRY_OVERHEAD: usize = 32;
-        self.map.len() * TIER_OVERHEAD
+        self.tiers.len() * TIER_OVERHEAD
             + self.entries * (std::mem::size_of::<(P, Time)>() + ENTRY_OVERHEAD)
             + self.payload_bytes
     }
 
-    /// Export every `(Vs, payload, Ve)` entry in canonical order. The `Ve`
-    /// travels in the image entry's `output` field as a `(ve, 1)` bucket.
-    fn export(&self) -> Vec<StateEntry<P>> {
-        self.map
-            .iter()
-            .flat_map(|(vs, m)| {
-                m.iter().map(|(p, ve)| StateEntry {
-                    vs: *vs,
+    /// The index's share of a cut: its live tier keys onto `tiers`, and the
+    /// `(Vs, payload, Ve)` entries of its changed tiers (of all unless
+    /// `changed_only`) in canonical order. The `Ve` travels in the image
+    /// entry's `output` field as a `(ve, 1)` bucket.
+    fn export(&self, changed_only: bool, tiers: &mut Vec<Vec<Time>>) -> Vec<StateEntry<P>> {
+        let (mut keys, mut entries) = (Vec::new(), Vec::new());
+        self.tiers
+            .export(changed_only, &mut keys, &mut entries, |vs, p, ve| {
+                StateEntry {
+                    vs,
                     payload: p.clone(),
                     per_input: Vec::new(),
                     output: vec![(*ve, 1)],
-                })
-            })
-            .collect()
+                }
+            });
+        tiers.push(keys);
+        entries
     }
 
     /// Rebuild an index from exported entries.
@@ -207,26 +202,24 @@ impl<P: Payload> NodeKind<P> for NaiveKind<P> {
         let stats = &mut cx.books.stats;
         let out = &mut *cx.out;
         let driving = &self.per_input[cx.input.0 as usize];
-        for (vs, m) in driving.map.range(..t) {
-            for (p, in_ve) in m {
-                let (vs, in_ve) = (*vs, *in_ve);
-                match self.output.get(vs, p) {
-                    Some(o) if o != in_ve && (in_ve < t || o < t) && in_ve >= max_stable => {
-                        self.output.set(vs, p, in_ve);
-                        stats.adjusts_out += 1;
-                        out.push(Element::adjust(p.clone(), vs, o, in_ve));
-                    }
-                    // `in_ve == vs` is a deleted event: nothing to insert
-                    // (mirrors the R3 legality guard).
-                    None if in_ve != vs && vs >= max_stable => {
-                        // The driving input has an event the output never
-                        // carried (attach/detach churn).
-                        self.output.set(vs, p, in_ve);
-                        stats.inserts_out += 1;
-                        out.push(Element::insert(p.clone(), vs, in_ve));
-                    }
-                    _ => {}
+        for (vs, p, in_ve) in driving.tiers.iter_below(t) {
+            let in_ve = *in_ve;
+            match self.output.get(vs, p) {
+                Some(o) if o != in_ve && (in_ve < t || o < t) && in_ve >= max_stable => {
+                    self.output.set(vs, p, in_ve);
+                    stats.adjusts_out += 1;
+                    out.push(Element::adjust(p.clone(), vs, o, in_ve));
                 }
+                // `in_ve == vs` is a deleted event: nothing to insert
+                // (mirrors the R3 legality guard).
+                None if in_ve != vs && vs >= max_stable => {
+                    // The driving input has an event the output never
+                    // carried (attach/detach churn).
+                    self.output.set(vs, p, in_ve);
+                    stats.inserts_out += 1;
+                    out.push(Element::insert(p.clone(), vs, in_ve));
+                }
+                _ => {}
             }
         }
         // One output sweep deletes spurious events (the driving input lacks
@@ -249,7 +242,7 @@ impl<P: Payload> NodeKind<P> for NaiveKind<P> {
     }
 
     fn min_live_vs(&self) -> Option<Time> {
-        self.output.map.keys().next().copied()
+        self.output.tiers.min_vs()
     }
 
     fn attach(&mut self, allocated: usize) {
@@ -270,9 +263,23 @@ impl<P: Payload> NodeKind<P> for NaiveKind<P> {
             + self.output.memory_bytes()
     }
 
-    fn export(&self, img: &mut MergeStateImage<P>) {
-        img.entries = self.output.export();
-        img.input_indexes = self.per_input.iter().map(EventIndex::export).collect();
+    fn export(&self, cut: &mut MergeCut<P>, changed_only: bool) {
+        cut.entries =
+            self.output.entries + self.per_input.iter().map(|ix| ix.entries).sum::<usize>();
+        cut.image.entries = self.output.export(changed_only, &mut cut.tiers);
+        let indexes = self
+            .per_input
+            .iter()
+            .map(|ix| ix.export(changed_only, &mut cut.tiers))
+            .collect();
+        cut.image.input_indexes = indexes;
+    }
+
+    fn clear_changed(&mut self) {
+        self.output.tiers.clear_changed();
+        for ix in &mut self.per_input {
+            ix.tiers.clear_changed();
+        }
     }
 
     fn restore(&mut self, img: MergeStateImage<P>) {

@@ -11,7 +11,7 @@
 use crate::in3t::{In3t, Node};
 use crate::policy::RobustnessPolicy;
 use crate::shell::{Ctx, IndexedMerge, NodeKind};
-use crate::state::{MergeStateImage, StateEntry, VariantKind};
+use crate::state::{MergeCut, MergeStateImage, StateEntry, VariantKind};
 use crate::stats::MergeStats;
 use crate::tier::SweepAction;
 use lmerge_properties::RLevel;
@@ -284,11 +284,14 @@ impl<P: Payload> NodeKind<P> for R4Kind<P> {
         self.index.memory_bytes()
     }
 
-    fn export(&self, img: &mut MergeStateImage<P>) {
-        img.entries = self
-            .index
-            .iter_all()
-            .map(|(vs, payload, node)| StateEntry {
+    fn export(&self, cut: &mut MergeCut<P>, changed_only: bool) {
+        cut.entries = self.index.len();
+        let mut keys = Vec::new();
+        self.index.export(
+            changed_only,
+            &mut keys,
+            &mut cut.image.entries,
+            |vs, payload, node| StateEntry {
                 vs,
                 payload: payload.clone(),
                 per_input: node
@@ -299,8 +302,13 @@ impl<P: Payload> NodeKind<P> for R4Kind<P> {
                     })
                     .collect(),
                 output: node.output.iter().map(|(&ve, &c)| (ve, c as u64)).collect(),
-            })
-            .collect();
+            },
+        );
+        cut.tiers.push(keys);
+    }
+
+    fn clear_changed(&mut self) {
+        self.index.clear_changed();
     }
 
     fn restore(&mut self, img: MergeStateImage<P>) {

@@ -19,7 +19,7 @@
 use crate::api::{BatchMeta, LogicalMerge};
 use crate::inputs::{InputState, Inputs};
 use crate::policy::RobustnessPolicy;
-use crate::state::{MergeStateImage, VariantKind};
+use crate::state::{MergeCut, MergeStateImage, VariantKind};
 use crate::stats::{MergeStats, PerInput};
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Event, Payload, StreamId, Time};
@@ -228,8 +228,13 @@ pub trait NodeKind<P: Payload> {
     /// Estimated bytes of the index.
     fn memory_bytes(&self) -> usize;
 
-    /// Write the index into `img` in canonical order.
-    fn export(&self, img: &mut MergeStateImage<P>);
+    /// Write the index into `cut`: the variant's scalars, each entry
+    /// index's live tier keys, the entries of its changed tiers (of every
+    /// tier unless `changed_only`) in canonical order, and the entry count.
+    fn export(&self, cut: &mut MergeCut<P>, changed_only: bool);
+
+    /// Start the next cut: no tier has changed since this one.
+    fn clear_changed(&mut self);
 
     /// Rebuild the index from an image [`export`](NodeKind::export) wrote.
     fn restore(&mut self, img: MergeStateImage<P>);
@@ -262,6 +267,20 @@ impl<P: Payload, K: NodeKind<P>> IndexedMerge<P, K> {
             robustness,
             _payload: PhantomData,
         }
+    }
+
+    /// The one export: the books and the kind's index, of the changed
+    /// tiers or of all of them.
+    fn cut(&self, changed_only: bool) -> MergeCut<P> {
+        let mut image = self.books.image(K::VARIANT);
+        image.live_entries = self.live.0.clone();
+        let mut cut = MergeCut {
+            image,
+            tiers: Vec::new(),
+            entries: 0,
+        };
+        self.kind.export(&mut cut, changed_only);
+        cut
     }
 
     /// Hand one gated data element to the kind.
@@ -410,10 +429,13 @@ impl<P: Payload, K: NodeKind<P>> LogicalMerge<P> for IndexedMerge<P, K> {
     }
 
     fn export_state(&self) -> Option<MergeStateImage<P>> {
-        let mut img = self.books.image(K::VARIANT);
-        img.live_entries = self.live.0.clone();
-        self.kind.export(&mut img);
-        Some(img)
+        Some(self.cut(false).image)
+    }
+
+    fn export_cut(&mut self) -> Option<MergeCut<P>> {
+        let cut = self.cut(true);
+        self.kind.clear_changed();
+        Some(cut)
     }
 
     fn restore_state(&mut self, mut image: MergeStateImage<P>) -> bool {

@@ -16,6 +16,7 @@
 //! against a never-killed one at the trace level.
 
 use lmerge_temporal::{Payload, Time};
+use std::cmp::Ordering;
 
 /// Which variant of the spectrum produced an image. Restore refuses an
 /// image from a different variant: the per-variant invariants (what the
@@ -153,7 +154,48 @@ impl<P: Payload> MergeStateImage<P> {
     /// the "how much state would we persist" figure behind the checkpoint
     /// metrics.
     pub fn total_entries(&self) -> usize {
-        self.entries.len() + self.input_indexes.iter().map(Vec::len).sum::<usize>()
+        self.indexes().map(Vec::len).sum()
+    }
+
+    /// Every entry index: the shared entries, then the per-input indexes.
+    pub fn indexes(&self) -> impl Iterator<Item = &Vec<StateEntry<P>>> + '_ {
+        std::iter::once(&self.entries).chain(&self.input_indexes)
+    }
+
+    /// Mutable counterpart of [`indexes`](MergeStateImage::indexes) — same
+    /// order.
+    pub fn indexes_mut(&mut self) -> impl Iterator<Item = &mut Vec<StateEntry<P>>> + '_ {
+        std::iter::once(&mut self.entries).chain(&mut self.input_indexes)
+    }
+
+    /// Fold `cut` into this image, which holds the state of the previous
+    /// cut (or anything, if every tier of `cut` changed — a merge's first
+    /// cut after it was built or restored): the image becomes the state at
+    /// `cut`. Returns, per entry index, what changed.
+    ///
+    /// Only the changed tiers are compared; an unchanged tier's entries
+    /// are moved across, and a tier whose key is gone is removed whole.
+    pub fn fold(&mut self, cut: MergeCut<P>) -> Vec<IndexChanges> {
+        let MergeCut {
+            image: mut next,
+            tiers,
+            ..
+        } = cut;
+        debug_assert_eq!(tiers.len(), next.indexes().count(), "a key list per index");
+        let mut olds: Vec<Vec<StateEntry<P>>> = self.indexes_mut().map(std::mem::take).collect();
+        olds.resize_with(tiers.len(), Vec::new);
+        let changes = next
+            .indexes_mut()
+            .zip(olds)
+            .zip(&tiers)
+            .map(|((slot, old), keys)| {
+                let (folded, changes) = fold_index(old, keys, std::mem::take(slot));
+                *slot = folded;
+                changes
+            })
+            .collect();
+        *self = next;
+        changes
     }
 
     /// An image of `kind` pre-filled with the state every variant shares:
@@ -193,6 +235,117 @@ impl<P: Payload> MergeStateImage<P> {
         per_input.restore_counters(&self.counters);
         crate::stats::MergeStats::from_tuple(self.stats)
     }
+}
+
+/// What a merge changed since its previous cut (see the module docs).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MergeCut<P> {
+    /// Every scalar of the image in full; its entry indexes hold only the
+    /// entries of the tiers that changed.
+    pub image: MergeStateImage<P>,
+    /// Per entry index, in [`MergeStateImage::indexes`] order: the `Vs` of
+    /// every live tier, ascending. A tier absent here is gone.
+    pub tiers: Vec<Vec<Time>>,
+    /// Entries across every index at the cut: the full image's
+    /// [`total_entries`](MergeStateImage::total_entries).
+    pub entries: usize,
+}
+
+impl<P: Payload> From<MergeStateImage<P>> for MergeCut<P> {
+    /// The cut of a whole image: every tier changed.
+    fn from(image: MergeStateImage<P>) -> MergeCut<P> {
+        let tiers = image
+            .indexes()
+            .map(|index| {
+                let mut keys: Vec<Time> = index.iter().map(|e| e.vs).collect();
+                keys.dedup();
+                keys
+            })
+            .collect();
+        MergeCut {
+            entries: image.total_entries(),
+            tiers,
+            image,
+        }
+    }
+}
+
+/// One entry index's changes over a [`MergeStateImage::fold`]: what a
+/// delta file records of it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct IndexChanges {
+    /// Ordinals, in the index before the fold, of the entries it lost;
+    /// ascending.
+    pub removed: Vec<u32>,
+    /// Positions, in the index after the fold, of the entries that are new
+    /// or changed; ascending.
+    pub upserted: Vec<u32>,
+}
+
+/// Fold one index: `old` as of the previous cut, the live tier `keys` and
+/// the `changed` tiers' entries, both in canonical order.
+fn fold_index<P: Payload>(
+    old: Vec<StateEntry<P>>,
+    keys: &[Time],
+    changed: Vec<StateEntry<P>>,
+) -> (Vec<StateEntry<P>>, IndexChanges) {
+    let mut out = Vec::with_capacity(old.len().max(changed.len()));
+    let mut ch = IndexChanges::default();
+    let mut old = old.into_iter().enumerate().peekable();
+    let mut new = changed.into_iter().peekable();
+    let upsert = |out: &mut Vec<StateEntry<P>>, ch: &mut IndexChanges, e| {
+        ch.upserted.push(out.len() as u32);
+        out.push(e);
+    };
+    for &vs in keys {
+        // Old tiers below `vs` are gone.
+        while let Some((i, _)) = old.next_if(|(_, e)| e.vs < vs) {
+            ch.removed.push(i as u32);
+        }
+        if new.peek().is_none_or(|e| e.vs != vs) {
+            // Unchanged: its entries move across as they are.
+            while let Some((_, e)) = old.next_if(|(_, e)| e.vs == vs) {
+                out.push(e);
+            }
+            continue;
+        }
+        // Changed: merge-walk its old and new entries by payload.
+        loop {
+            let o = old.peek().filter(|(_, e)| e.vs == vs);
+            let n = new.peek().filter(|e| e.vs == vs);
+            let order = match (o, n) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some((_, o)), Some(n)) => o.payload.cmp(&n.payload),
+            };
+            match order {
+                Ordering::Less => {
+                    let (i, _) = old.next().expect("peeked");
+                    ch.removed.push(i as u32);
+                }
+                Ordering::Greater => {
+                    let e = new.next().expect("peeked");
+                    upsert(&mut out, &mut ch, e);
+                }
+                Ordering::Equal => {
+                    let (_, o) = old.next().expect("peeked");
+                    let n = new.next().expect("peeked");
+                    if o.per_input == n.per_input && o.output == n.output {
+                        out.push(o);
+                    } else {
+                        upsert(&mut out, &mut ch, n);
+                    }
+                }
+            }
+        }
+    }
+    ch.removed.extend(old.map(|(i, _)| i as u32));
+    // Entries under no live key (a malformed cut) are kept, not lost.
+    for e in new {
+        upsert(&mut out, &mut ch, e);
+    }
+    (out, ch)
 }
 
 #[cfg(test)]

@@ -10,6 +10,12 @@
 //! and every path that hands out mutable access to a tier's nodes resets it
 //! to −∞ first, so a stale promise cannot survive a change: skipping is an
 //! optimisation of *which tiers are walked*, never of what a walk does.
+//!
+//! Every tier also carries a **changed** bit: set on the same paths that
+//! reset the due bound, on every tier a sweep walks and on a removal the
+//! tier survives, and cleared by [`Tiers::clear_changed`]. A checkpoint cut
+//! exports the entries of the changed tiers and the keys of all live ones
+//! ([`Tiers::export`]), so an unchanged tier costs a key, not its entries.
 
 use lmerge_temporal::Time;
 use std::collections::BTreeMap;
@@ -32,12 +38,23 @@ pub enum SweepAction {
 /// key (key, the inner map's header, node headers/edges) plus the due bound.
 pub(crate) const TIER_OVERHEAD: usize = 48 + std::mem::size_of::<Time>();
 
-/// One `Vs` tier: its nodes by payload, and the tier's due bound.
+/// One `Vs` tier: its nodes by payload, the tier's due bound and whether
+/// it changed since the last cut.
 #[derive(Debug)]
 struct Tier<P, N> {
     nodes: BTreeMap<P, N>,
     /// No sweep at `t ≤ due` has anything to do here. −∞ = "unknown".
     due: Time,
+    changed: bool,
+}
+
+impl<P, N> Tier<P, N> {
+    /// Someone may change the tier's nodes: its bound is unknown and its
+    /// entries go into the next cut.
+    fn touch(&mut self) {
+        self.due = Time::MIN;
+        self.changed = true;
+    }
 }
 
 /// The ordered tier map. Iteration order is `(Vs, payload)` — a pure
@@ -74,6 +91,7 @@ impl<P: Ord, N> Tiers<P, N> {
         let tier = self.map.get_mut(&vs)?;
         let node = tier.nodes.get_mut(payload)?;
         tier.due = Time::MIN;
+        tier.changed = true;
         Some(node)
     }
 
@@ -82,8 +100,9 @@ impl<P: Ord, N> Tiers<P, N> {
         let tier = self.map.entry(vs).or_insert_with(|| Tier {
             nodes: BTreeMap::new(),
             due: Time::MIN,
+            changed: true,
         });
-        tier.due = Time::MIN;
+        tier.touch();
         &mut tier.nodes
     }
 
@@ -92,6 +111,7 @@ impl<P: Ord, N> Tiers<P, N> {
     pub(crate) fn remove(&mut self, vs: Time, payload: &P) -> Option<N> {
         let tier = self.map.get_mut(&vs)?;
         let node = tier.nodes.remove(payload);
+        tier.changed |= node.is_some();
         if tier.nodes.is_empty() {
             self.map.remove(&vs);
         }
@@ -110,10 +130,17 @@ impl<P: Ord, N> Tiers<P, N> {
             .flat_map(|(vs, t)| t.nodes.iter().map(move |(p, n)| (*vs, p, n)))
     }
 
+    /// Every node with `Vs < t`, in canonical order.
+    pub(crate) fn iter_below(&self, t: Time) -> impl Iterator<Item = (Time, &P, &N)> + '_ {
+        self.map
+            .range(..t)
+            .flat_map(|(vs, t)| t.nodes.iter().map(move |(p, n)| (*vs, p, n)))
+    }
+
     /// Every node, mutably; every tier is marked due.
     pub(crate) fn nodes_mut(&mut self) -> impl Iterator<Item = &mut N> + '_ {
         self.map.values_mut().flat_map(|t| {
-            t.due = Time::MIN;
+            t.touch();
             t.nodes.values_mut()
         })
     }
@@ -122,7 +149,36 @@ impl<P: Ord, N> Tiers<P, N> {
     /// index changed what a sweep would do (an input attached).
     pub(crate) fn mark_all_due(&mut self) {
         for t in self.map.values_mut() {
-            t.due = Time::MIN;
+            t.touch();
+        }
+    }
+
+    /// One index's share of a cut: push every live tier's `Vs` onto `keys`
+    /// and, for the changed tiers (all tiers unless `changed_only`), each
+    /// node's `entry` onto `entries` — both in canonical order.
+    pub(crate) fn export<E>(
+        &self,
+        changed_only: bool,
+        keys: &mut Vec<Time>,
+        entries: &mut Vec<E>,
+        mut entry: impl FnMut(Time, &P, &N) -> E,
+    ) {
+        keys.reserve(self.map.len());
+        for (&vs, tier) in &self.map {
+            if tier.nodes.is_empty() {
+                continue;
+            }
+            keys.push(vs);
+            if tier.changed || !changed_only {
+                entries.extend(tier.nodes.iter().map(|(p, n)| entry(vs, p, n)));
+            }
+        }
+    }
+
+    /// Forget what changed: the cut that read it has been taken.
+    pub(crate) fn clear_changed(&mut self) {
+        for t in self.map.values_mut() {
+            t.changed = false;
         }
     }
 
@@ -143,6 +199,7 @@ impl<P: Ord, N> Tiers<P, N> {
             if tier.due >= t {
                 continue;
             }
+            tier.changed = true;
             let mut due = Time::INFINITY;
             tier.nodes
                 .retain(|payload, node| match visit(*vs, payload, node) {
@@ -264,6 +321,76 @@ mod tests {
         assert!(t.get_mut(Time(1), &"Z").is_none());
         assert!(t.get_mut(Time(7), &"A").is_none());
         assert!(settle(&mut t, 11, 100).is_empty());
+    }
+
+    /// `(keys, changed entries)` of a cut.
+    fn cut(t: &Tiers<&'static str, i64>) -> (Vec<i64>, Vec<(i64, &'static str)>) {
+        let (mut keys, mut entries) = (Vec::new(), Vec::new());
+        t.export(true, &mut keys, &mut entries, |vs, p, _| (vs.0, *p));
+        (keys.into_iter().map(|k| k.0).collect(), entries)
+    }
+
+    #[test]
+    fn a_cut_holds_every_key_and_the_changed_tiers_entries() {
+        type Touch = fn(&mut Tiers<&'static str, i64>);
+        let touches: [(&str, Touch, &[i64]); 7] = [
+            ("get_mut", |t| *t.get_mut(Time(2), &"B").unwrap() += 1, &[2]),
+            (
+                "tier_mut",
+                |t| {
+                    t.tier_mut(Time(2)).insert("Z", 0);
+                },
+                &[2],
+            ),
+            (
+                "nodes_mut",
+                |t| t.nodes_mut().for_each(|n| *n += 1),
+                &[1, 2, 3],
+            ),
+            ("mark_all_due", |t| t.mark_all_due(), &[1, 2, 3]),
+            (
+                "remove",
+                |t| {
+                    t.remove(Time(2), &"B");
+                },
+                &[2],
+            ),
+            (
+                "a miss",
+                |t| assert!(t.get_mut(Time(2), &"Q").is_none()),
+                &[],
+            ),
+            (
+                "sweep",
+                |t| {
+                    settle(t, 3, 100);
+                },
+                &[1, 2],
+            ),
+        ];
+        for (name, touch, changed) in touches {
+            let mut t = tiers(&[(1, "A"), (2, "B"), (2, "C"), (3, "D")]);
+            assert_eq!(cut(&t).1.len(), 4, "{name}: fresh tiers changed");
+            t.clear_changed();
+            assert_eq!(cut(&t), (vec![1, 2, 3], vec![]), "{name}: cleared");
+            touch(&mut t);
+            let (keys, entries) = cut(&t);
+            assert_eq!(keys, vec![1, 2, 3], "{name}: every live key");
+            let mut tiers: Vec<i64> = entries.iter().map(|e| e.0).collect();
+            tiers.dedup();
+            assert_eq!(tiers, changed, "{name}");
+            let all = t
+                .iter()
+                .filter(|(vs, _, _)| changed.contains(&vs.0))
+                .count();
+            assert_eq!(entries.len(), all, "{name}: a changed tier whole");
+        }
+        // A sweep skips a settled tier, and leaves it unchanged.
+        let mut t = tiers(&[(1, "A")]);
+        settle(&mut t, 10, 100);
+        t.clear_changed();
+        assert!(settle(&mut t, 11, 100).is_empty());
+        assert!(cut(&t).1.is_empty());
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! torn checkpoint — at worst a stray temp file, cleared on the next open.
 //! A delta stores the executor image and the merge image's scalars in full
 //! (they are tiny) plus, for each index in a fixed order (shared entries,
-//! then per-input indexes), what a sorted merge-walk over the canonical
-//! `(Vs, payload)` order finds changed: a removed key as its `u32`
+//! then per-input indexes), what changed: a removed key as its `u32`
 //! *ordinal* in the previous index
 //! (both sides hold it, in the same order — a 1 KB payload is not written
-//! again to say it is gone), an inserted-or-changed entry in full.
-//! Applying a delta is the same walk.
+//! again to say it is gone), an inserted-or-changed entry in full. The
+//! store finds the changes by folding a cut — the index tiers the merge
+//! changed since its previous cut — into the previous image
+//! ([`RunImage::fold`]); applying a delta is a linear walk over the
+//! previous image.
 //!
 //! [`CheckpointStore::load_latest`] restores the newest snapshot and
 //! replays the deltas after it — defensively: a torn or missing file costs
@@ -35,15 +37,15 @@
 //! [`CheckpointStore`] is synchronous; [`DurableCheckpointSink`] puts it
 //! on a writer thread, one cut behind the run at most (see there).
 
-use crate::codec::{envelope, open_envelope, put_count, Cursor, DurableError, FileKind};
+use crate::codec::{begin, open_envelope, put_count, seal, Cursor, DurableError, FileKind};
 use crate::fsutil::{remove_temp_files, write_atomic, DirHandle};
 use crate::image::{
     get_egress_image, get_entry, get_exec_image, get_merge_image, get_run_image, put_egress_image,
     put_entry, put_exec_image, put_merge_skeleton, put_run_image,
 };
 use crate::payload::DurablePayload;
-use lmerge_core::{MergeStateImage, StateEntry};
-use lmerge_engine::{CheckpointSave, CheckpointSink, EgressImage, RunImage};
+use lmerge_core::{IndexChanges, MergeStateImage, StateEntry};
+use lmerge_engine::{CheckpointSave, CheckpointSink, EgressImage, RunCut, RunImage};
 use lmerge_obs::{CheckpointMetrics, MetricsRegistry};
 use lmerge_temporal::Time;
 use std::path::{Path, PathBuf};
@@ -55,68 +57,17 @@ use std::time::Instant;
 /// snapshot. Bounds recovery replay work.
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 4;
 
-/// One index's changes between two checkpoints. `E` is `&StateEntry` on
-/// the encoding side (nothing is cloned to diff) and `StateEntry` on the
-/// decoding side.
+/// One index's changes as a delta file holds them, decoded.
 #[derive(Debug, PartialEq, Eq)]
-struct IndexDiff<E> {
+struct IndexDiff<P> {
     /// Ordinals in the old index of the keys absent now, ascending.
     removed: Vec<u32>,
     /// Entries new or changed (full replacement value), in key order.
-    upserts: Vec<E>,
-}
-
-/// Collect references to every entry index of an image: shared entries,
-/// then per-input indexes.
-fn indexes<P>(img: &MergeStateImage<P>) -> Vec<&Vec<StateEntry<P>>> {
-    std::iter::once(&img.entries)
-        .chain(&img.input_indexes)
-        .collect()
-}
-
-/// Mutable counterpart of [`indexes`] — same order.
-fn indexes_mut<P>(img: &mut MergeStateImage<P>) -> Vec<&mut Vec<StateEntry<P>>> {
-    std::iter::once(&mut img.entries)
-        .chain(&mut img.input_indexes)
-        .collect()
+    upserts: Vec<StateEntry<P>>,
 }
 
 fn key<P>(e: &StateEntry<P>) -> (Time, &P) {
     (e.vs, &e.payload)
-}
-
-/// Sorted merge-walk over two canonical indexes, producing the diff.
-fn diff_index<'a, P: DurablePayload>(
-    old: &[StateEntry<P>],
-    new: &'a [StateEntry<P>],
-) -> IndexDiff<&'a StateEntry<P>> {
-    let mut diff = IndexDiff {
-        removed: Vec::new(),
-        upserts: Vec::new(),
-    };
-    let (mut i, mut j) = (0, 0);
-    while i < old.len() && j < new.len() {
-        match key(&old[i]).cmp(&key(&new[j])) {
-            std::cmp::Ordering::Less => {
-                diff.removed.push(i as u32);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                diff.upserts.push(&new[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                if old[i] != new[j] {
-                    diff.upserts.push(&new[j]);
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    diff.removed.extend(i as u32..old.len() as u32);
-    diff.upserts.extend(&new[j..]);
-    diff
 }
 
 /// Apply a diff to the index it was taken against, yielding the new
@@ -125,7 +76,7 @@ fn diff_index<'a, P: DurablePayload>(
 /// range, upserts in key order).
 fn apply_diff<P: DurablePayload>(
     base: Vec<StateEntry<P>>,
-    diff: IndexDiff<StateEntry<P>>,
+    diff: IndexDiff<P>,
 ) -> Vec<StateEntry<P>> {
     let mut out = Vec::with_capacity(base.len() + diff.upserts.len() - diff.removed.len());
     let mut removed = diff.removed.into_iter().peekable();
@@ -150,7 +101,7 @@ fn apply_diff<P: DurablePayload>(
 fn get_index_diff<P: DurablePayload>(
     cur: &mut Cursor<'_>,
     base_len: usize,
-) -> Result<IndexDiff<StateEntry<P>>, DurableError> {
+) -> Result<IndexDiff<P>, DurableError> {
     let n = cur.count(4)?;
     let mut removed = Vec::with_capacity(n);
     for _ in 0..n {
@@ -210,9 +161,9 @@ impl Chain {
 }
 
 fn encode_snapshot<P: DurablePayload>(image: &RunImage<P>) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_run_image(&mut payload, image);
-    envelope(FileKind::Snapshot, &payload)
+    let mut file = begin(FileKind::Snapshot);
+    put_run_image(&mut file, image);
+    seal(file)
 }
 
 /// Encode `new` as a delta file extending checkpoint `base_seq`, whose
@@ -222,34 +173,43 @@ pub fn encode_delta<P: DurablePayload>(
     base: &RunImage<P>,
     new: &RunImage<P>,
 ) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&base_seq.to_le_bytes());
-    put_exec_image(&mut payload, &new.exec);
-    put_count(&mut payload, new.cursors.len());
-    for (next_seq, acked) in &new.cursors {
-        payload.extend_from_slice(&next_seq.to_le_bytes());
-        payload.extend_from_slice(&acked.to_le_bytes());
+    let mut image = base.clone();
+    let changes = image.fold(new.clone().into());
+    delta_file(base_seq, &image, &changes)
+}
+
+/// The delta file extending checkpoint `base_seq` to `image`, given what a
+/// [`RunImage::fold`] into `image` reported changed.
+fn delta_file<P: DurablePayload>(
+    base_seq: u64,
+    image: &RunImage<P>,
+    changes: &[IndexChanges],
+) -> Vec<u8> {
+    let mut file = begin(FileKind::Delta);
+    file.extend_from_slice(&base_seq.to_le_bytes());
+    put_exec_image(&mut file, &image.exec);
+    put_count(&mut file, image.cursors.len());
+    for (next_seq, acked) in &image.cursors {
+        file.extend_from_slice(&next_seq.to_le_bytes());
+        file.extend_from_slice(&acked.to_le_bytes());
     }
     // The egress image is stored in full: its retained tail is already a
     // compact byte log bounded by the subscribers' acked cursors.
-    put_egress_image(&mut payload, &new.egress);
-    put_merge_skeleton(&mut payload, &new.merge);
-    let old_idx = indexes(&base.merge);
-    let new_idx = indexes(&new.merge);
-    debug_assert_eq!(old_idx.len(), new_idx.len());
-    put_count(&mut payload, new_idx.len());
-    for (old, new) in old_idx.iter().zip(&new_idx) {
-        let diff = diff_index(old, new);
-        put_count(&mut payload, diff.removed.len());
-        for ordinal in &diff.removed {
-            payload.extend_from_slice(&ordinal.to_le_bytes());
+    put_egress_image(&mut file, &image.egress);
+    put_merge_skeleton(&mut file, &image.merge);
+    debug_assert_eq!(changes.len(), image.merge.indexes().count());
+    put_count(&mut file, changes.len());
+    for (index, ch) in image.merge.indexes().zip(changes) {
+        put_count(&mut file, ch.removed.len());
+        for ordinal in &ch.removed {
+            file.extend_from_slice(&ordinal.to_le_bytes());
         }
-        put_count(&mut payload, diff.upserts.len());
-        for e in &diff.upserts {
-            put_entry(&mut payload, e);
+        put_count(&mut file, ch.upserted.len());
+        for &at in &ch.upserted {
+            put_entry(&mut file, &index[at as usize]);
         }
     }
-    envelope(FileKind::Delta, &payload)
+    seal(file)
 }
 
 /// Decode a delta payload that must extend checkpoint `base_seq` and apply
@@ -276,12 +236,11 @@ pub fn apply_delta<P: DurablePayload>(
     if shape(&merge) != shape(&image.merge) {
         return Err(DurableError::Corrupt("delta structure mismatch"));
     }
-    let base_idx = indexes(&image.merge);
-    if cur.count(8)? != base_idx.len() {
+    if cur.count(8)? != image.merge.indexes().count() {
         return Err(DurableError::Corrupt("delta index count mismatch"));
     }
-    let mut diffs = Vec::with_capacity(base_idx.len());
-    for old in base_idx {
+    let mut diffs = Vec::new();
+    for old in image.merge.indexes() {
         diffs.push(get_index_diff::<P>(&mut cur, old.len())?);
     }
     if !cur.is_empty() {
@@ -289,8 +248,8 @@ pub fn apply_delta<P: DurablePayload>(
     }
     // Infallible from here: move the base's entries through the diffs
     // into the decoded skeleton, then replace the image by it.
-    let olds = indexes_mut(&mut image.merge);
-    for ((slot, old), diff) in indexes_mut(&mut merge).into_iter().zip(olds).zip(diffs) {
+    let olds = image.merge.indexes_mut();
+    for ((slot, old), diff) in merge.indexes_mut().zip(olds).zip(diffs) {
         *slot = apply_diff(std::mem::take(old), diff);
     }
     *image = RunImage {
@@ -416,30 +375,37 @@ impl<P: DurablePayload> CheckpointStore<P> {
 
     /// Persist one image. Returns `(seq, was_delta)`.
     pub fn save(&mut self, image: &RunImage<P>) -> Result<(u64, bool), DurableError> {
-        self.save_owned(image.clone())
+        self.save_cut(image.clone().into())
             .map(|(seq, delta, _)| (seq, delta))
     }
 
-    /// [`save`](CheckpointStore::save) for a caller that is done with the
-    /// image: it *becomes* the next delta's base instead of being cloned
-    /// into it. Returns `(seq, was_delta, file bytes)`.
-    pub(crate) fn save_owned(
-        &mut self,
-        image: RunImage<P>,
-    ) -> Result<(u64, bool, usize), DurableError> {
+    /// Persist one cut: fold it into the delta base, then write the base
+    /// as a snapshot or what the fold changed as a delta. Returns `(seq,
+    /// was_delta, file bytes)`. A failed write leaves the base at the cut
+    /// and makes the next save a snapshot.
+    pub(crate) fn save_cut(&mut self, cut: RunCut<P>) -> Result<(u64, bool, usize), DurableError> {
         let mut chain = self.chain.clone();
-        let (seq, delta) = chain.advance(shape(&image.merge));
-        let bytes = match &self.base {
-            Some(base) if delta => encode_delta(seq - 1, base, &image),
-            _ => encode_snapshot(&image),
+        let (seq, delta) = chain.advance(shape(&cut.merge.image));
+        // Without a base the chain is at its start: a snapshot.
+        let (base, changes) = match self.base.take() {
+            Some(mut base) => {
+                let changes = base.fold(cut);
+                (base, changes)
+            }
+            None => (cut.into_image(), Vec::new()),
         };
-        write_atomic(
-            &self.dir_handle,
-            &self.dir.join(file_name(seq, delta)),
-            &bytes,
-        )?;
+        let bytes = if delta {
+            delta_file(seq - 1, &base, &changes)
+        } else {
+            encode_snapshot(&base)
+        };
+        self.base = Some(base);
+        let path = self.dir.join(file_name(seq, delta));
+        if let Err(e) = write_atomic(&self.dir_handle, &path, &bytes) {
+            self.chain.base_shape = None;
+            return Err(e);
+        }
         self.chain = chain;
-        self.base = Some(image);
         Ok((seq, delta, bytes.len()))
     }
 
@@ -558,9 +524,9 @@ impl<P: DurablePayload> CheckpointStore<P> {
     }
 }
 
-/// One cut on its way to the writer: the image, the `(seq, delta)` the
-/// sink answered for it, and when it was handed over.
-type Job<P> = (RunImage<P>, (u64, bool), Instant);
+/// One cut on its way to the writer: the cut, the `(seq, delta)` the sink
+/// answered for it, and when it was handed over.
+type Job<P> = (RunCut<P>, (u64, bool), Instant);
 
 /// The writer thread and the sink's two ends of its depth-one hand-off.
 struct Writer<P: DurablePayload> {
@@ -581,8 +547,8 @@ impl<P: DurablePayload> Writer<P> {
         let thread = std::thread::Builder::new()
             .name("lmerge-ckpt".into())
             .spawn(move || {
-                for (image, told, handed_off) in inbox {
-                    let result = store.save_owned(image).map(|(seq, delta, bytes)| {
+                for (cut, told, handed_off) in inbox {
+                    let result = store.save_cut(cut).map(|(seq, delta, bytes)| {
                         debug_assert_eq!((seq, delta), told, "the cut's answer is the writer's");
                         metrics.bytes.add(bytes as u64);
                     });
@@ -612,8 +578,9 @@ impl<P: DurablePayload> Writer<P> {
 /// kill switch).
 ///
 /// `save` is the *cut*: it polls the cursor sources, decides `(seq,
-/// delta)` and hands the image to a writer thread (started at the first
-/// cut, joined by `finish`) that owns the store and does the I/O. The
+/// delta)` and hands the cut to a writer thread (started at the first
+/// cut, joined by `finish`) that owns the store, folds the cut into its
+/// base and does the I/O. The
 /// hand-off has depth one — `save` first waits for the previous cut to be
 /// durable — and a halting `save` also waits for its own. I/O errors are
 /// recorded, not panicked: they surface one cut late, after which the sink
@@ -627,7 +594,6 @@ pub struct DurableCheckpointSink<P: DurablePayload> {
     chain: Chain,
     last_stable: Time,
     halt_at: Option<u64>,
-    cursors: Vec<(u64, i64)>,
     cursor_source: Option<CursorSource>,
     egress_source: Option<EgressSource>,
     metrics: CheckpointMetrics,
@@ -663,7 +629,6 @@ impl<P: DurablePayload> DurableCheckpointSink<P> {
             writer: None,
             last_stable,
             halt_at: None,
-            cursors: Vec::new(),
             cursor_source: None,
             egress_source: None,
             metrics: CheckpointMetrics::new(&MetricsRegistry::new()),
@@ -677,12 +642,6 @@ impl<P: DurablePayload> DurableCheckpointSink<P> {
     pub fn halt_after(mut self, seq: u64) -> DurableCheckpointSink<P> {
         self.halt_at = Some(seq);
         self
-    }
-
-    /// Attach transport resume cursors to every saved image (networked
-    /// runs refresh these from the ingest sessions before each save).
-    pub fn set_cursors(&mut self, cursors: Vec<(u64, i64)>) {
-        self.cursors = cursors;
     }
 
     /// Poll `source` for fresh transport cursors at every save — the live
@@ -758,26 +717,24 @@ impl<P: DurablePayload> CheckpointSink<P> for DurableCheckpointSink<P> {
         }
     }
 
-    fn save(&mut self, mut image: RunImage<P>) -> Option<CheckpointSave> {
-        if let Some(source) = &self.cursor_source {
-            self.cursors = source();
-        }
-        if image.cursors.is_empty() && !self.cursors.is_empty() {
-            image.cursors = self.cursors.clone();
-            // A transport cursor counts frames the merge side *popped*
-            // from its ingest ring, but the executor offers the cut with
-            // each input's next batch already staged — popped, yet absent
-            // from the merge image. Persist the delivered prefix instead:
-            // drop the staged frame from the count, so a restored server's
-            // resume handshake replays it rather than skipping it.
-            for (i, cursor) in image.cursors.iter_mut().enumerate() {
-                if image.exec.staged.get(i).is_some_and(Option::is_some) {
+    fn save(&mut self, mut cut: RunCut<P>) -> Option<CheckpointSave> {
+        let cursors = self.cursor_source.as_ref().map(|source| source());
+        if let Some(cursors) = cursors.filter(|c| !c.is_empty() && cut.cursors.is_empty()) {
+            cut.cursors = cursors;
+            // A transport cursor counts frames the merge side has taken
+            // from its input, but the executor offers the cut with each
+            // input's next batch already staged — taken, yet absent from
+            // the merge cut. Persist the delivered prefix instead: drop the
+            // staged frame from the count, so a restored server's resume
+            // handshake replays it rather than skipping it.
+            for (i, cursor) in cut.cursors.iter_mut().enumerate() {
+                if cut.exec.staged.get(i).is_some_and(Option::is_some) {
                     cursor.0 = cursor.0.saturating_sub(1);
                 }
             }
         }
         if let Some(source) = &self.egress_source {
-            image.egress = source();
+            cut.egress = source();
         }
         // Depth one: the previous cut is durable (or has failed, which
         // ends checkpointing) before this one is handed over.
@@ -785,7 +742,7 @@ impl<P: DurablePayload> CheckpointSink<P> for DurableCheckpointSink<P> {
         if self.error.is_some() {
             return None;
         }
-        let (seq, delta) = self.chain.advance(shape(&image.merge));
+        let (seq, delta) = self.chain.advance(shape(&cut.merge.image));
         let halt = self.halt_at == Some(seq);
         let writer = self.writer.get_or_insert_with(|| {
             let store = self.store.take().expect("the store is here between runs");
@@ -794,7 +751,7 @@ impl<P: DurablePayload> CheckpointSink<P> for DurableCheckpointSink<P> {
         self.metrics.inflight.set(1);
         if writer
             .jobs
-            .send((image, (seq, delta), Instant::now()))
+            .send((cut, (seq, delta), Instant::now()))
             .is_err()
         {
             self.fail(writer_died());
@@ -886,11 +843,24 @@ mod tests {
         dir
     }
 
-    /// What `get_index_diff` would hand `apply_diff` for this diff.
-    fn owned(diff: IndexDiff<&StateEntry<i32>>) -> IndexDiff<StateEntry<i32>> {
+    /// What a delta records of `new` against `old` (the fold of `new`'s
+    /// whole cut), as `get_index_diff` hands it to `apply_diff`.
+    fn diff_index(old: &[StateEntry<i32>], new: &[StateEntry<i32>]) -> IndexDiff<i32> {
+        let image = |entries: &[StateEntry<i32>]| {
+            let mut img = MergeStateImage::empty(VariantKind::R3);
+            img.entries = entries.to_vec();
+            img
+        };
+        let mut folded = image(old);
+        let changes = folded.fold(image(new).into()).remove(0);
+        assert_eq!(folded.entries, new, "the fold is the new index");
         IndexDiff {
-            removed: diff.removed,
-            upserts: diff.upserts.into_iter().cloned().collect(),
+            removed: changes.removed,
+            upserts: changes
+                .upserted
+                .iter()
+                .map(|&at| folded.entries[at as usize].clone())
+                .collect(),
         }
     }
 
@@ -903,7 +873,7 @@ mod tests {
         let diff = diff_index(&old, &new);
         assert_eq!(diff.removed, vec![2], "the removed key by its ordinal");
         assert_eq!(diff.upserts.len(), 2);
-        assert_eq!(apply_diff(old, owned(diff)), new);
+        assert_eq!(apply_diff(old, diff), new);
     }
 
     /// Removals at the first, the last and adjacent ordinals, upserts
@@ -925,10 +895,10 @@ mod tests {
             let new: Vec<_> = keys.iter().copied().map(e).collect();
             let diff = diff_index(&base, &new);
             assert_eq!(diff.removed, removed, "{keys:?}");
-            assert_eq!(apply_diff(base.clone(), owned(diff)), new, "{keys:?}");
+            assert_eq!(apply_diff(base.clone(), diff), new, "{keys:?}");
         }
         let grown = diff_index(&[], &base);
-        assert_eq!(apply_diff(Vec::new(), owned(grown)), base);
+        assert_eq!(apply_diff(Vec::new(), grown), base);
     }
 
     #[test]
@@ -962,6 +932,29 @@ mod tests {
             assert_eq!(image.cursors, images[upto].cursors);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// A failed write has already folded its cut into the base, so the
+    /// next save is a snapshot at the same sequence number — never a
+    /// delta against a base the directory does not hold.
+    #[test]
+    fn a_failed_write_makes_the_next_save_a_snapshot() {
+        let dir = tmp_dir("failed-write");
+        let mut store: CheckpointStore<i32> = CheckpointStore::create(&dir).unwrap();
+        let images = [
+            run_image(vec![entry(1, 10, 20)], 5, 1),
+            run_image(vec![entry(1, 10, 20), entry(2, 11, 21)], 8, 2),
+            run_image(vec![entry(2, 11, 21)], 11, 3),
+        ];
+        assert_eq!(store.save(&images[0]).unwrap(), (0, false));
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(store.save(&images[1]).is_err(), "the directory is gone");
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(store.save(&images[2]).unwrap(), (1, false));
+        let (seq, restored) = CheckpointStore::<i32>::load_latest(&dir).unwrap();
+        assert_eq!(seq, 1);
+        assert_eq!(restored.merge, images[2].merge);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1008,11 +1001,11 @@ mod tests {
             .with_cursor_source(Box::new(|| vec![(5, 100), (7, 200), (9, 300)]));
         let mut image = run_image(vec![entry(1, 10, 20)], 5, 1);
         image.cursors = Vec::new();
-        // Inputs 0 and 2 have a frame popped from their ring but still
+        // Inputs 0 and 2 have a frame taken from their input but still
         // staged in the delivery heap; input 1 was drained.
         image.exec.staged = vec![Some((VTime(50), 4)), None, Some((VTime(60), 6))];
         image.exec.pulls = vec![5, 7, 9];
-        let saved = sink.save(image).expect("the cut is accepted");
+        let saved = sink.save(image.into()).expect("the cut is accepted");
         sink.finish();
         assert!(sink.error.is_none(), "{:?}", sink.error);
         assert_eq!(saved.seq, 0);
@@ -1160,8 +1153,8 @@ mod tests {
         fn want(&mut self, stable: Time, delivered: u64) -> bool {
             self.inner.want(stable, delivered)
         }
-        fn save(&mut self, image: RunImage<i32>) -> Option<CheckpointSave> {
-            let saved = self.inner.save(image)?;
+        fn save(&mut self, cut: RunCut<i32>) -> Option<CheckpointSave> {
+            let saved = self.inner.save(cut)?;
             if saved.seq == self.after {
                 self.inner.settle();
                 std::fs::remove_dir_all(&self.dir).unwrap();

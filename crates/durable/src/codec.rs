@@ -3,9 +3,9 @@
 //! Every durable file — checkpoint snapshot or checkpoint delta —
 //! is one [`envelope`]: a fixed header (magic, version, kind), a
 //! length-prefixed payload, and a trailing checksum of the payload bytes —
-//! FNV-1a folded over 8-byte words ([`fnv1a_words`]): a file sums whole
-//! images, a megabyte at a time, where the byte-wise fold `lmerge-net`
-//! keeps on every (small) wire frame costs a multiply per byte. Decoding
+//! FNV-1a folded over 8-byte words ([`fnv1a_words`]), the fold every
+//! `lmerge-net` wire frame carries too. A writer builds the envelope
+//! around its payload in place (`begin`, `seal`). Decoding
 //! is defensive end to end: every read is bounds-checked
 //! through [`Cursor`], every length is validated against the bytes that
 //! remain, and any corruption surfaces as a typed [`DurableError`] — a
@@ -20,9 +20,15 @@ pub const MAGIC: [u8; 4] = *b"LMCK";
 /// Current format version. v2 appended the egress/broadcast image
 /// (subscriber cursors + retained output tail) to every run image; v3
 /// sums the payload by words and names a delta's removed keys by their
-/// ordinal in the base index. Files of another version are refused
-/// ([`DurableError::BadVersion`]), not migrated.
-pub const VERSION: u16 = 3;
+/// ordinal in the base index; v4 has the same layout, but the egress
+/// image's frames are wire protocol v2 (word-folded checksums). Files of
+/// another version are refused ([`DurableError::BadVersion`]), not
+/// migrated.
+pub const VERSION: u16 = 4;
+
+/// Envelope bytes before the payload: magic, version, kind, reserved,
+/// payload length.
+const HEADER_LEN: usize = 16;
 
 /// What a durable file contains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,18 +193,35 @@ pub fn put_count(buf: &mut Vec<u8>, n: usize) {
     buf.extend_from_slice(&(n as u32).to_le_bytes());
 }
 
+/// Start a durable file of `kind`: the envelope header, its length field
+/// still zero. Append the payload, then [`seal`] it.
+pub(crate) fn begin(kind: FileKind) -> Vec<u8> {
+    let mut file = Vec::with_capacity(HEADER_LEN);
+    file.extend_from_slice(&MAGIC);
+    file.extend_from_slice(&VERSION.to_le_bytes());
+    file.push(kind.tag());
+    file.push(0); // reserved
+    file.extend_from_slice(&0u64.to_le_bytes()); // payload length, patched by `seal`
+    file
+}
+
+/// Finish a file [`begin`] started: patch the payload length and append
+/// the word-folded FNV-1a checksum of the payload.
+pub(crate) fn seal(mut file: Vec<u8>) -> Vec<u8> {
+    let payload_len = (file.len() - HEADER_LEN) as u64;
+    file[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let sum = fnv1a_words(&file[HEADER_LEN..]);
+    file.extend_from_slice(&sum.to_le_bytes());
+    file
+}
+
 /// Wrap `payload` in the durable envelope: header, length, payload,
 /// trailing word-folded FNV-1a checksum.
 pub fn envelope(kind: FileKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(kind.tag());
-    out.push(0); // reserved
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a_words(payload).to_le_bytes());
-    out
+    let mut file = begin(kind);
+    file.reserve_exact(payload.len() + 8);
+    file.extend_from_slice(payload);
+    seal(file)
 }
 
 /// Open an envelope: verify magic, version, kind tag, length, and
@@ -275,6 +298,34 @@ mod tests {
         let mut unk = file;
         unk[6] = 99;
         assert!(matches!(open_envelope(&unk), Err(DurableError::BadTag(99))));
+    }
+
+    #[test]
+    fn a_file_built_in_place_is_the_envelope_of_its_payload() {
+        let payload: Vec<u8> = (0..77u8).collect();
+        let mut file = begin(FileKind::Delta);
+        file.extend_from_slice(&payload);
+        let file = seal(file);
+        assert_eq!(file, envelope(FileKind::Delta, &payload));
+        // The layout: magic, version, kind, reserved, length, payload, sum.
+        assert_eq!(&file[..4], b"LMCK");
+        assert_eq!(file[4..6], VERSION.to_le_bytes());
+        assert_eq!(file[6..8], [FileKind::Delta.tag(), 0]);
+        assert_eq!(file[8..16], 77u64.to_le_bytes());
+        assert_eq!(&file[16..93], &payload[..]);
+        assert_eq!(file[93..], fnv1a_words(&payload).to_le_bytes());
+    }
+
+    /// LMCK v3 files carry egress frames of wire protocol 1: a v4 build
+    /// refuses them at the envelope instead of failing on the frames.
+    #[test]
+    fn a_version_3_file_is_refused() {
+        let mut v3 = envelope(FileKind::Snapshot, b"a v3 image");
+        v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+        assert!(matches!(
+            open_envelope(&v3),
+            Err(DurableError::BadVersion(3))
+        ));
     }
 
     #[test]

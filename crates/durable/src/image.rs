@@ -10,8 +10,9 @@
 use crate::codec::{put_count, Cursor, DurableError};
 use crate::payload::DurablePayload;
 use lmerge_core::{CountersImage, InputStateImage, MergeStateImage, StateEntry, VariantKind};
-use lmerge_engine::{EgressImage, ExecutorImage, RunImage};
+use lmerge_engine::{EgressImage, ExecutorImage, FrameRun, RunImage};
 use lmerge_temporal::{Time, VTime};
+use std::sync::Arc;
 
 fn put_time(buf: &mut Vec<u8>, t: Time) {
     buf.extend_from_slice(&t.0.to_le_bytes());
@@ -305,8 +306,10 @@ pub fn put_egress_image(buf: &mut Vec<u8>, img: &EgressImage) {
     buf.extend_from_slice(&img.base_seq.to_le_bytes());
     buf.extend_from_slice(&img.next_seq.to_le_bytes());
     put_time(buf, img.stable);
-    put_count(buf, img.frames.len());
-    buf.extend_from_slice(&img.frames);
+    put_count(buf, img.frames_len());
+    for run in img.runs() {
+        buf.extend_from_slice(run);
+    }
 }
 
 /// Decode an [`EgressImage`].
@@ -321,13 +324,13 @@ pub fn get_egress_image(cur: &mut Cursor<'_>) -> Result<EgressImage, DurableErro
     let next_seq = cur.u64()?;
     let stable = get_time(cur)?;
     let n = cur.count(1)?;
-    let frames = cur.take(n)?.to_vec();
+    let frames: FrameRun = Arc::new(cur.take(n)?.to_vec());
     Ok(EgressImage {
         cursors,
         base_seq,
         next_seq,
         stable,
-        frames,
+        frames: vec![frames],
     })
 }
 
@@ -459,7 +462,7 @@ mod tests {
                 base_seq: 9,
                 next_seq: 14,
                 stable: Time(13),
-                frames: vec![0xAB; 40],
+                frames: vec![Arc::new(vec![0xAB; 25]), Arc::new(vec![0xCD; 15])],
             },
         };
         let mut buf = Vec::new();

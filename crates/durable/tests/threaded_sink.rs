@@ -1,17 +1,23 @@
 //! The cut/persist split must be invisible on disk and in the run's trace:
 //! the sink answers `(seq, delta)` at the cut, a writer thread persists
 //! later, and both must be exactly what N synchronous
-//! `CheckpointStore::save` calls would have answered and written.
+//! `CheckpointStore::save` calls would have answered and written — also
+//! when the executor's cuts carry only the index tiers that changed.
 
-use lmerge_core::{LMergeR3, LogicalMerge, MergePolicy, MergeStateImage, StateEntry, VariantKind};
+use lmerge_core::{
+    HealthTransitions, InputCounters, InputHealth, LMergeR3, LogicalMerge, MergePolicy,
+    MergeStateImage, MergeStats, StateEntry, VariantKind,
+};
 use lmerge_durable::{CheckpointStore, DurableCheckpointSink};
 use lmerge_engine::{
-    CheckpointSink, EgressImage, ExecutorImage, MergeRun, NoHooks, Query, RunConfig, RunImage,
-    TimedElement,
+    CheckpointSave, CheckpointSink, EgressImage, ExecutorImage, MergeRun, NoHooks, Query,
+    RunConfig, RunCut, RunImage, TimedElement,
 };
 use lmerge_obs::{NullSink, TraceEvent, Tracer};
-use lmerge_temporal::{Element, Time, VTime};
+use lmerge_properties::RLevel;
+use lmerge_temporal::{Element, StreamId, Time, VTime};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lmerge-threaded-{tag}-{}", std::process::id()));
@@ -54,7 +60,7 @@ fn image(n: u64, per_input: usize) -> RunImage<i32> {
             base_seq: n,
             next_seq: n + 2,
             stable: Time(n as i64),
-            frames: vec![n as u8; 12],
+            frames: vec![Arc::new(vec![n as u8; 12])],
         },
     }
 }
@@ -105,7 +111,7 @@ fn threaded_sink_and_direct_saves_leave_byte_identical_directories() {
     let cut: Vec<(u64, bool)> = images
         .iter()
         .map(|i| {
-            let saved = sink.save(i.clone()).expect("cut accepted");
+            let saved = sink.save(i.clone().into()).expect("cut accepted");
             (saved.seq, saved.delta)
         })
         .collect();
@@ -125,7 +131,7 @@ fn threaded_sink_and_direct_saves_leave_byte_identical_directories() {
 
     // A second run through the same sink picks the chain up where the
     // store was handed back.
-    let again = sink.save(image(7, 2)).expect("cut accepted");
+    let again = sink.save(image(7, 2).into()).expect("cut accepted");
     sink.finish();
     assert_eq!((again.seq, again.delta), (7, true));
     let (seq, restored) = CheckpointStore::<i32>::load_latest(&sink_dir).unwrap();
@@ -143,7 +149,7 @@ fn a_cut_is_accepted_only_after_the_previous_one_is_durable() {
     let store: CheckpointStore<i32> = CheckpointStore::create(&dir).unwrap();
     let mut sink = DurableCheckpointSink::new(store);
     for k in 0..12u64 {
-        let saved = sink.save(image(k, 0)).expect("cut accepted");
+        let saved = sink.save(image(k, 0).into()).expect("cut accepted");
         assert_eq!(saved.seq, k);
         if k > 0 {
             let (durable, _) = CheckpointStore::<i32>::load_latest(&dir).unwrap();
@@ -228,4 +234,173 @@ fn a_completed_run_has_persisted_every_cut_its_trace_announced() {
     let on_disk: Vec<String> = listing(&dir).into_iter().map(|(name, _)| name).collect();
     assert_eq!(announced, on_disk);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Two replicas that disagree on every third end time, punctuated every
+/// five elements, the second one a step ahead: sweeps correct and retire,
+/// a correction can land on a node that stays live, and most live tiers
+/// are settled — left alone — between two stable advances.
+fn divergent(copy: u64) -> Vec<TimedElement<i32>> {
+    let mut v = Vec::new();
+    for i in 0..400i64 {
+        let at = i as u64 * 10 + copy * 3;
+        let ve = i + 30 + if i % 3 == 0 { copy as i64 * 5 } else { 0 };
+        v.push(TimedElement::new(
+            VTime(at),
+            Element::insert((i * 7 % 50) as i32, i, ve),
+        ));
+        if i % 5 == 4 {
+            let t = i - 20 + copy as i64;
+            v.push(TimedElement::new(VTime(at + 1), Element::stable(t)));
+        }
+    }
+    v.push(TimedElement::new(
+        VTime(4000),
+        Element::stable(Time::INFINITY),
+    ));
+    v
+}
+
+fn divergent_run(lmerge: Box<dyn LogicalMerge<i32>>) -> MergeRun<i32> {
+    let queries = (0..2).map(|c| Query::passthrough(divergent(c))).collect();
+    MergeRun::new(queries, lmerge, RunConfig::default())
+}
+
+fn r3() -> Box<dyn LogicalMerge<i32>> {
+    Box::new(LMergeR3::with_policy(2, MergePolicy::paper_default()))
+}
+
+/// A merge whose every cut is whole: the trait's default `export_cut`,
+/// over `export_state`.
+struct Whole(Box<dyn LogicalMerge<i32>>);
+
+impl LogicalMerge<i32> for Whole {
+    fn push(&mut self, input: StreamId, e: &Element<i32>, out: &mut Vec<Element<i32>>) {
+        self.0.push(input, e, out)
+    }
+    fn push_batch(&mut self, input: StreamId, es: &[Element<i32>], out: &mut Vec<Element<i32>>) {
+        self.0.push_batch(input, es, out)
+    }
+    fn attach(&mut self, join_time: Time) -> StreamId {
+        self.0.attach(join_time)
+    }
+    fn detach(&mut self, input: StreamId) {
+        self.0.detach(input)
+    }
+    fn max_stable(&self) -> Time {
+        self.0.max_stable()
+    }
+    fn feedback_point(&self) -> Time {
+        self.0.feedback_point()
+    }
+    fn stats(&self) -> MergeStats {
+        self.0.stats()
+    }
+    fn input_counters(&self) -> &[InputCounters] {
+        self.0.input_counters()
+    }
+    fn input_health(&self, input: StreamId) -> InputHealth {
+        self.0.input_health(input)
+    }
+    fn health_transitions(&self) -> HealthTransitions {
+        self.0.health_transitions()
+    }
+    fn memory_bytes(&self) -> usize {
+        self.0.memory_bytes()
+    }
+    fn level(&self) -> RLevel {
+        self.0.level()
+    }
+    fn export_state(&self) -> Option<MergeStateImage<i32>> {
+        self.0.export_state()
+    }
+}
+
+/// The durable sink, counting the cuts that left a tier out.
+struct Partial {
+    inner: DurableCheckpointSink<i32>,
+    cuts: u64,
+    partial: u64,
+}
+
+impl CheckpointSink<i32> for Partial {
+    fn enabled(&self) -> bool {
+        true
+    }
+    fn want(&mut self, stable: Time, delivered: u64) -> bool {
+        self.inner.want(stable, delivered)
+    }
+    fn save(&mut self, cut: RunCut<i32>) -> Option<CheckpointSave> {
+        self.cuts += 1;
+        self.partial += u64::from(cut.merge.image.total_entries() < cut.merge.entries);
+        self.inner.save(cut)
+    }
+    fn finish(&mut self) {
+        self.inner.finish()
+    }
+}
+
+/// Full images, in cut order.
+#[derive(Default)]
+struct Images(Vec<RunImage<i32>>);
+
+impl CheckpointSink<i32> for Images {
+    fn enabled(&self) -> bool {
+        true
+    }
+    fn want(&mut self, stable: Time, _delivered: u64) -> bool {
+        let last = self.0.last().map_or(Time::MIN, |i| i.merge.max_stable);
+        stable > last && stable != Time::INFINITY
+    }
+    fn save(&mut self, cut: RunCut<i32>) -> Option<CheckpointSave> {
+        self.0.push(cut.into_image());
+        Some(CheckpointSave {
+            seq: self.0.len() as u64 - 1,
+            delta: false,
+            halt: false,
+        })
+    }
+}
+
+/// A real `MergeRun` cut by the executor — each cut carrying only the
+/// tiers that changed — and persisted by the writer thread leaves the
+/// directory that synchronous `CheckpointStore::save` calls of the full
+/// images at the same cuts (`export_state()` there) leave.
+#[test]
+fn changed_tier_cuts_leave_the_directory_full_images_would() {
+    let sink_dir = tmp_dir("changed-tiers");
+    let store: CheckpointStore<i32> = CheckpointStore::create(&sink_dir).unwrap();
+    let mut sink = Partial {
+        inner: DurableCheckpointSink::new(store),
+        cuts: 0,
+        partial: 0,
+    };
+    divergent_run(r3()).run_checkpointed(&mut NullSink, &mut NoHooks, &mut sink);
+    assert!(sink.inner.error.is_none(), "{:?}", sink.inner.error);
+    assert!(sink.cuts > 50, "{} cuts", sink.cuts);
+    assert!(
+        sink.partial * 2 > sink.cuts,
+        "{} of {} cuts left a tier out",
+        sink.partial,
+        sink.cuts
+    );
+
+    let mut full = Images::default();
+    divergent_run(Box::new(Whole(r3()))).run_checkpointed(&mut NullSink, &mut NoHooks, &mut full);
+    assert_eq!(full.0.len() as u64, sink.cuts, "the same cuts");
+    let direct_dir = tmp_dir("full-images");
+    let mut store: CheckpointStore<i32> = CheckpointStore::create(&direct_dir).unwrap();
+    for image in &full.0 {
+        store.save(image).unwrap();
+    }
+
+    let (a, b) = (listing(&direct_dir), listing(&sink_dir));
+    assert_eq!(a.len() as u64, sink.cuts);
+    assert_eq!(a.len(), b.len());
+    for ((name_a, bytes_a), (name_b, bytes_b)) in a.iter().zip(&b) {
+        assert_eq!(name_a, name_b);
+        assert!(bytes_a == bytes_b, "{name_a}: bytes differ");
+    }
+    std::fs::remove_dir_all(&direct_dir).unwrap();
+    std::fs::remove_dir_all(&sink_dir).unwrap();
 }

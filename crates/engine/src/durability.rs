@@ -10,7 +10,9 @@
 //! inputs) so the durable store persists one atomic unit.
 //!
 //! The executor offers the cut to a [`CheckpointSink`] at the end of each
-//! delivery iteration. The sink decides *when* to capture (`want`), *how*
+//! delivery iteration, as a [`RunCut`]: the merge part is a [`MergeCut`],
+//! what the merge changed since the previous cut, which the sink folds into
+//! the image it keeps ([`RunImage::fold`]). The sink decides *when* to capture (`want`), *how*
 //! to persist (`save` — a full snapshot or a delta, on this thread or
 //! handed to another, is the sink's business), and *whether the run
 //! survives* (`save` may halt the run, which is how the crash-recovery
@@ -27,8 +29,9 @@
 //! pre-kill heap by re-pulling and discarding — the restored run's trace is
 //! byte-identical to the tail of a run that never died.
 
-use lmerge_core::MergeStateImage;
+use lmerge_core::{IndexChanges, MergeCut, MergeStateImage};
 use lmerge_temporal::{Payload, Time, VTime};
+use std::sync::Arc;
 
 /// The executor's scheduling state at a checkpoint: everything `run` needs
 /// to continue mid-stream, minus the batches themselves (replayed from the
@@ -54,13 +57,17 @@ pub struct ExecutorImage {
     pub staged: Vec<Option<(VTime, u64)>>,
 }
 
+/// A shared, immutable run of encoded frames: a broadcast buffer chunk, or
+/// bytes read back from a checkpoint file.
+pub type FrameRun = Arc<dyn AsRef<[u8]> + Send + Sync>;
+
 /// The egress/broadcast side of a cut: subscriber resume cursors plus the
 /// retained tail of the wire-encoded output stream. Payload-agnostic by
 /// design — the frames are already serialized bytes, so the engine can
 /// carry them through a checkpoint without knowing the subscription
 /// layer's types. Empty (`base_seq == next_seq`, no cursors) for runs
 /// without subscribers; the executor carries it through untouched.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct EgressImage {
     /// Per-subscriber resume cursors — `(subscriber id, acked next seq)`.
     pub cursors: Vec<(u64, u64)>,
@@ -70,8 +77,27 @@ pub struct EgressImage {
     pub next_seq: u64,
     /// The output stable point the broadcast buffer had reached.
     pub stable: Time,
-    /// Retained wire-encoded `Data` frames covering `[base_seq, next_seq)`.
-    pub frames: Vec<u8>,
+    /// Retained wire-encoded `Data` frames covering `[base_seq, next_seq)`,
+    /// run after run. The runs are shared, not copied, so an image is
+    /// cheap to take; they compare by their bytes, not by how they are cut.
+    pub frames: Vec<FrameRun>,
+}
+
+impl EgressImage {
+    /// The retained frames' bytes, run after run.
+    pub fn runs(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.frames.iter().map(|run| (**run).as_ref())
+    }
+
+    /// Total bytes of the retained frames.
+    pub fn frames_len(&self) -> usize {
+        self.runs().map(<[u8]>::len).sum()
+    }
+
+    /// The retained frames as one buffer.
+    pub fn frame_bytes(&self) -> Vec<u8> {
+        self.runs().flatten().copied().collect()
+    }
 }
 
 impl Default for EgressImage {
@@ -83,6 +109,29 @@ impl Default for EgressImage {
             stable: Time::MIN,
             frames: Vec::new(),
         }
+    }
+}
+
+impl PartialEq for EgressImage {
+    fn eq(&self, other: &EgressImage) -> bool {
+        self.cursors == other.cursors
+            && (self.base_seq, self.next_seq, self.stable)
+                == (other.base_seq, other.next_seq, other.stable)
+            && self.runs().flatten().eq(other.runs().flatten())
+    }
+}
+
+impl Eq for EgressImage {}
+
+impl std::fmt::Debug for EgressImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EgressImage")
+            .field("cursors", &self.cursors)
+            .field("base_seq", &self.base_seq)
+            .field("next_seq", &self.next_seq)
+            .field("stable", &self.stable)
+            .field("frame_bytes", &self.frames_len())
+            .finish()
     }
 }
 
@@ -101,6 +150,59 @@ pub struct RunImage<P: Payload> {
     /// The output-side mirror of `cursors`: subscriber resume state and
     /// the undelivered egress tail.
     pub egress: EgressImage,
+}
+
+impl<P: Payload> RunImage<P> {
+    /// Fold `cut` into this image, which holds the run at the previous cut
+    /// (see [`MergeStateImage::fold`]): the image becomes the run at `cut`.
+    /// Returns, per merge entry index, what changed.
+    pub fn fold(&mut self, cut: RunCut<P>) -> Vec<IndexChanges> {
+        self.exec = cut.exec;
+        self.cursors = cut.cursors;
+        self.egress = cut.egress;
+        self.merge.fold(cut.merge)
+    }
+}
+
+/// One cut through a run as the executor offers it: a [`RunImage`] whose
+/// merge part is a [`MergeCut`].
+#[derive(Clone, Debug)]
+pub struct RunCut<P: Payload> {
+    /// What the merge operator changed since the previous cut.
+    pub merge: MergeCut<P>,
+    /// The executor's scheduling state.
+    pub exec: ExecutorImage,
+    /// Per-input transport resume cursors (see [`RunImage::cursors`]).
+    pub cursors: Vec<(u64, i64)>,
+    /// The output-side mirror of `cursors` (see [`RunImage::egress`]).
+    pub egress: EgressImage,
+}
+
+impl<P: Payload> RunCut<P> {
+    /// A cut from which a sink with no image yet starts one: the run at
+    /// the cut, every merge tier changed, folded into an empty image.
+    pub fn into_image(self) -> RunImage<P> {
+        let mut merge = MergeStateImage::empty(self.merge.image.kind);
+        merge.fold(self.merge);
+        RunImage {
+            merge,
+            exec: self.exec,
+            cursors: self.cursors,
+            egress: self.egress,
+        }
+    }
+}
+
+impl<P: Payload> From<RunImage<P>> for RunCut<P> {
+    /// The cut of a whole image: every merge tier changed.
+    fn from(image: RunImage<P>) -> RunCut<P> {
+        RunCut {
+            merge: image.merge.into(),
+            exec: image.exec,
+            cursors: image.cursors,
+            egress: image.egress,
+        }
+    }
 }
 
 /// What a [`CheckpointSink::save`] did with the offered image.
@@ -140,12 +242,17 @@ pub trait CheckpointSink<P: Payload> {
         false
     }
 
-    /// Take one image to persist; returns what was (or will be) done with
+    /// Take one cut to persist; returns what was (or will be) done with
     /// it and whether to halt, or `None` if the cut was *not* persisted —
     /// the executor then records no `CheckpointTaken` for it. A halting
     /// save must not return before its image is durable.
-    fn save(&mut self, image: RunImage<P>) -> Option<CheckpointSave> {
-        let _ = image;
+    ///
+    /// The cut's merge part holds what changed since the previous cut the
+    /// executor took of the same merge (everything, the first time), so a
+    /// sink that keeps an image folds every cut it accepts, and accepts no
+    /// cut after one it refused.
+    fn save(&mut self, cut: RunCut<P>) -> Option<CheckpointSave> {
+        let _ = cut;
         None
     }
 

@@ -19,7 +19,7 @@
 //! leaves the loop — and a [`CheckpointSink`] is offered a cut after each
 //! delivery.
 
-use crate::durability::{CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunImage};
+use crate::durability::{CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunCut};
 use crate::hooks::{ControlAction, FaultAction, NoHooks, RunHooks};
 use crate::metrics::{RunMetrics, Series};
 use crate::query::Query;
@@ -563,9 +563,9 @@ impl<P: Payload> MergeRun<P> {
             // everything above this line is covered by the image,
             // everything below replays identically on resume.
             if sink.enabled() && sink.want(self.lmerge.max_stable(), delivered as u64) {
-                if let Some(merge) = self.lmerge.export_state() {
-                    let entries = merge.total_entries() as u64;
-                    let image = RunImage {
+                if let Some(merge) = self.lmerge.export_cut() {
+                    let entries = merge.entries as u64;
+                    let cut = RunCut {
                         merge,
                         exec: ExecutorImage {
                             lmerge_ready,
@@ -584,7 +584,7 @@ impl<P: Payload> MergeRun<P> {
                         cursors: Vec::new(),
                         egress: EgressImage::default(),
                     };
-                    if let Some(saved) = sink.save(image) {
+                    if let Some(saved) = sink.save(cut) {
                         if trace.enabled() {
                             trace.record(TraceEvent::CheckpointTaken {
                                 at: lmerge_ready,
@@ -1003,7 +1003,7 @@ mod tests {
 
     #[test]
     fn kill_and_resume_is_byte_identical() {
-        use crate::durability::{CheckpointSave, CheckpointSink, RunImage};
+        use crate::durability::{CheckpointSave, CheckpointSink, RunCut, RunImage};
         use lmerge_obs::export::to_jsonl;
         use lmerge_obs::Tracer;
 
@@ -1037,9 +1037,17 @@ mod tests {
                     false
                 }
             }
-            fn save(&mut self, image: RunImage<&'static str>) -> Option<CheckpointSave> {
+            fn save(&mut self, cut: RunCut<&'static str>) -> Option<CheckpointSave> {
                 let seq = self.next_seq;
                 self.next_seq += 1;
+                let image = match self.images.last() {
+                    Some(last) => {
+                        let mut image = last.clone();
+                        image.fold(cut);
+                        image
+                    }
+                    None => cut.into_image(),
+                };
                 self.images.push(image);
                 Some(CheckpointSave {
                     seq,
@@ -1116,7 +1124,7 @@ mod tests {
     /// `finish` is called exactly once — on completion and on a halt alike.
     #[test]
     fn refused_cuts_leave_no_trace_and_every_run_ends_in_finish() {
-        use crate::durability::{CheckpointSave, CheckpointSink, RunImage};
+        use crate::durability::{CheckpointSave, CheckpointSink, RunCut};
         use lmerge_obs::Tracer;
 
         struct Picky {
@@ -1132,7 +1140,7 @@ mod tests {
             fn want(&mut self, stable: Time, _delivered: u64) -> bool {
                 stable != Time::INFINITY
             }
-            fn save(&mut self, _image: RunImage<&'static str>) -> Option<CheckpointSave> {
+            fn save(&mut self, _cut: RunCut<&'static str>) -> Option<CheckpointSave> {
                 let seq = self.offered;
                 self.offered += 1;
                 (seq < self.accept_below).then_some(CheckpointSave {

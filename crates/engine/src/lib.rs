@@ -37,7 +37,8 @@ pub mod query;
 pub mod spsc;
 
 pub use durability::{
-    CheckpointSave, CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunImage,
+    CheckpointSave, CheckpointSink, EgressImage, ExecutorImage, FrameRun, NoCheckpoint, RunCut,
+    RunImage,
 };
 pub use executor::{MergeRun, RunConfig};
 pub use hooks::{ControlAction, FaultAction, NoHooks, RunHooks};

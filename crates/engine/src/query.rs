@@ -24,8 +24,9 @@ pub struct Batch<P> {
 /// The executor only ever asks for the next element, so a source can be an
 /// in-memory vector (the default, [`Query::new`]), or something that blocks
 /// on the outside world — the lmerge-net ingest server implements this
-/// trait over a per-connection SPSC ring so a remote replica's elements
-/// enter the same virtual-time pipeline as in-process feeds. Each element
+/// trait over the inputs' sockets, which the merge thread reads itself, so
+/// a remote replica's elements enter the same virtual-time pipeline as
+/// in-process feeds. Each element
 /// carries its own virtual arrival stamp, which is what makes networked and
 /// in-process delivery of the same feed produce identical runs.
 pub trait Source<P: Payload>: Send {
@@ -131,7 +132,7 @@ impl<P: Payload> Query<P> {
     }
 
     /// Total operator state held by this query, plus any buffering the
-    /// source itself maintains (e.g. a network ingest ring).
+    /// source itself maintains (e.g. a network input's read buffer).
     pub fn memory_bytes(&self) -> usize {
         self.chain.iter().map(|op| op.memory_bytes()).sum::<usize>() + self.source.memory_bytes()
     }

@@ -99,13 +99,6 @@ impl GenConfig {
         self
     }
 
-    /// Builder-style setter for the seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> GenConfig {
-        self.seed = seed;
-        self
-    }
-
     /// Builder-style setter for the payload body length.
     #[must_use]
     pub fn with_payload_len(mut self, len: usize) -> GenConfig {

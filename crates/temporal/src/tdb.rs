@@ -7,7 +7,6 @@
 //! events in `Vs` order.
 
 use crate::event::Event;
-use crate::freeze::Freeze;
 use crate::payload::Payload;
 use crate::time::Time;
 use std::collections::BTreeMap;
@@ -159,13 +158,6 @@ impl<P: Payload> Tdb<P> {
     /// Iterate distinct `(Vs, Payload)` keys in order.
     pub fn keys(&self) -> impl Iterator<Item = &(Time, P)> + '_ {
         self.entries.keys()
-    }
-
-    /// Freeze status of event `⟨p, vs, ve⟩` under stable point `stable`
-    /// (Section III-C): fully frozen if `Ve < Vc`, half frozen if
-    /// `Vs < Vc ≤ Ve`, otherwise unfrozen.
-    pub fn freeze_of(vs: Time, ve: Time, stable: Time) -> Freeze {
-        Freeze::classify(vs, ve, stable)
     }
 
     /// Whether `self ⊆ other` as multisets.

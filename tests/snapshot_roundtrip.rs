@@ -16,6 +16,9 @@
 //! index, so its decoder has one more thing to refuse: ordinals that are
 //! out of range, out of order or repeated — before a single base entry
 //! has been moved.
+//!
+//! A checkpoint cut carries only the index tiers that changed since the
+//! previous cut; folding every cut must rebuild the exported state.
 
 use lmerge::chaos::{Variant, ALL_VARIANTS};
 use lmerge::core::{LogicalMerge, MergeStateImage, RobustnessPolicy};
@@ -187,6 +190,54 @@ fn every_variant_state_round_trips_byte_identically() {
             "{name}: the tight guards never tripped — the property loop is \
              not exercising quarantined/demoted states"
         );
+    }
+}
+
+/// A checkpoint cut exports only the tiers that changed since the previous
+/// cut. Seeded R3+, R3− and R4 runs — sweeps and retirements, attaches
+/// (every tier due), detaches (a purged input), demotions under tight
+/// guards, and a restore into a fresh operator — are cut at random points:
+/// at every cut, the fold of all cuts so far equals `export_state()`.
+#[test]
+fn folded_cuts_equal_the_exported_state_at_every_cut() {
+    for variant in [Variant::R3, Variant::R3Naive, Variant::R4] {
+        let (mut partial, mut cuts) = (false, 0u32);
+        for case in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(0xC07_0000 + case);
+            let mut lm = variant.build(N_INPUTS, tight());
+            let mut inputs = N_INPUTS as u32;
+            let mut folded = MergeStateImage::empty(lm.export_state().unwrap().kind);
+            let mut out = Vec::new();
+            for step in 0..400 {
+                match rng.random_range(0u32..100) {
+                    0 => inputs = lm.attach(Time(rng.random_range(0i64..60))).0 + 1,
+                    1 => lm.detach(StreamId(rng.random_range(0..inputs))),
+                    2 => {
+                        let image = lm.export_state().unwrap();
+                        lm = variant.build(N_INPUTS, tight());
+                        assert!(lm.restore_state(image), "{}: restores", variant.name());
+                    }
+                    3..=17 => {
+                        let cut = lm.export_cut().expect("indexed variants cut");
+                        partial |= cut.image.total_entries() < cut.entries;
+                        cuts += 1;
+                        folded.fold(cut);
+                        assert_eq!(
+                            Some(&folded),
+                            lm.export_state().as_ref(),
+                            "{} case {case} step {step}: folded cuts ≠ state",
+                            variant.name()
+                        );
+                    }
+                    _ => {
+                        let input = StreamId(rng.random_range(0..inputs));
+                        lm.push(input, &arb_element(&mut rng), &mut out);
+                    }
+                }
+            }
+        }
+        assert!(cuts > 1000, "{}: {cuts} cuts", variant.name());
+        assert!(partial, "{}: no cut ever left a tier out", variant.name());
     }
 }
 
