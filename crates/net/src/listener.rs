@@ -12,9 +12,9 @@ use lmerge_obs::{Counter, MetricsRegistry};
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a fresh connection may take to present its handshake frame
 /// (`Hello` on ingest, `Subscribe` on the fan-out plane) before it is
@@ -49,7 +49,8 @@ impl Listener {
             }
             match accepted {
                 Ok((stream, _)) => on_accept(stream),
-                Err(_) => thread::sleep(Duration::from_millis(1)), // out of fds, say
+                // Out of fds, say: back off, unless `stop` wakes us first.
+                Err(_) => thread::park_timeout(Duration::from_millis(1)),
             }
         });
         Ok(Listener {
@@ -73,6 +74,7 @@ impl Listener {
             return;
         };
         self.stop.store(true, Ordering::Release);
+        accept.thread().unpark();
         let mut wake = self.local_addr;
         if wake.ip().is_unspecified() {
             let v4 = wake.is_ipv4();
@@ -102,6 +104,11 @@ pub struct SessionCounts {
     resumed: Counter,
     clean: Counter,
     lost: Counter,
+    /// Held while a close is counted and notified, so a waiter that
+    /// checks the counts under it cannot miss one. It guards no data, so
+    /// a poisoned lock is taken as is.
+    closing: Mutex<()>,
+    closed: Condvar,
 }
 
 impl SessionCounts {
@@ -134,6 +141,8 @@ impl SessionCounts {
                 "session_closes_lost_total",
                 "sessions that ended uncleanly (EOF, gap, corruption, i/o error).",
             ),
+            closing: Mutex::new(()),
+            closed: Condvar::new(),
         }
     }
 
@@ -147,11 +156,13 @@ impl SessionCounts {
 
     /// A session ended, with the Bye handshake if `clean`.
     pub fn on_close(&self, clean: bool) {
+        let _closing = self.closing.lock().unwrap_or_else(PoisonError::into_inner);
         if clean {
             self.clean.inc();
         } else {
             self.lost.inc();
         }
+        self.closed.notify_all();
     }
 
     /// Every session opened so far has closed.
@@ -159,22 +170,15 @@ impl SessionCounts {
         self.clean.get() + self.lost.get() >= self.opened.get()
     }
 
-    /// Wait (up to `timeout`) until every session counted in `counts` has
-    /// closed; `true` once all have.
-    pub fn await_closed<'a, I>(counts: I, timeout: Duration) -> bool
-    where
-        I: IntoIterator<Item = &'a SessionCounts> + Clone,
-    {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if counts.clone().into_iter().all(SessionCounts::all_closed) {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
+    /// Wait (up to `timeout`) until every session opened so far has
+    /// closed, woken by each close; `true` once all have.
+    pub fn await_closed(&self, timeout: Duration) -> bool {
+        let closing = self.closing.lock().unwrap_or_else(PoisonError::into_inner);
+        let (_closing, waited) = self
+            .closed
+            .wait_timeout_while(closing, timeout, |_| !self.all_closed())
+            .unwrap_or_else(PoisonError::into_inner);
+        !waited.timed_out()
     }
 }
 
@@ -182,6 +186,7 @@ impl SessionCounts {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
     #[test]
     fn stop_wakes_the_blocked_accept_and_later_connections_never_reach_the_callback() {

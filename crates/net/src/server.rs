@@ -21,10 +21,11 @@
 //!
 //! From then on only the merge side reads the connection: when the input a
 //! [`NetSource`] must deliver has nothing buffered, it reads *every*
-//! input's connection, so one that died is released within a poll even
-//! while the executor waits on another. `Bye` finishes the input and is
-//! echoed; EOF, a gap or a bad checksum end the session as lost. After the
-//! merge, [`IngestServer::serve_until`] does the reading.
+//! input's connection, so one that died is released within a wait even
+//! while the executor waits on another, and a rejoin's claim wakes the
+//! moment it is. `Bye` finishes the input and is echoed; EOF, a gap or a
+//! bad checksum end the session as lost. After the merge,
+//! [`IngestServer::serve_until`] does the reading.
 //!
 //! # Backpressure
 //!
@@ -39,14 +40,23 @@
 //! A refill takes the whole frames its [`FrameReader`] holds, then one
 //! non-blocking `read`'s worth, up to the window, and publishes `next_seq`
 //! and the frame/byte counters once for the lot; a bad frame ends the
-//! session *after* the good ones before it count. `Ack`/`Credit` frames
-//! queue in the [`NetSource`] and leave in one `write` when a credit batch
-//! is due, or before [`NetSource::next`] sleeps on an empty input, so a
-//! client never waits for a frame that sits in user space;
-//! [`NetSource::on_quiet`] hangs the consumer's output flush on that loop.
-//! Sessions, credits and depth are counted in [`NetMetrics`] only: the
-//! server records no trace, so a networked run's trace is the in-process
-//! run's by construction.
+//! session *after* the good ones before it count. Sessions, credits and
+//! depth are counted in [`NetMetrics`] only: the server records no trace,
+//! so a networked run's trace is the in-process run's by construction.
+//!
+//! # Flush at every wait
+//!
+//! The merge thread waits in one place: [`NetSource::next`], when the
+//! input it must deliver is empty after a refill (and
+//! [`IngestServer::serve_until`], after the merge). Before every wait it
+//! hands over everything it owes — the queued `Ack`/`Credit` frames, which
+//! otherwise leave in one `write` when a credit batch is due, and the
+//! consumer's output, through the [`NetSource::on_quiet`] hook — so
+//! nothing it made sits in user space while it sleeps. The wait itself is
+//! one coalescing interval, `WAIT`: what arrives during one wait is merged
+//! and handed over as one batch, so a steady feed pays a wake and a flush
+//! per wait, not per frame, and output follows its input within about
+//! half a millisecond. A saturated input is never empty, so it never waits.
 
 use crate::listener::{Listener, SessionCounts, HANDSHAKE_TIMEOUT};
 use crate::wire::{self, Frame, FrameReader, WireError, PROTOCOL_VERSION};
@@ -57,13 +67,23 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How long the merge side sleeps between reads of an idle input (the
-/// kernel's default timer slack adds up to another 50 µs).
-const POLL: Duration = Duration::from_micros(50);
+/// How long the merge thread sleeps between refills of inputs it found
+/// empty, once it has flushed everything it owes (the kernel's default
+/// timer slack adds up to another 50 µs). Shorter waits cut latency and
+/// cost server CPU per element; this is the shortest at which no benchmark
+/// workload's CPU per element rose above that of a 50 µs poll flushing
+/// only on a pause (the interval curve in EXPERIMENTS.md, "flush at every
+/// wait"). An input that keeps waiting gets at most a window (256 frames)
+/// per wait, ≈ 730 K frames/s; one that has more never waits.
+const WAIT: Duration = Duration::from_micros(300);
+
+/// How long a rejoin's handshake waits for the merge side to release its
+/// predecessor's connection before it gives up.
+const CLAIM_WAIT: Duration = Duration::from_secs(2);
 
 /// Ingest server sizing.
 #[derive(Clone, Copy, Debug)]
@@ -90,9 +110,13 @@ impl IngestConfig {
     }
 }
 
-/// Wall-clock telemetry handles for one input's sessions.
+/// Wall-clock telemetry handles for one input's sessions, and the signal
+/// of its release.
 struct InputNetMetrics {
     sessions: SessionCounts,
+    /// Notified, under the input's lock, when [`Inbox::release`] closes
+    /// its connection: a rejoin's claim waits on it.
+    released: Condvar,
     frames: Counter,
     bytes: Counter,
     credits: Counter,
@@ -119,6 +143,7 @@ impl NetMetrics {
                 let l: [(&str, &str); 1] = [("input", id.as_str())];
                 InputNetMetrics {
                     sessions: SessionCounts::new(registry, "lmerge_net", "Ingest", &l),
+                    released: Condvar::new(),
                     frames: registry.counter(
                         "lmerge_net_frames_total",
                         "Data frames accepted into the input's buffer, per input.",
@@ -268,10 +293,12 @@ impl Inbox {
         out.clear();
     }
 
-    /// Close the live connection, if any, and count how its session ended.
+    /// Close the live connection, if any, count how its session ended, and
+    /// wake a rejoin waiting to claim the input.
     fn release(&mut self, live: &InputNetMetrics, clean: bool) {
         if self.conn.take().is_some() {
             live.sessions.on_close(clean);
+            live.released.notify_all();
         }
     }
 }
@@ -297,6 +324,12 @@ impl ServerShared {
             self.inbox(i).refill(live, self.window);
         }
     }
+}
+
+/// The merge thread's one wait, between refills of inputs it found empty.
+/// Its callers have flushed what they owe before they call it.
+fn wait() {
+    thread::sleep(WAIT);
 }
 
 /// A TCP ingest server feeding `inputs` independent element streams.
@@ -404,18 +437,18 @@ impl IngestServer {
         }
     }
 
-    /// Read every connection (each input up to its window) every poll
-    /// interval until `done()` holds. The merge completes at watermark = ∞,
-    /// which a client reaches while its tail and `Bye` may still be in
-    /// flight, and nothing else reads the connections after it: a caller
-    /// waiting on replicas that are still finishing serves them here.
+    /// Read every connection (each input up to its window) once per wait
+    /// until `done()` holds. The merge completes at watermark = ∞, which a
+    /// client reaches while its tail and `Bye` may still be in flight, and
+    /// nothing else reads the connections after it: a caller waiting on
+    /// replicas that are still finishing serves them here.
     pub fn serve_until(&self, mut done: impl FnMut() -> bool) {
         loop {
             self.shared.refill_all();
             if done() {
                 return;
             }
-            thread::sleep(POLL);
+            wait();
         }
     }
 
@@ -468,32 +501,31 @@ fn handshake(shared: &ServerShared, stream: TcpStream) {
     };
     // Claim the input. After an unclean disconnect the predecessor's
     // connection stays installed until the merge side reads its end, so
-    // wait a grace period for that rather than rejecting the rejoin.
-    for _ in 0..4000 {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut inbox = shared.inbox(input as usize);
-        if inbox.conn.is_none() {
-            let welcome = Frame::Welcome {
-                input,
-                resume_seq: inbox.next_seq,
-                resume_stable: inbox.acked_stable,
-                credits: (shared.window - inbox.buf.len()) as u32,
-            };
-            let mut stream = reader.get_ref();
-            if wire::write_frame(&mut stream, &welcome).is_err()
-                || stream.set_nonblocking(true).is_err()
-            {
-                break;
-            }
-            let sessions = &shared.metrics.inputs[input as usize].sessions;
-            sessions.on_open(inbox.next_seq > 0);
+    // wait for its release (or `shutdown`, which releases every input)
+    // rather than rejecting the rejoin.
+    let live = &shared.metrics.inputs[input as usize];
+    let held = |inbox: &mut Inbox| inbox.conn.is_some() && !shared.shutdown.load(Ordering::Relaxed);
+    let (mut inbox, _) = live
+        .released
+        .wait_timeout_while(shared.inbox(input as usize), CLAIM_WAIT, held)
+        .expect("an input's lock is poisoned only by a panicked merge thread");
+    if shared.shutdown.load(Ordering::Relaxed) {
+        return;
+    }
+    if inbox.conn.is_none() {
+        let welcome = Frame::Welcome {
+            input,
+            resume_seq: inbox.next_seq,
+            resume_stable: inbox.acked_stable,
+            credits: (shared.window - inbox.buf.len()) as u32,
+        };
+        let mut stream = reader.get_ref();
+        if wire::write_frame(&mut stream, &welcome).is_ok() && stream.set_nonblocking(true).is_ok()
+        {
+            live.sessions.on_open(inbox.next_seq > 0);
             inbox.conn = Some(reader);
             return;
         }
-        drop(inbox);
-        thread::sleep(Duration::from_micros(500));
     }
     // The input is still held by a live session, or the `Welcome` could
     // not be written: no session for this one.
@@ -537,8 +569,8 @@ pub struct NetSource {
     since_credit: u32,
     /// `Ack`/`Credit` frames encoded but not yet written.
     out: Vec<u8>,
-    /// The consumer's own output flush, run once the input has stayed
-    /// empty across a poll (see [`NetSource::on_quiet`]).
+    /// The consumer's own output flush, run before every wait (see
+    /// [`NetSource::on_quiet`]).
     on_quiet: Option<Box<dyn FnMut() + Send>>,
 }
 
@@ -549,15 +581,14 @@ impl NetSource {
     }
 
     /// Extend the flush-before-block rule to the consumer's output: run
-    /// `flush` whenever [`next`](Source::next) finds the input empty, has
-    /// slept one poll interval, and finds it empty still — the input has
-    /// gone quiet (so every ~50 µs while idle: it must be free when there
-    /// is nothing to flush). The thread that merges is the thread that
-    /// sleeps here, so what it emitted must not sit in user space while
-    /// it does. Unlike the control frames nothing *waits* on that output,
-    /// so it can afford the one poll of grace, which is what keeps a
-    /// steady mid-rate feed — a frame or two per poll — from paying a
-    /// wake-up and a socket write per poll.
+    /// `flush` every time [`next`](Source::next) is about to wait, after
+    /// the queued control frames have left (so once per wait while idle:
+    /// it must be free when there is nothing to flush). The thread that
+    /// merges is the thread that sleeps here, so what it emitted must not
+    /// sit in user space while it does. The length of the wait is what
+    /// keeps a steady mid-rate feed from paying a wake-up and a socket
+    /// write per frame: whatever arrives during one wait is merged and
+    /// handed over as one batch.
     #[must_use]
     pub fn on_quiet(mut self, flush: impl FnMut() + Send + 'static) -> NetSource {
         self.on_quiet = Some(Box::new(flush));
@@ -589,7 +620,6 @@ impl NetSource {
 
 impl Source<Value> for NetSource {
     fn next(&mut self) -> Option<TimedElement<Value>> {
-        let mut slept = false;
         loop {
             if let Some(te) = self.pop() {
                 return Some(te);
@@ -611,13 +641,12 @@ impl Source<Value> for NetSource {
                 return None;
             }
             drop(inbox);
-            // Still empty after a sleep: the input has gone quiet, so the
-            // consumer's output (the egress buffer) leaves too.
-            if let (true, Some(flush)) = (slept, &mut self.on_quiet) {
+            // The consumer's output (the egress buffer) leaves too: the
+            // merge thread owes nothing while it waits.
+            if let Some(flush) = &mut self.on_quiet {
                 flush();
             }
-            thread::sleep(POLL);
-            slept = true;
+            wait();
         }
     }
 
@@ -747,51 +776,70 @@ mod tests {
         assert!(credits >= 190.0, "credits flowed: {credits}");
     }
 
+    /// Frames already buffered cost no call of the output hook, and every
+    /// sleep is preceded by one. The client sends each burst only once it
+    /// has read the previous burst's `Ack`, which leaves when the source is
+    /// about to sleep: the input is empty at one refill per burst, and the
+    /// next burst may arrive within that one sleep — it still cost a call.
     #[test]
-    fn the_quiet_hook_runs_once_the_ring_has_stayed_empty_across_a_poll() {
+    fn the_output_hook_runs_before_every_sleep() {
         use std::sync::atomic::AtomicUsize;
-        let mut server = IngestServer::bind("127.0.0.1:0", IngestConfig::new(1)).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        let hello = Frame::Hello {
-            protocol: PROTOCOL_VERSION,
-            input: 0,
+        const BURSTS: usize = 20;
+        // No credit batch comes due: each stable's `Ack` is written only by
+        // the flush before a sleep.
+        let config = IngestConfig {
+            inputs: 1,
+            ring_capacity: 256,
+            credit_batch: 255,
         };
-        wire::write_frame(&mut stream, &hello).unwrap();
+        let mut server = IngestServer::bind("127.0.0.1:0", config).unwrap();
+        let (mut stream, _) = hello(&server, 0);
         let mut reader = FrameReader::new(stream.try_clone().unwrap());
-        assert!(matches!(
-            reader.next_frame(),
-            Ok(Some(Frame::Welcome { .. }))
-        ));
-        let sent = feed(5);
-        for (i, te) in sent.iter().enumerate() {
-            let frame = Frame::Data {
-                seq: i as u64,
-                at: te.at,
-                element: te.element.clone(),
-            };
-            wire::write_frame(&mut stream, &frame).unwrap();
-        }
+        // Three inserts and a stable per burst.
+        let sent: Vec<TimedElement<Value>> = (0..BURSTS as u64 * 4)
+            .map(|i| {
+                let element = if i % 4 == 3 {
+                    Element::stable(Time(i as i64))
+                } else {
+                    Element::insert(Value::bare(i as i32), i as i64, i as i64 + 50)
+                };
+                TimedElement::new(VTime(i), element)
+            })
+            .collect();
+        let frames = data_frames(&sent);
+        let burst_bytes = frames.len() / BURSTS;
+        let mut bursts = frames.chunks(burst_bytes);
+        stream.write_all(bursts.next().unwrap()).unwrap();
         let calls = Arc::new(AtomicUsize::new(0));
         let hook = Arc::clone(&calls);
         let mut source = server.sources().remove(0).on_quiet(move || {
             hook.fetch_add(1, Ordering::Relaxed);
         });
-        // Frames that are there (or arrive within a poll) cost no call…
-        while server.shared.inbox(0).next_seq < 6 {
+        while server.shared.inbox(0).next_seq < 4 {
             server.shared.refill_all();
             thread::sleep(Duration::from_millis(1));
         }
-        for te in &sent {
+        for te in &sent[..4] {
             assert_eq!(source.next().as_ref(), Some(te));
         }
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "the input never paused");
-        // …a pause does, on every poll it lasts.
-        let blocked = thread::spawn(move || source.next());
-        while calls.load(Ordering::Relaxed) < 3 {
-            thread::sleep(Duration::from_millis(1));
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "the input never ran dry");
+        let drained = thread::spawn(move || std::iter::from_fn(|| source.next()).collect());
+        for (k, burst) in bursts.enumerate() {
+            let stable = Time(4 * k as i64 + 3);
+            assert!(
+                matches!(reader.next_frame(), Ok(Some(Frame::Ack { stable: s, .. })) if s == stable)
+            );
+            stream.write_all(burst).unwrap();
         }
+        assert!(matches!(reader.next_frame(), Ok(Some(Frame::Ack { .. }))));
         wire::write_frame(&mut stream, &Frame::Bye).unwrap();
-        assert_eq!(blocked.join().unwrap(), None);
+        let got: Vec<TimedElement<Value>> = drained.join().unwrap();
+        assert_eq!(got, sent[4..]);
+        let calls = calls.load(Ordering::Relaxed);
+        assert!(
+            calls >= BURSTS,
+            "{calls} hook calls for {BURSTS} empty stretches"
+        );
     }
 
     #[test]

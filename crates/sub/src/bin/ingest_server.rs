@@ -23,7 +23,8 @@
 //! registry is the server's only account of the run: it keeps no trace.
 //! `--subscribe HOST:PORT` serves the merged
 //! output live through the broadcast buffer, flushed to subscribers
-//! whenever the input goes quiet, every 32 KiB, and at every stable advance;
+//! before every wait of the merge thread, every 32 KiB, and at every
+//! stable advance;
 //! `--filter SPEC` (repeatable; `all`, `mod:M:R`, `range:LO:HI`) adds
 //! filter classes subscribers can pick — class 0 is always the full
 //! stream.
@@ -240,8 +241,8 @@ fn main() -> ExitCode {
         .sources()
         .into_iter()
         .map(|src| {
-            // Output leaves when the input goes quiet (and every 32 KiB),
-            // not only when punctuation seals an epoch.
+            // Output leaves before every wait of the merge thread (and
+            // every 32 KiB), not only when punctuation seals an epoch.
             let src = match &buf {
                 Some(b) => {
                     let b = Arc::clone(b);

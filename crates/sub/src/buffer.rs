@@ -22,10 +22,11 @@
 //!
 //! Who flushes: a seal, [`finish`](EpochBuffer::finish),
 //! [`restore`](EpochBuffer::restore), a tail that reached
-//! [`CHUNK_BYTES`], and whoever drives the publisher when its input has
-//! gone quiet (`lmerge-ingest` hooks it to `NetSource::on_quiet`).
-//! Wake-ups are therefore per refill, not per frame, and a publisher
-//! whose input never pauses delivers once per seal or reader refill.
+//! [`CHUNK_BYTES`], and whoever drives the publisher, before every wait
+//! (`lmerge-ingest` hooks it to `NetSource::on_quiet`, which runs before
+//! each of the merge thread's 0.3 ms sleeps). Wake-ups are therefore per
+//! wait, not per frame, and a publisher whose input never pauses delivers
+//! once per seal or reader refill.
 //!
 //! # Compaction
 //!
@@ -488,14 +489,17 @@ impl EpochBuffer {
         if inner.tail_offsets.is_empty() {
             return;
         }
-        let offsets = std::mem::take(&mut inner.tail_offsets);
+        // Exact-size copies: a retained chunk holds its frames and no
+        // spare capacity, and the tail keeps its buffers for the next one.
         let chunk = Chunk {
-            base_seq: inner.next_seq - offsets.len() as u64,
-            elements: std::mem::take(&mut inner.tail_elements),
-            bytes: std::mem::take(&mut inner.tail_bytes),
-            offsets,
+            base_seq: inner.next_seq - inner.tail_offsets.len() as u64,
+            elements: inner.tail_elements.drain(..).collect(),
+            bytes: inner.tail_bytes.clone(),
+            offsets: inner.tail_offsets.clone(),
             bitmaps: Mutex::new(HashMap::new()),
         };
+        inner.tail_bytes.clear();
+        inner.tail_offsets.clear();
         inner.chunks.push_back(Arc::new(chunk));
         inner.flushes += 1;
         self.flushed.notify_all();

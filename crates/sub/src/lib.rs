@@ -11,9 +11,9 @@
 //!   elements are wire-encoded a single time, frozen
 //!   into refcounted [`Chunk`]s at each flush, and fanned out to N
 //!   sessions as ranged writes from the shared byte blocks (zero
-//!   per-subscriber copies). A flush — whenever the publisher's input
-//!   goes quiet, and at each advance of the output stable point — is
-//!   what makes output visible; the stable advance also stamps a
+//!   per-subscriber copies). A flush — before every wait of the
+//!   publisher's merge thread, and at each advance of the output stable
+//!   point — is what makes output visible; the stable advance also stamps a
 //!   [`Seal`], closing the *epoch* that acks, retention and checkpoints
 //!   count in. Delivery does not wait for punctuation.
 //! - [`SubServer`] speaks the ingest wire protocol symmetrically: a

@@ -300,7 +300,7 @@ impl SubServer {
     /// publishing `finish()` and [`shutdown`](SubServer::shutdown) so
     /// paced subscribers' final `Bye` round trips are not severed.
     pub fn await_sessions_closed(&self, timeout: Duration) -> bool {
-        SessionCounts::await_closed([&self.shared.metrics.sessions], timeout)
+        self.shared.metrics.sessions.await_closed(timeout)
     }
 
     /// Stop accepting, join the accept loop, and wake blocked sessions.

@@ -27,9 +27,10 @@ use lmerge::sub::{
     SubPolicy, SubServer, SubscribeConfig,
 };
 use lmerge::temporal::{Element, Time, VTime, Value};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Retain everything: these tests compare full streams, so late joiners
 /// and post-run subscribers must still see sequence 0.
@@ -239,7 +240,8 @@ fn open_epoch_streams_to_a_live_subscriber_when_the_input_goes_quiet() {
     let cut = replay(&addr, &feed, &ReplayConfig::new(0).with_kill_after(inserts)).expect("replay");
     assert!(!cut.clean);
     // A live subscriber gets them anyway: `kill_after` returns at the
-    // sixth frame, which nothing but the quiet-point flush can have delivered.
+    // sixth frame, which nothing but the flush before the merge thread's
+    // wait can have delivered.
     let early = subscribe(&sub_addr, &SubscribeConfig::new(1).with_kill_after(inserts))
         .expect("live subscriber");
     assert_eq!(early.received, inserts);
@@ -271,6 +273,111 @@ fn open_epoch_streams_to_a_live_subscriber_when_the_input_goes_quiet() {
     stitched.extend_from_slice(&late.bytes);
     assert_eq!(stitched, observer.bytes, "early frames are the same frames");
     assert_eq!(observer.received, inserts + 1);
+    server.shutdown();
+    sub_server.shutdown();
+}
+
+/// A replica that writes a 32 B insert every 40 µs for 200 ms — more
+/// often than the merge thread waits, so its input is never empty across a
+/// wait — and no punctuation. Its first insert reaches a live subscriber
+/// within 10 ms of being written, and so does its last: the merge thread
+/// hands its output over before every wait, not only at a seal, a full
+/// 32 KiB chunk (≈ 350 of these frames, 14 ms) or a pause in the input.
+#[test]
+fn a_dense_trickle_without_punctuation_reaches_a_live_subscriber_within_milliseconds() {
+    const GAP: Duration = Duration::from_micros(40);
+    const BOUND: Duration = Duration::from_millis(10);
+    let frames = 5_000u64; // 200 ms
+    let buf = Arc::new(EpochBuffer::new(retain_all()));
+    let registry = MetricsRegistry::new();
+    let mut sub_server =
+        SubServer::bind_with_metrics("127.0.0.1:0", Arc::clone(&buf), SubConfig::new(), &registry)
+            .expect("sub bind");
+    let sub_addr = sub_server.local_addr().to_string();
+    // A window the whole trickle fits in: the writer never waits on a
+    // credit, so nothing but its own clock paces it.
+    let config = IngestConfig {
+        ring_capacity: frames as usize + 1,
+        ..IngestConfig::new(1)
+    };
+    let mut server = IngestServer::bind("127.0.0.1:0", config).expect("bind");
+    let queries: Vec<Query<Value>> = server
+        .sources()
+        .into_iter()
+        .map(|src| {
+            let buf = Arc::clone(&buf);
+            Query::from_source(Box::new(src.on_quiet(move || buf.flush())), Vec::new())
+        })
+        .collect();
+    let merge = {
+        let buf = Arc::clone(&buf);
+        thread::spawn(move || {
+            let mut output = OutputHook::new().broadcast(buf);
+            MergeRun::new(
+                queries,
+                new_for_level(RLevel::R3, 1, MergePolicy::default()),
+                RunConfig::default(),
+            )
+            .run_with_hooks(&mut NullSink, &mut output);
+            output.finish().expect("no file, no I/O error");
+        })
+    };
+    // One subscriber returns at the first frame, one at the last.
+    let watch = |n: u64| {
+        let addr = sub_addr.clone();
+        thread::spawn(move || {
+            let got = subscribe(&addr, &SubscribeConfig::new(n).with_kill_after(n))
+                .expect("live subscriber");
+            (got, Instant::now())
+        })
+    };
+    let (first, last) = (watch(1), watch(frames));
+    while registry.sum_value("lmerge_sub_sessions_opened_total") != Some(2.0) {
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    let hello = Frame::Hello {
+        protocol: wire::PROTOCOL_VERSION,
+        input: 0,
+    };
+    wire::write_frame(&mut stream, &hello).unwrap();
+    assert!(matches!(
+        wire::read_frame(&mut stream),
+        Ok(Some(Frame::Welcome { credits, .. })) if credits as u64 > frames
+    ));
+    let start = Instant::now();
+    let mut written = Vec::with_capacity(frames as usize);
+    for i in 0..frames {
+        let due = start + GAP * i as u32;
+        while Instant::now() < due {
+            std::hint::spin_loop();
+        }
+        let element = Element::insert(Value::synthetic(i as i32, 32), i as i64, i as i64 + 5);
+        let frame = Frame::Data {
+            seq: i,
+            at: VTime(i),
+            element,
+        };
+        wire::write_frame(&mut stream, &frame).unwrap();
+        written.push(Instant::now());
+    }
+
+    let (first, first_seen) = first.join().expect("first watcher");
+    let (last, last_seen) = last.join().expect("last watcher");
+    assert_eq!((first.received, last.received), (1, frames));
+    assert!(last
+        .frames
+        .iter()
+        .all(|(_, _, e)| matches!(e, Element::Insert(_))));
+    let first_lag = first_seen.saturating_duration_since(written[0]);
+    let last_lag = last_seen.saturating_duration_since(written[frames as usize - 1]);
+    assert!(first_lag <= BOUND, "the first insert took {first_lag:?}");
+    assert!(last_lag <= BOUND, "the last insert took {last_lag:?}");
+
+    wire::write_frame(&mut stream, &Frame::Bye).unwrap();
+    merge.join().expect("merge thread");
     server.shutdown();
     sub_server.shutdown();
 }
@@ -350,6 +457,11 @@ fn subscriber_resume_across_merge_restart(cell: RestartCell) {
         )
         .expect("watch")
     });
+    // Its session pins a cursor from the start, so the cuts carry it —
+    // provided it has joined before the merge runs to cut 2.
+    while !buf1.cursors().iter().any(|&(id, _)| id == 77) {
+        thread::sleep(Duration::from_millis(1));
+    }
     let queries: Vec<Query<Value>> = server
         .sources()
         .into_iter()
