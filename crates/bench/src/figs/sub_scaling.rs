@@ -13,8 +13,8 @@
 //! `eps(sub@N256) >= eps(sub@N16) / 1.15`.
 //!
 //! CPU is process CPU time (utime+stime from `/proc/self/stat`), not
-//! wall clock: the sweep runs producer, server sessions, and all N
-//! in-process subscriber clients on whatever cores exist, and CPU time
+//! wall clock: the sweep runs the producer, which serves the sessions, and
+//! all N in-process subscriber clients on whatever cores exist, and CPU time
 //! is what the shared-encoding design actually economizes.
 
 use crate::report::{fmt_eps, MetricsRecord};
@@ -144,6 +144,9 @@ pub fn run_point(feed: &[TimedElement<Value>], n: usize) -> SubPoint {
     let metrics = MergeRun::new(queries, VariantKind::R3Plus.build(1), RunConfig::default())
         .run_with_hooks(&mut NullSink, &mut output);
     output.finish().expect("no file, no I/O error");
+    // The producer has stopped: what the sockets did not take at its last
+    // flush, and the close handshakes, are served here.
+    server.await_sessions_closed(std::time::Duration::from_secs(60));
 
     let received: Vec<u64> = clients
         .into_iter()

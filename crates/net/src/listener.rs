@@ -12,7 +12,7 @@ use lmerge_obs::{Counter, MetricsRegistry};
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -104,11 +104,6 @@ pub struct SessionCounts {
     resumed: Counter,
     clean: Counter,
     lost: Counter,
-    /// Held while a close is counted and notified, so a waiter that
-    /// checks the counts under it cannot miss one. It guards no data, so
-    /// a poisoned lock is taken as is.
-    closing: Mutex<()>,
-    closed: Condvar,
 }
 
 impl SessionCounts {
@@ -141,8 +136,6 @@ impl SessionCounts {
                 "session_closes_lost_total",
                 "sessions that ended uncleanly (EOF, gap, corruption, i/o error).",
             ),
-            closing: Mutex::new(()),
-            closed: Condvar::new(),
         }
     }
 
@@ -156,29 +149,16 @@ impl SessionCounts {
 
     /// A session ended, with the Bye handshake if `clean`.
     pub fn on_close(&self, clean: bool) {
-        let _closing = self.closing.lock().unwrap_or_else(PoisonError::into_inner);
         if clean {
             self.clean.inc();
         } else {
             self.lost.inc();
         }
-        self.closed.notify_all();
     }
 
     /// Every session opened so far has closed.
     pub fn all_closed(&self) -> bool {
         self.clean.get() + self.lost.get() >= self.opened.get()
-    }
-
-    /// Wait (up to `timeout`) until every session opened so far has
-    /// closed, woken by each close; `true` once all have.
-    pub fn await_closed(&self, timeout: Duration) -> bool {
-        let closing = self.closing.lock().unwrap_or_else(PoisonError::into_inner);
-        let (_closing, waited) = self
-            .closed
-            .wait_timeout_while(closing, timeout, |_| !self.all_closed())
-            .unwrap_or_else(PoisonError::into_inner);
-        !waited.timed_out()
     }
 }
 

@@ -326,9 +326,11 @@ impl ServerShared {
     }
 }
 
-/// The merge thread's one wait, between refills of inputs it found empty.
-/// Its callers have flushed what they owe before they call it.
-fn wait() {
+/// The merge thread's one wait, between refills of inputs it found empty;
+/// also the cadence of the subscriber server's passes once the merge has
+/// stopped (`lmerge_sub::SubServer::serve_until`). Its callers have flushed
+/// what they owe before they call it.
+pub fn wait() {
     thread::sleep(WAIT);
 }
 
@@ -458,10 +460,14 @@ impl IngestServer {
     /// [`shutdown`](IngestServer::shutdown), which severs what is open.
     pub fn await_sessions_closed(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        self.serve_until(|| self.sessions_closed() || Instant::now() >= deadline);
+        self.sessions_closed()
+    }
+
+    /// Every session accepted so far has closed.
+    pub fn sessions_closed(&self) -> bool {
         let inputs = &self.shared.metrics.inputs;
-        let closed = || inputs.iter().all(|m| m.sessions.all_closed());
-        self.serve_until(|| closed() || Instant::now() >= deadline);
-        closed()
+        inputs.iter().all(|m| m.sessions.all_closed())
     }
 
     /// Stop accepting, join the accept loop, and sever live sessions.

@@ -11,9 +11,11 @@
 //! handshakes, printing a run summary to stdout. The merge thread reads the
 //! input connections itself; a connection has a thread of its own only for
 //! its handshake, so while replicas stream the process runs the main
-//! (merge) thread, the accept loops, the `--metrics` endpoint, the
-//! checkpoint writer and one thread per subscriber — and no thread per
-//! input. Both outputs leave the
+//! (merge) thread, the accept loops, the `--metrics` endpoint and the
+//! checkpoint writer — and no thread per input or per subscriber: the
+//! merge thread writes the subscriber sockets itself, at every flush of the
+//! broadcast buffer, and after the merge `SubServer::await_sessions_closed`
+//! does. Both outputs leave the
 //! merge through one `lmerge_sub::OutputHook`; if the `--out` file fails
 //! (a full disk), the run and the subscribers carry on, and the process
 //! reports the error and exits non-zero at the end. With `--metrics` a
@@ -22,9 +24,9 @@
 //! each scrape; the summary's `alerts fired: N` line reads them back. The
 //! registry is the server's only account of the run: it keeps no trace.
 //! `--subscribe HOST:PORT` serves the merged
-//! output live through the broadcast buffer, flushed to subscribers
-//! before every wait of the merge thread, every 32 KiB, and at every
-//! stable advance;
+//! output live through the broadcast buffer, flushed and written to the
+//! subscribers before every wait of the merge thread, every 32 KiB, and at
+//! every stable advance;
 //! `--filter SPEC` (repeatable; `all`, `mod:M:R`, `range:LO:HI`) adds
 //! filter classes subscribers can pick — class 0 is always the full
 //! stream.
@@ -242,7 +244,8 @@ fn main() -> ExitCode {
         .into_iter()
         .map(|src| {
             // Output leaves before every wait of the merge thread (and
-            // every 32 KiB), not only when punctuation seals an epoch.
+            // every 32 KiB), not only when punctuation seals an epoch: the
+            // flush writes the subscriber sockets on this thread.
             let src = match &buf {
                 Some(b) => {
                     let b = Arc::clone(b);
@@ -330,8 +333,17 @@ fn main() -> ExitCode {
     // while its final `Bye` round trip is still in flight; give the
     // close handshakes a moment so teardown doesn't sever them. Same for
     // subscribers: seal the stream first (and close the egress file) so
-    // their sessions see Finished and run the Bye handshake.
-    server.await_sessions_closed(std::time::Duration::from_secs(2));
+    // their sessions see Finished and run the Bye handshake, in the passes
+    // `await_sessions_closed` runs once the merge thread no longer flushes.
+    // Until then the subscribers are served at every wait, as during the
+    // merge: a socket that was full at the last flush still drains.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    server.serve_until(|| {
+        if let Some(b) = &buf {
+            b.flush();
+        }
+        server.sessions_closed() || std::time::Instant::now() >= deadline
+    });
     let written = output.finish();
     if let Some(s) = &sub_server {
         s.await_sessions_closed(std::time::Duration::from_secs(5));

@@ -6,10 +6,11 @@
 //! (with the same global output sequence the hook's `--out` file carries). A
 //! [`flush`](EpochBuffer::flush) freezes the tail into an immutable,
 //! refcounted [`Chunk`] — the decoded elements, their encoded `Data`
-//! frames, and lazily built filter bitmaps — and wakes parked sessions:
+//! frames, and lazily built filter bitmaps — and then runs one serve pass
+//! of the bound [`SubServer`](crate::SubServer) on the flushing thread:
 //! the chunk is the unit of *visibility*. Sessions share chunks by `Arc`:
-//! delivery is a ranged `write_all` out of the shared byte block, so the
-//! per-subscriber cost is a socket write, not a re-serialization.
+//! delivery is a ranged non-blocking `write` out of the shared byte block,
+//! so the per-subscriber cost is a socket write, not a re-serialization.
 //!
 //! Each advance of the output stable point *seals* the open epoch: the
 //! tail is flushed and a [`Seal`] marker (`index`, `stable`, `end_seq`)
@@ -24,9 +25,13 @@
 //! [`restore`](EpochBuffer::restore), a tail that reached
 //! [`CHUNK_BYTES`], and whoever drives the publisher, before every wait
 //! (`lmerge-ingest` hooks it to `NetSource::on_quiet`, which runs before
-//! each of the merge thread's 0.3 ms sleeps). Wake-ups are therefore per
-//! wait, not per frame, and a publisher whose input never pauses delivers
-//! once per seal or reader refill.
+//! each of the merge thread's 0.3 ms sleeps). Each of these runs the serve
+//! pass on the publisher's thread — a `publish` once, after the seals and
+//! cuts it made — so output is written to the subscriber sockets before the
+//! merge thread sleeps, and no other thread is woken to send it. A
+//! [`flush`](EpochBuffer::flush) with nothing new still runs the pass:
+//! that is how sessions take their subscribers' credits, acks and `Bye`s
+//! while the stream is quiet.
 //!
 //! # Compaction
 //!
@@ -50,13 +55,14 @@
 //! executor thread, an image polled at a checkpoint cut is exactly
 //! consistent with the merge image saved beside it.
 
+use crate::server::SubShared;
 use lmerge_engine::{EgressImage, FrameRun};
 use lmerge_net::wire::{self, Frame, WireError};
 use lmerge_temporal::{Element, Time, VTime, Value};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// A subscriber's per-session predicate over the merged stream. Stable
 /// punctuations always pass: every subscriber sees the full progress
@@ -180,6 +186,13 @@ impl Chunk {
         &self.bytes[start as usize..(start + len) as usize]
     }
 
+    /// The encoded bytes of frames `frames`, back to back (non-empty).
+    pub(crate) fn span(&self, frames: Range<usize>) -> &[u8] {
+        let start = self.offsets[frames.start].0 as usize;
+        let (last, len) = self.offsets[frames.end - 1];
+        &self.bytes[start..(last + len) as usize]
+    }
+
     /// The decoded element of frame `i`.
     pub fn element(&self, i: usize) -> &Element<Value> {
         &self.elements[i]
@@ -189,7 +202,9 @@ impl Chunk {
     /// on first request, then shared (evaluated once per chunk per class,
     /// not per subscriber).
     pub fn bitmap(&self, class: u32, filter: &SubFilter) -> Arc<Vec<u64>> {
-        let mut cache = self.bitmaps.lock().unwrap();
+        // A cache entry is inserted whole, after its bitmap is built: a
+        // poisoned cache holds only complete bitmaps.
+        let mut cache = self.bitmaps.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(cache.entry(class).or_insert_with(|| {
             let mut bits = vec![0u64; self.elements.len().div_ceil(64)];
             for (i, e) in self.elements.iter().enumerate() {
@@ -248,8 +263,8 @@ impl Default for SubPolicy {
 }
 
 /// What a subscriber session finds when it asks for the frames from its
-/// cursor on.
-pub enum EpochWait {
+/// cursor on. Asking never waits.
+pub enum ChunkAt {
     /// The flushed chunk holding the cursor; deliver it from there.
     Ready {
         /// The chunk (the cursor may point into its middle).
@@ -260,12 +275,6 @@ pub enum EpochWait {
         seal: Option<Seal>,
         /// Epochs sealed so far.
         sealed: u64,
-        /// Epochs retained.
-        retained: u64,
-        /// Next output sequence the publisher will assign.
-        next_seq: u64,
-        /// Chunks flushed so far.
-        flushes: u64,
     },
     /// The cursor's epoch was retired. Catch up from the horizon.
     Compacted {
@@ -277,8 +286,8 @@ pub enum EpochWait {
     },
     /// The stream ended at the cursor; nothing more will be flushed.
     Finished,
-    /// Nothing flushed at the cursor within the timeout; ask again.
-    TimedOut,
+    /// Nothing flushed at the cursor yet; ask again after the next flush.
+    Pending,
 }
 
 struct BufferInner {
@@ -300,8 +309,6 @@ struct BufferInner {
     /// Stable point the retired prefix had reached (what a demoted
     /// subscriber's catch-up `Welcome` reports).
     compact_stable: Time,
-    finished: bool,
-    flushes: u64,
     /// Durable cursors: subscriber id → acked next output sequence.
     /// These pin retention (until they lag past the policy) and are what
     /// checkpoints persist.
@@ -339,11 +346,22 @@ impl BufferInner {
 /// sessions read flushed chunks by `Arc`.
 pub struct EpochBuffer {
     inner: Mutex<BufferInner>,
-    flushed: Condvar,
-    /// The tail is non-empty. Lets an idle `flush()` return without the
-    /// lock; `Relaxed` because it guards no data — the tail itself is
-    /// only ever touched under `inner`.
+    /// The tail is non-empty. Lets an idle `flush()` skip the lock;
+    /// `Relaxed` because it guards no data — the tail itself is only ever
+    /// touched under `inner`.
     unflushed: AtomicBool,
+    /// One past the last flushed frame's sequence, and whether
+    /// [`finish`](EpochBuffer::finish) has run: stored under `inner`, read
+    /// without it, so a serve pass skips a session with nothing new without
+    /// the lock.
+    visible_end: AtomicU64,
+    finished: AtomicBool,
+    /// Chunks flushed so far, and sealed epochs retained (as of the last
+    /// seal or compaction): the gauges a serve pass reads without the lock.
+    flushes: AtomicU64,
+    retained: AtomicU64,
+    /// The subscriber servers whose serve passes every flush runs.
+    servers: Mutex<Vec<Weak<SubShared>>>,
     policy: SubPolicy,
 }
 
@@ -362,14 +380,50 @@ impl EpochBuffer {
                 next_seq: 0,
                 stable: Time::MIN,
                 compact_stable: Time::MIN,
-                finished: false,
-                flushes: 0,
                 cursors: HashMap::new(),
             }),
-            flushed: Condvar::new(),
             unflushed: AtomicBool::new(false),
+            visible_end: AtomicU64::new(0),
+            finished: AtomicBool::new(false),
+            flushes: AtomicU64::new(0),
+            retained: AtomicU64::new(0),
+            servers: Mutex::new(Vec::new()),
             policy,
         }
+    }
+
+    /// The buffer's state. Nothing under this lock unwinds — its holders
+    /// push, pop and index within bounds they checked, and an allocation
+    /// failure aborts — so it cannot be poisoned by a half-made change; a
+    /// poisoned lock is taken as is rather than turning one bug elsewhere
+    /// into a panic on every subscriber's pass.
+    fn lock(&self) -> MutexGuard<'_, BufferInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The servers bound to this buffer. A holder only pushes or drops
+    /// whole handles, so a poisoned list is still a list of handles.
+    fn servers(&self) -> MutexGuard<'_, Vec<Weak<SubShared>>> {
+        self.servers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run every flush's serve pass on `server` too, from now on.
+    pub(crate) fn attach(&self, server: Weak<SubShared>) {
+        let mut servers = self.servers();
+        servers.retain(|s| s.strong_count() > 0);
+        servers.push(server);
+    }
+
+    /// One serve pass of each bound server on this thread, forgetting the
+    /// servers that are gone.
+    fn serve(&self) {
+        self.servers().retain(|server| match server.upgrade() {
+            Some(server) => {
+                server.serve();
+                true
+            }
+            None => false,
+        });
     }
 
     /// Rebuild a buffer from a checkpoint's egress image: decode the
@@ -379,8 +433,9 @@ impl EpochBuffer {
     /// Corrupt frames fail typed — a checkpoint is still a file.
     pub fn restore(image: &EgressImage, policy: SubPolicy) -> Result<EpochBuffer, WireError> {
         let buf = EpochBuffer::new(policy);
+        buf.visible_end.store(image.base_seq, Ordering::Release);
         {
-            let mut inner = buf.inner.lock().unwrap();
+            let mut inner = buf.lock();
             inner.open_base_seq = image.base_seq;
             inner.next_seq = image.base_seq;
             inner.compact_stable = image.stable;
@@ -410,7 +465,7 @@ impl EpochBuffer {
         {
             // The image's stable is authoritative (the retained tail may
             // open below it when the cut fell mid-epoch).
-            let mut inner = buf.inner.lock().unwrap();
+            let mut inner = buf.lock();
             inner.stable = inner.stable.max(image.stable);
         }
         Ok(buf)
@@ -421,17 +476,15 @@ impl EpochBuffer {
     /// with each consumption's emissions — single-publisher by
     /// construction. Nothing is visible to sessions before a flush.
     ///
-    /// A call that flushed yields the CPU once the lock is released. The
-    /// publisher is the merge thread, which need not block again soon — it
-    /// reads its own inputs — so on a server whose threads share a core the
-    /// sessions the flush woke would otherwise wait for the end of its time
-    /// slice to send what it made visible.
+    /// A call that flushed — at a seal or a [`CHUNK_BYTES`] cut — runs one
+    /// serve pass once the lock is released, so what it made visible is
+    /// written before the publisher goes on.
     pub fn publish(&self, at: VTime, emitted: &[Element<Value>]) {
         if emitted.is_empty() {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
-        let flushes = inner.flushes;
+        let mut inner = self.lock();
+        let flushes = self.flushes.load(Ordering::Relaxed);
         let mut sealed_any = false;
         for e in emitted {
             let frame = Frame::Data {
@@ -467,21 +520,22 @@ impl EpochBuffer {
         if !inner.tail_offsets.is_empty() {
             self.unflushed.store(true, Ordering::Relaxed);
         }
-        let flushed = inner.flushes != flushes;
         drop(inner);
-        if flushed {
-            std::thread::yield_now();
+        if self.flushes.load(Ordering::Relaxed) != flushes {
+            self.serve();
         }
     }
 
-    /// Make everything published so far visible: freeze the tail into a
-    /// chunk and wake parked sessions. Free — no lock, no `notify` — when
-    /// nothing was published since the last flush, so the publisher's
-    /// driver may call it on every idle poll.
+    /// Make everything published so far visible — freeze the tail into a
+    /// chunk — and run one serve pass. The freeze is free (no lock) when
+    /// nothing was published since the last flush, and the pass of a quiet
+    /// stream only reads the sockets that are due, so the publisher's
+    /// driver may call it before every wait.
     pub fn flush(&self) {
         if self.unflushed.load(Ordering::Relaxed) {
-            self.flush_locked(&mut self.inner.lock().unwrap());
+            self.flush_locked(&mut self.lock());
         }
+        self.serve();
     }
 
     fn flush_locked(&self, inner: &mut BufferInner) {
@@ -501,61 +555,65 @@ impl EpochBuffer {
         inner.tail_bytes.clear();
         inner.tail_offsets.clear();
         inner.chunks.push_back(Arc::new(chunk));
-        inner.flushes += 1;
-        self.flushed.notify_all();
+        self.visible_end.store(inner.next_seq, Ordering::Release);
+        self.flushes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Flush, seal any open remainder, and mark the stream complete.
+    /// Flush, seal any open remainder, mark the stream complete, and run
+    /// the serve pass that starts every session's close.
     pub fn finish(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        self.flush_locked(&mut inner);
-        if inner.next_seq > inner.open_base_seq {
-            inner.seal_open();
+        {
+            let mut inner = self.lock();
+            self.flush_locked(&mut inner);
+            if inner.next_seq > inner.open_base_seq {
+                inner.seal_open();
+            }
+            self.retained
+                .store(inner.seals.len() as u64, Ordering::Relaxed);
+            self.finished.store(true, Ordering::Release);
         }
-        inner.finished = true;
-        self.flushed.notify_all();
+        self.serve();
     }
 
-    /// Wait (up to `timeout`) for a flushed frame at or after `seq`.
-    pub fn wait_from(&self, seq: u64, timeout: Duration) -> EpochWait {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if seq < inner.horizon_seq() {
-                return EpochWait::Compacted {
-                    resume_seq: inner.horizon_seq(),
-                    stable: inner.compact_stable,
-                };
-            }
-            let at = inner.chunks.partition_point(|c| c.end_seq() <= seq);
-            if let Some(chunk) = inner.chunks.get(at) {
-                let end = chunk.end_seq();
-                let mark = inner.seals.partition_point(|s| s.end_seq < end);
-                return EpochWait::Ready {
-                    chunk: Arc::clone(chunk),
-                    seal: inner.seals.get(mark).filter(|s| s.end_seq == end).copied(),
-                    sealed: inner.next_index,
-                    retained: inner.seals.len() as u64,
-                    next_seq: inner.next_seq,
-                    flushes: inner.flushes,
-                };
-            }
-            if inner.finished {
-                return EpochWait::Finished;
-            }
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return EpochWait::TimedOut;
-            }
-            let (guard, _) = self.flushed.wait_timeout(inner, left).unwrap();
-            inner = guard;
+    /// Whether a flushed frame or the end of the stream lies at or after
+    /// `seq`, read without the lock: `false` means [`chunk_at`] would say
+    /// [`ChunkAt::Pending`].
+    ///
+    /// [`chunk_at`]: EpochBuffer::chunk_at
+    pub(crate) fn news_at(&self, seq: u64) -> bool {
+        seq < self.visible_end.load(Ordering::Acquire) || self.finished.load(Ordering::Acquire)
+    }
+
+    /// The flushed chunk holding `seq`, or why there is none.
+    pub fn chunk_at(&self, seq: u64) -> ChunkAt {
+        let inner = self.lock();
+        if seq < inner.horizon_seq() {
+            return ChunkAt::Compacted {
+                resume_seq: inner.horizon_seq(),
+                stable: inner.compact_stable,
+            };
+        }
+        let at = inner.chunks.partition_point(|c| c.end_seq() <= seq);
+        if let Some(chunk) = inner.chunks.get(at) {
+            let end = chunk.end_seq();
+            let mark = inner.seals.partition_point(|s| s.end_seq < end);
+            return ChunkAt::Ready {
+                chunk: Arc::clone(chunk),
+                seal: inner.seals.get(mark).filter(|s| s.end_seq == end).copied(),
+                sealed: inner.next_index,
+            };
+        }
+        if self.finished.load(Ordering::Acquire) {
+            ChunkAt::Finished
+        } else {
+            ChunkAt::Pending
         }
     }
 
     /// Record `subscriber`'s durable cursor (acked next sequence; grows
     /// monotonically) and retire epochs every live cursor has passed.
     pub fn ack(&self, subscriber: u64, next_seq: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let cur = inner.cursors.entry(subscriber).or_insert(0);
         *cur = (*cur).max(next_seq);
         self.compact_locked(&mut inner);
@@ -564,14 +622,14 @@ impl EpochBuffer {
     /// Forget a subscriber entirely (its cursor stops pinning retention
     /// and will not be persisted).
     pub fn forget(&self, subscriber: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.cursors.remove(&subscriber);
         self.compact_locked(&mut inner);
     }
 
     /// The durable cursor map, sorted by subscriber id.
     pub fn cursors(&self) -> Vec<(u64, u64)> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let mut out: Vec<(u64, u64)> = inner.cursors.iter().map(|(&s, &c)| (s, c)).collect();
         out.sort_unstable();
         out
@@ -612,13 +670,15 @@ impl EpochBuffer {
             }
             inner.compact_stable = inner.compact_stable.max(front.stable);
         }
+        self.retained
+            .store(inner.seals.len() as u64, Ordering::Relaxed);
     }
 
     /// The compaction horizon: `(first retained epoch index, its base
     /// sequence, stable point of the retired prefix)` — what a stale
     /// `resume_from` is clamped up to at the subscribe handshake.
     pub fn horizon(&self) -> (u64, u64, Time) {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         (
             inner.first_index(),
             inner.horizon_seq(),
@@ -629,7 +689,7 @@ impl EpochBuffer {
     /// `(next sequence, stable point, sealed epochs, retained epochs)` —
     /// the publisher-side gauges.
     pub fn stats(&self) -> (u64, Time, u64, u64) {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         (
             inner.next_seq,
             inner.stable,
@@ -640,12 +700,17 @@ impl EpochBuffer {
 
     /// Chunks flushed so far (frames ÷ flushes is the egress batch size).
     pub fn flushes(&self) -> u64 {
-        self.inner.lock().unwrap().flushes
+        self.flushes.load(Ordering::Relaxed)
+    }
+
+    /// Sealed epochs retained, as of the last seal or compaction.
+    pub(crate) fn retained(&self) -> u64 {
+        self.retained.load(Ordering::Relaxed)
     }
 
     /// Whether [`finish`](EpochBuffer::finish) has been called.
     pub fn finished(&self) -> bool {
-        self.inner.lock().unwrap().finished
+        self.finished.load(Ordering::Acquire)
     }
 
     /// Snapshot the buffer as a checkpointable [`EgressImage`]: durable
@@ -654,7 +719,7 @@ impl EpochBuffer {
     /// flushed chunks are shared, not copied: the lock is held for a
     /// pointer per chunk and a copy of the tail.
     pub fn image(&self) -> EgressImage {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let mut frames: Vec<FrameRun> = Vec::with_capacity(inner.chunks.len() + 1);
         frames.extend(inner.chunks.iter().map(|c| Arc::clone(c) as FrameRun));
         if !inner.tail_bytes.is_empty() {
@@ -686,8 +751,8 @@ mod tests {
 
     /// The flushed chunk at `seq` and the seal it ends on, if any.
     fn ready(buf: &EpochBuffer, seq: u64) -> (Arc<Chunk>, Option<Seal>) {
-        match buf.wait_from(seq, Duration::from_millis(10)) {
-            EpochWait::Ready { chunk, seal, .. } => (chunk, seal),
+        match buf.chunk_at(seq) {
+            ChunkAt::Ready { chunk, seal, .. } => (chunk, seal),
             _ => panic!("a flushed chunk at seq {seq}"),
         }
     }
@@ -727,10 +792,7 @@ mod tests {
         let buf = EpochBuffer::new(SubPolicy::default());
         buf.publish(VTime(1), &[ins(1, 0), ins(2, 1)]);
         assert!(
-            matches!(
-                buf.wait_from(0, Duration::from_millis(20)),
-                EpochWait::TimedOut
-            ),
+            matches!(buf.chunk_at(0), ChunkAt::Pending),
             "published is not visible: visibility = flush"
         );
         buf.flush();
@@ -740,10 +802,7 @@ mod tests {
         // A cursor inside the flushed chunk gets the same chunk; one at
         // its end waits for the next flush.
         assert_eq!(ready(&buf, 1).0.base_seq, 0);
-        assert!(matches!(
-            buf.wait_from(2, Duration::from_millis(1)),
-            EpochWait::TimedOut
-        ));
+        assert!(matches!(buf.chunk_at(2), ChunkAt::Pending));
         // The seal rides on the chunk that ends the epoch.
         buf.publish(VTime(2), &[ins(3, 2), stable(5)]);
         let (chunk, seal) = ready(&buf, 2);
@@ -881,18 +940,15 @@ mod tests {
         buf.ack(2, 2); // slow subscriber still needs epoch 1 onward
         buf.ack(1, 8); // fast subscriber is past everything
         assert!(
-            matches!(
-                buf.wait_from(0, Duration::from_millis(1)),
-                EpochWait::Compacted { resume_seq: 2, .. }
-            ),
+            matches!(buf.chunk_at(0), ChunkAt::Compacted { resume_seq: 2, .. }),
             "epoch 0 retired once both cursors passed it"
         );
         assert_eq!(ready(&buf, 2).1.map(|s| s.index), Some(1));
         buf.ack(2, 8); // slow subscriber catches up: everything retires
         assert_eq!(buf.horizon().0, 4);
         assert!(matches!(
-            buf.wait_from(6, Duration::from_millis(1)),
-            EpochWait::Compacted { resume_seq: 8, .. }
+            buf.chunk_at(6),
+            ChunkAt::Compacted { resume_seq: 8, .. }
         ));
     }
 
@@ -914,8 +970,8 @@ mod tests {
             retained <= policy.max_lag_epochs + 1,
             "stale cursor must not pin the whole history (retained {retained})"
         );
-        match buf.wait_from(0, Duration::from_millis(1)) {
-            EpochWait::Compacted { resume_seq, .. } => assert!(resume_seq > 0),
+        match buf.chunk_at(0) {
+            ChunkAt::Compacted { resume_seq, .. } => assert!(resume_seq > 0),
             _ => panic!("epoch 0 should be retired"),
         }
     }

@@ -228,20 +228,18 @@ pub fn subscribe_until_finished(
     config: &SubscribeConfig,
     max_attempts: u32,
 ) -> Result<SubOutcome, WireError> {
-    let mut stitched: Option<SubOutcome> = None;
     let mut attempt_config = config.clone();
-    for attempt in 0..max_attempts.max(1) {
-        // Only the first attempt simulates the crash.
-        if attempt > 0 {
-            attempt_config.kill_after = None;
-        }
+    let mut stitched: Option<SubOutcome> = None;
+    let mut attempt = 0;
+    loop {
         let outcome = match subscribe(addr, &attempt_config) {
             Ok(o) => o,
-            Err(e) => {
-                // Connection refused mid-restart: retry after a beat.
-                if attempt + 1 == max_attempts.max(1) {
-                    return Err(e);
-                }
+            // Connection refused mid-restart: retry after a beat, unless
+            // this was the last attempt.
+            Err(e) if attempt + 1 >= max_attempts.max(1) => return Err(e),
+            Err(_) => {
+                attempt += 1;
+                attempt_config.kill_after = None;
                 std::thread::sleep(std::time::Duration::from_millis(50));
                 continue;
             }
@@ -251,12 +249,9 @@ pub fn subscribe_until_finished(
             .last()
             .map(|(seq, _, _)| seq + 1)
             .unwrap_or(attempt_config.resume_from.max(outcome.resumed_from));
-        let total = match stitched.as_mut() {
-            None => {
-                stitched = Some(outcome);
-                stitched.as_mut().unwrap()
-            }
-            Some(total) => {
+        let total = match stitched {
+            None => outcome,
+            Some(mut total) => {
                 total.attempts += 1;
                 total.received += outcome.received;
                 total.demotions += outcome.demotions;
@@ -267,9 +262,12 @@ pub fn subscribe_until_finished(
                 total
             }
         };
-        if total.finished && total.clean {
-            break;
+        attempt += 1;
+        if (total.finished && total.clean) || attempt >= max_attempts.max(1) {
+            return Ok(total);
         }
+        stitched = Some(total);
+        // Only the first attempt simulates the crash.
+        attempt_config.kill_after = None;
     }
-    Ok(stitched.expect("at least one attempt"))
 }

@@ -22,7 +22,8 @@
 //!   reconnect — the mirror image of the ingest side's `next_seq`
 //!   discipline. Slow subscribers are bounded by [`SubPolicy`]: past
 //!   `max_lag_epochs` they stop pinning retention and are demoted to
-//!   catch-up-from-stable.
+//!   catch-up-from-stable. Sessions own no thread: every flush of the
+//!   buffer writes them from the thread that flushed.
 //! - [`SubFilter`] predicates are evaluated once per chunk per filter
 //!   class (a shared bitmap), not once per subscriber.
 //! - Sessions are accounted in the metrics registry only (`lmerge_sub_*`,
@@ -31,12 +32,17 @@
 //!   checkpoints as the run image's egress section, so a merge-process
 //!   restart keeps every subscriber's exactly-once guarantee.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod buffer;
 pub mod client;
 pub mod output;
 pub mod server;
 
-pub use buffer::{Chunk, EpochBuffer, EpochWait, Seal, SubFilter, SubPolicy};
+pub use buffer::{Chunk, ChunkAt, EpochBuffer, Seal, SubFilter, SubPolicy};
 pub use client::{subscribe, subscribe_until_finished, SubOutcome, SubscribeConfig};
 pub use output::OutputHook;
-pub use server::{SubConfig, SubMetrics, SubServer};
+pub use server::{SubConfig, SubMetrics, SubServer, DEPARTED_GRACE_EPOCHS};

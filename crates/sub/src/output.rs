@@ -12,7 +12,8 @@
 //! pairs it (or a plain `Vec` collector) with a fault injector walks the
 //! same path as the deployed server. It runs on the executor thread, which
 //! is what makes a checkpoint-time [`EpochBuffer::image`] exactly
-//! consistent with the merge image captured at the same cut.
+//! consistent with the merge image captured at the same cut — and the
+//! buffer's flushes write the subscriber sockets on that thread too.
 //!
 //! A failing file does not perturb the run or the fan-out: the hook keeps
 //! the first I/O error, stops writing, and [`OutputHook::finish`] returns
@@ -114,11 +115,10 @@ impl RunHooks<Value> for OutputHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::{EpochWait, Seal, SubPolicy};
+    use crate::buffer::{ChunkAt, Seal, SubPolicy};
     use lmerge_temporal::Time;
     use std::io::BufWriter;
     use std::sync::Mutex;
-    use std::time::Duration;
 
     /// A writer over a shared byte vector that fails once it would hold
     /// more than `limit` bytes.
@@ -199,16 +199,13 @@ mod tests {
         assert_eq!((next_seq, stable, sealed), (3, Time(3), 2));
         // The unsealed remainder was flushed and sealed by `finish`.
         assert!(matches!(
-            buf.wait_from(2, Duration::from_millis(10)),
-            EpochWait::Ready {
+            buf.chunk_at(2),
+            ChunkAt::Ready {
                 seal: Some(Seal { index: 1, .. }),
                 ..
             }
         ));
-        assert!(matches!(
-            buf.wait_from(3, Duration::from_millis(10)),
-            EpochWait::Finished
-        ));
+        assert!(matches!(buf.chunk_at(3), ChunkAt::Finished));
     }
 
     /// A file that fails — mid-run, or only at the final flush of a

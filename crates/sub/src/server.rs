@@ -26,16 +26,39 @@
 //! stops pinning retention; when it next reads, the epoch it wanted is
 //! gone and the session is demoted — it jumps to the horizon and is
 //! re-`Welcome`d from there (catch-up-from-stable, the paper's rejoining
-//! replica move applied to an output replica).
+//! replica move applied to an output replica). A subscriber whose session
+//! closed lost and that has not rejoined within [`DEPARTED_GRACE_EPOCHS`]
+//! sealed epochs stops pinning too: its cursor is forgotten, and a later
+//! resume is demoted the same way. Cursors restored from a checkpoint
+//! count as departed from the restore until their subscriber rejoins.
 //!
-//! # One thread per session
+//! # Sessions are served where output is made visible
 //!
-//! A session is one thread that owns its socket and keeps it
-//! non-blocking. It writes the subscriber's chunks and, after each chunk
-//! and each idle poll, takes the `Credit`/`Ack`/`Bye` frames that have
-//! already arrived. It blocks on the socket only when it may not send:
-//! out of credits, or waiting for the `Bye` echo, one `EPOCH_POLL` read
-//! timeout at a time.
+//! A session owns no thread. A short-lived handshake thread reads the
+//! `Subscribe`, writes the `Welcome` and installs the session, non-blocking,
+//! in the server's session table. From then on every
+//! [`EpochBuffer`] flush — before each wait of the merge thread, at each
+//! seal and 32 KiB cut, at `finish` — runs one **serve pass** over the
+//! table on the flushing thread. Per session the pass
+//!
+//! 1. writes the bytes the socket would not take last time, then the
+//!    admitted frames from the session's cursor out of the shared chunks,
+//!    spending credits, with non-blocking writes; what the socket does
+//!    not take is queued in the session, and nothing new is written
+//!    behind it;
+//! 2. then takes the `Credit`/`Ack`/`Bye` frames that have arrived — when
+//!    it just wrote, when the session is out of credits or closing, and
+//!    otherwise once per [`EPOCH_POLL`], so idle sessions cost no system
+//!    call per wait.
+//!
+//! A full socket never blocks the pass: its remainder waits for the next
+//! pass, at most one wait of the merge thread later. After the stream
+//! ends, [`SubServer::await_sessions_closed`] (or
+//! [`serve_until`](SubServer::serve_until)) runs the passes, and a session
+//! that joins a finished stream is served to its close by its handshake
+//! thread, since no flush will come; that thread waits on the session's
+//! socket between steps. Every server bound to a buffer is served by its
+//! flushes.
 //!
 //! # Telemetry
 //!
@@ -43,15 +66,16 @@
 //! listener and accounts for its sessions in the registry only
 //! ([`SubMetrics`]): it records no trace.
 
-use crate::buffer::{Chunk, EpochBuffer, EpochWait, SubFilter};
+use crate::buffer::{Chunk, ChunkAt, EpochBuffer, SubFilter};
 use lmerge_net::listener::{Listener, SessionCounts, HANDSHAKE_TIMEOUT};
+use lmerge_net::server::wait;
 use lmerge_net::wire::{self, Frame, FrameReader, PROTOCOL_VERSION};
 use lmerge_net::WireError;
 use lmerge_obs::{Counter, Gauge, MetricsRegistry};
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -174,76 +198,375 @@ impl SessionMetrics {
     }
 }
 
-/// State shared by every thread the subscriber server spawns.
-struct SubShared {
+/// How often a serve pass reads an idle session's socket — one with
+/// credits in hand, nothing just written and no close under way — for the
+/// `Credit`/`Ack`/`Bye` frames its subscriber may have sent. It bounds how
+/// late an idle subscriber's unsubscribe or ack is taken.
+const EPOCH_POLL: Duration = Duration::from_millis(50);
+
+/// How long a closing session waits after last hearing *anything* from its
+/// subscriber before presuming it dead. A session closes once the stream
+/// has finished (it owes the subscriber its tail and a `Bye`, then waits
+/// for the echo) or once the subscriber said `Bye`. A subscriber that
+/// vanishes outright is caught much sooner (its socket errors); this only
+/// bounds the silent-hang case, so generous is safe.
+const BYE_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Sealed epochs a subscriber whose session closed lost may take to rejoin
+/// before its durable cursor is forgotten and stops pinning retention. So
+/// a departed subscriber holds back at most this many epochs of output;
+/// one that rejoins later resumes from the horizon, demoted.
+pub const DEPARTED_GRACE_EPOCHS: u64 = 256;
+
+/// State shared by the handshake threads and whoever runs serve passes.
+pub(crate) struct SubShared {
     buf: Arc<EpochBuffer>,
     filters: Vec<SubFilter>,
     shutdown: AtomicBool,
     metrics: SubMetrics,
     registry: MetricsRegistry,
+    table: Mutex<SessionTable>,
 }
 
-/// One session's socket and what the subscriber has said on it. The
-/// session thread owns both: it takes the subscriber's `Credit`/`Ack`/`Bye`
-/// frames between the chunks it writes.
-struct Link {
+/// The installed sessions and what the passes remember between them.
+struct SessionTable {
+    sessions: Vec<Session>,
+    /// Subscribers whose last session closed lost (or whose cursor came
+    /// back from a checkpoint), with the sealed-epoch count at that time.
+    departed: Vec<(u64, u64)>,
+    /// The buffer's flush count the gauges last showed.
+    seen_flushes: u64,
+}
+
+impl SubShared {
+    /// The session table. Each session's state is changed only by its own
+    /// step, which does not unwind, and a session leaves the table before
+    /// it is counted closed: a poisoned table holds whole sessions.
+    fn table(&self) -> MutexGuard<'_, SessionTable> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One serve pass over the installed sessions, on the calling thread.
+    pub(crate) fn serve(&self) {
+        let mut table = self.table();
+        let now = Instant::now();
+        let mut i = 0;
+        while i < table.sessions.len() {
+            match table.sessions[i].step(self, now) {
+                None => i += 1,
+                Some(clean) => {
+                    let session = table.sessions.swap_remove(i);
+                    self.close(&mut table, session, clean);
+                }
+            }
+        }
+        let flushes = self.buf.flushes();
+        if flushes != table.seen_flushes {
+            table.seen_flushes = flushes;
+            self.after_flush(&mut table);
+        }
+        // Acks retire epochs between flushes too.
+        let retained = self.buf.retained() as i64;
+        self.metrics.epochs_retained.set(retained);
+    }
+
+    /// Mirror a flush into the gauges, and forget the departed subscribers
+    /// whose grace ran out.
+    fn after_flush(&self, table: &mut SessionTable) {
+        let m = &self.metrics;
+        m.flushes.raise_to(table.seen_flushes);
+        let (next_seq, _, sealed, _) = self.buf.stats();
+        m.next_seq.set(next_seq as i64);
+        table.departed.retain(|&(subscriber, at)| {
+            let gone = sealed.saturating_sub(at) >= DEPARTED_GRACE_EPOCHS;
+            if gone {
+                self.buf.forget(subscriber);
+            }
+            !gone
+        });
+    }
+
+    /// Count a session's end, after its socket is closed. A lost session
+    /// starts its subscriber's grace, unless another session serves it.
+    fn close(&self, table: &mut SessionTable, session: Session, clean: bool) {
+        let subscriber = session.subscriber;
+        drop(session);
+        if !clean && !table.sessions.iter().any(|s| s.subscriber == subscriber) {
+            let sealed = self.buf.stats().2;
+            table.departed.retain(|&(id, _)| id != subscriber);
+            table.departed.push((subscriber, sealed));
+        }
+        self.metrics.sessions_active.add(-1);
+        self.metrics.sessions.on_close(clean);
+    }
+}
+
+/// A session's socket died: EOF, a frame that makes no sense here,
+/// corruption, an i/o error.
+struct Dead;
+
+/// One subscriber: its socket, its place in the stream, and what it has
+/// said. It owns no thread; serve passes step it.
+struct Session {
     reader: FrameReader<TcpStream>,
     subscriber: u64,
+    class: u32,
+    /// Next output sequence to consider for delivery.
+    cursor: u64,
     credits: u64,
+    /// Bytes the socket would not take, written first on the next pass;
+    /// nothing new is written while they wait.
+    queued: Vec<u8>,
+    /// Out of credits with an admitted frame waiting (one stall counted).
+    stalled: bool,
+    /// The last frame the server will send (`Bye`) is queued or written.
+    bye_sent: bool,
     /// The subscriber sent `Bye` (unsubscribe, or echo of ours).
-    bye: bool,
+    bye_heard: bool,
     /// When a frame last arrived from the subscriber — the liveness signal
-    /// the close handshake waits on. A wide fan-out can park the whole
-    /// stream in socket buffers, so "no echo yet" says nothing; "no frame
-    /// for a long quiet period" does.
+    /// a closing session waits on. A wide fan-out can park the whole stream
+    /// in socket buffers, so "no echo yet" says nothing; "no frame for a
+    /// long quiet period" does.
     last_heard: Instant,
+    /// When an idle session next reads its socket.
+    next_read: Instant,
+    /// When this session began to close (the stream finished, or the
+    /// subscriber said `Bye`).
+    closing_since: Option<Instant>,
+    metrics: SessionMetrics,
 }
 
-impl Link {
-    /// Take the frames that have arrived; with `wait`, block for the first
-    /// up to the socket's read timeout ([`EPOCH_POLL`]). The highest `Ack`
-    /// among them advances the subscriber's durable cursor (pins retention,
-    /// persists via checkpoints). Nothing is read after a `Bye`. `false`:
-    /// the connection is dead — EOF, a frame that makes no sense here,
-    /// corruption, an i/o error.
-    fn hear(&mut self, buf: &EpochBuffer, wait: bool) -> bool {
-        if self.bye {
-            return true;
+impl Session {
+    /// One step of a serve pass: write, then hear. `Some(clean)` when the
+    /// session is over.
+    fn step(&mut self, shared: &SubShared, now: Instant) -> Option<bool> {
+        if shared.shutdown.load(Ordering::Relaxed) {
+            return Some(false);
         }
-        let mut next = if wait {
-            self.reader.wait_arrived()
-        } else {
-            self.reader.next_arrived()
-        };
-        let mut acked = None;
-        let alive = loop {
-            let frame = match next {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break true,
-                Err(_) => break false,
+        match self.try_step(shared, now) {
+            Ok(over) => over,
+            Err(Dead) => Some(false),
+        }
+    }
+
+    fn try_step(&mut self, shared: &SubShared, now: Instant) -> Result<Option<bool>, Dead> {
+        if self.closing_since.is_none() && shared.buf.finished() {
+            self.closing_since = Some(now);
+        }
+        let wrote = self.write(shared)?;
+        if wrote || self.credits == 0 || self.closing_since.is_some() || now >= self.next_read {
+            self.next_read = now + EPOCH_POLL;
+            let out_of_credits = self.credits == 0;
+            self.hear(&shared.buf, now)?;
+            if self.bye_heard && !self.bye_sent {
+                // Unsolicited unsubscribe: acknowledge, and part cleanly
+                // once the echo is out.
+                self.closing_since.get_or_insert(now);
+                wire::encode_into(&Frame::Bye, &mut self.queued);
+                self.bye_sent = true;
+                self.write(shared)?;
+            } else if out_of_credits && self.credits > 0 {
+                // A grant lifted the stall: spend it in this pass.
+                self.write(shared)?;
+            }
+        }
+        if self.bye_heard && self.queued.is_empty() {
+            return Ok(Some(true));
+        }
+        // The wait for the echo is bounded by *idle time*, not time since
+        // the `Bye`: under a wide fan-out the whole stream (Bye included)
+        // lands in socket buffers long before a starved-but-live
+        // subscriber drains it, and its acks and grants prove it is making
+        // progress. A fixed deadline would sever such sessions mid-drain.
+        match self.closing_since {
+            Some(since) if now.duration_since(self.last_heard.max(since)) >= BYE_IDLE_TIMEOUT => {
+                Ok(Some(false))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// Write what is queued, then — with nothing left queued and no `Bye`
+    /// sent — the admitted frames from the cursor on, as far as credits and
+    /// the socket allow; at the end of the stream, the `Bye`. Whether any
+    /// byte left.
+    fn write(&mut self, shared: &SubShared) -> Result<bool, Dead> {
+        let mut wrote = false;
+        if !self.queued.is_empty() {
+            let n = write_some(self.reader.get_ref(), &self.queued)?;
+            self.queued.drain(..n);
+            wrote = n > 0;
+        }
+        while self.queued.is_empty() && !self.bye_sent {
+            // The lock-free look: an idle session costs no buffer lock.
+            if !shared.buf.news_at(self.cursor) {
+                break;
+            }
+            let frame = match shared.buf.chunk_at(self.cursor) {
+                ChunkAt::Pending => break,
+                ChunkAt::Ready {
+                    chunk,
+                    seal,
+                    sealed,
+                } => {
+                    wrote |= self.deliver(shared, &chunk)?;
+                    if self.cursor < chunk.end_seq() {
+                        break;
+                    }
+                    if let Some(seal) = seal {
+                        let lag = sealed.saturating_sub(seal.index);
+                        self.metrics.lag_epochs.set(lag as i64);
+                    }
+                    continue;
+                }
+                ChunkAt::Compacted { resume_seq, stable } => {
+                    // Demotion: the epoch this session wanted was retired.
+                    // Jump to the horizon and re-welcome so the subscriber
+                    // knows it is catching up from `stable`, not resuming.
+                    shared.metrics.demotions.inc();
+                    self.cursor = resume_seq;
+                    shared.buf.ack(self.subscriber, resume_seq);
+                    Frame::Welcome {
+                        input: self.class,
+                        resume_seq,
+                        resume_stable: stable,
+                        credits: 0,
+                    }
+                }
+                ChunkAt::Finished => {
+                    // Stream over: start the close handshake.
+                    self.bye_sent = true;
+                    Frame::Bye
+                }
             };
-            self.last_heard = Instant::now();
+            let bytes = wire::encode(&frame);
+            let n = write_some(self.reader.get_ref(), &bytes)?;
+            self.queued.extend_from_slice(&bytes[n..]);
+            wrote |= n > 0;
+        }
+        Ok(wrote)
+    }
+
+    /// Write `chunk`'s admitted frames from the cursor on, one credit each,
+    /// each contiguous run of them in one `write` out of the shared bytes;
+    /// queue what the socket does not take and stop there. Stops at a
+    /// frame it has no credit for, counting the stall. Whether any byte
+    /// left.
+    fn deliver(&mut self, shared: &SubShared, chunk: &Chunk) -> Result<bool, Dead> {
+        // The whole-stream class admits every frame: no bitmap to build, per
+        // chunk, for the class nearly every session is in.
+        let filter = &shared.filters[self.class as usize];
+        let bits = (*filter != SubFilter::All).then(|| chunk.bitmap(self.class, filter));
+        let admitted = |i: usize| bits.as_ref().is_none_or(|b| Chunk::admitted(b, i));
+        let base = chunk.base_seq;
+        let mut i = self.cursor.saturating_sub(base) as usize;
+        let (mut frames, mut bytes, mut wrote) = (0u64, 0u64, false);
+        while i < chunk.frames() && self.queued.is_empty() {
+            if !admitted(i) {
+                i += 1;
+                continue;
+            }
+            if self.credits == 0 {
+                if !self.stalled {
+                    self.stalled = true;
+                    shared.metrics.credit_stalls.inc();
+                }
+                break;
+            }
+            self.stalled = false;
+            let start = i;
+            while i < chunk.frames() && self.credits > 0 && admitted(i) {
+                self.credits -= 1;
+                i += 1;
+            }
+            let run = chunk.span(start..i);
+            let n = write_some(self.reader.get_ref(), run)?;
+            self.queued.extend_from_slice(&run[n..]);
+            wrote |= n > 0;
+            frames += (i - start) as u64;
+            bytes += run.len() as u64;
+        }
+        self.cursor = base + i as u64;
+        self.metrics.frames.add(frames);
+        self.metrics.bytes.add(bytes);
+        Ok(wrote)
+    }
+
+    /// Take the frames that have arrived. The highest `Ack` among them
+    /// advances the subscriber's durable cursor (pins retention, persists
+    /// via checkpoints). Nothing is read after a `Bye`.
+    /// The acks before a fatal frame still count.
+    fn hear(&mut self, buf: &EpochBuffer, now: Instant) -> Result<(), Dead> {
+        let mut acked = None;
+        let mut heard = Ok(());
+        while !self.bye_heard {
+            let frame = match self.reader.next_arrived() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => {
+                    heard = Err(Dead);
+                    break;
+                }
+            };
+            self.last_heard = now;
             match frame {
                 Frame::Credit { n } => self.credits += u64::from(n),
                 Frame::Ack { seq, .. } => acked = acked.max(Some(seq.saturating_add(1))),
-                Frame::Bye => {
-                    self.bye = true;
-                    break true;
+                Frame::Bye => self.bye_heard = true,
+                _ => {
+                    heard = Err(Dead);
+                    break;
                 }
-                _ => break false,
             }
-            next = self.reader.next_arrived();
-        };
+        }
         if let Some(seq) = acked {
             buf.ack(self.subscriber, seq);
         }
-        alive
+        heard
     }
 
-    /// Write one frame.
-    fn send_frame(&self, frame: &Frame) -> bool {
-        self.reader.send(&wire::encode(frame)).is_ok()
+    /// Block, for at most the socket's timeouts, until the subscriber has
+    /// sent something or — with bytes queued — until the socket takes some
+    /// of them. Only a session's own thread waits so, never a serve pass.
+    /// `Some(false)` when the socket died.
+    fn wait_socket(&mut self) -> Option<bool> {
+        let mut socket = self.reader.get_ref();
+        if socket.set_nonblocking(false).is_err() {
+            return Some(false);
+        }
+        let waited = if self.queued.is_empty() {
+            // A partial frame in the reader's buffer does not count: its
+            // rest is what arrives on the socket.
+            socket.peek(&mut [0u8]).map(drop)
+        } else {
+            socket
+                .write(&self.queued)
+                .map(|n| drop(self.queued.drain(..n)))
+        };
+        if socket.set_nonblocking(true).is_err() {
+            return Some(false);
+        }
+        use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        match waited {
+            Err(e) if !matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => Some(false),
+            _ => None,
+        }
     }
+}
+
+/// Write as much of `bytes` as the non-blocking socket takes now; how much.
+fn write_some(mut socket: &TcpStream, bytes: &[u8]) -> Result<usize, Dead> {
+    let mut n = 0;
+    while n < bytes.len() {
+        match socket.write(&bytes[n..]) {
+            Ok(0) => return Err(Dead),
+            Ok(k) => n += k,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return Err(Dead),
+        }
+    }
+    Ok(n)
 }
 
 /// A TCP server fanning the shared [`EpochBuffer`] out to subscribers.
@@ -262,25 +585,42 @@ impl SubServer {
     }
 
     /// Like [`bind`](SubServer::bind), registering the `lmerge_sub_*`
-    /// series in the caller's `registry`.
+    /// series in the caller's `registry`. From now on every flush of `buf`
+    /// serves this server's sessions, beside those of any other server
+    /// bound to it. A config with no filter class is `InvalidInput`.
     pub fn bind_with_metrics(
         addr: &str,
         buf: Arc<EpochBuffer>,
         config: SubConfig,
         registry: &MetricsRegistry,
     ) -> io::Result<SubServer> {
-        assert!(!config.filters.is_empty(), "at least one filter class");
+        if config.filters.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "at least one filter class",
+            ));
+        }
+        // Restored cursors pin retention only as long as a live subscriber
+        // would: their subscribers have departed until they rejoin.
+        let sealed = buf.stats().2;
+        let departed = buf.cursors().iter().map(|&(id, _)| (id, sealed)).collect();
         let shared = Arc::new(SubShared {
             buf,
             filters: config.filters,
             shutdown: AtomicBool::new(false),
             metrics: SubMetrics::new(registry),
             registry: registry.clone(),
+            table: Mutex::new(SessionTable {
+                sessions: Vec::new(),
+                departed,
+                seen_flushes: 0,
+            }),
         });
+        shared.buf.attach(Arc::downgrade(&shared));
         let accept_shared = Arc::clone(&shared);
         let listener = Listener::bind(addr, move |stream| {
             let shared = Arc::clone(&accept_shared);
-            thread::spawn(move || session(shared, stream));
+            thread::spawn(move || handshake(&shared, stream));
         })?;
         Ok(SubServer { listener, shared })
     }
@@ -295,22 +635,40 @@ impl SubServer {
         &self.shared.buf
     }
 
-    /// Wait (up to `timeout`) for every accepted session to finish its
-    /// close handshake; returns `true` once all have. Call between
-    /// publishing `finish()` and [`shutdown`](SubServer::shutdown) so
-    /// paced subscribers' final `Bye` round trips are not severed.
-    pub fn await_sessions_closed(&self, timeout: Duration) -> bool {
-        self.shared.metrics.sessions.await_closed(timeout)
+    /// Run a serve pass once per wait of the merge thread until `done()`
+    /// holds. Passes run at every flush of the buffer; a caller whose
+    /// publisher has stopped — after the merge, or in a test — runs them
+    /// here so the sessions still take their subscribers' grants and
+    /// close handshakes.
+    pub fn serve_until(&self, mut done: impl FnMut() -> bool) {
+        loop {
+            self.shared.serve();
+            if done() {
+                return;
+            }
+            wait();
+        }
     }
 
-    /// Stop accepting, join the accept loop, and wake blocked sessions.
-    /// Live sessions notice the flag within one `EPOCH_POLL` of any wait,
-    /// on the buffer or on the socket.
+    /// [`serve_until`](SubServer::serve_until) every accepted session has
+    /// finished its close handshake, or `timeout` passes; `true` once all
+    /// have. Call between publishing `finish()` and
+    /// [`shutdown`](SubServer::shutdown) so paced subscribers' final `Bye`
+    /// round trips are not severed.
+    pub fn await_sessions_closed(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let sessions = &self.shared.metrics.sessions;
+        self.serve_until(|| sessions.all_closed() || Instant::now() >= deadline);
+        sessions.all_closed()
+    }
+
+    /// Stop accepting, join the accept loop, and close every open session
+    /// as lost. A session its handshake thread serves notices at its next
+    /// step, within one [`EPOCH_POLL`].
     pub fn shutdown(&mut self) {
         self.listener.stop();
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        // Unstick writers blocked on a flush wait.
-        self.shared.buf.finish();
+        self.shared.serve();
     }
 }
 
@@ -320,19 +678,26 @@ impl Drop for SubServer {
     }
 }
 
-/// How long a session waits at once — on the buffer for a flush, on the
-/// socket for a credit or the `Bye` echo — before re-checking liveness; so
-/// it bounds how late [`SubServer::shutdown`] is noticed.
-const EPOCH_POLL: Duration = Duration::from_millis(50);
+/// Open one subscriber's session and install it for the serve passes. Runs
+/// on a thread of its own, which exits once the session is installed — or,
+/// when the stream has already finished and no flush will run another
+/// pass, once it has served the session to its close.
+fn handshake(shared: &SubShared, stream: TcpStream) {
+    if let Some(welcomed) = welcome(shared, stream) {
+        install(shared, welcomed);
+    }
+}
 
-/// How long the close handshake waits for the subscriber's `Bye` echo
-/// after last hearing *anything* from it before presuming it dead. A
-/// subscriber that vanishes outright is caught much sooner (its socket
-/// EOFs); this only bounds the silent-hang case, so generous is safe.
-const BYE_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+/// A session that has been sent its `Welcome` and is not yet installed.
+struct Welcomed {
+    session: Session,
+    /// The subscriber asked to resume (a `resume_from` past 0).
+    resumed: bool,
+}
 
-/// Serve one subscriber: handshake, then stream chunks under credits.
-fn session(shared: Arc<SubShared>, stream: TcpStream) {
+/// Read the `Subscribe`, clamp the cursor and answer `Welcome`; `None`
+/// (a handshake drop) when there is no session to open.
+fn welcome(shared: &SubShared, stream: TcpStream) -> Option<Welcomed> {
     let _ = stream.set_nodelay(true);
     // A peer that connects and says nothing must not pin this thread.
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
@@ -353,17 +718,15 @@ fn session(shared: Arc<SubShared>, stream: TcpStream) {
         // EOF: drop the connection; there is no session to resume.
         _ => {
             shared.metrics.handshake_drops.inc();
-            return;
+            return None;
         }
     };
-    let filter = shared.filters[class as usize].clone();
 
     // Clamp the requested cursor into what exists: up to the compaction
     // horizon (a demoted/stale cursor resumes from stable), down to the
     // tail (a cursor from the future is a protocol lie, not a crash).
     let (_, horizon_seq, compact_stable) = shared.buf.horizon();
     let (tail_seq, _, _, _) = shared.buf.stats();
-    let demoted_at_join = resume_from < horizon_seq;
     let resume_seq = resume_from.clamp(horizon_seq, tail_seq.max(horizon_seq));
     let welcome = Frame::Welcome {
         input: class,
@@ -373,218 +736,82 @@ fn session(shared: Arc<SubShared>, stream: TcpStream) {
     };
     let m = &shared.metrics;
     let mut stream = reader.get_ref();
-    if wire::write_frame(&mut stream, &welcome).is_err()
-        || stream.set_read_timeout(Some(EPOCH_POLL)).is_err()
-        || stream.set_nonblocking(true).is_err()
-    {
+    if wire::write_frame(&mut stream, &welcome).is_err() || stream.set_nonblocking(true).is_err() {
         m.handshake_drops.inc();
-        return;
+        return None;
     }
-    // Pin retention from the session's position so its window survives
-    // until it acks (the durable cursor is monotone, so a rejoin with an
-    // older clamped cursor cannot move it backwards).
-    shared.buf.ack(subscriber, resume_seq);
-
-    m.sessions.on_open(resume_from > 0);
-    m.sessions_active.add(1);
-    if demoted_at_join {
+    if resume_from < horizon_seq {
         m.demotions.inc();
     }
-    let session_m = SessionMetrics::new(&shared.registry, subscriber);
-    let link = Link {
+    let now = Instant::now();
+    let session = Session {
         reader,
         subscriber,
+        class,
+        cursor: resume_seq,
         credits: u64::from(initial_credits),
-        bye: false,
-        last_heard: Instant::now(),
+        queued: Vec::new(),
+        stalled: false,
+        bye_sent: false,
+        bye_heard: false,
+        last_heard: now,
+        next_read: now,
+        closing_since: None,
+        metrics: SessionMetrics::new(&shared.registry, subscriber),
     };
-    // The loop owns the link: the socket is closed before the close counts.
-    let clean = session_loop(&shared, link, &session_m, class, &filter, resume_seq);
-    m.sessions_active.add(-1);
-    m.sessions.on_close(clean);
+    Some(Welcomed {
+        session,
+        resumed: resume_from > 0,
+    })
 }
 
-/// Stream flushed chunks to one subscriber, taking what it has sent after
-/// each chunk and each idle poll. Returns whether the close was clean.
-fn session_loop(
-    shared: &SubShared,
-    mut link: Link,
-    session_m: &SessionMetrics,
-    class: u32,
-    filter: &SubFilter,
-    resume_seq: u64,
-) -> bool {
+/// Pin the welcomed session's position, count it open, and put it in the
+/// session table with one first step; or, when the stream has already
+/// finished, serve it here to its close.
+fn install(shared: &SubShared, welcomed: Welcomed) {
+    let Welcomed {
+        mut session,
+        resumed,
+    } = welcomed;
     let m = &shared.metrics;
-    let mut seq_cursor = resume_seq;
+    {
+        // All under the table lock, so a flush either ran its pass before
+        // this first step (which then sees what it flushed) or runs it after
+        // the session is in the table; and a session counted open is
+        // installed.
+        let mut table = shared.table();
+        m.sessions.on_open(resumed);
+        m.sessions_active.add(1);
+        // The subscriber is back: no pass may forget its cursor from here
+        // on. Then pin retention from the session's position so its window
+        // survives until it acks (the durable cursor is monotone, so a
+        // rejoin with an older clamped cursor cannot move it backwards). A
+        // grace that ran out since the clamp already forgot the old cursor;
+        // this pin makes it anew.
+        table.departed.retain(|&(id, _)| id != session.subscriber);
+        shared.buf.ack(session.subscriber, session.cursor);
+        if !shared.buf.finished() {
+            match session.step(shared, Instant::now()) {
+                None => table.sessions.push(session),
+                Some(clean) => shared.close(&mut table, session, clean),
+            }
+            return;
+        }
+    }
+    // No flush will come: this thread serves the session, waiting on its
+    // socket between steps rather than on a clock.
+    let _ = session.reader.get_ref().set_read_timeout(Some(EPOCH_POLL));
+    let _ = session.reader.get_ref().set_write_timeout(Some(EPOCH_POLL));
     loop {
-        if !link.hear(&shared.buf, false) {
-            return false;
-        }
-        if link.bye {
-            // Unsolicited unsubscribe: acknowledge and part cleanly.
-            return link.send_frame(&Frame::Bye);
-        }
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return false;
-        }
-        match shared.buf.wait_from(seq_cursor, EPOCH_POLL) {
-            EpochWait::TimedOut => continue,
-            EpochWait::Compacted {
-                resume_seq: horizon_seq,
-                stable,
-            } => {
-                // Demotion: the epoch this session wanted was retired.
-                // Jump to the horizon and re-welcome so the subscriber
-                // knows it is catching up from `stable`, not resuming.
-                m.demotions.inc();
-                let rewelcome = Frame::Welcome {
-                    input: class,
-                    resume_seq: horizon_seq,
-                    resume_stable: stable,
-                    credits: 0,
-                };
-                if !link.send_frame(&rewelcome) {
-                    return false;
-                }
-                seq_cursor = horizon_seq;
-                shared.buf.ack(link.subscriber, seq_cursor);
-            }
-            EpochWait::Finished => {
-                // Stream over: initiate the close handshake and wait for
-                // the subscriber's echo (mirror of the ingest Bye ack).
-                if !link.send_frame(&Frame::Bye) {
-                    return false;
-                }
-                // The wait is bounded by *idle time*, not time-since-Bye:
-                // under a wide fan-out the whole stream (Bye included)
-                // lands in socket buffers long before a starved-but-live
-                // subscriber drains it, and its periodic acks prove it is
-                // making progress. A fixed post-Bye deadline severs such
-                // sessions mid-drain — and closing with unread acks
-                // queued turns the close into an RST that destroys the
-                // buffered tail. Only a subscriber that goes *quiet* for
-                // the full window is presumed dead. The wait blocks on the
-                // socket, one read timeout at a time, so hundreds of
-                // finished sessions cost no wake-ups but their peers'.
-                let sent = Instant::now();
-                while !link.bye {
-                    if shared.shutdown.load(Ordering::Relaxed)
-                        || link.last_heard.max(sent).elapsed() >= BYE_IDLE_TIMEOUT
-                        || !link.hear(&shared.buf, true)
-                    {
-                        return false;
-                    }
-                }
-                return true;
-            }
-            EpochWait::Ready {
-                chunk,
-                seal,
-                sealed,
-                retained,
-                next_seq,
-                flushes,
-            } => {
-                // The gauges ride on the wait result: no second trip to
-                // the shared buffer lock per delivery.
-                m.next_seq.set(next_seq as i64);
-                m.flushes.raise_to(flushes);
-                if deliver_chunk(
-                    shared, &mut link, session_m, filter, class, &chunk, seq_cursor,
-                )
-                .is_none()
-                {
-                    return false;
-                }
-                seq_cursor = chunk.end_seq();
-                if let Some(seal) = seal {
-                    m.epochs_retained.set(retained as i64);
-                    session_m
-                        .lag_epochs
-                        .set(sealed.saturating_sub(seal.index) as i64);
-                }
-            }
-        }
-    }
-}
-
-/// Send one chunk's admitted frames from `seq_cursor` on, spending one
-/// credit per frame and coalescing contiguous admitted runs into single
-/// writes out of the shared chunk bytes. `None` if the session died.
-fn deliver_chunk(
-    shared: &SubShared,
-    link: &mut Link,
-    session_m: &SessionMetrics,
-    filter: &SubFilter,
-    class: u32,
-    chunk: &Chunk,
-    seq_cursor: u64,
-) -> Option<()> {
-    // The whole-stream class admits every frame: no bitmap to build, per
-    // chunk, for the class nearly every session is in.
-    let bits = (*filter != SubFilter::All).then(|| chunk.bitmap(class, filter));
-    let start = (seq_cursor.saturating_sub(chunk.base_seq)) as usize;
-    let mut delivered: u64 = 0;
-    let mut bytes_sent: u64 = 0;
-    // A contiguous run of admitted frames: byte range into the chunk.
-    let mut run: Option<(usize, usize)> = None;
-    for i in start..chunk.frames() {
-        if bits.as_ref().is_some_and(|b| !Chunk::admitted(b, i)) {
-            flush(link, chunk, &mut run, &mut bytes_sent)?;
-            continue;
-        }
-        if link.credits == 0 {
-            // Flush before blocking so the subscriber can consume what it
-            // already has and grant more.
-            flush(link, chunk, &mut run, &mut bytes_sent)?;
-            take_credits(shared, link)?;
-        }
-        link.credits -= 1;
-        delivered += 1;
-        let frame = chunk.frame_bytes(i);
-        let off = frame.as_ptr() as usize - chunk.bytes().as_ptr() as usize;
-        run = match run {
-            Some((a, b)) if b == off => Some((a, off + frame.len())),
-            Some(_) => {
-                flush(link, chunk, &mut run, &mut bytes_sent)?;
-                Some((off, off + frame.len()))
-            }
-            None => Some((off, off + frame.len())),
+        let over = match session.step(shared, Instant::now()) {
+            None => session.wait_socket(),
+            over => over,
         };
-    }
-    flush(link, chunk, &mut run, &mut bytes_sent)?;
-    session_m.frames.add(delivered);
-    session_m.bytes.add(bytes_sent);
-    Some(())
-}
-
-/// Write out the pending run, if any. `None` on i/o failure.
-fn flush(
-    link: &Link,
-    chunk: &Chunk,
-    run: &mut Option<(usize, usize)>,
-    bytes_sent: &mut u64,
-) -> Option<()> {
-    if let Some((a, b)) = run.take() {
-        link.reader.send(&chunk.bytes()[a..b]).ok()?;
-        *bytes_sent += (b - a) as u64;
-    }
-    Some(())
-}
-
-/// The credits in hand are spent — a stall, counted: take the grants that
-/// have arrived, and wait on the socket only if none has. `None` means the
-/// session is over.
-fn take_credits(shared: &SubShared, link: &mut Link) -> Option<()> {
-    shared.metrics.credit_stalls.inc();
-    let mut wait = false;
-    while link.credits == 0 {
-        if link.bye || shared.shutdown.load(Ordering::Relaxed) || !link.hear(&shared.buf, wait) {
-            return None;
+        if let Some(clean) = over {
+            shared.close(&mut shared.table(), session, clean);
+            return;
         }
-        wait = true;
     }
-    Some(())
 }
 
 /// Errors a subscriber client/server interaction surfaces to callers.
@@ -954,6 +1181,8 @@ mod tests {
         });
         let reference = publish_feed(&buf, 50);
         buf.finish();
+        // The publisher has stopped: the grants are taken by passes run here.
+        server.await_sessions_closed(Duration::from_secs(5));
         let outcome = client.join().unwrap();
         assert!(outcome.clean && outcome.finished);
         assert_eq!(outcome.bytes, reference);
@@ -999,6 +1228,8 @@ mod tests {
             let deadline = Instant::now() + Duration::from_secs(2);
             while !buf.cursors().contains(&(9, acked)) {
                 assert!(Instant::now() < deadline, "epoch {i}'s ack was not taken");
+                // An idle flush runs the pass that reads the ack.
+                buf.flush();
                 thread::sleep(Duration::from_millis(1));
             }
             retained_max = retained_max.max(buf.stats().3);
@@ -1045,10 +1276,11 @@ mod tests {
             reader.next_frame(),
             Ok(Some(Frame::Welcome { .. }))
         ));
-        // Nothing is published: the session waits on the buffer, not on
-        // this socket, and still hears the `Bye`.
+        // Nothing is published: the idle session reads its socket once per
+        // `EPOCH_POLL` of passes, and still hears the `Bye`.
         let asked = Instant::now();
         wire::write_frame(&mut stream, &Frame::Bye).unwrap();
+        server.await_sessions_closed(Duration::from_secs(1));
         assert_eq!(reader.next_frame(), Ok(Some(Frame::Bye)));
         while registry.sum_value("lmerge_sub_session_closes_clean_total") != Some(1.0) {
             assert!(asked.elapsed() < Duration::from_secs(1), "no clean close");
@@ -1057,6 +1289,256 @@ mod tests {
         assert_eq!(
             registry.sum_value("lmerge_sub_session_closes_lost_total"),
             Some(0.0)
+        );
+    }
+
+    /// Publish `n` epochs of one insert each, every one sealed by a stable
+    /// past the buffer's.
+    fn seal_epochs(buf: &EpochBuffer, n: u64) {
+        let Time(stable) = buf.stats().1.max(Time(0));
+        for i in 1..=n as i64 {
+            let t = stable + i;
+            buf.publish(
+                VTime(t as u64),
+                &[
+                    Element::insert(Value::bare(1), t, t + 5),
+                    Element::stable(Time(t)),
+                ],
+            );
+        }
+    }
+
+    /// Open a session by hand at `resume_from`, with a window no test's
+    /// stream exhausts; read the `Welcome` and wait until the session is
+    /// installed. Returns the socket and the welcomed `resume_seq`.
+    fn raw_session(
+        server: &SubServer,
+        registry: &MetricsRegistry,
+        id: u64,
+        resume_from: u64,
+    ) -> (TcpStream, u64) {
+        let opened = registry
+            .sum_value("lmerge_sub_sessions_opened_total")
+            .unwrap_or(0.0);
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let subscribe = Frame::Subscribe {
+            protocol: PROTOCOL_VERSION,
+            subscriber: id,
+            filter: 0,
+            resume_from,
+            credits: 1 << 20,
+        };
+        wire::write_frame(&mut stream, &subscribe).unwrap();
+        let Ok(Some(Frame::Welcome { resume_seq, .. })) = wire::read_frame(&mut stream) else {
+            panic!("no Welcome");
+        };
+        await_opened(registry, opened + 1.0);
+        (stream, resume_seq)
+    }
+
+    /// The serve pass runs on the flushing thread: when `flush` returns,
+    /// the frames it made visible are already in the subscriber's socket.
+    #[test]
+    fn the_frames_are_in_the_socket_when_flush_returns() {
+        use std::io::Read;
+        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        let registry = MetricsRegistry::new();
+        let server = SubServer::bind_with_metrics(
+            "127.0.0.1:0",
+            Arc::clone(&buf),
+            SubConfig::new(),
+            &registry,
+        )
+        .unwrap();
+        let (stream, _) = raw_session(&server, &registry, 1, 0);
+        stream.set_nonblocking(true).unwrap();
+        for round in 0..20 {
+            let reference = publish_inserts(&buf, round * 3, 3);
+            buf.flush();
+            let mut got = vec![0u8; reference.len() + 64];
+            let n = (&stream).read(&mut got).expect("the frames are there");
+            assert_eq!(&got[..n], &reference[..], "round {round}");
+        }
+    }
+
+    /// A subscriber that acked and then vanished pins retention for
+    /// `DEPARTED_GRACE_EPOCHS` sealed epochs, not for ever: retention
+    /// follows the subscriber that stayed. When the departed one comes back
+    /// after that, it is caught up from the horizon.
+    #[test]
+    fn a_departed_subscriber_stops_pinning_retention_after_the_grace() {
+        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        let registry = MetricsRegistry::new();
+        let server = SubServer::bind_with_metrics(
+            "127.0.0.1:0",
+            Arc::clone(&buf),
+            SubConfig::new(),
+            &registry,
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let stays = {
+            let addr = addr.clone();
+            thread::spawn(move || subscribe(&addr, &SubscribeConfig::new(1)).expect("subscribe"))
+        };
+        // This one acks the first epoch's stable (seq 1), then dies.
+        let leaves = {
+            let addr = addr.clone();
+            thread::spawn(move || {
+                subscribe(&addr, &SubscribeConfig::new(5).with_kill_after(2)).expect("subscribe")
+            })
+        };
+        await_opened(&registry, 2.0);
+        publish_feed(&buf, 1);
+        assert_eq!(leaves.join().unwrap().received, 2);
+        let lost = || registry.sum_value("lmerge_sub_session_closes_lost_total");
+        server.serve_until(|| lost() == Some(1.0));
+        assert!(buf.cursors().contains(&(5, 2)), "its ack pins retention");
+
+        seal_epochs(&buf, 3 * DEPARTED_GRACE_EPOCHS);
+        let tail = buf.stats().0;
+        server.serve_until(|| buf.cursors().contains(&(1, tail)));
+        let (_, _, sealed, retained) = buf.stats();
+        assert_eq!(sealed, 3 * DEPARTED_GRACE_EPOCHS + 1);
+        assert!(
+            retained <= DEPARTED_GRACE_EPOCHS + 1,
+            "a departed subscriber pins {retained} epochs"
+        );
+        assert_eq!(
+            registry.sum_value("lmerge_sub_epochs_retained"),
+            Some(retained as f64)
+        );
+        assert_eq!(buf.cursors(), vec![(1, tail)], "its cursor is forgotten");
+
+        // Its resume degrades to catch-up from the horizon.
+        buf.finish();
+        let back = subscribe(&addr, &SubscribeConfig::new(5).with_resume_from(2)).unwrap();
+        assert!(back.clean && back.finished);
+        assert!(back.resumed_from > 2, "demoted to the horizon");
+        assert_eq!(registry.sum_value("lmerge_sub_demotions_total"), Some(1.0));
+        assert!(server.await_sessions_closed(Duration::from_secs(5)));
+        assert!(stays.join().unwrap().clean);
+    }
+
+    /// A cursor restored from a checkpoint whose subscriber never rejoins
+    /// counts as departed from the restore; one that rejoins keeps its pin.
+    #[test]
+    fn restored_cursors_of_subscribers_that_never_rejoin_stop_pinning() {
+        let before = EpochBuffer::new(SubPolicy::default());
+        publish_feed(&before, 2);
+        before.ack(6, 2);
+        before.ack(7, 2);
+        let buf = Arc::new(EpochBuffer::restore(&before.image(), SubPolicy::default()).unwrap());
+        let registry = MetricsRegistry::new();
+        let server = SubServer::bind_with_metrics(
+            "127.0.0.1:0",
+            Arc::clone(&buf),
+            SubConfig::new(),
+            &registry,
+        )
+        .unwrap();
+        // Subscriber 7 rejoins at its cursor and stops reading; 6 never does.
+        let (_seven, welcomed) = raw_session(&server, &registry, 7, 2);
+        assert_eq!(welcomed, 2);
+        seal_epochs(&buf, DEPARTED_GRACE_EPOCHS);
+        assert_eq!(buf.cursors(), vec![(7, 2)]);
+    }
+
+    /// A departed subscriber whose grace runs out after its `Subscribe` was
+    /// welcomed but before its session is installed still leaves with a
+    /// pinned cursor: the install removes it from the departed and pins
+    /// under one lock.
+    #[test]
+    fn a_grace_that_runs_out_during_a_rejoin_leaves_the_rejoined_cursor() {
+        let before = EpochBuffer::new(SubPolicy::default());
+        publish_feed(&before, 2);
+        before.ack(6, 2);
+        let buf = Arc::new(EpochBuffer::restore(&before.image(), SubPolicy::default()).unwrap());
+        let server = SubServer::bind("127.0.0.1:0", Arc::clone(&buf), SubConfig::new()).unwrap();
+        // Subscriber 6 comes back: its `Subscribe` is read, clamped and
+        // welcomed...
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let subscribe = Frame::Subscribe {
+            protocol: PROTOCOL_VERSION,
+            subscriber: 6,
+            filter: 0,
+            resume_from: 2,
+            credits: 1 << 20,
+        };
+        wire::write_frame(&mut client, &subscribe).unwrap();
+        let welcomed = welcome(&server.shared, stream).expect("welcomed");
+        assert!(matches!(
+            wire::read_frame(&mut client),
+            Ok(Some(Frame::Welcome { resume_seq: 2, .. }))
+        ));
+        // ...and its grace runs out before the session is installed.
+        seal_epochs(&buf, DEPARTED_GRACE_EPOCHS);
+        assert!(buf.cursors().is_empty(), "the grace ran out");
+        install(&server.shared, welcomed);
+        assert!(
+            buf.cursors().iter().any(|&(id, _)| id == 6),
+            "the rejoined session pins retention"
+        );
+        assert_eq!(server.shared.table().sessions.len(), 1);
+    }
+
+    /// Every server bound to a buffer is served by its flushes.
+    #[test]
+    fn two_servers_on_one_buffer_both_serve_their_subscribers() {
+        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        let registry = MetricsRegistry::new();
+        let servers: Vec<SubServer> = (0..2)
+            .map(|_| {
+                let bound = SubServer::bind_with_metrics(
+                    "127.0.0.1:0",
+                    Arc::clone(&buf),
+                    SubConfig::new(),
+                    &registry,
+                );
+                bound.unwrap()
+            })
+            .collect();
+        let (done, outcomes) = std::sync::mpsc::channel();
+        for (i, server) in servers.iter().enumerate() {
+            let (addr, done) = (server.local_addr().to_string(), done.clone());
+            thread::spawn(move || {
+                let _ = done.send(subscribe(&addr, &SubscribeConfig::new(i as u64)));
+            });
+        }
+        await_opened(&registry, 2.0);
+        let reference = publish_feed(&buf, 20);
+        buf.finish();
+        for _ in &servers {
+            // A server no flush serves would leave its subscriber waiting.
+            let outcome = outcomes.recv_timeout(Duration::from_secs(5));
+            let outcome = outcome.expect("both subscribers finish").unwrap();
+            assert!(outcome.clean && outcome.finished);
+            assert_eq!(outcome.bytes, reference);
+        }
+    }
+
+    /// A session that joins a finished stream is served by its handshake
+    /// thread, which waits on the socket: each grant is taken as it
+    /// arrives, not at the next tick of a clock.
+    #[test]
+    fn a_join_after_finish_takes_each_grant_as_it_arrives() {
+        let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+        let server = SubServer::bind("127.0.0.1:0", Arc::clone(&buf), SubConfig::new()).unwrap();
+        let reference = publish_feed(&buf, 200);
+        buf.finish();
+        let addr = server.local_addr().to_string();
+        let started = Instant::now();
+        let outcome = subscribe(&addr, &SubscribeConfig::new(2).with_credits(2)).unwrap();
+        assert!(outcome.clean && outcome.finished);
+        assert_eq!(outcome.bytes, reference);
+        // 400 frames in 2-credit windows: 200 grants, 10 s at one
+        // `EPOCH_POLL` each.
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "{:?} for 200 grants",
+            started.elapsed()
         );
     }
 

@@ -355,3 +355,104 @@ fn seeded_fuzz_handshake_never_breaks_the_server() {
         }
     }
 }
+
+/// A subscriber that stops reading stalls nobody. Its socket fills and the
+/// rest of its stream waits in its session, but the serve passes never
+/// block on it: the publisher publishes and finishes, the other
+/// subscribers get every byte and close clean, and the stuck session stays
+/// open until its subscriber goes away, when it closes as lost.
+#[test]
+fn a_subscriber_that_stops_reading_stalls_neither_the_merge_nor_the_others() {
+    use std::time::Instant;
+
+    let registry = lmerge_obs::MetricsRegistry::new();
+    let buf = Arc::new(EpochBuffer::new(SubPolicy::default()));
+    let server =
+        SubServer::bind_with_metrics("127.0.0.1:0", Arc::clone(&buf), SubConfig::new(), &registry)
+            .unwrap();
+    let addr = server.local_addr().to_string();
+    let opened = || {
+        registry
+            .sum_value("lmerge_sub_sessions_opened_total")
+            .unwrap_or(0.0)
+    };
+    // The stuck one grants a window wider than the stream, reads its
+    // `Welcome`, and never reads again.
+    let mut stuck = TcpStream::connect(&addr).unwrap();
+    let subscribe_frame = Frame::Subscribe {
+        protocol: PROTOCOL_VERSION,
+        subscriber: 9,
+        filter: 0,
+        resume_from: 0,
+        credits: u32::MAX,
+    };
+    stuck.write_all(&wire::encode(&subscribe_frame)).unwrap();
+    assert!(matches!(
+        wire::read_frame(&mut stuck),
+        Ok(Some(Frame::Welcome { .. }))
+    ));
+    let readers: Vec<_> = (1..=2)
+        .map(|id| {
+            let addr = addr.clone();
+            std::thread::spawn(move || subscribe(&addr, &SubscribeConfig::new(id)).unwrap())
+        })
+        .collect();
+    while opened() != 3.0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // 16 MiB of output: far more than the stuck socket's buffers hold.
+    let mut reference = Vec::new();
+    let mut seq = 0;
+    let published = Instant::now();
+    for epoch in 0..512i64 {
+        let mut elements: Vec<Element<Value>> = (0..31)
+            .map(|k| Element::insert(Value::synthetic(k, 1000), epoch, epoch + 5))
+            .collect();
+        elements.push(Element::stable(Time(epoch + 1)));
+        for e in &elements {
+            let at = VTime(epoch as u64);
+            wire::encode_into(
+                &Frame::Data {
+                    seq,
+                    at,
+                    element: e.clone(),
+                },
+                &mut reference,
+            );
+            seq += 1;
+        }
+        buf.publish(VTime(epoch as u64), &elements);
+    }
+    buf.finish();
+    let published = published.elapsed();
+    assert!(
+        published < Duration::from_secs(10),
+        "publishing took {published:?}"
+    );
+
+    server.serve_until(|| readers.iter().all(|r| r.is_finished()));
+    for r in readers {
+        let outcome = r.join().unwrap();
+        assert!(outcome.clean && outcome.finished);
+        assert!(outcome.bytes == reference, "a reader's bytes differ");
+    }
+    let counted = |name: &str| registry.sum_value(name).unwrap_or(0.0);
+    // The readers' `Bye` echoes are taken by the next passes.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    server.serve_until(|| {
+        counted("lmerge_sub_session_closes_clean_total") == 2.0 || Instant::now() > deadline
+    });
+    assert_eq!(counted("lmerge_sub_session_closes_clean_total"), 2.0);
+    assert_eq!(counted("lmerge_sub_session_closes_lost_total"), 0.0);
+    assert_eq!(
+        counted("lmerge_sub_sessions_active"),
+        1.0,
+        "the stuck one is open"
+    );
+
+    drop(stuck);
+    assert!(server.await_sessions_closed(Duration::from_secs(5)));
+    assert_eq!(counted("lmerge_sub_session_closes_clean_total"), 2.0);
+    assert_eq!(counted("lmerge_sub_session_closes_lost_total"), 1.0);
+}

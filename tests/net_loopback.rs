@@ -738,6 +738,8 @@ fn tcp_ingest_streams_to_a_live_subscriber() {
     }
     server.await_sessions_closed(std::time::Duration::from_secs(5));
     output.finish().expect("no file, no I/O error");
+    // The merge has stopped flushing: serve the subscriber to its end.
+    sub_server.serve_until(|| subscriber.is_finished());
     let seen = subscriber.join().expect("subscriber thread");
     sub_server.shutdown();
     server.shutdown();

@@ -139,6 +139,13 @@ fn mixed_subscribers_receive_byte_identical_filtered_slices() {
     MergeRun::new(queries, merge, RunConfig::default()).run_with_hooks(&mut NullSink, &mut hooks);
     hooks.1.finish().expect("no file, no I/O error");
     let collected = hooks.0;
+    // The merge has stopped flushing: serve the sessions until every
+    // subscriber is done.
+    server.serve_until(|| {
+        [&full, &moddy, &ranged, &killed, &proxied]
+            .iter()
+            .all(|c| c.is_finished())
+    });
 
     let full = full.join().expect("full");
     let moddy = moddy.join().expect("moddy");
