@@ -236,28 +236,32 @@ fn bench_stable_sweep_settled(report: &mut Report) {
 fn bench_index(report: &mut Report) {
     // The index on its own: the in-place sweep with a visitor that makes no
     // promise (`Keep`), so every node is visited every round — ns per
-    // visited node — and the O(1) memory estimate the executor samples
-    // every 256 batches — ns per call.
+    // visited node — and the O(1) memory estimate of an LMR3+ merge holding
+    // the same nodes, which the executor samples every 256 batches — ns per
+    // call.
     use lmerge_core::in2t::In2t;
-    use lmerge_core::SweepAction;
+    use lmerge_core::{LMergeR3, LogicalMerge, SweepAction};
     use lmerge_temporal::Time;
     let nodes = sized(10_000, 1_000);
     let rounds = sized(100, 10);
     let t = Time(nodes as i64 + 1);
     let build = || {
         let mut ix: In2t<Value> = In2t::new();
+        let mut lm: LMergeR3<Value> = LMergeR3::new(1);
+        let mut out = Vec::new();
         for i in 0..nodes as i64 {
-            let node = ix.add_node(Time(i), Value::synthetic(i as i32, 100));
-            node.set_input(StreamId(0), Time(i + 100_000_000));
-            ix.note_entry_added();
+            let (v, ve) = (Value::synthetic(i as i32, 100), i + 100_000_000);
+            ix.add_node(Time(i), v.clone())
+                .set_input(StreamId(0), Time(ve));
+            lm.push(StreamId(0), &Element::insert(v, i, ve), &mut out);
         }
-        ix
+        (ix, lm)
     };
     println!("\n== in2t ({nodes} nodes) ==");
     let mut best_sweep = f64::INFINITY;
     let mut best_mem = f64::INFINITY;
     for _ in 0..repeats() {
-        let mut ix = build();
+        let (mut ix, lm) = build();
         let start = Instant::now();
         for _ in 0..rounds {
             ix.sweep_half_frozen(t, |_, _, node| {
@@ -271,7 +275,7 @@ fn bench_index(report: &mut Report) {
         let calls = rounds * 1_000;
         let start = Instant::now();
         for _ in 0..calls {
-            black_box(black_box(&ix).memory_bytes());
+            black_box(black_box(&lm).memory_bytes());
         }
         let ns = start.elapsed().as_nanos() as f64 / calls as f64;
         best_mem = best_mem.min(ns);

@@ -52,7 +52,7 @@ mod shell;
 pub mod spsc;
 pub mod state;
 pub mod stats;
-mod tier;
+pub mod tier;
 
 pub use api::{BatchMeta, InputHealth, LogicalMerge};
 pub use det::{DetBuildHasher, DetHashMap};

@@ -2,16 +2,18 @@
 //! arbitrary element kinds and order, where `(Vs, Payload)` is a key
 //! (paper Section IV-D, Algorithm R3).
 //!
-//! State is the [`In2t`] index. Inserts are reflected eagerly (under the
-//! default policy); adjusts are absorbed silently; divergence between the
-//! output and the inputs is corrected *only* when a `stable` element would
-//! otherwise freeze it — which is what yields the paper's Theorem 1
-//! non-chattiness bound.
+//! State is the `in2t` index: the tier map over [`Node`]s. Inserts are
+//! reflected eagerly (under the default policy); adjusts are absorbed
+//! silently; divergence between the output and the inputs is corrected
+//! *only* when a `stable` element would otherwise freeze it — which is what
+//! yields the paper's Theorem 1 non-chattiness bound.
 
-use crate::in2t::{In2t, SweepAction};
+use crate::in2t::{In2t, Node};
+use crate::mem::btree_bytes;
 use crate::policy::{AdjustPolicy, InsertPolicy, MergePolicy, StablePolicy};
 use crate::shell::{Ctx, IndexedMerge, NodeKind};
 use crate::state::{MergeCut, MergeStateImage, StateEntry, VariantKind};
+use crate::tier::{SweepAction, TIER_OVERHEAD};
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Event, Payload, StreamId, Time};
 
@@ -38,6 +40,8 @@ pub type LMergeR3<P> = IndexedMerge<P, R3Kind<P>>;
 #[derive(Debug)]
 pub struct R3Kind<P: Payload> {
     index: In2t<P>,
+    /// Per-input `Ve` entries across all nodes.
+    entries: usize,
     insert: InsertPolicy,
     adjust: AdjustPolicy,
     stable: StablePolicy,
@@ -55,6 +59,7 @@ impl<P: Payload> LMergeR3<P> {
     pub fn with_policy(n: usize, policy: MergePolicy) -> LMergeR3<P> {
         let kind = R3Kind {
             index: In2t::new(),
+            entries: 0,
             insert: policy.insert,
             adjust: policy.adjust,
             stable: policy.stable,
@@ -111,7 +116,7 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
             node.set_output_ve(Some(e.ve));
         }
         if was_new {
-            self.index.note_entry_added();
+            self.entries += 1;
             cx.live.note(s);
         }
         if emit {
@@ -159,7 +164,7 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
             }
         }
         if was_new {
-            self.index.note_entry_added();
+            self.entries += 1;
             cx.live.note(cx.input);
         }
         if let Some(out_ve) = emitted {
@@ -184,6 +189,7 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
         let stats = &mut cx.books.stats;
         let inputs = &cx.books.inputs;
         let (live, out) = (&mut *cx.live, &mut *cx.out);
+        let entries = &mut self.entries;
         self.index.sweep_half_frozen(t, |vs, payload, node| {
             // Line 20: if the driving stream lacks the event entirely, its
             // effective end time is Vs — i.e. the event does not exist.
@@ -220,6 +226,7 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
             // Lines 26–27: fully frozen (or nonexistent) per the driving
             // stream — the node is settled and can be dropped.
             if in_ve < t {
+                *entries -= node.support() as usize;
                 for (id, _) in node.entries() {
                     live.release(id.0, 1);
                 }
@@ -244,7 +251,7 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
     }
 
     fn min_live_vs(&self) -> Option<Time> {
-        self.index.min_live_vs()
+        self.index.min_vs()
     }
 
     fn attach(&mut self, _allocated: usize) {
@@ -253,11 +260,25 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
     }
 
     fn detach(&mut self, input: StreamId) {
-        self.index.purge_stream(input);
+        for node in self.index.nodes_mut() {
+            if node.remove_input(input) {
+                self.entries -= 1;
+            }
+        }
     }
 
+    /// Tree structure, the per-`Vs` payload tiers (modelled by
+    /// [`btree_bytes`] so the figure is a pure function of the contents — a
+    /// restored index reports the same bytes as its source), shared
+    /// payloads, and per-input entries. O(1): [`btree_bytes`] is linear in
+    /// the entry count, so the sum over tiers is the model of all nodes at
+    /// once.
     fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes()
+        const ENTRY_BYTES: usize = std::mem::size_of::<(u32, Time)>() + 16;
+        self.index.tier_count() * TIER_OVERHEAD
+            + btree_bytes(self.index.len(), std::mem::size_of::<(P, Node)>())
+            + self.index.payload_bytes()
+            + self.entries * ENTRY_BYTES
     }
 
     fn export(&self, cut: &mut MergeCut<P>, changed_only: bool) {
@@ -290,15 +311,15 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
     fn restore(&mut self, img: MergeStateImage<P>) {
         self.leader = img.leader.map(StreamId);
         self.index = In2t::new();
+        self.entries = 0;
         for entry in img.entries {
-            let per_input: Vec<(u32, Time)> = entry
-                .per_input
-                .iter()
-                .filter_map(|(id, m)| m.first().map(|&(ve, _)| (*id, ve)))
-                .collect();
-            let output_ve = entry.output.first().map(|&(ve, _)| ve);
-            self.index
-                .restore_node(entry.vs, entry.payload, &per_input, output_ve);
+            let node = self.index.add_node(entry.vs, entry.payload);
+            for (id, m) in &entry.per_input {
+                if let Some(&(ve, _)) = m.first() {
+                    self.entries += usize::from(node.set_input(StreamId(*id), ve));
+                }
+            }
+            node.set_output_ve(entry.output.first().map(|&(ve, _)| ve));
         }
     }
 }
@@ -310,6 +331,105 @@ mod tests {
     use lmerge_temporal::reconstitute::tdb_of;
 
     type E = Element<&'static str>;
+
+    const ENTRY: usize = std::mem::size_of::<(u32, Time)>() + 16;
+
+    #[test]
+    fn memory_charges_tiers_nodes_payloads_and_entries() {
+        // Known shape: 10 nodes in one tier, one entry each, static payloads
+        // (zero heap bytes) — the estimate is pinned exactly.
+        let keys = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"];
+        let (mut one, mut spread) = (LMergeR3::new(1), LMergeR3::new(1));
+        let mut out = Vec::new();
+        for (i, k) in keys.into_iter().enumerate() {
+            one.push(StreamId(0), &E::insert(k, 1, 50), &mut out);
+            spread.push(StreamId(0), &E::insert(k, i as i64, i as i64 + 1), &mut out);
+        }
+        let expected =
+            TIER_OVERHEAD + btree_bytes(10, std::mem::size_of::<(&str, Node)>()) + 10 * ENTRY;
+        assert_eq!(one.kind.memory_bytes(), expected);
+        // The same ten nodes over ten tiers: only the tier charge moves (the
+        // node model is linear, so it is summed in one step).
+        assert_eq!(spread.kind.memory_bytes(), expected + 9 * TIER_OVERHEAD);
+        // Retirement takes nodes, payloads and entries with it.
+        spread.push(StreamId(0), &E::stable(5), &mut out);
+        assert_eq!(spread.kind.entries, 6, "Ve 1 to 4 retired");
+        assert_eq!(
+            spread.kind.memory_bytes(),
+            6 * TIER_OVERHEAD + btree_bytes(6, std::mem::size_of::<(&str, Node)>()) + 6 * ENTRY
+        );
+        spread.push(StreamId(0), &E::stable(60), &mut out);
+        assert_eq!((spread.kind.entries, spread.kind.memory_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn memory_shares_payloads_across_inputs() {
+        use lmerge_temporal::{HeapSize, Value};
+        let p = Value::synthetic(1, 1000);
+        let mut lm = LMergeR3::new(10);
+        let mut out = Vec::new();
+        for s in 0..10 {
+            lm.push(StreamId(s), &Element::insert(p.clone(), 1, 5), &mut out);
+        }
+        // Ten inputs, but only one kilobyte of payload is charged.
+        assert_eq!(
+            lm.kind.memory_bytes(),
+            TIER_OVERHEAD
+                + btree_bytes(1, std::mem::size_of::<(Value, Node)>())
+                + p.heap_bytes()
+                + 10 * ENTRY
+        );
+    }
+
+    #[test]
+    fn detach_purges_the_inputs_entries_and_their_count() {
+        let mut lm = LMergeR3::new(2);
+        let mut out = Vec::new();
+        lm.push(StreamId(0), &E::insert("A", 1, 5), &mut out);
+        lm.push(StreamId(1), &E::insert("A", 1, 6), &mut out);
+        lm.push(StreamId(1), &E::insert("B", 2, 6), &mut out);
+        assert_eq!(lm.kind.entries, 3);
+        lm.detach(StreamId(1));
+        assert_eq!(lm.kind.entries, 1);
+        let a = lm.kind.index.get(Time(1), &"A").unwrap();
+        assert!(a.has_input(StreamId(0)) && !a.has_input(StreamId(1)));
+        assert_eq!(lm.kind.index.get(Time(2), &"B").unwrap().support(), 0);
+    }
+
+    #[test]
+    fn restore_rebuilds_an_identical_index() {
+        let mut lm = LMergeR3::with_policy(3, MergePolicy::conservative());
+        let mut out = Vec::new();
+        lm.push(StreamId(0), &E::insert("A", 1, 5), &mut out);
+        lm.push(StreamId(2), &E::insert("A", 1, 9), &mut out);
+        lm.push(StreamId(1), &E::insert("B", 7, 8), &mut out);
+        lm.push(StreamId(2), &E::stable(2), &mut out);
+        let mut back: LMergeR3<&str> = LMergeR3::new(3);
+        assert!(back.restore_state(lm.export_state().unwrap()));
+        assert_eq!(back.kind.entries, lm.kind.entries);
+        assert_eq!(back.kind.memory_bytes(), lm.kind.memory_bytes());
+        let nodes = |m: &LMergeR3<&'static str>| -> Vec<_> {
+            m.kind
+                .index
+                .iter()
+                .map(|(vs, p, n)| {
+                    let mut ins: Vec<_> = n.entries().collect();
+                    ins.sort_by_key(|e| e.0);
+                    (vs, *p, ins, n.output_ve())
+                })
+                .collect()
+        };
+        assert_eq!(nodes(&back), nodes(&lm), "canonical iteration and nodes");
+        assert_eq!(
+            nodes(&lm)[0],
+            (
+                Time(1),
+                "A",
+                vec![(StreamId(0), Time(5)), (StreamId(2), Time(9))],
+                Some(Time(9))
+            )
+        );
+    }
 
     #[test]
     fn first_insert_wins_divergent_ends_reconciled_on_stable() {

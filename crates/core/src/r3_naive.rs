@@ -17,112 +17,52 @@ use crate::tier::{SweepAction, Tiers};
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Event, Payload, StreamId, Time};
 
-/// One per-stream event index: `Vs → (Payload → Ve)`, payloads owned, on
-/// the tier map R3+ and R4 use.
-///
-/// The inner tier is an ordered map (not a hash map) for the same reason as
-/// `in2t`: reconciliation sweeps iterate it and their emission order is
-/// consumer-visible, so iteration must be a pure function of contents for a
-/// checkpoint-restored index to replay byte-identically.
-#[derive(Debug)]
-struct EventIndex<P: Payload> {
-    tiers: Tiers<P, Time>,
-    payload_bytes: usize,
-    entries: usize,
+// Each index is the tier map R3+ and R4 use, `Vs → (Payload → Ve)`, with
+// its own payload copies — the duplication that makes LMR3− degrade
+// linearly with the number of inputs.
+
+/// Record `ve` for `(vs, p)` in `ix`.
+fn set<P: Payload>(ix: &mut Tiers<P, Time>, vs: Time, p: &P, ve: Time) {
+    *ix.add_node(vs, p.clone()) = ve;
 }
 
-impl<P: Payload> EventIndex<P> {
-    fn new() -> Self {
-        EventIndex {
-            tiers: Tiers::new(),
-            payload_bytes: 0,
-            entries: 0,
+/// LMR3−'s own model of one index: 48 bytes per tier and 32 per entry
+/// beside the entry itself, plus the payload copies.
+fn index_bytes<P: Payload>(ix: &Tiers<P, Time>) -> usize {
+    ix.tier_count() * 48 + ix.len() * (std::mem::size_of::<(P, Time)>() + 32) + ix.payload_bytes()
+}
+
+/// An index's share of a cut: its live tier keys onto `tiers`, and the
+/// `(Vs, payload, Ve)` entries of its changed tiers (of all unless
+/// `changed_only`) in canonical order. The `Ve` travels in the image
+/// entry's `output` field as a `(ve, 1)` bucket.
+fn export_index<P: Payload>(
+    ix: &Tiers<P, Time>,
+    changed_only: bool,
+    tiers: &mut Vec<Vec<Time>>,
+) -> Vec<StateEntry<P>> {
+    let (mut keys, mut entries) = (Vec::new(), Vec::new());
+    ix.export(changed_only, &mut keys, &mut entries, |vs, p, ve| {
+        StateEntry {
+            vs,
+            payload: p.clone(),
+            per_input: Vec::new(),
+            output: vec![(*ve, 1)],
+        }
+    });
+    tiers.push(keys);
+    entries
+}
+
+/// Rebuild an index from exported entries.
+fn restore_index<P: Payload>(entries: &[StateEntry<P>]) -> Tiers<P, Time> {
+    let mut ix = Tiers::new();
+    for e in entries {
+        if let Some(&(ve, _)) = e.output.first() {
+            set(&mut ix, e.vs, &e.payload, ve);
         }
     }
-
-    fn get(&self, vs: Time, p: &P) -> Option<Time> {
-        self.tiers.get(vs, p).copied()
-    }
-
-    fn set(&mut self, vs: Time, p: &P, ve: Time) {
-        if self.tiers.tier_mut(vs).insert(p.clone(), ve).is_none() {
-            // Each index stores its own payload copy — the duplication that
-            // makes LMR3− degrade linearly with the number of inputs.
-            self.payload_bytes += p.heap_bytes();
-            self.entries += 1;
-        }
-    }
-
-    /// Visit every entry with `Vs < t` once, in `Vs` order, unlinking the
-    /// ones the visitor retires. The visitor answers `Keep` or `Retire`, so
-    /// no tier is ever skipped.
-    fn sweep_before<F>(&mut self, t: Time, mut visit: F)
-    where
-        F: FnMut(Time, &P, Time) -> SweepAction,
-    {
-        let EventIndex {
-            tiers,
-            payload_bytes,
-            entries,
-        } = self;
-        tiers.sweep(
-            t,
-            |vs, p, ve| visit(vs, p, *ve),
-            |p, _| {
-                *payload_bytes -= p.heap_bytes();
-                *entries -= 1;
-            },
-        );
-    }
-
-    /// Purge entries fully frozen by `t` (both `vs` and recorded `ve` < `t`).
-    fn purge_frozen(&mut self, t: Time) {
-        self.sweep_before(t, |_, _, ve| {
-            if ve < t {
-                SweepAction::Retire
-            } else {
-                SweepAction::Keep
-            }
-        });
-    }
-
-    fn memory_bytes(&self) -> usize {
-        const TIER_OVERHEAD: usize = 48;
-        const ENTRY_OVERHEAD: usize = 32;
-        self.tiers.len() * TIER_OVERHEAD
-            + self.entries * (std::mem::size_of::<(P, Time)>() + ENTRY_OVERHEAD)
-            + self.payload_bytes
-    }
-
-    /// The index's share of a cut: its live tier keys onto `tiers`, and the
-    /// `(Vs, payload, Ve)` entries of its changed tiers (of all unless
-    /// `changed_only`) in canonical order. The `Ve` travels in the image
-    /// entry's `output` field as a `(ve, 1)` bucket.
-    fn export(&self, changed_only: bool, tiers: &mut Vec<Vec<Time>>) -> Vec<StateEntry<P>> {
-        let (mut keys, mut entries) = (Vec::new(), Vec::new());
-        self.tiers
-            .export(changed_only, &mut keys, &mut entries, |vs, p, ve| {
-                StateEntry {
-                    vs,
-                    payload: p.clone(),
-                    per_input: Vec::new(),
-                    output: vec![(*ve, 1)],
-                }
-            });
-        tiers.push(keys);
-        entries
-    }
-
-    /// Rebuild an index from exported entries.
-    fn restore(entries: &[StateEntry<P>]) -> EventIndex<P> {
-        let mut ix = EventIndex::new();
-        for e in entries {
-            if let Some(&(ve, _)) = e.output.first() {
-                ix.set(e.vs, &e.payload, ve);
-            }
-        }
-        ix
-    }
+    ix
 }
 
 /// The naive R3 merge with per-input event indexes (`LMR3−`).
@@ -131,26 +71,26 @@ pub type LMergeR3Naive<P> = IndexedMerge<P, NaiveKind<P>>;
 /// LMR3−'s indexes: one per input, plus the output's.
 #[derive(Debug)]
 pub struct NaiveKind<P: Payload> {
-    per_input: Vec<EventIndex<P>>,
-    output: EventIndex<P>,
+    per_input: Vec<Tiers<P, Time>>,
+    output: Tiers<P, Time>,
 }
 
 impl<P: Payload> LMergeR3Naive<P> {
     /// A naive R3 merge over `n` initially attached inputs.
     pub fn new(n: usize) -> LMergeR3Naive<P> {
         let kind = NaiveKind {
-            per_input: (0..n).map(|_| EventIndex::new()).collect(),
-            output: EventIndex::new(),
+            per_input: (0..n).map(|_| Tiers::new()).collect(),
+            output: Tiers::new(),
         };
         IndexedMerge::from_kind(n, kind, RobustnessPolicy::off())
     }
 }
 
 impl<P: Payload> NaiveKind<P> {
-    fn index_for(&mut self, s: StreamId) -> &mut EventIndex<P> {
+    fn index_for(&mut self, s: StreamId) -> &mut Tiers<P, Time> {
         let i = s.0 as usize;
         if i >= self.per_input.len() {
-            self.per_input.resize_with(i + 1, EventIndex::new);
+            self.per_input.resize_with(i + 1, Tiers::new);
         }
         &mut self.per_input[i]
     }
@@ -173,9 +113,9 @@ impl<P: Payload> NodeKind<P> for NaiveKind<P> {
         }
         // Tree lookup #2: record in the input's own index (a full payload
         // copy — LMR3−'s defining memory cost).
-        self.index_for(cx.input).set(e.vs, &e.payload, e.ve);
+        set(self.index_for(cx.input), e.vs, &e.payload, e.ve);
         if !known {
-            self.output.set(e.vs, &e.payload, e.ve);
+            set(&mut self.output, e.vs, &e.payload, e.ve);
             cx.books.stats.inserts_out += 1;
             cx.out.push(Element::Insert(e.clone()));
         } else {
@@ -189,7 +129,7 @@ impl<P: Payload> NodeKind<P> for NaiveKind<P> {
             cx.books.stats.dropped += 1;
             return;
         }
-        self.index_for(cx.input).set(vs, payload, ve);
+        set(self.index_for(cx.input), vs, payload, ve);
     }
 
     #[inline(never)]
@@ -202,11 +142,10 @@ impl<P: Payload> NodeKind<P> for NaiveKind<P> {
         let stats = &mut cx.books.stats;
         let out = &mut *cx.out;
         let driving = &self.per_input[cx.input.0 as usize];
-        for (vs, p, in_ve) in driving.tiers.iter_below(t) {
-            let in_ve = *in_ve;
-            match self.output.get(vs, p) {
+        for (vs, p, &in_ve) in driving.iter_below(t) {
+            match self.output.get(vs, p).copied() {
                 Some(o) if o != in_ve && (in_ve < t || o < t) && in_ve >= max_stable => {
-                    self.output.set(vs, p, in_ve);
+                    set(&mut self.output, vs, p, in_ve);
                     stats.adjusts_out += 1;
                     out.push(Element::adjust(p.clone(), vs, o, in_ve));
                 }
@@ -215,7 +154,7 @@ impl<P: Payload> NodeKind<P> for NaiveKind<P> {
                 None if in_ve != vs && vs >= max_stable => {
                     // The driving input has an event the output never
                     // carried (attach/detach churn).
-                    self.output.set(vs, p, in_ve);
+                    set(&mut self.output, vs, p, in_ve);
                     stats.inserts_out += 1;
                     out.push(Element::insert(p.clone(), vs, in_ve));
                 }
@@ -224,7 +163,8 @@ impl<P: Payload> NodeKind<P> for NaiveKind<P> {
         }
         // One output sweep deletes spurious events (the driving input lacks
         // them) and purges fully frozen ones.
-        self.output.sweep_before(t, |vs, p, o| {
+        // The visitors answer `Keep` or `Retire`, so no tier is ever skipped.
+        self.output.sweep_half_frozen(t, |vs, p, &mut o| {
             if driving.get(vs, p).is_none() && vs >= max_stable {
                 stats.adjusts_out += 1;
                 out.push(Element::adjust(p.clone(), vs, o, vs));
@@ -235,59 +175,61 @@ impl<P: Payload> NodeKind<P> for NaiveKind<P> {
                 SweepAction::Keep
             }
         });
-        // Purge fully frozen entries from every input index.
+        // Purge fully frozen entries (both `vs` and `ve` < `t`) from every
+        // input index.
         for ix in &mut self.per_input {
-            ix.purge_frozen(t);
+            ix.sweep_half_frozen(t, |_, _, &mut ve| {
+                if ve < t {
+                    SweepAction::Retire
+                } else {
+                    SweepAction::Keep
+                }
+            });
         }
     }
 
     fn min_live_vs(&self) -> Option<Time> {
-        self.output.tiers.min_vs()
+        self.output.min_vs()
     }
 
     fn attach(&mut self, allocated: usize) {
-        self.per_input.resize_with(allocated, EventIndex::new);
+        self.per_input.resize_with(allocated, Tiers::new);
     }
 
     fn detach(&mut self, input: StreamId) {
         if let Some(ix) = self.per_input.get_mut(input.0 as usize) {
-            *ix = EventIndex::new();
+            *ix = Tiers::new();
         }
     }
 
     fn memory_bytes(&self) -> usize {
-        self.per_input
-            .iter()
-            .map(EventIndex::memory_bytes)
-            .sum::<usize>()
-            + self.output.memory_bytes()
+        self.per_input.iter().map(index_bytes).sum::<usize>() + index_bytes(&self.output)
     }
 
     fn export(&self, cut: &mut MergeCut<P>, changed_only: bool) {
-        cut.entries =
-            self.output.entries + self.per_input.iter().map(|ix| ix.entries).sum::<usize>();
-        cut.image.entries = self.output.export(changed_only, &mut cut.tiers);
+        cut.entries = self.output.len() + self.per_input.iter().map(Tiers::len).sum::<usize>();
+        cut.image.entries = export_index(&self.output, changed_only, &mut cut.tiers);
         let indexes = self
             .per_input
             .iter()
-            .map(|ix| ix.export(changed_only, &mut cut.tiers))
+            .map(|ix| export_index(ix, changed_only, &mut cut.tiers))
             .collect();
         cut.image.input_indexes = indexes;
     }
 
     fn clear_changed(&mut self) {
-        self.output.tiers.clear_changed();
+        self.output.clear_changed();
         for ix in &mut self.per_input {
-            ix.tiers.clear_changed();
+            ix.clear_changed();
         }
     }
 
     fn restore(&mut self, img: MergeStateImage<P>) {
-        self.output = EventIndex::restore(&img.entries);
+        self.output = restore_index(&img.entries);
         self.per_input = img
             .input_indexes
             .iter()
-            .map(|ix| EventIndex::restore(ix))
+            .map(|ix| restore_index(ix))
             .collect();
     }
 }

@@ -2,18 +2,20 @@
 //!
 //! No restrictions at all: any element kinds in any order, and the TDB is a
 //! *multiset* — many events may share `(Vs, Payload)` with different (or
-//! equal) `Ve`s. State is the [`In3t`] index; the reconciliation steps are
+//! equal) `Ve`s. State is the `in3t` index: the tier map over [`Node`]s
+//! with per-stream `Ve` multisets; the reconciliation steps are
 //! the paper's `AdjustOutputCount()` (equalize the number of output events
 //! per key when the key first becomes half frozen) and `AdjustOutput()`
 //! (make the output's fully-frozen `Ve` buckets match the progress-driving
 //! input exactly before propagating a `stable`).
 
-use crate::in3t::{In3t, Node};
+use crate::in3t::{Node, VeCounts};
+use crate::mem::btree_bytes;
 use crate::policy::RobustnessPolicy;
 use crate::shell::{Ctx, IndexedMerge, NodeKind};
 use crate::state::{MergeCut, MergeStateImage, StateEntry, VariantKind};
 use crate::stats::MergeStats;
-use crate::tier::SweepAction;
+use crate::tier::{SweepAction, Tiers, TIER_OVERHEAD};
 use lmerge_properties::RLevel;
 use lmerge_temporal::{Element, Event, Payload, StreamId, Time};
 
@@ -23,7 +25,7 @@ pub type LMergeR4<P> = IndexedMerge<P, R4Kind<P>>;
 /// R4's index: `in3t`, with per-stream `Ve` multisets.
 #[derive(Debug)]
 pub struct R4Kind<P: Payload> {
-    index: In3t<P>,
+    index: Tiers<P, Node>,
 }
 
 impl<P: Payload> LMergeR4<P> {
@@ -34,7 +36,13 @@ impl<P: Payload> LMergeR4<P> {
 
     /// An R4 merge with runtime robustness guards (DESIGN.md §10).
     pub fn with_robustness(n: usize, robustness: RobustnessPolicy) -> LMergeR4<P> {
-        IndexedMerge::from_kind(n, R4Kind { index: In3t::new() }, robustness)
+        IndexedMerge::from_kind(
+            n,
+            R4Kind {
+                index: Tiers::new(),
+            },
+            robustness,
+        )
     }
 
     /// Number of live `(Vs, Payload)` nodes.
@@ -184,7 +192,7 @@ impl<P: Payload> NodeKind<P> for R4Kind<P> {
     fn insert(&mut self, cx: &mut Ctx<'_, P>, e: &Event<P>) {
         // Lines 4–7: below MaxStable only an existing node may still absorb
         // the element; a missing one was frozen and dropped. One lookup
-        // either way — `entry` is only taken on the unfrozen side.
+        // either way — `add_node` is only taken on the unfrozen side.
         let s = cx.input;
         let max_stable = cx.books.max_stable;
         let stats = &mut cx.books.stats;
@@ -197,7 +205,7 @@ impl<P: Payload> NodeKind<P> for R4Kind<P> {
                 }
             }
         } else {
-            self.index.entry(e.vs, &e.payload)
+            self.index.add_node(e.vs, e.payload.clone())
         };
         node.increment(s, e.ve);
         // Lines 9–11: output only while the key is unfrozen and this input
@@ -268,7 +276,7 @@ impl<P: Payload> NodeKind<P> for R4Kind<P> {
     }
 
     fn min_live_vs(&self) -> Option<Time> {
-        self.index.min_live_vs()
+        self.index.min_vs()
     }
 
     fn attach(&mut self, _allocated: usize) {
@@ -277,11 +285,28 @@ impl<P: Payload> NodeKind<P> for R4Kind<P> {
     }
 
     fn detach(&mut self, input: StreamId) {
-        self.index.purge_stream(input);
+        for node in self.index.nodes_mut() {
+            node.per_input.remove(&input.0);
+        }
     }
 
+    /// Tree structure, the per-`Vs` payload tiers and each node's
+    /// per-stream tree (modelled by [`btree_bytes`] so the figure is a pure
+    /// function of the contents), shared payloads, and per-stream `Ve` tree
+    /// entries.
     fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes()
+        const VE_ENTRY: usize = std::mem::size_of::<(Time, usize)>() + 16;
+        let mut entries = 0usize;
+        let mut tables = btree_bytes(self.index.len(), std::mem::size_of::<(P, Node)>());
+        for (_, _, node) in self.index.iter() {
+            tables += btree_bytes(node.per_input.len(), std::mem::size_of::<(u32, VeCounts)>());
+            entries += node.output.len();
+            entries += node.per_input.values().map(VeCounts::len).sum::<usize>();
+        }
+        self.index.tier_count() * TIER_OVERHEAD
+            + tables
+            + self.index.payload_bytes()
+            + entries * VE_ENTRY
     }
 
     fn export(&self, cut: &mut MergeCut<P>, changed_only: bool) {
@@ -312,9 +337,9 @@ impl<P: Payload> NodeKind<P> for R4Kind<P> {
     }
 
     fn restore(&mut self, img: MergeStateImage<P>) {
-        self.index = In3t::new();
+        self.index = Tiers::new();
         for entry in img.entries {
-            let node = self.index.entry(entry.vs, &entry.payload);
+            let node = self.index.add_node(entry.vs, entry.payload);
             node.per_input = entry
                 .per_input
                 .into_iter()
@@ -345,6 +370,58 @@ mod tests {
 
     fn final_tdb(out: &[E]) -> Tdb<&'static str> {
         tdb_of(out).unwrap()
+    }
+
+    #[test]
+    fn memory_walks_the_nodes_multisets() {
+        let mut lm = LMergeR4::new(2);
+        let mut out = Vec::new();
+        lm.push(StreamId(0), &E::insert("A", 1, 5), &mut out);
+        lm.push(StreamId(1), &E::insert("A", 1, 6), &mut out);
+        // One tier map (1 node), one per-input map (2 streams), three Ve
+        // entries (two input, one output) — pinned exactly.
+        let expected = TIER_OVERHEAD
+            + btree_bytes(1, std::mem::size_of::<(&str, Node)>())
+            + btree_bytes(2, std::mem::size_of::<(u32, VeCounts)>())
+            + 3 * (std::mem::size_of::<(Time, usize)>() + 16);
+        assert_eq!(lm.kind.memory_bytes(), expected);
+        lm.push(StreamId(1), &E::stable(10), &mut out);
+        assert_eq!(lm.kind.memory_bytes(), 0, "retired: nothing charged");
+    }
+
+    #[test]
+    fn restore_rebuilds_an_identical_index() {
+        let mut lm = LMergeR4::new(2);
+        let mut out = Vec::new();
+        lm.push(StreamId(1), &E::insert("B", 5, 9), &mut out);
+        lm.push(StreamId(0), &E::insert("A", 1, 5), &mut out);
+        lm.push(StreamId(0), &E::insert("A", 1, 5), &mut out);
+        let mut back: LMergeR4<&str> = LMergeR4::new(2);
+        assert!(back.restore_state(lm.export_state().unwrap()));
+        assert_eq!(back.kind.memory_bytes(), lm.kind.memory_bytes());
+        let nodes = |m: &LMergeR4<&'static str>| -> Vec<_> {
+            m.kind
+                .index
+                .iter()
+                .map(|(vs, p, n)| (vs, *p, n.per_input.clone(), n.output.clone()))
+                .collect()
+        };
+        assert_eq!(nodes(&back), nodes(&lm));
+        let a = back.kind.index.get(Time(1), &"A").unwrap();
+        assert_eq!((a.count_of(StreamId(0)), a.count_out()), (2, 2));
+        assert_eq!(nodes(&lm)[1].0, Time(5), "canonical order");
+    }
+
+    #[test]
+    fn detach_drops_only_that_streams_multiset() {
+        let mut lm = LMergeR4::new(2);
+        let mut out = Vec::new();
+        lm.push(StreamId(0), &E::insert("A", 1, 5), &mut out);
+        lm.push(StreamId(1), &E::insert("A", 1, 6), &mut out);
+        lm.detach(StreamId(0));
+        let n = lm.kind.index.get(Time(1), &"A").unwrap();
+        assert_eq!((n.count_of(StreamId(0)), n.count_of(StreamId(1))), (0, 1));
+        assert_eq!(n.count_out(), 1, "the output keeps what it emitted");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::durability::{CheckpointSink, EgressImage, ExecutorImage, NoCheckpoint, RunCut};
 use crate::hooks::{ControlAction, FaultAction, NoHooks, RunHooks};
 use crate::metrics::{RunMetrics, Series};
-use crate::query::Query;
+use crate::query::{Batch, Query};
 use lmerge_core::{BatchMeta, InputHealth, LogicalMerge};
 use lmerge_obs::{ElementKind, FaultKind, HealthTag, NullSink, StableScope, TraceEvent, TraceSink};
 use lmerge_temporal::{Element, Payload, StreamId, Time, VTime};
@@ -76,6 +76,68 @@ fn vs_of<P: Payload>(e: &Element<P>) -> Time {
         Element::Insert(ev) => ev.vs,
         Element::Adjust { vs, .. } => *vs,
         Element::Stable(t) => *t,
+    }
+}
+
+/// Record a `FaultInjected` event when tracing.
+fn fault<S: TraceSink>(trace: &mut S, at: VTime, input: u32, kind: FaultKind) {
+    if trace.enabled() {
+        trace.record(TraceEvent::FaultInjected { at, input, kind });
+    }
+}
+
+/// Record that query `qi` has no batch left, when tracing.
+fn drained<S: TraceSink>(trace: &mut S, at: VTime, qi: usize) {
+    if trace.enabled() {
+        trace.record(TraceEvent::InputDrained {
+            at,
+            input: qi as u32,
+        });
+    }
+}
+
+/// The delivery heap and the batch each query has staged on it. Entries are
+/// `(deliver_at, sequence, query)` — the sequence keeps ordering total and
+/// deterministic when delivery times tie. With the per-query pull counts
+/// and each staged batch's sequence it is the replayable executor cut a
+/// checkpoint captures.
+struct Staging<P> {
+    heap: BinaryHeap<Reverse<(VTime, u64, usize)>>,
+    seq: u64,
+    pending: Vec<Option<Batch<P>>>,
+    pulls: Vec<u64>,
+    staged_seq: Vec<u64>,
+}
+
+impl<P: Payload> Staging<P> {
+    /// Nothing staged for `n` queries.
+    fn new(n: usize) -> Self {
+        Staging {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            pending: (0..n).map(|_| None).collect(),
+            pulls: vec![0; n],
+            staged_seq: vec![0; n],
+        }
+    }
+
+    /// Stage `batch` for query `qi` at its `deliver_at`, under the next
+    /// sequence number.
+    fn stage(&mut self, qi: usize, batch: Batch<P>) {
+        self.heap.push(Reverse((batch.deliver_at, self.seq, qi)));
+        self.staged_seq[qi] = self.seq;
+        self.seq += 1;
+        self.pending[qi] = Some(batch);
+    }
+
+    /// Pull query `qi`'s next batch and stage it. False when it is drained.
+    fn pull(&mut self, qi: usize, queries: &mut [Query<P>]) -> bool {
+        let Some(batch) = queries[qi].next_batch() else {
+            return false;
+        };
+        self.pulls[qi] += 1;
+        self.stage(qi, batch);
+        true
     }
 }
 
@@ -192,16 +254,7 @@ impl<P: Payload> MergeRun<P> {
             input_series: vec![Series::default(); n],
             ..Default::default()
         };
-        // (deliver_at, sequence, query) — sequence keeps ordering total and
-        // deterministic when delivery times tie.
-        let mut heap: BinaryHeap<Reverse<(VTime, u64, usize)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut pending: Vec<Option<crate::query::Batch<P>>> = Vec::with_capacity(n);
-        // Per-query pull counts and last-pushed heap sequence: together
-        // with each staged batch's deliver_at they form the replayable
-        // executor cut a checkpoint captures.
-        let mut pulls = vec![0u64; n];
-        let mut staged_seq = vec![0u64; n];
+        let mut staging = Staging::new(n);
         let mut lmerge_ready = VTime::ZERO;
         let mut delivered = 0usize;
         let mut last_feedback = Time::MIN;
@@ -213,16 +266,7 @@ impl<P: Payload> MergeRun<P> {
         match self.resume.take() {
             None => {
                 for qi in 0..n {
-                    match self.queries[qi].next_batch() {
-                        Some(b) => {
-                            pulls[qi] += 1;
-                            heap.push(Reverse((b.deliver_at, seq, qi)));
-                            staged_seq[qi] = seq;
-                            seq += 1;
-                            pending.push(Some(b));
-                        }
-                        None => pending.push(None),
-                    }
+                    staging.pull(qi, &mut self.queries);
                 }
             }
             Some(img) => {
@@ -231,24 +275,19 @@ impl<P: Payload> MergeRun<P> {
                 // it re-enters the heap under its original key so ties
                 // break exactly as they would have.
                 for qi in 0..n {
-                    let mut last = None;
-                    for _ in 0..img.pulls[qi] {
-                        last = self.queries[qi].next_batch();
-                    }
-                    pulls[qi] = img.pulls[qi];
-                    match img.staged[qi] {
-                        Some((at, s)) => {
-                            let mut b =
-                                last.expect("resume: checkpointed staged batch must replay");
-                            b.deliver_at = at;
-                            heap.push(Reverse((at, s, qi)));
-                            staged_seq[qi] = s;
-                            pending.push(Some(b));
-                        }
-                        None => pending.push(None),
+                    let pulls = 0..img.pulls[qi];
+                    let last = pulls.map(|_| self.queries[qi].next_batch()).last();
+                    if let Some((at, s)) = img.staged[qi] {
+                        let mut b = last
+                            .flatten()
+                            .expect("resume: checkpointed staged batch must replay");
+                        b.deliver_at = at;
+                        staging.seq = s;
+                        staging.stage(qi, b);
                     }
                 }
-                seq = img.seq;
+                staging.pulls = img.pulls;
+                staging.seq = img.seq;
                 lmerge_ready = img.lmerge_ready;
                 delivered = img.delivered as usize;
                 last_feedback = img.last_feedback;
@@ -267,8 +306,10 @@ impl<P: Payload> MergeRun<P> {
             .collect();
         let mut control: Vec<ControlAction<P>> = Vec::new();
 
-        while let Some(Reverse((deliver_at, _, qi))) = heap.pop() {
-            let mut batch = pending[qi].take().expect("batch staged for this query");
+        while let Some(Reverse((deliver_at, _, qi))) = staging.heap.pop() {
+            let mut batch = staging.pending[qi]
+                .take()
+                .expect("batch staged for this query");
             debug_assert_eq!(batch.deliver_at, deliver_at);
 
             // Structural fault actions land exactly at virtual-time
@@ -282,13 +323,7 @@ impl<P: Payload> MergeRun<P> {
                             if let Some(d) = dead.get_mut(id.0 as usize) {
                                 *d = true;
                             }
-                            if trace.enabled() {
-                                trace.record(TraceEvent::FaultInjected {
-                                    at: deliver_at,
-                                    input: id.0,
-                                    kind: FaultKind::Detach,
-                                });
-                            }
+                            fault(trace, deliver_at, id.0, FaultKind::Detach);
                         }
                         ControlAction::Attach { join_time, source } => {
                             let id = self.lmerge.attach(join_time);
@@ -301,43 +336,23 @@ impl<P: Payload> MergeRun<P> {
                             // The joiner's core exists only from now on.
                             q.stall(deliver_at);
                             self.queries.push(q);
-                            pending.push(None);
+                            staging.pending.push(None);
+                            staging.pulls.push(0);
+                            staging.staged_seq.push(0);
                             dead.push(false);
                             stalled_until.push(VTime::ZERO);
                             health.push(self.lmerge.input_health(id));
                             input_stable_hw.push(Time::MIN);
-                            pulls.push(0);
-                            staged_seq.push(0);
                             metrics.input_series.push(Series::default());
-                            if let Some(b) = self.queries[nqi].next_batch() {
-                                pulls[nqi] += 1;
-                                heap.push(Reverse((b.deliver_at, seq, nqi)));
-                                staged_seq[nqi] = seq;
-                                seq += 1;
-                                pending[nqi] = Some(b);
-                            }
-                            if trace.enabled() {
-                                trace.record(TraceEvent::FaultInjected {
-                                    at: deliver_at,
-                                    input: id.0,
-                                    kind: FaultKind::Attach,
-                                });
-                            }
+                            staging.pull(nqi, &mut self.queries);
+                            fault(trace, deliver_at, id.0, FaultKind::Attach);
                         }
                         ControlAction::Stall { input, until } => {
                             let i = input as usize;
                             if i < self.queries.len() && !dead[i] {
                                 self.queries[i].stall(until);
-                                if until > stalled_until[i] {
-                                    stalled_until[i] = until;
-                                }
-                                if trace.enabled() {
-                                    trace.record(TraceEvent::FaultInjected {
-                                        at: deliver_at,
-                                        input,
-                                        kind: FaultKind::Stall,
-                                    });
-                                }
+                                stalled_until[i] = stalled_until[i].max(until);
+                                fault(trace, deliver_at, input, FaultKind::Stall);
                             }
                         }
                         ControlAction::CrashMerge { rebuild } => {
@@ -346,13 +361,7 @@ impl<P: Payload> MergeRun<P> {
                             // crashed operator and survive untouched.
                             if let Some(img) = self.lmerge.export_state() {
                                 self.lmerge = rebuild(img);
-                                if trace.enabled() {
-                                    trace.record(TraceEvent::FaultInjected {
-                                        at: deliver_at,
-                                        input: u32::MAX,
-                                        kind: FaultKind::CrashMerge,
-                                    });
-                                }
+                                fault(trace, deliver_at, u32::MAX, FaultKind::CrashMerge);
                             }
                         }
                     }
@@ -369,10 +378,7 @@ impl<P: Payload> MergeRun<P> {
             // A stalled input's staged batch is re-timed to the stall end.
             if deliver_at < stalled_until[qi] {
                 batch.deliver_at = stalled_until[qi];
-                heap.push(Reverse((batch.deliver_at, seq, qi)));
-                staged_seq[qi] = seq;
-                seq += 1;
-                pending[qi] = Some(batch);
+                staging.stage(qi, batch);
                 continue;
             }
 
@@ -381,55 +387,25 @@ impl<P: Payload> MergeRun<P> {
                 match hooks.on_deliver(qi as u32, deliver_at, &batch.elements) {
                     FaultAction::Deliver => {}
                     FaultAction::Drop => {
-                        if trace.enabled() {
-                            trace.record(TraceEvent::FaultInjected {
-                                at: deliver_at,
-                                input: qi as u32,
-                                kind: FaultKind::DropBatch,
-                            });
-                        }
+                        fault(trace, deliver_at, qi as u32, FaultKind::DropBatch);
                         // Skip consumption entirely; the query still
                         // produces its next batch, so only this batch is
                         // lost.
-                        if let Some(b) = self.queries[qi].next_batch() {
-                            pulls[qi] += 1;
-                            heap.push(Reverse((b.deliver_at, seq, qi)));
-                            staged_seq[qi] = seq;
-                            seq += 1;
-                            pending[qi] = Some(b);
-                        } else if trace.enabled() {
-                            trace.record(TraceEvent::InputDrained {
-                                at: deliver_at,
-                                input: qi as u32,
-                            });
+                        if !staging.pull(qi, &mut self.queries) {
+                            drained(trace, deliver_at, qi);
                         }
                         continue;
                     }
                     FaultAction::Replace(elems) => {
                         batch.meta = BatchMeta::of(&elems);
                         batch.elements = elems;
-                        if trace.enabled() {
-                            trace.record(TraceEvent::FaultInjected {
-                                at: deliver_at,
-                                input: qi as u32,
-                                kind: FaultKind::ReplaceBatch,
-                            });
-                        }
+                        fault(trace, deliver_at, qi as u32, FaultKind::ReplaceBatch);
                     }
                     FaultAction::Delay(until) => {
                         if until > deliver_at {
-                            if trace.enabled() {
-                                trace.record(TraceEvent::FaultInjected {
-                                    at: deliver_at,
-                                    input: qi as u32,
-                                    kind: FaultKind::DelayBatch,
-                                });
-                            }
+                            fault(trace, deliver_at, qi as u32, FaultKind::DelayBatch);
                             batch.deliver_at = until;
-                            heap.push(Reverse((until, seq, qi)));
-                            staged_seq[qi] = seq;
-                            seq += 1;
-                            pending[qi] = Some(batch);
+                            staging.stage(qi, batch);
                             continue;
                         }
                     }
@@ -438,11 +414,7 @@ impl<P: Payload> MergeRun<P> {
 
             // LMerge consumes the batch once it is both delivered and the
             // operator's core is free.
-            let start = if deliver_at > lmerge_ready {
-                deliver_at
-            } else {
-                lmerge_ready
-            };
+            let start = deliver_at.max(lmerge_ready);
             out.clear();
             let data_in = batch.meta.data() as u64;
             // One batched push: per-batch counting/gating, and the indexed
@@ -479,7 +451,7 @@ impl<P: Payload> MergeRun<P> {
                 }
                 trace.record(TraceEvent::QueueDepthSampled {
                     at: deliver_at,
-                    staged: heap.len() as u32,
+                    staged: staging.heap.len() as u32,
                 });
                 for e in &out {
                     trace.record(TraceEvent::ElementEmitted {
@@ -527,16 +499,7 @@ impl<P: Payload> MergeRun<P> {
             if self.config.mem_sample_every != 0
                 && delivered.is_multiple_of(self.config.mem_sample_every)
             {
-                let mem = self.lmerge.memory_bytes()
-                    + self.queries.iter().map(Query::memory_bytes).sum::<usize>();
-                metrics.peak_memory = metrics.peak_memory.max(mem);
-                metrics.memory_samples.push((lmerge_ready, mem));
-                if trace.enabled() {
-                    trace.record(TraceEvent::MemorySampled {
-                        at: lmerge_ready,
-                        bytes: mem as u64,
-                    });
-                }
+                self.sample_memory(&mut metrics, trace, lmerge_ready, true);
             }
 
             // Output complete? Then the remaining inputs are redundant.
@@ -546,17 +509,8 @@ impl<P: Payload> MergeRun<P> {
             }
 
             // Stage this query's next batch.
-            if let Some(b) = self.queries[qi].next_batch() {
-                pulls[qi] += 1;
-                heap.push(Reverse((b.deliver_at, seq, qi)));
-                staged_seq[qi] = seq;
-                seq += 1;
-                pending[qi] = Some(b);
-            } else if trace.enabled() {
-                trace.record(TraceEvent::InputDrained {
-                    at: lmerge_ready,
-                    input: qi as u32,
-                });
+            if !staging.pull(qi, &mut self.queries) {
+                drained(trace, lmerge_ready, qi);
             }
 
             // Offer a checkpoint cut now that the next batch is staged:
@@ -570,15 +524,13 @@ impl<P: Payload> MergeRun<P> {
                         exec: ExecutorImage {
                             lmerge_ready,
                             delivered: delivered as u64,
-                            seq,
+                            seq: staging.seq,
                             last_feedback,
                             input_stable_hw: input_stable_hw.clone(),
                             output_stable_hw,
-                            pulls: pulls.clone(),
-                            staged: pending
-                                .iter()
-                                .enumerate()
-                                .map(|(i, p)| p.as_ref().map(|b| (b.deliver_at, staged_seq[i])))
+                            pulls: staging.pulls.clone(),
+                            staged: (staging.pending.iter().zip(&staging.staged_seq))
+                                .map(|(p, &s)| p.as_ref().map(|b| (b.deliver_at, s)))
                                 .collect(),
                         },
                         cursors: Vec::new(),
@@ -607,35 +559,43 @@ impl<P: Payload> MergeRun<P> {
         }
 
         sink.finish();
-        metrics.drained_at = self
-            .queries
-            .iter()
-            .map(Query::core_ready)
-            .max()
-            .unwrap_or(VTime::ZERO)
-            .max(lmerge_ready);
+        let cores = self.queries.iter().map(Query::core_ready);
+        metrics.drained_at = cores.fold(lmerge_ready, VTime::max);
         // Final memory sample so short runs still record something.
-        let mem = self.lmerge.memory_bytes()
-            + self.queries.iter().map(Query::memory_bytes).sum::<usize>();
-        metrics.peak_memory = metrics.peak_memory.max(mem);
-        metrics.memory_samples.push((lmerge_ready, mem));
+        // `mem_sample_every: 0` disables memory tracing entirely: the
+        // recovery tests rely on it, because capacity-based accounting
+        // (hash maps, scratch buffers) is not part of the restorable state
+        // and may differ across a restore.
+        let traced = self.config.mem_sample_every != 0;
+        self.sample_memory(&mut metrics, trace, lmerge_ready, traced);
         metrics.merge = self.lmerge.stats();
         if trace.enabled() {
-            // `mem_sample_every: 0` disables memory tracing entirely: the
-            // recovery tests rely on it, because capacity-based accounting
-            // (hash maps, scratch buffers) is not part of the restorable
-            // state and may differ across a restore.
-            if self.config.mem_sample_every != 0 {
-                trace.record(TraceEvent::MemorySampled {
-                    at: lmerge_ready,
-                    bytes: mem as u64,
-                });
-            }
             trace.record(TraceEvent::RunCompleted {
                 at: metrics.completion(),
             });
         }
         metrics
+    }
+
+    /// Sample the merge's and the queries' memory at `at` into `metrics`,
+    /// and into the trace when `traced`.
+    fn sample_memory<S: TraceSink>(
+        &self,
+        metrics: &mut RunMetrics,
+        trace: &mut S,
+        at: VTime,
+        traced: bool,
+    ) {
+        let mem = self.lmerge.memory_bytes()
+            + self.queries.iter().map(Query::memory_bytes).sum::<usize>();
+        metrics.peak_memory = metrics.peak_memory.max(mem);
+        metrics.memory_samples.push((at, mem));
+        if traced && trace.enabled() {
+            trace.record(TraceEvent::MemorySampled {
+                at,
+                bytes: mem as u64,
+            });
+        }
     }
 }
 

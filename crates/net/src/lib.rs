@@ -40,6 +40,11 @@
 //! so the merged output (and its trace) is byte-identical. Real time
 //! affects only *when* the run finishes, never *what* it produces.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod client;
 pub mod listener;
 pub mod proxy;

@@ -22,7 +22,7 @@ use crate::listener::Listener;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -93,6 +93,13 @@ struct PlanState {
     resets: u64,
 }
 
+/// The plan's progress. A holder only compares and bumps counters within
+/// bounds it checked, so nothing under the lock unwinds and a poisoned
+/// state is still whole: it is taken as is.
+fn lock(state: &Mutex<PlanState>) -> MutexGuard<'_, PlanState> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A TCP proxy in front of one upstream address.
 pub struct ChaosProxy {
     listener: Listener,
@@ -134,12 +141,12 @@ impl ChaosProxy {
 
     /// Faults fired so far.
     pub fn applied(&self) -> usize {
-        self.state.lock().unwrap().next
+        lock(&self.state).next
     }
 
     /// Connection resets injected so far.
     pub fn resets(&self) -> u64 {
-        self.state.lock().unwrap().resets
+        lock(&self.state).resets
     }
 
     /// Stop accepting and join the accept loop (live forwarders drain on
@@ -235,7 +242,7 @@ fn forward_faulted(
         let mut claimed = Vec::new();
         let mut keep = n;
         {
-            let mut st = state.lock().unwrap();
+            let mut st = lock(&state);
             let end = st.forwarded + n as u64;
             while st.next < st.faults.len() && st.faults[st.next].0 < end {
                 let (offset, fault) = st.faults[st.next];

@@ -67,7 +67,7 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -314,8 +314,15 @@ struct ServerShared {
 }
 
 impl ServerShared {
+    /// Input `input`'s inbox. Its holders change it in whole steps — a
+    /// frame queued or taken, a connection installed or dropped, a cursor
+    /// set — none of which unwinds halfway, so a poisoned inbox is still
+    /// whole; it is taken as is rather than turning one panicked thread
+    /// into a panic on every later read of the input.
     fn inbox(&self, input: usize) -> MutexGuard<'_, Inbox> {
-        self.inputs[input].lock().unwrap()
+        self.inputs[input]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Refill every input from its connection.
@@ -353,15 +360,19 @@ impl IngestServer {
     /// Like [`bind`](IngestServer::bind), registering the per-input net
     /// series (sessions, frames, bytes, credits, queue depth, corruption)
     /// in the caller's `registry` so a scrape endpoint can expose them live.
+    /// A config whose `ring_capacity` does not exceed its `credit_batch`
+    /// is `InvalidInput`.
     pub fn bind_with_metrics(
         addr: &str,
         config: IngestConfig,
         registry: &MetricsRegistry,
     ) -> io::Result<IngestServer> {
-        assert!(
-            config.ring_capacity > config.credit_batch as usize,
-            "ring_capacity must exceed credit_batch or clients starve"
-        );
+        if config.ring_capacity <= config.credit_batch as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "ring_capacity must exceed credit_batch or clients starve",
+            ));
+        }
         let inputs = (0..config.inputs)
             .map(|_| {
                 Mutex::new(Inbox {
@@ -433,7 +444,8 @@ impl IngestServer {
     /// prefix and replays exactly what the restored merge has not seen.
     pub fn restore_cursors(&self, cursors: &[(u64, i64)]) {
         for (inbox, &(next_seq, acked)) in self.shared.inputs.iter().zip(cursors) {
-            let mut inbox = inbox.lock().unwrap();
+            // Whole when poisoned: see `ServerShared::inbox`.
+            let mut inbox = inbox.lock().unwrap_or_else(PoisonError::into_inner);
             inbox.next_seq = next_seq;
             inbox.acked_stable = Time(acked);
         }
@@ -514,7 +526,7 @@ fn handshake(shared: &ServerShared, stream: TcpStream) {
     let (mut inbox, _) = live
         .released
         .wait_timeout_while(shared.inbox(input as usize), CLAIM_WAIT, held)
-        .expect("an input's lock is poisoned only by a panicked merge thread");
+        .unwrap_or_else(PoisonError::into_inner);
     if shared.shutdown.load(Ordering::Relaxed) {
         return;
     }
@@ -671,6 +683,23 @@ mod tests {
     use crate::client::{replay, replay_until_clean, ReplayConfig};
     use lmerge_temporal::VTime;
     use std::net::Shutdown;
+
+    #[test]
+    fn a_window_no_larger_than_the_credit_batch_is_invalid_input() {
+        for extra in [0, 1] {
+            let mut config = IngestConfig::new(1);
+            config.ring_capacity = config.credit_batch as usize - extra;
+            let refused = IngestServer::bind("127.0.0.1:0", config).err();
+            assert_eq!(
+                refused.map(|e| e.kind()),
+                Some(io::ErrorKind::InvalidInput),
+                "ring_capacity = credit_batch - {extra}"
+            );
+        }
+        let mut config = IngestConfig::new(1);
+        config.ring_capacity = config.credit_batch as usize + 1;
+        assert!(IngestServer::bind("127.0.0.1:0", config).is_ok());
+    }
 
     /// Drain input 0's source to completion on this thread.
     fn drain(server: &mut IngestServer) -> Vec<TimedElement<Value>> {

@@ -245,20 +245,28 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes, as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.take(N)?
+            .first_chunk()
+            .copied()
+            .ok_or(WireError::Malformed("field past payload end"))
+    }
+
     fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(i64::from_le_bytes)
     }
 
     fn done(&self) -> Result<(), WireError> {
@@ -469,22 +477,22 @@ fn parse_header(buf: &[u8]) -> Result<(u8, usize), WireError> {
     let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
         return Err(WireError::Truncated);
     };
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    let &[m0, m1, m2, m3, v0, v1, frame_type, flags, l0, l1, l2, l3] = header;
+    let magic = u32::from_le_bytes([m0, m1, m2, m3]);
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+    let version = u16::from_le_bytes([v0, v1]);
     if version != PROTOCOL_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let frame_type = header[6];
     if !(tag::HELLO..=tag::SUBSCRIBE).contains(&frame_type) {
         return Err(WireError::UnknownType(frame_type));
     }
-    if header[7] != 0 {
-        return Err(WireError::BadFlags(header[7]));
+    if flags != 0 {
+        return Err(WireError::BadFlags(flags));
     }
-    let payload_len = u32::from_le_bytes(header[8..12].try_into().unwrap());
+    let payload_len = u32::from_le_bytes([l0, l1, l2, l3]);
     if payload_len > MAX_PAYLOAD_LEN {
         return Err(WireError::Oversized(payload_len));
     }
@@ -496,11 +504,10 @@ fn parse_header(buf: &[u8]) -> Result<(u8, usize), WireError> {
 /// streaming caller can read more and retry.
 pub fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
     let (frame_type, total) = parse_header(buf)?;
-    if buf.len() < total {
+    let Some((body, sum)) = buf.get(..total).and_then(<[u8]>::split_last_chunk) else {
         return Err(WireError::Truncated);
-    }
-    let (body, sum) = buf[..total].split_at(total - CHECKSUM_LEN);
-    let carried = u64::from_le_bytes(sum.try_into().unwrap());
+    };
+    let carried = u64::from_le_bytes(*sum);
     let computed = fnv1a_words(body);
     if computed != carried {
         return Err(WireError::Checksum {

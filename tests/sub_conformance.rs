@@ -26,6 +26,7 @@ use lmerge::sub::{
     subscribe, subscribe_until_finished, EpochBuffer, OutputHook, SubConfig, SubFilter, SubOutcome,
     SubPolicy, SubServer, SubscribeConfig,
 };
+use lmerge::temporal::reconstitute::tdb_of;
 use lmerge::temporal::{Element, Time, VTime, Value};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -650,4 +651,101 @@ fn lost_newest_cut_restores_one_back_and_stays_exactly_once() {
         watcher_frames: 22,
         lose_newest_cut: true,
     });
+}
+
+/// One networked merge: an ingest server merging `feeds` under R3, each
+/// sent by its own replayer, with its output served to one class-0
+/// subscriber. Returns what the merge emitted (an in-process collector)
+/// and what the subscriber received.
+fn merge_over_tcp(feeds: Vec<Vec<TimedElement<Value>>>) -> (Vec<Element<Value>>, SubOutcome) {
+    let buf = Arc::new(EpochBuffer::new(retain_all()));
+    let mut sub_server =
+        SubServer::bind("127.0.0.1:0", Arc::clone(&buf), SubConfig::new()).expect("sub bind");
+    let sub_addr = sub_server.local_addr().to_string();
+    let subscriber =
+        thread::spawn(move || subscribe(&sub_addr, &SubscribeConfig::new(1)).expect("subscriber"));
+    let mut server =
+        IngestServer::bind("127.0.0.1:0", IngestConfig::new(feeds.len())).expect("bind");
+    let addr = server.local_addr().to_string();
+    let queries: Vec<Query<Value>> = server
+        .sources()
+        .into_iter()
+        .map(|src| {
+            let buf = Arc::clone(&buf);
+            Query::from_source(Box::new(src.on_quiet(move || buf.flush())), Vec::new())
+        })
+        .collect();
+    let n = feeds.len();
+    let merge = thread::spawn(move || {
+        let mut hooks = (Vec::new(), OutputHook::new().broadcast(buf));
+        let merge = new_for_level(RLevel::R3, n, MergePolicy::default());
+        MergeRun::new(queries, merge, RunConfig::default())
+            .run_with_hooks(&mut NullSink, &mut hooks);
+        hooks.1.finish().expect("no file, no I/O error");
+        hooks.0
+    });
+    let replayers: Vec<_> = feeds
+        .into_iter()
+        .enumerate()
+        .map(|(i, feed)| {
+            let addr = addr.clone();
+            thread::spawn(move || {
+                replay(&addr, &feed, &ReplayConfig::new(i as u32)).expect("replay")
+            })
+        })
+        .collect();
+    let collected = merge.join().expect("merge thread");
+    server.serve_until(|| replayers.iter().all(|r| r.is_finished()));
+    for r in replayers {
+        assert!(r.join().expect("replayer").clean);
+    }
+    sub_server.serve_until(|| subscriber.is_finished());
+    let received = subscriber.join().expect("subscriber thread");
+    assert!(received.clean && received.finished, "unclean subscription");
+    server.shutdown();
+    sub_server.shutdown();
+    (collected, received)
+}
+
+/// The paper's closure property (Sec. II-1): LMerge's output is itself a
+/// stream like its inputs. On the wire that is literal — what a class-0
+/// subscriber of one merge receives is, byte for byte, the `Data` frames
+/// a replayer sends for the same feed (`seq` = the feed index, no
+/// translation), and replaying it into a second merge as its one input
+/// yields the same TDB.
+#[test]
+fn a_merge_output_is_a_replayable_input_of_the_same_tdb() {
+    let cfg = ChaosConfig {
+        n_inputs: 2,
+        ..ChaosConfig::small(23)
+    };
+    let (reference, feeds) = general_feeds(&cfg);
+    assert_ne!(feeds[0], feeds[1], "the replicas must diverge");
+    let (out_a, sub_a) = merge_over_tcp(feeds);
+    let elements: Vec<Element<Value>> = sub_a.frames.iter().map(|(_, _, e)| e.clone()).collect();
+    assert_eq!(elements, out_a, "the subscriber saw the merge's output");
+
+    let feed: Vec<TimedElement<Value>> = sub_a
+        .frames
+        .iter()
+        .map(|(_, at, e)| TimedElement::new(*at, e.clone()))
+        .collect();
+    let mut replayed = Vec::new();
+    for (i, te) in feed.iter().enumerate() {
+        let frame = Frame::Data {
+            seq: i as u64,
+            at: te.at,
+            element: te.element.clone(),
+        };
+        wire::encode_into(&frame, &mut replayed);
+    }
+    assert_eq!(
+        sub_a.bytes, replayed,
+        "subscriber bytes are replayer frames"
+    );
+
+    let (out_b, _) = merge_over_tcp(vec![feed]);
+    let tdb_a = tdb_of(&out_a).expect("A's output is a valid stream");
+    assert_eq!(tdb_a, reference, "A merged the replicas' TDB");
+    assert_eq!(tdb_of(&out_b).expect("B's output"), tdb_a, "B reproduces A");
 }
