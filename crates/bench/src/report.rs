@@ -279,11 +279,8 @@ mod tests {
         let v = json::parse(&r.metrics_json().render_pretty()).expect("valid JSON");
         let m = &v.get("metrics").and_then(Json::as_array).unwrap()[0];
         assert_eq!(m.get("label").and_then(Json::as_str), Some("LMR3+"));
-        assert_eq!(m.get("p99_latency_us").and_then(Json::as_int), Some(900));
-        assert_eq!(
-            m.get("peak_memory_bytes").and_then(Json::as_int),
-            Some(1 << 20)
-        );
+        assert_eq!(m.get("p99_latency_us"), Some(&Json::Int(900)));
+        assert_eq!(m.get("peak_memory_bytes"), Some(&Json::Int(1 << 20)));
     }
 
     #[test]

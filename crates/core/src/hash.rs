@@ -75,6 +75,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// `h -> (h ^ x) * PRIME`, a bijection of the state for fixed `x` and
 /// injective in `x` for fixed `h`, so two inputs of equal length that
 /// differ in exactly one word (or tail byte) never collide.
+#[expect(clippy::expect_used, reason = "chunks_exact(8) yields 8-byte slices")]
 pub fn fnv1a_words(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     let mut words = bytes.chunks_exact(8);

@@ -32,6 +32,11 @@
 //! [`LogicalMerge::attach`]/[`LogicalMerge::detach`]; feedback-driven
 //! fast-forward (Section V-D) via [`LogicalMerge::feedback_point`].
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod api;
 pub mod det;
 pub mod hash;
@@ -39,7 +44,6 @@ pub mod in2t;
 pub mod in3t;
 pub mod inputs;
 pub mod mem;
-pub mod merge;
 pub mod policy;
 pub mod r0;
 pub mod r1;
@@ -49,7 +53,6 @@ mod r3_naive;
 mod r4;
 pub mod select;
 mod shell;
-pub mod spsc;
 pub mod state;
 pub mod stats;
 pub mod tier;
@@ -59,7 +62,6 @@ pub use det::{DetBuildHasher, DetHashMap};
 pub use hash::{fnv1a, Fnv1a};
 pub use inputs::{HealthTransitions, InputState, Inputs};
 pub use mem::{btree_bytes, hash_table_bytes};
-pub use merge::{merge_streams, Interleave};
 pub use policy::{AdjustPolicy, InsertPolicy, MergePolicy, RobustnessPolicy, StablePolicy};
 pub use r0::LMergeR0;
 pub use r1::LMergeR1;

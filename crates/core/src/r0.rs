@@ -37,6 +37,7 @@ impl<P: Payload> LogicalMerge<P> for LMergeR0<P> {
         match element {
             // The R0 contract excludes revisions; feeding one is a
             // plan-analysis bug, not a data condition.
+            #[expect(clippy::panic, reason = "R0 is insert-only by contract (Sec. IV-G)")]
             Element::Adjust { .. } => {
                 panic!("LMergeR0: adjust() elements are not supported in case R0")
             }

@@ -44,6 +44,7 @@ impl<P: Payload> LogicalMerge<P> for LMergeR1<P> {
     fn push(&mut self, input: StreamId, element: &Element<P>, out: &mut Vec<Element<P>>) {
         let admitted = self.books.admit(input, element);
         match element {
+            #[expect(clippy::panic, reason = "R1 is insert-only by contract (Sec. IV-G)")]
             Element::Adjust { .. } => {
                 panic!("LMergeR1: adjust() elements are not supported in case R1")
             }

@@ -67,6 +67,7 @@ impl<P: Payload> LogicalMerge<P> for LMergeR2<P> {
         let admitted = self.books.admit(input, element);
         let stats = &mut self.books.stats;
         match element {
+            #[expect(clippy::panic, reason = "R2 is insert-only by contract (Sec. IV-G)")]
             Element::Adjust { .. } => {
                 panic!("LMergeR2: adjust() elements are not supported in case R2")
             }

@@ -55,6 +55,10 @@ impl<P: Payload> LMergeR4<P> {
 /// force the *number* of output events for the key to equal the number
 /// in the progress-driving input `s`. Operates on an already-borrowed
 /// node so the stable sweep can call it without re-looking the key up.
+#[expect(
+    clippy::expect_used,
+    reason = "the output and input buckets of one node are counted in step"
+)]
 fn adjust_output_count<P: Payload>(
     node: &mut Node,
     payload: &P,

@@ -284,6 +284,10 @@ pub struct IndexChanges {
 
 /// Fold one index: `old` as of the previous cut, the live tier `keys` and
 /// the `changed` tiers' entries, both in canonical order.
+#[expect(
+    clippy::expect_used,
+    reason = "each `next` follows a `peek` that saw an entry"
+)]
 fn fold_index<P: Payload>(
     old: Vec<StateEntry<P>>,
     keys: &[Time],

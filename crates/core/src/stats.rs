@@ -38,11 +38,6 @@ impl MergeStats {
         self.inserts_in + self.adjusts_in + self.stables_in
     }
 
-    /// Total elements emitted.
-    pub fn elements_out(&self) -> u64 {
-        self.inserts_out + self.adjusts_out + self.stables_out
-    }
-
     /// The paper's Theorem 1 bound for Algorithm R3: data output is bounded
     /// by insert input, stable output by stable input.
     pub fn satisfies_theorem1(&self) -> bool {
@@ -198,7 +193,6 @@ mod tests {
             dropped: 3,
         };
         assert_eq!(s.elements_in(), 15);
-        assert_eq!(s.elements_out(), 12);
         assert!(s.satisfies_theorem1());
     }
 

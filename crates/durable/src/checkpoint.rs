@@ -495,7 +495,8 @@ impl<P: DurablePayload> CheckpointStore<P> {
                 warnings,
             });
         }
-        Err(newest_err.expect("at least one snapshot failed to read"))
+        // Every snapshot failed to read, so `newest_err` is set.
+        Err(newest_err.unwrap_or(DurableError::NoCheckpoint))
     }
 
     fn read_snapshot(dir: &Path, seq: u64) -> Result<RunImage<P>, DurableError> {
@@ -539,7 +540,11 @@ struct Writer<P: DurablePayload> {
 }
 
 impl<P: DurablePayload> Writer<P> {
-    fn spawn(mut store: CheckpointStore<P>, metrics: CheckpointMetrics) -> Writer<P> {
+    /// Start the writer thread, or fail if the OS will not start one.
+    fn spawn(
+        mut store: CheckpointStore<P>,
+        metrics: CheckpointMetrics,
+    ) -> Result<Writer<P>, DurableError> {
         // Capacity one on both channels, and the sink receives a result
         // before it sends the next job: neither side ever blocks in send.
         let (jobs, inbox) = sync_channel::<Job<P>>(1);
@@ -561,14 +566,13 @@ impl<P: DurablePayload> Writer<P> {
                     }
                 }
                 store
-            })
-            .expect("spawn the checkpoint writer thread");
-        Writer {
+            })?;
+        Ok(Writer {
             jobs,
             done,
             in_flight: false,
             thread,
-        }
+        })
     }
 }
 
@@ -672,6 +676,15 @@ impl<P: DurablePayload> DurableCheckpointSink<P> {
     /// The wrapped store. It is with the writer thread from a run's first
     /// cut until the executor calls [`CheckpointSink::finish`]; between
     /// runs it is here.
+    ///
+    /// # Panics
+    ///
+    /// During a run, and after the writer thread died or failed to start
+    /// ([`error`](Self::error) is then set and the store is gone).
+    #[expect(
+        clippy::expect_used,
+        reason = "the store is here between runs unless checkpointing failed"
+    )]
     pub fn store(&self) -> &CheckpointStore<P> {
         self.store
             .as_ref()
@@ -744,10 +757,24 @@ impl<P: DurablePayload> CheckpointSink<P> for DurableCheckpointSink<P> {
         }
         let (seq, delta) = self.chain.advance(shape(&cut.merge.image));
         let halt = self.halt_at == Some(seq);
-        let writer = self.writer.get_or_insert_with(|| {
-            let store = self.store.take().expect("the store is here between runs");
-            Writer::spawn(store, self.metrics.clone())
-        });
+        let writer = match self.writer.take() {
+            Some(writer) => writer,
+            // Between runs the store is here; it is gone only after a
+            // writer died, which set `error` above.
+            None => match self
+                .store
+                .take()
+                .ok_or_else(writer_died)
+                .and_then(|store| Writer::spawn(store, self.metrics.clone()))
+            {
+                Ok(writer) => writer,
+                Err(e) => {
+                    self.fail(e);
+                    return None;
+                }
+            },
+        };
+        let writer = self.writer.insert(writer);
         self.metrics.inflight.set(1);
         if writer
             .jobs

@@ -151,29 +151,37 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DurableError> {
+        self.take(N)?
+            .first_chunk()
+            .copied()
+            .ok_or(DurableError::Truncated)
+    }
+
     /// Little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, DurableError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, DurableError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, DurableError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Little-endian `i32`.
     pub fn i32(&mut self) -> Result<i32, DurableError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(i32::from_le_bytes)
     }
 
     /// Little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, DurableError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(i64::from_le_bytes)
     }
 
     /// A `u32` element count, sanity-checked against the bytes remaining
@@ -333,6 +341,26 @@ mod tests {
         let mut cur = Cursor::new(&[1, 2, 3]);
         assert_eq!(cur.u8().unwrap(), 1);
         assert!(matches!(cur.u32(), Err(DurableError::Truncated)));
+        // Every fixed-width read one byte short is truncated, not a panic.
+        let seven = [0xff; 7];
+        assert!(matches!(
+            Cursor::new(&seven[..1]).u16(),
+            Err(DurableError::Truncated)
+        ));
+        assert!(matches!(
+            Cursor::new(&seven[..3]).i32(),
+            Err(DurableError::Truncated)
+        ));
+        assert!(matches!(
+            Cursor::new(&seven).u64(),
+            Err(DurableError::Truncated)
+        ));
+        assert!(matches!(
+            Cursor::new(&seven).i64(),
+            Err(DurableError::Truncated)
+        ));
+        assert_eq!(Cursor::new(&seven[..2]).u16().unwrap(), u16::MAX);
+        assert_eq!(Cursor::new(&seven[..4]).i32().unwrap(), -1);
         // A huge claimed count is rejected before any allocation.
         let huge = u32::MAX.to_le_bytes();
         let mut cur = Cursor::new(&huge);

@@ -44,7 +44,7 @@ impl DirHandle {
 pub(crate) fn write_atomic(dir: &DirHandle, path: &Path, bytes: &[u8]) -> Result<(), DurableError> {
     let mut tmp_name = path
         .file_name()
-        .expect("write_atomic: path has a file name")
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?
         .to_os_string();
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);

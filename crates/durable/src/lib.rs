@@ -24,6 +24,11 @@
 //! inputs the image's transport cursors seed the ingest server's resume
 //! handshake so each session replays exactly from its acked prefix.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod checkpoint;
 pub mod codec;
 mod fsutil;

@@ -50,21 +50,11 @@ struct Seg {
     emitted: bool,
 }
 
-/// What the step function aggregates per group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggMode {
-    /// Number of concurrently active events.
-    Count,
-    /// Sum of the active events' payload keys (a grouped SUM).
-    SumKeys,
-}
-
-/// Grouped interval aggregate (group = `payload.key % groups`): a step
+/// Grouped interval count (group = `payload.key % groups`): a step
 /// function of application time, one output event per maximal
-/// constant-value interval.
+/// constant-count interval.
 pub struct IntervalCount {
     groups: u32,
-    mode: AggMode,
     segs: HashMap<u32, std::collections::BTreeMap<Time, Seg>>,
     /// Per group: start of the first segment that may still be open or
     /// unemitted. The close-pass scans from here instead of from the
@@ -82,34 +72,14 @@ pub struct IntervalCount {
 impl IntervalCount {
     /// A count aggregate over `groups` groups (1 = a single global count).
     pub fn new(groups: u32) -> IntervalCount {
-        IntervalCount::with_mode(groups, AggMode::Count)
-    }
-
-    /// A grouped SUM over payload keys (the "sum of readings per sensor
-    /// group" flavour of the paper's grouped-aggregation scenarios).
-    pub fn sum_of_keys(groups: u32) -> IntervalCount {
-        IntervalCount::with_mode(groups, AggMode::SumKeys)
-    }
-
-    /// Construct with an explicit aggregation mode.
-    pub fn with_mode(groups: u32, mode: AggMode) -> IntervalCount {
         assert!(groups > 0, "need at least one group");
         IntervalCount {
             groups,
-            mode,
             segs: HashMap::new(),
             open_from: HashMap::new(),
             max_vs: Time::MIN,
             stable: Time::MIN,
             cost_per_element_us: 2,
-        }
-    }
-
-    /// How much one event contributes to its group's step function.
-    fn weight(&self, payload: &Value) -> i64 {
-        match self.mode {
-            AggMode::Count => 1,
-            AggMode::SumKeys => i64::from(payload.key.max(0)),
         }
     }
 
@@ -331,9 +301,8 @@ impl Operator<Value> for IntervalCount {
         match element {
             Element::Insert(e) => {
                 let g = self.group_of(&e.payload);
-                let w = self.weight(&e.payload);
                 self.max_vs = self.max_vs.max(e.vs);
-                self.apply_delta(g, e.vs, e.ve, w, out);
+                self.apply_delta(g, e.vs, e.ve, 1, out);
             }
             Element::Adjust {
                 payload,
@@ -342,13 +311,12 @@ impl Operator<Value> for IntervalCount {
                 ve,
             } => {
                 let g = self.group_of(payload);
-                let w = self.weight(payload);
                 if ve > vold {
-                    self.apply_delta(g, *vold, *ve, w, out);
+                    self.apply_delta(g, *vold, *ve, 1, out);
                 } else {
                     // Shrink (or removal when ve == vs): the aggregate
                     // drops on the abandoned suffix.
-                    self.apply_delta(g, (*ve).max(*vs), *vold, -w, out);
+                    self.apply_delta(g, (*ve).max(*vs), *vold, -1, out);
                 }
             }
             Element::Stable(t) => {
@@ -570,95 +538,5 @@ mod tests {
         }
         op.on_element(&Element::stable(Time::INFINITY), &mut out);
         assert!(tdb_of(&out).is_ok());
-    }
-}
-
-#[cfg(test)]
-mod sum_tests {
-    use super::*;
-    use lmerge_temporal::reconstitute::tdb_of;
-
-    fn v(key: i32) -> Value {
-        Value::bare(key)
-    }
-
-    #[test]
-    fn sum_tracks_weighted_step_function() {
-        let mut op = IntervalCount::sum_of_keys(1);
-        let mut out = Vec::new();
-        // Keys 5 and 7 overlap over [20, 30): sum is 5, 12, 7.
-        op.on_element(&Element::insert(v(5), 10, 30), &mut out);
-        op.on_element(&Element::insert(v(7), 20, 40), &mut out);
-        op.on_element(&Element::stable(Time::INFINITY), &mut out);
-        let tdb = tdb_of(&out).unwrap();
-        assert_eq!(tdb.count(&payload_for(0, 5), Time(10), Time(20)), 1);
-        assert_eq!(tdb.count(&payload_for(0, 12), Time(20), Time(30)), 1);
-        assert_eq!(tdb.count(&payload_for(0, 7), Time(30), Time(40)), 1);
-    }
-
-    #[test]
-    fn sum_revision_is_reversible() {
-        let run = |elems: &[Element<Value>]| {
-            let mut op = IntervalCount::sum_of_keys(1);
-            let mut out = Vec::new();
-            for e in elems {
-                op.on_element(e, &mut out);
-            }
-            op.on_element(&Element::stable(Time::INFINITY), &mut out);
-            tdb_of(&out).unwrap()
-        };
-        let plain = run(&[Element::insert(v(5), 10, 40)]);
-        let with_revision = run(&[
-            Element::insert(v(5), 10, 40),
-            Element::insert(v(9), 20, 30),
-            Element::adjust(v(9), 20, 30, 20), // cancelled
-        ]);
-        assert_eq!(plain, with_revision);
-    }
-
-    #[test]
-    fn zero_weight_events_are_invisible_to_sum() {
-        let mut op = IntervalCount::sum_of_keys(1);
-        let mut out = Vec::new();
-        op.on_element(&Element::insert(v(0), 10, 30), &mut out);
-        op.on_element(&Element::stable(Time::INFINITY), &mut out);
-        assert!(tdb_of(&out).unwrap().is_empty(), "sum of zero is no event");
-    }
-
-    #[test]
-    fn sum_outputs_merge_under_lmr3() {
-        use lmerge_temporal::StreamId;
-        // Two divergent presentations of the same input through SUM.
-        let a = vec![
-            Element::insert(v(5), 10, 30),
-            Element::insert(v(7), 20, 40),
-            Element::stable(Time::INFINITY),
-        ];
-        let b = vec![
-            Element::insert(v(7), 20, 25),
-            Element::adjust(v(7), 20, 25, 40),
-            Element::insert(v(5), 10, 30),
-            Element::stable(Time::INFINITY),
-        ];
-        let run = |elems: &[Element<Value>]| {
-            let mut op = IntervalCount::sum_of_keys(1);
-            let mut out = Vec::new();
-            for e in elems {
-                op.on_element(e, &mut out);
-            }
-            out
-        };
-        let (sa, sb) = (run(&a), run(&b));
-        let want = tdb_of(&sa).unwrap();
-        assert_eq!(tdb_of(&sb).unwrap(), want);
-        let mut lm = lmerge_core::LMergeR3::new(2);
-        let mut merged = Vec::new();
-        for e in &sa {
-            lmerge_core::LogicalMerge::push(&mut lm, StreamId(0), e, &mut merged);
-        }
-        for e in &sb {
-            lmerge_core::LogicalMerge::push(&mut lm, StreamId(1), e, &mut merged);
-        }
-        assert_eq!(tdb_of(&merged).unwrap(), want);
     }
 }

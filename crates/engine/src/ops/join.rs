@@ -71,14 +71,6 @@ impl TemporalJoin {
         }
     }
 
-    /// Number of live input events buffered across both sides.
-    pub fn live_events(&self) -> usize {
-        self.sides
-            .iter()
-            .map(|s| s.values().map(Vec::len).sum::<usize>())
-            .sum()
-    }
-
     fn combine(l: &SideEvent, r: &SideEvent) -> Value {
         let mut body = BytesMut::with_capacity(l.payload.body.len() + r.payload.body.len());
         body.put_slice(&l.payload.body);
@@ -301,6 +293,14 @@ mod tests {
         }
     }
 
+    /// Live input events buffered across both sides.
+    fn live_events(j: &TemporalJoin) -> usize {
+        j.sides
+            .iter()
+            .map(|s| s.values().map(Vec::len).sum::<usize>())
+            .sum()
+    }
+
     #[test]
     fn overlapping_matches_join() {
         let mut j = TemporalJoin::new();
@@ -365,7 +365,7 @@ mod tests {
         j.on_element(1, &Element::insert(v(7, 2), 20, 40), &mut all);
         j.on_element(0, &Element::adjust(v(7, 1), 10, 30, 10), &mut all); // delete
         assert!(tdb_of(&all).unwrap().is_empty());
-        assert_eq!(j.live_events(), 1, "left event gone from state too");
+        assert_eq!(live_events(&j), 1, "left event gone from state too");
     }
 
     #[test]
@@ -409,9 +409,9 @@ mod tests {
                 &mut out,
             );
         }
-        assert_eq!(j.live_events(), 20);
+        assert_eq!(live_events(&j), 20);
         j.on_element(0, &Element::stable(1000), &mut out);
         j.on_element(1, &Element::stable(1000), &mut out);
-        assert_eq!(j.live_events(), 0, "frozen, partnerless events purged");
+        assert_eq!(live_events(&j), 0, "frozen, partnerless events purged");
     }
 }

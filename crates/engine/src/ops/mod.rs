@@ -18,16 +18,14 @@ mod count;
 mod filter;
 mod join;
 mod map;
-mod sample;
 mod topk;
 mod udf;
 
 pub use alter::AlterLifetime;
 pub use cleanse::Cleanse;
-pub use count::{payload_for, AggMode, IntervalCount};
+pub use count::{payload_for, IntervalCount};
 pub use filter::Filter;
 pub use join::{join_streams, BinaryOperator, TemporalJoin};
 pub use map::Map;
-pub use sample::Sample;
 pub use topk::TopK;
 pub use udf::UdfSelect;

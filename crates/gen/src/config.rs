@@ -91,20 +91,6 @@ impl GenConfig {
         self.stable_freq = f;
         self
     }
-
-    /// Builder-style setter for the event lifetime.
-    #[must_use]
-    pub fn with_event_duration_ms(mut self, d: i64) -> GenConfig {
-        self.event_duration_ms = d;
-        self
-    }
-
-    /// Builder-style setter for the payload body length.
-    #[must_use]
-    pub fn with_payload_len(mut self, len: usize) -> GenConfig {
-        self.payload_len = len;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -125,14 +111,10 @@ mod tests {
     fn builders_compose() {
         let c = GenConfig::small(10, 7)
             .with_disorder(0.5)
-            .with_stable_freq(0.001)
-            .with_event_duration_ms(40)
-            .with_payload_len(8);
+            .with_stable_freq(0.001);
         assert_eq!(c.num_events, 10);
         assert_eq!(c.disorder, 0.5);
         assert_eq!(c.stable_freq, 0.001);
-        assert_eq!(c.event_duration_ms, 40);
-        assert_eq!(c.payload_len, 8);
         assert_eq!(c.seed, 7);
     }
 }

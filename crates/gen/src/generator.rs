@@ -195,7 +195,10 @@ mod tests {
 
     #[test]
     fn payload_len_is_honoured() {
-        let cfg = GenConfig::small(10, 8).with_payload_len(1000);
+        let cfg = GenConfig {
+            payload_len: 1000,
+            ..GenConfig::small(10, 8)
+        };
         let r = generate(&cfg);
         for e in &r.elements {
             if let Element::Insert(ev) = e {

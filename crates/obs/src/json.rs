@@ -106,13 +106,6 @@ impl Json {
         }
     }
 
-    pub fn as_int(&self) -> Option<i128> {
-        match self {
-            Json::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Numeric lookup: floats as-is, integers widened.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -127,10 +120,6 @@ impl Json {
             Json::Array(v) => Some(v),
             _ => None,
         }
-    }
-
-    pub fn is_string(&self) -> bool {
-        matches!(self, Json::Str(_))
     }
 
     /// Compact rendering (no whitespace). Same output as `Display`.
@@ -489,7 +478,7 @@ mod tests {
     fn set_overwrites_existing_key() {
         let mut v = Json::object().with("k", 1u32);
         v.set("k", 2u32);
-        assert_eq!(v.get("k").and_then(Json::as_int), Some(2));
+        assert_eq!(v.get("k"), Some(&Json::Int(2)));
     }
 
     #[test]

@@ -38,8 +38,7 @@ pub enum PropertyViolation {
 /// Verify `elements` against `claimed`, returning the first violation.
 ///
 /// Deterministic tie order is a *cross-copy* property (the same order on
-/// every physical copy) and cannot be checked on one sequence alone; use
-/// [`ties_agree`] across copies for that.
+/// every physical copy) and cannot be checked on one sequence alone.
 pub fn verify<P: Payload>(
     elements: &[Element<P>],
     claimed: StreamProperties,
@@ -79,26 +78,6 @@ pub fn verify<P: Payload>(
         }
     }
     Ok(())
-}
-
-/// Check the deterministic-tie-order property across physical copies: every
-/// copy must present elements with equal `Vs` in the same relative order.
-pub fn ties_agree<P: Payload>(copies: &[&[Element<P>]]) -> bool {
-    fn tie_groups<P: Payload>(elems: &[Element<P>]) -> Vec<(Time, Vec<P>)> {
-        let mut groups: Vec<(Time, Vec<P>)> = Vec::new();
-        for e in elems {
-            if let Some((vs, p)) = e.key() {
-                match groups.last_mut() {
-                    Some((t, g)) if *t == vs => g.push(p.clone()),
-                    _ => groups.push((vs, vec![p.clone()])),
-                }
-            }
-        }
-        groups
-    }
-    copies
-        .windows(2)
-        .all(|w| tie_groups(w[0]) == tie_groups(w[1]))
 }
 
 #[cfg(test)]
@@ -155,19 +134,6 @@ mod tests {
             Err(PropertyViolation::DuplicateKey { at: 1 })
         ));
         assert_eq!(verify(&s, StreamProperties::unconstrained()), Ok(()));
-    }
-
-    #[test]
-    fn ties_agree_across_copies() {
-        let a: Vec<E> = vec![Element::insert("A", 1, 5), Element::insert("B", 1, 6)];
-        let b: Vec<E> = vec![
-            Element::insert("A", 1, 5),
-            Element::stable(0),
-            Element::insert("B", 1, 6),
-        ];
-        let c: Vec<E> = vec![Element::insert("B", 1, 6), Element::insert("A", 1, 5)];
-        assert!(ties_agree(&[&a, &b]));
-        assert!(!ties_agree(&[&a, &c]));
     }
 
     #[test]

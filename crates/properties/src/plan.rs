@@ -68,15 +68,6 @@ impl PlanNode {
         PlanNode::Filter(Box::new(self))
     }
 
-    /// Wrap in a projection.
-    #[must_use]
-    pub fn project(self, injective: bool) -> PlanNode {
-        PlanNode::Project {
-            input: Box::new(self),
-            injective,
-        }
-    }
-
     /// Wrap in an aggregate.
     #[must_use]
     pub fn aggregate(self, grouped: bool, multi_valued: bool) -> PlanNode {
@@ -91,12 +82,6 @@ impl PlanNode {
     #[must_use]
     pub fn cleanse(self) -> PlanNode {
         PlanNode::Cleanse(Box::new(self))
-    }
-
-    /// Wrap in a lifetime alteration.
-    #[must_use]
-    pub fn alter_lifetime(self) -> PlanNode {
-        PlanNode::AlterLifetime(Box::new(self))
     }
 }
 
@@ -269,12 +254,14 @@ mod tests {
 
     #[test]
     fn noninjective_projection_drops_key() {
-        let plan = ordered_source().aggregate(true, false).project(false);
-        let p = infer(&plan);
+        let project = |injective| PlanNode::Project {
+            input: Box::new(ordered_source().aggregate(true, false)),
+            injective,
+        };
+        let p = infer(&project(false));
         assert!(!p.key_vs_payload);
         assert_eq!(select(p), RLevel::R4);
-        let keeps = ordered_source().aggregate(true, false).project(true);
-        assert_eq!(select(infer(&keeps)), RLevel::R2);
+        assert_eq!(select(infer(&project(true))), RLevel::R2);
     }
 
     #[test]
@@ -306,7 +293,7 @@ mod tests {
 
     #[test]
     fn alter_lifetime_is_transparent() {
-        let plan = ordered_source().aggregate(true, false).alter_lifetime();
+        let plan = PlanNode::AlterLifetime(Box::new(ordered_source().aggregate(true, false)));
         assert_eq!(select(infer(&plan)), RLevel::R2);
     }
 

@@ -123,11 +123,6 @@ pub enum RLevel {
     R4,
 }
 
-impl RLevel {
-    /// All levels, most restricted first.
-    pub const ALL: [RLevel; 5] = [RLevel::R0, RLevel::R1, RLevel::R2, RLevel::R3, RLevel::R4];
-}
-
 impl std::fmt::Display for RLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{self:?}")
@@ -215,7 +210,6 @@ mod tests {
     #[test]
     fn rlevel_ordering() {
         assert!(RLevel::R0 < RLevel::R4);
-        assert_eq!(RLevel::ALL.len(), 5);
         assert_eq!(format!("{}", RLevel::R3), "R3");
     }
 }

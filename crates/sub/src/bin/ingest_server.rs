@@ -41,6 +41,12 @@
 //! *and* the broadcast buffer from the newest checkpoint, so both
 //! rejoining replayers and reconnecting subscribers resume exactly-once;
 //! `lmerge_checkpoint_restores_total` counts the rebuild.
+//!
+//! `--level` is `r3` (the default) or `r4`. R0–R2 (Sec. IV-A–C) trust an
+//! order contract — insert-only, `Vs` in order — that no replica on the
+//! wire is held to: one `Adjust` would panic them. They stay in the
+//! library, where a plan gets its level from `properties` analysis
+//! (Sec. III-C, IV-G).
 
 use lmerge_core::{new_for_level, MergePolicy};
 use lmerge_durable::{CheckpointStore, DurableCheckpointSink};
@@ -69,11 +75,9 @@ struct Args {
     filters: Vec<SubFilter>,
 }
 
+/// The levels the server runs: the two that take any order and adjusts.
 fn parse_level(s: &str) -> Option<RLevel> {
     match s {
-        "r0" => Some(RLevel::R0),
-        "r1" => Some(RLevel::R1),
-        "r2" => Some(RLevel::R2),
         "r3" => Some(RLevel::R3),
         "r4" => Some(RLevel::R4),
         _ => None,
@@ -104,7 +108,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--level" => {
                 let s = value("--level")?;
-                args.level = parse_level(&s).ok_or(format!("--level: unknown level {s:?}"))?
+                args.level = parse_level(&s).ok_or(format!(
+                    "--level: {s:?} is not r3|r4 (R0-R2 are library-only: \
+                     no replica on the wire is bound by their order contract)"
+                ))?
             }
             "--out" => args.out = Some(value("--out")?),
             "--metrics" => args.metrics = Some(value("--metrics")?),
@@ -118,7 +125,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: lmerge-ingest [--addr HOST:PORT] [--inputs N] \
-                     [--level r0..r4] [--out FILE] [--metrics HOST:PORT] \
+                     [--level r3|r4] [--out FILE] [--metrics HOST:PORT] \
                      [--checkpoint-to DIR] [--restore-from DIR] \
                      [--subscribe HOST:PORT] [--filter SPEC]..."
                     .to_string())
@@ -418,5 +425,19 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_r3_and_r4_are_served() {
+        for refused in ["r0", "r1", "r2", "R3", ""] {
+            assert_eq!(parse_level(refused), None, "{refused:?}");
+        }
+        assert_eq!(parse_level("r3"), Some(RLevel::R3));
+        assert_eq!(parse_level("r4"), Some(RLevel::R4));
     }
 }

@@ -70,7 +70,6 @@ use crate::buffer::{Chunk, ChunkAt, EpochBuffer, SubFilter};
 use lmerge_net::listener::{Listener, SessionCounts, HANDSHAKE_TIMEOUT};
 use lmerge_net::server::wait;
 use lmerge_net::wire::{self, Frame, FrameReader, PROTOCOL_VERSION};
-use lmerge_net::WireError;
 use lmerge_obs::{Counter, Gauge, MetricsRegistry};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -813,9 +812,6 @@ fn install(shared: &SubShared, welcomed: Welcomed) {
         }
     }
 }
-
-/// Errors a subscriber client/server interaction surfaces to callers.
-pub type SubResult<T> = Result<T, WireError>;
 
 #[cfg(test)]
 mod tests {

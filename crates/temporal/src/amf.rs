@@ -147,11 +147,6 @@ impl<P: Payload> AmfConverter<P> {
         }
         Ok(out)
     }
-
-    /// Number of `(value, start)` entries currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.current_end.len()
-    }
 }
 
 /// Convert a complete `a`/`m`/`f` stream into StreamInsight elements.
@@ -222,10 +217,10 @@ mod tests {
         let mut out = Vec::new();
         c.convert(&Amf::a("A", 1, 5), &mut out).unwrap();
         c.convert(&Amf::a("B", 2, 20), &mut out).unwrap();
-        assert_eq!(c.tracked(), 2);
+        assert_eq!(c.current_end.len(), 2);
         c.convert(&Amf::f(10), &mut out).unwrap();
         // A (end 5 < 10) is fully frozen and forgotten; B remains adjustable.
-        assert_eq!(c.tracked(), 1);
+        assert_eq!(c.current_end.len(), 1);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!
 //! The workload generator always derives divergent inputs from an explicit
 //! reference stream, so tests validate generated inputs with
-//! [`consistent_with_reference`] and validate input sets pairwise with
-//! [`mutually_consistent_via`].
+//! [`consistent_with_reference`].
 
 use crate::compat::{check_r4, StreamView, Violation};
 use crate::payload::Payload;
@@ -39,18 +38,6 @@ pub fn consistent_with_reference<P: Payload>(
     let max = crate::time::Time::INFINITY;
     let reference_view = StreamView::new(reference, max);
     check_r4(&[reference_view], &view)
-}
-
-/// Whether a set of prefixes is mutually consistent *via* a known reference:
-/// each prefix individually tracks the reference.
-pub fn mutually_consistent_via<P: Payload>(
-    views: &[StreamView<'_, P>],
-    reference: &Tdb<P>,
-) -> Result<(), (usize, Violation<P>)> {
-    for (i, v) in views.iter().enumerate() {
-        consistent_with_reference(*v, reference).map_err(|e| (i, e))?;
-    }
-    Ok(())
 }
 
 /// Whether complete streams are equivalent: all reconstitute to equal TDBs
@@ -144,19 +131,6 @@ mod tests {
         // Stable 5 > Vs 1: Z's existence is now settled but wrong.
         let v = StreamView::new(&t, Time(5));
         assert!(consistent_with_reference(v, &r).is_err());
-    }
-
-    #[test]
-    fn mutual_consistency_reports_offending_stream() {
-        let r = reference();
-        let good: Tdb<&str> = r.clone();
-        let bad: Tdb<&str> = [Event::new("A", 2, 16)].into_iter().collect();
-        let views = [
-            StreamView::new(&good, Time(20)),
-            StreamView::new(&bad, Time(20)), // missing B and C, both settled
-        ];
-        let err = mutually_consistent_via(&views, &r).unwrap_err();
-        assert_eq!(err.0, 1);
     }
 
     #[test]

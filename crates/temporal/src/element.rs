@@ -12,12 +12,6 @@ use crate::time::Time;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct StreamId(pub u32);
 
-impl StreamId {
-    /// The sentinel the paper uses for the *output* entry in `in2t`/`in3t`
-    /// hash tables ("an additional hash table entry with special key ∞").
-    pub const OUTPUT: StreamId = StreamId(u32::MAX);
-}
-
 /// A physical stream element (StreamInsight model, Example 5 of the paper).
 ///
 /// * `Insert(⟨p, Vs, Ve⟩)` adds an event to the TDB; `Ve` may be `∞`.
@@ -98,16 +92,6 @@ impl<P: Payload> Element<P> {
             Element::Stable(_) => None,
         }
     }
-
-    /// Approximate wire size of the element, used by throughput metrics.
-    pub fn size_bytes(&self) -> usize {
-        let header = std::mem::size_of::<Self>();
-        match self {
-            Element::Insert(e) => header + e.payload.heap_bytes(),
-            Element::Adjust { payload, .. } => header + payload.heap_bytes(),
-            Element::Stable(_) => header,
-        }
-    }
 }
 
 impl<P: std::fmt::Debug> std::fmt::Debug for Element<P> {
@@ -157,13 +141,5 @@ mod tests {
         assert_eq!(format!("{i:?}"), "insert(\"A\", 6, 20)");
         let s: Element<&str> = Element::stable(Time::INFINITY);
         assert_eq!(format!("{s:?}"), "stable(∞)");
-    }
-
-    #[test]
-    fn size_bytes_counts_payload_heap() {
-        use crate::payload::Value;
-        let small = Element::insert(Value::bare(1), 0, 1).size_bytes();
-        let big = Element::insert(Value::synthetic(1, 1000), 0, 1).size_bytes();
-        assert_eq!(big - small, 1000);
     }
 }

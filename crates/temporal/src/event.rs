@@ -25,32 +25,10 @@ impl<P: Payload> Event<P> {
         Event { vs, ve, payload }
     }
 
-    /// An event that never expires (`Ve = ∞`).
-    pub fn open_ended(payload: P, vs: impl Into<Time>) -> Event<P> {
-        Event::new(payload, vs, Time::INFINITY)
-    }
-
-    /// Whether the event is active at application time `t`
-    /// (i.e. `t ∈ [Vs, Ve)`).
-    #[inline]
-    pub fn active_at(&self, t: Time) -> bool {
-        self.vs <= t && t < self.ve
-    }
-
     /// The `(Vs, Payload)` key used by the paper's `in2t`/`in3t` indexes.
     #[inline]
     pub fn key(&self) -> (Time, &P) {
         (self.vs, &self.payload)
-    }
-
-    /// Replace the end time, returning a new event.
-    #[must_use]
-    pub fn with_ve(&self, ve: Time) -> Event<P> {
-        Event {
-            vs: self.vs,
-            ve,
-            payload: self.payload.clone(),
-        }
     }
 }
 
@@ -72,32 +50,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn active_at_half_open() {
-        let e = Event::new("A", 5, 10);
-        assert!(!e.active_at(Time(4)));
-        assert!(e.active_at(Time(5)));
-        assert!(e.active_at(Time(9)));
-        assert!(!e.active_at(Time(10)), "interval is half-open");
-    }
-
-    #[test]
-    fn open_ended_is_always_active_after_start() {
-        let e = Event::open_ended("A", 5);
-        assert!(e.active_at(Time(1_000_000_000)));
-        assert!(!e.active_at(Time(4)));
-    }
-
-    #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_interval_panics_in_debug() {
         let _ = Event::new("A", 5, 5);
-    }
-
-    #[test]
-    fn with_ve_preserves_rest() {
-        let e = Event::new("A", 5, 10).with_ve(Time(20));
-        assert_eq!(e.vs, Time(5));
-        assert_eq!(e.ve, Time(20));
-        assert_eq!(e.payload, "A");
     }
 }

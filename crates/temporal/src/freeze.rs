@@ -31,12 +31,6 @@ impl Freeze {
             Freeze::Unfrozen
         }
     }
-
-    /// Whether at least half frozen (existence guaranteed).
-    #[inline]
-    pub fn is_frozen(self) -> bool {
-        !matches!(self, Freeze::Unfrozen)
-    }
 }
 
 #[cfg(test)]
@@ -69,12 +63,5 @@ mod tests {
         assert_eq!(Freeze::classify(Time(3), Time(10), l), Freeze::FullyFrozen);
         assert_eq!(Freeze::classify(Time(4), Time(18), l), Freeze::HalfFrozen);
         assert_eq!(Freeze::classify(Time(15), Time(20), l), Freeze::Unfrozen);
-    }
-
-    #[test]
-    fn is_frozen() {
-        assert!(!Freeze::Unfrozen.is_frozen());
-        assert!(Freeze::HalfFrozen.is_frozen());
-        assert!(Freeze::FullyFrozen.is_frozen());
     }
 }

@@ -85,10 +85,6 @@ impl From<NoSuchEvent> for ReconstituteError {
 pub struct Reconstituter<P: Payload> {
     tdb: Tdb<P>,
     stable: Time,
-    elements_seen: usize,
-    inserts_seen: usize,
-    adjusts_seen: usize,
-    stables_seen: usize,
 }
 
 impl<P: Payload> Reconstituter<P> {
@@ -97,19 +93,13 @@ impl<P: Payload> Reconstituter<P> {
         Reconstituter {
             tdb: Tdb::new(),
             stable: Time::MIN,
-            elements_seen: 0,
-            inserts_seen: 0,
-            adjusts_seen: 0,
-            stables_seen: 0,
         }
     }
 
     /// Apply one element, validating against the current stable point.
     pub fn apply(&mut self, element: &Element<P>) -> Result<(), ReconstituteError> {
-        self.elements_seen += 1;
         match element {
             Element::Insert(e) => {
-                self.inserts_seen += 1;
                 if e.vs >= e.ve {
                     return Err(ReconstituteError::EmptyInterval { vs: e.vs });
                 }
@@ -127,7 +117,6 @@ impl<P: Payload> Reconstituter<P> {
                 vold,
                 ve,
             } => {
-                self.adjusts_seen += 1;
                 if *vold < self.stable
                     || (*ve < self.stable && ve != vs)
                     || (ve == vs && *vs < self.stable)
@@ -141,7 +130,6 @@ impl<P: Payload> Reconstituter<P> {
                 self.tdb.adjust(payload, *vs, *vold, *ve)?;
             }
             Element::Stable(t) => {
-                self.stables_seen += 1;
                 // A stable that does not advance is redundant but legal.
                 self.stable = self.stable.max(*t);
             }
@@ -176,26 +164,6 @@ impl<P: Payload> Reconstituter<P> {
     /// The stream's current stable point (`−∞` before any `stable()`).
     pub fn stable(&self) -> Time {
         self.stable
-    }
-
-    /// Elements applied so far (the `i` of `tdb(S, i)`).
-    pub fn elements_seen(&self) -> usize {
-        self.elements_seen
-    }
-
-    /// Insert elements applied so far.
-    pub fn inserts_seen(&self) -> usize {
-        self.inserts_seen
-    }
-
-    /// Adjust elements applied so far.
-    pub fn adjusts_seen(&self) -> usize {
-        self.adjusts_seen
-    }
-
-    /// Stable elements applied so far.
-    pub fn stables_seen(&self) -> usize {
-        self.stables_seen
     }
 }
 
@@ -303,18 +271,6 @@ mod tests {
         r.apply(&E::stable(10)).unwrap();
         r.apply(&E::stable(5)).unwrap();
         assert_eq!(r.stable(), Time(10));
-    }
-
-    #[test]
-    fn element_counters() {
-        let mut r = Reconstituter::new();
-        r.apply(&E::insert("A", 5, 20)).unwrap();
-        r.apply(&E::adjust("A", 5, 20, 25)).unwrap();
-        r.apply(&E::stable(3)).unwrap();
-        assert_eq!(r.elements_seen(), 3);
-        assert_eq!(r.inserts_seen(), 1);
-        assert_eq!(r.adjusts_seen(), 1);
-        assert_eq!(r.stables_seen(), 1);
     }
 
     #[test]

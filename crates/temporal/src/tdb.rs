@@ -129,13 +129,6 @@ impl<P: Payload> Tdb<P> {
         self.entries.get(&(vs, payload.clone()))
     }
 
-    /// The unique `Ve` for `(vs, p)` when `(Vs, Payload)` is a key of the TDB
-    /// (the R2/R3 assumption). Returns `None` when absent, and the smallest
-    /// `Ve` if — contrary to the assumption — several exist.
-    pub fn unique_ve(&self, payload: &P, vs: Time) -> Option<Time> {
-        self.ves(payload, vs).and_then(|m| m.keys().next().copied())
-    }
-
     /// Iterate `((Vs, Payload), Ve, count)` in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (&(Time, P), Time, usize)> + '_ {
         self.entries
@@ -158,12 +151,6 @@ impl<P: Payload> Tdb<P> {
     /// Iterate distinct `(Vs, Payload)` keys in order.
     pub fn keys(&self) -> impl Iterator<Item = &(Time, P)> + '_ {
         self.entries.keys()
-    }
-
-    /// Whether `self ⊆ other` as multisets.
-    pub fn is_subset_of(&self, other: &Tdb<P>) -> bool {
-        self.iter()
-            .all(|((vs, p), ve, c)| other.count(p, *vs, ve) >= c)
     }
 
     /// Snapshot of payloads active at application time `t`, with multiplicity.
@@ -269,8 +256,6 @@ mod tests {
         let once: Tdb<&str> = [ev("A", 1, 4)].into_iter().collect();
         let twice: Tdb<&str> = [ev("A", 1, 4), ev("A", 1, 4)].into_iter().collect();
         assert_ne!(once, twice);
-        assert!(once.is_subset_of(&twice));
-        assert!(!twice.is_subset_of(&once));
     }
 
     #[test]
@@ -281,13 +266,6 @@ mod tests {
         assert_eq!(t.snapshot_at(Time(2)), vec![("A", 1), ("B", 2)]);
         assert_eq!(t.snapshot_at(Time(4)), vec![("B", 2)]);
         assert_eq!(t.snapshot_at(Time(5)), vec![]);
-    }
-
-    #[test]
-    fn unique_ve_lookup() {
-        let t: Tdb<&str> = [ev("A", 1, 4)].into_iter().collect();
-        assert_eq!(t.unique_ve(&"A", Time(1)), Some(Time(4)));
-        assert_eq!(t.unique_ve(&"A", Time(2)), None);
     }
 
     #[test]
