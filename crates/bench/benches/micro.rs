@@ -3,7 +3,8 @@
 //! These complement the figure harness (which measures end-to-end shapes)
 //! with per-element numbers: insert cost per LMerge variant, adjust-heavy
 //! revision cost, stable-processing cost, the stable sweep over a large
-//! live window (settled, all of it due, and in steady state with ~1% due),
+//! live window (settled, all of it due, and in steady state with ~1% due,
+//! with and without late adjusts to 1% of the older nodes),
 //! the index's own sweep and memory estimate, the O(1) batched discard of
 //! lagging inputs, reconstitution overhead, and the shared stream reader
 //! (`wire::FrameReader`: ns and `read` calls per frame). A plain timing harness
@@ -199,37 +200,53 @@ fn bench_stable_sweep_settled(report: &mut Report) {
     // StableFreq 1%): one node per time unit living `nodes` units, a stable
     // every `step` units. Each stable owes something to the `step` nodes
     // that just ended and the `step` that arrived since the last one (~1%
-    // each); the rest of the live set sits in settled tiers. Only the
-    // stables are timed; reported cost is ns per *live* node per stable,
-    // the same denominator as the cases above.
+    // each); the rest of the live set sits in settled tiers. In
+    // `stable_sweep/touched/*` a late adjust also reaches `step` older
+    // nodes, scattered over the window, between stables: each unsettles
+    // its tier. Only the stables are timed; reported cost is ns per *live*
+    // node per stable, the same denominator as the cases above.
     let nodes = sized(10_000, 1_000) as i64;
     let step = nodes / 100;
     let stables = sized(200, 20) as i64;
-    let event = |i: i64| Element::insert(Value::bare(i as i32), i, i + nodes);
+    let payload = |i: i64| Value::bare(i as i32);
     println!("\n== stable_sweep_settled_{nodes}_live_nodes ==");
-    for v in [VariantKind::R3Plus, VariantKind::R4] {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats() {
-            let mut lm = v.build(1);
-            let mut out = Vec::new();
-            for i in 0..nodes {
-                lm.push(StreamId(0), &event(i), &mut out);
-            }
-            let mut busy = std::time::Duration::ZERO;
-            for k in 0..stables {
-                let now = nodes + k * step;
-                for i in now..now + step {
-                    lm.push(StreamId(0), &event(i), &mut out);
+    for (case, touched) in [("settled", false), ("touched", true)] {
+        for v in [VariantKind::R3Plus, VariantKind::R4] {
+            let mut best = f64::INFINITY;
+            for _ in 0..repeats() {
+                let mut lm = v.build(1);
+                let mut out = Vec::new();
+                // Each node's current end time, by `Vs`.
+                let mut ends: Vec<i64> = (0..nodes + stables * step).map(|i| i + nodes).collect();
+                let insert = |i: i64| Element::insert(payload(i), i, i + nodes);
+                for i in 0..nodes {
+                    lm.push(StreamId(0), &insert(i), &mut out);
                 }
-                out.clear();
-                let start = Instant::now();
-                lm.push(StreamId(0), &Element::stable(now + step), &mut out);
-                busy += start.elapsed();
+                let mut busy = std::time::Duration::ZERO;
+                for k in 0..stables {
+                    let now = nodes + k * step;
+                    for i in now..now + step {
+                        lm.push(StreamId(0), &insert(i), &mut out);
+                    }
+                    for j in 0..step * i64::from(touched) {
+                        // Spread over the nodes no stable below `now + step`
+                        // retires.
+                        let i = now - 1 - (j * 7_919 + k * 104_729) % (nodes - step);
+                        let ve = &mut ends[i as usize];
+                        let adjust = Element::adjust(payload(i), i, *ve, *ve + 1);
+                        lm.push(StreamId(0), &adjust, &mut out);
+                        *ve += 1;
+                    }
+                    out.clear();
+                    let start = Instant::now();
+                    lm.push(StreamId(0), &Element::stable(now + step), &mut out);
+                    busy += start.elapsed();
+                }
+                let ns = busy.as_nanos() as f64 / (stables * nodes) as f64;
+                best = best.min(ns);
             }
-            let ns = busy.as_nanos() as f64 / (stables * nodes) as f64;
-            best = best.min(ns);
+            record(report, &format!("stable_sweep/{case}/{}", v.label()), best);
         }
-        record(report, &format!("stable_sweep/settled/{}", v.label()), best);
     }
 }
 

@@ -17,9 +17,11 @@ pub type In2t<P> = Tiers<P, Node>;
 
 /// Per-key node: one shared event, per-stream current end times.
 ///
-/// The per-stream table is a small vector rather than a hash map: LMerge
-/// fans in a handful of streams, and a linear scan over an inline vector is
-/// both faster and leaner than a heap-allocated map per event.
+/// The per-stream table is a small `Vec` scanned linearly rather than a
+/// map: LMerge fans in a handful of streams, and a scan over a few pairs
+/// beats a hash or tree lookup. The `Vec` is a heap allocation, though: a
+/// tier keeps its first node inline ([`crate::tier`]), so this table is the
+/// one allocation per event the index still makes.
 #[derive(Clone, Debug)]
 pub struct Node {
     /// Current `Ve` on each input stream that has produced the event.

@@ -64,6 +64,8 @@ fn observed<P: Payload>(lm: &dyn LogicalMerge<P>) -> String {
 fn diverges<P: Payload>(mk: Factory<P>, script: &[Op<P>]) -> Option<String> {
     let (mut a, mut b) = (mk(), mk());
     let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+    // Outputs agree up to here; compare only what each step appended.
+    let mut agreed = 0;
     for (step, op) in script.iter().enumerate() {
         match op {
             Op::Push(s, e) => {
@@ -80,18 +82,20 @@ fn diverges<P: Payload>(mk: Factory<P>, script: &[Op<P>]) -> Option<String> {
             }
             Op::Attach(t) => assert_eq!(a.attach(*t), b.attach(*t)),
         }
-        if out_a != out_b {
-            let at = out_a
-                .iter()
-                .zip(&out_b)
-                .position(|(x, y)| x != y)
-                .unwrap_or(out_a.len().min(out_b.len()));
+        if out_a[agreed..] != out_b[agreed..] {
+            let at = agreed
+                + out_a[agreed..]
+                    .iter()
+                    .zip(&out_b[agreed..])
+                    .position(|(x, y)| x != y)
+                    .unwrap_or(out_a.len().min(out_b.len()) - agreed);
             return Some(format!(
                 "step {step} ({op:?}): output differs at element {at}: skipping {:?}, exhaustive {:?}",
                 out_a.get(at),
                 out_b.get(at)
             ));
         }
+        agreed = out_a.len();
         let (oa, ob) = (observed(a.as_ref()), observed(b.as_ref()));
         if oa != ob {
             return Some(format!(
@@ -249,6 +253,98 @@ fn skipping_is_unobservable_on_divergent_replicas_with_detach_and_join() {
             check(name, mk, knobs.clone(), &replica_script);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// A large settled window: the sweep seeks, or walks when it must
+// ---------------------------------------------------------------------
+
+/// Script from `[live, stables, silent, seed]`: every event lives `live`
+/// time units and one starts per unit, so about `live` tiers are live; a
+/// stable every `live / 100` units, between stables as many new events and
+/// as many late adjusts to older ones (about 1 % churn each). An adjust
+/// moves the end time to just past the next few stables, below the bound
+/// its tier was settled with, so a sweep that missed the touched tier
+/// would retire or correct the node late. Inputs 0 and 1 deliver every
+/// event (each adjust reaches each of them with probability 0.7, so they
+/// sometimes disagree); input 2 delivers the same unless `silent` is 1,
+/// when it stays attached and sends nothing. Input 0 drives the stables.
+///
+/// With input 2 delivering, a stable owes a visit only to the tiers whose
+/// events just ended and the ones adjusted since the last stable, a few
+/// percent of the window: the index seeks them. With input 2 silent, no
+/// node is on record from every input, every tier stays due and the index
+/// walks. (`tier::tests::a_steady_state_with_little_churn_seeks_and_an_all_due_one_walks`
+/// pins the path each shape takes.)
+fn steady_script(k: &[Knob]) -> Vec<Op<Value>> {
+    let (live, stables, silent) = (k[0].value as i64, k[1].value as i64, k[2].value == 1);
+    let mut rng = StdRng::seed_from_u64(0x57EA_D1E5 ^ k[3].value);
+    let step = (live / 100).max(1);
+    let senders: Vec<u32> = if silent { vec![0, 1] } else { vec![0, 1, 2] };
+    let mut events: Vec<(Value, Time, Vec<Time>)> = Vec::new();
+    let mut script = Vec::new();
+    let start = |script: &mut Vec<Op<Value>>, events: &mut Vec<(Value, Time, Vec<Time>)>| {
+        let vs = events.len() as i64;
+        let payload = Value::synthetic((vs % 400) as i32, 16);
+        for &s in &senders {
+            script.push(Op::Push(s, Element::insert(payload.clone(), vs, vs + live)));
+        }
+        events.push((payload, Time(vs), vec![Time(vs + live); 3]));
+    };
+    for _ in 0..live {
+        start(&mut script, &mut events);
+    }
+    for k in 0..stables {
+        let now = live + k * step;
+        for _ in 0..step {
+            start(&mut script, &mut events);
+            let old = rng.random_range((now - live + step).max(0)..now) as usize;
+            let (payload, vs, ves) = &mut events[old];
+            let ve = Time(now + rng.random_range(1..3 * step));
+            for &s in &senders {
+                if rng.random_bool(0.7) {
+                    let vold = std::mem::replace(&mut ves[s as usize], ve);
+                    script.push(Op::Push(s, Element::adjust(payload.clone(), *vs, vold, ve)));
+                }
+            }
+        }
+        for &s in &senders {
+            script.push(Op::Push(s, Element::stable(now)));
+        }
+    }
+    script
+}
+
+/// Check LMR3+ (lazy and eager adjusts) and LMR4 on a 2 000-tier window;
+/// `silent` is the knob's value and its floor.
+fn check_steady(silent: u64, seed: u64) {
+    let r3_default = r3(MergePolicy::default());
+    let r3_eager = r3(MergePolicy::eager());
+    let r4 = || Box::new(LMergeR4::new(INPUTS)) as Box<dyn LogicalMerge<Value>>;
+    let mks: [(&str, Factory<Value>); 3] = [
+        ("LMR3+", &r3_default),
+        ("LMR3+ eager adjusts", &r3_eager),
+        ("LMR4", &r4),
+    ];
+    for (name, mk) in mks {
+        let knobs = vec![
+            Knob::new("live", 2_000, 1),
+            Knob::new("stables", 40, 0),
+            Knob::new("silent", silent, silent),
+            Knob::new("seed", seed, 0),
+        ];
+        check(name, mk, knobs, &steady_script);
+    }
+}
+
+#[test]
+fn skipping_is_unobservable_in_a_settled_window_that_seeks() {
+    check_steady(0, 1);
+}
+
+#[test]
+fn skipping_is_unobservable_in_a_window_one_silent_replica_keeps_due() {
+    check_steady(1, 2);
 }
 
 // ---------------------------------------------------------------------
