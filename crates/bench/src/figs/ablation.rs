@@ -144,7 +144,8 @@ pub fn report() -> Report {
         "ablation",
         "Policy ablation: output volume, spurious inserts, first-response latency",
         &["policy", "inserts", "adjusts", "spurious", "latency"],
-    );
+    )
+    .pin_columns(&["inserts", "adjusts", "spurious", "latency"]);
     for r in &rows {
         report.row(&[
             r.name.to_string(),
@@ -153,6 +154,7 @@ pub fn report() -> Report {
             r.spurious.to_string(),
             format!("{:.2}ms", r.mean_latency_us / 1000.0),
         ]);
+        report.pin(r.name, "latency us", r.mean_latency_us);
     }
     report.note(format!(
         "{events} source events, 40% disorder, count sub-query, 3 inputs"

@@ -13,9 +13,8 @@
 //! merge's does. Checkpoint cost is proportional to live state — fig2's
 //! deliberately huge 30-second live window measures memory, not overhead.
 //! The acceptance bar — checkpointed throughput at least 0.90x the bare
-//! drive — is enforced by `check_regression` on the committed
-//! `BENCH_checkpoint_overhead.json`, so the gate itself is timing-free at
-//! check time.
+//! drive — is checked on the committed `BENCH_checkpoint_overhead.json`
+//! by `tests/committed_bars.rs`, so the check itself is timing-free.
 
 use crate::report::{fmt_eps, MetricsRecord};
 use crate::{scale_events, Report};
@@ -221,7 +220,7 @@ pub fn report() -> Report {
          elements)",
         result.elements, result.cuts
     ));
-    report.note("bar: committed checkpointed/bare >= 0.90 (check_regression)");
+    report.note("bar: committed checkpointed/bare >= 0.90 (tests/committed_bars.rs)");
     for (label, m) in &result.metrics {
         report.metric(label.clone(), *m);
     }
@@ -241,8 +240,8 @@ mod tests {
         // wrote a chain.
         assert!(r.bare_eps > 0.0 && r.checkpointed_eps > 0.0);
         assert!(r.cuts >= 2, "only {} cuts", r.cuts);
-        // The 0.90 bar proper is enforced by check_regression at full
-        // scale on the committed record; at test scale on a noisy runner
+        // The 0.90 bar proper is checked at full scale on the committed
+        // record (tests/committed_bars.rs); at test scale on a noisy runner
         // just require the ratio to be sane.
         assert!(r.ratio > 0.4, "ratio {:.2} collapsed", r.ratio);
     }

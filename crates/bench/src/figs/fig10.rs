@@ -110,7 +110,8 @@ pub fn report() -> Report {
         "fig10",
         "Plan switching with fast-forward (completion, virtual seconds)",
         &["configuration", "completion (s)", "speedup vs LMR3+"],
-    );
+    )
+    .pin_columns(&["completion (s)", "speedup vs LMR3+"]);
     let base = r.lmerge_s;
     for (name, t) in [
         ("UDF0 alone", r.udf0_s),
@@ -123,6 +124,7 @@ pub fn report() -> Report {
             format!("{t:.1}"),
             format!("{:.1}x", base / t.max(1e-9)),
         ]);
+        report.pin(name, "completion s", t);
     }
     report.note(format!(
         "{events} elements, alternating low/high-key batches, 9±. plan switches"

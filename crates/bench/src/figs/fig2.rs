@@ -85,7 +85,8 @@ pub fn report() -> Report {
         "fig2",
         "Memory vs #inputs, in-order streams (peak bytes)",
         &["inputs", "LMR0", "LMR1", "LMR2", "LMR3+", "LMR3-", "LMR4"],
-    );
+    )
+    .pin_columns(&["LMR0", "LMR1", "LMR2", "LMR3+", "LMR3-", "LMR4"]);
     for (n, cells) in &result.rows {
         let mut row = vec![n.to_string()];
         row.extend(cells.iter().map(|b| fmt_bytes(*b)));

@@ -116,7 +116,13 @@ pub fn report() -> Report {
             "adjusts(LM lazy)",
             "adjusts(LM eager)",
         ],
-    );
+    )
+    .pin_columns(&[
+        "adjusts(no LM)",
+        "inserts(no LM)",
+        "adjusts(LM lazy)",
+        "adjusts(LM eager)",
+    ]);
     for r in &rows {
         report.row(&[
             format!("{:.0}%", r.disorder * 100.0),

@@ -91,7 +91,8 @@ pub fn report() -> Report {
             "eps LMR3+",
             "eps LMR4",
         ],
-    );
+    )
+    .pin_columns(&["mem LMR1", "mem LMR3+", "mem LMR4"]);
     for r in &rows {
         report.row(&[
             format!("{:.3}%", r.stable_freq * 100.0),

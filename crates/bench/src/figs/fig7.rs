@@ -191,7 +191,14 @@ pub fn report() -> Report {
             "lat LMR3+",
             "lat C+LMR1",
         ],
-    );
+    )
+    .pin_columns(&[
+        "mem LMR3+",
+        "mem LMR3-",
+        "mem C+LMR1",
+        "lat LMR3+",
+        "lat C+LMR1",
+    ]);
     for r in &rows {
         report.row(&[
             r.inputs.to_string(),
@@ -204,6 +211,8 @@ pub fn report() -> Report {
             format!("{:.1}ms", r.latency_us[0] / 1000.0),
             format!("{:.1}ms", r.latency_us[1] / 1000.0),
         ]);
+        report.pin(r.inputs, "lat LMR3+ us", r.latency_us[0]);
+        report.pin(r.inputs, "lat C+LMR1 us", r.latency_us[1]);
     }
     report.note(format!(
         "{events} source events, 50% disorder through count sub-query"

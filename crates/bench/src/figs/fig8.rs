@@ -106,7 +106,8 @@ pub fn report() -> Report {
         "fig8",
         "Handling bursty data: per-second rates (4 bursty inputs, LMR3+)",
         &["second", "input0 (el/s)", "LMerge out (el/s)"],
-    );
+    )
+    .pin_columns(&["input0 (el/s)", "LMerge out (el/s)"]);
     for (s, i, o) in &result.series {
         report.row(&[s.to_string(), i.to_string(), o.to_string()]);
     }

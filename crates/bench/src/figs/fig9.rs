@@ -102,7 +102,8 @@ pub fn report() -> Report {
         "fig9",
         "Masking network congestion: per-second rates (3 inputs, LMR3+)",
         &["second", "in0", "in1", "in2", "LMerge out"],
-    );
+    )
+    .pin_columns(&["in0", "in1", "in2", "LMerge out"]);
     for (s, a, b, c, o) in &result.series {
         report.row(&[
             s.to_string(),

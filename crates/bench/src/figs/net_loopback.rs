@@ -219,7 +219,8 @@ pub fn report() -> Report {
         &[
             "config", "sessions", "elements", "wire", "wall", "thruput", "adjusts",
         ],
-    );
+    )
+    .pin_columns(&["sessions", "elements", "wire", "adjusts"]);
     for p in &result.points {
         report.row(&[
             p.label.clone(),
@@ -230,6 +231,7 @@ pub fn report() -> Report {
             fmt_eps(p.throughput_eps),
             p.metrics.merge.adjusts_out.to_string(),
         ]);
+        report.pin(&p.label, "wire bytes", p.wire_bytes);
     }
     report.note(format!(
         "{events} events/stream x {INPUTS} replicas; framed insert/adjust/stable with \
@@ -238,7 +240,7 @@ pub fn report() -> Report {
     report.note(
         "thruput = elements / wall clock of the full path (replayer threads, \
          loopback sockets, decode, merge); peak memory and chattiness \
-         are delivery-path-invariant and gated by check_regression",
+         are delivery-path-invariant and pinned in the figure golden",
     );
     for (label, m) in &result.metrics {
         report.metric(label.clone(), *m);

@@ -8,9 +8,8 @@
 //! output-producing push (`MeteredSink` records once per `OutputProduced`
 //! event, not per element), and a periodic gauge store. The acceptance
 //! bar — instrumented throughput within 5% of uninstrumented — is
-//! enforced by `check_regression` on the committed
-//! `BENCH_obs_overhead.json`, so the gate itself is timing-free at check
-//! time.
+//! checked on the committed `BENCH_obs_overhead.json` by
+//! `tests/committed_bars.rs`, so the check itself is timing-free.
 
 use crate::figs::fig2::ordered_workload;
 use crate::report::{fmt_eps, MetricsRecord};
@@ -167,7 +166,7 @@ pub fn report() -> Report {
          record per output-producing push, gauge store every {GAUGE_EVERY}",
         result.elements
     ));
-    report.note("bar: committed instrumented/uninstrumented >= 0.95 (check_regression)");
+    report.note("bar: committed instrumented/uninstrumented >= 0.95 (tests/committed_bars.rs)");
     for (label, m) in &result.metrics {
         report.metric(label.clone(), *m);
     }
@@ -185,8 +184,8 @@ mod tests {
         // Deterministic fields identical across the two drives (asserted
         // inside run()); throughputs both positive.
         assert!(r.uninstrumented_eps > 0.0 && r.instrumented_eps > 0.0);
-        // The 0.95 bar proper is enforced by check_regression at full
-        // scale on the committed record; at test scale on a noisy runner
+        // The 0.95 bar proper is checked at full scale on the committed
+        // record (tests/committed_bars.rs); at test scale on a noisy runner
         // just require the ratio to be sane.
         assert!(r.ratio > 0.5, "ratio {:.2} collapsed", r.ratio);
     }

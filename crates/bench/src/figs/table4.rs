@@ -140,6 +140,9 @@ pub fn report() -> Report {
         crate::report::fmt_bytes(r3m[2]),
         "O(w(p+s))".into(),
     ]);
+    for (column, bytes) in ["at 1x", "at 10x", "at 100x"].iter().zip(&r3m) {
+        report.pin("R3+ bytes vs w", column, bytes);
+    }
 
     let r1c: Vec<f64> = [2, 20, 200].iter().map(|s| r1_insert_cost_at(*s)).collect();
     report.row(&[

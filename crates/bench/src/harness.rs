@@ -62,12 +62,16 @@ pub fn variants() -> [VariantKind; 6] {
     ]
 }
 
-/// Events per stream: `LMERGE_BENCH_EVENTS` or a laptop-friendly default.
-pub fn scale_events(default: usize) -> usize {
+/// `LMERGE_BENCH_EVENTS`, when it is set to a number.
+pub fn scale_override() -> Option<usize> {
     std::env::var("LMERGE_BENCH_EVENTS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+}
+
+/// Events per stream: `LMERGE_BENCH_EVENTS` or a laptop-friendly default.
+pub fn scale_events(default: usize) -> usize {
+    scale_override().unwrap_or(default)
 }
 
 /// Generate `n` divergent copies of one logical stream.

@@ -5,12 +5,16 @@
 //! * `<id>.json` — the full table (columns, rows, notes), for archival;
 //! * `BENCH_<id>.json` — a compact machine-readable metrics record per
 //!   measured configuration: throughput, p50/p99 latency (from the
-//!   log-bucketed histogram), peak memory, and chattiness. This is the
-//!   file regression tooling diffs between runs.
+//!   log-bucketed histogram), peak memory, and chattiness.
+//!
+//! A report also names its deterministic cells — those that are pure
+//! functions of (code, seed) — and renders them as lines of the figure
+//! golden ([`Report::golden`]); the `all` runner writes every report's
+//! lines to `figures.txt`.
 
 use lmerge_engine::RunMetrics;
 use lmerge_obs::json::Json;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
 
 /// The headline numbers of one measured configuration.
@@ -78,6 +82,11 @@ pub struct Report {
     pub notes: Vec<String>,
     /// Labelled metrics records serialized to `BENCH_<id>.json`.
     pub metrics: Vec<(String, MetricsRecord)>,
+    /// Per column: whether its cells are pure functions of (code, seed).
+    pub pinned: Vec<bool>,
+    /// Deterministic values a cell rounds or the table does not show, as
+    /// `(row, column, value)`.
+    pub exact: Vec<(String, String, String)>,
 }
 
 impl Report {
@@ -90,7 +99,30 @@ impl Report {
             rows: Vec::new(),
             notes: Vec::new(),
             metrics: Vec::new(),
+            pinned: vec![false; columns.len()],
+            exact: Vec::new(),
         }
+    }
+
+    /// Name the columns whose cells are pure functions of (code, seed):
+    /// every row's cell in them enters the golden.
+    pub fn pin_columns(mut self, columns: &[&str]) -> Report {
+        for name in columns {
+            let i = self
+                .columns
+                .iter()
+                .position(|c| c == name)
+                .unwrap_or_else(|| panic!("{}: no column {name}", self.id));
+            self.pinned[i] = true;
+        }
+        self
+    }
+
+    /// Pin a deterministic value that a cell shows rounded, or that the
+    /// table does not show.
+    pub fn pin(&mut self, row: impl Display, column: &str, value: impl Display) {
+        self.exact
+            .push((row.to_string(), column.to_string(), value.to_string()));
     }
 
     /// Append a row (must match the column count).
@@ -170,18 +202,38 @@ impl Report {
         )
     }
 
-    /// Print to stdout and persist JSON under `target/bench-results/`:
-    /// the table as `<id>.json` and, when metrics were recorded, the
-    /// compact record as `BENCH_<id>.json`.
+    /// The report's lines of the figure golden, one per deterministic
+    /// value, each `<id> <row> <column> <value>`: the cells of the pinned
+    /// columns (the row named by its first cell), the exact values, and
+    /// every record's peak memory and chattiness. Wall-clock cells never
+    /// enter it.
+    pub fn golden(&self) -> String {
+        let id = &self.id;
+        let mut s = String::new();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                if self.pinned[i] {
+                    let _ = writeln!(s, "{id} {} {} {cell}", row[0], self.columns[i]);
+                }
+            }
+        }
+        for (row, column, value) in &self.exact {
+            let _ = writeln!(s, "{id} {row} {column} {value}");
+        }
+        for (label, m) in &self.metrics {
+            let (bytes, adjusts) = (m.peak_memory_bytes, m.chattiness_adjusts);
+            let _ = writeln!(s, "{id} {label} peak_memory_bytes {bytes}");
+            let _ = writeln!(s, "{id} {label} chattiness_adjusts {adjusts}");
+        }
+        s
+    }
+
+    /// Print to stdout and persist JSON under [`results_dir`]: the table
+    /// as `<id>.json` and, when metrics were recorded, the compact record
+    /// as `BENCH_<id>.json`.
     pub fn emit(&self) {
         println!("{}", self.render());
-        // Anchor on the workspace target dir: `cargo bench` runs with the
-        // package dir as cwd, `cargo run` with the caller's cwd — a
-        // relative path would scatter artefacts between the two.
-        let dir = std::env::var_os("CARGO_TARGET_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target"))
-            .join("bench-results");
+        let dir = results_dir();
         if std::fs::create_dir_all(&dir).is_ok() {
             let _ = std::fs::write(
                 dir.join(format!("{}.json", self.id)),
@@ -195,6 +247,17 @@ impl Report {
             }
         }
     }
+}
+
+/// `target/bench-results/` of the workspace (or of `CARGO_TARGET_DIR`).
+/// Anchored on the target dir: `cargo bench` runs with the package dir as
+/// cwd, `cargo run` with the caller's cwd — a relative path would scatter
+/// artefacts between the two.
+pub fn results_dir() -> PathBuf {
+    std::env::var_os("CARGO_TARGET_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target"))
+        .join("bench-results")
 }
 
 /// Format a byte count humanely.
@@ -281,6 +344,35 @@ mod tests {
         assert_eq!(m.get("label").and_then(Json::as_str), Some("LMR3+"));
         assert_eq!(m.get("p99_latency_us"), Some(&Json::Int(900)));
         assert_eq!(m.get("peak_memory_bytes"), Some(&Json::Int(1 << 20)));
+    }
+
+    #[test]
+    fn golden_holds_pinned_columns_exact_values_and_records() {
+        let mut r = Report::new("figX", "demo", &["inputs", "mem", "eps"]).pin_columns(&["mem"]);
+        r.row(&["2".into(), "1.0KiB".into(), "5.1M/s".into()]);
+        r.pin("2", "mem bytes", 1034);
+        r.metric(
+            "LMR3+@2in",
+            MetricsRecord {
+                throughput_eps: 5.1e6,
+                peak_memory_bytes: 1034,
+                chattiness_adjusts: 7,
+                ..Default::default()
+            },
+        );
+        assert_eq!(
+            r.golden(),
+            "figX 2 mem 1.0KiB\n\
+             figX 2 mem bytes 1034\n\
+             figX LMR3+@2in peak_memory_bytes 1034\n\
+             figX LMR3+@2in chattiness_adjusts 7\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no column")]
+    fn pinning_an_unknown_column_panics() {
+        let _ = Report::new("x", "y", &["a"]).pin_columns(&["b"]);
     }
 
     #[test]

@@ -141,13 +141,14 @@ impl<P: Payload> Staging<P> {
     }
 }
 
+/// Virtual CPU cost LMerge pays per element it consumes.
+const LMERGE_COST_US: u64 = 1;
+
 /// Executor knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
     /// Whether LMerge feedback signals are propagated to the queries.
     pub feedback: bool,
-    /// Virtual CPU cost LMerge pays per element it consumes.
-    pub lmerge_cost_us: u64,
     /// Sample memory every this many delivered batches.
     pub mem_sample_every: usize,
 }
@@ -156,7 +157,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             feedback: false,
-            lmerge_cost_us: 1,
             mem_sample_every: 256,
         }
     }
@@ -421,8 +421,7 @@ impl<P: Payload> MergeRun<P> {
             // variants' O(1) discard of wholly-frozen batches.
             self.lmerge
                 .push_batch(StreamId(qi as u32), &batch.elements, &mut out);
-            lmerge_ready =
-                start.advance(self.config.lmerge_cost_us * batch.elements.len().max(1) as u64);
+            lmerge_ready = start.advance(LMERGE_COST_US * batch.elements.len().max(1) as u64);
             metrics.input_series[qi].add(deliver_at, data_in);
 
             let data_out = out.iter().filter(|e| !e.is_stable()).count() as u64;

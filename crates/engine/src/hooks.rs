@@ -366,7 +366,6 @@ mod tests {
             RunConfig {
                 feedback: true,
                 mem_sample_every: 2,
-                ..RunConfig::default()
             },
         )
         .run_with_hooks(&mut tracer, &mut hooks);

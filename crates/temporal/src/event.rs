@@ -49,7 +49,9 @@ impl<P: std::fmt::Debug> std::fmt::Debug for Event<P> {
 mod tests {
     use super::*;
 
+    // The check is a `debug_assert!`: release builds do not make it.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "non-empty")]
     fn empty_interval_panics_in_debug() {
         let _ = Event::new("A", 5, 5);
