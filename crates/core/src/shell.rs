@@ -420,8 +420,10 @@ impl<P: Payload, K: NodeKind<P>> LogicalMerge<P> for IndexedMerge<P, K> {
 
     books_accessors!();
 
+    /// What the kind and the books allocate for their contents. The
+    /// shell's own struct is not state: it is the same for every content.
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.kind.memory_bytes() + self.books.memory_bytes()
+        self.kind.memory_bytes() + self.books.memory_bytes()
     }
 
     fn level(&self) -> RLevel {

@@ -110,80 +110,93 @@ fn r4_never_emits_ill_formed_output() {
 
 /// The bounded-memory guard pins the accounting: once an input floods
 /// enough never-freezing entries to get demoted, its index contribution is
-/// purged (the `hash_table_bytes` model drops to the surviving tables) and
-/// — the actual guarantee — no further traffic on the demoted input can
-/// move `memory_bytes` by a single byte.
+/// purged and — the actual guarantee — no further traffic on the demoted
+/// input can move `memory_bytes` by a single byte.
 #[test]
 fn entry_bound_demotion_pins_memory_accounting() {
     let robustness = RobustnessPolicy {
         quarantine_lag: None,
         max_live_entries: Some(8),
     };
-    let mks: [&dyn Fn() -> Box<dyn LogicalMerge<&'static str>>; 2] = [
-        &|| {
-            Box::new(LMergeR3::<&str>::with_policy(
-                2,
-                MergePolicy {
-                    robustness: RobustnessPolicy {
-                        quarantine_lag: None,
-                        max_live_entries: Some(8),
-                    },
-                    ..MergePolicy::paper_default()
-                },
-            ))
+    // R3 keeps a low input id's end time inside the node, so the purge
+    // frees no bytes there: its direct effect is that the input holds no
+    // entry any more.
+    demote_and_pin(
+        LMergeR3::<&str>::with_policy(
+            2,
+            MergePolicy {
+                robustness,
+                ..MergePolicy::paper_default()
+            },
+        ),
+        |lm, _, _| {
+            assert_eq!(
+                lm.live_entries(StreamId(1)),
+                0,
+                "purge released the flooded entries"
+            );
         },
-        &|| Box::new(LMergeR4::<&str>::with_robustness(2, robustness)),
-    ];
+    );
+    // R4's per-stream `Ve` trees are allocated per entry.
+    demote_and_pin(
+        LMergeR4::<&str>::with_robustness(2, robustness),
+        |_, pinned, peak| {
+            assert!(
+                pinned < peak,
+                "purge released the flooded entries: {pinned} < {peak}"
+            );
+        },
+    );
+}
+
+/// Flood `lm` from input 1 until it is demoted, check the purge with
+/// `purged(lm, bytes after, peak bytes)`, and then that nothing the demoted
+/// input sends moves the accounting.
+fn demote_and_pin<M: LogicalMerge<&'static str>>(mut lm: M, purged: impl Fn(&M, usize, usize)) {
     let payloads = [
         "p00", "p01", "p02", "p03", "p04", "p05", "p06", "p07", "p08", "p09", "p10", "p11", "p12",
         "p13", "p14", "p15",
     ];
-    for mk in mks {
-        let mut lm = mk();
-        let mut out = Vec::new();
-        // Input 1 floods distinct live (never-frozen) events — all at one
-        // `Vs`, so the index grows one tier and the memory delta is purely
-        // per-input entries; each insert adds one, so the 8-entry budget
-        // trips mid-flood.
-        let mut peak = 0usize;
-        for p in payloads {
-            lm.push(StreamId(1), &Element::insert(p, 100, 200), &mut out);
-            peak = peak.max(lm.memory_bytes());
-        }
-        assert_eq!(
-            lm.input_health(StreamId(1)),
-            InputHealth::Left,
-            "flooding input was demoted"
-        );
-        let pinned = lm.memory_bytes();
-        assert!(
-            pinned < peak,
-            "purge released the flooded entries: {pinned} < {peak}"
-        );
-
-        // Everything the demoted input sends from now on is refused
-        // without touching the index: the accounting must not move.
-        for (i, p) in payloads.iter().enumerate() {
-            let vs = 500 + i as i64;
-            lm.push(StreamId(1), &Element::insert(*p, vs, vs + 5), &mut out);
-            assert_eq!(lm.memory_bytes(), pinned, "demoted input grew memory");
-        }
-        let batch: Vec<Element<&'static str>> = (0..32i64)
-            .map(|i| Element::insert("flood", 900 + i, 950 + i))
-            .collect();
-        lm.push_batch(StreamId(1), &batch, &mut out);
-        lm.push(StreamId(1), &Element::stable(1_000), &mut out);
-        assert_eq!(
-            lm.memory_bytes(),
-            pinned,
-            "batched flood on a demoted input grew memory"
-        );
-
-        // The surviving input is unaffected and still drives the merge.
-        lm.push(StreamId(0), &Element::insert("live", 10, 20), &mut out);
-        lm.push(StreamId(0), &Element::stable(30), &mut out);
-        assert_eq!(lm.max_stable(), Time(30));
+    let mut out = Vec::new();
+    // Input 1 floods distinct live (never-frozen) events — all at one
+    // `Vs`, so the index grows one tier and the memory delta is purely
+    // per-input entries; each insert adds one, so the 8-entry budget
+    // trips mid-flood.
+    let mut peak = 0usize;
+    for p in payloads {
+        lm.push(StreamId(1), &Element::insert(p, 100, 200), &mut out);
+        peak = peak.max(lm.memory_bytes());
     }
+    assert_eq!(
+        lm.input_health(StreamId(1)),
+        InputHealth::Left,
+        "flooding input was demoted"
+    );
+    let pinned = lm.memory_bytes();
+    purged(&lm, pinned, peak);
+
+    // Everything the demoted input sends from now on is refused
+    // without touching the index: the accounting must not move.
+    for (i, p) in payloads.iter().enumerate() {
+        let vs = 500 + i as i64;
+        lm.push(StreamId(1), &Element::insert(*p, vs, vs + 5), &mut out);
+        assert_eq!(lm.memory_bytes(), pinned, "demoted input grew memory");
+    }
+    let batch: Vec<Element<&'static str>> = (0..32i64)
+        .map(|i| Element::insert("flood", 900 + i, 950 + i))
+        .collect();
+    lm.push_batch(StreamId(1), &batch, &mut out);
+    lm.push(StreamId(1), &Element::stable(1_000), &mut out);
+    assert_eq!(
+        lm.memory_bytes(),
+        pinned,
+        "batched flood on a demoted input grew memory"
+    );
+
+    // The surviving input is unaffected and still drives the merge.
+    lm.push(StreamId(0), &Element::insert("live", 10, 20), &mut out);
+    lm.push(StreamId(0), &Element::stable(30), &mut out);
+    assert_eq!(lm.max_stable(), Time(30));
 }
 
 /// Quarantine (the softer demotion) gates punctuation but keeps data
