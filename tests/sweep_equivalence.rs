@@ -47,10 +47,27 @@ enum Op<P: Payload> {
     Attach(Time),
 }
 
-type Factory<'a, P> = &'a dyn Fn() -> Box<dyn LogicalMerge<P>>;
+/// A merge under test, with the memory a walk over its live nodes finds
+/// where the variant keeps such an oracle (LMR4: its counts replace the
+/// walk).
+trait Merge<P: Payload>: LogicalMerge<P> {
+    fn walked(&self) -> Option<usize> {
+        None
+    }
+}
+
+impl<P: Payload> Merge<P> for LMergeR3<P> {}
+
+impl<P: Payload> Merge<P> for LMergeR4<P> {
+    fn walked(&self) -> Option<usize> {
+        Some(self.memory_bytes_walked())
+    }
+}
+
+type Factory<'a, P> = &'a dyn Fn() -> Box<dyn Merge<P>>;
 
 /// Everything the two merges must agree on after a step.
-fn observed<P: Payload>(lm: &dyn LogicalMerge<P>) -> String {
+fn observed<P: Payload>(lm: &dyn Merge<P>) -> String {
     format!(
         "stats {:?}, max_stable {:?}, memory {}",
         lm.stats(),
@@ -102,11 +119,20 @@ fn diverges<P: Payload>(mk: Factory<P>, script: &[Op<P>]) -> Option<String> {
                 "step {step} ({op:?}): skipping [{oa}], exhaustive [{ob}]"
             ));
         }
+        // The exhaustive twin's counts are rebuilt from its image at every
+        // stable and agree with the skipping merge's; the walk checks the
+        // skipping merge's counts at every step in between too.
+        if let Some(walked) = a.walked().filter(|&w| w != a.memory_bytes()) {
+            return Some(format!(
+                "step {step} ({op:?}): counted memory {}, a walk finds {walked}",
+                a.memory_bytes()
+            ));
+        }
     }
     None
 }
 
-fn r3<P: Payload>(policy: MergePolicy) -> impl Fn() -> Box<dyn LogicalMerge<P>> {
+fn r3<P: Payload>(policy: MergePolicy) -> impl Fn() -> Box<dyn Merge<P>> {
     move || Box::new(LMergeR3::with_policy(INPUTS, policy))
 }
 
@@ -232,7 +258,7 @@ fn skipping_is_unobservable_on_divergent_replicas_with_detach_and_join() {
     let r3_wait = r3(insert_policy(InsertPolicy::WaitHalfFrozen));
     let r3_quorum = r3(insert_policy(InsertPolicy::Quorum(2)));
     let r3_leader = r3(insert_policy(InsertPolicy::FollowLeader));
-    let r4 = || Box::new(LMergeR4::new(INPUTS)) as Box<dyn LogicalMerge<Value>>;
+    let r4 = || Box::new(LMergeR4::new(INPUTS)) as Box<dyn Merge<Value>>;
     let mks: [(&str, Factory<Value>); 6] = [
         ("LMR3+", &r3_default),
         ("LMR3+ eager adjusts", &r3_eager),
@@ -320,7 +346,7 @@ fn steady_script(k: &[Knob]) -> Vec<Op<Value>> {
 fn check_steady(silent: u64, seed: u64) {
     let r3_default = r3(MergePolicy::default());
     let r3_eager = r3(MergePolicy::eager());
-    let r4 = || Box::new(LMergeR4::new(INPUTS)) as Box<dyn LogicalMerge<Value>>;
+    let r4 = || Box::new(LMergeR4::new(INPUTS)) as Box<dyn Merge<Value>>;
     let mks: [(&str, Factory<Value>); 3] = [
         ("LMR3+", &r3_default),
         ("LMR3+ eager adjusts", &r3_eager),
@@ -423,7 +449,7 @@ fn skipping_is_unobservable_under_garbage_and_control() {
     let r3_default = r3(MergePolicy::default());
     let r3_eager = r3(MergePolicy::eager());
     let r3_quorum = r3(insert_policy(InsertPolicy::Quorum(2)));
-    let r4 = || Box::new(LMergeR4::new(INPUTS)) as Box<dyn LogicalMerge<S>>;
+    let r4 = || Box::new(LMergeR4::new(INPUTS)) as Box<dyn Merge<S>>;
     let mks: [(&str, Factory<S>); 4] = [
         ("LMR3+", &r3_default),
         ("LMR3+ eager", &r3_eager),
