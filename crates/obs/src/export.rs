@@ -96,7 +96,7 @@ pub fn to_jsonl<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> String {
 
 /// The `trace_meta` trailer line: the ring's drop accounting, so a JSONL
 /// consumer can tell a complete trace from one whose head was evicted.
-pub fn trace_meta(ring: &crate::ring::EventRing) -> String {
+pub(crate) fn trace_meta(ring: &crate::ring::EventRing) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,

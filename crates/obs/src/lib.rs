@@ -9,12 +9,12 @@
 //!
 //! * [`event::TraceEvent`] — a typed vocabulary of run observations, each
 //!   stamped with virtual time so traces replay deterministically;
-//! * [`ring::EventRing`] — a bounded drop-oldest store, O(capacity) memory
-//!   on arbitrarily long runs;
+//! * `EventRing` — a bounded drop-oldest store, O(capacity) memory on
+//!   arbitrarily long runs;
 //! * [`sink::TraceSink`] — the recording interface. The executor is generic
 //!   over it; the default [`sink::NullSink`] is statically disabled and the
 //!   whole instrumentation path compiles away;
-//! * [`sink::Tracer`] — ring + [`lag::LagGauges`]: per-input stable points
+//! * [`sink::Tracer`] — ring + lag gauges ([`Tracer::lag`]): per-input stable points
 //!   tracked against the output stable point, straggler identification,
 //!   feedback fast-forward accounting;
 //! * [`hist::LogHistogram`] — log-bucketed latency histogram with
@@ -68,20 +68,18 @@ pub mod event;
 pub mod export;
 pub mod hist;
 pub mod json;
-pub mod lag;
+mod lag;
 pub mod metrics;
-pub mod ring;
+mod ring;
 pub mod serve;
 pub mod sink;
 
 pub use alert::{default_rules, AlertEngine, AlertKind, AlertRule, Severity};
 pub use event::{ElementKind, FaultKind, HealthTag, StableScope, TraceEvent};
 pub use hist::LogHistogram;
-pub use lag::{InputLag, LagGauges};
 pub use metrics::{
     parse_prometheus, AtomicHistogram, CheckpointMetrics, Counter, EngineMetrics, Gauge,
     MeteredSink, MetricsRegistry, ScrapedSample,
 };
-pub use ring::EventRing;
 pub use serve::{scrape, MetricsServer};
 pub use sink::{NullSink, TraceConfig, TraceSink, Tracer};

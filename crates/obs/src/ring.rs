@@ -9,7 +9,7 @@ use crate::event::TraceEvent;
 
 /// Fixed-capacity event store with drop-oldest overflow.
 #[derive(Clone, Debug)]
-pub struct EventRing {
+pub(crate) struct EventRing {
     buf: Vec<TraceEvent>,
     /// Index of the oldest element when the ring is full.
     head: usize,
@@ -54,16 +54,6 @@ impl EventRing {
         self.buf.len()
     }
 
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Maximum number of events the ring retains.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total events ever pushed (retained + dropped).
     pub fn recorded(&self) -> u64 {
         self.recorded
@@ -72,11 +62,6 @@ impl EventRing {
     /// Events evicted to make room for newer ones.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Approximate heap footprint of the ring.
-    pub fn memory_bytes(&self) -> usize {
-        self.buf.capacity() * std::mem::size_of::<TraceEvent>()
     }
 }
 
@@ -131,14 +116,14 @@ mod tests {
         let mut r = EventRing::new(0);
         r.push(ev(1));
         r.push(ev(2));
-        assert_eq!(r.capacity(), 1);
+        assert_eq!(r.capacity, 1);
         assert_eq!(times(&r), vec![2]);
     }
 
     #[test]
     fn empty_ring_iterates_nothing() {
         let r = EventRing::new(8);
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
         assert_eq!(r.iter().count(), 0);
     }
 }

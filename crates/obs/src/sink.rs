@@ -95,7 +95,7 @@ impl Tracer {
     }
 
     /// The underlying ring (for capacity / drop accounting).
-    pub fn ring(&self) -> &EventRing {
+    pub(crate) fn ring(&self) -> &EventRing {
         &self.ring
     }
 
