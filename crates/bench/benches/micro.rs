@@ -5,7 +5,8 @@
 //! revision cost, stable-processing cost, the stable sweep over a large
 //! live window (settled, all of it due, and in steady state with ~1% due,
 //! with and without late adjusts to 1% of the older nodes),
-//! the index's own sweep and memory estimate, the O(1) batched discard of
+//! the index's own sweep and memory estimate, its probes and inserts (in
+//! order and in bit-reversed order), the O(1) batched discard of
 //! lagging inputs, reconstitution overhead, and the shared stream reader
 //! (`wire::FrameReader`: ns and `read` calls per frame). A plain timing harness
 //! (best-of-N over a few repeats) keeps the workspace free of external
@@ -301,6 +302,47 @@ fn bench_index(report: &mut Report) {
     record(report, "in2t/memory_bytes", best_mem);
 }
 
+fn bench_index_ops(report: &mut Report) {
+    // The `Vs` index alone, one payload per `Vs` (the paper's generator's
+    // shape): a probe that hits, an insert of a fresh `Vs` in order (the
+    // append a replica's traffic mostly is), and an insert in bit-reversed
+    // order over 50 000 keys, the adversarial order for a sorted sequence.
+    use lmerge_core::in2t::In2t;
+    use lmerge_temporal::Time;
+    let n = sized(10_000, 2_000);
+    let keys: Vec<(Time, Value)> = (0..n as i64)
+        .map(|i| (Time(i), Value::bare(i as i32)))
+        .collect();
+    let build = |keys: &[(Time, Value)]| {
+        let mut ix: In2t<Value> = In2t::new();
+        for (vs, v) in keys {
+            ix.add_node(*vs, v.clone());
+        }
+        ix
+    };
+    println!("\n== index ({n} tiers; bit-reversed 50 000) ==");
+    // Probe in a scattered order, so that consecutive probes share no path.
+    let ix = build(&keys);
+    let probes: Vec<&(Time, Value)> = (0..n).map(|i| &keys[i * 7_919 % n]).collect();
+    let ns = time_per_element(n, || {
+        probes
+            .iter()
+            .filter(|(vs, v)| black_box(&ix).get(*vs, v).is_some())
+            .count() as u64
+    });
+    record(report, "index/probe_hit", ns);
+    let ns = time_per_element(n, || build(black_box(&keys)).len() as u64);
+    record(report, "index/insert_fresh", ns);
+    let bits = 16;
+    let reversed: Vec<(Time, Value)> = (0..1u32 << bits)
+        .map(|i| i.reverse_bits() >> (32 - bits))
+        .filter(|&k| k < 50_000)
+        .map(|k| (Time(i64::from(k)), Value::bare(k as i32)))
+        .collect();
+    let ns = time_per_element(reversed.len(), || build(black_box(&reversed)).len() as u64);
+    record(report, "index/insert_bit_reversed_50k", ns);
+}
+
 fn bench_batch_discard(report: &mut Report) {
     // The catching-up replica: input 1 replays an already-frozen prefix in
     // batches. `push_batch` discards each batch in O(1) from the per-batch
@@ -421,6 +463,7 @@ fn main() {
     bench_stable_sweep(&mut report);
     bench_stable_sweep_settled(&mut report);
     bench_index(&mut report);
+    bench_index_ops(&mut report);
     bench_batch_discard(&mut report);
     bench_reconstitution(&mut report);
     bench_frame_reader(&mut report);
