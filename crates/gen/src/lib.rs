@@ -31,6 +31,9 @@ pub mod ticker;
 pub mod timing;
 pub mod union;
 
+#[cfg(test)]
+mod pinned;
+
 pub use config::GenConfig;
 pub use divergence::{diverge, DivergenceConfig};
 pub use generator::generate;
