@@ -219,7 +219,7 @@ pub fn general_feeds(
     let feeds = (0..cfg.n_inputs)
         .map(|c| timed(c, diverge(&r.elements, &dcfg, c as u64)))
         .collect();
-    (r.tdb, feeds)
+    (r.tdb(), feeds)
 }
 
 /// The restricted workload (R0–R2): insert-only, strictly increasing `Vs`,
@@ -248,7 +248,7 @@ pub fn restricted_feeds(
             .collect();
         feeds.push(timed(c, copy));
     }
-    (r.tdb, feeds)
+    (r.tdb(), feeds)
 }
 
 /// Replay `plan` against one variant. The feeds and the injector derive

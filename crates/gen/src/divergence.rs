@@ -67,8 +67,8 @@ impl Default for DivergenceConfig {
 /// let copy_a = diverge(&reference.elements, &DivergenceConfig::default(), 0);
 /// let copy_b = diverge(&reference.elements, &DivergenceConfig::default(), 1);
 /// assert_ne!(copy_a, copy_b);                       // physically different
-/// assert_eq!(tdb_of(&copy_a).unwrap(), reference.tdb); // logically equal
-/// assert_eq!(tdb_of(&copy_b).unwrap(), reference.tdb);
+/// assert_eq!(tdb_of(&copy_a).unwrap(), reference.tdb()); // logically equal
+/// assert_eq!(tdb_of(&copy_b).unwrap(), reference.tdb());
 /// ```
 pub fn diverge(
     reference: &[Element<Value>],
@@ -78,100 +78,117 @@ pub fn diverge(
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(copy_index));
     let mut out = Vec::with_capacity(reference.len() + reference.len() / 2);
 
-    // Process one punctuation window at a time.
-    let mut window: Vec<Element<Value>> = Vec::new();
-    for e in reference {
-        match e {
-            Element::Stable(t) => {
-                flush_window(&mut window, &mut rng, cfg, &mut out);
-                let is_final = *t == Time::INFINITY;
-                if is_final || rng.random_bool(cfg.stable_keep_prob.clamp(0.0, 1.0)) {
-                    out.push(Element::Stable(*t));
-                }
+    // Process one punctuation window (the data elements between two
+    // stables) at a time.
+    let mut pass = WindowPass::default();
+    let mut start = 0;
+    for (i, e) in reference.iter().enumerate() {
+        if let Element::Stable(t) = e {
+            pass.flush(&reference[start..i], &mut rng, cfg, &mut out);
+            start = i + 1;
+            let is_final = *t == Time::INFINITY;
+            if is_final || rng.random_bool(cfg.stable_keep_prob.clamp(0.0, 1.0)) {
+                out.push(Element::Stable(*t));
             }
-            data => window.push(data.clone()),
         }
     }
-    flush_window(&mut window, &mut rng, cfg, &mut out);
+    pass.flush(&reference[start..], &mut rng, cfg, &mut out);
     out
 }
 
-fn flush_window(
-    window: &mut Vec<Element<Value>>,
-    rng: &mut StdRng,
-    cfg: &DivergenceConfig,
-    out: &mut Vec<Element<Value>>,
-) {
-    if window.is_empty() {
-        return;
-    }
-    // Order divergence: shuffle the window, but keep the *relative* order
-    // of elements sharing a (Vs, Payload) key — an adjust must still follow
-    // its insert, and adjust chains must stay chained (their `Vold` values
-    // thread through the sequence).
-    let original = std::mem::take(window);
-    let mut shuffled = original.clone();
-    shuffled.shuffle(rng);
-    let mut per_key: std::collections::HashMap<
-        (Time, Value),
-        std::collections::VecDeque<Element<Value>>,
-    > = std::collections::HashMap::new();
-    let mut key_counts: std::collections::HashMap<(Time, Value), usize> =
-        std::collections::HashMap::new();
-    for e in &original {
-        if let Some((vs, p)) = e.key() {
-            per_key
-                .entry((vs, p.clone()))
-                .or_default()
-                .push_back(e.clone());
-            *key_counts.entry((vs, p.clone())).or_insert(0) += 1;
-        }
-    }
-    let ordered: Vec<Element<Value>> = shuffled
-        .into_iter()
-        .map(|e| match e.key() {
-            Some((vs, p)) => per_key
-                .get_mut(&(vs, p.clone()))
-                .and_then(|q| q.pop_front())
-                .expect("every keyed element was queued"),
-            None => e,
-        })
-        .collect();
+/// Index buffers for one window, reused across windows. Every entry is a
+/// position in the window.
+#[derive(Default)]
+struct WindowPass {
+    /// The shuffled slots: slot `s` holds the next element of the key of
+    /// the element at `slots[s]`.
+    slots: Vec<usize>,
+    /// Positions sorted by `(Vs, payload)`, then by position: each key's
+    /// elements form one run, in window order.
+    by_key: Vec<usize>,
+    /// For each position, where its key's run starts in `by_key` and how
+    /// long it is.
+    run: Vec<(usize, usize)>,
+    /// For each run start, how many of its elements are already placed.
+    taken: Vec<usize>,
+    /// The synthetic adjusts, emitted after every other element.
+    adjusts: Vec<Element<Value>>,
+}
 
-    // Composition divergence: provisional insert + later adjust. Applied
-    // only to inserts whose key carries no other elements in the window —
-    // splicing a synthetic adjust into an existing chain would break it.
-    let mut staged: Vec<(usize, Element<Value>)> = Vec::new();
-    for (i, e) in ordered.into_iter().enumerate() {
-        let lone_insert = matches!(&e, Element::Insert(ev)
-            if key_counts.get(&(ev.vs, ev.payload.clone())) == Some(&1));
-        match e {
-            Element::Insert(ev)
-                if cfg.drop_prob > 0.0 && rng.random_bool(cfg.drop_prob.min(1.0)) =>
-            {
-                // Dropped from this copy: another input covers it.
-                drop(ev);
-            }
-            Element::Insert(ev)
-                if lone_insert && rng.random_bool(cfg.revision_prob.clamp(0.0, 1.0)) =>
-            {
-                let provisional = if rng.random_bool(cfg.provisional_inf_prob.clamp(0.0, 1.0)) {
-                    Time::INFINITY
-                } else {
-                    ev.ve
-                        .saturating_add(rng.random_range(1..=cfg.provisional_extra_ms.max(1)))
-                };
-                staged.push((i, Element::insert(ev.payload.clone(), ev.vs, provisional)));
-                staged.push((
-                    usize::MAX, // adjusts go after every insert in the window
-                    Element::adjust(ev.payload, ev.vs, provisional, ev.ve),
-                ));
-            }
-            other => staged.push((i, other)),
+impl WindowPass {
+    fn flush(
+        &mut self,
+        window: &[Element<Value>],
+        rng: &mut StdRng,
+        cfg: &DivergenceConfig,
+        out: &mut Vec<Element<Value>>,
+    ) {
+        if window.is_empty() {
+            return;
         }
+        let n = window.len();
+        // Order divergence: shuffle the window, but keep the *relative* order
+        // of elements sharing a (Vs, Payload) key — an adjust must still follow
+        // its insert, and adjust chains must stay chained (their `Vold` values
+        // thread through the sequence). The shuffle permutes positions; it
+        // draws the same numbers it would draw permuting the elements.
+        self.slots.clear();
+        self.slots.extend(0..n);
+        self.slots.shuffle(rng);
+        self.by_key.clear();
+        self.by_key.extend(0..n);
+        self.by_key
+            .sort_unstable_by(|&a, &b| window[a].key().cmp(&window[b].key()).then(a.cmp(&b)));
+        self.run.resize(n, (0, 0));
+        let mut at = 0;
+        for run in self
+            .by_key
+            .chunk_by(|&a, &b| window[a].key() == window[b].key())
+        {
+            for &pos in run {
+                self.run[pos] = (at, run.len());
+            }
+            at += run.len();
+        }
+        self.taken.clear();
+        self.taken.resize(n, 0);
+
+        // Composition divergence: provisional insert + later adjust. Applied
+        // only to inserts whose key carries no other elements in the window —
+        // splicing a synthetic adjust into an existing chain would break it.
+        for &slot in &self.slots {
+            let (run_start, run_len) = self.run[slot];
+            let e = &window[self.by_key[run_start + self.taken[run_start]]];
+            self.taken[run_start] += 1;
+            match e {
+                Element::Insert(_)
+                    if cfg.drop_prob > 0.0 && rng.random_bool(cfg.drop_prob.min(1.0)) =>
+                {
+                    // Dropped from this copy: another input covers it.
+                }
+                Element::Insert(ev)
+                    if run_len == 1 && rng.random_bool(cfg.revision_prob.clamp(0.0, 1.0)) =>
+                {
+                    let provisional = if rng.random_bool(cfg.provisional_inf_prob.clamp(0.0, 1.0)) {
+                        Time::INFINITY
+                    } else {
+                        ev.ve
+                            .saturating_add(rng.random_range(1..=cfg.provisional_extra_ms.max(1)))
+                    };
+                    out.push(Element::insert(ev.payload.clone(), ev.vs, provisional));
+                    self.adjusts.push(Element::adjust(
+                        ev.payload.clone(),
+                        ev.vs,
+                        provisional,
+                        ev.ve,
+                    ));
+                }
+                other => out.push(other.clone()),
+            }
+        }
+        // Adjusts go after every insert in the window.
+        out.append(&mut self.adjusts);
     }
-    staged.sort_by_key(|(slot, _)| *slot);
-    out.extend(staged.into_iter().map(|(_, e)| e));
 }
 
 #[cfg(test)]
@@ -191,7 +208,7 @@ mod tests {
         for copy in 0..4 {
             let d = diverge(&r.elements, &cfg(), copy);
             let tdb = tdb_of(&d).unwrap_or_else(|e| panic!("copy {copy} ill-formed: {e}"));
-            assert_eq!(tdb, r.tdb, "copy {copy} diverged logically");
+            assert_eq!(tdb, r.tdb(), "copy {copy} diverged logically");
         }
     }
 
@@ -268,7 +285,7 @@ mod tests {
             let r = generate(&GenConfig::small(80, 100 + seed));
             for copy in 0..3 {
                 let d = diverge(&r.elements, &cfg(), copy);
-                assert_eq!(tdb_of(&d).unwrap(), r.tdb);
+                assert_eq!(tdb_of(&d).unwrap(), r.tdb());
             }
         }
     }

@@ -9,17 +9,24 @@
 
 use crate::config::GenConfig;
 use bytes::{BufMut, Bytes, BytesMut};
+use lmerge_temporal::reconstitute::tdb_of;
 use lmerge_temporal::{Element, Tdb, Time, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A generated reference stream plus its logical content.
+/// A generated reference stream.
 #[derive(Clone, Debug)]
 pub struct RefStream {
     /// The physical element sequence (inserts + stables).
     pub elements: Vec<Element<Value>>,
-    /// The logical TDB the stream reconstitutes to.
-    pub tdb: Tdb<Value>,
+}
+
+impl RefStream {
+    /// The logical TDB the stream reconstitutes to, derived from the
+    /// elements on each call (most feeds never need it).
+    pub fn tdb(&self) -> Tdb<Value> {
+        tdb_of(&self.elements).expect("a generated stream is well formed")
+    }
 }
 
 /// Build a payload whose body starts with a unique sequence number, padded
@@ -43,16 +50,11 @@ fn payload(seq: u64, key: i32, len: usize) -> Value {
 /// use lmerge_gen::{generate, GenConfig};
 ///
 /// let stream = generate(&GenConfig::small(100, 7));
-/// assert_eq!(stream.tdb.len(), 100);
-/// // The physical stream reconstitutes to exactly that TDB.
-/// let tdb = lmerge_temporal::reconstitute::tdb_of(&stream.elements).unwrap();
-/// assert_eq!(tdb, stream.tdb);
+/// assert_eq!(stream.tdb().len(), 100);
 /// ```
 pub fn generate(cfg: &GenConfig) -> RefStream {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut elements = Vec::with_capacity(cfg.num_events + cfg.num_events / 50 + 1);
-    let mut tdb = Tdb::new();
-
     let mut now: i64 = cfg.disorder_window_ms; // head-room for back-shifts
     let mut last_stable = Time::MIN;
     let mut inserts_since_stable = 0usize;
@@ -77,12 +79,10 @@ pub fn generate(cfg: &GenConfig) -> RefStream {
             rng.random_range(0..=cfg.key_range),
             cfg.payload_len,
         );
-        tdb.insert(lmerge_temporal::Event::new(p.clone(), vs, ve));
         elements.push(Element::insert(p.clone(), vs, ve));
         inserts_since_stable += 1;
         // Exact duplicates exercise the R4 multiset semantics.
         if cfg.duplicate_prob > 0.0 && rng.random_bool(cfg.duplicate_prob.min(1.0)) {
-            tdb.insert(lmerge_temporal::Event::new(p.clone(), vs, ve));
             elements.push(Element::insert(p, vs, ve));
         }
 
@@ -105,7 +105,7 @@ pub fn generate(cfg: &GenConfig) -> RefStream {
     if cfg.finalize {
         elements.push(Element::Stable(Time::INFINITY));
     }
-    RefStream { elements, tdb }
+    RefStream { elements }
 }
 
 #[cfg(test)]
@@ -117,7 +117,6 @@ mod tests {
     fn stream_is_well_formed_and_matches_tdb() {
         let r = generate(&GenConfig::small(500, 1));
         let tdb = tdb_of(&r.elements).expect("well-formed stream");
-        assert_eq!(tdb, r.tdb);
         assert_eq!(tdb.len(), 500);
     }
 
@@ -218,7 +217,7 @@ mod duplicate_tests {
         let mut cfg = GenConfig::small(500, 33);
         cfg.duplicate_prob = 0.2;
         let r = generate(&cfg);
-        let dupes = r.tdb.iter().filter(|(_, _, count)| *count > 1).count();
+        let dupes = r.tdb().iter().filter(|(_, _, count)| *count > 1).count();
         assert!(
             (50..=160).contains(&dupes),
             "~20% duplicated events, got {dupes}"

@@ -213,6 +213,6 @@ fn the_reference_tdb_is_its_inserts_one_by_one() {
                 tdb.insert(ev.clone());
             }
         }
-        assert_eq!(r.tdb, tdb, "{name}");
+        assert_eq!(r.tdb(), tdb, "{name}");
     }
 }

@@ -73,9 +73,9 @@ fn main() {
     println!(
         "\nsurvived 2 failures: merged TDB has {} events (reference has {})",
         merged.len(),
-        reference.tdb.len()
+        reference.tdb().len()
     );
-    assert!(all_equivalent(&[&merged, &reference.tdb]));
+    assert!(all_equivalent(&[&merged, &reference.tdb()]));
     println!("merged output ≡ reference stream — no losses, no duplicates");
     let stats = lmerge.stats();
     println!(

@@ -86,7 +86,7 @@ fn main() {
 
     // Ground truth: everything relevant after the restart.
     let expected: Tdb<Value> = reference
-        .tdb
+        .tdb()
         .iter()
         .filter(|(_, ve, _)| *ve >= restart_time)
         .flat_map(|((vs, p), ve, c)| {

@@ -17,7 +17,7 @@ fn copies(
         (0..n)
             .map(|i| diverge(&r.elements, &div, i as u64))
             .collect(),
-        r.tdb,
+        r.tdb(),
     )
 }
 

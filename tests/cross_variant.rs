@@ -33,7 +33,7 @@ fn r0_merges_ordered_copies() {
     let r = generate(&cfg);
     let copies = vec![r.elements.clone(), r.elements.clone(), r.elements.clone()];
     let (tdb, stats) = merge_round_robin(RLevel::R0, &copies);
-    assert_eq!(tdb, r.tdb);
+    assert_eq!(tdb, r.tdb());
     assert_eq!(stats.inserts_out, 500);
 }
 
@@ -44,7 +44,7 @@ fn r1_r2_match_r0_on_ordered_input() {
     let copies = vec![r.elements.clone(), r.elements.clone()];
     for level in [RLevel::R1, RLevel::R2] {
         let (tdb, _) = merge_round_robin(level, &copies);
-        assert_eq!(tdb, r.tdb, "{level} diverged on ordered input");
+        assert_eq!(tdb, r.tdb(), "{level} diverged on ordered input");
     }
 }
 
@@ -58,7 +58,7 @@ fn general_variants_agree_on_divergent_copies() {
         let copies: Vec<_> = (0..3).map(|i| diverge(&r.elements, &div, i)).collect();
         for level in [RLevel::R3, RLevel::R4] {
             let (tdb, stats) = merge_round_robin(level, &copies);
-            assert_eq!(tdb, r.tdb, "{level} diverged (seed {seed})");
+            assert_eq!(tdb, r.tdb(), "{level} diverged (seed {seed})");
             assert!(
                 stats.inserts_out + stats.adjusts_out <= stats.inserts_in,
                 "{level}: Theorem 1 bound violated (seed {seed})"
@@ -75,7 +75,11 @@ fn general_variants_agree_on_divergent_copies() {
                 }
             }
         }
-        assert_eq!(tdb_of(&out).unwrap(), r.tdb, "LMR3- diverged (seed {seed})");
+        assert_eq!(
+            tdb_of(&out).unwrap(),
+            r.tdb(),
+            "LMR3- diverged (seed {seed})"
+        );
     }
 }
 
@@ -99,7 +103,7 @@ fn interleaving_independence() {
     }
     let seq = tdb_of(&out).unwrap();
     assert_eq!(rr, seq);
-    assert_eq!(rr, r.tdb);
+    assert_eq!(rr, r.tdb());
 }
 
 /// Single-input LMerge is the identity on logical content.
@@ -108,7 +112,7 @@ fn single_input_is_logical_identity() {
     let r = generate(&GenConfig::small(300, 5).with_disorder(0.4));
     for level in [RLevel::R3, RLevel::R4] {
         let (tdb, _) = merge_round_robin(level, std::slice::from_ref(&r.elements));
-        assert_eq!(tdb, r.tdb);
+        assert_eq!(tdb, r.tdb());
     }
 }
 
@@ -119,7 +123,7 @@ fn many_copies_no_duplicates() {
     let div = DivergenceConfig::default();
     let copies: Vec<_> = (0..10).map(|i| diverge(&r.elements, &div, i)).collect();
     let (tdb, _) = merge_round_robin(RLevel::R3, &copies);
-    assert_eq!(tdb, r.tdb);
+    assert_eq!(tdb, r.tdb());
 }
 
 /// R3's stable point follows the maximum across inputs (the paper's

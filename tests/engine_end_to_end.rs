@@ -114,8 +114,8 @@ fn cleanse_pipeline_equals_direct_merge() {
         }
     }
 
-    assert_eq!(tdb_of(&direct).unwrap(), r.tdb);
-    assert_eq!(tdb_of(&piped).unwrap(), r.tdb);
+    assert_eq!(tdb_of(&direct).unwrap(), r.tdb());
+    assert_eq!(tdb_of(&piped).unwrap(), r.tdb());
 }
 
 /// Top-k over an ordered stream is an R1-class stream that LMR1 merges.

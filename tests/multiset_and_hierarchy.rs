@@ -34,9 +34,9 @@ fn r4_merges_duplicate_laden_streams() {
     let copies: Vec<_> = (0..3).map(|i| diverge(&r.elements, &div, i)).collect();
     let mut lm: LMergeR4<Value> = LMergeR4::new(3);
     let out = merge(&mut lm, &copies);
-    assert_eq!(tdb_of(&out).unwrap(), r.tdb, "multiset content preserved");
+    assert_eq!(tdb_of(&out).unwrap(), r.tdb(), "multiset content preserved");
     assert!(
-        r.tdb.iter().any(|(_, _, c)| c > 1),
+        r.tdb().iter().any(|(_, _, c)| c > 1),
         "workload must actually contain duplicates"
     );
 }
@@ -61,8 +61,8 @@ fn hierarchy_of_merges_equals_flat_merge() {
     let mut root_lm: LMergeR3<Value> = LMergeR3::new(2);
     let root = merge(&mut root_lm, &[left, right]);
 
-    assert_eq!(tdb_of(&flat).unwrap(), r.tdb);
-    assert_eq!(tdb_of(&root).unwrap(), r.tdb, "tree ≡ flat ≡ reference");
+    assert_eq!(tdb_of(&flat).unwrap(), r.tdb());
+    assert_eq!(tdb_of(&root).unwrap(), r.tdb(), "tree ≡ flat ≡ reference");
 }
 
 /// A three-level hierarchy with R4 at the root still converges.
@@ -77,7 +77,7 @@ fn mixed_level_hierarchy() {
     let b = merge(&mut l2, &copies[2..]);
     let mut root: LMergeR4<Value> = LMergeR4::new(2);
     let out = merge(&mut root, &[a, b]);
-    assert_eq!(tdb_of(&out).unwrap(), r.tdb);
+    assert_eq!(tdb_of(&out).unwrap(), r.tdb());
 }
 
 /// Randomized: R4 over duplicate-laden divergent copies always equals the
@@ -102,7 +102,7 @@ fn r4_multiset_roundtrip() {
         let out = merge(&mut lm, &copies);
         assert_eq!(
             tdb_of(&out).unwrap(),
-            r.tdb,
+            r.tdb(),
             "seed={seed} dup={dup:.3} disorder={disorder:.3}"
         );
     }
@@ -130,7 +130,7 @@ fn hierarchy_roundtrip() {
         let out = merge(&mut root, &[a, b]);
         assert_eq!(
             tdb_of(&out).unwrap(),
-            r.tdb,
+            r.tdb(),
             "seed={seed} disorder={disorder:.3}"
         );
     }

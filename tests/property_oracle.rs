@@ -46,7 +46,7 @@ fn copies_for(
     let copies = (0..n)
         .map(|i| diverge(&r.elements, &div, i as u64))
         .collect();
-    (copies, r.tdb)
+    (copies, r.tdb())
 }
 
 /// Per-case knobs drawn from a master RNG.
@@ -197,7 +197,7 @@ fn restricted_copies_for(
                 .collect()
         })
         .collect();
-    (copies, r.tdb)
+    (copies, r.tdb())
 }
 
 /// R0–R2 merges over order-preserving copies: every output prefix passes
