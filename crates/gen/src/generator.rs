@@ -8,11 +8,12 @@
 //! mutually consistent copies.
 
 use crate::config::GenConfig;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use lmerge_temporal::reconstitute::tdb_of;
 use lmerge_temporal::{Element, Tdb, Time, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A generated reference stream.
 #[derive(Clone, Debug)]
@@ -34,10 +35,10 @@ impl RefStream {
 /// string", which is unique with overwhelming probability; making
 /// uniqueness explicit keeps `(Vs, Payload)` an honest key for R3.
 fn payload(seq: u64, key: i32, len: usize) -> Value {
-    let len = len.max(8);
-    let mut body = BytesMut::with_capacity(len);
-    body.put_u64_le(seq);
-    body.resize(len, (key % 251) as u8);
+    // One allocation: the shared buffer is filled in place, then its head
+    // overwritten (it is not shared yet, so `make_mut` copies nothing).
+    let mut body: Arc<[u8]> = std::iter::repeat_n((key % 251) as u8, len.max(8)).collect();
+    Arc::make_mut(&mut body)[..8].copy_from_slice(&seq.to_le_bytes());
     Value {
         key,
         body: Bytes::from(body),
