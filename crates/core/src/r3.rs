@@ -42,10 +42,8 @@ pub type LMergeR3<P> = IndexedMerge<P, R3Kind<P>>;
 #[derive(Debug)]
 pub struct R3Kind<P: Payload> {
     index: In2t<P>,
-    /// Per-input `Ve` entries across all nodes.
-    entries: usize,
-    /// Those of them that nodes hold outside themselves (input ids from
-    /// [`INLINE_INPUTS`] on).
+    /// Per-input `Ve` entries that nodes hold outside themselves (input ids
+    /// from [`INLINE_INPUTS`] on).
     spilled: usize,
     insert: InsertPolicy,
     adjust: AdjustPolicy,
@@ -64,7 +62,6 @@ impl<P: Payload> LMergeR3<P> {
     pub fn with_policy(n: usize, policy: MergePolicy) -> LMergeR3<P> {
         let kind = R3Kind {
             index: In2t::new(),
-            entries: 0,
             spilled: 0,
             insert: policy.insert,
             adjust: policy.adjust,
@@ -120,7 +117,6 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
             node.set_output_ve(Some(e.ve));
         }
         if was_new {
-            self.entries += 1;
             self.spilled += usize::from(s.0 as usize >= INLINE_INPUTS);
             cx.live.note(s);
         }
@@ -169,7 +165,6 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
             }
         }
         if was_new {
-            self.entries += 1;
             self.spilled += usize::from(cx.input.0 as usize >= INLINE_INPUTS);
             cx.live.note(cx.input);
         }
@@ -195,7 +190,7 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
         let stats = &mut cx.books.stats;
         let inputs = &cx.books.inputs;
         let (live, out) = (&mut *cx.live, &mut *cx.out);
-        let (entries, spilled) = (&mut self.entries, &mut self.spilled);
+        let spilled = &mut self.spilled;
         self.index.sweep_half_frozen(t, |vs, payload, node| {
             // Line 20: if the driving stream lacks the event entirely, its
             // effective end time is Vs — i.e. the event does not exist.
@@ -232,7 +227,6 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
             // Lines 26–27: fully frozen (or nonexistent) per the driving
             // stream — the node is settled and can be dropped.
             if in_ve < t {
-                *entries -= node.support() as usize;
                 *spilled -= node.spilled();
                 for (id, _) in node.entries() {
                     live.release(id.0, 1);
@@ -270,7 +264,6 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
         let spills = usize::from(input.0 as usize >= INLINE_INPUTS);
         for node in self.index.nodes_mut() {
             if node.remove_input(input) {
-                self.entries -= 1;
                 self.spilled -= spills;
             }
         }
@@ -312,7 +305,7 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
     fn restore(&mut self, img: MergeStateImage<P>) {
         self.leader = img.leader.map(StreamId);
         self.index = In2t::new();
-        (self.entries, self.spilled) = (0, 0);
+        self.spilled = 0;
         for entry in img.entries {
             let node = self.index.add_node(entry.vs, entry.payload);
             for (id, m) in &entry.per_input {
@@ -320,7 +313,6 @@ impl<P: Payload> NodeKind<P> for R3Kind<P> {
                 // records nothing for the input.
                 if let Some(&(ve, _)) = m.first().filter(|&&(ve, _)| ve != Time::MIN) {
                     if node.set_input(StreamId(*id), ve) {
-                        self.entries += 1;
                         self.spilled += usize::from(*id as usize >= INLINE_INPUTS);
                     }
                 }
@@ -361,10 +353,13 @@ mod tests {
         assert_eq!(spread.kind.memory_bytes(), 10 * tier);
         // Retirement takes tiers, nodes and entries with it.
         spread.push(StreamId(0), &E::stable(5), &mut out);
-        assert_eq!(spread.kind.entries, 6, "Ve 1 to 4 retired");
+        assert_eq!(spread.live_entries(StreamId(0)), 6, "Ve 1 to 4 retired");
         assert_eq!(spread.kind.memory_bytes(), 6 * tier);
         spread.push(StreamId(0), &E::stable(60), &mut out);
-        assert_eq!((spread.kind.entries, spread.kind.memory_bytes()), (0, 0));
+        assert_eq!(
+            (spread.live_entries(StreamId(0)), spread.kind.memory_bytes()),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -396,9 +391,10 @@ mod tests {
         lm.push(StreamId(0), &E::insert("A", 1, 5), &mut out);
         lm.push(StreamId(1), &E::insert("A", 1, 6), &mut out);
         lm.push(StreamId(1), &E::insert("B", 2, 6), &mut out);
-        assert_eq!(lm.kind.entries, 3);
+        let live = |m: &LMergeR3<&'static str>| [0, 1].map(|s| m.live_entries(StreamId(s)));
+        assert_eq!(live(&lm), [1, 2]);
         lm.detach(StreamId(1));
-        assert_eq!(lm.kind.entries, 1);
+        assert_eq!(live(&lm), [1, 0]);
         let a = lm.kind.index.get(Time(1), &"A").unwrap();
         assert!(a.has_input(StreamId(0)) && !a.has_input(StreamId(1)));
         assert_eq!(lm.kind.index.get(Time(2), &"B").unwrap().support(), 0);
@@ -414,7 +410,8 @@ mod tests {
         lm.push(StreamId(2), &E::stable(2), &mut out);
         let mut back: LMergeR3<&str> = LMergeR3::new(3);
         assert!(back.restore_state(lm.export_state().unwrap()));
-        assert_eq!(back.kind.entries, lm.kind.entries);
+        let live = |m: &LMergeR3<&'static str>| [0, 1, 2].map(|s| m.live_entries(StreamId(s)));
+        assert_eq!(live(&back), live(&lm));
         assert_eq!(back.kind.memory_bytes(), lm.kind.memory_bytes());
         let nodes = |m: &LMergeR3<&'static str>| -> Vec<_> {
             m.kind
