@@ -68,7 +68,7 @@ impl<P: Payload> LogicalMerge<P> for LMergeR0<P> {
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.books.memory_bytes()
+        self.books.memory_bytes()
     }
 
     fn level(&self) -> RLevel {

@@ -92,9 +92,7 @@ impl<P: Payload> LogicalMerge<P> for LMergeR1<P> {
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.same_vs_count.capacity() * std::mem::size_of::<u64>()
-            + self.books.memory_bytes()
+        self.same_vs_count.capacity() * std::mem::size_of::<u64>() + self.books.memory_bytes()
     }
 
     fn level(&self) -> RLevel {

@@ -115,8 +115,7 @@ impl<P: Payload> LogicalMerge<P> for LMergeR2<P> {
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.at_max_vs.capacity() * std::mem::size_of::<P>()
+        self.at_max_vs.capacity() * std::mem::size_of::<P>()
             + self.payload_bytes
             + self.books.memory_bytes()
     }
