@@ -7,8 +7,9 @@
 //! with and without late adjusts to 1% of the older nodes),
 //! the index's own sweep and memory estimate, its probes and inserts (in
 //! order and in bit-reversed order), the O(1) batched discard of
-//! lagging inputs, reconstitution overhead, and the shared stream reader
-//! (`wire::FrameReader`: ns and `read` calls per frame). A plain timing harness
+//! lagging inputs, reconstitution overhead, the shared stream reader
+//! (`wire::FrameReader`: ns and `read` calls per frame), and the feed
+//! generator (`generate` and `diverge`, per reference element). A plain timing harness
 //! (best-of-N over a few repeats) keeps the workspace free of external
 //! benchmark frameworks; run with `cargo bench -p lmerge-bench`.
 //!
@@ -19,7 +20,7 @@
 
 use lmerge_bench::report::MetricsRecord;
 use lmerge_bench::{variants, Report, VariantKind};
-use lmerge_gen::{generate, GenConfig};
+use lmerge_gen::{diverge, generate, DivergenceConfig, GenConfig};
 use lmerge_net::wire::{self, Frame, FrameReader};
 use lmerge_temporal::reconstitute::Reconstituter;
 use lmerge_temporal::{Element, StreamId, VTime, Value};
@@ -400,6 +401,29 @@ fn bench_reconstitution(report: &mut Report) {
     record(report, "reconstitute/tdb", ns);
 }
 
+fn bench_generator(report: &mut Report) {
+    // The feed shape of the end-to-end benchmark's wire_flatout_32b: the
+    // generator builds every feed of the figures and of that benchmark, so
+    // its cost is every run's setup time. Per element of the reference.
+    let cfg = GenConfig {
+        num_events: sized(180_000, 20_000),
+        payload_len: 32,
+        stable_freq: 0.02,
+        disorder: 0.10,
+        event_duration_ms: 5_000_000,
+        ..Default::default()
+    };
+    let reference = generate(&cfg).elements;
+    println!("\n== generator ({} elements) ==", reference.len());
+    let ns = time_per_element(reference.len(), || generate(&cfg).elements.len() as u64);
+    record(report, "gen/generate", ns);
+    let div = DivergenceConfig::default();
+    let ns = time_per_element(reference.len(), || {
+        diverge(black_box(&reference), &div, 1).len() as u64
+    });
+    record(report, "gen/diverge", ns);
+}
+
 /// An in-memory stream that gives each `read` all the caller's buffer
 /// takes — a socket the sender keeps full — and counts the calls.
 struct CountingRead<'a> {
@@ -467,6 +491,7 @@ fn main() {
     bench_batch_discard(&mut report);
     bench_reconstitution(&mut report);
     bench_frame_reader(&mut report);
+    bench_generator(&mut report);
     println!();
     report.note(if quick_mode() {
         "quick mode (LMERGE_BENCH_QUICK): reduced sizes and repeats"
